@@ -42,7 +42,6 @@ from .characters import (
     Character,
     HalfDegreeError,
     Monomial,
-    NonIntegralExponent,
     char_lk,
     char_n,
     char_rank,

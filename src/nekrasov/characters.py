@@ -25,7 +25,6 @@ The building blocks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .diagrams import (
@@ -38,10 +37,6 @@ from .diagrams import (
     boxes,
     leg_in,
 )
-
-
-class NonIntegralExponent(ValueError):
-    """An exponent substitution left the doubled-exponent lattice."""
 
 
 class HalfDegreeError(ValueError):
@@ -219,10 +214,6 @@ def char_substitute(ch: Character, m: ExponentMap) -> Character:
     for mono, mult in ch.items():
         new1 = m[0][0] * mono.t1x2 + m[0][1] * mono.t2x2
         new2 = m[1][0] * mono.t1x2 + m[1][1] * mono.t2x2
-        if isinstance(new1, Fraction) or isinstance(new2, Fraction):
-            if Fraction(new1).denominator != 1 or Fraction(new2).denominator != 1:
-                raise NonIntegralExponent(f"{mono} under {m}")
-            new1, new2 = int(new1), int(new2)
         image = monomial(new1, new2, dict(mono.e))
         out[image] = out.get(image, 0) + mult
     return out

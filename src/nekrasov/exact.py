@@ -12,14 +12,23 @@ scalar times a product of integer powers of affine-linear forms in those
 variables.  Coefficients are never expanded into a canonical multivariate
 normal form -- with 2 + 3r variables that blows up quickly -- instead all
 equality questions are settled by exact evaluation at rational sample
-points.  Scalars are ``fractions.Fraction`` throughout, so arithmetic is
-arbitrary precision and exact.
+points.
+
+Scalars, form coefficients and sample-point values are
+``fractions.Fraction``.  Evaluation does its work in Python ints: the point
+is scaled to one common denominator D, each factor's form becomes an
+integer dot product (its value times 2D, an int whenever the coefficients
+lie in (1/2)Z, as every form the engine builds does), and each term is
+accumulated as one integer numerator/denominator pair.  A ``Fraction`` is
+made once per term; term values and their sums are ``Fraction``, so the
+arithmetic stays arbitrary precision and exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 Rational = Fraction
@@ -201,23 +210,8 @@ class FactoredTerm:
         return self.scalar == 0
 
     def evaluate(self, point: Mapping[Var, Fraction]) -> Fraction:
-        if self.scalar == 0:
-            return Fraction(0)
-        vanished = False
-        values: list[tuple[Fraction, int]] = []
-        for form, exp in self.factors:
-            value = form.evaluate(point)
-            if value == 0:
-                if exp < 0:
-                    raise PoleError(f"pole: ({form})^{exp} at {point}")
-                vanished = True
-            values.append((value, exp))
-        if vanished:
-            return Fraction(0)
-        total = self.scalar
-        for value, exp in values:
-            total *= value ** exp
-        return total
+        ints, two_d = _scale_point(point)
+        return _term_value(self, ints, two_d, point)
 
     def __str__(self) -> str:
         if not self.factors:
@@ -245,6 +239,58 @@ def factored_term(
 
 
 UNIT_TERM = factored_term(1)
+
+
+def _scale_point(point: Mapping[Var, Fraction]) -> tuple[dict[Var, int], int]:
+    """Write every value of `point` as an int over one common denominator D;
+    return those ints and 2D."""
+    d = lcm(*(value.denominator for value in point.values()))
+    ints = {v: value.numerator * (d // value.denominator) for v, value in point.items()}
+    return ints, 2 * d
+
+
+def _term_value(
+    t: FactoredTerm, ints: Mapping[Var, int], two_d: int, point: Mapping[Var, Fraction]
+) -> Fraction:
+    """Value of `t` at the point that `_scale_point` turned into (ints, two_d).
+
+    Each factor's value times 2D is an int dot product when the form's
+    coefficients lie in (1/2)Z; any other rational coefficient makes that
+    factor a Fraction, which the same products carry exactly.  A vanishing
+    factor with negative exponent is a pole even if an earlier factor
+    already vanished; otherwise a vanishing factor makes the term 0."""
+    if t.scalar == 0:
+        return Fraction(0)
+    num, den = t.scalar.numerator, t.scalar.denominator
+    degree = 0
+    vanished = False
+    for form, exp in t.factors:
+        value = 0
+        for v, c in form.coeffs:
+            q = c.denominator
+            if q == 1:
+                value += 2 * c.numerator * ints[v]
+            elif q == 2:
+                value += c.numerator * ints[v]
+            else:
+                value = sum((2 * c * ints[v] for v, c in form.coeffs), Fraction(0))
+                break
+        if value == 0:
+            if exp < 0:
+                raise PoleError(f"pole: ({form})^{exp} at {point}")
+            vanished = True
+        elif exp > 0:
+            num *= value**exp
+        else:
+            den *= value**-exp
+        degree += exp
+    if vanished:
+        return Fraction(0)
+    if degree > 0:
+        den *= two_d**degree
+    else:
+        num *= two_d**-degree
+    return Fraction(num, den)
 
 
 def term_mul(a: FactoredTerm, b: FactoredTerm) -> FactoredTerm:
@@ -292,16 +338,11 @@ Coefficient = tuple
 
 
 def coeff_eval(c: Coefficient, point: Mapping[Var, Fraction]) -> Fraction:
+    ints, two_d = _scale_point(point)
     total = Fraction(0)
     for t in c:
-        total += t.evaluate(point)
+        total += _term_value(t, ints, two_d, point)
     return total
-
-
-def coeff_substitute(c: Coefficient, rule: "Mapping[Var, LinearForm] | None") -> Coefficient:
-    if rule is None:
-        return c
-    return tuple(term_substitute(t, rule) for t in c)
 
 
 def coeff_denominator_forms(c: Coefficient) -> list[LinearForm]:

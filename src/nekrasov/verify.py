@@ -320,20 +320,33 @@ def check_recursion_must(
     u_term = prefactor_exponent(frame.r)
     pole_forms = union_pole_forms(alpha, beta, extra=(u_term,))
     r = frame.r
+    # u and each beta coefficient, evaluated once per point: every later
+    # grade's convolution re-reads them.  Keyed by (point items, grade),
+    # with grade None for u.
+    memo: dict = {}
+
+    def at(point: EvalPoint, grade: int | None) -> Fraction:
+        key = (tuple(point.items()), grade)
+        if key not in memo:
+            if grade is None:
+                memo[key] = term_eval(u_term, point)
+            else:
+                memo[key] = coeff_eval(beta.coefficient(grade), point)
+        return memo[key]
 
     def rhs_at(grade: int):
         def value(point: EvalPoint) -> Fraction:
             j_max = (grade - frame.w1) // 4
             if j_max < 0:
                 return Fraction(0)
-            u = term_eval(u_term, point)
+            u = at(point, None)
             total = Fraction(0)
             rising = Fraction(1)
             for j in range(j_max + 1):
                 if j > 0:
                     rising *= u + (j - 1)
                 weight = Fraction((-1) ** (j * r), factorial(j)) * rising
-                total += weight * coeff_eval(beta.coefficient(grade - 4 * j), point)
+                total += weight * at(point, grade - 4 * j)
             return total
 
         return value

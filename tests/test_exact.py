@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nekrasov.exact import (
     EPS1,
     EPS2,
+    FactoredTerm,
     PoleError,
     coeff_eval,
     factored_term,
@@ -124,6 +125,7 @@ class TestFactoredTerm:
 class TestCoefficient:
     def test_empty_sum(self):
         assert coeff_eval((), {}) == 0
+        assert coeff_eval((), {EPS1: F(2, 3), EPS2: F(-1, 7)}) == 0
 
     def test_partial_fraction_sum(self):
         # 1/(eps1 (eps2-eps1)) + 1/(eps2 (eps1-eps2)) at (1, 3) = 1/2 - 1/6 = 1/3
@@ -191,3 +193,88 @@ def test_normalization_order_independent_and_idempotent(factors, scalar, data):
     assert a == b
     rebuilt = factored_term(a.scalar, a.factors)
     assert rebuilt == a
+
+
+# The evaluation kernel against a plain Fraction reference.  Coefficients
+# include values outside (1/2)Z, which the engine never builds but the
+# kernel must still evaluate exactly; points include 0 so that factors
+# vanish and poles occur.
+_KERNEL_COEFFS = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2), F(1, 3), F(5, 6), F(-7, 4)]
+
+_kernel_form = st.builds(
+    lambda coeffs: linear_form(dict(zip(_POOL_VARS, coeffs))),
+    st.lists(st.sampled_from(_KERNEL_COEFFS), min_size=4, max_size=4),
+).filter(lambda f: not f.is_zero())
+
+_kernel_term = st.builds(
+    lambda s, fs: factored_term(s, fs),
+    st.sampled_from([F(0), F(1), F(-2), F(3, 4), F(-5, 7)]),
+    st.lists(st.tuples(_kernel_form, st.integers(-3, 3).filter(bool)), max_size=5),
+)
+
+_kernel_point = st.builds(
+    lambda vals: dict(zip(_POOL_VARS, vals)),
+    st.lists(
+        st.one_of(
+            st.just(F(0)),
+            st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3)]),
+            st.fractions(min_value=-3, max_value=3, max_denominator=12),
+        ),
+        min_size=4,
+        max_size=4,
+    ),
+)
+
+
+def _reference_term(t, point):
+    if t.scalar == 0:
+        return F(0)
+    values = [(form.evaluate(point), exp) for form, exp in t.factors]
+    if any(value == 0 and exp < 0 for value, exp in values):
+        raise PoleError("reference pole")
+    total = t.scalar
+    for value, exp in values:
+        total *= value**exp
+    return total
+
+
+class TestKernelAgainstReference:
+    @settings(max_examples=300)
+    @given(c=st.lists(_kernel_term, min_size=1, max_size=4), point=_kernel_point)
+    def test_coeff_and_term_eval_match_fraction_reference(self, c, point):
+        c = tuple(c)
+        try:
+            expected = sum((_reference_term(t, point) for t in c), F(0))
+        except PoleError:
+            with pytest.raises(PoleError):
+                coeff_eval(c, point)
+            return
+        assert coeff_eval(c, point) == expected
+        for t in c:
+            assert term_eval(t, point) == _reference_term(t, point)
+
+    def test_coefficients_outside_half_integers_are_exact(self):
+        f = linear_form({EPS1: F(1, 3), EPS2: F(5, 6)})
+        t = factored_term(F(3, 2), [(f, 2), (linear_form({EPS1: F(2, 3)}), -1)])
+        point = {EPS1: F(3, 5), EPS2: F(-7, 4)}
+        # f = 1/5 - 35/24 = -151/120, eps1 term = 2/5
+        assert term_eval(t, point) == F(3, 2) * F(-151, 120) ** 2 / F(2, 5)
+        assert coeff_eval((t, t), point) == 2 * term_eval(t, point)
+
+    def test_zero_scalar_term_is_zero_before_its_factors_are_read(self):
+        # factored_term drops the factors of a zero term; a raw one keeps a
+        # factor that would be a pole, and still evaluates to 0.
+        t = FactoredTerm(F(0), ((linear_form({EPS1: 1}), -1),))
+        assert term_eval(t, {EPS1: F(0)}) == 0
+        assert coeff_eval((t,), {EPS1: F(0)}) == 0
+
+    def test_pole_after_vanished_factor_raises(self):
+        vanishing = linear_form({EPS1: 1})
+        pole = linear_form({EPS2: F(1, 2)})
+        t = factored_term(1, [(pole, -1), (vanishing, 2)])
+        assert [form for form, _ in t.factors] == [vanishing, pole]
+        point = {EPS1: F(0), EPS2: F(0)}
+        with pytest.raises(PoleError):
+            term_eval(t, point)
+        with pytest.raises(PoleError):
+            coeff_eval((factored_term(1), t), point)

@@ -128,6 +128,25 @@ class TestReports:
         with pytest.raises(ValueError):
             check_recursion_must(FrameData(1, 0), H(-1), 8, CFG)
 
+    def test_must_evaluates_each_coefficient_once_per_point(self, monkeypatch):
+        # alpha has grades 0, 4, ..., 32 and the convolution reads beta at
+        # the same 9 grades: (9 + 9) x 10 trials.  Re-reading beta at every
+        # later grade instead would make it (9 + 45) x 10 = 540.
+        from nekrasov import verify
+
+        calls = []
+
+        def counting(c, point):
+            calls.append(None)
+            return coeff_eval(c, point)
+
+        monkeypatch.setattr(verify, "coeff_eval", counting)
+        cfg = SampleConfig(seed=161, trials=10)
+        rep = check_recursion_must(FrameData(1, 0), H(1), 32, cfg)
+        assert rep.passed
+        assert len(rep.grades) == 9
+        assert len(calls) == (9 + 9) * 10
+
     def test_parity_infeasible_inputs_compare_zero_series(self):
         rep = check_main(FrameData(1, 1), H(0), 9, CFG)
         assert rep.passed
