@@ -144,7 +144,7 @@ def degree_mod2(mono: Monomial, frame: FrameData) -> int:
     if mono.t1x2 % 2 or mono.t2x2 % 2:
         raise HalfDegreeError(f"half-integral t-exponent in {mono}")
     total = mono.t1x2 // 2 + mono.t2x2 // 2
-    total += sum(exp for alpha, exp in mono.e if alpha > frame.r0)
+    total += sum(exp for alpha, exp in mono.e if alpha > frame.w0)
     return total % 2
 
 

@@ -72,7 +72,10 @@ def _u64(text: str) -> int:
 
 
 def _fraction_list(text: str) -> list[Fraction]:
-    return [parse_rational(part) for part in text.split(",") if part != ""]
+    parts = text.split(",")
+    if "" in parts:
+        raise ValueError(f"empty item in {text!r}")
+    return [parse_rational(part) for part in parts]
 
 
 def _add_series_flags(sub: argparse.ArgumentParser) -> None:

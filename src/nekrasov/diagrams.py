@@ -42,15 +42,6 @@ class GradeError(ValueError):
     """Requested series grade not congruent to w1 mod 4."""
 
 
-def check_diagram(columns) -> YoungDiagram:
-    cols = tuple(int(c) for c in columns)
-    if any(c <= 0 for c in cols):
-        raise ValueError(f"column heights must be positive: {cols}")
-    if any(cols[i] < cols[i + 1] for i in range(len(cols) - 1)):
-        raise ValueError(f"column heights must weakly decrease: {cols}")
-    return cols
-
-
 def diagram_size(diagram: YoungDiagram) -> int:
     return sum(diagram)
 
@@ -113,14 +104,6 @@ class FrameData:
     @property
     def r(self) -> int:
         return self.w0 + self.w1
-
-    @property
-    def r0(self) -> int:
-        return self.w0
-
-    @property
-    def r1(self) -> int:
-        return self.w1
 
     @property
     def colors(self) -> tuple[int, ...]:

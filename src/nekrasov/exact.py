@@ -8,7 +8,7 @@ equivariant variables
     m_1 .. m_2r       fundamental-matter masses,
 
 and every quantity we ever need is a sum of *factored terms*: a rational
-scalar times a product of integer powers of affine-linear forms in those
+scalar times a product of integer powers of linear forms in those
 variables.  Coefficients are never expanded into a canonical multivariate
 normal form -- with 2 + 3r variables that blows up quickly -- instead all
 equality questions are settled by exact evaluation at rational sample
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Iterable, Mapping
 
@@ -48,8 +49,11 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" into an exact rational."""
-    return Fraction(text)
+    """Parse "p" or "p/q" into an exact rational; a zero q is a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -80,10 +84,14 @@ EPS1 = Var("eps", 1)
 EPS2 = Var("eps", 2)
 
 
+# One shared Var per index: every form built from these holds the same
+# objects instead of a fresh dataclass per call.
+@cache
 def var_a(alpha: int) -> Var:
     return Var("a", alpha)
 
 
+@cache
 def var_m(f: int) -> Var:
     return Var("m", f)
 
@@ -102,21 +110,13 @@ EvalPoint = dict
 
 @dataclass(frozen=True)
 class LinearForm:
-    """An affine-linear form, stored as sorted (variable, coefficient) pairs.
-
-    The constant slot is kept for generality but the engine only ever
-    produces homogeneous forms; a nonzero constant trips an assertion so
-    that convention bugs surface immediately.
-    """
+    """A homogeneous linear form, stored as sorted (variable, coefficient)
+    pairs."""
 
     coeffs: tuple[tuple[Var, Fraction], ...]
-    constant: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        assert self.constant == 0, "linear forms here are always homogeneous"
 
     def is_zero(self) -> bool:
-        return not self.coeffs and self.constant == 0
+        return not self.coeffs
 
     def coefficient(self, v: Var) -> Fraction:
         for var, c in self.coeffs:
@@ -130,7 +130,7 @@ class LinearForm:
         )
 
     def evaluate(self, point: Mapping[Var, Fraction]) -> Fraction:
-        total = self.constant
+        total = Fraction(0)
         for v, c in self.coeffs:
             total += c * point[v]
         return total

@@ -6,9 +6,13 @@ quarter offset, carried implicitly by the residue g mod 4 (reported once
 per series as its offset), so grade keys stay integers.  A missing grade
 at or below the truncation means the coefficient is zero.
 
-Substitutions (sign flips, the two blow-up chart maps) are applied to the
-linear forms when terms are constructed, never at evaluation time, so one
-evaluation point serves both sides of any identity being checked.
+Every substitution rule is a linear map R on the variables, and a series
+substituted by R takes at a point p the value the plain series takes at
+R(p).  The sign flips (rule_negate_eps, rule_negate_all, rule_negate_am)
+are used that way: zx0 and zx1 are built once, in plain variables, and a
+flipped side is evaluated at map_point(p, R).  Only the two blow-up chart
+maps are still applied to the linear forms when the plane series' terms
+are constructed.
 
 Implemented series:
 
@@ -124,16 +128,16 @@ def rule_chart(side: int, kvec) -> dict:
     return rule
 
 
-def compose_rules(first: SubstitutionRule | None, then: SubstitutionRule | None):
-    """Rule equivalent to substituting `first`, then `then`."""
-    if first is None:
-        return then
-    if then is None:
-        return first
-    composed = {v: form.substitute(then) for v, form in first.items()}
-    for v, form in then.items():
-        composed.setdefault(v, form)
-    return composed
+def map_point(point: EvalPoint, rule: SubstitutionRule | None) -> EvalPoint:
+    """R(p): each variable v takes the value rule[v](p) (unchanged when the
+    rule fixes v), so a coefficient evaluated at R(p) equals the
+    coefficient substituted by the rule evaluated at p."""
+    if rule is None:
+        return point
+    return {
+        v: rule[v].evaluate(point) if v in rule else value
+        for v, value in point.items()
+    }
 
 
 def prefactor_exponent(r: int) -> FactoredTerm:
@@ -194,9 +198,7 @@ def series_zp2(r: int, max_n: int, rule: SubstitutionRule | None = None) -> QSer
     return QSeries(coeffs, 4 * max_n, 0)
 
 
-def series_zx0(
-    frame: FrameData, k: HalfInt, max4n: int, rule: SubstitutionRule | None = None
-) -> QSeries:
+def series_zx0(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
     """Orbifold-side series: grade 4*v0 + w1 sums the colored diagram
     tuples with counts (v0, v1), v1 = v0 + w1/2 + k.  Grades where v1 is
     negative or non-integral (parity-infeasible k) hold zero."""
@@ -212,13 +214,11 @@ def series_zx0(
             coeffs[g] = ()
             continue
         fps = enum_fixed_points_x0(frame, v0, v1_doubled // 2)
-        coeffs[g] = tuple(term_substitute(term_x0(frame, fp), rule) for fp in fps)
+        coeffs[g] = tuple(term_x0(frame, fp) for fp in fps)
     return QSeries(coeffs, max4n, offset)
 
 
-def series_zx1(
-    frame: FrameData, k: HalfInt, max4n: int, rule: SubstitutionRule | None = None
-) -> QSeries:
+def series_zx1(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
     """Resolved-side series: grade 4n sums all (kvec, Y1, Y2) fixed points
     with sum(kvec) = k at that grade.  Parity-infeasible k gives the zero
     series (no admissible first-Chern vectors exist)."""
@@ -230,7 +230,7 @@ def series_zx1(
             coeffs[g] = ()
             continue
         fps = enum_fixed_points_x1(frame, k, g)
-        coeffs[g] = tuple(term_substitute(term_x1(frame, fp), rule) for fp in fps)
+        coeffs[g] = tuple(term_x1(frame, fp) for fp in fps)
     return QSeries(coeffs, max4n, offset)
 
 
@@ -254,16 +254,6 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
                 continue
             acc[g].extend(term_mul(t1, t2) for t1 in c1 for t2 in c2)
     return QSeries({g: tuple(ts) for g, ts in acc.items()}, max_grade, offset)
-
-
-def series_scale(a: QSeries, t: FactoredTerm) -> QSeries:
-    coeffs = {g: tuple(term_mul(t, u) for u in c) for g, c in a.coeffs.items()}
-    return QSeries(coeffs, a.max_grade, a.offset)
-
-
-def series_shift(a: QSeries, delta: int) -> QSeries:
-    coeffs = {g + delta: c for g, c in a.coeffs.items()}
-    return QSeries(coeffs, a.max_grade + delta, (a.offset + delta) % 4)
 
 
 def series_zx1_factorized(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:

@@ -9,10 +9,14 @@ in [-999, 999] \\ {0} over denominators in [1, 32].
 
 The point stream is deterministic: trial t's point is a pure function of
 (seed, t), generated by a splitmix64 stream, so reports are byte-identical
-across runs and platforms.  Before evaluating, the union of all linear
-forms appearing in any denominator on either side is collected; a draw
-that zeroes any of them is rejected and the whole point redrawn, so an
-honest pole can never masquerade as a mismatch.
+across runs and platforms.  Every series is built once, in plain
+variables; a side that compares a series under a sign flip R is its plain
+coefficient evaluated at R(p).  Before evaluating, the union of all linear
+forms appearing in any denominator on either side is collected, a flipped
+side contributing its plain denominator forms composed with R (form o R
+vanishes at p exactly when form vanishes at R(p)); a draw that zeroes any
+of them is rejected and the whole point redrawn, so an honest pole can
+never masquerade as a mismatch.
 
 Checks:
 
@@ -48,6 +52,7 @@ from .exact import (
 )
 from .series import (
     QSeries,
+    map_point,
     prefactor_exponent,
     rule_negate_all,
     rule_negate_am,
@@ -158,6 +163,13 @@ def union_pole_forms(*series_list: QSeries, extra=()) -> list[LinearForm]:
     return list(seen)
 
 
+def _joint_pole_forms(plain: list, flipped: list, rule) -> list[LinearForm]:
+    """Pole forms of sides evaluated at p (`plain`) and at rule(p)
+    (`flipped`, given as the plain forms of those series), without
+    repeats."""
+    return list(dict.fromkeys(plain + [form.substitute(rule) for form in flipped]))
+
+
 @dataclass
 class GradeRecord:
     grade4n: int
@@ -216,12 +228,6 @@ class VerificationReport:
         }
 
 
-def _evaluate_side(side, point: EvalPoint) -> Fraction:
-    if callable(side):
-        return side(point)
-    return coeff_eval(side, point)
-
-
 def _run_check(
     name: str,
     frame: FrameData,
@@ -231,6 +237,8 @@ def _run_check(
     rows,
     pole_forms,
 ) -> VerificationReport:
+    """Each side of a row is a (coefficient, rule) pair, evaluated at
+    rule(p) (rule None: at p), or a callable of the point."""
     points: list[EvalPoint] = []
     resamples: list[int] = []
     for trial in range(cfg.trials):
@@ -239,9 +247,20 @@ def _run_check(
             logger.warning("sample-point collision between trials (seed %d)", cfg.seed)
         points.append(point)
         resamples.append(redraws)
+    images: dict = {}  # (trial, id(rule)) -> rule(point of that trial)
+
+    def evaluate(side, trial: int) -> Fraction:
+        if callable(side):
+            return side(points[trial])
+        coeff, rule = side
+        key = (trial, id(rule))
+        if key not in images:
+            images[key] = map_point(points[trial], rule)
+        return coeff_eval(coeff, images[key])
+
     grades = []
     for grade, tags, lhs, rhs in rows:
-        values = [(_evaluate_side(lhs, p), _evaluate_side(rhs, p)) for p in points]
+        values = [(evaluate(lhs, t), evaluate(rhs, t)) for t in range(cfg.trials)]
         grades.append(GradeRecord(grade, tags, values))
     return VerificationReport(name, frame, k, max4n, cfg, points, resamples, grades)
 
@@ -252,22 +271,27 @@ def check_main(
     """Resolved series at -eps against the orbifold series.
 
     For k >= 0 the right side carries the prefactor (1 - (-1)^r q)^u; for
-    k <= 0 it is the orbifold series at -eps; k = 0 runs both branches."""
-    lhs = series_zx1(frame, k, max4n, rule_negate_eps())
-    branches: list[tuple[str, QSeries]] = []
+    k <= 0 it is the orbifold series at -eps; k = 0 runs both branches,
+    which share one orbifold series."""
+    flip = rule_negate_eps()
+    zx1 = series_zx1(frame, k, max4n)
+    zx0 = series_zx0(frame, k, max4n)
+    plain, flipped = [], [zx1]
+    branches = []  # (label, series, rule its coefficients are read at)
     if k.doubled >= 0:
-        rhs = series_mul(
-            series_prefactor(frame.r, +1, max4n // 4),
-            series_zx0(frame, k, max4n, None),
-        )
-        branches.append(("k>=0", rhs))
+        rhs = series_mul(series_prefactor(frame.r, +1, max4n // 4), zx0)
+        plain.append(rhs)
+        branches.append(("k>=0", rhs, None))
     if k.doubled <= 0:
-        branches.append(("k<=0", series_zx0(frame, k, max4n, rule_negate_eps())))
-    pole_forms = union_pole_forms(lhs, *(rhs for _, rhs in branches))
+        flipped.append(zx0)
+        branches.append(("k<=0", zx0, flip))
+    pole_forms = _joint_pole_forms(
+        union_pole_forms(*plain), union_pole_forms(*flipped), flip
+    )
     rows = [
-        (g, {"branch": label}, lhs.coefficient(g), rhs.coefficient(g))
-        for label, rhs in branches
-        for g in lhs.grades()
+        (g, {"branch": label}, (zx1.coefficient(g), flip), (rhs.coefficient(g), rule))
+        for label, rhs, rule in branches
+        for g in zx1.grades()
     ]
     return _run_check("main", frame, k, max4n, cfg, rows, pole_forms)
 
@@ -276,30 +300,29 @@ def check_factorization(
     frame: FrameData, k: HalfInt, max4n: int, cfg: SampleConfig
 ) -> VerificationReport:
     """Resolved series against its blow-up factorization."""
-    lhs = series_zx1(frame, k, max4n, None)
+    lhs = series_zx1(frame, k, max4n)
     rhs = series_zx1_factorized(frame, k, max4n)
     pole_forms = union_pole_forms(lhs, rhs)
-    rows = [(g, {}, lhs.coefficient(g), rhs.coefficient(g)) for g in lhs.grades()]
+    rows = [
+        (g, {}, (lhs.coefficient(g), None), (rhs.coefficient(g), None))
+        for g in lhs.grades()
+    ]
     return _run_check("mult", frame, k, max4n, cfg, rows, pole_forms)
 
 
 def check_symmetry(
     frame: FrameData, k: HalfInt, max4n: int, cfg: SampleConfig
 ) -> VerificationReport:
-    """Both series against themselves under (eps, a, m) -> -(eps, a, m)."""
+    """Both series against themselves under (eps, a, m) -> -(eps, a, m):
+    each series at the flipped point against itself at the plain point."""
     flip = rule_negate_all(frame.r)
-    sides = []
-    for kappa, builder in ((0, series_zx0), (1, series_zx1)):
-        flipped = builder(frame, k, max4n, flip)
-        plain = builder(frame, k, max4n, None)
-        sides.append((kappa, flipped, plain))
-    pole_forms = union_pole_forms(
-        *(s for _, flipped, plain in sides for s in (flipped, plain))
-    )
+    sides = ((0, series_zx0(frame, k, max4n)), (1, series_zx1(frame, k, max4n)))
+    forms = union_pole_forms(*(series for _, series in sides))
+    pole_forms = _joint_pole_forms(forms, forms, flip)
     rows = [
-        (g, {"kappa": kappa}, flipped.coefficient(g), plain.coefficient(g))
-        for kappa, flipped, plain in sides
-        for g in flipped.grades()
+        (g, {"kappa": kappa}, (series.coefficient(g), flip), (series.coefficient(g), None))
+        for kappa, series in sides
+        for g in series.grades()
     ]
     return _run_check("symmetry", frame, k, max4n, cfg, rows, pole_forms)
 
@@ -312,26 +335,35 @@ def check_recursion_must(
 
         alpha_n = sum_j (-1)^(j r) u(u+1)...(u+j-1)/j! * beta_(n-j).
 
-    Any failure is reported with full values, never suppressed."""
+    beta is the plain orbifold series read at the flipped point.  Any
+    failure is reported with full values, never suppressed."""
     if k.doubled < 0:
         raise ValueError("recursion check is defined for k >= 0")
-    alpha = series_zx1(frame, k, max4n, None)
-    beta = series_zx0(frame, k, max4n, rule_negate_am(frame.r))
-    u_term = prefactor_exponent(frame.r)
-    pole_forms = union_pole_forms(alpha, beta, extra=(u_term,))
     r = frame.r
+    flip = rule_negate_am(r)
+    alpha = series_zx1(frame, k, max4n)
+    beta = series_zx0(frame, k, max4n)
+    u_term = prefactor_exponent(r)
+    pole_forms = _joint_pole_forms(
+        union_pole_forms(alpha, extra=(u_term,)), union_pole_forms(beta), flip
+    )
     # u and each beta coefficient, evaluated once per point: every later
     # grade's convolution re-reads them.  Keyed by (point items, grade),
-    # with grade None for u.
+    # with grade None for u.  beta is read at the flipped point, mapped
+    # once per point.
     memo: dict = {}
+    images: dict = {}
 
     def at(point: EvalPoint, grade: int | None) -> Fraction:
-        key = (tuple(point.items()), grade)
+        items = tuple(point.items())
+        key = (items, grade)
         if key not in memo:
             if grade is None:
                 memo[key] = term_eval(u_term, point)
             else:
-                memo[key] = coeff_eval(beta.coefficient(grade), point)
+                if items not in images:
+                    images[items] = map_point(point, flip)
+                memo[key] = coeff_eval(beta.coefficient(grade), images[items])
         return memo[key]
 
     def rhs_at(grade: int):
@@ -351,5 +383,5 @@ def check_recursion_must(
 
         return value
 
-    rows = [(g, {}, alpha.coefficient(g), rhs_at(g)) for g in alpha.grades()]
+    rows = [(g, {}, (alpha.coefficient(g), None), rhs_at(g)) for g in alpha.grades()]
     return _run_check("must", frame, k, max4n, cfg, rows, pole_forms)

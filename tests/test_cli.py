@@ -81,6 +81,10 @@ class TestUsageErrors:
              "--trials", "0"],
             ["check", "nosuch", "--w0", "1", "--w1", "0", "--k", "0", "--max-n", "1"],
             ["compute", "zx1", "--w0", "1", "--w1", "0", "--max-n", "1"],
+            ["imo-point", "--eps1", "1/0", "--eps2", "2", "--a", "3", "--m", "5,0"],
+            ["imo-point", "--eps1", "1", "--eps2", "2", "--a", "3", "--m", "5,1/0"],
+            ["imo-point", "--eps1", "1", "--eps2", "2", "--a", "3,,4",
+             "--m", "5,0,1,2"],
         ],
     )
     def test_exit_code_2(self, argv):

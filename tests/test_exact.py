@@ -72,12 +72,6 @@ class TestLinearForm:
         image = f.substitute({EPS1: linear_form({EPS2: 1})})
         assert image == linear_form({EPS2: 2, var_a(1): 1})
 
-    def test_nonzero_constant_trips_assertion(self):
-        from nekrasov.exact import LinearForm
-
-        with pytest.raises(AssertionError):
-            LinearForm((), Fraction(1))
-
 
 class TestFactoredTerm:
     def test_mul_cancels_exponents(self):

@@ -2,9 +2,11 @@
 the default seed (161), pinned.
 
 A change to sampling, evaluation or report formatting that alters even one
-byte of a report fails here.  The values were recorded from the engine
-before its integer evaluation kernel, so they also pin that the kernel
-reproduces exact ``Fraction`` evaluation."""
+byte of a report fails here.  The first three values were recorded from
+the engine before its integer evaluation kernel, so they also pin that the
+kernel reproduces exact ``Fraction`` evaluation; the last two were recorded
+while sign flips were still applied symbolically to every term, so they pin
+that evaluating at the flipped point changes nothing."""
 
 import hashlib
 import os
@@ -30,6 +32,16 @@ GOLDEN = [
     (
         "compute zx1-fact --w0 1 --w1 1 --k 1/2 --max-n 2",
         "5f0ae6265d0d1bd9b725b646d14ed9ad9ac3f6b03583f566730c993cd0fdb277",
+    ),
+    # rank 2, where the sign flips move a-difference forms
+    (
+        "check all --w0 2 --w1 0 --k 0 --max-n 1",
+        "fbf31b7c988736cd4ff626db77cc1274d559425e50969bd9b1a8ad182113f6ac",
+    ),
+    # k < 0: only the k <= 0 branch of main, and no must
+    (
+        "check all --w0 1 --w1 1 --k -1/2 --max-n 1",
+        "37344438ecdcb09ec6fa3e48b1ef463106619ce368381ac25cab1776f8af6e3c",
     ),
 ]
 

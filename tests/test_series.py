@@ -236,50 +236,27 @@ class TestSeriesProduct:
         assert list(prod.grades()) == [1, 5, 9]
 
 
-class TestRuleComposition:
-    def test_compose_matches_sequential_substitution(self):
-        from nekrasov.series import compose_rules, rule_negate_eps
-
-        first = rule_chart(1, (H("1/2"),))
-        then = rule_negate_eps()
-        composed = compose_rules(first, then)
-        forms = [
-            linear_form({EPS1: 3, var_a(1): 1}),
-            linear_form({EPS2: -2, var_m(1): 5}),
-            linear_form({EPS1: 1, EPS2: 1, var_a(1): -4}),
-        ]
-        for form in forms:
-            assert form.substitute(composed) == form.substitute(first).substitute(then)
-
-    def test_identity_is_none(self):
-        from nekrasov.series import compose_rules
-
-        rule = rule_chart(2, (H(1),))
-        assert compose_rules(None, rule) is rule
-        assert compose_rules(rule, None) is rule
-
-
 class TestScaleAndShift:
     def test_factorized_slice_rebuilt_from_primitives(self):
-        # one first-Chern summand of the factorization, rebuilt by hand:
-        # shift(scale(Zp2(chart1) * Zp2(chart2), ell), 4 sum k^2)
+        # one first-Chern summand of the factorization, rebuilt by hand at
+        # each point: ell * Zp2(chart 1) * Zp2(chart 2), shifted up by
+        # 4 sum k^2 = 4 grades
         from nekrasov.localization import ell_factor
-        from nekrasov.series import series_scale, series_shift
 
         frame = FrameData(1, 0)
         kvec = (H(1),)
-        prod = series_mul(
-            series_zp2(1, 1, rule_chart(1, kvec)),
-            series_zp2(1, 1, rule_chart(2, kvec)),
-        )
-        slice_ = series_shift(series_scale(prod, ell_factor(frame, kvec)), 4)
-        assert slice_.offset == 0 and slice_.max_grade == 8
+        z1 = series_zp2(1, 1, rule_chart(1, kvec))
+        z2 = series_zp2(1, 1, rule_chart(2, kvec))
+        ell = ell_factor(frame, kvec)
         whole = series_zx1_factorized(frame, H(1), 8)
-        for g in (4, 8):
-            for p in POINTS:
-                assert coeff_eval(slice_.coefficient(g), p) == coeff_eval(
-                    whole.coefficient(g), p
+        for p in POINTS:
+            for g in (4, 8):
+                product = sum(
+                    coeff_eval(z1.coefficient(g1), p)
+                    * coeff_eval(z2.coefficient(g - 4 - g1), p)
+                    for g1 in range(0, g - 3, 4)
                 )
+                assert coeff_eval(whole.coefficient(g), p) == ell.evaluate(p) * product
 
 
 class TestFactorizedSeries:

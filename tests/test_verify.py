@@ -13,8 +13,10 @@ from nekrasov.exact import (
     factored_term,
     linear_form,
     term_eval,
+    var_a,
 )
 from nekrasov.series import (
+    map_point,
     prefactor_exponent,
     rule_negate_eps,
     series_mul,
@@ -199,23 +201,100 @@ class TestZeroKBranchGuard:
     when the prefactor tail is nonzero at the point."""
 
     def test_branch_difference_is_prefactor_tail(self):
+        # the eps-flipped orbifold series is the plain one read at -eps
         frame = FrameData(1, 0)
+        flip = rule_negate_eps()
         plain = series_zx0(frame, H(0), 8)
-        flipped = series_zx0(frame, H(0), 8, rule_negate_eps())
         pref = series_prefactor(frame.r, +1, 2)
         rhs_ge = series_mul(pref, plain)
         u_term = prefactor_exponent(frame.r)
-        forms = union_pole_forms(plain, flipped, extra=(u_term,))
+        forms = union_pole_forms(plain, extra=(u_term,))
+        forms += [form.substitute(flip) for form in union_pole_forms(plain)]
         for trial in range(CFG.trials):
             p = sample_point(CFG, trial, forms, frame.r)
+            q = map_point(p, flip)
             u = term_eval(u_term, p)
             a0 = coeff_eval(plain.coefficient(0), p)
             a4 = coeff_eval(plain.coefficient(4), p)
-            b4 = coeff_eval(flipped.coefficient(4), p)
+            b4 = coeff_eval(plain.coefficient(4), q)
             assert b4 - a4 == u * a0
             assert (b4 != a4) == (u != 0)
             # both branch right sides agree wherever the identity holds
             for g in (0, 4, 8):
                 assert coeff_eval(rhs_ge.coefficient(g), p) == coeff_eval(
-                    flipped.coefficient(g), p
+                    plain.coefficient(g), q
                 )
+
+
+class TestFlippedSides:
+    """Flipped sides are plain series read at the flipped point: each check
+    builds each series once, and poles of a flipped side are rejected at
+    the point that is actually drawn."""
+
+    def _count_builds(self, monkeypatch):
+        from nekrasov import verify
+
+        calls = {"zx0": 0, "zx1": 0}
+
+        def counting(name, build):
+            def wrapper(*args):
+                calls[name] += 1
+                return build(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(verify, "series_zx0", counting("zx0", series_zx0))
+        monkeypatch.setattr(verify, "series_zx1", counting("zx1", series_zx1))
+        return calls
+
+    def test_symmetry_builds_each_series_once(self, monkeypatch):
+        calls = self._count_builds(monkeypatch)
+        assert check_symmetry(FrameData(1, 0), H(0), 8, CFG).passed
+        assert calls == {"zx0": 1, "zx1": 1}
+
+    def test_main_at_zero_k_shares_one_orbifold_series(self, monkeypatch):
+        calls = self._count_builds(monkeypatch)
+        rep = check_main(FrameData(1, 0), H(0), 8, CFG)
+        assert rep.passed
+        assert {g.tags["branch"] for g in rep.grades} == {"k>=0", "k<=0"}
+        assert calls == {"zx0": 1, "zx1": 1}
+
+    def test_pole_of_flipped_side_forces_a_redraw(self, monkeypatch):
+        # A rank-2 resolved-side denominator form mixing eps and a, zeroed
+        # at the -eps image of the first draw by solving for a1.  The form
+        # itself is nonzero at the drawn point, and no other zero locus of
+        # either series (plain or flipped) passes through it.  At k < 0
+        # both sides are flipped, so every pole form comes from a flip.
+        from nekrasov import verify
+
+        frame, k, max4n = FrameData(2, 0), H(-1), 4
+        flip = rule_negate_eps()
+        zx1 = series_zx1(frame, k, max4n)
+        target = next(
+            form
+            for form in union_pole_forms(zx1)
+            if form.coefficient(var_a(1)) != 0
+            and (form.coefficient(EPS1) != 0 or form.coefficient(EPS2) != 0)
+        )
+        point = sample_point(CFG, 0, [], frame.r)
+        image = map_point(point, flip)
+        image[var_a(1)] -= target.evaluate(image) / target.coefficient(var_a(1))
+        trap = map_point(image, flip)
+        hit = target.substitute(flip)
+        assert hit.evaluate(trap) == 0 and target.evaluate(trap) != 0
+        forms = union_pole_forms(zx1, series_zx0(frame, k, max4n))
+        loci = forms + [form.substitute(flip) for form in forms]
+        assert {form for form in loci if form.evaluate(trap) == 0} <= {hit, -hit}
+
+        draws = []
+        draw = verify._draw_point
+
+        def trapped(cfg, stream, r):
+            draws.append(None)
+            return dict(trap) if len(draws) == 1 else draw(cfg, stream, r)
+
+        monkeypatch.setattr(verify, "_draw_point", trapped)
+        rep = check_main(frame, k, max4n, CFG)
+        assert rep.passed
+        assert rep.resamples[0] == 1
+        assert rep.points[0] == point
