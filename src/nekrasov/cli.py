@@ -262,7 +262,9 @@ def _cmd_check(parser: argparse.ArgumentParser, args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_walls(args) -> int:
+def _cmd_walls(parser: argparse.ArgumentParser, args) -> int:
+    if args.v0 < 0 or args.v1 < 0:
+        parser.error("need --v0, --v1 >= 0")
     walls = enum_walls(args.v0, args.v1)
     if args.json:
         entries = []
@@ -328,7 +330,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_check(parser, args)
         if args.command == "walls":
-            return _cmd_walls(args)
+            return _cmd_walls(parser, args)
         return _cmd_imo_point(parser, args)
     except (VanishingWeight, ResampleExhausted) as err:
         print(f"nekrasov: internal error: {err}", file=sys.stderr)

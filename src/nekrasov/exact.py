@@ -14,27 +14,35 @@ normal form -- with 2 + 3r variables that blows up quickly -- instead all
 equality questions are settled by exact evaluation at rational sample
 points.
 
-Scalars, form coefficients and sample-point values are
-``fractions.Fraction``.  Evaluation does its work in Python ints: the point
-is scaled to one common denominator D, each factor's form becomes an
-integer dot product (its value times 2D, an int whenever the coefficients
-lie in (1/2)Z, as every form the engine builds does), and each term is
-accumulated as one integer numerator/denominator pair.  A ``Fraction`` is
-made once per term; term values and their sums are ``Fraction``, so the
-arithmetic stays arbitrary precision and exact.
+A linear form is stored in ints: sorted (slot, numerator) pairs over one
+positive common denominator, in lowest terms, where a slot is an int that
+orders variables canonically.  Every form the engine builds has its
+coefficients in (1/2)Z -- the only halves come from the sqrt(t1 t2) matter
+twist -- so that denominator is 1 or 2, but any rational coefficient is
+held exactly.  Building, adding, substituting, hashing and comparing forms
+is therefore int arithmetic with one gcd reduction per form.
+
+Scalars and sample-point values are ``fractions.Fraction``.  Evaluation
+also works in ints: the point is scaled to one common denominator D, each
+factor's form becomes an integer dot product (its value times D times the
+form's denominator), and each term is accumulated as one integer
+numerator/denominator pair.  A ``Fraction`` is made once per term; term
+values and their sums are ``Fraction``, so the arithmetic stays arbitrary
+precision and exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
-Rational = Fraction
-
 _KIND_RANK = {"eps": 0, "a": 1, "m": 2}
+_KINDS = tuple(_KIND_RANK)
+# slot = kind rank * _SLOT_SPAN + index, so slots sort like Var.sort_key.
+_SLOT_SPAN = 1 << 30
 
 
 class PoleError(ArithmeticError):
@@ -62,12 +70,14 @@ class Var:
 
     kind: str
     index: int
+    slot: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KIND_RANK:
             raise ValueError(f"unknown variable kind {self.kind!r}")
-        if self.index < 1:
-            raise ValueError("variable index is 1-based")
+        if not 1 <= self.index < _SLOT_SPAN:
+            raise ValueError(f"variable index must lie in [1, {_SLOT_SPAN})")
+        object.__setattr__(self, "slot", _KIND_RANK[self.kind] * _SLOT_SPAN + self.index)
 
     def sort_key(self) -> tuple[int, int]:
         return (_KIND_RANK[self.kind], self.index)
@@ -84,8 +94,8 @@ EPS1 = Var("eps", 1)
 EPS2 = Var("eps", 2)
 
 
-# One shared Var per index: every form built from these holds the same
-# objects instead of a fresh dataclass per call.
+# One shared Var per index: building a form reads the slot of a cached
+# Var instead of making a fresh dataclass per call.
 @cache
 def var_a(alpha: int) -> Var:
     return Var("a", alpha)
@@ -94,6 +104,12 @@ def var_a(alpha: int) -> Var:
 @cache
 def var_m(f: int) -> Var:
     return Var("m", f)
+
+
+@cache
+def _var_of_slot(slot: int) -> Var:
+    rank, index = divmod(slot, _SLOT_SPAN)
+    return Var(_KINDS[rank], index)
 
 
 def scope_vars(r: int) -> list[Var]:
@@ -108,58 +124,78 @@ def scope_vars(r: int) -> list[Var]:
 EvalPoint = dict
 
 
-@dataclass(frozen=True)
 class LinearForm:
-    """A homogeneous linear form, stored as sorted (variable, coefficient)
-    pairs."""
+    """A homogeneous linear form sum_i (numerator_i / den) * var_i.
 
-    coeffs: tuple[tuple[Var, Fraction], ...]
+    `pairs` holds the (slot, numerator) pairs with nonzero numerator,
+    sorted by slot; `den` is positive and coprime to the numerators taken
+    together.  Every equal form therefore has equal `pairs` and `den`.
+    Build forms with `linear_form` or the form arithmetic; treat them as
+    immutable."""
+
+    __slots__ = ("pairs", "den")
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...], den: int) -> None:
+        self.pairs = pairs
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[tuple[Var, Fraction], ...]:
+        """The (variable, coefficient) pairs, in canonical variable order."""
+        return tuple((_var_of_slot(s), Fraction(n, self.den)) for s, n in self.pairs)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.pairs
 
     def coefficient(self, v: Var) -> Fraction:
-        for var, c in self.coeffs:
-            if var == v:
-                return c
+        for s, n in self.pairs:
+            if s == v.slot:
+                return Fraction(n, self.den)
         return Fraction(0)
 
-    def sort_key(self):
-        return tuple(
-            (v.sort_key(), c.numerator, c.denominator) for v, c in self.coeffs
-        )
+    def sort_key(self) -> tuple:
+        """Canonical order of forms in a factored term."""
+        return (self.pairs, self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not LinearForm:
+            return NotImplemented
+        return self.pairs == other.pairs and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.pairs, self.den))
 
     def evaluate(self, point: Mapping[Var, Fraction]) -> Fraction:
         total = Fraction(0)
-        for v, c in self.coeffs:
-            total += c * point[v]
-        return total
-
-    def scaled(self, factor: Fraction | int) -> "LinearForm":
-        return linear_form({v: c * factor for v, c in self.coeffs})
+        for s, n in self.pairs:
+            total += n * point[_var_of_slot(s)]
+        return total / self.den if self.den != 1 else total
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
-        acc: dict[Var, Fraction] = dict(self.coeffs)
-        for v, c in other.coeffs:
-            acc[v] = acc.get(v, Fraction(0)) + c
-        return linear_form(acc)
+        d = lcm(self.den, other.den)
+        acc: dict[int, int] = {}
+        for form in (self, other):
+            scale = d // form.den
+            for s, n in form.pairs:
+                acc[s] = acc.get(s, 0) + n * scale
+        return _reduced(acc, d)
 
     def __neg__(self) -> "LinearForm":
-        return self.scaled(-1)
+        return LinearForm(tuple((s, -n) for s, n in self.pairs), self.den)
 
     def substitute(self, rule: "Mapping[Var, LinearForm] | None") -> "LinearForm":
         """Post-compose with a variable substitution (missing vars are fixed)."""
         if rule is None:
             return self
-        acc: dict[Var, Fraction] = {}
-        for v, c in self.coeffs:
-            image = rule.get(v)
-            if image is None:
-                acc[v] = acc.get(v, Fraction(0)) + c
-            else:
-                for v2, c2 in image.coeffs:
-                    acc[v2] = acc.get(v2, Fraction(0)) + c * c2
-        return linear_form(acc)
+        images = {v.slot: image for v, image in rule.items()}
+        hits = [(s, n, images[s]) for s, n in self.pairs if s in images]
+        d = lcm(*(image.den for _, _, image in hits))
+        acc: dict[int, int] = {s: n * d for s, n in self.pairs if s not in images}
+        for _, n, image in hits:
+            scale = n * (d // image.den)
+            for s2, n2 in image.pairs:
+                acc[s2] = acc.get(s2, 0) + scale * n2
+        return _reduced(acc, self.den * d)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -180,14 +216,34 @@ class LinearForm:
                 parts.append(text)
         return " ".join(parts)
 
+    def __repr__(self) -> str:
+        return f"LinearForm({self})"
+
+
+def _reduced(acc: Mapping[int, int], den: int) -> LinearForm:
+    """The form sum acc[slot] / den * var, zeros dropped, in lowest terms."""
+    pairs = sorted((s, n) for s, n in acc.items() if n)
+    g = gcd(den, *(n for _, n in pairs))
+    if g != 1:
+        pairs = [(s, n // g) for s, n in pairs]
+        den //= g
+    return LinearForm(tuple(pairs), den)
+
 
 def linear_form(coeffs: Mapping[Var, Fraction | int]) -> LinearForm:
     """Build a form from a coefficient mapping, merging and dropping zeros."""
-    items = [
-        (v, Fraction(c)) for v, c in coeffs.items() if c != 0
-    ]
-    items.sort(key=lambda vc: vc[0].sort_key())
-    return LinearForm(tuple(items))
+    fracs = [(v.slot, Fraction(c)) for v, c in coeffs.items()]
+    d = lcm(*(c.denominator for _, c in fracs))
+    return _reduced({s: c.numerator * (d // c.denominator) for s, c in fracs}, d)
+
+
+def form_from_doubled(pairs: list[tuple[int, int]]) -> LinearForm:
+    """The form sum n/2 * var over (slot, n) pairs sorted by slot, with
+    each slot once; zero numerators are dropped."""
+    pairs = [(s, n) for s, n in pairs if n]
+    if all(n % 2 == 0 for _, n in pairs):
+        return LinearForm(tuple([(s, n // 2) for s, n in pairs]), 1)
+    return LinearForm(tuple(pairs), 2)
 
 
 ZERO_FORM = linear_form({})
@@ -210,8 +266,8 @@ class FactoredTerm:
         return self.scalar == 0
 
     def evaluate(self, point: Mapping[Var, Fraction]) -> Fraction:
-        ints, two_d = _scale_point(point)
-        return _term_value(self, ints, two_d, point)
+        ints, d = _scale_point(point)
+        return _term_value(self, ints, d, point)
 
     def __str__(self) -> str:
         if not self.factors:
@@ -230,35 +286,34 @@ def factored_term(
         return FactoredTerm(Fraction(0), ())
     merged: dict[LinearForm, int] = {}
     for form, exp in factors:
-        if form.is_zero():
+        if not form.pairs:
             raise ValueError("symbolically zero form in a factored term")
         merged[form] = merged.get(form, 0) + exp
     kept = [(form, exp) for form, exp in merged.items() if exp != 0]
-    kept.sort(key=lambda fe: (fe[0].sort_key(), fe[1]))
+    kept.sort(key=lambda fe: fe[0].sort_key())
     return FactoredTerm(s, tuple(kept))
 
 
 UNIT_TERM = factored_term(1)
 
 
-def _scale_point(point: Mapping[Var, Fraction]) -> tuple[dict[Var, int], int]:
+def _scale_point(point: Mapping[Var, Fraction]) -> tuple[dict[int, int], int]:
     """Write every value of `point` as an int over one common denominator D;
-    return those ints and 2D."""
+    return those ints, keyed by slot, and D."""
     d = lcm(*(value.denominator for value in point.values()))
-    ints = {v: value.numerator * (d // value.denominator) for v, value in point.items()}
-    return ints, 2 * d
+    ints = {v.slot: value.numerator * (d // value.denominator) for v, value in point.items()}
+    return ints, d
 
 
 def _term_value(
-    t: FactoredTerm, ints: Mapping[Var, int], two_d: int, point: Mapping[Var, Fraction]
+    t: FactoredTerm, ints: Mapping[int, int], d: int, point: Mapping[Var, Fraction]
 ) -> Fraction:
-    """Value of `t` at the point that `_scale_point` turned into (ints, two_d).
+    """Value of `t` at the point that `_scale_point` turned into (ints, d).
 
-    Each factor's value times 2D is an int dot product when the form's
-    coefficients lie in (1/2)Z; any other rational coefficient makes that
-    factor a Fraction, which the same products carry exactly.  A vanishing
-    factor with negative exponent is a pole even if an earlier factor
-    already vanished; otherwise a vanishing factor makes the term 0."""
+    A factor (sum n_i v_i) / den has the value (sum n_i ints_i) / (den D),
+    so each factor is one int dot product and its denominator is read once.
+    A vanishing factor with negative exponent is a pole even if an earlier
+    factor already vanished; otherwise a vanishing factor makes the term 0."""
     if t.scalar == 0:
         return Fraction(0)
     num, den = t.scalar.numerator, t.scalar.denominator
@@ -266,30 +321,29 @@ def _term_value(
     vanished = False
     for form, exp in t.factors:
         value = 0
-        for v, c in form.coeffs:
-            q = c.denominator
-            if q == 1:
-                value += 2 * c.numerator * ints[v]
-            elif q == 2:
-                value += c.numerator * ints[v]
-            else:
-                value = sum((2 * c * ints[v] for v, c in form.coeffs), Fraction(0))
-                break
+        for s, n in form.pairs:
+            value += n * ints[s]
         if value == 0:
             if exp < 0:
                 raise PoleError(f"pole: ({form})^{exp} at {point}")
             vanished = True
-        elif exp > 0:
+            continue
+        q = form.den
+        if exp > 0:
             num *= value**exp
+            if q != 1:
+                den *= q**exp
         else:
             den *= value**-exp
+            if q != 1:
+                num *= q**-exp
         degree += exp
     if vanished:
         return Fraction(0)
     if degree > 0:
-        den *= two_d**degree
+        den *= d**degree
     else:
-        num *= two_d**-degree
+        num *= d**-degree
     return Fraction(num, den)
 
 
@@ -338,10 +392,10 @@ Coefficient = tuple
 
 
 def coeff_eval(c: Coefficient, point: Mapping[Var, Fraction]) -> Fraction:
-    ints, two_d = _scale_point(point)
+    ints, d = _scale_point(point)
     total = Fraction(0)
     for t in c:
-        total += _term_value(t, ints, two_d, point)
+        total += _term_value(t, ints, d, point)
     return total
 
 

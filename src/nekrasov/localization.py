@@ -8,7 +8,8 @@ and the Euler class of a character is the product of the weights of its
 monomials.  The matter bundle contributes, for each mass m_f, the product
 of (weight + m_f - (eps1 + eps2)/2) over the tautological fiber: the half
 shift is the double-cover identification sqrt(t1*t2), injected here as a
-rational coefficient so characters themselves keep integral exponents.
+half-integral coefficient so characters themselves keep integral exponents.
+Forms are built from doubled exponents, so every coefficient stays an int.
 
 A localization term is matter Euler class divided by tangent Euler class.
 A symbolically zero weight can only come from a transcription bug (every
@@ -16,8 +17,6 @@ fixed point is isolated at generic parameters), so it is a hard error.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .characters import (
     Character,
@@ -41,7 +40,7 @@ from .exact import (
     FactoredTerm,
     LinearForm,
     factored_term,
-    linear_form,
+    form_from_doubled,
     term_mul,
     term_pow,
     var_a,
@@ -55,19 +54,20 @@ class VanishingWeight(ArithmeticError):
 
 def weight_form(mono: Monomial) -> LinearForm:
     """Equivariant weight of a monomial as a linear form."""
-    coeffs = {
-        EPS1: Fraction(mono.t1x2, 2),
-        EPS2: Fraction(mono.t2x2, 2),
-    }
-    for alpha, exp in mono.e:
-        coeffs[var_a(alpha)] = Fraction(exp)
-    return linear_form(coeffs)
+    return form_from_doubled(_doubled_weight(mono))
 
 
 def mass_shifted_weight(mono: Monomial, f: int) -> LinearForm:
     """Weight of a matter monomial: weight + m_f - (eps1 + eps2)/2."""
-    shift = linear_form({var_m(f): 1, EPS1: Fraction(-1, 2), EPS2: Fraction(-1, 2)})
-    return weight_form(mono) + shift
+    return form_from_doubled(_doubled_weight(mono, -1) + [(var_m(f).slot, 2)])
+
+
+def _doubled_weight(mono: Monomial, eps_shift: int = 0) -> list[tuple[int, int]]:
+    """(slot, 2 * coefficient) pairs of the weight plus eps_shift/2 times
+    (eps1 + eps2), sorted by slot."""
+    pairs = [(EPS1.slot, mono.t1x2 + eps_shift), (EPS2.slot, mono.t2x2 + eps_shift)]
+    pairs.extend((var_a(alpha).slot, 2 * exp) for alpha, exp in mono.e)
+    return pairs
 
 
 def euler_class(ch: Character) -> FactoredTerm:

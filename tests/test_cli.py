@@ -85,6 +85,8 @@ class TestUsageErrors:
             ["imo-point", "--eps1", "1", "--eps2", "2", "--a", "3", "--m", "5,1/0"],
             ["imo-point", "--eps1", "1", "--eps2", "2", "--a", "3,,4",
              "--m", "5,0,1,2"],
+            ["walls", "--v0", "-1", "--v1", "0"],
+            ["walls", "--v0", "3", "--v1", "-2"],
         ],
     )
     def test_exit_code_2(self, argv):

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nekrasov.characters import monomial
 from nekrasov.exact import (
     EPS1,
     EPS2,
     FactoredTerm,
     PoleError,
+    Var,
     coeff_eval,
     factored_term,
     format_rational,
@@ -22,6 +24,7 @@ from nekrasov.exact import (
     var_a,
     var_m,
 )
+from nekrasov.localization import mass_shifted_weight, weight_form
 
 
 def F(*args):
@@ -66,6 +69,10 @@ class TestLinearForm:
     def test_cancellation_is_zero(self):
         built = linear_form({EPS1: 1}) + linear_form({EPS1: -1})
         assert built.is_zero()
+
+    def test_variable_index_must_fit_a_slot(self):
+        with pytest.raises(ValueError):
+            Var("a", 2**30)
 
     def test_substitute_fixes_missing_variables(self):
         f = linear_form({EPS1: 2, var_a(1): 1})
@@ -272,3 +279,128 @@ class TestKernelAgainstReference:
             term_eval(t, point)
         with pytest.raises(PoleError):
             coeff_eval((factored_term(1), t), point)
+
+
+# Int-coded forms against a plain Fraction reference: a dict from variable
+# to nonzero coefficient.  Coefficients include values outside (1/2)Z.
+_REF_VARS = [EPS1, EPS2, var_a(1), var_a(2), var_m(1)]
+_REF_COEFFS = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2), F(1, 3), F(5, 6), F(-7, 4)]
+
+_ref_form = st.builds(
+    lambda cs: {v: c for v, c in zip(_REF_VARS, cs) if c},
+    st.lists(st.sampled_from(_REF_COEFFS), min_size=5, max_size=5),
+)
+
+_ref_point = st.builds(
+    lambda vals: dict(zip(_REF_VARS, vals)),
+    st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=12), min_size=5, max_size=5
+    ),
+)
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for v, c in b.items():
+        out[v] = out.get(v, F(0)) + c
+    return {v: c for v, c in out.items() if c}
+
+
+def _ref_substitute(a, rule):
+    out = {}
+    for v, c in a.items():
+        for v2, c2 in rule.get(v, {v: F(1)}).items():
+            out[v2] = out.get(v2, F(0)) + c * c2
+    return {v: c for v, c in out.items() if c}
+
+
+def _ref_str(a):
+    if not a:
+        return "0"
+    text = ""
+    for v, c in sorted(a.items(), key=lambda vc: vc[0].sort_key()):
+        sign = "-" if c < 0 else "+"
+        body = v.name if abs(c) == 1 else f"{format_rational(abs(c))}*{v.name}"
+        if not text:
+            text = body if sign == "+" else f"-{body}"
+        else:
+            text += f" {sign} {body}"
+    return text
+
+
+def _assert_matches(form, ref):
+    assert form == linear_form(ref)
+    assert hash(form) == hash(linear_form(ref))
+    assert form.is_zero() == (not ref)
+    assert form.coeffs == tuple(sorted(ref.items(), key=lambda vc: vc[0].sort_key()))
+    for v in _REF_VARS:
+        assert form.coefficient(v) == ref.get(v, F(0))
+    assert str(form) == _ref_str(ref)
+
+
+class TestFormsAgainstReference:
+    @settings(max_examples=200)
+    @given(
+        a=_ref_form,
+        b=_ref_form,
+        cancel=st.booleans(),
+        rule=st.dictionaries(st.sampled_from(_REF_VARS), _ref_form, max_size=3),
+        point=_ref_point,
+    )
+    def test_int_coded_forms_match_fraction_reference(self, a, b, cancel, rule, point):
+        if cancel:
+            b = {v: -c for v, c in a.items()}
+        form_a, form_b = linear_form(a), linear_form(b)
+        _assert_matches(form_a, a)
+        _assert_matches(form_a + form_b, _ref_add(a, b))
+        _assert_matches(-form_a, {v: -c for v, c in a.items()})
+        _assert_matches(form_a + (-form_a), {})
+        image = form_a.substitute({v: linear_form(img) for v, img in rule.items()})
+        _assert_matches(image, _ref_substitute(a, rule))
+        expected = sum((c * point[v] for v, c in a.items()), F(0))
+        assert form_a.evaluate(point) == expected
+
+    def test_equal_forms_built_differently_are_one_dict_key(self):
+        third = linear_form({EPS1: F(1, 3), EPS2: F(5, 6)})
+        built = linear_form({EPS1: F(1, 6)}) + linear_form({EPS1: F(1, 6), EPS2: F(5, 6)})
+        assert built == third and hash(built) == hash(third)
+        t = factored_term(1, [(third, 1), (built, 2)])
+        assert t.factors == ((third, 3),)
+        assert str(third) == "1/3*eps1 + 5/6*eps2"
+
+
+_monomials = st.builds(
+    lambda t1x2, t2x2, e: monomial(t1x2, t2x2, e),
+    st.integers(-5, 5),
+    st.integers(-5, 5),
+    st.dictionaries(st.integers(1, 3), st.integers(-3, 3), max_size=3),
+)
+
+
+class TestWeightForms:
+    """weight_form and mass_shifted_weight build int pairs directly; they
+    must give the form linear_form gives for the same Fraction coefficients,
+    or factored_term would stop merging equal factors."""
+
+    @staticmethod
+    def _weight_coeffs(mono):
+        coeffs = {EPS1: F(mono.t1x2, 2), EPS2: F(mono.t2x2, 2)}
+        for alpha, exp in mono.e:
+            coeffs[var_a(alpha)] = F(exp)
+        return coeffs
+
+    @settings(max_examples=200)
+    @given(mono=_monomials, f=st.integers(1, 6))
+    def test_equal_and_hash_equal_to_linear_form(self, mono, f):
+        coeffs = self._weight_coeffs(mono)
+        expected = linear_form(coeffs)
+        got = weight_form(mono)
+        assert got == expected and hash(got) == hash(expected)
+        coeffs[EPS1] -= F(1, 2)
+        coeffs[EPS2] -= F(1, 2)
+        coeffs[var_m(f)] = F(1)
+        expected = linear_form(coeffs)
+        got = mass_shifted_weight(mono, f)
+        assert got == expected and hash(got) == hash(expected)
+        merged = factored_term(1, [(got, 1), (expected, 1)])
+        assert merged.factors == ((expected, 2),)

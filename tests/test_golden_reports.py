@@ -4,9 +4,12 @@ the default seed (161), pinned.
 A change to sampling, evaluation or report formatting that alters even one
 byte of a report fails here.  The first three values were recorded from
 the engine before its integer evaluation kernel, so they also pin that the
-kernel reproduces exact ``Fraction`` evaluation; the last two were recorded
+kernel reproduces exact ``Fraction`` evaluation; the next two were recorded
 while sign flips were still applied symbolically to every term, so they pin
-that evaluating at the flipped point changes nothing."""
+that evaluating at the flipped point changes nothing.  The three ``compute``
+runs at rank 2 and 3 exercise term construction; they were recorded while
+linear forms still held ``Fraction`` coefficients, so they pin that the
+int-coded forms build the same terms."""
 
 import hashlib
 import os
@@ -42,6 +45,19 @@ GOLDEN = [
     (
         "check all --w0 1 --w1 1 --k -1/2 --max-n 1",
         "37344438ecdcb09ec6fa3e48b1ef463106619ce368381ac25cab1776f8af6e3c",
+    ),
+    # term construction at rank 3 on both surfaces, and the plane at rank 2
+    (
+        "compute zx0 --w0 1 --w1 2 --k 0 --max-n 1",
+        "c8561374135f4361e45d12837423b8099050ddf4980366f97172ea739f4b2078",
+    ),
+    (
+        "compute zx1 --w0 1 --w1 2 --k 0 --max-n 1",
+        "15ef320343a5e2a86ab1bc6a62749f59da6efc6b60be6b075ffdcaddd92805dd",
+    ),
+    (
+        "compute zp2 --w0 2 --w1 0 --k 0 --max-n 2",
+        "c27873e5087b4837b3c8a353389eeed724daa3da21223ad50f4b34b6f2c21a86",
     ),
 ]
 
