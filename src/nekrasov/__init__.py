@@ -6,6 +6,7 @@ from .diagrams import FrameData, HalfInt
 from .series import QSeries, series_zp2, series_zx0, series_zx1, series_zx1_factorized
 from .verify import (
     SampleConfig,
+    SeriesPair,
     VerificationReport,
     check_factorization,
     check_main,

@@ -40,6 +40,7 @@ from .series import QSeries, map_to_imo, series_zp2, series_zx0, series_zx1, ser
 from .verify import (
     ResampleExhausted,
     SampleConfig,
+    SeriesPair,
     VerificationReport,
     check_factorization,
     check_main,
@@ -250,7 +251,8 @@ def _cmd_check(parser: argparse.ArgumentParser, args) -> int:
         names = [args.target]
     if "must" in names and args.k.doubled < 0:
         parser.error("check must requires k >= 0")
-    reports = [_CHECKS[name](frame, args.k, max4n, cfg) for name in names]
+    pair = SeriesPair(frame, args.k, max4n)  # each series built once for all checks
+    reports = [_CHECKS[name](frame, args.k, max4n, cfg, pair) for name in names]
     if args.json:
         if args.target == "all":
             print(json.dumps([r.to_dict() for r in reports], indent=2))

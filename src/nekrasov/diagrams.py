@@ -204,15 +204,57 @@ class FixedPointX0:
         return cls(diagrams, v0, v1)
 
 
+def _bounded_diagrams(
+    size: int, color: int, room0: int, room1: int
+) -> Iterator[tuple[YoungDiagram, int, int]]:
+    """Diagrams of `size` boxes framed with `color` that hold at most room0
+    boxes of color 0 and room1 of color 1, in partitions(size) order, each
+    with its two colored counts.  A column is cut as soon as the running
+    counts leave the room, so no diagram outside it is ever built."""
+    prefix: list[int] = []
+
+    def extend(left: int, cap: int, n0: int, n1: int):
+        if left == 0:
+            yield tuple(prefix), n0, n1
+            return
+        # Column i's boxes alternate in color, starting at l + i + 1 mod 2.
+        starts_at_0 = (color + len(prefix)) % 2 == 0
+        for height in range(min(cap, left), 0, -1):
+            major, minor = (height + 1) // 2, height // 2
+            if starts_at_0:
+                c0, c1 = n0 + major, n1 + minor
+            else:
+                c0, c1 = n0 + minor, n1 + major
+            if c0 <= room0 and c1 <= room1:
+                prefix.append(height)
+                yield from extend(left - height, height, c0, c1)
+                prefix.pop()
+
+    yield from extend(size, size, 0, 0)
+
+
 def enum_fixed_points_x0(
     frame: FrameData, v0: int, v1: int
 ) -> list[FixedPointX0]:
-    """All r-tuples of diagrams whose summed colored sizes are (v0, v1)."""
-    out = []
-    for tup in diagram_tuples(frame.r, v0 + v1):
-        fp = FixedPointX0.from_diagrams(frame, tup)
-        if (fp.v0, fp.v1) == (v0, v1):
-            out.append(fp)
+    """All r-tuples of diagrams whose summed colored sizes are (v0, v1), in
+    diagram_tuples order.  Each slot's diagram is built within the colored
+    counts the earlier slots left, so branches that overshoot v0 or v1
+    are cut while they are built."""
+    out: list[FixedPointX0] = []
+    colors = frame.colors
+
+    def extend(slot: int, head: tuple, room0: int, room1: int) -> None:
+        color = colors[slot]
+        if slot == len(colors) - 1:  # the last diagram takes what is left
+            for diagram, _, _ in _bounded_diagrams(room0 + room1, color, room0, room1):
+                out.append(FixedPointX0(head + (diagram,), v0, v1))
+            return
+        for size in range(room0 + room1 + 1):
+            for diagram, n0, n1 in _bounded_diagrams(size, color, room0, room1):
+                extend(slot + 1, head + (diagram,), room0 - n0, room1 - n1)
+
+    if v0 >= 0 and v1 >= 0:
+        extend(0, (), v0, v1)
     return out
 
 

@@ -183,10 +183,8 @@ class LinearForm:
     def __neg__(self) -> "LinearForm":
         return LinearForm(tuple((s, -n) for s, n in self.pairs), self.den)
 
-    def substitute(self, rule: "Mapping[Var, LinearForm] | None") -> "LinearForm":
+    def substitute(self, rule: "Mapping[Var, LinearForm]") -> "LinearForm":
         """Post-compose with a variable substitution (missing vars are fixed)."""
-        if rule is None:
-            return self
         images = {v.slot: image for v, image in rule.items()}
         hits = [(s, n, images[s]) for s, n in self.pairs if s in images]
         d = lcm(*(image.den for _, _, image in hits))
@@ -375,11 +373,7 @@ def term_eval(t: FactoredTerm, point: Mapping[Var, Fraction]) -> Fraction:
     return t.evaluate(point)
 
 
-def term_substitute(
-    t: FactoredTerm, rule: "Mapping[Var, LinearForm] | None"
-) -> FactoredTerm:
-    if rule is None:
-        return t
+def term_substitute(t: FactoredTerm, rule: "Mapping[Var, LinearForm]") -> FactoredTerm:
     return factored_term(
         t.scalar, ((form.substitute(rule), exp) for form, exp in t.factors)
     )

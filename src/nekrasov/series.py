@@ -11,8 +11,9 @@ substituted by R takes at a point p the value the plain series takes at
 R(p).  The sign flips (rule_negate_eps, rule_negate_all, rule_negate_am)
 are used that way: zx0 and zx1 are built once, in plain variables, and a
 flipped side is evaluated at map_point(p, R).  Only the two blow-up chart
-maps are still applied to the linear forms when the plane series' terms
-are constructed.
+maps are still applied to linear forms: series_zx1_factorized builds one
+plain plane series, up to the largest grade any first-Chern vector needs,
+and substitutes each chart into the terms of the grades that vector uses.
 
 Implemented series:
 
@@ -186,15 +187,21 @@ def series_prefactor(r: int, sign: int, max_n: int) -> QSeries:
     return QSeries(coeffs, 4 * max_n, 0)
 
 
-def series_zp2(r: int, max_n: int, rule: SubstitutionRule | None = None) -> QSeries:
+def series_zp2(r: int, max_n: int) -> QSeries:
     """Plane partition-function series up to q^max_n."""
     coeffs = {}
     for n in range(max_n + 1):
-        terms = tuple(
-            term_substitute(term_p2(r, tup), rule)
-            for tup in diagram_tuples(r, n)
-        )
-        coeffs[4 * n] = terms
+        coeffs[4 * n] = tuple(term_p2(r, tup) for tup in diagram_tuples(r, n))
+    return QSeries(coeffs, 4 * max_n, 0)
+
+
+def _charted(zp2: QSeries, max_n: int, rule: SubstitutionRule) -> QSeries:
+    """The plane series up to q^max_n with a chart substituted into every
+    term."""
+    coeffs = {
+        4 * n: tuple(term_substitute(t, rule) for t in zp2.coefficient(4 * n))
+        for n in range(max_n + 1)
+    }
     return QSeries(coeffs, 4 * max_n, 0)
 
 
@@ -259,17 +266,21 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
 def series_zx1_factorized(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
     """Resolved-side series assembled from the blow-up factorization:
     sum over first-Chern vectors of the shift q^(sum k^2) applied to
-    ell(kvec) * Zp2(chart 1) * Zp2(chart 2)."""
+    ell(kvec) * Zp2(chart 1) * Zp2(chart 2).  The plane series is built
+    once, to the largest q-power any vector needs; each vector's charts
+    are substituted into the grades that vector needs."""
     offset = frame.w1 % 4
     acc: dict[int, list] = {g: [] for g in range(offset, max4n + 1, 4)}
     feasible = (k.doubled + frame.w1) % 2 == 0
-    if feasible:
-        for kvec in enum_kvectors(frame, k, max4n):
-            base = sum(h.doubled ** 2 for h in kvec)
+    kvecs = enum_kvectors(frame, k, max4n) if feasible else []
+    if kvecs:
+        bases = [sum(h.doubled ** 2 for h in kvec) for kvec in kvecs]
+        zp2 = series_zp2(frame.r, (max4n - min(bases)) // 4)
+        for kvec, base in zip(kvecs, bases):
             max_n = (max4n - base) // 4
             ell = ell_factor(frame, kvec)
-            z1 = series_zp2(frame.r, max_n, rule_chart(1, kvec))
-            z2 = series_zp2(frame.r, max_n, rule_chart(2, kvec))
+            z1 = _charted(zp2, max_n, rule_chart(1, kvec))
+            z2 = _charted(zp2, max_n, rule_chart(2, kvec))
             prod = series_mul(z1, z2)
             for g in prod.grades():
                 acc[g + base].extend(term_mul(ell, t) for t in prod.coefficient(g))

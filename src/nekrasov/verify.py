@@ -11,12 +11,17 @@ The point stream is deterministic: trial t's point is a pure function of
 (seed, t), generated by a splitmix64 stream, so reports are byte-identical
 across runs and platforms.  Every series is built once, in plain
 variables; a side that compares a series under a sign flip R is its plain
-coefficient evaluated at R(p).  Before evaluating, the union of all linear
-forms appearing in any denominator on either side is collected, a flipped
-side contributing its plain denominator forms composed with R (form o R
-vanishes at p exactly when form vanishes at R(p)); a draw that zeroes any
-of them is rejected and the whole point redrawn, so an honest pole can
-never masquerade as a mismatch.
+coefficient evaluated at R(p).  The orbifold and resolved series of one
+(frame, k, max4n) live in a SeriesPair, which builds each on first use;
+`nekrasov check all` hands one pair to all of its checks, so each series
+is built once per invocation, and a check called without a pair makes its
+own.  Before evaluating, the union of all linear forms appearing in any
+denominator on either side is collected, a flipped side contributing its
+plain denominator forms composed with R (form o R vanishes at p exactly
+when form vanishes at R(p)); a draw that zeroes any of them is rejected
+and the whole point redrawn, so an honest pole can never masquerade as a
+mismatch.  The pole test runs on the integer kernel: the draw is scaled
+to one common denominator once, and each form is one int dot product.
 
 Checks:
 
@@ -44,6 +49,7 @@ from .diagrams import FrameData, HalfInt
 from .exact import (
     EvalPoint,
     LinearForm,
+    _scale_point,
     coeff_denominator_forms,
     coeff_eval,
     format_rational,
@@ -142,11 +148,25 @@ def sample_point_with_stats(
     stream = _Stream(cfg.seed, trial)
     for redraws in range(cfg.max_resample + 1):
         point = _draw_point(cfg, stream, r)
-        if all(form.evaluate(point) != 0 for form in pole_forms):
+        if _clear_of(pole_forms, point):
             return point, redraws
     raise ResampleExhausted(
         f"no pole-free point after {cfg.max_resample} redraws (trial {trial})"
     )
+
+
+def _clear_of(forms, point: EvalPoint) -> bool:
+    """True when no form vanishes at `point`.  A form's value is its int dot
+    product with the scaled point over a positive denominator, so the dot
+    product alone decides."""
+    ints, _ = _scale_point(point)
+    for form in forms:
+        value = 0
+        for s, n in form.pairs:
+            value += n * ints[s]
+        if value == 0:
+            return False
+    return True
 
 
 def union_pole_forms(*series_list: QSeries, extra=()) -> list[LinearForm]:
@@ -168,6 +188,42 @@ def _joint_pole_forms(plain: list, flipped: list, rule) -> list[LinearForm]:
     (`flipped`, given as the plain forms of those series), without
     repeats."""
     return list(dict.fromkeys(plain + [form.substitute(rule) for form in flipped]))
+
+
+class SeriesPair:
+    """The orbifold series zx0 and the resolved series zx1 of one
+    (frame, k, max4n), each built on first use and then kept, so checks
+    that share a pair share the series."""
+
+    def __init__(self, frame: FrameData, k: HalfInt, max4n: int) -> None:
+        self.key = (frame, k, max4n)
+        self._zx0: QSeries | None = None
+        self._zx1: QSeries | None = None
+
+    @property
+    def zx0(self) -> QSeries:
+        if self._zx0 is None:
+            self._zx0 = series_zx0(*self.key)
+        return self._zx0
+
+    @property
+    def zx1(self) -> QSeries:
+        if self._zx1 is None:
+            self._zx1 = series_zx1(*self.key)
+        return self._zx1
+
+
+def _pair_for(
+    pair: SeriesPair | None, frame: FrameData, k: HalfInt, max4n: int
+) -> SeriesPair:
+    """`pair`, checked against the request, or a fresh pair when None."""
+    if pair is None:
+        return SeriesPair(frame, k, max4n)
+    if pair.key != (frame, k, max4n):
+        raise ValueError(
+            f"series pair built for {pair.key}, not for {(frame, k, max4n)}"
+        )
+    return pair
 
 
 @dataclass
@@ -266,16 +322,20 @@ def _run_check(
 
 
 def check_main(
-    frame: FrameData, k: HalfInt, max4n: int, cfg: SampleConfig
+    frame: FrameData,
+    k: HalfInt,
+    max4n: int,
+    cfg: SampleConfig,
+    pair: SeriesPair | None = None,
 ) -> VerificationReport:
     """Resolved series at -eps against the orbifold series.
 
     For k >= 0 the right side carries the prefactor (1 - (-1)^r q)^u; for
     k <= 0 it is the orbifold series at -eps; k = 0 runs both branches,
     which share one orbifold series."""
+    pair = _pair_for(pair, frame, k, max4n)
     flip = rule_negate_eps()
-    zx1 = series_zx1(frame, k, max4n)
-    zx0 = series_zx0(frame, k, max4n)
+    zx1, zx0 = pair.zx1, pair.zx0
     plain, flipped = [], [zx1]
     branches = []  # (label, series, rule its coefficients are read at)
     if k.doubled >= 0:
@@ -297,10 +357,14 @@ def check_main(
 
 
 def check_factorization(
-    frame: FrameData, k: HalfInt, max4n: int, cfg: SampleConfig
+    frame: FrameData,
+    k: HalfInt,
+    max4n: int,
+    cfg: SampleConfig,
+    pair: SeriesPair | None = None,
 ) -> VerificationReport:
     """Resolved series against its blow-up factorization."""
-    lhs = series_zx1(frame, k, max4n)
+    lhs = _pair_for(pair, frame, k, max4n).zx1
     rhs = series_zx1_factorized(frame, k, max4n)
     pole_forms = union_pole_forms(lhs, rhs)
     rows = [
@@ -311,12 +375,17 @@ def check_factorization(
 
 
 def check_symmetry(
-    frame: FrameData, k: HalfInt, max4n: int, cfg: SampleConfig
+    frame: FrameData,
+    k: HalfInt,
+    max4n: int,
+    cfg: SampleConfig,
+    pair: SeriesPair | None = None,
 ) -> VerificationReport:
     """Both series against themselves under (eps, a, m) -> -(eps, a, m):
     each series at the flipped point against itself at the plain point."""
+    pair = _pair_for(pair, frame, k, max4n)
     flip = rule_negate_all(frame.r)
-    sides = ((0, series_zx0(frame, k, max4n)), (1, series_zx1(frame, k, max4n)))
+    sides = ((0, pair.zx0), (1, pair.zx1))
     forms = union_pole_forms(*(series for _, series in sides))
     pole_forms = _joint_pole_forms(forms, forms, flip)
     rows = [
@@ -328,7 +397,11 @@ def check_symmetry(
 
 
 def check_recursion_must(
-    frame: FrameData, k: HalfInt, max4n: int, cfg: SampleConfig
+    frame: FrameData,
+    k: HalfInt,
+    max4n: int,
+    cfg: SampleConfig,
+    pair: SeriesPair | None = None,
 ) -> VerificationReport:
     """Convolution recursion: with alpha the resolved series (plain
     variables) and beta the orbifold series at (a, m) -> (-a, -m),
@@ -339,10 +412,10 @@ def check_recursion_must(
     failure is reported with full values, never suppressed."""
     if k.doubled < 0:
         raise ValueError("recursion check is defined for k >= 0")
+    pair = _pair_for(pair, frame, k, max4n)
     r = frame.r
     flip = rule_negate_am(r)
-    alpha = series_zx1(frame, k, max4n)
-    beta = series_zx0(frame, k, max4n)
+    alpha, beta = pair.zx1, pair.zx0
     u_term = prefactor_exponent(r)
     pole_forms = _joint_pole_forms(
         union_pole_forms(alpha, extra=(u_term,)), union_pole_forms(beta), flip

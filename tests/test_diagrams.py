@@ -1,8 +1,12 @@
 """Diagram combinatorics, colorings, fixed-point and wall enumeration."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from nekrasov import diagrams
 from nekrasov.diagrams import (
+    FixedPointX0,
     FrameData,
     GradeError,
     HalfInt,
@@ -97,6 +101,47 @@ class TestFixedPointsX0:
                         n0 += c0
                         n1 += c1
                     assert (n0, n1) == (v0, v1)
+
+
+def _filtered_x0(frame, v0, v1):
+    """Brute-force reference: every tuple of size v0 + v1, kept when its
+    colored sizes are (v0, v1)."""
+    out = []
+    for tup in diagram_tuples(frame.r, v0 + v1):
+        fp = FixedPointX0.from_diagrams(frame, tup)
+        if (fp.v0, fp.v1) == (v0, v1):
+            out.append(fp)
+    return out
+
+
+class TestPrunedX0Enumeration:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        w=st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+            lambda w: 1 <= w[0] + w[1] <= 3
+        ),
+        v0=st.integers(-1, 7),
+        v1=st.integers(-1, 7),
+    )
+    def test_same_points_in_same_order_as_the_filter(self, w, v0, v1):
+        assume(v0 + v1 <= 7)
+        frame = FrameData(*w)
+        assert enum_fixed_points_x0(frame, v0, v1) == _filtered_x0(frame, v0, v1)
+
+    def test_large_unreachable_count_never_enumerates_its_partitions(self, monkeypatch):
+        # Rank 1, color 0: box (1,1) has color 0, so (v0, v1) = (0, 40) has
+        # no fixed point, and the filter would build all 37338 diagrams of
+        # size 40 to find that out.
+        asked = []
+        original = diagrams.partitions
+
+        def counting(n, max_part=None):
+            asked.append(n)
+            return original(n, max_part)
+
+        monkeypatch.setattr(diagrams, "partitions", counting)
+        assert enum_fixed_points_x0(FrameData(1, 0), 0, 40) == []
+        assert asked == []
 
 
 class TestKVectors:

@@ -9,7 +9,9 @@ while sign flips were still applied symbolically to every term, so they pin
 that evaluating at the flipped point changes nothing.  The three ``compute``
 runs at rank 2 and 3 exercise term construction; they were recorded while
 linear forms still held ``Fraction`` coefficients, so they pin that the
-int-coded forms build the same terms."""
+int-coded forms build the same terms.  The last two were recorded while
+every check built its own series and the blow-up side rebuilt the plane
+series for each chart, so they pin that sharing both changes nothing."""
 
 import hashlib
 import os
@@ -58,6 +60,15 @@ GOLDEN = [
     (
         "compute zp2 --w0 2 --w1 0 --k 0 --max-n 2",
         "c27873e5087b4837b3c8a353389eeed724daa3da21223ad50f4b34b6f2c21a86",
+    ),
+    # the blow-up side at rank 3, and check all at an integer k > 0
+    (
+        "compute zx1-fact --w0 1 --w1 2 --k 0 --max-n 1",
+        "ef7c23bfc4affb9c27da40473cbe1e472b6ce4bca2c17f87c81db6ab31b66f3d",
+    ),
+    (
+        "check all --w0 2 --w1 0 --k 1 --max-n 2",
+        "20192026ec14ffda9c58cb34a8be57fd962ba9560e686650028a28becb6a40f4",
     ),
 ]
 

@@ -15,6 +15,7 @@ from nekrasov.exact import (
 )
 from nekrasov.series import (
     QSeries,
+    map_point,
     map_to_imo,
     prefactor_exponent,
     rule_chart,
@@ -134,12 +135,14 @@ class TestPlaneSeries:
             assert coeff_eval(series.coefficient(4), p) == expected
 
     def test_single_box_under_chart_substitution(self):
-        series = series_zp2(1, 1, rule_chart(1, (H(0),)))
+        # the plain series read at the chart-mapped point
+        series = series_zp2(1, 1)
+        chart = rule_chart(1, (H(0),))
         for p in POINTS:
             expected = matter_values(p, p[var_a(1)]) / (
                 2 * p[EPS1] * (p[EPS2] - p[EPS1])
             )
-            assert coeff_eval(series.coefficient(4), p) == expected
+            assert coeff_eval(series.coefficient(4), map_point(p, chart)) == expected
 
 
 class TestPrefactor:
@@ -245,15 +248,16 @@ class TestScaleAndShift:
 
         frame = FrameData(1, 0)
         kvec = (H(1),)
-        z1 = series_zp2(1, 1, rule_chart(1, kvec))
-        z2 = series_zp2(1, 1, rule_chart(2, kvec))
+        zp2 = series_zp2(1, 1)
         ell = ell_factor(frame, kvec)
         whole = series_zx1_factorized(frame, H(1), 8)
         for p in POINTS:
+            p1 = map_point(p, rule_chart(1, kvec))
+            p2 = map_point(p, rule_chart(2, kvec))
             for g in (4, 8):
                 product = sum(
-                    coeff_eval(z1.coefficient(g1), p)
-                    * coeff_eval(z2.coefficient(g - 4 - g1), p)
+                    coeff_eval(zp2.coefficient(g1), p1)
+                    * coeff_eval(zp2.coefficient(g - 4 - g1), p2)
                     for g1 in range(0, g - 3, 4)
                 )
                 assert coeff_eval(whole.coefficient(g), p) == ell.evaluate(p) * product
@@ -270,6 +274,21 @@ class TestFactorizedSeries:
                     assert coeff_eval(direct.coefficient(g), p) == coeff_eval(
                         factored.coefficient(g), p
                     )
+
+    def test_plane_series_built_once(self, monkeypatch):
+        # rank 2, k = 0, max4n = 8: first-Chern vectors (0,0), (1,-1) and
+        # (-1,1), needing the plane series to q^2, q^0 and q^0
+        from nekrasov import series
+
+        sizes = []
+
+        def counting(r, max_n):
+            sizes.append(max_n)
+            return series_zp2(r, max_n)
+
+        monkeypatch.setattr(series, "series_zp2", counting)
+        series_zx1_factorized(FrameData(2, 0), H(0), 8)
+        assert sizes == [2]
 
     def test_base_grade_is_one(self):
         series = series_zx1_factorized(FrameData(1, 0), H(0), 8)

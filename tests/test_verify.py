@@ -1,6 +1,7 @@
 """Sampling protocol, report structure, and check behavior."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +29,7 @@ from nekrasov.series import (
 from nekrasov.verify import (
     ResampleExhausted,
     SampleConfig,
+    SeriesPair,
     check_factorization,
     check_main,
     check_recursion_must,
@@ -82,6 +84,26 @@ class TestSampler:
         assert trap.evaluate(point) != 0
         clean = sample_point(CFG, 0, [], 1)
         assert point != clean
+
+    def test_traps_with_fractional_coefficients_force_redraws(self):
+        # Each trap vanishes on one draw of trial 0 and has coefficients
+        # over 3 and 5, so the pole test must read the form's denominator
+        # and the point's values together: the first two draws are
+        # rejected, the third kept.
+        def trap_at(point):
+            rest = linear_form({EPS1: Fraction(1, 3), var_a(1): Fraction(-2, 5)})
+            c = -rest.evaluate(point) / point[EPS2]
+            return rest + linear_form({EPS2: c})
+
+        first = sample_point(CFG, 0, [], 1)
+        trap0 = trap_at(first)
+        second, redraws = sample_point_with_stats(CFG, 0, [trap0], 1)
+        assert redraws == 1 and trap0.den > 1
+        trap1 = trap_at(second)
+        third, redraws = sample_point_with_stats(CFG, 0, [trap0, trap1], 1)
+        assert redraws == 2
+        assert trap0.evaluate(third) != 0 and trap1.evaluate(third) != 0
+        assert len({tuple(p.values()) for p in (first, second, third)}) == 3
 
 
 class TestReports:
@@ -226,34 +248,36 @@ class TestZeroKBranchGuard:
                 )
 
 
+def count_builds(monkeypatch):
+    """Count the zx0 and zx1 builds the checks make from here on."""
+    from nekrasov import verify
+
+    calls = {"zx0": 0, "zx1": 0}
+
+    def counting(name, build):
+        def wrapper(*args):
+            calls[name] += 1
+            return build(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "series_zx0", counting("zx0", series_zx0))
+    monkeypatch.setattr(verify, "series_zx1", counting("zx1", series_zx1))
+    return calls
+
+
 class TestFlippedSides:
     """Flipped sides are plain series read at the flipped point: each check
     builds each series once, and poles of a flipped side are rejected at
     the point that is actually drawn."""
 
-    def _count_builds(self, monkeypatch):
-        from nekrasov import verify
-
-        calls = {"zx0": 0, "zx1": 0}
-
-        def counting(name, build):
-            def wrapper(*args):
-                calls[name] += 1
-                return build(*args)
-
-            return wrapper
-
-        monkeypatch.setattr(verify, "series_zx0", counting("zx0", series_zx0))
-        monkeypatch.setattr(verify, "series_zx1", counting("zx1", series_zx1))
-        return calls
-
     def test_symmetry_builds_each_series_once(self, monkeypatch):
-        calls = self._count_builds(monkeypatch)
+        calls = count_builds(monkeypatch)
         assert check_symmetry(FrameData(1, 0), H(0), 8, CFG).passed
         assert calls == {"zx0": 1, "zx1": 1}
 
     def test_main_at_zero_k_shares_one_orbifold_series(self, monkeypatch):
-        calls = self._count_builds(monkeypatch)
+        calls = count_builds(monkeypatch)
         rep = check_main(FrameData(1, 0), H(0), 8, CFG)
         assert rep.passed
         assert {g.tags["branch"] for g in rep.grades} == {"k>=0", "k<=0"}
@@ -298,3 +322,52 @@ class TestFlippedSides:
         assert rep.passed
         assert rep.resamples[0] == 1
         assert rep.points[0] == point
+
+
+class TestSeriesPair:
+    """One SeriesPair shared by several checks builds each series once; a
+    check without one builds its own."""
+
+    CHECKS = (check_main, check_factorization, check_symmetry, check_recursion_must)
+
+    def test_shared_pair_builds_each_series_once_with_the_same_reports(
+        self, monkeypatch
+    ):
+        frame, k, max4n = FrameData(1, 1), H("1/2"), 5
+        alone = [check(frame, k, max4n, CFG).to_dict() for check in self.CHECKS]
+        calls = count_builds(monkeypatch)
+        pair = SeriesPair(frame, k, max4n)
+        shared = [
+            check(frame, k, max4n, CFG, pair).to_dict() for check in self.CHECKS
+        ]
+        assert calls == {"zx0": 1, "zx1": 1}
+        assert shared == alone
+
+    def test_series_are_built_on_first_use(self, monkeypatch):
+        calls = count_builds(monkeypatch)
+        pair = SeriesPair(FrameData(1, 0), H(0), 4)
+        assert calls == {"zx0": 0, "zx1": 0}
+        assert check_factorization(FrameData(1, 0), H(0), 4, CFG, pair).passed
+        assert calls == {"zx0": 0, "zx1": 1}
+
+    @pytest.mark.parametrize(
+        "frame, k, max4n",
+        [(FrameData(2, 0), H(0), 4), (FrameData(1, 0), H(1), 4), (FrameData(1, 0), H(0), 8)],
+    )
+    def test_pair_for_another_request_is_refused(self, frame, k, max4n):
+        pair = SeriesPair(FrameData(1, 0), H(0), 4)
+        for check in self.CHECKS:
+            with pytest.raises(ValueError):
+                check(frame, k, max4n, CFG, pair)
+
+    @pytest.mark.parametrize("w0, w1, k", [(1, 0, "0"), (1, 1, "1/2"), (2, 0, "1")])
+    def test_check_all_builds_each_series_once(self, monkeypatch, capsys, w0, w1, k):
+        from nekrasov.cli import main
+
+        calls = count_builds(monkeypatch)
+        argv = ["check", "all", "--w0", str(w0), "--w1", str(w1), "--k", k,
+                "--max-n", "1", "--trials", "2", "--json"]
+        assert main(argv) == 0
+        checks = [report["check"] for report in json.loads(capsys.readouterr().out)]
+        assert checks == ["main", "mult", "symmetry", "must"]
+        assert calls == {"zx0": 1, "zx1": 1}
