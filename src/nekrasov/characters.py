@@ -1,11 +1,10 @@
 """Torus characters of tautological and tangent spaces at fixed points.
 
-A character is a finite multiset of Laurent monomials in (t1, t2,
-e_1..e_r).  The t-exponents are stored doubled so the double-cover
-convention sqrt(t1*t2) never forces fractional storage; every character
-built in this module has *even* doubled exponents (integral t-powers),
-and the half shift coming from the matter twist is applied later, on the
-linear-form side.
+A Laurent monomial t1^p t2^q e_1^c_1 .. e_r^c_r is the plain int tuple
+(p, q, e), with e the nonzero (alpha, c_alpha) pairs sorted by alpha.
+Every exponent is integral: the half shift sqrt(t1*t2) coming from the
+matter twist is applied later, on the linear-form side.  A character is
+a finite multiset of monomials, held as a ``collections.Counter``.
 
 The building blocks:
 
@@ -18,14 +17,14 @@ The building blocks:
   * char_tangent_*        -- tangent characters for the plane, the Z2
                              orbifold (degree-0 part), and the resolved
                              surface (line-bundle twists plus the two
-                             chart substitutions t -> (t1^2, t2/t1) and
-                             t -> (t1/t2, t2^2)).
+                             chart images t -> (t1^2, t2/t1) and
+                             t -> (t1/t2, t2^2) of the plane weights).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from collections import Counter
+from typing import Iterator
 
 from .diagrams import (
     FixedPointX0,
@@ -39,221 +38,117 @@ from .diagrams import (
 )
 
 
-class HalfDegreeError(ValueError):
-    """Z2-degree requested for a monomial with half-integral t-exponent."""
+def _ratio(alpha: int, beta: int) -> tuple:
+    """The e-part of e_beta / e_alpha."""
+    if alpha == beta:
+        return ()
+    return ((alpha, -1), (beta, 1)) if alpha < beta else ((beta, 1), (alpha, -1))
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """t1^(t1x2/2) * t2^(t2x2/2) * prod e_alpha^exp, exponents exact."""
-
-    t1x2: int
-    t2x2: int
-    e: tuple[tuple[int, int], ...] = ()
-
-    def sort_key(self):
-        return (self.t1x2, self.t2x2, self.e)
-
-    def __str__(self) -> str:
-        parts = []
-        for label, doubled in (("t1", self.t1x2), ("t2", self.t2x2)):
-            if doubled == 0:
-                continue
-            if doubled % 2 == 0:
-                parts.append(f"{label}^{doubled // 2}")
-            else:
-                parts.append(f"{label}^{doubled}/2")
-        for alpha, exp in self.e:
-            parts.append(f"e{alpha}^{exp}")
-        return " ".join(parts) if parts else "1"
-
-
-def monomial(t1x2: int = 0, t2x2: int = 0, e: Mapping[int, int] | None = None) -> Monomial:
-    packed = ()
-    if e:
-        packed = tuple(sorted((a, x) for a, x in e.items() if x != 0))
-    return Monomial(t1x2, t2x2, packed)
-
-
-def mono_t(p: int, q: int, e: Mapping[int, int] | None = None) -> Monomial:
-    """Monomial with integral t-exponents t1^p t2^q."""
-    return monomial(2 * p, 2 * q, e)
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    e: dict[int, int] = dict(a.e)
-    for alpha, exp in b.e:
-        e[alpha] = e.get(alpha, 0) + exp
-    return monomial(a.t1x2 + b.t1x2, a.t2x2 + b.t2x2, e)
-
-
-# A character is a multiset: monomial -> positive multiplicity.
-Character = dict
-
-
-def char_rank(ch: Character) -> int:
+def char_rank(ch: Counter) -> int:
     return sum(ch.values())
 
 
-def char_items(ch: Character) -> Iterator[tuple[Monomial, int]]:
-    """Deterministic iteration order for Euler-class products."""
-    return iter(sorted(ch.items(), key=lambda kv: kv[0].sort_key()))
-
-
-def char_merge(*chars: Character) -> Character:
-    out: Character = {}
-    for ch in chars:
-        for mono, mult in ch.items():
-            out[mono] = out.get(mono, 0) + mult
-    return out
-
-
-def char_times(ch: Character, factor: Monomial) -> Character:
-    return {mono_mul(factor, mono): mult for mono, mult in ch.items()}
-
-
-def _char_from_monos(monos) -> Character:
-    out: Character = {}
-    for mono in monos:
-        out[mono] = out.get(mono, 0) + 1
-    return out
-
-
-def char_lk(k: HalfInt) -> Character:
-    """Lattice character of the k-th twist: for k > 1/2 the monomials
-    t1^(i+1) t2^(j+1) over i, j >= 0 with i + j <= 2k - 2 and i + j = 2k
-    mod 2; for k < -1/2 the mirror family t1^(-i) t2^(-j); empty otherwise."""
-    d = k.doubled
-    if abs(d) <= 1:
-        return {}
-    monos = []
+def _twist(d: int) -> Iterator[tuple[int, int]]:
+    """t-exponents (p, q) of the twist character with doubled index d."""
     bound = abs(d) - 2
     for i in range(bound + 1):
         for j in range(bound + 1 - i):
-            if (i + j - d) % 2 != 0:
-                continue
-            if d > 0:
-                monos.append(mono_t(i + 1, j + 1))
-            else:
-                monos.append(mono_t(-i, -j))
-    return _char_from_monos(monos)
+            if (i + j - d) % 2 == 0:
+                yield (i + 1, j + 1) if d > 0 else (-i, -j)
 
 
-def degree_mod2(mono: Monomial, frame: FrameData) -> int:
+def char_lk(k: HalfInt) -> Counter:
+    """Lattice character of the k-th twist: for k > 1/2 the monomials
+    t1^(i+1) t2^(j+1) over i, j >= 0 with i + j <= 2k - 2 and i + j = 2k
+    mod 2; for k < -1/2 the mirror family t1^(-i) t2^(-j); empty otherwise."""
+    return Counter((p, q, ()) for p, q in _twist(k.doubled))
+
+
+def degree_mod2(mono: tuple, frame: FrameData) -> int:
     """Z2-degree: t1, t2 and the color-1 framing characters are odd."""
-    if mono.t1x2 % 2 or mono.t2x2 % 2:
-        raise HalfDegreeError(f"half-integral t-exponent in {mono}")
-    total = mono.t1x2 // 2 + mono.t2x2 // 2
-    total += sum(exp for alpha, exp in mono.e if alpha > frame.w0)
-    return total % 2
+    p, q, e = mono
+    return (p + q + sum(exp for alpha, exp in e if alpha > frame.w0)) % 2
 
 
-def _degree_part(ch: Character, frame: FrameData, s: int) -> Character:
-    return {m: mult for m, mult in ch.items() if degree_mod2(m, frame) == s}
+def _degree_part(ch: Counter, frame: FrameData, s: int) -> Counter:
+    return Counter({m: n for m, n in ch.items() if degree_mod2(m, frame) == s})
 
 
-def char_v_p2(r: int, diagrams) -> Character:
+def char_v_p2(r: int, diagrams) -> Counter:
     """Tautological fiber on the plane: e_alpha t1^(1-i) t2^(1-j) per box."""
-    monos = []
-    for alpha, diagram in enumerate(diagrams, start=1):
-        for i, j in boxes(diagram):
-            monos.append(mono_t(1 - i, 1 - j, {alpha: 1}))
-    return _char_from_monos(monos)
+    return Counter(
+        (1 - i, 1 - j, ((alpha, 1),))
+        for alpha, diagram in enumerate(diagrams, start=1)
+        for i, j in boxes(diagram)
+    )
 
 
-def char_v_x0(frame: FrameData, fp: FixedPointX0, s: int) -> Character:
+def char_v_x0(frame: FrameData, fp: FixedPointX0, s: int) -> Counter:
     """Degree-s part of the plane tautological fiber at an orbifold point."""
     return _degree_part(char_v_p2(frame.r, fp.diagrams), frame, s)
 
 
-def char_v_x1(frame: FrameData, fp: FixedPointX1, s: int) -> Character:
+def char_v_x1(frame: FrameData, fp: FixedPointX1, s: int) -> Counter:
     """Tautological fiber at a resolved-surface fixed point: per slot, the
     line-bundle character shifted by s/2 plus one monomial per box of the
     two diagrams, twisted into the two coordinate charts."""
-    parts = []
+    ch: Counter = Counter()
     for alpha in range(1, frame.r + 1):
         d = fp.kvec[alpha - 1].doubled
-        e_alpha = monomial(e={alpha: 1})
-        parts.append(char_times(char_lk(HalfInt(d + s)), e_alpha))
-        monos = []
-        for i, j in boxes(fp.y1[alpha - 1]):
-            # t1^(2(k - i + 1 + s/2)) * (t2/t1)^(1-j)
-            monos.append(mono_t(d - 2 * i + j + s + 1, 1 - j, {alpha: 1}))
-        for i, j in boxes(fp.y2[alpha - 1]):
-            monos.append(mono_t(1 - i, d - 2 * j + i + s + 1, {alpha: 1}))
-        parts.append(_char_from_monos(monos))
-    return char_merge(*parts)
+        e = ((alpha, 1),)
+        ch.update((p, q, e) for p, q in _twist(d + s))
+        # t1^(2(k - i + 1 + s/2)) * (t2/t1)^(1-j)
+        ch.update((d - 2 * i + j + s + 1, 1 - j, e) for i, j in boxes(fp.y1[alpha - 1]))
+        ch.update((1 - i, d - 2 * j + i + s + 1, e) for i, j in boxes(fp.y2[alpha - 1]))
+    return ch
 
 
-def char_n(
-    ya: YoungDiagram, yb: YoungDiagram, alpha: int, beta: int
-) -> Character:
+def _pair_weights(ya: YoungDiagram, yb: YoungDiagram) -> Iterator[tuple[int, int]]:
+    """t-exponents of the arm/leg pair character, before the framing ratio."""
+    for i, j in boxes(ya):
+        yield -leg_in(yb, i, j), arm_in(ya, i, j) + 1
+    for i, j in boxes(yb):
+        yield leg_in(ya, i, j) + 1, -arm_in(yb, i, j)
+
+
+def char_n(ya: YoungDiagram, yb: YoungDiagram, alpha: int, beta: int) -> Counter:
     """Arm/leg pair character e_beta/e_alpha * ( sum over s in Y_a of
     t1^(-leg_b(s)) t2^(arm_a(s)+1)  +  sum over t in Y_b of
     t1^(leg_a(t)+1) t2^(-arm_b(t)) ).  Cross-diagram arms and legs may be
     negative; that is intended."""
-    e = {beta: 1, alpha: -1} if alpha != beta else None
-    monos = []
-    for i, j in boxes(ya):
-        monos.append(mono_t(-leg_in(yb, i, j), arm_in(ya, i, j) + 1, e))
-    for i, j in boxes(yb):
-        monos.append(mono_t(leg_in(ya, i, j) + 1, -arm_in(yb, i, j), e))
-    return _char_from_monos(monos)
+    e = _ratio(alpha, beta)
+    return Counter((p, q, e) for p, q in _pair_weights(ya, yb))
 
 
-# Chart substitutions (t1, t2) -> (t1^2, t2/t1) and (t1, t2) -> (t1/t2, t2^2)
-# as integer matrices acting on doubled exponent vectors.
-ExponentMap = tuple
-MAP_CHART1: ExponentMap = ((2, -1), (0, 1))
-MAP_CHART2: ExponentMap = ((1, 0), (-1, 2))
-
-
-def char_substitute(ch: Character, m: ExponentMap) -> Character:
-    """Apply an exponent substitution to every monomial; e-parts unchanged."""
-    out: Character = {}
-    for mono, mult in ch.items():
-        new1 = m[0][0] * mono.t1x2 + m[0][1] * mono.t2x2
-        new2 = m[1][0] * mono.t1x2 + m[1][1] * mono.t2x2
-        image = monomial(new1, new2, dict(mono.e))
-        out[image] = out.get(image, 0) + mult
-    return out
-
-
-def char_tangent_p2(r: int, diagrams) -> Character:
+def char_tangent_p2(r: int, diagrams) -> Counter:
     """Tangent character of plane moduli: sum of all slot-pair characters."""
-    parts = []
+    ch: Counter = Counter()
     for alpha in range(1, r + 1):
         for beta in range(1, r + 1):
-            parts.append(
-                char_n(diagrams[alpha - 1], diagrams[beta - 1], alpha, beta)
-            )
-    return char_merge(*parts)
+            ch.update(char_n(diagrams[alpha - 1], diagrams[beta - 1], alpha, beta))
+    return ch
 
 
-def char_tangent_x0(frame: FrameData, fp: FixedPointX0) -> Character:
+def char_tangent_x0(frame: FrameData, fp: FixedPointX0) -> Counter:
     """Tangent character on the orbifold side: the Z2-invariant (degree-0)
     part of the plane tangent character."""
     return _degree_part(char_tangent_p2(frame.r, fp.diagrams), frame, 0)
 
 
-def char_tangent_x1(frame: FrameData, fp: FixedPointX1) -> Character:
+def char_tangent_x1(frame: FrameData, fp: FixedPointX1) -> Counter:
     """Tangent character on the resolved side: per slot pair, the twist
-    character of the k-difference plus the two chart-substituted arm/leg
-    characters shifted by t_i^(2(k_beta - k_alpha))."""
-    parts = []
+    character of the k-difference plus the arm/leg weights of each chart's
+    diagrams, sent t1^p t2^q -> t1^(2p-q) t2^q in the first chart and
+    t1^p t2^(2q-p) in the second, and shifted by t_i^(2(k_beta - k_alpha))."""
+    ch: Counter = Counter()
     for alpha in range(1, frame.r + 1):
         for beta in range(1, frame.r + 1):
             delta = fp.kvec[beta - 1].doubled - fp.kvec[alpha - 1].doubled
-            e = {beta: 1, alpha: -1} if alpha != beta else None
-            parts.append(char_times(char_lk(HalfInt(delta)), monomial(e=e)))
-            n1 = char_substitute(
-                char_n(fp.y1[alpha - 1], fp.y1[beta - 1], alpha, beta),
-                MAP_CHART1,
-            )
-            parts.append(char_times(n1, monomial(t1x2=2 * delta)))
-            n2 = char_substitute(
-                char_n(fp.y2[alpha - 1], fp.y2[beta - 1], alpha, beta),
-                MAP_CHART2,
-            )
-            parts.append(char_times(n2, monomial(t2x2=2 * delta)))
-    return char_merge(*parts)
+            e = _ratio(alpha, beta)
+            ch.update((p, q, e) for p, q in _twist(delta))
+            y1a, y1b = fp.y1[alpha - 1], fp.y1[beta - 1]
+            ch.update((2 * p - q + delta, q, e) for p, q in _pair_weights(y1a, y1b))
+            y2a, y2b = fp.y2[alpha - 1], fp.y2[beta - 1]
+            ch.update((p, 2 * q - p + delta, e) for p, q in _pair_weights(y2a, y2b))
+    return ch

@@ -22,16 +22,11 @@ over 0, 1, -1, 2, -2, ... (doubled values, smallest absolute value first).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from typing import Iterator
 
 YoungDiagram = tuple
-
-
-class OutOfDiagram(ValueError):
-    """Box coordinates outside the diagram."""
 
 
 class ParityError(ValueError):
@@ -75,13 +70,6 @@ def leg_in(diagram: YoungDiagram, i: int, j: int) -> int:
     return column_height(transpose(diagram), j) - i
 
 
-def arm_leg(diagram: YoungDiagram, i: int, j: int) -> tuple[int, int]:
-    """Arm and leg of a box that must lie inside the diagram."""
-    if i < 1 or j < 1 or j > column_height(diagram, i):
-        raise OutOfDiagram(f"box ({i},{j}) not in diagram {list(diagram)}")
-    return arm_in(diagram, i, j), leg_in(diagram, i, j)
-
-
 def colored_sizes(diagram: YoungDiagram, l: int) -> tuple[int, int]:
     """Counts of boxes with Z2-color 0 and 1 for framing color l."""
     n = [0, 0]
@@ -117,10 +105,6 @@ class HalfInt:
     doubled: int
 
     @classmethod
-    def from_int(cls, n: int) -> "HalfInt":
-        return cls(2 * n)
-
-    @classmethod
     def parse(cls, text: str) -> "HalfInt":
         """Parse "p", "p/1" or "p/2"; any other denominator is rejected."""
         text = text.strip()
@@ -132,13 +116,6 @@ class HalfInt:
                 return cls(2 * int(num))
             raise ValueError(f"half-integers must be 'p' or 'p/2', got {text!r}")
         return cls(2 * int(text))
-
-    @property
-    def is_integer(self) -> bool:
-        return self.doubled % 2 == 0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.doubled, 2)
 
     def __add__(self, other: "HalfInt") -> "HalfInt":
         return HalfInt(self.doubled + other.doubled)
@@ -356,9 +333,10 @@ class Wall:
 def enum_walls(v0: int, v1: int) -> list[Wall]:
     """All positive roots (alpha0, alpha1) with alpha0 <= v0, alpha1 <= v1:
     real roots alpha_m = (|m|, |m+1|) interleaved m = 0, -1, 1, -2, ...,
-    then imaginary roots p*delta = (p, p)."""
+    then imaginary roots p*delta = (p, p).  Both real roots of magnitude
+    mag hold mag in one coordinate, so none beyond min(v0, v1) fits."""
     out: list[Wall] = []
-    for mag in range(0, max(v0, v1) + 1):
+    for mag in range(0, min(v0, v1) + 1):
         # visits m = 0, -1, 1, -2, 2, -3, ...
         for m in (mag, -mag - 1):
             root = (abs(m), abs(m + 1))

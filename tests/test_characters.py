@@ -1,16 +1,13 @@
 """Character builders: twists, tautological fibers, tangent spaces."""
 
+from collections import Counter
+
 import pytest
 
 from nekrasov.characters import (
-    MAP_CHART1,
-    MAP_CHART2,
-    HalfDegreeError,
-    Monomial,
     char_lk,
     char_n,
     char_rank,
-    char_substitute,
     char_tangent_p2,
     char_tangent_x0,
     char_tangent_x1,
@@ -18,9 +15,6 @@ from nekrasov.characters import (
     char_v_x0,
     char_v_x1,
     degree_mod2,
-    mono_mul,
-    mono_t,
-    monomial,
 )
 from nekrasov.diagrams import (
     FixedPointX0,
@@ -46,10 +40,19 @@ def fp_x1(kvec, y1, y2):
 
 
 def counted(*monos):
-    out = {}
-    for m in monos:
-        out[m] = out.get(m, 0) + 1
-    return out
+    return Counter(monos)
+
+
+def mono_t(p, q, e=None):
+    """t1^p t2^q times prod e_alpha^exp, as the (p, q, e) tuple."""
+    return (p, q, tuple(sorted((a, x) for a, x in (e or {}).items() if x)))
+
+
+def mono_mul(a, b):
+    e = dict(a[2])
+    for alpha, exp in b[2]:
+        e[alpha] = e.get(alpha, 0) + exp
+    return mono_t(a[0] + b[0], a[1] + b[1], e)
 
 
 class TestTwistCharacter:
@@ -144,21 +147,6 @@ class TestPairCharacter:
         assert ch == counted(mono_t(1, 1, {2: 1, 1: -1}))
 
 
-class TestSubstitution:
-    def test_t2_becomes_t2_over_t1(self):
-        assert char_substitute(counted(mono_t(0, 1)), MAP_CHART1) == counted(
-            mono_t(-1, 1)
-        )
-
-    def test_t1_squares(self):
-        assert char_substitute(counted(mono_t(1, 0)), MAP_CHART1) == counted(
-            mono_t(2, 0)
-        )
-
-    def test_empty(self):
-        assert char_substitute({}, MAP_CHART2) == {}
-
-
 class TestTangentCharacters:
     def test_p2_single_box(self):
         ch = char_tangent_p2(1, [(1,)])
@@ -203,18 +191,67 @@ class TestTangentCharacters:
         ch = char_tangent_x1(frame, fp_x1([H(0)], [(1,)], [()]))
         assert ch == counted(mono_t(-1, 1), mono_t(2, 0))
 
+    def test_x1_single_box_second_chart(self):
+        frame = FrameData(1, 0)
+        ch = char_tangent_x1(frame, fp_x1([H(0)], [()], [(1,)]))
+        assert ch == counted(mono_t(0, 2), mono_t(1, -1))
+
+    def test_x1_rank_two_boxes_in_both_charts(self):
+        # kvec = (1, -1): the off-diagonal chart weights are shifted by
+        # t_i^(2(k_beta - k_alpha)) = t_i^(-/+4)
+        frame = FrameData(2, 0)
+        ch = char_tangent_x1(frame, fp_x1([H(1), H(-1)], [(1,), ()], [(), (1,)]))
+        e21, e12 = {2: 1, 1: -1}, {1: 1, 2: -1}
+        assert ch == counted(
+            mono_t(-1, 1), mono_t(2, 0), mono_t(0, 2), mono_t(1, -1),
+            mono_t(-3, 1, e21), mono_t(-2, 0, e21), mono_t(-1, -1, e21),
+            mono_t(0, -4, e21), mono_t(0, -2, e21), mono_t(0, 0, e21),
+            mono_t(1, 1, e12), mono_t(1, 3, e12), mono_t(1, 5, e12),
+            mono_t(2, 2, e12), mono_t(3, 1, e12), mono_t(4, 0, e12),
+        )
+
     def test_x1_rank_two_twists(self):
         frame = FrameData(2, 0)
         ch = char_tangent_x1(frame, fp_x1([H(1), H(-1)], [(), ()], [(), ()]))
         assert char_rank(ch) == 8
-        e21 = monomial(e={2: 1, 1: -1})
-        e12 = monomial(e={1: 1, 2: -1})
+        e21 = mono_t(0, 0, {2: 1, 1: -1})
+        e12 = mono_t(0, 0, {1: 1, 2: -1})
         expected = {}
         for m in char_lk(H(-2)):
             expected[mono_mul(e21, m)] = 1
         for m in char_lk(H(2)):
             expected[mono_mul(e12, m)] = 1
         assert ch == expected
+
+    @staticmethod
+    def _x1_reference(frame, fp):
+        """The resolved tangent character with each chart applied as an
+        exponent matrix to char_n, then shifted by t_i^(2(k_b - k_a))."""
+        charts = (((2, -1), (0, 1)), ((1, 0), (-1, 2)))
+        out = Counter()
+        for a in range(frame.r):
+            for b in range(frame.r):
+                delta = fp.kvec[b].doubled - fp.kvec[a].doubled
+                ratio = mono_t(0, 0, {b + 1: 1, a + 1: -1})
+                for m, n in char_lk(HalfInt(delta)).items():
+                    out[mono_mul(m, ratio)] += n
+                for side, (ys, m) in enumerate(zip((fp.y1, fp.y2), charts)):
+                    shift = (delta, 0) if side == 0 else (0, delta)
+                    for (p, q, e), n in char_n(ys[a], ys[b], a + 1, b + 1).items():
+                        image = (
+                            m[0][0] * p + m[0][1] * q + shift[0],
+                            m[1][0] * p + m[1][1] * q + shift[1],
+                            e,
+                        )
+                        out[image] += n
+        return out
+
+    @pytest.mark.parametrize("w, k", [((1, 0), "1"), ((2, 0), "-1"), ((1, 1), "1/2")])
+    def test_x1_charts_match_exponent_matrices(self, w, k):
+        frame = FrameData(*w)
+        for g in range(frame.w1 % 4, frame.w1 + 13, 4):
+            for fp in enum_fixed_points_x1(frame, H(k), g):
+                assert char_tangent_x1(frame, fp) == self._x1_reference(frame, fp)
 
     @pytest.mark.parametrize(
         "w, k",
@@ -238,11 +275,7 @@ class TestDegree:
         assert degree_mod2(mono_t(1, 1, {1: 1}), FrameData(1, 0)) == 0
 
     def test_second_color_framing_is_odd(self):
-        assert degree_mod2(monomial(e={2: 1}), FrameData(1, 1)) == 1
-
-    def test_half_exponent_rejected(self):
-        with pytest.raises(HalfDegreeError):
-            degree_mod2(Monomial(1, 0, ()), FrameData(1, 0))
+        assert degree_mod2(mono_t(0, 0, {2: 1}), FrameData(1, 1)) == 1
 
     def test_homomorphism(self):
         frame = FrameData(1, 1)

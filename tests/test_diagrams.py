@@ -10,9 +10,8 @@ from nekrasov.diagrams import (
     FrameData,
     GradeError,
     HalfInt,
-    OutOfDiagram,
     ParityError,
-    arm_leg,
+    arm_in,
     colored_sizes,
     diagram_tuples,
     enum_fixed_points_x0,
@@ -20,6 +19,7 @@ from nekrasov.diagrams import (
     enum_kvectors,
     enum_walls,
     partitions,
+    leg_in,
     transpose,
 )
 
@@ -30,19 +30,13 @@ def H(text):
 
 class TestArmLeg:
     def test_single_box(self):
-        assert arm_leg((1,), 1, 1) == (0, 0)
+        assert (arm_in((1,), 1, 1), leg_in((1,), 1, 1)) == (0, 0)
 
     def test_hook_corner(self):
-        assert arm_leg((2, 1), 1, 1) == (1, 1)
+        assert (arm_in((2, 1), 1, 1), leg_in((2, 1), 1, 1)) == (1, 1)
 
     def test_hook_top(self):
-        assert arm_leg((2, 1), 1, 2) == (0, 0)
-
-    def test_outside_raises(self):
-        with pytest.raises(OutOfDiagram):
-            arm_leg((2, 1), 2, 2)
-        with pytest.raises(OutOfDiagram):
-            arm_leg((1,), 2, 1)
+        assert (arm_in((2, 1), 1, 2), leg_in((2, 1), 1, 2)) == (0, 0)
 
 
 class TestColoring:
@@ -216,6 +210,27 @@ class TestWalls:
         imaginary = [(w.index, w.root) for w in walls if w.kind == "imaginary"]
         assert real == [(0, (0, 1)), (-1, (1, 0)), (1, (1, 2)), (-2, (2, 1))]
         assert imaginary == [(1, (1, 1)), (2, (2, 2))]
+
+    @staticmethod
+    def _reference(v0, v1):
+        """The enumeration with its loop running to max(v0, v1)."""
+        out = []
+        for mag in range(0, max(v0, v1) + 1):
+            for m in (mag, -mag - 1):
+                root = (abs(m), abs(m + 1))
+                if root[0] <= v0 and root[1] <= v1:
+                    out.append(diagrams.Wall("real", m, root))
+        for p in range(1, min(v0, v1) + 1):
+            out.append(diagrams.Wall("imaginary", p, (p, p)))
+        return out
+
+    @given(v0=st.integers(-2, 12), v1=st.integers(-2, 12))
+    def test_matches_unbounded_loop(self, v0, v1):
+        assert enum_walls(v0, v1) == self._reference(v0, v1)
+
+    def test_huge_count_is_bounded_by_the_smaller_one(self):
+        assert enum_walls(10**9, 2) == enum_walls(3, 2)
+        assert enum_walls(2, 10**9) == enum_walls(2, 3)
 
 
 class TestHalfInt:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nekrasov.characters import monomial
 from nekrasov.exact import (
     EPS1,
     EPS2,
@@ -370,7 +369,7 @@ class TestFormsAgainstReference:
 
 
 _monomials = st.builds(
-    lambda t1x2, t2x2, e: monomial(t1x2, t2x2, e),
+    lambda p, q, e: (p, q, tuple(sorted((a, x) for a, x in e.items() if x))),
     st.integers(-5, 5),
     st.integers(-5, 5),
     st.dictionaries(st.integers(1, 3), st.integers(-3, 3), max_size=3),
@@ -384,8 +383,9 @@ class TestWeightForms:
 
     @staticmethod
     def _weight_coeffs(mono):
-        coeffs = {EPS1: F(mono.t1x2, 2), EPS2: F(mono.t2x2, 2)}
-        for alpha, exp in mono.e:
+        p, q, e = mono
+        coeffs = {EPS1: F(p), EPS2: F(q)}
+        for alpha, exp in e:
             coeffs[var_a(alpha)] = F(exp)
         return coeffs
 

@@ -1,16 +1,18 @@
 """Euler classes and per-fixed-point localization terms."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from nekrasov.characters import char_merge, mono_t
+from nekrasov.characters import char_lk
 from nekrasov.diagrams import (
     FixedPointX1,
     FrameData,
     HalfInt,
     diagram_tuples,
     enum_fixed_points_x0,
+    enum_kvectors,
 )
 from nekrasov.exact import (
     EPS1,
@@ -20,6 +22,7 @@ from nekrasov.exact import (
     linear_form,
     term_eval,
     term_mul,
+    term_pow,
     var_a,
     var_m,
 )
@@ -44,10 +47,12 @@ def fp_x1(kvec, y1, y2):
 
 
 def counted(*monos):
-    out = {}
-    for m in monos:
-        out[m] = out.get(m, 0) + 1
-    return out
+    return Counter(monos)
+
+
+def mono_t(p, q, e=None):
+    """t1^p t2^q times prod e_alpha^exp, as the (p, q, e) tuple."""
+    return (p, q, tuple(sorted((e or {}).items())))
 
 
 def point(e1, e2, a, m1, m2):
@@ -88,7 +93,7 @@ class TestEulerClass:
     def test_additive_over_direct_sum(self):
         a = counted(mono_t(1, 0), mono_t(0, 2, {1: 1}))
         b = counted(mono_t(1, 0), mono_t(-1, 1))
-        lhs = euler_class(char_merge(a, b))
+        lhs = euler_class(a + b)
         rhs = term_mul(euler_class(a), euler_class(b))
         assert lhs == rhs
 
@@ -232,3 +237,25 @@ class TestEllFactor:
         for i, j in l_plus2:
             den *= -d + i * p[EPS1] + j * p[EPS2]
         assert term_eval(got, p) == num / den
+
+    @pytest.mark.parametrize("w", [(1, 0), (0, 1), (2, 0), (1, 1), (2, 1), (0, 3)])
+    def test_equals_hand_built_twist_characters(self, w):
+        # matter Euler class of sum_a L_{k_a} e_a over the Euler class of
+        # sum_{a,b} L_{k_b - k_a} e_b/e_a, built here from char_lk alone
+        frame = FrameData(*w)
+        for kd in range(-4, 5):
+            if (kd + frame.w1) % 2:
+                continue
+            for kvec in enum_kvectors(frame, HalfInt(kd), 16):
+                num, den = Counter(), Counter()
+                for a in range(frame.r):
+                    for p, q, _ in char_lk(kvec[a]):
+                        num[mono_t(p, q, {a + 1: 1})] += 1
+                    for b in range(frame.r):
+                        e = {b + 1: 1, a + 1: -1} if a != b else None
+                        for p, q, _ in char_lk(kvec[b] - kvec[a]):
+                            den[mono_t(p, q, e)] += 1
+                expected = term_mul(
+                    matter_euler(num, frame.r), term_pow(euler_class(den), -1)
+                )
+                assert ell_factor(frame, kvec) == expected
