@@ -46,7 +46,7 @@ from .verify import (
     check_main,
     check_recursion_must,
     check_symmetry,
-    sample_point_with_stats,
+    sample_points,
     union_pole_forms,
 )
 
@@ -168,12 +168,7 @@ def _cmd_compute(parser: argparse.ArgumentParser, args) -> int:
     max4n = 4 * args.max_n + frame.w1
     series = _build_series(args, frame, max4n)
     cfg = SampleConfig(seed=args.seed, trials=args.trials)
-    pole_forms = union_pole_forms(series)
-    points, resamples = [], []
-    for trial in range(cfg.trials):
-        point, redraws = sample_point_with_stats(cfg, trial, pole_forms, frame.r)
-        points.append(point)
-        resamples.append(redraws)
+    points, resamples = sample_points(cfg, union_pole_forms(series), frame.r)
     grades = [
         {
             "grade4n": g,
@@ -325,7 +320,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_negative_values(list(argv)))
+    argv = _merge_negative_values(list(argv))
+    for arg in argv:  # argparse reads "--flag=--" as an empty list of values
+        if arg.startswith("--") and arg.endswith("=--"):
+            parser.error(f"argument {arg[:-3]}: expected one argument")
+    args = parser.parse_args(argv)
     try:
         if args.command == "compute":
             return _cmd_compute(parser, args)

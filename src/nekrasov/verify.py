@@ -21,20 +21,24 @@ coefficient evaluated at R(p).  The orbifold and resolved series of one
 (frame, k, max4n) live in a SeriesPair, which builds each on first use;
 `nekrasov check all` hands one pair to all of its checks, so each series
 is built once per invocation, and a check called without a pair makes its
-own.  Before evaluating, the union of all linear forms appearing in any
-denominator on either side is collected, a flipped side contributing its
-plain denominator forms composed with R (form o R vanishes at p exactly
-when form vanishes at R(p)); a draw that zeroes any of them is rejected
-and the whole point redrawn, so an honest pole can never masquerade as a
-mismatch.  The pole test runs on the integer kernel: the draw is scaled
-to one common denominator once, and each form is one int dot product.
+own.  Each side of a check maps a point to {grade: value}: every
+coefficient of one series read at R(p), or a numeric Cauchy product of
+such values, so no product series is ever built.  Before evaluating,
+the union of all linear forms appearing in any denominator on either side
+is collected, a flipped side contributing its plain denominator forms
+composed with R (form o R vanishes at p exactly when form vanishes at
+R(p)); a draw that zeroes any of them is rejected and the whole point
+redrawn, so an honest pole can never masquerade as a mismatch.  The pole
+test runs on the integer kernel: the draw is scaled to one common
+denominator once, and each form is one int dot product.
 
 Checks:
 
   * check_main           -- resolved series at -eps against the orbifold
-                            series, with the prefactor (1 - (-1)^r q)^u on
-                            the k >= 0 branch and a plain sign flip on the
-                            k <= 0 branch (both branches when k = 0),
+                            series, convolved with the prefactor
+                            (1 - (-1)^r q)^u on the k >= 0 branch and
+                            read at -eps on the k <= 0 branch (both
+                            branches when k = 0),
   * check_factorization  -- resolved series against its blow-up
                             factorization through two plane series,
   * check_symmetry       -- invariance under (eps, a, m) -> -(eps, a, m),
@@ -49,7 +53,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .diagrams import FrameData, HalfInt
 from .exact import (
@@ -69,7 +72,6 @@ from .series import (
     rule_negate_all,
     rule_negate_am,
     rule_negate_eps,
-    series_mul,
     series_prefactor,
     series_zx0,
     series_zx1,
@@ -77,6 +79,13 @@ from .series import (
 )
 
 logger = logging.getLogger(__name__)
+
+# A draw's numerators lie in [-NUMERATOR, NUMERATOR] \ {0}, its
+# denominators in [1, DENOMINATOR]; a pole-hitting draw is redrawn at most
+# MAX_RESAMPLE times.
+NUMERATOR = 999
+DENOMINATOR = 32
+MAX_RESAMPLE = 100
 
 
 class ResampleExhausted(RuntimeError):
@@ -89,19 +98,12 @@ class SampleConfig:
 
     seed: int
     trials: int = 5
-    numerator_low: int = -999
-    numerator_high: int = 999
-    denominator_low: int = 1
-    denominator_high: int = 32
-    max_resample: int = 100
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if not self.numerator_low < 0 < self.numerator_high:
-            raise ValueError("numerator range must straddle 0 (which is excluded)")
 
 
 _MASK64 = (1 << 64) - 1
@@ -128,14 +130,11 @@ class _Stream:
 
 def _draw_point(cfg: SampleConfig, stream: _Stream, r: int) -> EvalPoint:
     point: EvalPoint = {}
-    num_span = cfg.numerator_high - cfg.numerator_low  # 0 excluded, so span not span+1
-    den_span = cfg.denominator_high - cfg.denominator_low + 1
     for v in scope_vars(r):
-        n = cfg.numerator_low + stream.next_u64() % num_span
+        n = stream.next_u64() % (2 * NUMERATOR) - NUMERATOR  # 0 is skipped below
         if n >= 0:
             n += 1
-        d = cfg.denominator_low + stream.next_u64() % den_span
-        point[v] = Fraction(n, d)
+        point[v] = Fraction(n, 1 + stream.next_u64() % DENOMINATOR)
     return point
 
 
@@ -152,13 +151,28 @@ def sample_point_with_stats(
 ) -> tuple[EvalPoint, int]:
     """Like sample_point, but also reports how many redraws were needed."""
     stream = _Stream(cfg.seed, trial)
-    for redraws in range(cfg.max_resample + 1):
+    for redraws in range(MAX_RESAMPLE + 1):
         point = _draw_point(cfg, stream, r)
         if _clear_of(pole_forms, point):
             return point, redraws
     raise ResampleExhausted(
-        f"no pole-free point after {cfg.max_resample} redraws (trial {trial})"
+        f"no pole-free point after {MAX_RESAMPLE} redraws (trial {trial})"
     )
+
+
+def sample_points(
+    cfg: SampleConfig, pole_forms, r: int
+) -> tuple[list[EvalPoint], list[int]]:
+    """Every trial's point, and the redraws each one needed."""
+    points: list[EvalPoint] = []
+    resamples: list[int] = []
+    for trial in range(cfg.trials):
+        point, redraws = sample_point_with_stats(cfg, trial, pole_forms, r)
+        if point in points:
+            logger.warning("sample-point collision between trials (seed %d)", cfg.seed)
+        points.append(point)
+        resamples.append(redraws)
+    return points, resamples
 
 
 def _clear_of(forms, point: EvalPoint) -> bool:
@@ -290,6 +304,30 @@ class VerificationReport:
         }
 
 
+def _at(series: QSeries, rule=None):
+    """The side reading every coefficient of `series` at rule(p)."""
+
+    def side(point: EvalPoint) -> dict:
+        image = map_point(point, rule)
+        return {g: coeff_eval(series.coefficient(g), image) for g in series.grades()}
+
+    return side
+
+
+def _cauchy(weights, side):
+    """The side whose grade g is sum_j weights(p)[j] * side(p)[g - j], over
+    the grades of `side`."""
+
+    def product(point: EvalPoint) -> dict:
+        w, values = weights(point), side(point)
+        return {
+            g: sum((c * values[g - j] for j, c in w.items() if g - j in values), Fraction(0))
+            for g in values
+        }
+
+    return product
+
+
 def _run_check(
     name: str,
     frame: FrameData,
@@ -299,31 +337,17 @@ def _run_check(
     rows,
     pole_forms,
 ) -> VerificationReport:
-    """Each side of a row is a (coefficient, rule) pair, evaluated at
-    rule(p) (rule None: at p), or a callable of the point."""
-    points: list[EvalPoint] = []
-    resamples: list[int] = []
-    for trial in range(cfg.trials):
-        point, redraws = sample_point_with_stats(cfg, trial, pole_forms, frame.r)
-        if point in points:
-            logger.warning("sample-point collision between trials (seed %d)", cfg.seed)
-        points.append(point)
-        resamples.append(redraws)
-    images: dict = {}  # (trial, id(rule)) -> rule(point of that trial)
-
-    def evaluate(side, trial: int) -> Fraction:
-        if callable(side):
-            return side(points[trial])
-        coeff, rule = side
-        key = (trial, id(rule))
-        if key not in images:
-            images[key] = map_point(points[trial], rule)
-        return coeff_eval(coeff, images[key])
-
-    grades = []
-    for grade, tags, lhs, rhs in rows:
-        values = [(evaluate(lhs, t), evaluate(rhs, t)) for t in range(cfg.trials)]
-        grades.append(GradeRecord(grade, tags, values))
+    """Each row is (tags, lhs, rhs); a side maps a point to {grade: value},
+    and each grade of lhs becomes one record.  A side shared by several
+    rows is evaluated once per point."""
+    points, resamples = sample_points(cfg, pole_forms, frame.r)
+    sides = dict.fromkeys(side for _, lhs, rhs in rows for side in (lhs, rhs))
+    values = [{side: side(point) for side in sides} for point in points]
+    grades = [
+        GradeRecord(g, tags, [(v[lhs][g], v[rhs][g]) for v in values])
+        for tags, lhs, rhs in rows
+        for g in values[0][lhs]
+    ]
     return VerificationReport(name, frame, k, max4n, cfg, points, resamples, grades)
 
 
@@ -336,29 +360,24 @@ def check_main(
 ) -> VerificationReport:
     """Resolved series at -eps against the orbifold series.
 
-    For k >= 0 the right side carries the prefactor (1 - (-1)^r q)^u; for
-    k <= 0 it is the orbifold series at -eps; k = 0 runs both branches,
-    which share one orbifold series."""
+    For k >= 0 the right side is the orbifold series convolved with the
+    prefactor (1 - (-1)^r q)^u; for k <= 0 it is the orbifold series at
+    -eps; k = 0 runs both branches, which share one orbifold series."""
     pair = _pair_for(pair, frame, k, max4n)
     flip = rule_negate_eps()
     zx1, zx0 = pair.zx1, pair.zx0
-    plain, flipped = [], [zx1]
-    branches = []  # (label, series, rule its coefficients are read at)
+    lhs = _at(zx1, flip)
+    plain, flipped, rows = [], [zx1], []
     if k.doubled >= 0:
-        rhs = series_mul(series_prefactor(frame.r, +1, max4n // 4), zx0)
-        plain.append(rhs)
-        branches.append(("k>=0", rhs, None))
+        prefactor = series_prefactor(frame.r, +1, max4n // 4)
+        plain += [prefactor, zx0]
+        rows.append(({"branch": "k>=0"}, lhs, _cauchy(_at(prefactor), _at(zx0))))
     if k.doubled <= 0:
         flipped.append(zx0)
-        branches.append(("k<=0", zx0, flip))
+        rows.append(({"branch": "k<=0"}, lhs, _at(zx0, flip)))
     pole_forms = _joint_pole_forms(
         union_pole_forms(*plain), union_pole_forms(*flipped), flip
     )
-    rows = [
-        (g, {"branch": label}, (zx1.coefficient(g), flip), (rhs.coefficient(g), rule))
-        for label, rhs, rule in branches
-        for g in zx1.grades()
-    ]
     return _run_check("main", frame, k, max4n, cfg, rows, pole_forms)
 
 
@@ -373,11 +392,7 @@ def check_factorization(
     lhs = _pair_for(pair, frame, k, max4n).zx1
     rhs = series_zx1_factorized(frame, k, max4n)
     pole_forms = union_pole_forms(lhs, rhs)
-    rows = [
-        (g, {}, (lhs.coefficient(g), None), (rhs.coefficient(g), None))
-        for g in lhs.grades()
-    ]
-    return _run_check("mult", frame, k, max4n, cfg, rows, pole_forms)
+    return _run_check("mult", frame, k, max4n, cfg, [({}, _at(lhs), _at(rhs))], pole_forms)
 
 
 def check_symmetry(
@@ -394,12 +409,23 @@ def check_symmetry(
     sides = ((0, pair.zx0), (1, pair.zx1))
     forms = union_pole_forms(*(series for _, series in sides))
     pole_forms = _joint_pole_forms(forms, forms, flip)
-    rows = [
-        (g, {"kappa": kappa}, (series.coefficient(g), flip), (series.coefficient(g), None))
-        for kappa, series in sides
-        for g in series.grades()
-    ]
+    rows = [({"kappa": kappa}, _at(series, flip), _at(series)) for kappa, series in sides]
     return _run_check("symmetry", frame, k, max4n, cfg, rows, pole_forms)
+
+
+def _must_weights(r: int, max_n: int):
+    """must's weights as a side: grade 4j holds
+    (-1)^(j r) u(u+1)...(u+j-1)/j! at p, for j = 0..max_n."""
+    u_term = prefactor_exponent(r)
+
+    def weights(point: EvalPoint) -> dict:
+        u, sign = term_eval(u_term, point), (-1) ** r
+        out = {0: Fraction(1)}
+        for j in range(1, max_n + 1):
+            out[4 * j] = out[4 * j - 4] * sign * (u + j - 1) / j
+        return out
+
+    return weights
 
 
 def check_recursion_must(
@@ -422,45 +448,10 @@ def check_recursion_must(
     r = frame.r
     flip = rule_negate_am(r)
     alpha, beta = pair.zx1, pair.zx0
-    u_term = prefactor_exponent(r)
     pole_forms = _joint_pole_forms(
-        union_pole_forms(alpha, extra=(u_term,)), union_pole_forms(beta), flip
+        union_pole_forms(alpha, extra=(prefactor_exponent(r),)),
+        union_pole_forms(beta),
+        flip,
     )
-    # u and each beta coefficient, evaluated once per point: every later
-    # grade's convolution re-reads them.  Keyed by (point items, grade),
-    # with grade None for u.  beta is read at the flipped point, mapped
-    # once per point.
-    memo: dict = {}
-    images: dict = {}
-
-    def at(point: EvalPoint, grade: int | None) -> Fraction:
-        items = tuple(point.items())
-        key = (items, grade)
-        if key not in memo:
-            if grade is None:
-                memo[key] = term_eval(u_term, point)
-            else:
-                if items not in images:
-                    images[items] = map_point(point, flip)
-                memo[key] = coeff_eval(beta.coefficient(grade), images[items])
-        return memo[key]
-
-    def rhs_at(grade: int):
-        def value(point: EvalPoint) -> Fraction:
-            j_max = (grade - frame.w1) // 4
-            if j_max < 0:
-                return Fraction(0)
-            u = at(point, None)
-            total = Fraction(0)
-            rising = Fraction(1)
-            for j in range(j_max + 1):
-                if j > 0:
-                    rising *= u + (j - 1)
-                weight = Fraction((-1) ** (j * r), factorial(j)) * rising
-                total += weight * at(point, grade - 4 * j)
-            return total
-
-        return value
-
-    rows = [(g, {}, (alpha.coefficient(g), None), rhs_at(g)) for g in alpha.grades()]
-    return _run_check("must", frame, k, max4n, cfg, rows, pole_forms)
+    rhs = _cauchy(_must_weights(r, max4n // 4), _at(beta, flip))
+    return _run_check("must", frame, k, max4n, cfg, [({}, _at(alpha), rhs)], pole_forms)

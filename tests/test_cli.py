@@ -1,8 +1,12 @@
 """Command-line surface: flags, output formats, exit codes, determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nekrasov.cli import main
 
@@ -87,6 +91,9 @@ class TestUsageErrors:
              "--m", "5,0,1,2"],
             ["walls", "--v0", "-1", "--v1", "0"],
             ["walls", "--v0", "3", "--v1", "-2"],
+            ["compute", "zx0", "--w0", "0", "--w1", "1", "--k", "--", "--max-n", "0"],
+            ["walls", "--v0=--", "--v1", "1"],
+            ["imo-point", "--eps1", "--", "--eps2", "2", "--a", "3", "--m", "5,0"],
         ],
     )
     def test_exit_code_2(self, argv):
@@ -220,3 +227,67 @@ class TestConventionPointCommand:
         with pytest.raises(SystemExit) as err:
             main(["imo-point", "--eps1", "1", "--eps2", "2", "--a", "3", "--m", "5"])
         assert err.value.code == 2
+
+
+# The argv grammar at smoke sizes (max-n <= 1, w0 + w1 <= 3, trials <= 2).
+# Each flag takes a well-formed value most of the time, and otherwise a
+# malformed fraction, a negative or out-of-range value, or nothing at all.
+FRACTIONS = (["0", "1", "-1", "1/2", "-3/2", "2/4", "7"],
+             ["1/3", "1/0", "1.5", "x", "", "1/", "/2", "--"])
+LISTS = (["3", "1,2", "1/2,-1", "5,0,1,2", "-2"], ["1,,2", "1/0", "x", ""])
+SERIES_FLAGS = {
+    "--w0": (["0", "1", "2"], ["-1", "x"]),
+    "--w1": (["0", "1"], ["-1", "1/2"]),
+    "--k": FRACTIONS,
+    "--max-n": (["0", "1"], ["-1", "x"]),
+    "--trials": (["1", "2"], ["0", "-1", ""]),
+    "--seed": (["0", "161", "18446744073709551615"], ["-1", "18446744073709551616"]),
+    "--threads": (["1", "3"], ["0", "-2", "x"]),
+    "--json": None,
+}
+FLAGS = {
+    "walls": {"--v0": (["0", "1", "2", "5"], ["-1", "x"]),
+              "--v1": (["0", "1", "3"], ["-2", ""]), "--json": None},
+    "imo-point": {"--eps1": FRACTIONS, "--eps2": FRACTIONS, "--a": LISTS,
+                  "--m": LISTS, "--k": FRACTIONS},
+}
+TARGETS = {"compute": ["zx0", "zx1", "zp2", "zx1-fact"],
+           "check": ["main", "mult", "symmetry", "must", "all"]}
+
+
+def _mostly(draw, choices) -> str:
+    # Rare branches key on a middle value: hypothesis favours a range's ends.
+    good, bad = choices
+    return draw(st.sampled_from(bad if draw(st.integers(0, 7)) == 5 else good))
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["compute", "check", "walls", "imo-point"]))
+    argv = [command]
+    if command in TARGETS:
+        argv.append(_mostly(draw, (TARGETS[command], ["none"])))
+    groups = []
+    for flag, choices in FLAGS.get(command, SERIES_FLAGS).items():
+        if draw(st.integers(0, 9)) == 5:  # a flag, required or not, left out
+            continue
+        groups.append([flag] if choices is None else [flag, _mostly(draw, choices)])
+    if draw(st.integers(0, 9)) == 5:
+        groups.append([draw(st.sampled_from(["--bogus", "extra", "-", "--k", "-h"]))])
+    if draw(st.integers(0, 19)) == 10:
+        argv = ["nosuch"]
+    return argv + [arg for group in draw(st.permutations(groups)) for arg in group]
+
+
+class TestArgvFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(argvs())
+    def test_every_argv_exits_with_a_known_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue()

@@ -1,5 +1,6 @@
 """Sampling protocol, report structure, and check behavior."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from nekrasov.exact import (
 from nekrasov.series import (
     map_point,
     prefactor_exponent,
+    rule_negate_am,
     rule_negate_eps,
     series_mul,
     series_prefactor,
@@ -36,6 +38,7 @@ from nekrasov.verify import (
     check_symmetry,
     sample_point,
     sample_point_with_stats,
+    sample_points,
     union_pole_forms,
 )
 
@@ -70,6 +73,16 @@ class TestSampler:
         for trial in range(10):
             _, redraws = sample_point_with_stats(CFG, trial, [eps1], 1)
             assert redraws == 0
+
+    def test_config_holds_only_seed_and_trials(self):
+        assert [f.name for f in dataclasses.fields(SampleConfig)] == ["seed", "trials"]
+
+    def test_sample_points_is_one_point_per_trial(self):
+        trap = linear_form({EPS1: 231, EPS2: 80})
+        points, resamples = sample_points(CFG, [trap], 1)
+        expected = [sample_point_with_stats(CFG, t, [trap], 1) for t in range(CFG.trials)]
+        assert list(zip(points, resamples)) == expected
+        assert resamples[0] >= 1
 
     def test_resample_exhausted_on_unsatisfiable_pole(self):
         with pytest.raises(ResampleExhausted):
@@ -170,6 +183,38 @@ class TestReports:
         assert rep.passed
         assert len(rep.grades) == 9
         assert len(calls) == (9 + 9) * 10
+
+    @pytest.mark.parametrize("frame, k", [(FrameData(1, 0), H(0)), (FrameData(1, 1), H("1/2"))])
+    def test_main_at_nonnegative_k_never_multiplies_series(self, monkeypatch, frame, k):
+        # the prefactor is convolved with the orbifold values numerically
+        from nekrasov import series, verify
+
+        def refuse(*args):
+            raise AssertionError("series_mul called")
+
+        monkeypatch.setattr(series, "series_mul", refuse)
+        monkeypatch.setattr(verify, "series_mul", refuse, raising=False)
+        rep = check_main(frame, k, 9, CFG)
+        assert rep.passed
+        assert "k>=0" in {g.tags["branch"] for g in rep.grades}
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_must_weights_are_the_prefactor_coefficients(self, r):
+        # w_j(p) is (1 - (-1)^r q)^u's coefficient at -(a, m) p, and
+        # (1 - (-1)^r q)^(-u)'s at p
+        from nekrasov.verify import _must_weights
+
+        max_n = 4
+        plus = series_prefactor(r, +1, max_n)
+        minus = series_prefactor(r, -1, max_n)
+        flip = rule_negate_am(r)
+        for trial in range(3):
+            p = sample_point(CFG, trial, [], r)
+            weights = _must_weights(r, max_n)(p)
+            assert list(weights) == list(plus.grades())
+            for g, w in weights.items():
+                assert w == coeff_eval(plus.coefficient(g), map_point(p, flip))
+                assert w == coeff_eval(minus.coefficient(g), p)
 
     def test_parity_infeasible_inputs_compare_zero_series(self):
         rep = check_main(FrameData(1, 1), H(0), 9, CFG)
