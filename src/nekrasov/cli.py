@@ -13,7 +13,11 @@ Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage error,
 above the base grade (for ``compute zp2`` it simply truncates at q^N).
 ``NEKRASOV_THREADS`` overrides ``--threads``; both are accepted for
 interface stability, but evaluation is sequential either way, so output
-is byte-identical for any thread count.
+is byte-identical for any thread count.  It stays a no-op by measurement:
+with each series evaluated at two points per trial, evaluation is about
+40% of ``check all`` at w = (1,2) max-n 4 (1.5 of 3.9 s on a 2-core
+x86-64 VM, Python 3.11); the rest is series construction, which a pool
+over trials cannot share out.
 """
 
 from __future__ import annotations

@@ -393,6 +393,17 @@ def coeff_eval(c: Coefficient, point: Mapping[Var, Fraction]) -> Fraction:
     return total
 
 
+def coeff_degree(c: Coefficient) -> int | None:
+    """The total degree (sum of factor exponents) every term of `c` shares,
+    0 for the empty coefficient, or None when the terms' degrees differ.
+    Forms have no constant part, so a coefficient of one degree d takes
+    (-1)^d times its value at p at the point -p."""
+    degrees = {sum(exp for _, exp in t.factors) for t in c}
+    if len(degrees) > 1:
+        return None
+    return degrees.pop() if degrees else 0
+
+
 def coeff_denominator_forms(c: Coefficient) -> list[LinearForm]:
     """Distinct forms appearing with negative exponent, in first-seen order."""
     seen: dict[LinearForm, None] = {}

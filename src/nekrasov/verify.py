@@ -23,14 +23,30 @@ coefficient evaluated at R(p).  The orbifold and resolved series of one
 is built once per invocation, and a check called without a pair makes its
 own.  Each side of a check maps a point to {grade: value}: every
 coefficient of one series read at R(p), or a numeric Cauchy product of
-such values, so no product series is ever built.  Before evaluating,
-the union of all linear forms appearing in any denominator on either side
-is collected, a flipped side contributing its plain denominator forms
-composed with R (form o R vanishes at p exactly when form vanishes at
-R(p)); a draw that zeroes any of them is rejected and the whole point
-redrawn, so an honest pole can never masquerade as a mismatch.  The pole
-test runs on the integer kernel: the draw is scaled to one common
-denominator once, and each form is one int dot product.
+such values, so no product series is ever built.
+
+Before evaluating, the union of all linear forms appearing in any
+denominator on either side is collected, a flipped side contributing its
+plain denominator forms composed with R (form o R vanishes at p exactly
+when form vanishes at R(p)); a draw that zeroes any of them is rejected
+and the whole point redrawn, so an honest pole can never masquerade as a
+mismatch.  Each series' plain denominator forms are collected once per
+pair.  The pole test runs on the integer kernel: the draw is scaled to
+one common denominator once, and each form is one int dot product.
+
+The pair also holds one value table per invocation: a series read at a
+point is evaluated once, keyed by (series, the point's values), and every
+later read of it, by any check, is served from the table.  The table
+holds only the values and dies with the pair.  Every linear form has no
+constant part, so a coefficient whose terms all have one total degree d
+(the sum of the factor exponents) takes exactly (-1)^d times its value
+at p at the point -p, and its forms vanish at -p exactly when they vanish
+at p.  symmetry therefore reports (-1)^d times the plain value as its
+flipped side, and must reads beta at -(a, m) p, the full flip of -eps p,
+as (-1)^d times the orbifold value at -eps p that main reads.  A
+coefficient of mixed degree is evaluated at the flipped point instead,
+so a broken term still fails with its real values.  At k = 0 one
+`check all` evaluates each series at two points per trial, p and -eps p.
 
 Checks:
 
@@ -59,6 +75,7 @@ from .exact import (
     EvalPoint,
     LinearForm,
     _scale_point,
+    coeff_degree,
     coeff_denominator_forms,
     coeff_eval,
     format_rational,
@@ -213,12 +230,20 @@ def _joint_pole_forms(plain: list, flipped: list, rule) -> list[LinearForm]:
 class SeriesPair:
     """The orbifold series zx0 and the resolved series zx1 of one
     (frame, k, max4n), each built on first use and then kept, so checks
-    that share a pair share the series."""
+    that share a pair share the series.
+
+    The pair also keeps, per series, its plain denominator forms and its
+    coefficients' degrees, each collected once, and one value table: a
+    series read at a point is evaluated once, keyed by (series name, the
+    point's values), and then served to every check from the table."""
 
     def __init__(self, frame: FrameData, k: HalfInt, max4n: int) -> None:
         self.key = (frame, k, max4n)
         self._zx0: QSeries | None = None
         self._zx1: QSeries | None = None
+        self._forms: dict[str, list[LinearForm]] = {}
+        self._degrees: dict[str, dict] = {}
+        self._values: dict[tuple, dict] = {}
 
     @property
     def zx0(self) -> QSeries:
@@ -231,6 +256,43 @@ class SeriesPair:
         if self._zx1 is None:
             self._zx1 = series_zx1(*self.key)
         return self._zx1
+
+    def pole_forms(self, name: str) -> list[LinearForm]:
+        """Every distinct denominator form of series `name`."""
+        if name not in self._forms:
+            self._forms[name] = union_pole_forms(getattr(self, name))
+        return self._forms[name]
+
+    def degrees(self, name: str) -> dict:
+        """{grade: the degree all terms share, or None} for series `name`."""
+        if name not in self._degrees:
+            series = getattr(self, name)
+            self._degrees[name] = {g: coeff_degree(series.coefficient(g)) for g in series.grades()}
+        return self._degrees[name]
+
+    def values(self, name: str, image: EvalPoint) -> dict:
+        """{grade: value} of series `name` at `image`, evaluated once per
+        distinct image."""
+        key = (name, tuple(image.values()))
+        values = self._values.get(key)
+        if values is None:
+            series = getattr(self, name)
+            values = {g: coeff_eval(series.coefficient(g), image) for g in series.grades()}
+            self._values[key] = values
+        return values
+
+    def negated(self, name: str, image: EvalPoint) -> dict:
+        """{grade: value} of series `name` at -image.  A coefficient whose
+        terms share one degree d takes (-1)^d times its value at `image`;
+        any other is evaluated at -image."""
+        series, plain = getattr(self, name), self.values(name, image)
+        out = {}
+        for g, d in self.degrees(name).items():
+            if d is None:
+                out[g] = coeff_eval(series.coefficient(g), {v: -x for v, x in image.items()})
+            else:
+                out[g] = -plain[g] if d % 2 else plain[g]
+        return out
 
 
 def _pair_for(
@@ -314,6 +376,18 @@ def _at(series: QSeries, rule=None):
     return side
 
 
+def _read(pair: SeriesPair, name: str, rule=None):
+    """The side reading every coefficient of the pair's series `name` at
+    rule(p), through the pair's value table."""
+    return lambda point: pair.values(name, map_point(point, rule))
+
+
+def _read_negated(pair: SeriesPair, name: str, rule=None):
+    """The side reading the pair's series `name` at -rule(p), from its
+    values at rule(p)."""
+    return lambda point: pair.negated(name, map_point(point, rule))
+
+
 def _cauchy(weights, side):
     """The side whose grade g is sum_j weights(p)[j] * side(p)[g - j], over
     the grades of `side`."""
@@ -365,19 +439,16 @@ def check_main(
     -eps; k = 0 runs both branches, which share one orbifold series."""
     pair = _pair_for(pair, frame, k, max4n)
     flip = rule_negate_eps()
-    zx1, zx0 = pair.zx1, pair.zx0
-    lhs = _at(zx1, flip)
-    plain, flipped, rows = [], [zx1], []
+    lhs = _read(pair, "zx1", flip)
+    plain, flipped, rows = [], list(pair.pole_forms("zx1")), []
     if k.doubled >= 0:
         prefactor = series_prefactor(frame.r, +1, max4n // 4)
-        plain += [prefactor, zx0]
-        rows.append(({"branch": "k>=0"}, lhs, _cauchy(_at(prefactor), _at(zx0))))
+        plain += union_pole_forms(prefactor) + pair.pole_forms("zx0")
+        rows.append(({"branch": "k>=0"}, lhs, _cauchy(_at(prefactor), _read(pair, "zx0"))))
     if k.doubled <= 0:
-        flipped.append(zx0)
-        rows.append(({"branch": "k<=0"}, lhs, _at(zx0, flip)))
-    pole_forms = _joint_pole_forms(
-        union_pole_forms(*plain), union_pole_forms(*flipped), flip
-    )
+        flipped += pair.pole_forms("zx0")
+        rows.append(({"branch": "k<=0"}, lhs, _read(pair, "zx0", flip)))
+    pole_forms = _joint_pole_forms(plain, flipped, flip)
     return _run_check("main", frame, k, max4n, cfg, rows, pole_forms)
 
 
@@ -389,10 +460,11 @@ def check_factorization(
     pair: SeriesPair | None = None,
 ) -> VerificationReport:
     """Resolved series against its blow-up factorization."""
-    lhs = _pair_for(pair, frame, k, max4n).zx1
+    pair = _pair_for(pair, frame, k, max4n)
     rhs = series_zx1_factorized(frame, k, max4n)
-    pole_forms = union_pole_forms(lhs, rhs)
-    return _run_check("mult", frame, k, max4n, cfg, [({}, _at(lhs), _at(rhs))], pole_forms)
+    pole_forms = list(dict.fromkeys(pair.pole_forms("zx1") + union_pole_forms(rhs)))
+    rows = [({}, _read(pair, "zx1"), _at(rhs))]
+    return _run_check("mult", frame, k, max4n, cfg, rows, pole_forms)
 
 
 def check_symmetry(
@@ -403,13 +475,17 @@ def check_symmetry(
     pair: SeriesPair | None = None,
 ) -> VerificationReport:
     """Both series against themselves under (eps, a, m) -> -(eps, a, m):
-    each series at the flipped point against itself at the plain point."""
+    each series at the flipped point against itself at the plain point.
+    A coefficient of one degree d is read at the flipped point as (-1)^d
+    times its plain value, so it passes exactly when d is even; one of
+    mixed degree is evaluated at the flipped point."""
     pair = _pair_for(pair, frame, k, max4n)
-    flip = rule_negate_all(frame.r)
-    sides = ((0, pair.zx0), (1, pair.zx1))
-    forms = union_pole_forms(*(series for _, series in sides))
-    pole_forms = _joint_pole_forms(forms, forms, flip)
-    rows = [({"kappa": kappa}, _at(series, flip), _at(series)) for kappa, series in sides]
+    forms = pair.pole_forms("zx0") + pair.pole_forms("zx1")
+    pole_forms = _joint_pole_forms(forms, forms, rule_negate_all(frame.r))
+    rows = [
+        ({"kappa": kappa}, _read_negated(pair, name), _read(pair, name))
+        for kappa, name in ((0, "zx0"), (1, "zx1"))
+    ]
     return _run_check("symmetry", frame, k, max4n, cfg, rows, pole_forms)
 
 
@@ -440,18 +516,19 @@ def check_recursion_must(
 
         alpha_n = sum_j (-1)^(j r) u(u+1)...(u+j-1)/j! * beta_(n-j).
 
-    beta is the plain orbifold series read at the flipped point.  Any
-    failure is reported with full values, never suppressed."""
+    -(a, m) is the full flip -(eps, a, m) composed with -eps, so beta is
+    read at -(-eps p): a coefficient of one degree d is (-1)^d times the
+    orbifold value at -eps p, the value main reads, and any other is
+    evaluated at the flipped point.  Any failure is reported with full
+    values, never suppressed."""
     if k.doubled < 0:
         raise ValueError("recursion check is defined for k >= 0")
     pair = _pair_for(pair, frame, k, max4n)
     r = frame.r
-    flip = rule_negate_am(r)
-    alpha, beta = pair.zx1, pair.zx0
     pole_forms = _joint_pole_forms(
-        union_pole_forms(alpha, extra=(prefactor_exponent(r),)),
-        union_pole_forms(beta),
-        flip,
+        pair.pole_forms("zx1") + union_pole_forms(extra=(prefactor_exponent(r),)),
+        pair.pole_forms("zx0"),
+        rule_negate_am(r),
     )
-    rhs = _cauchy(_must_weights(r, max4n // 4), _at(beta, flip))
-    return _run_check("must", frame, k, max4n, cfg, [({}, _at(alpha), rhs)], pole_forms)
+    rhs = _cauchy(_must_weights(r, max4n // 4), _read_negated(pair, "zx0", rule_negate_eps()))
+    return _run_check("must", frame, k, max4n, cfg, [({}, _read(pair, "zx1"), rhs)], pole_forms)

@@ -13,6 +13,7 @@ from nekrasov.exact import (
     FactoredTerm,
     PoleError,
     Var,
+    coeff_degree,
     coeff_eval,
     factored_term,
     format_rational,
@@ -236,6 +237,23 @@ def _reference_term(t, point):
     for value, exp in values:
         total *= value**exp
     return total
+
+
+@settings(max_examples=200)
+@given(c=st.lists(_term_strategy, max_size=4), point=_point_strategy)
+def test_one_degree_coefficient_takes_its_sign_at_the_negated_point(c, point):
+    c = tuple(c)
+    degrees = {sum(exp for _, exp in t.factors) for t in c}
+    d = coeff_degree(c)
+    assert d == (None if len(degrees) > 1 else max(degrees, default=0))
+    if d is None:
+        return
+    try:
+        plain = coeff_eval(c, point)
+    except PoleError:
+        return
+    # d may be negative: a pole of order n flips the sign n times too
+    assert coeff_eval(c, {v: -x for v, x in point.items()}) == (-plain if d % 2 else plain)
 
 
 class TestKernelAgainstReference:

@@ -11,7 +11,11 @@ runs at rank 2 and 3 exercise term construction; they were recorded while
 linear forms still held ``Fraction`` coefficients, so they pin that the
 int-coded forms build the same terms.  The last two were recorded while
 every check built its own series and the blow-up side rebuilt the plane
-series for each chart, so they pin that sharing both changes nothing."""
+series for each chart, so they pin that sharing both changes nothing.  The
+rank-3 ``check all`` at k = 0 was recorded while symmetry and must still
+evaluated both series at every flipped point, so it pins that reading
+those values off each coefficient's degree and the shared value table
+changes nothing."""
 
 import hashlib
 import os
@@ -69,6 +73,11 @@ GOLDEN = [
     (
         "check all --w0 2 --w1 0 --k 1 --max-n 2",
         "20192026ec14ffda9c58cb34a8be57fd962ba9560e686650028a28becb6a40f4",
+    ),
+    # both main branches, symmetry at degree -2 and must at rank 3
+    (
+        "check all --w0 1 --w1 2 --k 0 --max-n 1",
+        "850eb2241a2f28a6046f6f342a6d42978f609b8dbeb152681535efabf97711ff",
     ),
 ]
 

@@ -14,7 +14,9 @@ from nekrasov.exact import (
     coeff_eval,
     factored_term,
     linear_form,
+    scope_vars,
     term_eval,
+    term_mul,
     var_a,
 )
 from nekrasov.series import (
@@ -416,3 +418,167 @@ class TestSeriesPair:
         checks = [report["check"] for report in json.loads(capsys.readouterr().out)]
         assert checks == ["main", "mult", "symmetry", "must"]
         assert calls == {"zx0": 1, "zx1": 1}
+
+
+# A rank-r frame for each parity of 2k: k is feasible when w1 = 2k mod 2.
+FRAMES = {
+    (1, 0): FrameData(1, 0), (1, 1): FrameData(0, 1),
+    (2, 0): FrameData(2, 0), (2, 1): FrameData(1, 1),
+    (3, 0): FrameData(1, 2), (3, 1): FrameData(2, 1),
+    (4, 0): FrameData(2, 2), (4, 1): FrameData(3, 1),
+}
+RANKS = [1, 2, 3, 4]
+KS = ["-1", "-1/2", "0", "1/2", "1", "2"]
+# max-n per rank: every (rank, k) above has nonempty coefficients
+MAX_N = {1: 4, 2: 2, 3: 1, 4: 1}
+
+
+class TestHomogeneity:
+    """Every coefficient of zx0 and zx1 has one even total degree, so
+    symmetry and must never need to evaluate at a negated point."""
+
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize("r", RANKS)
+    def test_every_coefficient_has_one_even_degree(self, r, k):
+        frame = FRAMES[r, H(k).doubled % 2]
+        pair = SeriesPair(frame, H(k), 4 * MAX_N[r] + frame.w1)
+        for name in ("zx0", "zx1"):
+            series = getattr(pair, name)
+            degrees = {
+                d for g, d in pair.degrees(name).items() if series.coefficient(g)
+            }
+            assert len(degrees) == 1 and None not in degrees, name
+            assert degrees.pop() % 2 == 0, name
+
+
+class TestValueTable:
+    """One `check all` evaluates each series once per distinct point:
+    symmetry reads its flipped values off each coefficient's degree, and
+    must reads main's -eps values."""
+
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize("r", RANKS)
+    def test_check_all_reads_each_series_at_p_and_minus_eps_only(
+        self, monkeypatch, capsys, r, k
+    ):
+        # at most twice per trial, and never at a negated point, so no
+        # coefficient falls back to evaluating the flipped side
+        from nekrasov import verify
+        from nekrasov.cli import main
+
+        frame, trials = FRAMES[r, H(k).doubled % 2], 2
+        built, evaluated = {}, []
+
+        def keeping(name, build):
+            def wrapper(*args):
+                built[name] = build(*args)
+                return built[name]
+
+            return wrapper
+
+        def recording(c, point):
+            evaluated.append((c, tuple(point.values())))
+            return coeff_eval(c, point)
+
+        monkeypatch.setattr(verify, "series_zx0", keeping("zx0", series_zx0))
+        monkeypatch.setattr(verify, "series_zx1", keeping("zx1", series_zx1))
+        monkeypatch.setattr(verify, "coeff_eval", recording)
+        argv = ["check", "all", "--w0", str(frame.w0), "--w1", str(frame.w1), f"--k={k}",
+                "--max-n", str(MAX_N[r]), "--trials", str(trials), "--json"]
+        assert main(argv) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert len(reports) == (4 if H(k).doubled >= 0 else 3)
+        images = set()
+        for report in reports:
+            for p in report["points"]:
+                values = tuple(Fraction(p[v.name]) for v in scope_vars(r))
+                images |= {values, (-values[0], -values[1]) + values[2:]}
+        assert set(built) == {"zx0", "zx1"}
+        for series in built.values():
+            for g in series.grades():
+                c = series.coefficient(g)
+                if c:
+                    seen = [image for d, image in evaluated if d is c]
+                    assert len(seen) <= 2 * trials and set(seen) <= images, g
+
+    @staticmethod
+    def _mutant(monkeypatch, name, grade, mutate):
+        """Make every pair build series `name` with coefficient `grade`
+        replaced by mutate(coefficient)."""
+        from nekrasov import verify
+
+        build = {"zx0": series_zx0, "zx1": series_zx1}[name]
+
+        def mutated(*args):
+            series = build(*args)
+            coeffs = dict(series.coeffs)
+            coeffs[grade] = mutate(coeffs[grade])
+            return dataclasses.replace(series, coeffs=coeffs)
+
+        monkeypatch.setattr(verify, f"series_{name}", mutated)
+
+    # every term times eps1 (one odd degree), or one degree-1 term added
+    ODD = staticmethod(
+        lambda c: tuple(term_mul(t, factored_term(1, [(linear_form({EPS1: 1}), 1)])) for t in c)
+    )
+    MIXED = staticmethod(
+        lambda c: c + (factored_term(3, [(linear_form({EPS1: 1, var_a(1): 2}), 1)]),)
+    )
+
+    @pytest.mark.parametrize("mutate, degree", [(ODD, 1), (MIXED, None)], ids=["odd", "mixed"])
+    @pytest.mark.parametrize("name, kappa", [("zx0", 0), ("zx1", 1)])
+    def test_mutant_fails_symmetry_with_its_real_values(
+        self, monkeypatch, mutate, degree, name, kappa
+    ):
+        frame, k, max4n, grade = FrameData(1, 0), H(0), 8, 4
+        self._mutant(monkeypatch, name, grade, mutate)
+        pair = SeriesPair(frame, k, max4n)
+        degrees = pair.degrees(name)
+        assert degrees[grade] == (None if degree is None else degrees[0] + degree)
+        rep = check_symmetry(frame, k, max4n, CFG, pair)
+        failing = [rec for rec in rep.grades if not rec.all_equal]
+        assert [(rec.grade4n, rec.tags["kappa"]) for rec in failing] == [(grade, kappa)]
+        c = getattr(pair, name).coefficient(grade)
+        for point, (lhs, rhs) in zip(rep.points, failing[0].values):
+            assert lhs == coeff_eval(c, {v: -x for v, x in point.items()})
+            assert rhs == coeff_eval(c, point)
+            assert lhs != rhs
+
+    @pytest.mark.parametrize("mutate", [ODD, MIXED], ids=["odd", "mixed"])
+    def test_must_reads_a_mutant_orbifold_series_at_its_real_values(self, monkeypatch, mutate):
+        # beta at -(a, m) p, read off main's -eps values or evaluated, is
+        # the mutant's real value there
+        from nekrasov.verify import _must_weights
+
+        frame, k, max4n = FrameData(1, 0), H(1), 8
+        self._mutant(monkeypatch, "zx0", 4, mutate)
+        pair = SeriesPair(frame, k, max4n)
+        check_main(frame, k, max4n, CFG, pair)
+        rep = check_recursion_must(frame, k, max4n, CFG, pair)
+        flip = rule_negate_am(frame.r)
+        for t, point in enumerate(rep.points):
+            weights = _must_weights(frame.r, max4n // 4)(point)
+            beta = {g: coeff_eval(pair.zx0.coefficient(g), map_point(point, flip))
+                    for g in pair.zx0.grades()}
+            for record in rep.grades:
+                g = record.grade4n
+                expected = sum(w * beta[g - j] for j, w in weights.items() if g - j in beta)
+                assert record.values[t][1] == expected
+
+    @pytest.mark.parametrize("frame, k", [(FrameData(1, 0), H(0)), (FrameData(2, 0), H(1))])
+    def test_pairs_share_no_values(self, frame, k):
+        # checks alone, shared in order, shared in reverse order, and one
+        # pair reused at another seed all give the same reports
+        checks = TestSeriesPair.CHECKS
+        max4n = 4 + frame.w1
+        other = SampleConfig(seed=7, trials=3)
+        alone = [check(frame, k, max4n, CFG).to_dict() for check in checks]
+        pair = SeriesPair(frame, k, max4n)
+        assert [check(frame, k, max4n, CFG, pair).to_dict() for check in checks] == alone
+        reverse = SeriesPair(frame, k, max4n)
+        assert [
+            check(frame, k, max4n, CFG, reverse).to_dict() for check in reversed(checks)
+        ] == alone[::-1]
+        assert [check(frame, k, max4n, other, pair).to_dict() for check in checks] == [
+            check(frame, k, max4n, other).to_dict() for check in checks
+        ]
