@@ -11,6 +11,9 @@ Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage error,
 
 ``--max-n N`` truncates at max4n = 4N + w1, i.e. N whole instanton levels
 above the base grade (for ``compute zp2`` it simply truncates at q^N).
+``compute`` and ``check`` share one build, sample and read path: each
+builds its series once in a ``verify.SeriesPair``, draws points that
+avoid the series' denominator forms, and reads values off the pair.
 ``NEKRASOV_THREADS`` overrides ``--threads``; both are accepted for
 interface stability, but evaluation is sequential either way, so output
 is byte-identical for any thread count.  It stays a no-op by measurement:
@@ -29,18 +32,9 @@ import sys
 from fractions import Fraction
 
 from .diagrams import FrameData, HalfInt, enum_walls
-from .exact import (
-    EPS1,
-    EPS2,
-    coeff_eval,
-    format_rational,
-    parse_rational,
-    scope_vars,
-    var_a,
-    var_m,
-)
+from .exact import EPS1, EPS2, format_rational, parse_rational, scope_vars, var_a, var_m
 from .localization import VanishingWeight
-from .series import QSeries, map_to_imo, series_zp2, series_zx0, series_zx1, series_zx1_factorized
+from .series import map_to_imo
 from .verify import (
     ResampleExhausted,
     SampleConfig,
@@ -51,7 +45,6 @@ from .verify import (
     check_recursion_must,
     check_symmetry,
     sample_points,
-    union_pole_forms,
 )
 
 DEFAULT_SEED = 161
@@ -156,30 +149,19 @@ def _validated_frame(parser: argparse.ArgumentParser, args) -> FrameData:
     return FrameData(args.w0, args.w1)
 
 
-def _build_series(args, frame: FrameData, max4n: int) -> QSeries:
-    if args.target == "zx0":
-        return series_zx0(frame, args.k, max4n)
-    if args.target == "zx1":
-        return series_zx1(frame, args.k, max4n)
-    if args.target == "zx1-fact":
-        return series_zx1_factorized(frame, args.k, max4n)
-    return series_zp2(frame.r, args.max_n)
-
-
 def _cmd_compute(parser: argparse.ArgumentParser, args) -> int:
     frame = _validated_frame(parser, args)
     _resolve_threads(parser, args)
-    max4n = 4 * args.max_n + frame.w1
-    series = _build_series(args, frame, max4n)
+    pair = SeriesPair(frame, args.k, 4 * args.max_n + frame.w1)
+    series = pair.series(args.target)
     cfg = SampleConfig(seed=args.seed, trials=args.trials)
-    points, resamples = sample_points(cfg, union_pole_forms(series), frame.r)
+    points, resamples = sample_points(cfg, pair.pole_forms(args.target), frame.r)
+    values = [pair.values(args.target, p) for p in points]
     grades = [
         {
             "grade4n": g,
             "n": format_rational(Fraction(g, 4)),
-            "values": [
-                format_rational(coeff_eval(series.coefficient(g), p)) for p in points
-            ],
+            "values": [format_rational(v[g]) for v in values],
         }
         for g in series.grades()
     ]

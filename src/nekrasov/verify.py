@@ -17,22 +17,24 @@ The point stream is deterministic: trial t's point is a pure function of
 (seed, t), generated by a splitmix64 stream, so reports are byte-identical
 across runs and platforms.  Every series is built once, in plain
 variables; a side that compares a series under a sign flip R is its plain
-coefficient evaluated at R(p).  The orbifold and resolved series of one
-(frame, k, max4n) live in a SeriesPair, which builds each on first use;
-`nekrasov check all` hands one pair to all of its checks, so each series
-is built once per invocation, and a check called without a pair makes its
-own.  Each side of a check maps a point to {grade: value}: every
-coefficient of one series read at R(p), or a numeric Cauchy product of
-such values, so no product series is ever built.
+coefficient evaluated at R(p).  The series of one (frame, k, max4n) live
+in a SeriesPair, which builds each on first use; `nekrasov check all`
+hands one pair to all of its checks, so each series is built once per
+invocation, a check called without a pair makes its own, and `nekrasov
+compute` builds, samples and reads its one series through a pair too.
+Each side of a check maps a point to {grade: value}: every coefficient
+of one series read at R(p), or a numeric Cauchy product of such values,
+so no product series is ever built.
 
-Before evaluating, the union of all linear forms appearing in any
-denominator on either side is collected, a flipped side contributing its
-plain denominator forms composed with R (form o R vanishes at p exactly
-when form vanishes at R(p)); a draw that zeroes any of them is rejected
-and the whole point redrawn, so an honest pole can never masquerade as a
-mismatch.  Each series' plain denominator forms are collected once per
-pair.  The pole test runs on the integer kernel: the draw is scaled to
-one common denominator once, and each form is one int dot product.
+Each side also carries the linear forms its draws must avoid: a series
+read at R(p) carries its plain denominator forms composed with R (form o
+R vanishes at p exactly when form vanishes at R(p)), and a product
+carries both factors' forms.  A check's draws avoid the union of its
+sides' forms; a draw that zeroes any of them is rejected and the whole
+point redrawn, so an honest pole can never masquerade as a mismatch.
+Each series' plain denominator forms are collected once per pair.  The
+pole test runs on the integer kernel: the draw is scaled to one common
+denominator once, and each form is one int dot product.
 
 The pair also holds one value table per invocation: a series read at a
 point is evaluated once, keyed by (series, the point's values), and every
@@ -86,10 +88,9 @@ from .series import (
     QSeries,
     map_point,
     prefactor_exponent,
-    rule_negate_all,
-    rule_negate_am,
     rule_negate_eps,
     series_prefactor,
+    series_zp2,
     series_zx0,
     series_zx1,
     series_zx1_factorized,
@@ -206,31 +207,19 @@ def _clear_of(forms, point: EvalPoint) -> bool:
     return True
 
 
-def union_pole_forms(*series_list: QSeries, extra=()) -> list[LinearForm]:
-    """Every distinct denominator form of every coefficient, plus extras."""
+def union_pole_forms(*series_list: QSeries) -> list[LinearForm]:
+    """Every distinct denominator form of every coefficient."""
     seen: dict[LinearForm, None] = {}
     for series in series_list:
         for g in series.grades():
             for form in coeff_denominator_forms(series.coefficient(g)):
                 seen.setdefault(form, None)
-    for term in extra:
-        for form, exp in term.factors:
-            if exp < 0:
-                seen.setdefault(form, None)
     return list(seen)
 
 
-def _joint_pole_forms(plain: list, flipped: list, rule) -> list[LinearForm]:
-    """Pole forms of sides evaluated at p (`plain`) and at rule(p)
-    (`flipped`, given as the plain forms of those series), without
-    repeats."""
-    return list(dict.fromkeys(plain + [form.substitute(rule) for form in flipped]))
-
-
 class SeriesPair:
-    """The orbifold series zx0 and the resolved series zx1 of one
-    (frame, k, max4n), each built on first use and then kept, so checks
-    that share a pair share the series.
+    """Every series of one (frame, k, max4n), each built on first use and
+    then kept, so checks that share a pair share the series.
 
     The pair also keeps, per series, its plain denominator forms and its
     coefficients' degrees, each collected once, and one value table: a
@@ -239,34 +228,44 @@ class SeriesPair:
 
     def __init__(self, frame: FrameData, k: HalfInt, max4n: int) -> None:
         self.key = (frame, k, max4n)
-        self._zx0: QSeries | None = None
-        self._zx1: QSeries | None = None
+        self._series: dict[str, QSeries] = {}
         self._forms: dict[str, list[LinearForm]] = {}
         self._degrees: dict[str, dict] = {}
         self._values: dict[tuple, dict] = {}
 
-    @property
-    def zx0(self) -> QSeries:
-        if self._zx0 is None:
-            self._zx0 = series_zx0(*self.key)
-        return self._zx0
-
-    @property
-    def zx1(self) -> QSeries:
-        if self._zx1 is None:
-            self._zx1 = series_zx1(*self.key)
-        return self._zx1
+    def series(self, name: str) -> QSeries:
+        """Series `name`: the orbifold series zx0, the resolved series zx1,
+        its blow-up factorization zx1-fact, the plane series zp2 to
+        q^((max4n - w1)/4), or main's prefactor (1 - (-1)^r q)^u to
+        q^(max4n // 4)."""
+        series = self._series.get(name)
+        if series is None:
+            frame, k, max4n = self.key
+            if name == "zx0":
+                series = series_zx0(frame, k, max4n)
+            elif name == "zx1":
+                series = series_zx1(frame, k, max4n)
+            elif name == "zx1-fact":
+                series = series_zx1_factorized(frame, k, max4n)
+            elif name == "zp2":
+                series = series_zp2(frame.r, (max4n - frame.w1) // 4)
+            elif name == "prefactor":
+                series = series_prefactor(frame.r, +1, max4n // 4)
+            else:
+                raise ValueError(f"unknown series {name!r}")
+            self._series[name] = series
+        return series
 
     def pole_forms(self, name: str) -> list[LinearForm]:
         """Every distinct denominator form of series `name`."""
         if name not in self._forms:
-            self._forms[name] = union_pole_forms(getattr(self, name))
+            self._forms[name] = union_pole_forms(self.series(name))
         return self._forms[name]
 
     def degrees(self, name: str) -> dict:
         """{grade: the degree all terms share, or None} for series `name`."""
         if name not in self._degrees:
-            series = getattr(self, name)
+            series = self.series(name)
             self._degrees[name] = {g: coeff_degree(series.coefficient(g)) for g in series.grades()}
         return self._degrees[name]
 
@@ -276,7 +275,7 @@ class SeriesPair:
         key = (name, tuple(image.values()))
         values = self._values.get(key)
         if values is None:
-            series = getattr(self, name)
+            series = self.series(name)
             values = {g: coeff_eval(series.coefficient(g), image) for g in series.grades()}
             self._values[key] = values
         return values
@@ -285,7 +284,7 @@ class SeriesPair:
         """{grade: value} of series `name` at -image.  A coefficient whose
         terms share one degree d takes (-1)^d times its value at `image`;
         any other is evaluated at -image."""
-        series, plain = getattr(self, name), self.values(name, image)
+        series, plain = self.series(name), self.values(name, image)
         out = {}
         for g, d in self.degrees(name).items():
             if d is None:
@@ -366,26 +365,36 @@ class VerificationReport:
         }
 
 
-def _at(series: QSeries, rule=None):
-    """The side reading every coefficient of `series` at rule(p)."""
+def _side(value, forms: list[LinearForm]):
+    """`value`, a map from a point to {grade: value}, as a check side that
+    is defined wherever none of `forms` vanishes."""
+    value.forms = forms
+    return value
 
-    def side(point: EvalPoint) -> dict:
-        image = map_point(point, rule)
-        return {g: coeff_eval(series.coefficient(g), image) for g in series.grades()}
 
-    return side
+def _composed(forms: list[LinearForm], rule) -> list[LinearForm]:
+    """Each form composed with `rule`: form o R vanishes at p exactly when
+    form vanishes at R(p)."""
+    return forms if rule is None else [form.substitute(rule) for form in forms]
 
 
 def _read(pair: SeriesPair, name: str, rule=None):
     """The side reading every coefficient of the pair's series `name` at
     rule(p), through the pair's value table."""
-    return lambda point: pair.values(name, map_point(point, rule))
+    return _side(
+        lambda point: pair.values(name, map_point(point, rule)),
+        _composed(pair.pole_forms(name), rule),
+    )
 
 
 def _read_negated(pair: SeriesPair, name: str, rule=None):
     """The side reading the pair's series `name` at -rule(p), from its
-    values at rule(p)."""
-    return lambda point: pair.negated(name, map_point(point, rule))
+    values at rule(p).  A form vanishes at -q exactly when it vanishes at
+    q, so its forms are those of _read(pair, name, rule)."""
+    return _side(
+        lambda point: pair.negated(name, map_point(point, rule)),
+        _composed(pair.pole_forms(name), rule),
+    )
 
 
 def _cauchy(weights, side):
@@ -399,23 +408,17 @@ def _cauchy(weights, side):
             for g in values
         }
 
-    return product
+    return _side(product, weights.forms + side.forms)
 
 
-def _run_check(
-    name: str,
-    frame: FrameData,
-    k: HalfInt,
-    max4n: int,
-    cfg: SampleConfig,
-    rows,
-    pole_forms,
-) -> VerificationReport:
-    """Each row is (tags, lhs, rhs); a side maps a point to {grade: value},
-    and each grade of lhs becomes one record.  A side shared by several
-    rows is evaluated once per point."""
-    points, resamples = sample_points(cfg, pole_forms, frame.r)
+def _run_check(name: str, pair: SeriesPair, cfg: SampleConfig, rows) -> VerificationReport:
+    """Each row is (tags, lhs, rhs), and each grade of lhs becomes one
+    record.  Draws avoid the distinct forms of every side, and a side
+    shared by several rows is evaluated once per point."""
+    frame, k, max4n = pair.key
     sides = dict.fromkeys(side for _, lhs, rhs in rows for side in (lhs, rhs))
+    pole_forms = list(dict.fromkeys(form for side in sides for form in side.forms))
+    points, resamples = sample_points(cfg, pole_forms, frame.r)
     values = [{side: side(point) for side in sides} for point in points]
     grades = [
         GradeRecord(g, tags, [(v[lhs][g], v[rhs][g]) for v in values])
@@ -439,17 +442,13 @@ def check_main(
     -eps; k = 0 runs both branches, which share one orbifold series."""
     pair = _pair_for(pair, frame, k, max4n)
     flip = rule_negate_eps()
-    lhs = _read(pair, "zx1", flip)
-    plain, flipped, rows = [], list(pair.pole_forms("zx1")), []
+    lhs, rows = _read(pair, "zx1", flip), []
     if k.doubled >= 0:
-        prefactor = series_prefactor(frame.r, +1, max4n // 4)
-        plain += union_pole_forms(prefactor) + pair.pole_forms("zx0")
-        rows.append(({"branch": "k>=0"}, lhs, _cauchy(_at(prefactor), _read(pair, "zx0"))))
+        rhs = _cauchy(_read(pair, "prefactor"), _read(pair, "zx0"))
+        rows.append(({"branch": "k>=0"}, lhs, rhs))
     if k.doubled <= 0:
-        flipped += pair.pole_forms("zx0")
         rows.append(({"branch": "k<=0"}, lhs, _read(pair, "zx0", flip)))
-    pole_forms = _joint_pole_forms(plain, flipped, flip)
-    return _run_check("main", frame, k, max4n, cfg, rows, pole_forms)
+    return _run_check("main", pair, cfg, rows)
 
 
 def check_factorization(
@@ -461,10 +460,8 @@ def check_factorization(
 ) -> VerificationReport:
     """Resolved series against its blow-up factorization."""
     pair = _pair_for(pair, frame, k, max4n)
-    rhs = series_zx1_factorized(frame, k, max4n)
-    pole_forms = list(dict.fromkeys(pair.pole_forms("zx1") + union_pole_forms(rhs)))
-    rows = [({}, _read(pair, "zx1"), _at(rhs))]
-    return _run_check("mult", frame, k, max4n, cfg, rows, pole_forms)
+    rows = [({}, _read(pair, "zx1"), _read(pair, "zx1-fact"))]
+    return _run_check("mult", pair, cfg, rows)
 
 
 def check_symmetry(
@@ -480,13 +477,11 @@ def check_symmetry(
     times its plain value, so it passes exactly when d is even; one of
     mixed degree is evaluated at the flipped point."""
     pair = _pair_for(pair, frame, k, max4n)
-    forms = pair.pole_forms("zx0") + pair.pole_forms("zx1")
-    pole_forms = _joint_pole_forms(forms, forms, rule_negate_all(frame.r))
     rows = [
         ({"kappa": kappa}, _read_negated(pair, name), _read(pair, name))
         for kappa, name in ((0, "zx0"), (1, "zx1"))
     ]
-    return _run_check("symmetry", frame, k, max4n, cfg, rows, pole_forms)
+    return _run_check("symmetry", pair, cfg, rows)
 
 
 def _must_weights(r: int, max_n: int):
@@ -501,7 +496,7 @@ def _must_weights(r: int, max_n: int):
             out[4 * j] = out[4 * j - 4] * sign * (u + j - 1) / j
         return out
 
-    return weights
+    return _side(weights, coeff_denominator_forms((u_term,)))
 
 
 def check_recursion_must(
@@ -524,11 +519,5 @@ def check_recursion_must(
     if k.doubled < 0:
         raise ValueError("recursion check is defined for k >= 0")
     pair = _pair_for(pair, frame, k, max4n)
-    r = frame.r
-    pole_forms = _joint_pole_forms(
-        pair.pole_forms("zx1") + union_pole_forms(extra=(prefactor_exponent(r),)),
-        pair.pole_forms("zx0"),
-        rule_negate_am(r),
-    )
-    rhs = _cauchy(_must_weights(r, max4n // 4), _read_negated(pair, "zx0", rule_negate_eps()))
-    return _run_check("must", frame, k, max4n, cfg, [({}, _read(pair, "zx1"), rhs)], pole_forms)
+    rhs = _cauchy(_must_weights(frame.r, max4n // 4), _read_negated(pair, "zx0", rule_negate_eps()))
+    return _run_check("must", pair, cfg, [({}, _read(pair, "zx1"), rhs)])

@@ -15,7 +15,10 @@ series for each chart, so they pin that sharing both changes nothing.  The
 rank-3 ``check all`` at k = 0 was recorded while symmetry and must still
 evaluated both series at every flipped point, so it pins that reading
 those values off each coefficient's degree and the shared value table
-changes nothing."""
+changes nothing.  ``compute zp2`` at w1 = 4 was recorded while ``compute``
+built its series outside ``verify.SeriesPair``; it pins the plane series'
+truncation at (max4n - w1)/4 levels, which ``max4n // 4`` would overshoot
+by one."""
 
 import hashlib
 import os
@@ -78,6 +81,11 @@ GOLDEN = [
     (
         "check all --w0 1 --w1 2 --k 0 --max-n 1",
         "850eb2241a2f28a6046f6f342a6d42978f609b8dbeb152681535efabf97711ff",
+    ),
+    # the plane series at w1 >= 4, built through the series pair
+    (
+        "compute zp2 --w0 1 --w1 4 --k 0 --max-n 2",
+        "1d183ce500bb74c1df5f11e605c8d964482c2312d8d1bdac3e3b44bc23f7dce2",
     ),
 ]
 

@@ -11,6 +11,7 @@ from nekrasov.exact import (
     EPS1,
     EPS2,
     ZERO_FORM,
+    coeff_denominator_forms,
     coeff_eval,
     factored_term,
     linear_form,
@@ -277,7 +278,7 @@ class TestZeroKBranchGuard:
         pref = series_prefactor(frame.r, +1, 2)
         rhs_ge = series_mul(pref, plain)
         u_term = prefactor_exponent(frame.r)
-        forms = union_pole_forms(plain, extra=(u_term,))
+        forms = union_pole_forms(plain) + coeff_denominator_forms((u_term,))
         forms += [form.substitute(flip) for form in union_pole_forms(plain)]
         for trial in range(CFG.trials):
             p = sample_point(CFG, trial, forms, frame.r)
@@ -295,11 +296,22 @@ class TestZeroKBranchGuard:
                 )
 
 
+# The builder of each series a SeriesPair holds, by series name.
+BUILDERS = {
+    "zx0": "series_zx0",
+    "zx1": "series_zx1",
+    "zx1-fact": "series_zx1_factorized",
+    "zp2": "series_zp2",
+    "prefactor": "series_prefactor",
+}
+
+
 def count_builds(monkeypatch):
-    """Count the zx0 and zx1 builds the checks make from here on."""
+    """Count the series builds the checks and `compute` make from here on,
+    by series name."""
     from nekrasov import verify
 
-    calls = {"zx0": 0, "zx1": 0}
+    calls = dict.fromkeys(BUILDERS, 0)
 
     def counting(name, build):
         def wrapper(*args):
@@ -308,9 +320,14 @@ def count_builds(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(verify, "series_zx0", counting("zx0", series_zx0))
-    monkeypatch.setattr(verify, "series_zx1", counting("zx1", series_zx1))
+    for name, builder in BUILDERS.items():
+        monkeypatch.setattr(verify, builder, counting(name, getattr(verify, builder)))
     return calls
+
+
+def builds(*names):
+    """The build counts of a run that builds each of `names` once."""
+    return {name: int(name in names) for name in BUILDERS}
 
 
 class TestFlippedSides:
@@ -321,14 +338,14 @@ class TestFlippedSides:
     def test_symmetry_builds_each_series_once(self, monkeypatch):
         calls = count_builds(monkeypatch)
         assert check_symmetry(FrameData(1, 0), H(0), 8, CFG).passed
-        assert calls == {"zx0": 1, "zx1": 1}
+        assert calls == builds("zx0", "zx1")
 
     def test_main_at_zero_k_shares_one_orbifold_series(self, monkeypatch):
         calls = count_builds(monkeypatch)
         rep = check_main(FrameData(1, 0), H(0), 8, CFG)
         assert rep.passed
         assert {g.tags["branch"] for g in rep.grades} == {"k>=0", "k<=0"}
-        assert calls == {"zx0": 1, "zx1": 1}
+        assert calls == builds("zx0", "zx1", "prefactor")
 
     def test_pole_of_flipped_side_forces_a_redraw(self, monkeypatch):
         # A rank-2 resolved-side denominator form mixing eps and a, zeroed
@@ -387,15 +404,15 @@ class TestSeriesPair:
         shared = [
             check(frame, k, max4n, CFG, pair).to_dict() for check in self.CHECKS
         ]
-        assert calls == {"zx0": 1, "zx1": 1}
+        assert calls == builds("zx0", "zx1", "zx1-fact", "prefactor")
         assert shared == alone
 
     def test_series_are_built_on_first_use(self, monkeypatch):
         calls = count_builds(monkeypatch)
         pair = SeriesPair(FrameData(1, 0), H(0), 4)
-        assert calls == {"zx0": 0, "zx1": 0}
+        assert calls == builds()
         assert check_factorization(FrameData(1, 0), H(0), 4, CFG, pair).passed
-        assert calls == {"zx0": 0, "zx1": 1}
+        assert calls == builds("zx1", "zx1-fact")
 
     @pytest.mark.parametrize(
         "frame, k, max4n",
@@ -417,7 +434,34 @@ class TestSeriesPair:
         assert main(argv) == 0
         checks = [report["check"] for report in json.loads(capsys.readouterr().out)]
         assert checks == ["main", "mult", "symmetry", "must"]
-        assert calls == {"zx0": 1, "zx1": 1}
+        assert calls == builds("zx0", "zx1", "zx1-fact", "prefactor")
+
+    def test_check_all_at_negative_k_builds_no_prefactor(self, monkeypatch, capsys):
+        from nekrasov.cli import main
+
+        calls = count_builds(monkeypatch)
+        argv = ["check", "all", "--w0", "1", "--w1", "1", "--k=-1/2",
+                "--max-n", "1", "--trials", "2", "--json"]
+        assert main(argv) == 0
+        checks = [report["check"] for report in json.loads(capsys.readouterr().out)]
+        assert checks == ["main", "mult", "symmetry"]
+        assert calls == builds("zx0", "zx1", "zx1-fact")
+
+    @pytest.mark.parametrize("target", ["zx0", "zx1", "zp2", "zx1-fact"])
+    def test_compute_builds_only_its_series(self, monkeypatch, capsys, target):
+        from nekrasov.cli import main
+
+        calls = count_builds(monkeypatch)
+        argv = ["compute", target, "--w0", "1", "--w1", "1", "--k", "1/2",
+                "--max-n", "1", "--trials", "2", "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["series"] == target
+        assert calls == builds(target)
+
+    def test_unknown_series_name_is_refused(self):
+        pair = SeriesPair(FrameData(1, 0), H(0), 4)
+        with pytest.raises(ValueError):
+            pair.series("zx2")
 
 
 # A rank-r frame for each parity of 2k: k is feasible when w1 = 2k mod 2.
@@ -443,7 +487,7 @@ class TestHomogeneity:
         frame = FRAMES[r, H(k).doubled % 2]
         pair = SeriesPair(frame, H(k), 4 * MAX_N[r] + frame.w1)
         for name in ("zx0", "zx1"):
-            series = getattr(pair, name)
+            series = pair.series(name)
             degrees = {
                 d for g, d in pair.degrees(name).items() if series.coefficient(g)
             }
@@ -507,7 +551,7 @@ class TestValueTable:
         replaced by mutate(coefficient)."""
         from nekrasov import verify
 
-        build = {"zx0": series_zx0, "zx1": series_zx1}[name]
+        build = getattr(verify, BUILDERS[name])
 
         def mutated(*args):
             series = build(*args)
@@ -515,7 +559,7 @@ class TestValueTable:
             coeffs[grade] = mutate(coeffs[grade])
             return dataclasses.replace(series, coeffs=coeffs)
 
-        monkeypatch.setattr(verify, f"series_{name}", mutated)
+        monkeypatch.setattr(verify, BUILDERS[name], mutated)
 
     # every term times eps1 (one odd degree), or one degree-1 term added
     ODD = staticmethod(
@@ -538,7 +582,7 @@ class TestValueTable:
         rep = check_symmetry(frame, k, max4n, CFG, pair)
         failing = [rec for rec in rep.grades if not rec.all_equal]
         assert [(rec.grade4n, rec.tags["kappa"]) for rec in failing] == [(grade, kappa)]
-        c = getattr(pair, name).coefficient(grade)
+        c = pair.series(name).coefficient(grade)
         for point, (lhs, rhs) in zip(rep.points, failing[0].values):
             assert lhs == coeff_eval(c, {v: -x for v, x in point.items()})
             assert rhs == coeff_eval(c, point)
@@ -558,8 +602,8 @@ class TestValueTable:
         flip = rule_negate_am(frame.r)
         for t, point in enumerate(rep.points):
             weights = _must_weights(frame.r, max4n // 4)(point)
-            beta = {g: coeff_eval(pair.zx0.coefficient(g), map_point(point, flip))
-                    for g in pair.zx0.grades()}
+            beta = {g: coeff_eval(pair.series("zx0").coefficient(g), map_point(point, flip))
+                    for g in pair.series("zx0").grades()}
             for record in rep.grades:
                 g = record.grade4n
                 expected = sum(w * beta[g - j] for j, w in weights.items() if g - j in beta)
@@ -582,3 +626,47 @@ class TestValueTable:
         assert [check(frame, k, max4n, other, pair).to_dict() for check in checks] == [
             check(frame, k, max4n, other).to_dict() for check in checks
         ]
+
+
+class TestSideForms:
+    """Each side carries the forms its draws must avoid, and a check's
+    draws avoid every side's forms.  Each mutant adds to one series a term
+    1/F and its negative, where F is zero where that side reads the series
+    at trial 0's first draw: the values are unchanged, and that draw must
+    be rejected.  A real-series trap cannot show a dropped side here: at
+    (1,0) k = 1 every denominator form of zx0, plain or composed with
+    -(a, m), is a form of zx1 or its negative."""
+
+    FRAME, K, MAX4N, GRADE = FrameData(1, 0), H(1), 8, 4
+
+    @staticmethod
+    def _trap(monkeypatch, name, grade, rule):
+        """Put 1/F - 1/F into series `name` at `grade`, with F zero at
+        rule(first draw of trial 0), and nonzero at that draw when the
+        rule moves it."""
+        first = sample_point(CFG, 0, [], 1)
+        image = map_point(first, rule)
+        rest = linear_form({EPS1: 3, var_a(1): -2})
+        trap = rest + linear_form({EPS2: -rest.evaluate(image) / image[EPS2]})
+        assert trap.evaluate(image) == 0
+        assert rule is None or trap.evaluate(first) != 0
+        pole = factored_term(1, [(trap, -1)])
+        TestValueTable._mutant(
+            monkeypatch, name, grade, lambda c: c + (pole, factored_term(-1, pole.factors))
+        )
+
+    @pytest.mark.parametrize(
+        "name, check, rule",
+        [
+            ("zx1-fact", check_factorization, None),
+            ("zx0", check_recursion_must, rule_negate_am(1)),
+        ],
+        ids=["mult-rhs", "must-beta"],
+    )
+    def test_a_pole_on_one_side_forces_a_redraw(self, monkeypatch, name, check, rule):
+        frame, k, max4n = self.FRAME, self.K, self.MAX4N
+        assert check(frame, k, max4n, CFG).resamples[0] == 0
+        self._trap(monkeypatch, name, self.GRADE, rule)
+        rep = check(frame, k, max4n, CFG)
+        assert rep.resamples[0] == 1
+        assert rep.passed
