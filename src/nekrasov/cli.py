@@ -139,22 +139,25 @@ def _resolve_threads(parser: argparse.ArgumentParser, args) -> int:
     return args.threads
 
 
-def _validated_frame(parser: argparse.ArgumentParser, args) -> FrameData:
+def _request(parser: argparse.ArgumentParser, args) -> tuple[SeriesPair, SampleConfig]:
+    """The series pair and sampling protocol of a `compute` or `check`
+    request; a bad flag is a usage error (exit 2)."""
     if args.w0 < 0 or args.w1 < 0 or args.w0 + args.w1 < 1:
         parser.error("need --w0, --w1 >= 0 with w0 + w1 >= 1")
     if args.max_n < 0:
         parser.error("--max-n must be >= 0")
     if args.trials < 1:
         parser.error("--trials must be >= 1")
-    return FrameData(args.w0, args.w1)
+    _resolve_threads(parser, args)
+    frame = FrameData(args.w0, args.w1)
+    pair = SeriesPair(frame, args.k, 4 * args.max_n + frame.w1)
+    return pair, SampleConfig(seed=args.seed, trials=args.trials)
 
 
 def _cmd_compute(parser: argparse.ArgumentParser, args) -> int:
-    frame = _validated_frame(parser, args)
-    _resolve_threads(parser, args)
-    pair = SeriesPair(frame, args.k, 4 * args.max_n + frame.w1)
+    pair, cfg = _request(parser, args)
+    frame = pair.key[0]
     series = pair.series(args.target)
-    cfg = SampleConfig(seed=args.seed, trials=args.trials)
     points, resamples = sample_points(cfg, pair.pole_forms(args.target), frame.r)
     values = [pair.values(args.target, p) for p in points]
     grades = [
@@ -220,10 +223,7 @@ def _print_report(report: VerificationReport) -> None:
 
 
 def _cmd_check(parser: argparse.ArgumentParser, args) -> int:
-    frame = _validated_frame(parser, args)
-    _resolve_threads(parser, args)
-    max4n = 4 * args.max_n + frame.w1
-    cfg = SampleConfig(seed=args.seed, trials=args.trials)
+    pair, cfg = _request(parser, args)
     if args.target == "all":
         names = ["main", "mult", "symmetry"]
         if args.k.doubled >= 0:
@@ -232,8 +232,7 @@ def _cmd_check(parser: argparse.ArgumentParser, args) -> int:
         names = [args.target]
     if "must" in names and args.k.doubled < 0:
         parser.error("check must requires k >= 0")
-    pair = SeriesPair(frame, args.k, max4n)  # each series built once for all checks
-    reports = [_CHECKS[name](frame, args.k, max4n, cfg, pair) for name in names]
+    reports = [_CHECKS[name](pair, cfg) for name in names]  # each series built once
     if args.json:
         if args.target == "all":
             print(json.dumps([r.to_dict() for r in reports], indent=2))

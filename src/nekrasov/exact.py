@@ -303,6 +303,20 @@ def _scale_point(point: Mapping[Var, Fraction]) -> tuple[dict[int, int], int]:
     return ints, d
 
 
+def clear_of(forms: Iterable[LinearForm], point: Mapping[Var, Fraction]) -> bool:
+    """True when no form in `forms` vanishes at `point`.  A form's value is
+    its int dot product with the scaled point over a positive denominator,
+    so the dot product alone decides."""
+    ints, _ = _scale_point(point)
+    for form in forms:
+        value = 0
+        for s, n in form.pairs:
+            value += n * ints[s]
+        if value == 0:
+            return False
+    return True
+
+
 def _term_value(
     t: FactoredTerm, ints: Mapping[int, int], d: int, point: Mapping[Var, Fraction]
 ) -> Fraction:

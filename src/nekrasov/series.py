@@ -8,13 +8,13 @@ at or below the truncation means the coefficient is zero.
 
 Every substitution rule is a linear map R on the variables, and a series
 substituted by R takes at a point p the value the plain series takes at
-R(p).  The sign flips (rule_negate_eps, rule_negate_am) are such maps:
-every series is built once, in plain variables, by verify.SeriesPair for
-both the checks and ``compute``, and a flipped side is evaluated at
-map_point(p, R).  Only the two blow-up chart maps are still applied to
-linear forms: series_zx1_factorized builds one plain plane series, up to
-the largest grade any first-Chern vector needs, and substitutes each
-chart into the terms of the grades that vector uses.
+R(p).  The sign flip rule_negate_eps is such a map: every series is
+built once, in plain variables, by verify.SeriesPair for both the checks
+and ``compute``, and a flipped side is evaluated at map_point(p, R).
+Only the two blow-up chart maps are still applied to linear forms:
+series_zx1_factorized builds one plain plane series, up to the largest
+grade any first-Chern vector needs, and substitutes each chart into the
+terms of the grades that vector uses.
 
 Implemented series:
 
@@ -84,15 +84,6 @@ def rule_negate_eps() -> dict:
         EPS1: linear_form({EPS1: -1}),
         EPS2: linear_form({EPS2: -1}),
     }
-
-
-def rule_negate_am(r: int) -> dict:
-    rule: dict = {}
-    for alpha in range(1, r + 1):
-        rule[var_a(alpha)] = linear_form({var_a(alpha): -1})
-    for f in range(1, 2 * r + 1):
-        rule[var_m(f)] = linear_form({var_m(f): -1})
-    return rule
 
 
 def rule_chart(side: int, kvec) -> dict:

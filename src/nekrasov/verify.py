@@ -18,10 +18,11 @@ The point stream is deterministic: trial t's point is a pure function of
 across runs and platforms.  Every series is built once, in plain
 variables; a side that compares a series under a sign flip R is its plain
 coefficient evaluated at R(p).  The series of one (frame, k, max4n) live
-in a SeriesPair, which builds each on first use; `nekrasov check all`
-hands one pair to all of its checks, so each series is built once per
-invocation, a check called without a pair makes its own, and `nekrasov
-compute` builds, samples and reads its one series through a pair too.
+in a SeriesPair, which builds each on first use.  A check is a function
+of a pair and a SampleConfig, check_X(pair, cfg), and reads its request
+from pair.key; `nekrasov check all` hands one pair to all of its checks,
+so each series is built once per invocation, and `nekrasov compute`
+builds, samples and reads its one series through a pair too.
 Each side of a check maps a point to {grade: value}: every coefficient
 of one series read at R(p), or a numeric Cauchy product of such values,
 so no product series is ever built.
@@ -33,8 +34,8 @@ carries both factors' forms.  A check's draws avoid the union of its
 sides' forms; a draw that zeroes any of them is rejected and the whole
 point redrawn, so an honest pole can never masquerade as a mismatch.
 Each series' plain denominator forms are collected once per pair.  The
-pole test runs on the integer kernel: the draw is scaled to one common
-denominator once, and each form is one int dot product.
+pole test is exact.clear_of, on the integer kernel: the draw is scaled
+to one common denominator once, and each form is one int dot product.
 
 The pair also holds one value table per invocation: a series read at a
 point is evaluated once, keyed by (series, the point's values), and every
@@ -76,7 +77,7 @@ from .diagrams import FrameData, HalfInt
 from .exact import (
     EvalPoint,
     LinearForm,
-    _scale_point,
+    clear_of,
     coeff_degree,
     coeff_denominator_forms,
     coeff_eval,
@@ -146,7 +147,7 @@ class _Stream:
         return _mix64(self.state)
 
 
-def _draw_point(cfg: SampleConfig, stream: _Stream, r: int) -> EvalPoint:
+def _draw_point(stream: _Stream, r: int) -> EvalPoint:
     point: EvalPoint = {}
     for v in scope_vars(r):
         n = stream.next_u64() % (2 * NUMERATOR) - NUMERATOR  # 0 is skipped below
@@ -156,22 +157,15 @@ def _draw_point(cfg: SampleConfig, stream: _Stream, r: int) -> EvalPoint:
     return point
 
 
-def sample_point(
-    cfg: SampleConfig, trial: int, pole_forms, r: int
-) -> EvalPoint:
-    """First pole-free point of trial `trial`'s deterministic stream."""
-    point, _ = sample_point_with_stats(cfg, trial, pole_forms, r)
-    return point
-
-
 def sample_point_with_stats(
     cfg: SampleConfig, trial: int, pole_forms, r: int
 ) -> tuple[EvalPoint, int]:
-    """Like sample_point, but also reports how many redraws were needed."""
+    """First pole-free point of trial `trial`'s deterministic stream, and
+    how many redraws it needed."""
     stream = _Stream(cfg.seed, trial)
     for redraws in range(MAX_RESAMPLE + 1):
-        point = _draw_point(cfg, stream, r)
-        if _clear_of(pole_forms, point):
+        point = _draw_point(stream, r)
+        if clear_of(pole_forms, point):
             return point, redraws
     raise ResampleExhausted(
         f"no pole-free point after {MAX_RESAMPLE} redraws (trial {trial})"
@@ -191,20 +185,6 @@ def sample_points(
         points.append(point)
         resamples.append(redraws)
     return points, resamples
-
-
-def _clear_of(forms, point: EvalPoint) -> bool:
-    """True when no form vanishes at `point`.  A form's value is its int dot
-    product with the scaled point over a positive denominator, so the dot
-    product alone decides."""
-    ints, _ = _scale_point(point)
-    for form in forms:
-        value = 0
-        for s, n in form.pairs:
-            value += n * ints[s]
-        if value == 0:
-            return False
-    return True
 
 
 def union_pole_forms(*series_list: QSeries) -> list[LinearForm]:
@@ -292,19 +272,6 @@ class SeriesPair:
             else:
                 out[g] = -plain[g] if d % 2 else plain[g]
         return out
-
-
-def _pair_for(
-    pair: SeriesPair | None, frame: FrameData, k: HalfInt, max4n: int
-) -> SeriesPair:
-    """`pair`, checked against the request, or a fresh pair when None."""
-    if pair is None:
-        return SeriesPair(frame, k, max4n)
-    if pair.key != (frame, k, max4n):
-        raise ValueError(
-            f"series pair built for {pair.key}, not for {(frame, k, max4n)}"
-        )
-    return pair
 
 
 @dataclass
@@ -428,19 +395,13 @@ def _run_check(name: str, pair: SeriesPair, cfg: SampleConfig, rows) -> Verifica
     return VerificationReport(name, frame, k, max4n, cfg, points, resamples, grades)
 
 
-def check_main(
-    frame: FrameData,
-    k: HalfInt,
-    max4n: int,
-    cfg: SampleConfig,
-    pair: SeriesPair | None = None,
-) -> VerificationReport:
+def check_main(pair: SeriesPair, cfg: SampleConfig) -> VerificationReport:
     """Resolved series at -eps against the orbifold series.
 
     For k >= 0 the right side is the orbifold series convolved with the
     prefactor (1 - (-1)^r q)^u; for k <= 0 it is the orbifold series at
     -eps; k = 0 runs both branches, which share one orbifold series."""
-    pair = _pair_for(pair, frame, k, max4n)
+    _, k, _ = pair.key
     flip = rule_negate_eps()
     lhs, rows = _read(pair, "zx1", flip), []
     if k.doubled >= 0:
@@ -451,32 +412,18 @@ def check_main(
     return _run_check("main", pair, cfg, rows)
 
 
-def check_factorization(
-    frame: FrameData,
-    k: HalfInt,
-    max4n: int,
-    cfg: SampleConfig,
-    pair: SeriesPair | None = None,
-) -> VerificationReport:
+def check_factorization(pair: SeriesPair, cfg: SampleConfig) -> VerificationReport:
     """Resolved series against its blow-up factorization."""
-    pair = _pair_for(pair, frame, k, max4n)
     rows = [({}, _read(pair, "zx1"), _read(pair, "zx1-fact"))]
     return _run_check("mult", pair, cfg, rows)
 
 
-def check_symmetry(
-    frame: FrameData,
-    k: HalfInt,
-    max4n: int,
-    cfg: SampleConfig,
-    pair: SeriesPair | None = None,
-) -> VerificationReport:
+def check_symmetry(pair: SeriesPair, cfg: SampleConfig) -> VerificationReport:
     """Both series against themselves under (eps, a, m) -> -(eps, a, m):
     each series at the flipped point against itself at the plain point.
     A coefficient of one degree d is read at the flipped point as (-1)^d
     times its plain value, so it passes exactly when d is even; one of
     mixed degree is evaluated at the flipped point."""
-    pair = _pair_for(pair, frame, k, max4n)
     rows = [
         ({"kappa": kappa}, _read_negated(pair, name), _read(pair, name))
         for kappa, name in ((0, "zx0"), (1, "zx1"))
@@ -499,13 +446,7 @@ def _must_weights(r: int, max_n: int):
     return _side(weights, coeff_denominator_forms((u_term,)))
 
 
-def check_recursion_must(
-    frame: FrameData,
-    k: HalfInt,
-    max4n: int,
-    cfg: SampleConfig,
-    pair: SeriesPair | None = None,
-) -> VerificationReport:
+def check_recursion_must(pair: SeriesPair, cfg: SampleConfig) -> VerificationReport:
     """Convolution recursion: with alpha the resolved series (plain
     variables) and beta the orbifold series at (a, m) -> (-a, -m),
 
@@ -516,8 +457,8 @@ def check_recursion_must(
     orbifold value at -eps p, the value main reads, and any other is
     evaluated at the flipped point.  Any failure is reported with full
     values, never suppressed."""
+    frame, k, max4n = pair.key
     if k.doubled < 0:
         raise ValueError("recursion check is defined for k >= 0")
-    pair = _pair_for(pair, frame, k, max4n)
     rhs = _cauchy(_must_weights(frame.r, max4n // 4), _read_negated(pair, "zx0", rule_negate_eps()))
     return _run_check("must", pair, cfg, [({}, _read(pair, "zx1"), rhs)])

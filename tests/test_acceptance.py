@@ -23,6 +23,7 @@ from nekrasov.exact import EPS1, EPS2, coeff_eval, var_a, var_m
 from nekrasov.series import series_zp2, series_zx0, series_zx1
 from nekrasov.verify import (
     SampleConfig,
+    SeriesPair,
     check_factorization,
     check_main,
     check_recursion_must,
@@ -52,7 +53,7 @@ class TestCriterion1MainNonnegative:
     @pytest.mark.parametrize("w0, w1, k", MAIN_NONNEG)
     def test_case(self, w0, w1, k):
         start = time.monotonic()
-        rep = check_main(FrameData(w0, w1), H(k), 8 + w1, CFG)
+        rep = check_main(SeriesPair(FrameData(w0, w1), H(k), 8 + w1), CFG)
         elapsed = time.monotonic() - start
         assert rep.passed, fail_line(1, f"main ({w0},{w1}) k={k}")
         assert elapsed < 60, fail_line(1, f"runtime {elapsed:.1f}s for ({w0},{w1},{k})")
@@ -60,7 +61,7 @@ class TestCriterion1MainNonnegative:
     @pytest.mark.parametrize("k", ["0", "1"])
     def test_rank_two_three_levels(self, k):
         start = time.monotonic()
-        rep = check_main(FrameData(2, 0), H(k), 12, CFG)
+        rep = check_main(SeriesPair(FrameData(2, 0), H(k), 12), CFG)
         elapsed = time.monotonic() - start
         assert rep.passed, fail_line(1, f"main (2,0) k={k} max-n 3")
         assert elapsed < 300, fail_line(1, f"runtime {elapsed:.1f}s at max-n 3")
@@ -75,7 +76,7 @@ class TestCriterion2MainNonpositive:
         "w0, w1, k", [(1, 0, "-1"), (0, 1, "-1/2"), (1, 1, "-1"), (2, 0, "-1")]
     )
     def test_case(self, w0, w1, k):
-        rep = check_main(FrameData(w0, w1), H(k), 8 + w1, CFG)
+        rep = check_main(SeriesPair(FrameData(w0, w1), H(k), 8 + w1), CFG)
         assert rep.passed, fail_line(2, f"main ({w0},{w1}) k={k}")
 
     def test_summary(self):
@@ -88,7 +89,7 @@ class TestCriterion3Factorization:
         [(1, 0, "0"), (1, 0, "1"), (0, 1, "1/2"), (1, 1, "1/2"), (2, 0, "0")],
     )
     def test_case(self, w0, w1, k):
-        rep = check_factorization(FrameData(w0, w1), H(k), 8 + w1, CFG)
+        rep = check_factorization(SeriesPair(FrameData(w0, w1), H(k), 8 + w1), CFG)
         assert rep.passed, fail_line(3, f"mult ({w0},{w1}) k={k}")
 
     def test_summary(self):
@@ -99,7 +100,7 @@ class TestCriterion3Factorization:
 class TestCriterion4Symmetry:
     @pytest.mark.parametrize("k", ["0", "1"])
     def test_case(self, k):
-        rep = check_symmetry(FrameData(1, 0), H(k), 8, CFG)
+        rep = check_symmetry(SeriesPair(FrameData(1, 0), H(k), 8), CFG)
         assert rep.passed, fail_line(4, f"symmetry k={k}")
         assert {g.tags["kappa"] for g in rep.grades} == {0, 1}
 
@@ -224,7 +225,7 @@ class TestCriterion7Determinism:
 class TestCriterion8Recursion:
     @pytest.mark.parametrize("w0", [1, 2])
     def test_case(self, w0):
-        rep = check_recursion_must(FrameData(w0, 0), H(0), 8, CFG)
+        rep = check_recursion_must(SeriesPair(FrameData(w0, 0), H(0), 8), CFG)
         # Outcome recording: the rising-factorial recursion holds exactly as
         # stated (no sign discrepancy observed); a regression here would need
         # the empirical sign pattern documented before this gate may pass.

@@ -94,12 +94,36 @@ class TestUsageErrors:
             ["compute", "zx0", "--w0", "0", "--w1", "1", "--k", "--", "--max-n", "0"],
             ["walls", "--v0=--", "--v1", "1"],
             ["imo-point", "--eps1", "--", "--eps2", "2", "--a", "3", "--m", "5,0"],
+            ["compute", "zx0", "--w0", "1", "--w1", "0", "--k", "0", "--max-n", "-1"],
+            ["compute", "zx0", "--w0", "0", "--w1", "0", "--k", "0", "--max-n", "1"],
+            ["compute", "zx0", "--w0", "1", "--w1", "0", "--k", "0", "--max-n", "1",
+             "--trials", "0"],
+            ["compute", "zx0", "--w0", "1", "--w1", "0", "--k", "0", "--max-n", "1",
+             "--threads", "0"],
         ],
     )
     def test_exit_code_2(self, argv):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", [["compute", "zx0"], ["check", "must"]])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--w0", "0", "--max-n", "-1", "--trials", "0", "--threads", "0"], "--w0, --w1"),
+            (["--w0", "1", "--max-n", "-1", "--trials", "0", "--threads", "0"], "--max-n"),
+            (["--w0", "1", "--max-n", "1", "--trials", "0", "--threads", "0"], "--trials"),
+            (["--w0", "1", "--max-n", "1", "--trials", "1", "--threads", "0"], "--threads"),
+        ],
+    )
+    def test_first_bad_flag_is_reported(self, capsys, command, flags, message):
+        # compute and check validate in one order, and both before check's
+        # own k >= 0 requirement for must
+        with pytest.raises(SystemExit) as err:
+            main(command + ["--w1", "0", "--k=-1"] + flags)
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err.splitlines()[-1]
 
 
 class TestComputeCommand:

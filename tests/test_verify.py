@@ -23,7 +23,6 @@ from nekrasov.exact import (
 from nekrasov.series import (
     map_point,
     prefactor_exponent,
-    rule_negate_am,
     rule_negate_eps,
     series_mul,
     series_prefactor,
@@ -39,7 +38,6 @@ from nekrasov.verify import (
     check_main,
     check_recursion_must,
     check_symmetry,
-    sample_point,
     sample_point_with_stats,
     sample_points,
     union_pole_forms,
@@ -51,6 +49,16 @@ def H(text):
 
 
 CFG = SampleConfig(seed=161, trials=5)
+
+
+def sample_point(cfg, trial, pole_forms, r):
+    """First pole-free point of trial `trial`'s stream."""
+    return sample_point_with_stats(cfg, trial, pole_forms, r)[0]
+
+
+def negate_am(r):
+    """The map (a, m) -> (-a, -m) on rank r's variables."""
+    return {v: linear_form({v: -1}) for v in scope_vars(r)[2:]}
 
 
 class TestSampler:
@@ -124,17 +132,17 @@ class TestSampler:
 
 class TestReports:
     def test_trivial_grade_zero(self):
-        rep = check_main(FrameData(1, 0), H(0), 0, CFG)
+        rep = check_main(SeriesPair(FrameData(1, 0), H(0), 0), CFG)
         assert rep.passed
         assert [g.grade4n for g in rep.grades] == [0, 0]  # both branches at k = 0
 
     def test_k_negative_uses_plain_branch(self):
-        rep = check_main(FrameData(1, 0), H(-1), 8, CFG)
+        rep = check_main(SeriesPair(FrameData(1, 0), H(-1), 8), CFG)
         assert rep.passed
         assert {g.tags["branch"] for g in rep.grades} == {"k<=0"}
 
     def test_json_schema_field_names(self):
-        rep = check_main(FrameData(1, 0), H(0), 8, CFG)
+        rep = check_main(SeriesPair(FrameData(1, 0), H(0), 8), CFG)
         d = rep.to_dict()
         assert list(d.keys()) == [
             "check", "w", "k", "max_4n", "seed", "trials",
@@ -155,18 +163,21 @@ class TestReports:
         assert d["pass"] is True
 
     def test_reports_reproducible(self):
-        first = json.dumps(check_factorization(FrameData(1, 0), H(1), 8, CFG).to_dict())
-        second = json.dumps(check_factorization(FrameData(1, 0), H(1), 8, CFG).to_dict())
+        first = json.dumps(check_factorization(SeriesPair(FrameData(1, 0), H(1), 8), CFG).to_dict())
+        second = json.dumps(check_factorization(SeriesPair(FrameData(1, 0), H(1), 8), CFG).to_dict())
         assert first == second
 
     def test_symmetry_covers_both_spaces(self):
-        rep = check_symmetry(FrameData(1, 0), H(0), 8, CFG)
+        rep = check_symmetry(SeriesPair(FrameData(1, 0), H(0), 8), CFG)
         assert rep.passed
         assert {g.tags["kappa"] for g in rep.grades} == {0, 1}
 
-    def test_must_requires_nonnegative_k(self):
+    def test_must_requires_nonnegative_k(self, monkeypatch):
+        # refused before any series is built
+        calls = count_builds(monkeypatch)
         with pytest.raises(ValueError):
-            check_recursion_must(FrameData(1, 0), H(-1), 8, CFG)
+            check_recursion_must(SeriesPair(FrameData(1, 0), H(-1), 8), CFG)
+        assert calls == builds()
 
     def test_must_evaluates_each_coefficient_once_per_point(self, monkeypatch):
         # alpha has grades 0, 4, ..., 32 and the convolution reads beta at
@@ -182,7 +193,7 @@ class TestReports:
 
         monkeypatch.setattr(verify, "coeff_eval", counting)
         cfg = SampleConfig(seed=161, trials=10)
-        rep = check_recursion_must(FrameData(1, 0), H(1), 32, cfg)
+        rep = check_recursion_must(SeriesPair(FrameData(1, 0), H(1), 32), cfg)
         assert rep.passed
         assert len(rep.grades) == 9
         assert len(calls) == (9 + 9) * 10
@@ -197,7 +208,7 @@ class TestReports:
 
         monkeypatch.setattr(series, "series_mul", refuse)
         monkeypatch.setattr(verify, "series_mul", refuse, raising=False)
-        rep = check_main(frame, k, 9, CFG)
+        rep = check_main(SeriesPair(frame, k, 9), CFG)
         assert rep.passed
         assert "k>=0" in {g.tags["branch"] for g in rep.grades}
 
@@ -210,7 +221,7 @@ class TestReports:
         max_n = 4
         plus = series_prefactor(r, +1, max_n)
         minus = series_prefactor(r, -1, max_n)
-        flip = rule_negate_am(r)
+        flip = negate_am(r)
         for trial in range(3):
             p = sample_point(CFG, trial, [], r)
             weights = _must_weights(r, max_n)(p)
@@ -220,7 +231,7 @@ class TestReports:
                 assert w == coeff_eval(minus.coefficient(g), p)
 
     def test_parity_infeasible_inputs_compare_zero_series(self):
-        rep = check_main(FrameData(1, 1), H(0), 9, CFG)
+        rep = check_main(SeriesPair(FrameData(1, 1), H(0), 9), CFG)
         assert rep.passed
         for record in rep.grades:
             assert all(lhs == rhs == 0 for lhs, rhs in record.values)
@@ -337,12 +348,12 @@ class TestFlippedSides:
 
     def test_symmetry_builds_each_series_once(self, monkeypatch):
         calls = count_builds(monkeypatch)
-        assert check_symmetry(FrameData(1, 0), H(0), 8, CFG).passed
+        assert check_symmetry(SeriesPair(FrameData(1, 0), H(0), 8), CFG).passed
         assert calls == builds("zx0", "zx1")
 
     def test_main_at_zero_k_shares_one_orbifold_series(self, monkeypatch):
         calls = count_builds(monkeypatch)
-        rep = check_main(FrameData(1, 0), H(0), 8, CFG)
+        rep = check_main(SeriesPair(FrameData(1, 0), H(0), 8), CFG)
         assert rep.passed
         assert {g.tags["branch"] for g in rep.grades} == {"k>=0", "k<=0"}
         assert calls == builds("zx0", "zx1", "prefactor")
@@ -377,20 +388,21 @@ class TestFlippedSides:
         draws = []
         draw = verify._draw_point
 
-        def trapped(cfg, stream, r):
+        def trapped(stream, r):
             draws.append(None)
-            return dict(trap) if len(draws) == 1 else draw(cfg, stream, r)
+            return dict(trap) if len(draws) == 1 else draw(stream, r)
 
         monkeypatch.setattr(verify, "_draw_point", trapped)
-        rep = check_main(frame, k, max4n, CFG)
+        rep = check_main(SeriesPair(frame, k, max4n), CFG)
         assert rep.passed
         assert rep.resamples[0] == 1
         assert rep.points[0] == point
 
 
 class TestSeriesPair:
-    """One SeriesPair shared by several checks builds each series once; a
-    check without one builds its own."""
+    """A check is a function of its SeriesPair, which holds the request:
+    one pair shared by several checks builds each series once, and a fresh
+    pair per check gives the same reports."""
 
     CHECKS = (check_main, check_factorization, check_symmetry, check_recursion_must)
 
@@ -398,12 +410,10 @@ class TestSeriesPair:
         self, monkeypatch
     ):
         frame, k, max4n = FrameData(1, 1), H("1/2"), 5
-        alone = [check(frame, k, max4n, CFG).to_dict() for check in self.CHECKS]
+        alone = [check(SeriesPair(frame, k, max4n), CFG).to_dict() for check in self.CHECKS]
         calls = count_builds(monkeypatch)
         pair = SeriesPair(frame, k, max4n)
-        shared = [
-            check(frame, k, max4n, CFG, pair).to_dict() for check in self.CHECKS
-        ]
+        shared = [check(pair, CFG).to_dict() for check in self.CHECKS]
         assert calls == builds("zx0", "zx1", "zx1-fact", "prefactor")
         assert shared == alone
 
@@ -411,18 +421,17 @@ class TestSeriesPair:
         calls = count_builds(monkeypatch)
         pair = SeriesPair(FrameData(1, 0), H(0), 4)
         assert calls == builds()
-        assert check_factorization(FrameData(1, 0), H(0), 4, CFG, pair).passed
+        assert check_factorization(pair, CFG).passed
         assert calls == builds("zx1", "zx1-fact")
 
+    @pytest.mark.parametrize("check", CHECKS)
     @pytest.mark.parametrize(
         "frame, k, max4n",
-        [(FrameData(2, 0), H(0), 4), (FrameData(1, 0), H(1), 4), (FrameData(1, 0), H(0), 8)],
+        [(FrameData(2, 0), H(0), 4), (FrameData(1, 1), H("1/2"), 5), (FrameData(1, 0), H(1), 8)],
     )
-    def test_pair_for_another_request_is_refused(self, frame, k, max4n):
-        pair = SeriesPair(FrameData(1, 0), H(0), 4)
-        for check in self.CHECKS:
-            with pytest.raises(ValueError):
-                check(frame, k, max4n, CFG, pair)
+    def test_report_states_the_pairs_request(self, check, frame, k, max4n):
+        d = check(SeriesPair(frame, k, max4n), CFG).to_dict()
+        assert (d["w"], d["k"], d["max_4n"]) == ([frame.w0, frame.w1], str(k), max4n)
 
     @pytest.mark.parametrize("w0, w1, k", [(1, 0, "0"), (1, 1, "1/2"), (2, 0, "1")])
     def test_check_all_builds_each_series_once(self, monkeypatch, capsys, w0, w1, k):
@@ -579,7 +588,7 @@ class TestValueTable:
         pair = SeriesPair(frame, k, max4n)
         degrees = pair.degrees(name)
         assert degrees[grade] == (None if degree is None else degrees[0] + degree)
-        rep = check_symmetry(frame, k, max4n, CFG, pair)
+        rep = check_symmetry(pair, CFG)
         failing = [rec for rec in rep.grades if not rec.all_equal]
         assert [(rec.grade4n, rec.tags["kappa"]) for rec in failing] == [(grade, kappa)]
         c = pair.series(name).coefficient(grade)
@@ -597,9 +606,9 @@ class TestValueTable:
         frame, k, max4n = FrameData(1, 0), H(1), 8
         self._mutant(monkeypatch, "zx0", 4, mutate)
         pair = SeriesPair(frame, k, max4n)
-        check_main(frame, k, max4n, CFG, pair)
-        rep = check_recursion_must(frame, k, max4n, CFG, pair)
-        flip = rule_negate_am(frame.r)
+        check_main(pair, CFG)
+        rep = check_recursion_must(pair, CFG)
+        flip = negate_am(frame.r)
         for t, point in enumerate(rep.points):
             weights = _must_weights(frame.r, max4n // 4)(point)
             beta = {g: coeff_eval(pair.series("zx0").coefficient(g), map_point(point, flip))
@@ -616,15 +625,13 @@ class TestValueTable:
         checks = TestSeriesPair.CHECKS
         max4n = 4 + frame.w1
         other = SampleConfig(seed=7, trials=3)
-        alone = [check(frame, k, max4n, CFG).to_dict() for check in checks]
+        alone = [check(SeriesPair(frame, k, max4n), CFG).to_dict() for check in checks]
         pair = SeriesPair(frame, k, max4n)
-        assert [check(frame, k, max4n, CFG, pair).to_dict() for check in checks] == alone
+        assert [check(pair, CFG).to_dict() for check in checks] == alone
         reverse = SeriesPair(frame, k, max4n)
-        assert [
-            check(frame, k, max4n, CFG, reverse).to_dict() for check in reversed(checks)
-        ] == alone[::-1]
-        assert [check(frame, k, max4n, other, pair).to_dict() for check in checks] == [
-            check(frame, k, max4n, other).to_dict() for check in checks
+        assert [check(reverse, CFG).to_dict() for check in reversed(checks)] == alone[::-1]
+        assert [check(pair, other).to_dict() for check in checks] == [
+            check(SeriesPair(frame, k, max4n), other).to_dict() for check in checks
         ]
 
 
@@ -659,14 +666,14 @@ class TestSideForms:
         "name, check, rule",
         [
             ("zx1-fact", check_factorization, None),
-            ("zx0", check_recursion_must, rule_negate_am(1)),
+            ("zx0", check_recursion_must, negate_am(1)),
         ],
         ids=["mult-rhs", "must-beta"],
     )
     def test_a_pole_on_one_side_forces_a_redraw(self, monkeypatch, name, check, rule):
         frame, k, max4n = self.FRAME, self.K, self.MAX4N
-        assert check(frame, k, max4n, CFG).resamples[0] == 0
+        assert check(SeriesPair(frame, k, max4n), CFG).resamples[0] == 0
         self._trap(monkeypatch, name, self.GRADE, rule)
-        rep = check(frame, k, max4n, CFG)
+        rep = check(SeriesPair(frame, k, max4n), CFG)
         assert rep.resamples[0] == 1
         assert rep.passed
