@@ -1,4 +1,4 @@
-"""Torus characters of tautological and tangent spaces at fixed points.
+"""Torus characters of tautological and tangent spaces, one piece at a time.
 
 A Laurent monomial t1^p t2^q e_1^c_1 .. e_r^c_r is the plain int tuple
 (p, q, e), with e the nonzero (alpha, c_alpha) pairs sorted by alpha.
@@ -6,19 +6,32 @@ Every exponent is integral: the half shift sqrt(t1*t2) coming from the
 matter twist is applied later, on the linear-form side.  A character is
 a finite multiset of monomials, held as a ``collections.Counter``.
 
-The building blocks:
+A fixed point's tautological character is a sum over framing slots alpha,
+and its tangent character a sum over slot pairs (alpha, beta).  Each
+builder below returns one piece of such a sum, built from only the data
+that piece depends on, so a series build can make each distinct piece
+once (see ``localization``):
 
   * char_lk(k)            -- cohomology character of the k-th line bundle
                              twist on the resolved surface,
-  * char_v_*              -- tautological-bundle fibers at fixed points,
-  * char_n(...)           -- the standard arm/leg pair character whose sum
-                             over all slot pairs is the tangent space of
-                             framed-sheaf moduli on the plane,
-  * char_tangent_*        -- tangent characters for the plane, the Z2
-                             orbifold (degree-0 part), and the resolved
-                             surface (line-bundle twists plus the two
-                             chart images t -> (t1^2, t2/t1) and
-                             t -> (t1/t2, t2^2) of the plane weights).
+  * char_v_*              -- one slot's tautological fiber: on the plane
+                             and the orbifold (degree-s part) it depends on
+                             (alpha, Y_alpha); on the resolved surface it
+                             is a line-bundle piece (char_v_twist) on
+                             (alpha, 2k_alpha) plus one piece per chart
+                             (char_v_x1) on (alpha, 2k_alpha, chart,
+                             Y^chart_alpha),
+  * char_tangent_*        -- one slot pair's tangent character: the
+                             arm/leg pair character on the plane, its
+                             Z2-invariant (degree-0) part on the orbifold,
+                             and on the resolved surface a line-bundle
+                             piece (char_tangent_twist) on (alpha, beta,
+                             delta), delta = 2(k_beta - k_alpha), plus one
+                             piece per chart (char_tangent_x1): the chart
+                             image t -> (t1^2, t2/t1) or t -> (t1/t2,
+                             t2^2) of the pair weights, shifted by t_i^delta,
+                             on (alpha, beta, delta, chart, Y^chart_alpha,
+                             Y^chart_beta).
 """
 
 from __future__ import annotations
@@ -27,8 +40,6 @@ from collections import Counter
 from typing import Iterator
 
 from .diagrams import (
-    FixedPointX0,
-    FixedPointX1,
     FrameData,
     HalfInt,
     YoungDiagram,
@@ -75,33 +86,37 @@ def _degree_part(ch: Counter, frame: FrameData, s: int) -> Counter:
     return Counter({m: n for m, n in ch.items() if degree_mod2(m, frame) == s})
 
 
-def char_v_p2(r: int, diagrams) -> Counter:
-    """Tautological fiber on the plane: e_alpha t1^(1-i) t2^(1-j) per box."""
-    return Counter(
-        (1 - i, 1 - j, ((alpha, 1),))
-        for alpha, diagram in enumerate(diagrams, start=1)
-        for i, j in boxes(diagram)
-    )
+def char_v_p2(alpha: int, diagram: YoungDiagram) -> Counter:
+    """Tautological fiber of slot alpha on the plane: e_alpha t1^(1-i)
+    t2^(1-j) per box."""
+    e = ((alpha, 1),)
+    return Counter((1 - i, 1 - j, e) for i, j in boxes(diagram))
 
 
-def char_v_x0(frame: FrameData, fp: FixedPointX0, s: int) -> Counter:
-    """Degree-s part of the plane tautological fiber at an orbifold point."""
-    return _degree_part(char_v_p2(frame.r, fp.diagrams), frame, s)
+def char_v_x0(frame: FrameData, alpha: int, diagram: YoungDiagram, s: int) -> Counter:
+    """Degree-s part of slot alpha's plane tautological fiber, at an
+    orbifold point."""
+    return _degree_part(char_v_p2(alpha, diagram), frame, s)
 
 
-def char_v_x1(frame: FrameData, fp: FixedPointX1, s: int) -> Counter:
-    """Tautological fiber at a resolved-surface fixed point: per slot, the
-    line-bundle character shifted by s/2 plus one monomial per box of the
-    two diagrams, twisted into the two coordinate charts."""
-    ch: Counter = Counter()
-    for alpha in range(1, frame.r + 1):
-        d = fp.kvec[alpha - 1].doubled
-        e = ((alpha, 1),)
-        ch.update((p, q, e) for p, q in _twist(d + s))
+def char_v_twist(alpha: int, d: int, s: int) -> Counter:
+    """Line-bundle piece of slot alpha's tautological fiber on the resolved
+    surface, for k_alpha = d/2: e_alpha times the twist character with
+    doubled index d + s (the shift by s/2)."""
+    e = ((alpha, 1),)
+    return Counter((p, q, e) for p, q in _twist(d + s))
+
+
+def char_v_x1(alpha: int, d: int, chart: int, diagram: YoungDiagram, s: int) -> Counter:
+    """Chart piece of slot alpha's tautological fiber on the resolved
+    surface, for k_alpha = d/2 and the diagram in that chart: one monomial
+    per box, twisted into the chart and shifted by s/2.  The slot's third
+    piece is char_v_twist(alpha, d, s)."""
+    e = ((alpha, 1),)
+    if chart == 1:
         # t1^(2(k - i + 1 + s/2)) * (t2/t1)^(1-j)
-        ch.update((d - 2 * i + j + s + 1, 1 - j, e) for i, j in boxes(fp.y1[alpha - 1]))
-        ch.update((1 - i, d - 2 * j + i + s + 1, e) for i, j in boxes(fp.y2[alpha - 1]))
-    return ch
+        return Counter((d - 2 * i + j + s + 1, 1 - j, e) for i, j in boxes(diagram))
+    return Counter((1 - i, d - 2 * j + i + s + 1, e) for i, j in boxes(diagram))
 
 
 def _pair_weights(ya: YoungDiagram, yb: YoungDiagram) -> Iterator[tuple[int, int]]:
@@ -112,43 +127,41 @@ def _pair_weights(ya: YoungDiagram, yb: YoungDiagram) -> Iterator[tuple[int, int
         yield leg_in(ya, i, j) + 1, -arm_in(yb, i, j)
 
 
-def char_n(ya: YoungDiagram, yb: YoungDiagram, alpha: int, beta: int) -> Counter:
-    """Arm/leg pair character e_beta/e_alpha * ( sum over s in Y_a of
-    t1^(-leg_b(s)) t2^(arm_a(s)+1)  +  sum over t in Y_b of
-    t1^(leg_a(t)+1) t2^(-arm_b(t)) ).  Cross-diagram arms and legs may be
-    negative; that is intended."""
+def char_tangent_p2(alpha: int, beta: int, ya: YoungDiagram, yb: YoungDiagram) -> Counter:
+    """Arm/leg character of the slot pair (alpha, beta) on the plane:
+    e_beta/e_alpha * ( sum over s in Y_a of t1^(-leg_b(s)) t2^(arm_a(s)+1)
+    + sum over t in Y_b of t1^(leg_a(t)+1) t2^(-arm_b(t)) ).  Cross-diagram
+    arms and legs may be negative; that is intended.  The plane tangent
+    character is the sum over all r^2 slot pairs."""
     e = _ratio(alpha, beta)
     return Counter((p, q, e) for p, q in _pair_weights(ya, yb))
 
 
-def char_tangent_p2(r: int, diagrams) -> Counter:
-    """Tangent character of plane moduli: sum of all slot-pair characters."""
-    ch: Counter = Counter()
-    for alpha in range(1, r + 1):
-        for beta in range(1, r + 1):
-            ch.update(char_n(diagrams[alpha - 1], diagrams[beta - 1], alpha, beta))
-    return ch
+def char_tangent_x0(
+    frame: FrameData, alpha: int, beta: int, ya: YoungDiagram, yb: YoungDiagram
+) -> Counter:
+    """Slot pair (alpha, beta) of the orbifold tangent character: the
+    Z2-invariant (degree-0) part of the plane pair character."""
+    return _degree_part(char_tangent_p2(alpha, beta, ya, yb), frame, 0)
 
 
-def char_tangent_x0(frame: FrameData, fp: FixedPointX0) -> Counter:
-    """Tangent character on the orbifold side: the Z2-invariant (degree-0)
-    part of the plane tangent character."""
-    return _degree_part(char_tangent_p2(frame.r, fp.diagrams), frame, 0)
+def char_tangent_twist(alpha: int, beta: int, delta: int) -> Counter:
+    """Line-bundle piece of slot pair (alpha, beta) of the resolved tangent
+    character, for 2(k_beta - k_alpha) = delta: e_beta/e_alpha times the
+    twist character with doubled index delta."""
+    e = _ratio(alpha, beta)
+    return Counter((p, q, e) for p, q in _twist(delta))
 
 
-def char_tangent_x1(frame: FrameData, fp: FixedPointX1) -> Counter:
-    """Tangent character on the resolved side: per slot pair, the twist
-    character of the k-difference plus the arm/leg weights of each chart's
-    diagrams, sent t1^p t2^q -> t1^(2p-q) t2^q in the first chart and
-    t1^p t2^(2q-p) in the second, and shifted by t_i^(2(k_beta - k_alpha))."""
-    ch: Counter = Counter()
-    for alpha in range(1, frame.r + 1):
-        for beta in range(1, frame.r + 1):
-            delta = fp.kvec[beta - 1].doubled - fp.kvec[alpha - 1].doubled
-            e = _ratio(alpha, beta)
-            ch.update((p, q, e) for p, q in _twist(delta))
-            y1a, y1b = fp.y1[alpha - 1], fp.y1[beta - 1]
-            ch.update((2 * p - q + delta, q, e) for p, q in _pair_weights(y1a, y1b))
-            y2a, y2b = fp.y2[alpha - 1], fp.y2[beta - 1]
-            ch.update((p, 2 * q - p + delta, e) for p, q in _pair_weights(y2a, y2b))
-    return ch
+def char_tangent_x1(
+    alpha: int, beta: int, delta: int, chart: int, ya: YoungDiagram, yb: YoungDiagram
+) -> Counter:
+    """Chart piece of slot pair (alpha, beta) of the resolved tangent
+    character, for 2(k_beta - k_alpha) = delta: the arm/leg weights of that
+    chart's diagrams, sent t1^p t2^q -> t1^(2p-q) t2^q in the first chart
+    and t1^p t2^(2q-p) in the second, and shifted by t_i^delta.  The pair's
+    third piece is char_tangent_twist(alpha, beta, delta)."""
+    e = _ratio(alpha, beta)
+    if chart == 1:
+        return Counter((2 * p - q + delta, q, e) for p, q in _pair_weights(ya, yb))
+    return Counter((p, 2 * q - p + delta, e) for p, q in _pair_weights(ya, yb))

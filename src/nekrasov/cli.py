@@ -16,11 +16,12 @@ builds its series once in a ``verify.SeriesPair``, draws points that
 avoid the series' denominator forms, and reads values off the pair.
 ``NEKRASOV_THREADS`` overrides ``--threads``; both are accepted for
 interface stability, but evaluation is sequential either way, so output
-is byte-identical for any thread count.  It stays a no-op by measurement:
-with each series evaluated at two points per trial, evaluation is about
-40% of ``check all`` at w = (1,2) max-n 4 (1.5 of 3.9 s on a 2-core
-x86-64 VM, Python 3.11); the rest is series construction, which a pool
-over trials cannot share out.
+is byte-identical for any thread count.  The count is a no-op: with each
+series evaluated at two points per trial and each slot and slot-pair
+factor built once per series build, evaluation is about 57% of
+``check all`` at w = (1,2) max-n 4 (1.9-2.1 of 3.5 s on a 2-core x86-64
+VM, Python 3.11, timing every coefficient evaluation in-process); the
+rest is series construction, which a pool over trials cannot share out.
 """
 
 from __future__ import annotations
@@ -124,19 +125,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(parser: argparse.ArgumentParser, args) -> int:
+def _resolve_threads(parser: argparse.ArgumentParser, args) -> None:
+    """Validate NEKRASOV_THREADS when it is set, else --threads; a bad
+    value is a usage error.  Evaluation is sequential, so the count itself
+    is not used."""
     env = os.environ.get("NEKRASOV_THREADS")
-    if env is not None:
+    if env is None:
+        if args.threads < 1:
+            parser.error("--threads must be >= 1")
+    else:
         try:
             threads = int(env)
         except ValueError:
             parser.error(f"NEKRASOV_THREADS must be an integer, got {env!r}")
         if threads < 1:
             parser.error("NEKRASOV_THREADS must be >= 1")
-        return threads
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
-    return args.threads
 
 
 def _request(parser: argparse.ArgumentParser, args) -> tuple[SeriesPair, SampleConfig]:

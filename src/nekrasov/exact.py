@@ -387,10 +387,20 @@ def term_eval(t: FactoredTerm, point: Mapping[Var, Fraction]) -> Fraction:
     return t.evaluate(point)
 
 
-def term_substitute(t: FactoredTerm, rule: "Mapping[Var, LinearForm]") -> FactoredTerm:
-    return factored_term(
-        t.scalar, ((form.substitute(rule), exp) for form, exp in t.factors)
-    )
+def term_substitute(
+    t: FactoredTerm, rule: "Mapping[Var, LinearForm]", images: dict
+) -> FactoredTerm:
+    """The term with `rule` substituted into every form.  `images` maps
+    forms already substituted by this rule to their images; new ones are
+    added, so a caller substituting one rule into many terms substitutes
+    each distinct form once."""
+    factors = []
+    for form, exp in t.factors:
+        image = images.get(form)
+        if image is None:
+            image = images[form] = form.substitute(rule)
+        factors.append((image, exp))
+    return factored_term(t.scalar, factors)
 
 
 # A coefficient (of one q-grade of a series) is a formal sum of terms; its

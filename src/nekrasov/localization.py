@@ -15,6 +15,28 @@ exponents.  Every form is built from doubled coefficients through
 ``exact.form_from_doubled``, so no ``Fraction`` is made.
 
 A localization term is matter Euler class divided by tangent Euler class.
+Both characters are sums of pieces (see ``characters``), so the term is
+the product of one factor list per piece: the matter Euler class of each
+slot's tautological piece and the inverse Euler class of each slot pair's
+tangent piece.  ``term_p2``, ``term_x0`` and ``term_x1`` take a factor
+table, a plain dict from a piece's key to its factors; a piece missing
+from the table is built and stored, and the term is ``factored_term``
+over the concatenated factors of the fixed point's pieces -- the same
+canonical term one Euler class of each whole character gives.  The keys:
+
+  * plane and orbifold: matter (alpha, Y_alpha), tangent
+    (alpha, beta, Y_alpha, Y_beta);
+  * resolved surface: matter (alpha, 2k_alpha) for the line-bundle piece
+    and (alpha, 2k_alpha, chart, Y^chart_alpha) per chart; tangent
+    (alpha, beta, delta) for the line-bundle piece and
+    (alpha, beta, delta, chart, Y^chart_alpha, Y^chart_beta) per chart,
+    delta = 2(k_beta - k_alpha).
+
+The key shapes differ in length, so they cannot collide within one table.
+The caller owns the table: ``series`` makes one per series build, so a
+table holds at most the distinct pieces of that series and dies with the
+build.  Nothing here keeps state between calls.
+
 The line-bundle factor ell(kvec) of a first-Chern vector is the term of
 the resolved fixed point (kvec, empty, empty).  A symbolically zero
 weight can only come from a transcription bug (every fixed point is
@@ -27,9 +49,11 @@ from collections import Counter
 
 from .characters import (
     char_tangent_p2,
+    char_tangent_twist,
     char_tangent_x0,
     char_tangent_x1,
     char_v_p2,
+    char_v_twist,
     char_v_x0,
     char_v_x1,
 )
@@ -41,7 +65,6 @@ from .exact import (
     LinearForm,
     factored_term,
     form_from_doubled,
-    term_mul,
     term_pow,
     var_a,
     var_m,
@@ -93,29 +116,84 @@ def matter_euler(ch_v0: Counter, r: int) -> FactoredTerm:
     return factored_term(1, factors)
 
 
-def term_p2(r: int, diagrams) -> FactoredTerm:
+def _tangent_factors(ch: Counter) -> tuple:
+    """Factors of the inverse Euler class of a tangent piece."""
+    return term_pow(euler_class(ch), -1).factors
+
+
+def _diagram_tuple_term(diagrams, r: int, table: dict, char_v, char_tangent) -> FactoredTerm:
+    """Term of a diagram tuple whose slot alpha has the tautological piece
+    char_v(alpha, Y_alpha) and whose slot pair the tangent piece
+    char_tangent(alpha, beta, Y_alpha, Y_beta)."""
+    factors: list = []
+    for alpha, ya in enumerate(diagrams, start=1):
+        piece = table.get((alpha, ya))
+        if piece is None:
+            piece = table[alpha, ya] = matter_euler(char_v(alpha, ya), r).factors
+        factors += piece
+        for beta, yb in enumerate(diagrams, start=1):
+            key = (alpha, beta, ya, yb)
+            piece = table.get(key)
+            if piece is None:
+                piece = table[key] = _tangent_factors(char_tangent(alpha, beta, ya, yb))
+            factors += piece
+    return factored_term(1, factors)
+
+
+def term_p2(r: int, diagrams, table: dict) -> FactoredTerm:
     """Localization term of one diagram tuple on the plane."""
-    num = matter_euler(char_v_p2(r, diagrams), r)
-    den = euler_class(char_tangent_p2(r, diagrams))
-    return term_mul(num, term_pow(den, -1))
+    return _diagram_tuple_term(diagrams, r, table, char_v_p2, char_tangent_p2)
 
 
-def term_x0(frame: FrameData, fp: FixedPointX0) -> FactoredTerm:
+def term_x0(frame: FrameData, fp: FixedPointX0, table: dict) -> FactoredTerm:
     """Localization term of one orbifold fixed point."""
-    num = matter_euler(char_v_x0(frame, fp, 0), frame.r)
-    den = euler_class(char_tangent_x0(frame, fp))
-    return term_mul(num, term_pow(den, -1))
+    return _diagram_tuple_term(
+        fp.diagrams,
+        frame.r,
+        table,
+        lambda alpha, y: char_v_x0(frame, alpha, y, 0),
+        lambda alpha, beta, ya, yb: char_tangent_x0(frame, alpha, beta, ya, yb),
+    )
 
 
-def term_x1(frame: FrameData, fp: FixedPointX1) -> FactoredTerm:
+def term_x1(frame: FrameData, fp: FixedPointX1, table: dict) -> FactoredTerm:
     """Localization term of one resolved-surface fixed point."""
-    num = matter_euler(char_v_x1(frame, fp, 0), frame.r)
-    den = euler_class(char_tangent_x1(frame, fp))
-    return term_mul(num, term_pow(den, -1))
+    r = frame.r
+    doubled = [k.doubled for k in fp.kvec]
+    charts = ((1, fp.y1), (2, fp.y2))
+    factors: list = []
+    for alpha in range(1, r + 1):
+        d = doubled[alpha - 1]
+        piece = table.get((alpha, d))
+        if piece is None:
+            piece = table[alpha, d] = matter_euler(char_v_twist(alpha, d, 0), r).factors
+        factors += piece
+        for chart, ys in charts:
+            key = (alpha, d, chart, ys[alpha - 1])
+            piece = table.get(key)
+            if piece is None:
+                ch = char_v_x1(alpha, d, chart, ys[alpha - 1], 0)
+                piece = table[key] = matter_euler(ch, r).factors
+            factors += piece
+        for beta in range(1, r + 1):
+            delta = doubled[beta - 1] - d
+            key = (alpha, beta, delta)
+            piece = table.get(key)
+            if piece is None:
+                piece = table[key] = _tangent_factors(char_tangent_twist(alpha, beta, delta))
+            factors += piece
+            for chart, ys in charts:
+                key = (alpha, beta, delta, chart, ys[alpha - 1], ys[beta - 1])
+                piece = table.get(key)
+                if piece is None:
+                    ch = char_tangent_x1(alpha, beta, delta, chart, ys[alpha - 1], ys[beta - 1])
+                    piece = table[key] = _tangent_factors(ch)
+                factors += piece
+    return factored_term(1, factors)
 
 
-def ell_factor(frame: FrameData, kvec) -> FactoredTerm:
+def ell_factor(frame: FrameData, kvec, table: dict) -> FactoredTerm:
     """Pure line-bundle contribution of a first-Chern vector: the term of
     the resolved fixed point with that vector and no boxes."""
     empties = ((),) * frame.r
-    return term_x1(frame, FixedPointX1(kvec, empties, empties))
+    return term_x1(frame, FixedPointX1(kvec, empties, empties), table)

@@ -14,7 +14,16 @@ and ``compute``, and a flipped side is evaluated at map_point(p, R).
 Only the two blow-up chart maps are still applied to linear forms:
 series_zx1_factorized builds one plain plane series, up to the largest
 grade any first-Chern vector needs, and substitutes each chart into the
-terms of the grades that vector uses.
+terms of the grades that vector uses.  Each chart rule keeps one
+form -> image dict while it is applied, so each distinct form of the plane
+series is substituted once per rule.
+
+Each series build makes one factor table (see ``localization``), local
+to series_zp2, series_zx0 or series_zx1, and passes it to every term it
+builds, so a slot's or slot pair's factors are built once per build;
+series_zx1_factorized keeps one more for its ell(kvec) factors.  The
+tables and the chart-image dicts die with the build: nothing is cached at
+module level.
 
 Implemented series:
 
@@ -173,16 +182,18 @@ def series_prefactor(r: int, sign: int, max_n: int) -> QSeries:
 def series_zp2(r: int, max_n: int) -> QSeries:
     """Plane partition-function series up to q^max_n."""
     coeffs = {}
+    table: dict = {}
     for n in range(max_n + 1):
-        coeffs[4 * n] = tuple(term_p2(r, tup) for tup in diagram_tuples(r, n))
+        coeffs[4 * n] = tuple(term_p2(r, tup, table) for tup in diagram_tuples(r, n))
     return QSeries(coeffs, 4 * max_n, 0)
 
 
 def _charted(zp2: QSeries, max_n: int, rule: SubstitutionRule) -> QSeries:
     """The plane series up to q^max_n with a chart substituted into every
-    term."""
+    term; each distinct form is substituted once."""
+    images: dict = {}
     coeffs = {
-        4 * n: tuple(term_substitute(t, rule) for t in zp2.coefficient(4 * n))
+        4 * n: tuple(term_substitute(t, rule, images) for t in zp2.coefficient(4 * n))
         for n in range(max_n + 1)
     }
     return QSeries(coeffs, 4 * max_n, 0)
@@ -194,6 +205,7 @@ def series_zx0(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
     negative or non-integral (parity-infeasible k) hold zero."""
     offset = frame.w1 % 4
     coeffs = {}
+    table: dict = {}
     for g in range(offset, max4n + 1, 4):
         if g < frame.w1:
             coeffs[g] = ()
@@ -204,7 +216,7 @@ def series_zx0(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
             coeffs[g] = ()
             continue
         fps = enum_fixed_points_x0(frame, v0, v1_doubled // 2)
-        coeffs[g] = tuple(term_x0(frame, fp) for fp in fps)
+        coeffs[g] = tuple(term_x0(frame, fp, table) for fp in fps)
     return QSeries(coeffs, max4n, offset)
 
 
@@ -215,12 +227,13 @@ def series_zx1(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
     offset = frame.w1 % 4
     feasible = (k.doubled + frame.w1) % 2 == 0
     coeffs = {}
+    table: dict = {}
     for g in range(offset, max4n + 1, 4):
         if not feasible:
             coeffs[g] = ()
             continue
         fps = enum_fixed_points_x1(frame, k, g)
-        coeffs[g] = tuple(term_x1(frame, fp) for fp in fps)
+        coeffs[g] = tuple(term_x1(frame, fp, table) for fp in fps)
     return QSeries(coeffs, max4n, offset)
 
 
@@ -259,9 +272,10 @@ def series_zx1_factorized(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
     if kvecs:
         bases = [sum(h.doubled ** 2 for h in kvec) for kvec in kvecs]
         zp2 = series_zp2(frame.r, (max4n - min(bases)) // 4)
+        table: dict = {}
         for kvec, base in zip(kvecs, bases):
             max_n = (max4n - base) // 4
-            ell = ell_factor(frame, kvec)
+            ell = ell_factor(frame, kvec, table)
             z1 = _charted(zp2, max_n, rule_chart(1, kvec))
             z2 = _charted(zp2, max_n, rule_chart(2, kvec))
             prod = series_mul(z1, z2)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from nekrasov.characters import char_lk, char_rank, char_tangent_x0, char_tangent_x1
+from nekrasov.characters import char_lk, char_rank
 from nekrasov.cli import main
 from nekrasov.diagrams import (
     FrameData,
@@ -29,6 +29,7 @@ from nekrasov.verify import (
     check_recursion_must,
     check_symmetry,
 )
+from whole_fixed_point import whole_tangent_x0, whole_tangent_x1
 
 CFG = SampleConfig(seed=161, trials=5)
 
@@ -170,7 +171,7 @@ class TestCriterion6StructuralInvariants:
                 v1 = total - v0
                 expected = 2 * (frame.w0 * v0 + frame.w1 * v1) - 2 * (v0 - v1) ** 2
                 for fp in enum_fixed_points_x0(frame, v0, v1):
-                    got = char_rank(char_tangent_x0(frame, fp))
+                    got = char_rank(whole_tangent_x0(frame, fp))
                     assert got == expected, fail_line(6, f"tangent rank {w} {v0},{v1}")
 
     @pytest.mark.parametrize(
@@ -182,7 +183,7 @@ class TestCriterion6StructuralInvariants:
         frame = FrameData(*w)
         for g in range(frame.w1 % 4, frame.w1 + 9, 4):
             ranks = {
-                char_rank(char_tangent_x1(frame, fp))
+                char_rank(whole_tangent_x1(frame, fp))
                 for fp in enum_fixed_points_x1(frame, H(k), g)
             }
             assert len(ranks) <= 1, fail_line(6, f"smoothness {w} k={k} grade {g}")

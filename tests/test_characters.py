@@ -1,21 +1,13 @@
-"""Character builders: twists, tautological fibers, tangent spaces."""
+"""Character builders: twists, tautological fibers, tangent spaces.
+
+The engine builds one slot's or slot pair's piece at a time; the tests of
+a whole fixed point's character sum its pieces (whole_fixed_point.py)."""
 
 from collections import Counter
 
 import pytest
 
-from nekrasov.characters import (
-    char_lk,
-    char_n,
-    char_rank,
-    char_tangent_p2,
-    char_tangent_x0,
-    char_tangent_x1,
-    char_v_p2,
-    char_v_x0,
-    char_v_x1,
-    degree_mod2,
-)
+from nekrasov.characters import char_lk, char_rank, char_tangent_p2, degree_mod2
 from nekrasov.diagrams import (
     FixedPointX0,
     FixedPointX1,
@@ -24,6 +16,14 @@ from nekrasov.diagrams import (
     diagram_tuples,
     enum_fixed_points_x0,
     enum_fixed_points_x1,
+)
+from whole_fixed_point import (
+    whole_tangent_p2,
+    whole_tangent_x0,
+    whole_tangent_x1,
+    whole_v_p2,
+    whole_v_x0,
+    whole_v_x1,
 )
 
 
@@ -91,65 +91,65 @@ class TestTautologicalFibers:
     def test_x0_single_box(self):
         frame = FrameData(1, 0)
         fp = fp_x0(frame, (1,))
-        assert char_v_x0(frame, fp, 0) == counted(mono_t(0, 0, {1: 1}))
-        assert char_v_x0(frame, fp, 1) == {}
+        assert whole_v_x0(frame, fp, 0) == counted(mono_t(0, 0, {1: 1}))
+        assert whole_v_x0(frame, fp, 1) == {}
 
     def test_x0_column_of_two(self):
         frame = FrameData(1, 0)
         fp = fp_x0(frame, (2,))
-        assert char_v_x0(frame, fp, 1) == counted(mono_t(0, -1, {1: 1}))
+        assert whole_v_x0(frame, fp, 1) == counted(mono_t(0, -1, {1: 1}))
 
     def test_x0_parts_sum_to_size(self):
         frame = FrameData(1, 1)
         for total in range(5):
             for v0 in range(total + 1):
                 for fp in enum_fixed_points_x0(frame, v0, total - v0):
-                    ranks = [char_rank(char_v_x0(frame, fp, s)) for s in (0, 1)]
+                    ranks = [char_rank(whole_v_x0(frame, fp, s)) for s in (0, 1)]
                     assert sum(ranks) == total
                     assert ranks == [fp.v0, fp.v1]
 
     def test_x1_empty(self):
         frame = FrameData(1, 0)
         fp = fp_x1([H(0)], [()], [()])
-        assert char_v_x1(frame, fp, 0) == {}
+        assert whole_v_x1(frame, fp, 0) == {}
 
     def test_x1_pure_twist(self):
         frame = FrameData(1, 0)
         fp = fp_x1([H(1)], [()], [()])
-        assert char_v_x1(frame, fp, 0) == counted(mono_t(1, 1, {1: 1}))
-        assert char_v_x1(frame, fp, 1) == counted(
+        assert whole_v_x1(frame, fp, 0) == counted(mono_t(1, 1, {1: 1}))
+        assert whole_v_x1(frame, fp, 1) == counted(
             mono_t(2, 1, {1: 1}), mono_t(1, 2, {1: 1})
         )
 
     def test_p2_examples(self):
-        assert char_v_p2(1, [()]) == {}
-        assert char_v_p2(1, [(1,)]) == counted(mono_t(0, 0, {1: 1}))
-        assert char_v_p2(1, [(2,)]) == counted(
+        assert whole_v_p2([()]) == {}
+        assert whole_v_p2([(1,)]) == counted(mono_t(0, 0, {1: 1}))
+        assert whole_v_p2([(2,)]) == counted(
             mono_t(0, 0, {1: 1}), mono_t(0, -1, {1: 1})
         )
 
 
 class TestPairCharacter:
     def test_empty(self):
-        assert char_n((), (), 1, 1) == {}
+        assert char_tangent_p2(1, 1, (), ()) == {}
 
     def test_single_boxes(self):
-        assert char_n((1,), (1,), 1, 1) == counted(mono_t(0, 1), mono_t(1, 0))
+        assert char_tangent_p2(1, 1, (1,), (1,)) == counted(mono_t(0, 1), mono_t(1, 0))
 
     def test_columns_of_two(self):
-        assert char_n((2,), (2,), 1, 1) == counted(
+        assert char_tangent_p2(1, 1, (2,), (2,)) == counted(
             mono_t(0, 2), mono_t(0, 1), mono_t(1, -1), mono_t(1, 0)
         )
 
     def test_distinct_slots_carry_framing_ratio(self):
         # the single box of Y_a has arm 0 in Y_a and leg -1 in the empty Y_b
-        ch = char_n((1,), (), 1, 2)
+        ch = char_tangent_p2(1, 2, (1,), ())
         assert ch == counted(mono_t(1, 1, {2: 1, 1: -1}))
 
 
 class TestTangentCharacters:
     def test_p2_single_box(self):
-        ch = char_tangent_p2(1, [(1,)])
+        ch = whole_tangent_p2(1, [(1,)])
         assert ch == counted(mono_t(0, 1), mono_t(1, 0))
         assert char_rank(ch) == 2
 
@@ -157,18 +157,18 @@ class TestTangentCharacters:
         for r in (1, 2):
             for total in range(5):
                 for tup in diagram_tuples(r, total):
-                    assert char_rank(char_tangent_p2(r, tup)) == 2 * r * total
+                    assert char_rank(whole_tangent_p2(r, tup)) == 2 * r * total
 
     def test_x0_single_box_rigid(self):
         frame = FrameData(1, 0)
-        assert char_tangent_x0(frame, fp_x0(frame, (1,))) == {}
+        assert whole_tangent_x0(frame, fp_x0(frame, (1,))) == {}
 
     def test_x0_column_and_row(self):
         frame = FrameData(1, 0)
-        assert char_tangent_x0(frame, fp_x0(frame, (2,))) == counted(
+        assert whole_tangent_x0(frame, fp_x0(frame, (2,))) == counted(
             mono_t(0, 2), mono_t(1, -1)
         )
-        assert char_tangent_x0(frame, fp_x0(frame, (1, 1))) == counted(
+        assert whole_tangent_x0(frame, fp_x0(frame, (1, 1))) == counted(
             mono_t(2, 0), mono_t(-1, 1)
         )
 
@@ -180,27 +180,27 @@ class TestTangentCharacters:
                 v1 = total - v0
                 expected = 2 * (frame.w0 * v0 + frame.w1 * v1) - 2 * (v0 - v1) ** 2
                 for fp in enum_fixed_points_x0(frame, v0, v1):
-                    assert char_rank(char_tangent_x0(frame, fp)) == expected
+                    assert char_rank(whole_tangent_x0(frame, fp)) == expected
 
     def test_x1_pure_twist_rigid(self):
         frame = FrameData(1, 0)
-        assert char_tangent_x1(frame, fp_x1([H(1)], [()], [()])) == {}
+        assert whole_tangent_x1(frame, fp_x1([H(1)], [()], [()])) == {}
 
     def test_x1_single_box_first_chart(self):
         frame = FrameData(1, 0)
-        ch = char_tangent_x1(frame, fp_x1([H(0)], [(1,)], [()]))
+        ch = whole_tangent_x1(frame, fp_x1([H(0)], [(1,)], [()]))
         assert ch == counted(mono_t(-1, 1), mono_t(2, 0))
 
     def test_x1_single_box_second_chart(self):
         frame = FrameData(1, 0)
-        ch = char_tangent_x1(frame, fp_x1([H(0)], [()], [(1,)]))
+        ch = whole_tangent_x1(frame, fp_x1([H(0)], [()], [(1,)]))
         assert ch == counted(mono_t(0, 2), mono_t(1, -1))
 
     def test_x1_rank_two_boxes_in_both_charts(self):
         # kvec = (1, -1): the off-diagonal chart weights are shifted by
         # t_i^(2(k_beta - k_alpha)) = t_i^(-/+4)
         frame = FrameData(2, 0)
-        ch = char_tangent_x1(frame, fp_x1([H(1), H(-1)], [(1,), ()], [(), (1,)]))
+        ch = whole_tangent_x1(frame, fp_x1([H(1), H(-1)], [(1,), ()], [(), (1,)]))
         e21, e12 = {2: 1, 1: -1}, {1: 1, 2: -1}
         assert ch == counted(
             mono_t(-1, 1), mono_t(2, 0), mono_t(0, 2), mono_t(1, -1),
@@ -212,7 +212,7 @@ class TestTangentCharacters:
 
     def test_x1_rank_two_twists(self):
         frame = FrameData(2, 0)
-        ch = char_tangent_x1(frame, fp_x1([H(1), H(-1)], [(), ()], [(), ()]))
+        ch = whole_tangent_x1(frame, fp_x1([H(1), H(-1)], [(), ()], [(), ()]))
         assert char_rank(ch) == 8
         e21 = mono_t(0, 0, {2: 1, 1: -1})
         e12 = mono_t(0, 0, {1: 1, 2: -1})
@@ -226,7 +226,7 @@ class TestTangentCharacters:
     @staticmethod
     def _x1_reference(frame, fp):
         """The resolved tangent character with each chart applied as an
-        exponent matrix to char_n, then shifted by t_i^(2(k_b - k_a))."""
+        exponent matrix to the plane pair character, then shifted by t_i^(2(k_b - k_a))."""
         charts = (((2, -1), (0, 1)), ((1, 0), (-1, 2)))
         out = Counter()
         for a in range(frame.r):
@@ -237,7 +237,7 @@ class TestTangentCharacters:
                     out[mono_mul(m, ratio)] += n
                 for side, (ys, m) in enumerate(zip((fp.y1, fp.y2), charts)):
                     shift = (delta, 0) if side == 0 else (0, delta)
-                    for (p, q, e), n in char_n(ys[a], ys[b], a + 1, b + 1).items():
+                    for (p, q, e), n in char_tangent_p2(a + 1, b + 1, ys[a], ys[b]).items():
                         image = (
                             m[0][0] * p + m[0][1] * q + shift[0],
                             m[1][0] * p + m[1][1] * q + shift[1],
@@ -251,7 +251,7 @@ class TestTangentCharacters:
         frame = FrameData(*w)
         for g in range(frame.w1 % 4, frame.w1 + 13, 4):
             for fp in enum_fixed_points_x1(frame, H(k), g):
-                assert char_tangent_x1(frame, fp) == self._x1_reference(frame, fp)
+                assert whole_tangent_x1(frame, fp) == self._x1_reference(frame, fp)
 
     @pytest.mark.parametrize(
         "w, k",
@@ -261,7 +261,7 @@ class TestTangentCharacters:
         frame = FrameData(*w)
         for g in range(frame.w1 % 4, frame.w1 + 9, 4):
             ranks = {
-                char_rank(char_tangent_x1(frame, fp))
+                char_rank(whole_tangent_x1(frame, fp))
                 for fp in enum_fixed_points_x1(frame, H(k), g)
             }
             assert len(ranks) <= 1

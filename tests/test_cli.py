@@ -201,6 +201,23 @@ class TestDeterminism:
             main(self.ARGS)
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("env, flag, code", [
+        ("2", "0", 0),  # a valid environment value skips the flag's check
+        ("0", "1", 2),
+        (None, "0", 2),
+    ])
+    def test_env_takes_precedence_over_the_flag(self, capsys, monkeypatch, env, flag, code):
+        if env is not None:
+            monkeypatch.setenv("NEKRASOV_THREADS", env)
+        else:
+            monkeypatch.delenv("NEKRASOV_THREADS", raising=False)
+        try:
+            got = main(self.ARGS + ["--threads", flag])
+        except SystemExit as err:
+            got = err.code
+        capsys.readouterr()
+        assert got == code
+
 
 class TestWallsCommand:
     def test_text(self, capsys):

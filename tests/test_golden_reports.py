@@ -18,7 +18,12 @@ those values off each coefficient's degree and the shared value table
 changes nothing.  ``compute zp2`` at w1 = 4 was recorded while ``compute``
 built its series outside ``verify.SeriesPair``; it pins the plane series'
 truncation at (max4n - w1)/4 levels, which ``max4n // 4`` would overshoot
-by one."""
+by one.  The last three were recorded while every fixed point's term was
+built from its whole characters, before terms were read off factors
+cached per slot and slot pair; they run at sizes where those cached pieces
+repeat across fixed points (rank 3 with k != 0 on both surfaces, and the
+blow-up side at half-integer k, where one chart image serves many terms),
+so they pin that the cached pieces build the same terms."""
 
 import hashlib
 import os
@@ -86,6 +91,19 @@ GOLDEN = [
     (
         "compute zp2 --w0 1 --w1 4 --k 0 --max-n 2",
         "1d183ce500bb74c1df5f11e605c8d964482c2312d8d1bdac3e3b44bc23f7dce2",
+    ),
+    # cached slot and slot-pair factors reused across fixed points
+    (
+        "check all --w0 1 --w1 2 --k 1 --max-n 2",
+        "75ef340b71d3b5bb8c7cf97482d0aa33226201896415bdc7ce63e1003bb6380f",
+    ),
+    (
+        "check all --w0 3 --w1 0 --k -1 --max-n 2",
+        "e6a8ba353e3f7bf74650525e4a0fbd85c8a475c3f6675f144cc51727235e7185",
+    ),
+    (
+        "compute zx1-fact --w0 2 --w1 1 --k -1/2 --max-n 3",
+        "dc867e1028647a51f3500c361aa0df42a7a92937f6e323e3a56b2d78721b5a5a",
     ),
 ]
 

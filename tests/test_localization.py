@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nekrasov.characters import char_lk
 from nekrasov.diagrams import (
@@ -12,6 +14,7 @@ from nekrasov.diagrams import (
     HalfInt,
     diagram_tuples,
     enum_fixed_points_x0,
+    enum_fixed_points_x1,
     enum_kvectors,
 )
 from nekrasov.exact import (
@@ -36,6 +39,7 @@ from nekrasov.localization import (
     term_x1,
     weight_form,
 )
+from whole_fixed_point import reference_term_p2, reference_term_x0, reference_term_x1
 
 
 def H(text):
@@ -122,16 +126,16 @@ class TestMatterEuler:
 
 class TestPlaneTerms:
     def test_empty_tuple_is_unit(self):
-        assert term_p2(1, [()]) == UNIT_TERM
+        assert term_p2(1, [()], {}) == UNIT_TERM
 
     def test_single_box(self):
-        got = term_eval(term_p2(1, [(1,)]), GENERIC)
+        got = term_eval(term_p2(1, [(1,)], {}), GENERIC)
         p = GENERIC
         expected = matter_values(p, p[var_a(1)]) / (p[EPS1] * p[EPS2])
         assert got == expected
 
     def test_column_of_two(self):
-        got = term_eval(term_p2(1, [(2,)]), GENERIC)
+        got = term_eval(term_p2(1, [(2,)], {}), GENERIC)
         p = GENERIC
         expected = matter_values(p, p[var_a(1)], p[var_a(1)] - p[EPS2]) / (
             2 * p[EPS2] * p[EPS2] * (p[EPS1] - p[EPS2]) * p[EPS1]
@@ -147,7 +151,7 @@ class TestPlaneTerms:
                 values[var_m(4)] = Fraction(13)
             for total in range(4):
                 for tup in diagram_tuples(r, total):
-                    term = term_p2(r, tup)  # no VanishingWeight
+                    term = term_p2(r, tup, {})  # no VanishingWeight
                     term_eval(term, values)  # no PoleError at a generic point
 
 
@@ -155,15 +159,15 @@ class TestOrbifoldTerms:
     def test_single_box_dim_zero(self):
         frame = FrameData(1, 0)
         (fp,) = enum_fixed_points_x0(frame, 1, 0)
-        got = term_x0(frame, fp)
+        got = term_x0(frame, fp, {})
         assert got.factors == matter_euler(counted(mono_t(0, 0, {1: 1})), 1).factors
 
     def test_two_box_pair(self):
         frame = FrameData(1, 0)
         column, row = enum_fixed_points_x0(frame, 1, 1)
         p = GENERIC
-        col_val = term_eval(term_x0(frame, column), p)
-        row_val = term_eval(term_x0(frame, row), p)
+        col_val = term_eval(term_x0(frame, column, {}), p)
+        row_val = term_eval(term_x0(frame, row, {}), p)
         num = matter_values(p, p[var_a(1)])
         assert col_val == num / (2 * p[EPS2] * (p[EPS1] - p[EPS2]))
         assert row_val == num / (2 * p[EPS1] * (p[EPS2] - p[EPS1]))
@@ -173,7 +177,7 @@ class TestOrbifoldTerms:
         frame = FrameData(1, 0)
         fps = enum_fixed_points_x0(frame, 1, 1)
         for p in (GENERIC, point(2, -5, 1, 0, 4), point(Fraction(1, 3), 9, -2, 1, 1)):
-            total = sum(term_eval(term_x0(frame, fp), p) for fp in fps)
+            total = sum(term_eval(term_x0(frame, fp, {}), p) for fp in fps)
             expected = matter_values(p, p[var_a(1)]) / (2 * p[EPS1] * p[EPS2])
             assert total == expected
 
@@ -181,11 +185,11 @@ class TestOrbifoldTerms:
 class TestResolvedTerms:
     def test_empty_is_unit(self):
         frame = FrameData(1, 0)
-        assert term_x1(frame, fp_x1([H(0)], [()], [()])) == UNIT_TERM
+        assert term_x1(frame, fp_x1([H(0)], [()], [()]), {}) == UNIT_TERM
 
     def test_pure_twist(self):
         frame = FrameData(1, 0)
-        got = term_x1(frame, fp_x1([H(1)], [()], [()]))
+        got = term_x1(frame, fp_x1([H(1)], [()], [()]), {})
         p = GENERIC
         expected = Fraction(1)
         for f in (1, 2):
@@ -194,7 +198,7 @@ class TestResolvedTerms:
 
     def test_single_box_first_chart(self):
         frame = FrameData(1, 0)
-        got = term_x1(frame, fp_x1([H(0)], [(1,)], [()]))
+        got = term_x1(frame, fp_x1([H(0)], [(1,)], [()]), {})
         p = GENERIC
         expected = matter_values(p, p[var_a(1)]) / (
             (p[EPS2] - p[EPS1]) * 2 * p[EPS1]
@@ -204,11 +208,11 @@ class TestResolvedTerms:
 
 class TestEllFactor:
     def test_zero_vector_is_unit(self):
-        assert ell_factor(FrameData(1, 0), (H(0),)) == UNIT_TERM
-        assert ell_factor(FrameData(2, 0), (H(0), H(0))) == UNIT_TERM
+        assert ell_factor(FrameData(1, 0), (H(0),), {}) == UNIT_TERM
+        assert ell_factor(FrameData(2, 0), (H(0), H(0)), {}) == UNIT_TERM
 
     def test_rank_one_twist(self):
-        got = ell_factor(FrameData(1, 0), (H(1),))
+        got = ell_factor(FrameData(1, 0), (H(1),), {})
         p = GENERIC
         expected = Fraction(1)
         for f in (1, 2):
@@ -217,7 +221,7 @@ class TestEllFactor:
 
     def test_rank_two_opposite_twists(self):
         frame = FrameData(2, 0)
-        got = ell_factor(frame, (H(1), H(-1)))
+        got = ell_factor(frame, (H(1), H(-1)), {})
         p = dict(GENERIC)
         p[var_a(2)] = Fraction(-4, 5)
         p[var_m(3)] = Fraction(8)
@@ -258,4 +262,71 @@ class TestEllFactor:
                 expected = term_mul(
                     matter_euler(num, frame.r), term_pow(euler_class(den), -1)
                 )
-                assert ell_factor(frame, kvec) == expected
+                assert ell_factor(frame, kvec, {}) == expected
+
+
+# Every framing of rank 1 to 3.
+FRAMES = [(w0, w1) for w0 in range(4) for w1 in range(4) if 1 <= w0 + w1 <= 3]
+
+
+def _series_fixed_points(kind, frame, doubled, levels):
+    """The fixed points one series of `kind` sums, up to `levels` levels
+    above its base grade."""
+    if kind == "p2":
+        return [tup for n in range(levels + 1) for tup in diagram_tuples(frame.r, n)]
+    if kind == "x0":
+        fps = []
+        for v0 in range(levels + 1):
+            v1_doubled = 2 * v0 + frame.w1 + doubled
+            if v1_doubled >= 0 and v1_doubled % 2 == 0:
+                fps += enum_fixed_points_x0(frame, v0, v1_doubled // 2)
+        return fps
+    return [
+        fp
+        for g in range(frame.w1 % 4, frame.w1 + 4 * levels + 1, 4)
+        for fp in enum_fixed_points_x1(frame, HalfInt(doubled), g)
+    ]
+
+
+class TestSharedFactorTable:
+    """A term built from the factors one table caches per slot and slot
+    pair equals the whole-fixed-point term (one Euler class each for the
+    whole matter and tangent characters), whatever the order in which the
+    table's fixed points come."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_terms_equal_the_whole_fixed_point_reference(self, data):
+        frame = FrameData(*data.draw(st.sampled_from(FRAMES), label="w"))
+        kind = data.draw(st.sampled_from(["p2", "x0", "x1"]), label="kind")
+        doubled = data.draw(
+            st.sampled_from([d for d in range(-2, 3) if (d + frame.w1) % 2 == 0]),
+            label="2k",
+        )
+        levels = data.draw(st.integers(0, 2), label="levels")
+        fps = _series_fixed_points(kind, frame, doubled, levels)
+        build = {
+            "p2": lambda fp, table: term_p2(frame.r, fp, table),
+            "x0": lambda fp, table: term_x0(frame, fp, table),
+            "x1": lambda fp, table: term_x1(frame, fp, table),
+        }[kind]
+        reference = {
+            "p2": lambda fp: reference_term_p2(frame.r, fp),
+            "x0": lambda fp: reference_term_x0(frame, fp),
+            "x1": lambda fp: reference_term_x1(frame, fp),
+        }[kind]
+        order = data.draw(st.permutations(range(len(fps))), label="order")
+        table: dict = {}
+        for i in order:
+            assert build(fps[i], table) == reference(fps[i])
+
+    def test_pieces_repeat_across_fixed_points(self):
+        # the table holds fewer pieces than the fixed points draw on: a
+        # rank-2 resolved point has 2 slots and 4 slot pairs, each with a
+        # line-bundle piece and two chart pieces
+        frame = FrameData(2, 0)
+        fps = [fp for g in (0, 4, 8) for fp in enum_fixed_points_x1(frame, H(0), g)]
+        table: dict = {}
+        for fp in fps:
+            term_x1(frame, fp, table)
+        assert len(table) < len(fps) * (2 + 4) * 3

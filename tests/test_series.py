@@ -2,7 +2,12 @@
 
 from fractions import Fraction
 
-from nekrasov.diagrams import FrameData, HalfInt
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nekrasov import localization, series
+from nekrasov.diagrams import FixedPointX1, FrameData, HalfInt
 from nekrasov.exact import (
     EPS1,
     EPS2,
@@ -26,6 +31,8 @@ from nekrasov.series import (
     series_zx1,
     series_zx1_factorized,
 )
+from nekrasov.verify import union_pole_forms
+from whole_fixed_point import reference_term_p2, reference_term_x0, reference_term_x1
 
 
 def H(text):
@@ -249,7 +256,7 @@ class TestScaleAndShift:
         frame = FrameData(1, 0)
         kvec = (H(1),)
         zp2 = series_zp2(1, 1)
-        ell = ell_factor(frame, kvec)
+        ell = ell_factor(frame, kvec, {})
         whole = series_zx1_factorized(frame, H(1), 8)
         for p in POINTS:
             p1 = map_point(p, rule_chart(1, kvec))
@@ -315,3 +322,72 @@ class TestConventionMap:
         p = point(1, 1, 3, 5, 0)
         converted = map_to_imo(p, frame)
         assert converted["mu2"] == 1
+
+
+FRAMES = [(w0, w1) for w0 in range(4) for w1 in range(4) if 1 <= w0 + w1 <= 3]
+
+
+def _build_all(frame, k, max4n):
+    return {
+        "zp2": series_zp2(frame.r, (max4n - frame.w1) // 4),
+        "zx0": series_zx0(frame, k, max4n),
+        "zx1": series_zx1(frame, k, max4n),
+        "zx1-fact": series_zx1_factorized(frame, k, max4n),
+    }
+
+
+def _reference_ell(frame, kvec, table):
+    empties = ((),) * frame.r
+    return reference_term_x1(frame, FixedPointX1(kvec, empties, empties))
+
+
+def _reference_substitute(t, rule, images):
+    return factored_term(t.scalar, [(form.substitute(rule), exp) for form, exp in t.factors])
+
+
+class TestFactorTables:
+    """Series built from per-build factor tables equal the same series with
+    every term built the whole-fixed-point way and every chart substituted
+    form by form, and they leave no table behind."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        w=st.sampled_from(FRAMES),
+        doubled=st.integers(-2, 2),
+        levels=st.integers(0, 2),
+    )
+    def test_series_equal_the_reference(self, w, doubled, levels):
+        frame = FrameData(*w)
+        k, max4n = HalfInt(doubled), 4 * levels + frame.w1
+        built = _build_all(frame, k, max4n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "term_p2", lambda r, tup, table: reference_term_p2(r, tup))
+            mp.setattr(series, "term_x0", lambda fr, fp, table: reference_term_x0(fr, fp))
+            mp.setattr(series, "term_x1", lambda fr, fp, table: reference_term_x1(fr, fp))
+            mp.setattr(series, "ell_factor", _reference_ell)
+            mp.setattr(series, "term_substitute", _reference_substitute)
+            reference = _build_all(frame, k, max4n)
+        for name, ref in reference.items():
+            assert built[name].coeffs == ref.coeffs, name
+            assert union_pole_forms(built[name]) == union_pole_forms(ref), name
+
+    def test_no_module_level_table_survives_a_build(self):
+        def state(module):
+            sizes = {
+                name: len(value)
+                for name, value in vars(module).items()
+                if not name.startswith("__") and isinstance(value, (dict, list, set))
+            }
+            memos = [
+                name
+                for name, value in vars(module).items()
+                if hasattr(value, "cache_info")
+                and getattr(value, "__module__", None) == module.__name__
+            ]
+            return sizes, memos
+
+        before = {m: state(m) for m in (localization, series)}
+        _build_all(FrameData(1, 2), H(0), 6)
+        for module, (sizes, memos) in before.items():
+            assert state(module) == (sizes, memos)
+            assert memos == []

@@ -1,0 +1,96 @@
+"""Whole-fixed-point characters and localization terms, as test references.
+
+The engine builds a fixed point's characters one framing slot or slot
+pair at a time (``nekrasov.characters``) and its term from factors cached
+per piece (``nekrasov.localization``).  The helpers here sum a fixed
+point's pieces into its whole tautological and tangent characters, and
+build its term the direct way: one matter Euler class of the whole
+tautological character, one Euler class of the whole tangent character,
+then num * den^-1.
+"""
+
+from collections import Counter
+
+from nekrasov.characters import (
+    char_tangent_p2,
+    char_tangent_twist,
+    char_tangent_x0,
+    char_tangent_x1,
+    char_v_p2,
+    char_v_twist,
+    char_v_x0,
+    char_v_x1,
+)
+from nekrasov.exact import term_mul, term_pow
+from nekrasov.localization import euler_class, matter_euler
+
+
+def _sum(pieces) -> Counter:
+    total = Counter()
+    for piece in pieces:
+        total.update(piece)
+    return total
+
+
+def _slot_pairs(r):
+    return [(a, b) for a in range(1, r + 1) for b in range(1, r + 1)]
+
+
+def whole_v_p2(diagrams) -> Counter:
+    return _sum(char_v_p2(a, y) for a, y in enumerate(diagrams, start=1))
+
+
+def whole_v_x0(frame, fp, s) -> Counter:
+    return _sum(char_v_x0(frame, a, y, s) for a, y in enumerate(fp.diagrams, start=1))
+
+
+def whole_v_x1(frame, fp, s) -> Counter:
+    pieces = []
+    for a in range(1, frame.r + 1):
+        d = fp.kvec[a - 1].doubled
+        pieces.append(char_v_twist(a, d, s))
+        pieces.append(char_v_x1(a, d, 1, fp.y1[a - 1], s))
+        pieces.append(char_v_x1(a, d, 2, fp.y2[a - 1], s))
+    return _sum(pieces)
+
+
+def whole_tangent_p2(r, diagrams) -> Counter:
+    return _sum(
+        char_tangent_p2(a, b, diagrams[a - 1], diagrams[b - 1]) for a, b in _slot_pairs(r)
+    )
+
+
+def whole_tangent_x0(frame, fp) -> Counter:
+    ys = fp.diagrams
+    return _sum(
+        char_tangent_x0(frame, a, b, ys[a - 1], ys[b - 1]) for a, b in _slot_pairs(frame.r)
+    )
+
+
+def whole_tangent_x1(frame, fp) -> Counter:
+    pieces = []
+    for a, b in _slot_pairs(frame.r):
+        delta = fp.kvec[b - 1].doubled - fp.kvec[a - 1].doubled
+        pieces.append(char_tangent_twist(a, b, delta))
+        pieces.append(char_tangent_x1(a, b, delta, 1, fp.y1[a - 1], fp.y1[b - 1]))
+        pieces.append(char_tangent_x1(a, b, delta, 2, fp.y2[a - 1], fp.y2[b - 1]))
+    return _sum(pieces)
+
+
+def _quotient(num, den):
+    return term_mul(num, term_pow(den, -1))
+
+
+def reference_term_p2(r, diagrams):
+    num = matter_euler(whole_v_p2(diagrams), r)
+    return _quotient(num, euler_class(whole_tangent_p2(r, diagrams)))
+
+
+def reference_term_x0(frame, fp):
+    num = matter_euler(whole_v_x0(frame, fp, 0), frame.r)
+    return _quotient(num, euler_class(whole_tangent_x0(frame, fp)))
+
+
+def reference_term_x1(frame, fp):
+    num = matter_euler(whole_v_x1(frame, fp, 0), frame.r)
+    return _quotient(num, euler_class(whole_tangent_x1(frame, fp)))
