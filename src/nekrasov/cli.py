@@ -16,12 +16,13 @@ builds its series once in a ``verify.SeriesPair``, draws points that
 avoid the series' denominator forms, and reads values off the pair.
 ``NEKRASOV_THREADS`` overrides ``--threads``; both are accepted for
 interface stability, but evaluation is sequential either way, so output
-is byte-identical for any thread count.  The count is a no-op: with each
-series evaluated at two points per trial and each slot and slot-pair
-factor built once per series build, evaluation is about 57% of
-``check all`` at w = (1,2) max-n 4 (1.9-2.1 of 3.5 s on a 2-core x86-64
-VM, Python 3.11, timing every coefficient evaluation in-process); the
-rest is series construction, which a pool over trials cannot share out.
+is byte-identical for any thread count.  The count is a no-op: each
+series is compiled once into an integer kernel and evaluated at two
+points per trial, so evaluation, compiling included, is about 28% of
+``check all`` at w = (1,2) max-n 4 (0.45-0.57 of 1.6-2.1 s on a 2-core
+x86-64 VM, Python 3.11, timing every kernel compile and evaluation
+in-process); the rest is series construction, which a pool over trials
+cannot share out.
 """
 
 from __future__ import annotations

@@ -23,12 +23,16 @@ held exactly.  Building, adding, substituting, hashing and comparing forms
 is therefore int arithmetic with one gcd reduction per form.
 
 Scalars and sample-point values are ``fractions.Fraction``.  Evaluation
-also works in ints: the point is scaled to one common denominator D, each
-factor's form becomes an integer dot product (its value times D times the
-form's denominator), and each term is accumulated as one integer
-numerator/denominator pair.  A ``Fraction`` is made once per term; term
-values and their sums are ``Fraction``, so the arithmetic stays arbitrary
-precision and exact.
+works in ints through a `Kernel`, compiled once from a list of
+coefficients: each distinct form gets one slot, and each term becomes its
+integer constants (the scalar with the form denominators folded in), the
+slots of its numerator and denominator factors, each repeated by its
+exponent, and its degree.  At a point the kernel scales the point to one
+common denominator D, takes one integer dot product per slot (the form's
+value times D times its denominator), and forms each term from products
+of those ints.  Each coefficient's terms are added as int fractions, in
+pairs over the lcm of their denominators, and a ``Fraction`` is made once
+per coefficient, so the arithmetic stays arbitrary precision and exact.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping
 
 _KIND_RANK = {"eps": 0, "a": 1, "m": 2}
@@ -263,10 +267,6 @@ class FactoredTerm:
     def is_zero(self) -> bool:
         return self.scalar == 0
 
-    def evaluate(self, point: Mapping[Var, Fraction]) -> Fraction:
-        ints, d = _scale_point(point)
-        return _term_value(self, ints, d, point)
-
     def __str__(self) -> str:
         if not self.factors:
             return format_rational(self.scalar)
@@ -317,48 +317,6 @@ def clear_of(forms: Iterable[LinearForm], point: Mapping[Var, Fraction]) -> bool
     return True
 
 
-def _term_value(
-    t: FactoredTerm, ints: Mapping[int, int], d: int, point: Mapping[Var, Fraction]
-) -> Fraction:
-    """Value of `t` at the point that `_scale_point` turned into (ints, d).
-
-    A factor (sum n_i v_i) / den has the value (sum n_i ints_i) / (den D),
-    so each factor is one int dot product and its denominator is read once.
-    A vanishing factor with negative exponent is a pole even if an earlier
-    factor already vanished; otherwise a vanishing factor makes the term 0."""
-    if t.scalar == 0:
-        return Fraction(0)
-    num, den = t.scalar.numerator, t.scalar.denominator
-    degree = 0
-    vanished = False
-    for form, exp in t.factors:
-        value = 0
-        for s, n in form.pairs:
-            value += n * ints[s]
-        if value == 0:
-            if exp < 0:
-                raise PoleError(f"pole: ({form})^{exp} at {point}")
-            vanished = True
-            continue
-        q = form.den
-        if exp > 0:
-            num *= value**exp
-            if q != 1:
-                den *= q**exp
-        else:
-            den *= value**-exp
-            if q != 1:
-                num *= q**-exp
-        degree += exp
-    if vanished:
-        return Fraction(0)
-    if degree > 0:
-        den *= d**degree
-    else:
-        num *= d**-degree
-    return Fraction(num, den)
-
-
 def term_mul(a: FactoredTerm, b: FactoredTerm) -> FactoredTerm:
     """Product of two terms; factor exponents add, invariants restored."""
     if a.is_zero() or b.is_zero():
@@ -384,7 +342,7 @@ def term_scale(t: FactoredTerm, c: Fraction | int) -> FactoredTerm:
 
 
 def term_eval(t: FactoredTerm, point: Mapping[Var, Fraction]) -> Fraction:
-    return t.evaluate(point)
+    return coeff_eval((t,), point)
 
 
 def term_substitute(
@@ -410,11 +368,98 @@ Coefficient = tuple
 
 
 def coeff_eval(c: Coefficient, point: Mapping[Var, Fraction]) -> Fraction:
-    ints, d = _scale_point(point)
-    total = Fraction(0)
-    for t in c:
-        total += _term_value(t, ints, d, point)
-    return total
+    return Kernel((c,)).evaluate(point)[0]
+
+
+class Kernel:
+    """Coefficients compiled for integer evaluation.
+
+    `forms` holds each distinct form once: equal forms share one slot.  A
+    term is (num0, den0, num, den, degree): the int fraction num0/den0 is
+    its scalar with its forms' denominators folded in, num and den are
+    the slots of its factors with positive and with negative exponent,
+    each repeated by its exponent, and degree is the sum of exponents.  A
+    form (sum n_i v_i) / q takes the value (sum n_i ints_i) / (q D) at a
+    point scaled to (ints, D), so the term is num0 * prod(num values) /
+    (den0 * prod(den values)) times D^-degree.  Zero terms are dropped."""
+
+    __slots__ = ("forms", "_coeffs")
+
+    def __init__(self, coefficients: Iterable[Coefficient]) -> None:
+        slots: dict[tuple, int] = {}  # (pairs, den) -> slot: equal forms share one
+        self.forms: list[LinearForm] = []
+        self._coeffs = []
+        for c in coefficients:
+            terms = []
+            for t in c:
+                if t.scalar == 0:
+                    continue
+                num0, den0 = t.scalar.numerator, t.scalar.denominator
+                num: list[int] = []
+                den: list[int] = []
+                for form, exp in t.factors:
+                    key = (form.pairs, form.den)
+                    slot = slots.get(key)
+                    if slot is None:
+                        slot = slots[key] = len(self.forms)
+                        self.forms.append(form)
+                    if exp == 1:
+                        num.append(slot)
+                    elif exp == -1:
+                        den.append(slot)
+                    elif exp > 0:
+                        num += [slot] * exp
+                    else:
+                        den += [slot] * -exp
+                    if form.den != 1:
+                        if exp > 0:
+                            den0 *= form.den**exp
+                        else:
+                            num0 *= form.den**-exp
+                terms.append((num0, den0, tuple(num), tuple(den), len(num) - len(den)))
+            self._coeffs.append(terms)
+
+    def evaluate(self, point: Mapping[Var, Fraction]) -> list[Fraction]:
+        """Every coefficient's value at `point`, in compile order.  A
+        vanishing denominator factor is a pole even where a numerator
+        factor vanishes too; otherwise a vanishing factor makes its term 0."""
+        ints, d = _scale_point(point)
+        values = [sum([n * ints[s] for s, n in form.pairs]) for form in self.forms]
+        at = values.__getitem__
+        powers = {0: 1}
+        out = []
+        for terms in self._coeffs:
+            parts = []
+            for num0, den0, num, den, degree in terms:
+                q = prod(map(at, den), start=den0)
+                if not q:
+                    slot = next(s for s in den if not values[s])
+                    raise PoleError(f"pole: ({self.forms[slot]})^{-den.count(slot)} at {point}")
+                p = prod(map(at, num), start=num0)
+                if not p:
+                    continue
+                scale = powers.get(degree)
+                if scale is None:
+                    scale = powers[degree] = d ** abs(degree)
+                parts.append((p, q * scale) if degree > 0 else (p * scale, q))
+            out.append(_sum_fractions(parts))
+        return out
+
+
+def _sum_fractions(parts: list[tuple[int, int]]) -> Fraction:
+    """The sum of p/q over `parts` as one Fraction.  Parts are added in
+    pairs, level by level, each pair over the lcm of its denominators (one
+    gcd each); a running sum would carry the whole lcm into every later
+    addition."""
+    while len(parts) > 1:
+        merged = []
+        for (p1, q1), (p2, q2) in zip(parts[::2], parts[1::2]):
+            g = gcd(q1, q2)
+            merged.append((p1 * (q2 // g) + p2 * (q1 // g), q1 // g * q2))
+        if len(parts) % 2:
+            merged.append(parts[-1])
+        parts = merged
+    return Fraction(*parts[0]) if parts else Fraction(0)
 
 
 def coeff_degree(c: Coefficient) -> int | None:

@@ -39,12 +39,15 @@ to one common denominator once, and each form is one int dot product.
 
 The pair also holds one value table per invocation: a series read at a
 point is evaluated once, keyed by (series, the point's values), and every
-later read of it, by any check, is served from the table.  The table
-holds only the values and dies with the pair.  Every linear form has no
-constant part, so a coefficient whose terms all have one total degree d
-(the sum of the factor exponents) takes exactly (-1)^d times its value
-at p at the point -p, and its forms vanish at -p exactly when they vanish
-at p.  symmetry therefore reports (-1)^d times the plain value as its
+later read of it, by any check, is served from the table.  That one
+evaluation is one call of the series' exact.Kernel, which the pair
+compiles on first use: each distinct form of the series is one int dot
+product per point, and each grade's value is one Fraction.  Kernels and
+table hold only what they compute and die with the pair.  Every linear
+form has no constant part, so a coefficient whose terms all have one
+total degree d (the sum of the factor exponents) takes exactly (-1)^d
+times its value at p at the point -p, and its forms vanish at -p exactly
+when they vanish at p.  symmetry therefore reports (-1)^d times the plain value as its
 flipped side, and must reads beta at -(a, m) p, the full flip of -eps p,
 as (-1)^d times the orbifold value at -eps p that main reads.  A
 coefficient of mixed degree is evaluated at the flipped point instead,
@@ -76,11 +79,11 @@ from fractions import Fraction
 from .diagrams import FrameData, HalfInt
 from .exact import (
     EvalPoint,
+    Kernel,
     LinearForm,
     clear_of,
     coeff_degree,
     coeff_denominator_forms,
-    coeff_eval,
     format_rational,
     scope_vars,
     term_eval,
@@ -201,16 +204,18 @@ class SeriesPair:
     """Every series of one (frame, k, max4n), each built on first use and
     then kept, so checks that share a pair share the series.
 
-    The pair also keeps, per series, its plain denominator forms and its
-    coefficients' degrees, each collected once, and one value table: a
-    series read at a point is evaluated once, keyed by (series name, the
-    point's values), and then served to every check from the table."""
+    The pair also keeps, per series, its plain denominator forms, its
+    coefficients' degrees and its compiled kernel, each made once, and one
+    value table: a series read at a point is evaluated once, keyed by
+    (series name, the point's values), and then served to every check
+    from the table."""
 
     def __init__(self, frame: FrameData, k: HalfInt, max4n: int) -> None:
         self.key = (frame, k, max4n)
         self._series: dict[str, QSeries] = {}
         self._forms: dict[str, list[LinearForm]] = {}
         self._degrees: dict[str, dict] = {}
+        self._kernels: dict[str, Kernel] = {}
         self._values: dict[tuple, dict] = {}
 
     def series(self, name: str) -> QSeries:
@@ -249,26 +254,36 @@ class SeriesPair:
             self._degrees[name] = {g: coeff_degree(series.coefficient(g)) for g in series.grades()}
         return self._degrees[name]
 
+    def _evaluate(self, name: str, image: EvalPoint) -> dict:
+        """{grade: value} of series `name` at `image`, from the series'
+        kernel, compiled on first use."""
+        kernel = self._kernels.get(name)
+        series = self.series(name)
+        if kernel is None:
+            kernel = self._kernels[name] = Kernel(map(series.coefficient, series.grades()))
+        return dict(zip(series.grades(), kernel.evaluate(image)))
+
     def values(self, name: str, image: EvalPoint) -> dict:
         """{grade: value} of series `name` at `image`, evaluated once per
         distinct image."""
         key = (name, tuple(image.values()))
         values = self._values.get(key)
         if values is None:
-            series = self.series(name)
-            values = {g: coeff_eval(series.coefficient(g), image) for g in series.grades()}
-            self._values[key] = values
+            values = self._values[key] = self._evaluate(name, image)
         return values
 
     def negated(self, name: str, image: EvalPoint) -> dict:
         """{grade: value} of series `name` at -image.  A coefficient whose
         terms share one degree d takes (-1)^d times its value at `image`;
-        any other is evaluated at -image."""
-        series, plain = self.series(name), self.values(name, image)
+        if any coefficient mixes degrees, the series is evaluated at -image
+        and that coefficient read from there."""
+        plain, degrees = self.values(name, image), self.degrees(name)
+        if None in degrees.values():
+            flipped = self._evaluate(name, {v: -x for v, x in image.items()})
         out = {}
-        for g, d in self.degrees(name).items():
+        for g, d in degrees.items():
             if d is None:
-                out[g] = coeff_eval(series.coefficient(g), {v: -x for v, x in image.items()})
+                out[g] = flipped[g]
             else:
                 out[g] = -plain[g] if d % 2 else plain[g]
         return out

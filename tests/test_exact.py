@@ -4,13 +4,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nekrasov.exact import (
     EPS1,
     EPS2,
     FactoredTerm,
+    Kernel,
     PoleError,
     Var,
     coeff_degree,
@@ -296,6 +297,88 @@ class TestKernelAgainstReference:
             term_eval(t, point)
         with pytest.raises(PoleError):
             coeff_eval((factored_term(1), t), point)
+
+
+# A kernel compiled from several coefficients that draw their forms from one
+# small pool.  Every use rebuilds its form from the pool's coefficients, so
+# equal forms reach the kernel as distinct objects; halves give forms of
+# denominator 2, and zero-scalar terms keep a factor that may be a pole.
+_SLOT_COEFFS = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)]
+_EXPONENTS = [-3, -2, -1, 1, 2, 3]
+
+
+@st.composite
+def _compiled_coefficients(draw):
+    pool = draw(
+        st.lists(
+            st.lists(st.sampled_from(_SLOT_COEFFS), min_size=4, max_size=4).filter(any),
+            min_size=1,
+            max_size=4,
+        )
+    )
+
+    def rebuilt(i):
+        return linear_form(dict(zip(_POOL_VARS, pool[i])))
+
+    index = st.integers(0, len(pool) - 1)
+    factors = st.lists(st.tuples(index, st.sampled_from(_EXPONENTS)), max_size=4)
+    term = st.one_of(
+        st.builds(
+            lambda s, fs: factored_term(s, [(rebuilt(i), e) for i, e in fs]),
+            st.sampled_from([F(1), F(-2), F(3, 4), F(-5, 7)]),
+            factors,
+        ),
+        st.builds(lambda i, e: FactoredTerm(F(0), ((rebuilt(i), e),)), index, st.sampled_from(_EXPONENTS)),
+    )
+    return [tuple(c) for c in draw(st.lists(st.lists(term, max_size=4), min_size=1, max_size=3))]
+
+
+_E1, _E2 = linear_form({EPS1: 1}), linear_form({EPS2: 1})
+_HALF_E2 = linear_form({EPS2: F(1, 2)})
+
+
+class TestCompiledKernel:
+    @settings(max_examples=200)
+    @given(coeffs=_compiled_coefficients(), point=_kernel_point)
+    # negative denominators: 1/eps1 + 2/(eps1 eps2)^2 - 1/(2 eps2)
+    @example(
+        coeffs=[(
+            factored_term(1, [(_E1, -1)]),
+            factored_term(2, [(_E1, -2), (_E2, -2)]),
+            factored_term(F(-1, 2), [(_E2, -1)]),
+        )],
+        point={EPS1: F(-2), EPS2: F(-1, 3)},
+    )
+    # a vanishing numerator makes its term 0, and an empty coefficient is 0
+    @example(
+        coeffs=[(factored_term(5, [(_E1, 3), (_E2, -1)]), factored_term(F(1, 2), [(_E2, -2)])), ()],
+        point={EPS1: F(0), EPS2: F(2)},
+    )
+    # a denominator vanishing after a vanished numerator factor is a pole,
+    # after another coefficient was read clean
+    @example(
+        coeffs=[(factored_term(1, [(_E1, 1)]),), (factored_term(1, [(_HALF_E2, -2), (_E1, 1)]),)],
+        point={EPS1: F(0), EPS2: F(0)},
+    )
+    def test_kernel_matches_the_reference_with_one_slot_per_form(self, coeffs, point):
+        kernel = Kernel(coeffs)
+        forms = {form for c in coeffs for t in c if t.scalar for form, _ in t.factors}
+        assert len(kernel.forms) == len(forms) and set(kernel.forms) == forms
+        try:
+            expected = [sum((_reference_term(t, point) for t in c), F(0)) for c in coeffs]
+        except PoleError:
+            with pytest.raises(PoleError):
+                kernel.evaluate(point)
+            return
+        assert kernel.evaluate(point) == expected
+
+    def test_equal_forms_share_one_slot(self):
+        a, b = linear_form({EPS1: F(1, 2), EPS2: -1}), linear_form({EPS2: -1, EPS1: F(1, 2)})
+        assert a is not b and a == b and a.den == 2
+        kernel = Kernel([(factored_term(1, [(a, 2)]),), (factored_term(3, [(b, -3)]),)])
+        assert kernel.forms == [a]
+        # a = 1/2 + 2 = 5/2 at (1, -2)
+        assert kernel.evaluate({EPS1: F(1), EPS2: F(-2)}) == [F(25, 4), 3 / F(5, 2) ** 3]
 
 
 # Int-coded forms against a plain Fraction reference: a dict from variable

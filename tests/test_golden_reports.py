@@ -23,7 +23,12 @@ built from its whole characters, before terms were read off factors
 cached per slot and slot pair; they run at sizes where those cached pieces
 repeat across fixed points (rank 3 with k != 0 on both surfaces, and the
 blow-up side at half-integer k, where one chart image serves many terms),
-so they pin that the cached pieces build the same terms."""
+so they pin that the cached pieces build the same terms.  ``check must``
+at rank 1 was recorded while every term was evaluated factor by factor and
+added as its own ``Fraction``, before each series was read through one
+compiled kernel; it reads deep rank-1 coefficients at several points, so
+it pins that the kernel's shared slots and one-``Fraction``-per-coefficient
+sums give the same values."""
 
 import hashlib
 import os
@@ -104,6 +109,11 @@ GOLDEN = [
     (
         "compute zx1-fact --w0 2 --w1 1 --k -1/2 --max-n 3",
         "dc867e1028647a51f3500c361aa0df42a7a92937f6e323e3a56b2d78721b5a5a",
+    ),
+    # deep rank-1 coefficients read through one compiled kernel per series
+    (
+        "check must --w0 1 --w1 0 --k 1 --max-n 5 --trials 3",
+        "ec1a790754a384d4e5f8cb85d1e44d0f795f1be7e70ac24bc4f99e170e3d1132",
     ),
 ]
 

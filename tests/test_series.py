@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nekrasov import localization, series
+from nekrasov import exact, localization, series, verify
 from nekrasov.diagrams import FixedPointX1, FrameData, HalfInt
 from nekrasov.exact import (
     EPS1,
@@ -15,6 +15,7 @@ from nekrasov.exact import (
     coeff_eval,
     factored_term,
     linear_form,
+    term_eval,
     var_a,
     var_m,
 )
@@ -31,7 +32,15 @@ from nekrasov.series import (
     series_zx1,
     series_zx1_factorized,
 )
-from nekrasov.verify import union_pole_forms
+from nekrasov.verify import (
+    SampleConfig,
+    SeriesPair,
+    check_factorization,
+    check_main,
+    check_recursion_must,
+    check_symmetry,
+    union_pole_forms,
+)
 from whole_fixed_point import reference_term_p2, reference_term_x0, reference_term_x1
 
 
@@ -267,7 +276,7 @@ class TestScaleAndShift:
                     * coeff_eval(zp2.coefficient(g - 4 - g1), p2)
                     for g1 in range(0, g - 3, 4)
                 )
-                assert coeff_eval(whole.coefficient(g), p) == ell.evaluate(p) * product
+                assert coeff_eval(whole.coefficient(g), p) == term_eval(ell, p) * product
 
 
 class TestFactorizedSeries:
@@ -336,6 +345,13 @@ def _build_all(frame, k, max4n):
     }
 
 
+def check_all_pass(pair):
+    """Every check of `check all` passes on `pair`, at two points."""
+    cfg = SampleConfig(seed=161, trials=2)
+    checks = (check_main, check_factorization, check_symmetry, check_recursion_must)
+    return all(check(pair, cfg).passed for check in checks)
+
+
 def _reference_ell(frame, kvec, table):
     empties = ((),) * frame.r
     return reference_term_x1(frame, FixedPointX1(kvec, empties, empties))
@@ -386,8 +402,11 @@ class TestFactorTables:
             ]
             return sizes, memos
 
-        before = {m: state(m) for m in (localization, series)}
+        # a check compiles and evaluates kernels too; they die with its pair
+        before = {m: state(m) for m in (localization, series, exact, verify)}
         _build_all(FrameData(1, 2), H(0), 6)
+        assert check_all_pass(SeriesPair(FrameData(1, 2), H(0), 6))
         for module, (sizes, memos) in before.items():
             assert state(module) == (sizes, memos)
-            assert memos == []
+            # exact interns one Var per slot and index, and memoizes nothing else
+            assert sorted(memos) == (["_var_of_slot", "var_a", "var_m"] if module is exact else [])
