@@ -56,10 +56,6 @@ def _ratio(alpha: int, beta: int) -> tuple:
     return ((alpha, -1), (beta, 1)) if alpha < beta else ((beta, 1), (alpha, -1))
 
 
-def char_rank(ch: Counter) -> int:
-    return sum(ch.values())
-
-
 def _twist(d: int) -> Iterator[tuple[int, int]]:
     """t-exponents (p, q) of the twist character with doubled index d."""
     bound = abs(d) - 2

@@ -70,14 +70,6 @@ def leg_in(diagram: YoungDiagram, i: int, j: int) -> int:
     return column_height(transpose(diagram), j) - i
 
 
-def colored_sizes(diagram: YoungDiagram, l: int) -> tuple[int, int]:
-    """Counts of boxes with Z2-color 0 and 1 for framing color l."""
-    n = [0, 0]
-    for i, j in boxes(diagram):
-        n[(l + i + j) % 2] += 1
-    return n[0], n[1]
-
-
 @dataclass(frozen=True)
 class FrameData:
     """Framing dimensions (w0, w1); colors are 0 for the first w0 slots."""
@@ -169,16 +161,6 @@ class FixedPointX0:
     diagrams: tuple
     v0: int
     v1: int
-
-    @classmethod
-    def from_diagrams(cls, frame: FrameData, diagrams) -> "FixedPointX0":
-        diagrams = tuple(diagrams)
-        v0 = v1 = 0
-        for color, diagram in zip(frame.colors, diagrams):
-            n0, n1 = colored_sizes(diagram, color)
-            v0 += n0
-            v1 += n1
-        return cls(diagrams, v0, v1)
 
 
 def _bounded_diagrams(

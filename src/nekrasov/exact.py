@@ -14,6 +14,13 @@ normal form -- with 2 + 3r variables that blows up quickly -- instead all
 equality questions are settled by exact evaluation at rational sample
 points.
 
+A series term is a `Product` of pieces, each a canonical `FactoredTerm`
+(a localization term's pieces are its per-slot matter and per-slot-pair
+tangent factors).  Pieces are shared objects and are never merged into
+one term: `term_mul` concatenates pieces, `term_substitute` images each
+distinct piece once per rule, and a plain `FactoredTerm` counts as a
+one-piece product.
+
 A linear form is stored in ints: sorted (slot, numerator) pairs over one
 positive common denominator, in lowest terms, where a slot is an int that
 orders variables canonically.  Every form the engine builds has its
@@ -24,15 +31,17 @@ is therefore int arithmetic with one gcd reduction per form.
 
 Scalars and sample-point values are ``fractions.Fraction``.  Evaluation
 works in ints through a `Kernel`, compiled once from a list of
-coefficients: each distinct form gets one slot, and each term becomes its
-integer constants (the scalar with the form denominators folded in), the
-slots of its numerator and denominator factors, each repeated by its
-exponent, and its degree.  At a point the kernel scales the point to one
+coefficients: each distinct form gets one slot, each distinct piece
+becomes its integer constants (the scalar with the form denominators
+folded in), the slots of its numerator and denominator factors, each
+repeated by its exponent, and its degree, and each term becomes the
+indices of its pieces.  At a point the kernel scales the point to one
 common denominator D, takes one integer dot product per slot (the form's
-value times D times its denominator), and forms each term from products
-of those ints.  Each coefficient's terms are added as int fractions, in
-pairs over the lcm of their denominators, and a ``Fraction`` is made once
-per coefficient, so the arithmetic stays arbitrary precision and exact.
+value times D times its denominator), forms one int numerator and
+denominator per piece, and each term as the product of its pieces' ints.
+Each coefficient's terms are added as int fractions, in pairs over the
+lcm of their denominators, and a ``Fraction`` is made once per
+coefficient, so the arithmetic stays arbitrary precision and exact.
 """
 
 from __future__ import annotations
@@ -151,12 +160,6 @@ class LinearForm:
     def is_zero(self) -> bool:
         return not self.pairs
 
-    def coefficient(self, v: Var) -> Fraction:
-        for s, n in self.pairs:
-            if s == v.slot:
-                return Fraction(n, self.den)
-        return Fraction(0)
-
     def sort_key(self) -> tuple:
         """Canonical order of forms in a factored term."""
         return (self.pairs, self.den)
@@ -267,6 +270,11 @@ class FactoredTerm:
     def is_zero(self) -> bool:
         return self.scalar == 0
 
+    @property
+    def pieces(self) -> tuple["FactoredTerm", ...]:
+        """A factored term is a one-piece `Product`."""
+        return (self,)
+
     def __str__(self) -> str:
         if not self.factors:
             return format_rational(self.scalar)
@@ -295,6 +303,23 @@ def factored_term(
 UNIT_TERM = factored_term(1)
 
 
+@dataclass(frozen=True)
+class Product:
+    """A term held as the product of its pieces, each a canonical
+    `FactoredTerm`; the empty product is 1.
+
+    Pieces are never merged: a piece shared by many terms stays one
+    object, so a `Kernel` compiles and evaluates it once, and
+    `coeff_degree` and `coeff_denominator_forms` read it once.  Merging
+    every piece's factors with `factored_term` gives the same term in
+    canonical form."""
+
+    pieces: tuple[FactoredTerm, ...]
+
+
+Term = FactoredTerm | Product
+
+
 def _scale_point(point: Mapping[Var, Fraction]) -> tuple[dict[int, int], int]:
     """Write every value of `point` as an int over one common denominator D;
     return those ints, keyed by slot, and D."""
@@ -317,11 +342,10 @@ def clear_of(forms: Iterable[LinearForm], point: Mapping[Var, Fraction]) -> bool
     return True
 
 
-def term_mul(a: FactoredTerm, b: FactoredTerm) -> FactoredTerm:
-    """Product of two terms; factor exponents add, invariants restored."""
-    if a.is_zero() or b.is_zero():
-        return factored_term(0)
-    return factored_term(a.scalar * b.scalar, a.factors + b.factors)
+def term_mul(a: Term, b: Term) -> Product:
+    """Product of two terms: the concatenation of their pieces, none
+    merged (a `FactoredTerm` is one piece)."""
+    return Product(a.pieces + b.pieces)
 
 
 def term_pow(t: FactoredTerm, n: int) -> FactoredTerm:
@@ -341,24 +365,30 @@ def term_scale(t: FactoredTerm, c: Fraction | int) -> FactoredTerm:
     return factored_term(t.scalar * Fraction(c), t.factors)
 
 
-def term_eval(t: FactoredTerm, point: Mapping[Var, Fraction]) -> Fraction:
+def term_eval(t: Term, point: Mapping[Var, Fraction]) -> Fraction:
     return coeff_eval((t,), point)
 
 
-def term_substitute(
-    t: FactoredTerm, rule: "Mapping[Var, LinearForm]", images: dict
-) -> FactoredTerm:
-    """The term with `rule` substituted into every form.  `images` maps
-    forms already substituted by this rule to their images; new ones are
+def term_substitute(t: Term, rule: "Mapping[Var, LinearForm]", images: dict) -> Product:
+    """The term with `rule` substituted into every piece, as a product.
+    `images` is the rule's memo: it maps each form already substituted by
+    this rule to its image, and each piece's id to the piece and its image
+    (holding the piece keeps its id from being reused).  New ones are
     added, so a caller substituting one rule into many terms substitutes
-    each distinct form once."""
-    factors = []
-    for form, exp in t.factors:
-        image = images.get(form)
-        if image is None:
-            image = images[form] = form.substitute(rule)
-        factors.append((image, exp))
-    return factored_term(t.scalar, factors)
+    each distinct piece, and each distinct form, once."""
+    out = []
+    for piece in t.pieces:
+        entry = images.get(id(piece))
+        if entry is None:
+            factors = []
+            for form, exp in piece.factors:
+                image = images.get(form)
+                if image is None:
+                    image = images[form] = form.substitute(rule)
+                factors.append((image, exp))
+            entry = images[id(piece)] = (piece, factored_term(piece.scalar, factors))
+        out.append(entry[1])
+    return Product(tuple(out))
 
 
 # A coefficient (of one q-grade of a series) is a formal sum of terms; its
@@ -374,76 +404,115 @@ def coeff_eval(c: Coefficient, point: Mapping[Var, Fraction]) -> Fraction:
 class Kernel:
     """Coefficients compiled for integer evaluation.
 
-    `forms` holds each distinct form once: equal forms share one slot.  A
-    term is (num0, den0, num, den, degree): the int fraction num0/den0 is
-    its scalar with its forms' denominators folded in, num and den are
-    the slots of its factors with positive and with negative exponent,
-    each repeated by its exponent, and degree is the sum of exponents.  A
-    form (sum n_i v_i) / q takes the value (sum n_i ints_i) / (q D) at a
-    point scaled to (ints, D), so the term is num0 * prod(num values) /
-    (den0 * prod(den values)) times D^-degree.  Zero terms are dropped."""
+    A term is the product of its pieces.  `pieces` holds each distinct
+    piece once, by identity, and `forms` each distinct form once, by
+    value: equal forms share one slot.  A piece compiles to (num0, den0,
+    num, den, degree): the int fraction num0/den0 is its scalar with its
+    forms' denominators folded in, num and den are the slots of its
+    factors with positive and with negative exponent, each repeated by its
+    exponent, and degree is the sum of exponents.  A term compiles to the
+    indices of its pieces and its degree, the sum of theirs.  A form
+    (sum n_i v_i) / q takes the value (sum n_i ints_i) / (q D) at a point
+    scaled to (ints, D), so a piece is the int pair num0 * prod(num
+    values) over den0 * prod(den values), times D^-degree, and a term is
+    the product of its pieces' pairs times D^-degree.  A term with a
+    zero-scalar piece is dropped before its pieces are compiled."""
 
-    __slots__ = ("forms", "_coeffs")
+    __slots__ = ("forms", "pieces", "_compiled", "_coeffs")
 
     def __init__(self, coefficients: Iterable[Coefficient]) -> None:
         slots: dict[tuple, int] = {}  # (pairs, den) -> slot: equal forms share one
+        index: dict[int, int] = {}  # id(piece) -> its place in self.pieces, which holds it
         self.forms: list[LinearForm] = []
+        self.pieces: list[FactoredTerm] = []
+        self._compiled: list[tuple] = []
         self._coeffs = []
         for c in coefficients:
             terms = []
             for t in c:
-                if t.scalar == 0:
+                pieces = t.pieces
+                if not all(piece.scalar for piece in pieces):
                     continue
-                num0, den0 = t.scalar.numerator, t.scalar.denominator
-                num: list[int] = []
-                den: list[int] = []
-                for form, exp in t.factors:
-                    key = (form.pairs, form.den)
-                    slot = slots.get(key)
-                    if slot is None:
-                        slot = slots[key] = len(self.forms)
-                        self.forms.append(form)
-                    if exp == 1:
-                        num.append(slot)
-                    elif exp == -1:
-                        den.append(slot)
-                    elif exp > 0:
-                        num += [slot] * exp
-                    else:
-                        den += [slot] * -exp
-                    if form.den != 1:
-                        if exp > 0:
-                            den0 *= form.den**exp
-                        else:
-                            num0 *= form.den**-exp
-                terms.append((num0, den0, tuple(num), tuple(den), len(num) - len(den)))
+                refs = []
+                degree = 0
+                for piece in pieces:
+                    i = index.get(id(piece))
+                    if i is None:
+                        i = index[id(piece)] = len(self.pieces)
+                        self.pieces.append(piece)
+                        self._compiled.append(_compile_piece(piece, slots, self.forms))
+                    refs.append(i)
+                    degree += self._compiled[i][4]
+                terms.append((tuple(refs), degree))
             self._coeffs.append(terms)
 
     def evaluate(self, point: Mapping[Var, Fraction]) -> list[Fraction]:
-        """Every coefficient's value at `point`, in compile order.  A
-        vanishing denominator factor is a pole even where a numerator
-        factor vanishes too; otherwise a vanishing factor makes its term 0."""
+        """Every coefficient's value at `point`, in compile order.  Each
+        distinct piece is evaluated once.  A vanishing denominator factor
+        of any piece is a pole, even where a numerator factor vanishes too;
+        otherwise a vanishing factor makes its term 0."""
         ints, d = _scale_point(point)
         values = [sum([n * ints[s] for s, n in form.pairs]) for form in self.forms]
-        at = values.__getitem__
+        nums, dens = _piece_values(self._compiled, values, self.forms, point)
+        num_at, den_at = nums.__getitem__, dens.__getitem__
         powers = {0: 1}
         out = []
         for terms in self._coeffs:
             parts = []
-            for num0, den0, num, den, degree in terms:
-                q = prod(map(at, den), start=den0)
-                if not q:
-                    slot = next(s for s in den if not values[s])
-                    raise PoleError(f"pole: ({self.forms[slot]})^{-den.count(slot)} at {point}")
-                p = prod(map(at, num), start=num0)
+            for refs, degree in terms:
+                p = prod(map(num_at, refs))
                 if not p:
                     continue
+                q = prod(map(den_at, refs))
                 scale = powers.get(degree)
                 if scale is None:
                     scale = powers[degree] = d ** abs(degree)
                 parts.append((p, q * scale) if degree > 0 else (p * scale, q))
             out.append(_sum_fractions(parts))
         return out
+
+
+def _compile_piece(piece: FactoredTerm, slots: dict, forms: list) -> tuple:
+    """A piece as (num0, den0, num, den, degree) (see `Kernel`); a form not
+    yet in `slots` gets the next slot and is appended to `forms`."""
+    num0, den0 = piece.scalar.numerator, piece.scalar.denominator
+    num: list[int] = []
+    den: list[int] = []
+    for form, exp in piece.factors:
+        key = (form.pairs, form.den)
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(forms)
+            forms.append(form)
+        if exp == 1:
+            num.append(slot)
+        elif exp == -1:
+            den.append(slot)
+        elif exp > 0:
+            num += [slot] * exp
+        else:
+            den += [slot] * -exp
+        if form.den != 1:
+            if exp > 0:
+                den0 *= form.den**exp
+            else:
+                num0 *= form.den**-exp
+    return (num0, den0, tuple(num), tuple(den), len(num) - len(den))
+
+
+def _piece_values(compiled: list, values: list, forms: list, point) -> tuple[list, list]:
+    """Each compiled piece's int numerator and denominator at the slot
+    values `values`; a zero denominator is a PoleError."""
+    at = values.__getitem__
+    nums, dens = [], []
+    for num0, den0, num, den, _ in compiled:
+        q = prod(map(at, den), start=den0)
+        if not q:
+            slot = next(s for s in den if not values[s])
+            raise PoleError(f"pole: ({forms[slot]})^{-den.count(slot)} at {point}")
+        nums.append(prod(map(at, num), start=num0))
+        dens.append(q)
+    return nums, dens
 
 
 def _sum_fractions(parts: list[tuple[int, int]]) -> Fraction:
@@ -465,19 +534,36 @@ def _sum_fractions(parts: list[tuple[int, int]]) -> Fraction:
 def coeff_degree(c: Coefficient) -> int | None:
     """The total degree (sum of factor exponents) every term of `c` shares,
     0 for the empty coefficient, or None when the terms' degrees differ.
-    Forms have no constant part, so a coefficient of one degree d takes
-    (-1)^d times its value at p at the point -p."""
-    degrees = {sum(exp for _, exp in t.factors) for t in c}
+    Each distinct piece's degree is summed once.  Forms have no constant
+    part, so a coefficient of one degree d takes (-1)^d times its value at
+    p at the point -p."""
+    piece_degrees: dict[int, int] = {}  # id(piece) -> degree; c holds the pieces
+    degrees = set()
+    for t in c:
+        total = 0
+        for piece in t.pieces:
+            d = piece_degrees.get(id(piece))
+            if d is None:
+                d = piece_degrees[id(piece)] = sum(exp for _, exp in piece.factors)
+            total += d
+        degrees.add(total)
     if len(degrees) > 1:
         return None
     return degrees.pop() if degrees else 0
 
 
 def coeff_denominator_forms(c: Coefficient) -> list[LinearForm]:
-    """Distinct forms appearing with negative exponent, in first-seen order."""
+    """Distinct forms appearing with negative exponent in some piece, in
+    first-seen order, each distinct piece read once.  These are the forms
+    whose zero makes `Kernel.evaluate` raise PoleError."""
+    read: set[int] = set()  # ids of the pieces read; c holds them
     seen: dict[LinearForm, None] = {}
     for t in c:
-        for form, exp in t.factors:
-            if exp < 0 and form not in seen:
-                seen[form] = None
+        for piece in t.pieces:
+            if id(piece) in read:
+                continue
+            read.add(id(piece))
+            for form, exp in piece.factors:
+                if exp < 0 and form not in seen:
+                    seen[form] = None
     return list(seen)

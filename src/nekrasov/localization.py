@@ -16,13 +16,15 @@ exponents.  Every form is built from doubled coefficients through
 
 A localization term is matter Euler class divided by tangent Euler class.
 Both characters are sums of pieces (see ``characters``), so the term is
-the product of one factor list per piece: the matter Euler class of each
-slot's tautological piece and the inverse Euler class of each slot pair's
-tangent piece.  ``term_p2``, ``term_x0`` and ``term_x1`` take a factor
-table, a plain dict from a piece's key to its factors; a piece missing
-from the table is built and stored, and the term is ``factored_term``
-over the concatenated factors of the fixed point's pieces -- the same
-canonical term one Euler class of each whole character gives.  The keys:
+the product of one factor per piece: the matter Euler class of each
+slot's tautological piece (``matter_euler``) and the inverse Euler class
+of each slot pair's tangent piece (``euler_class`` to the power -1).
+``term_p2``, ``term_x0`` and ``term_x1`` take a factor table, a plain dict
+from a piece's key to that piece's canonical ``FactoredTerm``; a piece
+missing from the table is built and stored, and the term is an
+``exact.Product`` of the table's objects, unit pieces dropped.  No fixed
+point's factors are merged: merged, the product is the canonical term one
+Euler class of each whole character gives.  The keys:
 
   * plane and orbifold: matter (alpha, Y_alpha), tangent
     (alpha, beta, Y_alpha, Y_beta);
@@ -63,6 +65,7 @@ from .exact import (
     EPS2,
     FactoredTerm,
     LinearForm,
+    Product,
     factored_term,
     form_from_doubled,
     term_pow,
@@ -116,36 +119,38 @@ def matter_euler(ch_v0: Counter, r: int) -> FactoredTerm:
     return factored_term(1, factors)
 
 
-def _tangent_factors(ch: Counter) -> tuple:
-    """Factors of the inverse Euler class of a tangent piece."""
-    return term_pow(euler_class(ch), -1).factors
+def _tangent_piece(ch: Counter) -> FactoredTerm:
+    """Inverse Euler class of a tangent piece."""
+    return term_pow(euler_class(ch), -1)
 
 
-def _diagram_tuple_term(diagrams, r: int, table: dict, char_v, char_tangent) -> FactoredTerm:
+def _diagram_tuple_term(diagrams, r: int, table: dict, char_v, char_tangent) -> Product:
     """Term of a diagram tuple whose slot alpha has the tautological piece
     char_v(alpha, Y_alpha) and whose slot pair the tangent piece
     char_tangent(alpha, beta, Y_alpha, Y_beta)."""
-    factors: list = []
+    pieces: list = []
     for alpha, ya in enumerate(diagrams, start=1):
         piece = table.get((alpha, ya))
         if piece is None:
-            piece = table[alpha, ya] = matter_euler(char_v(alpha, ya), r).factors
-        factors += piece
+            piece = table[alpha, ya] = matter_euler(char_v(alpha, ya), r)
+        if piece.factors:
+            pieces.append(piece)
         for beta, yb in enumerate(diagrams, start=1):
             key = (alpha, beta, ya, yb)
             piece = table.get(key)
             if piece is None:
-                piece = table[key] = _tangent_factors(char_tangent(alpha, beta, ya, yb))
-            factors += piece
-    return factored_term(1, factors)
+                piece = table[key] = _tangent_piece(char_tangent(alpha, beta, ya, yb))
+            if piece.factors:
+                pieces.append(piece)
+    return Product(tuple(pieces))
 
 
-def term_p2(r: int, diagrams, table: dict) -> FactoredTerm:
+def term_p2(r: int, diagrams, table: dict) -> Product:
     """Localization term of one diagram tuple on the plane."""
     return _diagram_tuple_term(diagrams, r, table, char_v_p2, char_tangent_p2)
 
 
-def term_x0(frame: FrameData, fp: FixedPointX0, table: dict) -> FactoredTerm:
+def term_x0(frame: FrameData, fp: FixedPointX0, table: dict) -> Product:
     """Localization term of one orbifold fixed point."""
     return _diagram_tuple_term(
         fp.diagrams,
@@ -156,43 +161,47 @@ def term_x0(frame: FrameData, fp: FixedPointX0, table: dict) -> FactoredTerm:
     )
 
 
-def term_x1(frame: FrameData, fp: FixedPointX1, table: dict) -> FactoredTerm:
+def term_x1(frame: FrameData, fp: FixedPointX1, table: dict) -> Product:
     """Localization term of one resolved-surface fixed point."""
     r = frame.r
     doubled = [k.doubled for k in fp.kvec]
     charts = ((1, fp.y1), (2, fp.y2))
-    factors: list = []
+    pieces: list = []
     for alpha in range(1, r + 1):
         d = doubled[alpha - 1]
         piece = table.get((alpha, d))
         if piece is None:
-            piece = table[alpha, d] = matter_euler(char_v_twist(alpha, d, 0), r).factors
-        factors += piece
+            piece = table[alpha, d] = matter_euler(char_v_twist(alpha, d, 0), r)
+        if piece.factors:
+            pieces.append(piece)
         for chart, ys in charts:
             key = (alpha, d, chart, ys[alpha - 1])
             piece = table.get(key)
             if piece is None:
                 ch = char_v_x1(alpha, d, chart, ys[alpha - 1], 0)
-                piece = table[key] = matter_euler(ch, r).factors
-            factors += piece
+                piece = table[key] = matter_euler(ch, r)
+            if piece.factors:
+                pieces.append(piece)
         for beta in range(1, r + 1):
             delta = doubled[beta - 1] - d
             key = (alpha, beta, delta)
             piece = table.get(key)
             if piece is None:
-                piece = table[key] = _tangent_factors(char_tangent_twist(alpha, beta, delta))
-            factors += piece
+                piece = table[key] = _tangent_piece(char_tangent_twist(alpha, beta, delta))
+            if piece.factors:
+                pieces.append(piece)
             for chart, ys in charts:
                 key = (alpha, beta, delta, chart, ys[alpha - 1], ys[beta - 1])
                 piece = table.get(key)
                 if piece is None:
                     ch = char_tangent_x1(alpha, beta, delta, chart, ys[alpha - 1], ys[beta - 1])
-                    piece = table[key] = _tangent_factors(ch)
-                factors += piece
-    return factored_term(1, factors)
+                    piece = table[key] = _tangent_piece(ch)
+                if piece.factors:
+                    pieces.append(piece)
+    return Product(tuple(pieces))
 
 
-def ell_factor(frame: FrameData, kvec, table: dict) -> FactoredTerm:
+def ell_factor(frame: FrameData, kvec, table: dict) -> Product:
     """Pure line-bundle contribution of a first-Chern vector: the term of
     the resolved fixed point with that vector and no boxes."""
     empties = ((),) * frame.r

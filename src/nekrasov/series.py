@@ -14,16 +14,18 @@ and ``compute``, and a flipped side is evaluated at map_point(p, R).
 Only the two blow-up chart maps are still applied to linear forms:
 series_zx1_factorized builds one plain plane series, up to the largest
 grade any first-Chern vector needs, and substitutes each chart into the
-terms of the grades that vector uses.  Each chart rule keeps one
-form -> image dict while it is applied, so each distinct form of the plane
-series is substituted once per rule.
+terms of the grades that vector uses.  Each chart rule keeps one image
+dict while it is applied, so each distinct piece and each distinct form
+of the plane series is substituted once per rule.
 
 Each series build makes one factor table (see ``localization``), local
 to series_zp2, series_zx0 or series_zx1, and passes it to every term it
-builds, so a slot's or slot pair's factors are built once per build;
-series_zx1_factorized keeps one more for its ell(kvec) factors.  The
-tables and the chart-image dicts die with the build: nothing is cached at
-module level.
+builds, so a slot's or slot pair's piece is built once per build;
+series_zx1_factorized keeps one more for its ell(kvec) pieces.  Every
+term of those series is an ``exact.Product`` of the table's pieces, and
+the charted plane terms, their Cauchy products and ell times a product
+stay products, so no term's factors are ever merged.  The tables and the
+chart-image dicts die with the build: nothing is cached at module level.
 
 Implemented series:
 
@@ -190,7 +192,7 @@ def series_zp2(r: int, max_n: int) -> QSeries:
 
 def _charted(zp2: QSeries, max_n: int, rule: SubstitutionRule) -> QSeries:
     """The plane series up to q^max_n with a chart substituted into every
-    term; each distinct form is substituted once."""
+    term; each distinct piece and each distinct form is substituted once."""
     images: dict = {}
     coeffs = {
         4 * n: tuple(term_substitute(t, rule, images) for t in zp2.coefficient(4 * n))

@@ -42,8 +42,13 @@ point is evaluated once, keyed by (series, the point's values), and every
 later read of it, by any check, is served from the table.  That one
 evaluation is one call of the series' exact.Kernel, which the pair
 compiles on first use: each distinct form of the series is one int dot
-product per point, and each grade's value is one Fraction.  Kernels and
-table hold only what they compute and die with the pair.  Every linear
+product per point, each distinct piece (a slot's matter factor or a slot
+pair's tangent factor) one int numerator and denominator, each term the
+product of its pieces' ints, and each grade's value one Fraction.  The
+pole forms and degrees are read off the distinct pieces too; no form
+cancels between the pieces of a term (every matter form carries a mass,
+no tangent form does), so they are those of the merged terms.  Kernels
+and table hold only what they compute and die with the pair.  Every linear
 form has no constant part, so a coefficient whose terms all have one
 total degree d (the sum of the factor exponents) takes exactly (-1)^d
 times its value at p at the point -p, and its forms vanish at -p exactly

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from nekrasov.characters import char_lk, char_rank
+from nekrasov.characters import char_lk
 from nekrasov.cli import main
 from nekrasov.diagrams import (
     FrameData,
@@ -29,7 +29,7 @@ from nekrasov.verify import (
     check_recursion_must,
     check_symmetry,
 )
-from whole_fixed_point import whole_tangent_x0, whole_tangent_x1
+from whole_fixed_point import char_rank, whole_tangent_x0, whole_tangent_x1
 
 CFG = SampleConfig(seed=161, trials=5)
 

@@ -7,9 +7,8 @@ from collections import Counter
 
 import pytest
 
-from nekrasov.characters import char_lk, char_rank, char_tangent_p2, degree_mod2
+from nekrasov.characters import char_lk, char_tangent_p2, degree_mod2
 from nekrasov.diagrams import (
-    FixedPointX0,
     FixedPointX1,
     FrameData,
     HalfInt,
@@ -18,6 +17,8 @@ from nekrasov.diagrams import (
     enum_fixed_points_x1,
 )
 from whole_fixed_point import (
+    char_rank,
+    fixed_point_x0,
     whole_tangent_p2,
     whole_tangent_x0,
     whole_tangent_x1,
@@ -32,7 +33,7 @@ def H(text):
 
 
 def fp_x0(frame, *diagrams):
-    return FixedPointX0.from_diagrams(frame, diagrams)
+    return fixed_point_x0(frame, diagrams)
 
 
 def fp_x1(kvec, y1, y2):

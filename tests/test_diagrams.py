@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 from nekrasov import diagrams
 from nekrasov.diagrams import (
-    FixedPointX0,
     FrameData,
     GradeError,
     HalfInt,
     ParityError,
     arm_in,
-    colored_sizes,
     diagram_tuples,
     enum_fixed_points_x0,
     enum_fixed_points_x1,
@@ -22,6 +20,7 @@ from nekrasov.diagrams import (
     leg_in,
     transpose,
 )
+from whole_fixed_point import colored_sizes, fixed_point_x0
 
 
 def H(text):
@@ -102,7 +101,7 @@ def _filtered_x0(frame, v0, v1):
     colored sizes are (v0, v1)."""
     out = []
     for tup in diagram_tuples(frame.r, v0 + v1):
-        fp = FixedPointX0.from_diagrams(frame, tup)
+        fp = fixed_point_x0(frame, tup)
         if (fp.v0, fp.v1) == (v0, v1):
             out.append(fp)
     return out

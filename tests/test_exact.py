@@ -13,8 +13,10 @@ from nekrasov.exact import (
     FactoredTerm,
     Kernel,
     PoleError,
+    Product,
     Var,
     coeff_degree,
+    coeff_denominator_forms,
     coeff_eval,
     factored_term,
     format_rational,
@@ -22,10 +24,12 @@ from nekrasov.exact import (
     parse_rational,
     term_eval,
     term_mul,
+    term_substitute,
     var_a,
     var_m,
 )
 from nekrasov.localization import mass_shifted_weight, weight_form
+from whole_fixed_point import coefficient, merged
 
 
 def F(*args):
@@ -86,17 +90,25 @@ class TestFactoredTerm:
         e1 = linear_form({EPS1: 1})
         a = factored_term(2, [(e1, 1)])
         b = factored_term(3, [(e1, -1)])
-        assert term_mul(a, b) == factored_term(6)
+        assert merged(term_mul(a, b)) == factored_term(6)
 
     def test_mul_adds_exponents(self):
         e2 = linear_form({EPS2: 1})
         a = factored_term(1, [(e2, 2)])
         b = factored_term(1, [(e2, 1)])
-        assert term_mul(a, b) == factored_term(1, [(e2, 3)])
+        assert merged(term_mul(a, b)) == factored_term(1, [(e2, 3)])
 
     def test_zero_absorbs(self):
         e1 = linear_form({EPS1: 1})
-        assert term_mul(factored_term(0), factored_term(5, [(e1, 2)])) == factored_term(0)
+        assert merged(term_mul(factored_term(0), factored_term(5, [(e1, 2)]))) == factored_term(0)
+
+    def test_mul_concatenates_pieces_without_merging(self):
+        e1, e2 = linear_form({EPS1: 1}), linear_form({EPS2: 1})
+        a, b, c = factored_term(2, [(e1, 1)]), factored_term(3, [(e1, -1)]), factored_term(1, [(e2, 1)])
+        ab = term_mul(a, b)
+        assert ab == Product((a, b)) and ab.pieces[0] is a and ab.pieces[1] is b
+        assert term_mul(ab, c).pieces == (a, b, c)
+        assert term_mul(c, Product(())).pieces == (c,)
 
     def test_eval_direct_substitution(self):
         t = factored_term(1, [(linear_form({EPS1: 1, EPS2: 1}), 1)])
@@ -228,7 +240,7 @@ _kernel_point = st.builds(
 )
 
 
-def _reference_term(t, point):
+def _reference_piece(t, point):
     if t.scalar == 0:
         return F(0)
     values = [(form.evaluate(point), exp) for form, exp in t.factors]
@@ -237,6 +249,19 @@ def _reference_term(t, point):
     total = t.scalar
     for value, exp in values:
         total *= value**exp
+    return total
+
+
+def _reference_term(t, point):
+    """A term's value: 0 when a piece has a zero scalar, else the product
+    of its pieces' values, a pole when any piece has one (even where
+    another piece's numerator vanishes)."""
+    if any(piece.scalar == 0 for piece in t.pieces):
+        return F(0)
+    values = [_reference_piece(piece, point) for piece in t.pieces]
+    total = F(1)
+    for value in values:
+        total *= value
     return total
 
 
@@ -330,7 +355,27 @@ def _compiled_coefficients(draw):
         ),
         st.builds(lambda i, e: FactoredTerm(F(0), ((rebuilt(i), e),)), index, st.sampled_from(_EXPONENTS)),
     )
-    return [tuple(c) for c in draw(st.lists(st.lists(term, max_size=4), min_size=1, max_size=3))]
+    # products draw their pieces from one pool, so pieces are shared by
+    # identity across terms and coefficients
+    shared = draw(st.lists(term, min_size=1, max_size=4))
+    product = st.builds(
+        lambda ix: Product(tuple(shared[i] for i in ix)),
+        st.lists(st.integers(0, len(shared) - 1), max_size=3),
+    )
+    terms = st.one_of(term, product)
+    return [tuple(c) for c in draw(st.lists(st.lists(terms, max_size=4), min_size=1, max_size=3))]
+
+
+def _live_pieces(coeffs):
+    """The distinct pieces, by identity and in first-seen order, of the
+    terms with no zero-scalar piece."""
+    seen = {}
+    for c in coeffs:
+        for t in c:
+            if all(piece.scalar for piece in t.pieces):
+                for piece in t.pieces:
+                    seen.setdefault(id(piece), piece)
+    return list(seen.values())
 
 
 _E1, _E2 = linear_form({EPS1: 1}), linear_form({EPS2: 1})
@@ -360,9 +405,18 @@ class TestCompiledKernel:
         coeffs=[(factored_term(1, [(_E1, 1)]),), (factored_term(1, [(_HALF_E2, -2), (_E1, 1)]),)],
         point={EPS1: F(0), EPS2: F(0)},
     )
+    # a piece's vanishing denominator is a pole even where another piece's
+    # numerator vanishes, and merged the two would cancel
+    @example(
+        coeffs=[(Product((factored_term(1, [(_E1, 1)]), factored_term(1, [(_E1, -1)]))),)],
+        point={EPS1: F(0), EPS2: F(1)},
+    )
     def test_kernel_matches_the_reference_with_one_slot_per_form(self, coeffs, point):
         kernel = Kernel(coeffs)
-        forms = {form for c in coeffs for t in c if t.scalar for form, _ in t.factors}
+        pieces = _live_pieces(coeffs)
+        assert len(kernel.pieces) == len(pieces)
+        assert all(a is b for a, b in zip(kernel.pieces, pieces))
+        forms = {form for piece in pieces for form, _ in piece.factors}
         assert len(kernel.forms) == len(forms) and set(kernel.forms) == forms
         try:
             expected = [sum((_reference_term(t, point) for t in c), F(0)) for c in coeffs]
@@ -379,6 +433,68 @@ class TestCompiledKernel:
         assert kernel.forms == [a]
         # a = 1/2 + 2 = 5/2 at (1, -2)
         assert kernel.evaluate({EPS1: F(1), EPS2: F(-2)}) == [F(25, 4), 3 / F(5, 2) ** 3]
+
+
+class TestProducts:
+    """A product term keeps its pieces: the kernel, the degree and the
+    denominator forms read each distinct piece once, and agree with the
+    term's canonical merge wherever no form cancels between pieces."""
+
+    def _pieces(self):
+        a = factored_term(F(1, 2), [(_E1, 1), (_HALF_E2, -1)])
+        b = factored_term(3, [(_E2, -2)])
+        c = factored_term(-1, [(linear_form({EPS1: 1, EPS2: 1}), 1)])
+        return a, b, c
+
+    def test_merge_of_a_product_evaluates_like_the_product(self):
+        a, b, c = self._pieces()
+        coeff = (Product((a, b)), Product((b, c, a)), c)
+        point = {EPS1: F(3), EPS2: F(-5, 2)}
+        expected = sum((term_eval(merged(t), point) for t in coeff), F(0))
+        assert coeff_eval(coeff, point) == expected
+        assert coeff_degree(coeff) is None
+        assert coeff_degree((Product((a, b)), Product((b, a)))) == -2
+        assert coeff_degree((Product(()),)) == 0
+
+    def test_denominator_forms_are_read_once_per_piece(self):
+        a, b, c = self._pieces()
+        forms = coeff_denominator_forms((Product((a, b)), Product((b, c)), c))
+        assert forms == [_HALF_E2, _E2]
+
+    def test_each_piece_compiles_once(self, monkeypatch):
+        from nekrasov import exact
+
+        a, b, c = self._pieces()
+        compiled = []
+        compile_piece = exact._compile_piece
+
+        def counting(piece, slots, forms):
+            compiled.append(piece)
+            return compile_piece(piece, slots, forms)
+
+        monkeypatch.setattr(exact, "_compile_piece", counting)
+        kernel = Kernel([(Product((a, b)), Product((b, c))), (Product((c, a)), a)])
+        assert compiled == [a, b, c] and kernel.pieces == [a, b, c]
+        assert set(kernel.forms) == {_E1, _HALF_E2, _E2, linear_form({EPS1: 1, EPS2: 1})}
+
+    def test_substitution_images_each_distinct_piece_once(self, monkeypatch):
+        from nekrasov import exact
+
+        a, b, c = self._pieces()
+        rule = {EPS1: linear_form({EPS1: 2}), EPS2: linear_form({EPS1: -1, EPS2: 1})}
+        built = []
+        monkeypatch.setattr(exact, "factored_term", lambda *args: built.append(args) or factored_term(*args))
+        images: dict = {}
+        first = term_substitute(Product((a, b)), rule, images)
+        second = term_substitute(Product((b, c)), rule, images)
+        third = term_substitute(a, rule, images)
+        assert len(built) == 3
+        assert first.pieces[1] is second.pieces[0] and third.pieces == (first.pieces[0],)
+        for t, image in ((Product((a, b)), first), (Product((b, c)), second)):
+            by_hand = factored_term(
+                merged(t).scalar, [(form.substitute(rule), exp) for form, exp in merged(t).factors]
+            )
+            assert merged(image) == by_hand
 
 
 # Int-coded forms against a plain Fraction reference: a dict from variable
@@ -434,7 +550,7 @@ def _assert_matches(form, ref):
     assert form.is_zero() == (not ref)
     assert form.coeffs == tuple(sorted(ref.items(), key=lambda vc: vc[0].sort_key()))
     for v in _REF_VARS:
-        assert form.coefficient(v) == ref.get(v, F(0))
+        assert coefficient(form, v) == ref.get(v, F(0))
     assert str(form) == _ref_str(ref)
 
 

@@ -28,7 +28,13 @@ at rank 1 was recorded while every term was evaluated factor by factor and
 added as its own ``Fraction``, before each series was read through one
 compiled kernel; it reads deep rank-1 coefficients at several points, so
 it pins that the kernel's shared slots and one-``Fraction``-per-coefficient
-sums give the same values."""
+sums give the same values.  ``check all`` at rank 4 was recorded while
+every fixed point's term was still one merged ``FactoredTerm``, before
+terms became products of their cached pieces, each piece compiled and
+evaluated once per point; until then no pin reached rank 4, where a term
+has 4 slot pieces and 16 slot-pair pieces (on the resolved side, three
+per slot and per slot pair), so it pins that products of pieces give the
+same values where the most pieces meet."""
 
 import hashlib
 import os
@@ -114,6 +120,11 @@ GOLDEN = [
     (
         "check must --w0 1 --w1 0 --k 1 --max-n 5 --trials 3",
         "ec1a790754a384d4e5f8cb85d1e44d0f795f1be7e70ac24bc4f99e170e3d1132",
+    ),
+    # rank 4, each term a product of its cached pieces
+    (
+        "check all --w0 2 --w1 2 --k 0 --max-n 1",
+        "86aa04fdf5453e31d9110e5ece5eeae418d7e51834559c9c821b71d4f76fa82b",
     ),
 ]
 

@@ -39,7 +39,7 @@ from nekrasov.localization import (
     term_x1,
     weight_form,
 )
-from whole_fixed_point import reference_term_p2, reference_term_x0, reference_term_x1
+from whole_fixed_point import merged, reference_term_p2, reference_term_x0, reference_term_x1
 
 
 def H(text):
@@ -99,7 +99,7 @@ class TestEulerClass:
         b = counted(mono_t(1, 0), mono_t(-1, 1))
         lhs = euler_class(a + b)
         rhs = term_mul(euler_class(a), euler_class(b))
-        assert lhs == rhs
+        assert lhs == merged(rhs)
 
     def test_weight_form_reads_exponents(self):
         form = weight_form(mono_t(-2, 3, {1: -1}))
@@ -126,7 +126,7 @@ class TestMatterEuler:
 
 class TestPlaneTerms:
     def test_empty_tuple_is_unit(self):
-        assert term_p2(1, [()], {}) == UNIT_TERM
+        assert merged(term_p2(1, [()], {})) == UNIT_TERM
 
     def test_single_box(self):
         got = term_eval(term_p2(1, [(1,)], {}), GENERIC)
@@ -160,7 +160,7 @@ class TestOrbifoldTerms:
         frame = FrameData(1, 0)
         (fp,) = enum_fixed_points_x0(frame, 1, 0)
         got = term_x0(frame, fp, {})
-        assert got.factors == matter_euler(counted(mono_t(0, 0, {1: 1})), 1).factors
+        assert merged(got).factors == matter_euler(counted(mono_t(0, 0, {1: 1})), 1).factors
 
     def test_two_box_pair(self):
         frame = FrameData(1, 0)
@@ -185,7 +185,7 @@ class TestOrbifoldTerms:
 class TestResolvedTerms:
     def test_empty_is_unit(self):
         frame = FrameData(1, 0)
-        assert term_x1(frame, fp_x1([H(0)], [()], [()]), {}) == UNIT_TERM
+        assert merged(term_x1(frame, fp_x1([H(0)], [()], [()]), {})) == UNIT_TERM
 
     def test_pure_twist(self):
         frame = FrameData(1, 0)
@@ -208,8 +208,8 @@ class TestResolvedTerms:
 
 class TestEllFactor:
     def test_zero_vector_is_unit(self):
-        assert ell_factor(FrameData(1, 0), (H(0),), {}) == UNIT_TERM
-        assert ell_factor(FrameData(2, 0), (H(0), H(0)), {}) == UNIT_TERM
+        assert merged(ell_factor(FrameData(1, 0), (H(0),), {})) == UNIT_TERM
+        assert merged(ell_factor(FrameData(2, 0), (H(0), H(0)), {})) == UNIT_TERM
 
     def test_rank_one_twist(self):
         got = ell_factor(FrameData(1, 0), (H(1),), {})
@@ -262,7 +262,7 @@ class TestEllFactor:
                 expected = term_mul(
                     matter_euler(num, frame.r), term_pow(euler_class(den), -1)
                 )
-                assert ell_factor(frame, kvec, {}) == expected
+                assert merged(ell_factor(frame, kvec, {})) == merged(expected)
 
 
 # Every framing of rank 1 to 3.
@@ -289,10 +289,11 @@ def _series_fixed_points(kind, frame, doubled, levels):
 
 
 class TestSharedFactorTable:
-    """A term built from the factors one table caches per slot and slot
-    pair equals the whole-fixed-point term (one Euler class each for the
-    whole matter and tangent characters), whatever the order in which the
-    table's fixed points come."""
+    """A term is the product of the pieces one table caches per slot and
+    slot pair; merged, it equals the whole-fixed-point term (one Euler
+    class each for the whole matter and tangent characters), whatever the
+    order in which the table's fixed points come.  On the resolved side,
+    each fixed point's ell(kvec) is checked the same way."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -318,7 +319,15 @@ class TestSharedFactorTable:
         order = data.draw(st.permutations(range(len(fps))), label="order")
         table: dict = {}
         for i in order:
-            assert build(fps[i], table) == reference(fps[i])
+            term = build(fps[i], table)
+            assert merged(term) == reference(fps[i])
+            # unit pieces are dropped, and every piece is the table's object
+            assert all(piece.factors for piece in term.pieces)
+            assert {id(piece) for piece in term.pieces} <= {id(piece) for piece in table.values()}
+            if kind == "x1":
+                empties = ((),) * frame.r
+                ell = ell_factor(frame, fps[i].kvec, table)
+                assert merged(ell) == reference_term_x1(frame, FixedPointX1(fps[i].kvec, empties, empties))
 
     def test_pieces_repeat_across_fixed_points(self):
         # the table holds fewer pieces than the fixed points draw on: a

@@ -12,6 +12,7 @@ from nekrasov.exact import (
     EPS2,
     ZERO_FORM,
     Kernel,
+    coeff_degree,
     coeff_denominator_forms,
     coeff_eval,
     factored_term,
@@ -43,6 +44,7 @@ from nekrasov.verify import (
     sample_points,
     union_pole_forms,
 )
+from whole_fixed_point import coefficient, merged
 
 
 def H(text):
@@ -231,7 +233,8 @@ class TestReports:
 
 
 class TestSensitivity:
-    """A single perturbed factor must flip at least one comparison."""
+    """A single perturbed factor must flip at least one comparison.  The
+    perturbed term is the canonical merge of a product term."""
 
     def _points(self, lhs, rhs):
         forms = union_pole_forms(lhs, rhs)
@@ -242,10 +245,9 @@ class TestSensitivity:
         lhs = series_zx1(frame, H(0), 8)
         rhs = series_zx1_factorized(frame, H(0), 8)
         target = lhs.coefficient(8)
-        form, exp = target[0].factors[0]
-        tampered_term = factored_term(
-            target[0].scalar, ((form, exp + 1),) + target[0].factors[1:]
-        )
+        term = merged(target[0])
+        form, exp = term.factors[0]
+        tampered_term = factored_term(term.scalar, ((form, exp + 1),) + term.factors[1:])
         tampered = (tampered_term,) + target[1:]
         for point in self._points(lhs, rhs):
             clean = coeff_eval(target, point)
@@ -261,7 +263,8 @@ class TestSensitivity:
         lhs = series_zx1(frame, H(1), 8)
         rhs = series_zx1_factorized(frame, H(1), 8)
         target = lhs.coefficient(4)
-        tampered = (factored_term(2 * target[0].scalar, target[0].factors),) + target[1:]
+        term = merged(target[0])
+        tampered = (factored_term(2 * term.scalar, term.factors),) + target[1:]
         mismatches = sum(
             coeff_eval(tampered, point) != coeff_eval(rhs.coefficient(4), point)
             for point in self._points(lhs, rhs)
@@ -389,12 +392,12 @@ class TestFlippedSides:
         target = next(
             form
             for form in union_pole_forms(zx1)
-            if form.coefficient(var_a(1)) != 0
-            and (form.coefficient(EPS1) != 0 or form.coefficient(EPS2) != 0)
+            if coefficient(form, var_a(1)) != 0
+            and (coefficient(form, EPS1) != 0 or coefficient(form, EPS2) != 0)
         )
         point = sample_point(CFG, 0, [], frame.r)
         image = map_point(point, flip)
-        image[var_a(1)] -= target.evaluate(image) / target.coefficient(var_a(1))
+        image[var_a(1)] -= target.evaluate(image) / coefficient(target, var_a(1))
         trap = map_point(image, flip)
         hit = target.substitute(flip)
         assert hit.evaluate(trap) == 0 and target.evaluate(trap) != 0
@@ -522,10 +525,10 @@ class TestHomogeneity:
 
 
 def reference_value(c, point):
-    """sum of scalar * prod form(point)^exp over the terms of `c`, term by
-    term in Fraction."""
+    """sum of scalar * prod form(point)^exp over the canonical merges of
+    the terms of `c`, term by term in Fraction."""
     total = Fraction(0)
-    for t in c:
+    for t in map(merged, c):
         value = t.scalar
         for form, exp in t.factors:
             value *= form.evaluate(point) ** exp
@@ -535,7 +538,7 @@ def reference_value(c, point):
 
 class TestSeriesKernels:
     """A pair reads every series through one compiled kernel; its values
-    are the term-by-term Fraction sums."""
+    are the term-by-term Fraction sums of the merged terms."""
 
     @pytest.mark.parametrize("name", ["zx0", "zx1", "zx1-fact", "zp2", "prefactor"])
     @pytest.mark.parametrize("k", ["-1/2", "0", "1/2", "1"])
@@ -549,6 +552,65 @@ class TestSeriesKernels:
         for point in points:
             expected = {g: reference_value(series.coefficient(g), point) for g in series.grades()}
             assert pair.values(name, point) == expected
+
+
+class TestPieceReads:
+    """A pair reads pole forms, degrees and values off each series'
+    distinct pieces, never off a merged term, and gets what the merged
+    terms give.  No form cancels between a term's pieces: every matter
+    form carries a mass with coefficient 1, and no tangent form carries
+    one."""
+
+    @pytest.mark.parametrize("name", ["zx0", "zx1", "zx1-fact", "zp2"])
+    @pytest.mark.parametrize("k", ["-1/2", "0", "1/2", "1"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_pole_forms_and_degrees_equal_those_of_the_merged_terms(self, r, k, name):
+        frame = FRAMES[r, H(k).doubled % 2]
+        pair = SeriesPair(frame, H(k), 4 * MAX_N[r] + frame.w1)
+        series = pair.series(name)
+        merged_series = dataclasses.replace(
+            series, coeffs={g: tuple(map(merged, c)) for g, c in series.coeffs.items()}
+        )
+        assert set(pair.pole_forms(name)) == set(union_pole_forms(merged_series))
+        assert len(pair.pole_forms(name)) == len(set(pair.pole_forms(name)))
+        assert pair.degrees(name) == {
+            g: coeff_degree(merged_series.coefficient(g)) for g in series.grades()
+        }
+
+    def test_kernel_compiles_and_evaluates_each_distinct_piece_once(self, monkeypatch):
+        # zx0 at w = (1,2), k = 0, max-n 4: 1188 terms hold 11,210 piece
+        # references to 3248 distinct pieces, which have 16,184 factors;
+        # merged, the terms have 51,824 factor occurrences
+        from nekrasov import exact
+
+        pair = SeriesPair(FrameData(1, 2), H(0), 18)
+        series = pair.series("zx0")
+        terms = [t for g in series.grades() for t in series.coefficient(g)]
+        pieces = {id(piece): piece for t in terms for piece in t.pieces}
+        assert (len(terms), sum(len(t.pieces) for t in terms), len(pieces)) == (1188, 11210, 3248)
+        assert sum(len(merged(t).factors) for t in terms) == 51824
+
+        compiled, evaluated = [], []
+        compile_piece, piece_values = exact._compile_piece, exact._piece_values
+
+        def compiling(piece, slots, forms):
+            compiled.append(piece)
+            return compile_piece(piece, slots, forms)
+
+        def evaluating(compiled_pieces, values, forms, point):
+            nums, dens = piece_values(compiled_pieces, values, forms, point)
+            evaluated.append((len(nums), len(dens)))
+            return nums, dens
+
+        monkeypatch.setattr(exact, "_compile_piece", compiling)
+        monkeypatch.setattr(exact, "_piece_values", evaluating)
+        (point,), _ = sample_points(SampleConfig(seed=7, trials=1), pair.pole_forms("zx0"), 3)
+        pair.values("zx0", point)
+        # one form-slot lookup per factor of each distinct piece
+        assert len({id(piece) for piece in compiled}) == len(compiled) == len(pieces)
+        assert sum(len(piece.factors) for piece in compiled) == 16184
+        # one int pair per distinct piece at the point
+        assert evaluated == [(len(pieces), len(pieces))]
 
 
 class TestValueTable:

@@ -1,15 +1,20 @@
 """Whole-fixed-point characters and localization terms, as test references.
 
 The engine builds a fixed point's characters one framing slot or slot
-pair at a time (``nekrasov.characters``) and its term from factors cached
-per piece (``nekrasov.localization``).  The helpers here sum a fixed
-point's pieces into its whole tautological and tangent characters, and
-build its term the direct way: one matter Euler class of the whole
-tautological character, one Euler class of the whole tangent character,
-then num * den^-1.
+pair at a time (``nekrasov.characters``) and its term as the product of
+pieces cached per slot and slot pair (``nekrasov.localization``).  The
+helpers here sum a fixed point's pieces into its whole tautological and
+tangent characters, and build its term the direct way: one matter Euler
+class of the whole tautological character, one Euler class of the whole
+tangent character, then num * den^-1, merged into one canonical
+``FactoredTerm``.  ``merged`` gives any term, product or not, that
+canonical form, so a product term is compared with the reference through
+it.  The last helpers read quantities only tests need.
 """
 
 from collections import Counter
+from fractions import Fraction
+from math import prod
 
 from nekrasov.characters import (
     char_tangent_p2,
@@ -21,8 +26,18 @@ from nekrasov.characters import (
     char_v_x0,
     char_v_x1,
 )
-from nekrasov.exact import term_mul, term_pow
+from nekrasov.diagrams import FixedPointX0, boxes
+from nekrasov.exact import factored_term, term_mul, term_pow
 from nekrasov.localization import euler_class, matter_euler
+
+
+def merged(t):
+    """The canonical FactoredTerm of a term: the product of its pieces'
+    scalars times all their factors, merged by form."""
+    return factored_term(
+        prod((piece.scalar for piece in t.pieces), start=Fraction(1)),
+        [factor for piece in t.pieces for factor in piece.factors],
+    )
 
 
 def _sum(pieces) -> Counter:
@@ -78,7 +93,7 @@ def whole_tangent_x1(frame, fp) -> Counter:
 
 
 def _quotient(num, den):
-    return term_mul(num, term_pow(den, -1))
+    return merged(term_mul(num, term_pow(den, -1)))
 
 
 def reference_term_p2(r, diagrams):
@@ -94,3 +109,34 @@ def reference_term_x0(frame, fp):
 def reference_term_x1(frame, fp):
     num = matter_euler(whole_v_x1(frame, fp, 0), frame.r)
     return _quotient(num, euler_class(whole_tangent_x1(frame, fp)))
+
+
+def char_rank(ch) -> int:
+    """Number of monomials of a character, counted with multiplicity."""
+    return sum(ch.values())
+
+
+def colored_sizes(diagram, l) -> tuple[int, int]:
+    """Counts of boxes with Z2-color 0 and 1 for framing color l, box by
+    box."""
+    n = [0, 0]
+    for i, j in boxes(diagram):
+        n[(l + i + j) % 2] += 1
+    return n[0], n[1]
+
+
+def fixed_point_x0(frame, diagrams) -> FixedPointX0:
+    """The orbifold fixed point of a diagram tuple, with its colored sizes
+    (v0, v1) counted box by box."""
+    diagrams = tuple(diagrams)
+    v0 = v1 = 0
+    for color, diagram in zip(frame.colors, diagrams):
+        n0, n1 = colored_sizes(diagram, color)
+        v0 += n0
+        v1 += n1
+    return FixedPointX0(diagrams, v0, v1)
+
+
+def coefficient(form, v) -> Fraction:
+    """The coefficient of variable `v` in a linear form."""
+    return dict(form.coeffs).get(v, Fraction(0))
