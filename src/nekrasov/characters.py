@@ -32,6 +32,15 @@ once (see ``localization``):
                              t2^2) of the pair weights, shifted by t_i^delta,
                              on (alpha, beta, delta, chart, Y^chart_alpha,
                              Y^chart_beta).
+
+A slot pair's arms and legs are read by index off one transpose of each
+diagram (``_pair_weights``).  An orbifold piece keeps its Z2-degree-s
+part with one parity test per weight, p + q + c = s mod 2, where c is the
+constant color offset of its e-part: color(alpha) for a slot's e_alpha,
+color(alpha) + color(beta) for a slot pair's e_beta/e_alpha (t1, t2 and
+the color-1 framing characters are odd).  The pieces carry monomials
+only; ``localization`` turns each distinct monomial into a linear form
+once per series build.
 """
 
 from __future__ import annotations
@@ -39,14 +48,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterator
 
-from .diagrams import (
-    FrameData,
-    HalfInt,
-    YoungDiagram,
-    arm_in,
-    boxes,
-    leg_in,
-)
+from .diagrams import FrameData, HalfInt, YoungDiagram, boxes, transpose
 
 
 def _ratio(alpha: int, beta: int) -> tuple:
@@ -72,14 +74,9 @@ def char_lk(k: HalfInt) -> Counter:
     return Counter((p, q, ()) for p, q in _twist(k.doubled))
 
 
-def degree_mod2(mono: tuple, frame: FrameData) -> int:
-    """Z2-degree: t1, t2 and the color-1 framing characters are odd."""
-    p, q, e = mono
-    return (p + q + sum(exp for alpha, exp in e if alpha > frame.w0)) % 2
-
-
-def _degree_part(ch: Counter, frame: FrameData, s: int) -> Counter:
-    return Counter({m: n for m, n in ch.items() if degree_mod2(m, frame) == s})
+def _color(frame: FrameData, alpha: int) -> int:
+    """Z2-color of slot alpha: 0 for the first w0 slots, 1 after."""
+    return 1 if alpha > frame.w0 else 0
 
 
 def char_v_p2(alpha: int, diagram: YoungDiagram) -> Counter:
@@ -91,8 +88,13 @@ def char_v_p2(alpha: int, diagram: YoungDiagram) -> Counter:
 
 def char_v_x0(frame: FrameData, alpha: int, diagram: YoungDiagram, s: int) -> Counter:
     """Degree-s part of slot alpha's plane tautological fiber, at an
-    orbifold point."""
-    return _degree_part(char_v_p2(alpha, diagram), frame, s)
+    orbifold point: the boxes whose monomial t1^p t2^q e_alpha has
+    p + q + color(alpha) = s mod 2."""
+    e = ((alpha, 1),)
+    c = _color(frame, alpha) + s  # p + q = 2 - i - j has the parity of i + j
+    return Counter(
+        (1 - i, 1 - j, e) for i, j in boxes(diagram) if (i + j + c) % 2 == 0
+    )
 
 
 def char_v_twist(alpha: int, d: int, s: int) -> Counter:
@@ -115,12 +117,21 @@ def char_v_x1(alpha: int, d: int, chart: int, diagram: YoungDiagram, s: int) -> 
     return Counter((1 - i, d - 2 * j + i + s + 1, e) for i, j in boxes(diagram))
 
 
-def _pair_weights(ya: YoungDiagram, yb: YoungDiagram) -> Iterator[tuple[int, int]]:
-    """t-exponents of the arm/leg pair character, before the framing ratio."""
-    for i, j in boxes(ya):
-        yield -leg_in(yb, i, j), arm_in(ya, i, j) + 1
-    for i, j in boxes(yb):
-        yield leg_in(ya, i, j) + 1, -arm_in(yb, i, j)
+def _pair_weights(ya: YoungDiagram, yb: YoungDiagram) -> list[tuple[int, int]]:
+    """t-exponents of the arm/leg pair character, before the framing ratio:
+    (-leg_b(s), arm_a(s) + 1) per box s of Y_a, then (leg_a(t) + 1,
+    -arm_b(t)) per box t of Y_b, column-major.  Each diagram is transposed
+    once; a row or column outside a diagram has length 0."""
+    ta, tb = transpose(ya), transpose(yb)
+    la, lb = len(ta), len(tb)
+    out = []
+    for i, height in enumerate(ya, start=1):
+        for j in range(1, height + 1):
+            out.append((i - (tb[j - 1] if j <= lb else 0), height - j + 1))
+    for i, height in enumerate(yb, start=1):
+        for j in range(1, height + 1):
+            out.append(((ta[j - 1] if j <= la else 0) - i + 1, j - height))
+    return out
 
 
 def char_tangent_p2(alpha: int, beta: int, ya: YoungDiagram, yb: YoungDiagram) -> Counter:
@@ -137,8 +148,11 @@ def char_tangent_x0(
     frame: FrameData, alpha: int, beta: int, ya: YoungDiagram, yb: YoungDiagram
 ) -> Counter:
     """Slot pair (alpha, beta) of the orbifold tangent character: the
-    Z2-invariant (degree-0) part of the plane pair character."""
-    return _degree_part(char_tangent_p2(alpha, beta, ya, yb), frame, 0)
+    Z2-invariant (degree-0) part of the plane pair character, the weights
+    with p + q + color(alpha) + color(beta) even."""
+    e = _ratio(alpha, beta)
+    c = _color(frame, alpha) + _color(frame, beta)
+    return Counter((p, q, e) for p, q in _pair_weights(ya, yb) if (p + q + c) % 2 == 0)
 
 
 def char_tangent_twist(alpha: int, beta: int, delta: int) -> Counter:

@@ -18,8 +18,8 @@ avoid the series' denominator forms, and reads values off the pair.
 interface stability, but evaluation is sequential either way, so output
 is byte-identical for any thread count.  The count is a no-op: each
 series is compiled once into an integer kernel and evaluated at two
-points per trial, so evaluation, compiling included, is about 35-42% of
-``check all`` at w = (1,2) max-n 4 (0.38-0.51 of 1.09-1.27 s on a 2-core
+points per trial, so evaluation, compiling included, is about 52-54% of
+``check all`` at w = (1,2) max-n 4 (0.42-0.50 of 0.80-0.93 s on a 2-core
 x86-64 VM, Python 3.11, timing every kernel compile and evaluation
 in-process); the rest is series construction, which a pool over trials
 cannot share out.

@@ -41,11 +41,6 @@ def diagram_size(diagram: YoungDiagram) -> int:
     return sum(diagram)
 
 
-def column_height(diagram: YoungDiagram, i: int) -> int:
-    """Height of the i-th column (0 beyond the diagram's width)."""
-    return diagram[i - 1] if 1 <= i <= len(diagram) else 0
-
-
 def transpose(diagram: YoungDiagram) -> YoungDiagram:
     if not diagram:
         return ()
@@ -58,16 +53,6 @@ def boxes(diagram: YoungDiagram) -> Iterator[tuple[int, int]]:
     for i, height in enumerate(diagram, start=1):
         for j in range(1, height + 1):
             yield (i, j)
-
-
-def arm_in(diagram: YoungDiagram, i: int, j: int) -> int:
-    """lambda_i - j, measured in `diagram`; negative for boxes outside it."""
-    return column_height(diagram, i) - j
-
-
-def leg_in(diagram: YoungDiagram, i: int, j: int) -> int:
-    """lambda'_j - i, measured in `diagram`; negative for boxes outside it."""
-    return column_height(transpose(diagram), j) - i
 
 
 @dataclass(frozen=True)

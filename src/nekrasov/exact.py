@@ -349,16 +349,16 @@ def term_mul(a: Term, b: Term) -> Product:
 
 
 def term_pow(t: FactoredTerm, n: int) -> FactoredTerm:
-    """Integer power of a term (n may be negative; scalar must be nonzero)."""
+    """Integer power of a term (n may be negative; scalar must be nonzero).
+    For n != 0 the exponents of a canonical term are scaled in place:
+    scaling keeps the forms' order and distinctness and no exponent zero."""
     if n == 0:
         return UNIT_TERM
     if t.is_zero():
         if n < 0:
             raise ZeroDivisionError("inverse of the zero term")
         return t
-    return factored_term(
-        t.scalar ** n, tuple((form, exp * n) for form, exp in t.factors)
-    )
+    return FactoredTerm(t.scalar ** n, tuple([(form, exp * n) for form, exp in t.factors]))
 
 
 def term_scale(t: FactoredTerm, c: Fraction | int) -> FactoredTerm:

@@ -19,12 +19,13 @@ Both characters are sums of pieces (see ``characters``), so the term is
 the product of one factor per piece: the matter Euler class of each
 slot's tautological piece (``matter_euler``) and the inverse Euler class
 of each slot pair's tangent piece (``euler_class`` to the power -1).
-``term_p2``, ``term_x0`` and ``term_x1`` take a factor table, a plain dict
-from a piece's key to that piece's canonical ``FactoredTerm``; a piece
-missing from the table is built and stored, and the term is an
-``exact.Product`` of the table's objects, unit pieces dropped.  No fixed
-point's factors are merged: merged, the product is the canonical term one
-Euler class of each whole character gives.  The keys:
+``term_p2``, ``term_x0`` and ``term_x1`` take a ``FactorTable``, one
+series build's memo.  Its `pieces` dict maps a piece's key to that
+piece's canonical ``FactoredTerm``; a piece missing from it is built and
+stored, and the term is an ``exact.Product`` of the table's objects, unit
+pieces dropped.  No fixed point's factors are merged: merged, the product
+is the canonical term one Euler class of each whole character gives.
+The keys:
 
   * plane and orbifold: matter (alpha, Y_alpha), tangent
     (alpha, beta, Y_alpha, Y_beta);
@@ -35,9 +36,18 @@ Euler class of each whole character gives.  The keys:
     delta = 2(k_beta - k_alpha).
 
 The key shapes differ in length, so they cannot collide within one table.
+Beside the pieces the table keeps its forms, in dicts of their own: each
+tangent monomial's weight form (`weights`) and each tautological
+monomial's 2r mass-shifted forms (`masses`) are built once per build, and
+every piece holding a form holds that one object.  (A monomial (p, q, e)
+has the shape of a resolved tangent key, so forms and pieces never share
+a dict.)  Each piece is built directly in canonical form: a monomial's
+weight is a linear form injective in (p, q, e), and its mass-shifted form
+injective in (monomial, f), so a piece's factors have pairwise distinct
+forms and need only sorting, not the merge of ``exact.factored_term``.
 The caller owns the table: ``series`` makes one per series build, so a
-table holds at most the distinct pieces of that series and dies with the
-build.  Nothing here keeps state between calls.
+table holds at most the distinct pieces and forms of that series and
+dies with the build.  Nothing here keeps state between calls.
 
 The line-bundle factor ell(kvec) of a first-Chern vector is the term of
 the resolved fixed point (kvec, empty, empty).  A symbolically zero
@@ -48,6 +58,7 @@ isolated at generic parameters), so it is a hard error.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 
 from .characters import (
     char_tangent_p2,
@@ -66,7 +77,6 @@ from .exact import (
     FactoredTerm,
     LinearForm,
     Product,
-    factored_term,
     form_from_doubled,
     term_pow,
     var_a,
@@ -97,60 +107,108 @@ def _doubled_weight(mono: tuple, eps_shift: int = 0) -> list[tuple[int, int]]:
     return pairs
 
 
-def euler_class(ch: Counter) -> FactoredTerm:
-    """Product of the weights of a character; empty character gives 1."""
+_ONE = Fraction(1)
+
+
+def _canonical(factors: list) -> FactoredTerm:
+    """The canonical term with scalar 1 of (form, exponent) factors whose
+    forms are pairwise distinct and whose exponents are nonzero: sorting
+    is all that is left of ``factored_term``'s merge."""
+    factors.sort(key=lambda fe: fe[0].sort_key())
+    return FactoredTerm(_ONE, tuple(factors))
+
+
+def euler_class(ch: Counter, forms: dict | None = None) -> FactoredTerm:
+    """Product of the weights of a character; empty character gives 1.
+    `forms` is a memo from monomial to weight form: a monomial met before
+    reuses its form object.  Distinct monomials have distinct weights, so
+    the factors need no merge, only sorting; a zero multiplicity drops its
+    factor."""
+    if forms is None:
+        forms = {}
     factors = []
     for mono, mult in ch.items():
-        form = weight_form(mono)
-        if form.is_zero():
-            raise VanishingWeight(f"zero weight for monomial {mono}")
-        factors.append((form, mult))
-    return factored_term(1, factors)
+        form = forms.get(mono)
+        if form is None:
+            form = weight_form(mono)
+            if form.is_zero():
+                raise VanishingWeight(f"zero weight for monomial {mono}")
+            forms[mono] = form
+        if mult:
+            factors.append((form, mult))
+    return _canonical(factors)
 
 
-def matter_euler(ch_v0: Counter, r: int) -> FactoredTerm:
+def matter_euler(ch_v0: Counter, r: int, forms: dict | None = None) -> FactoredTerm:
     """Euler class of the matter bundle: for each of the 2r masses, the
     product of mass-shifted weights over the tautological fiber.  Every
-    factor carries m_f with coefficient 1, so none can vanish."""
+    factor carries m_f with coefficient 1, so none can vanish.  `forms` is
+    a memo from monomial to its 2r mass-shifted forms, for one r.  Each
+    (monomial, f) gives a distinct form, so the factors need no merge, only
+    sorting; a zero multiplicity drops its factors."""
+    if forms is None:
+        forms = {}
     factors = []
-    for f in range(1, 2 * r + 1):
-        for mono, mult in ch_v0.items():
-            factors.append((mass_shifted_weight(mono, f), mult))
-    return factored_term(1, factors)
+    for mono, mult in ch_v0.items():
+        if not mult:
+            continue
+        shifted = forms.get(mono)
+        if shifted is None:
+            shifted = forms[mono] = tuple(
+                mass_shifted_weight(mono, f) for f in range(1, 2 * r + 1)
+            )
+        factors.extend((form, mult) for form in shifted)
+    return _canonical(factors)
 
 
-def _tangent_piece(ch: Counter) -> FactoredTerm:
+def _tangent_piece(ch: Counter, forms: dict | None = None) -> FactoredTerm:
     """Inverse Euler class of a tangent piece."""
-    return term_pow(euler_class(ch), -1)
+    return term_pow(euler_class(ch, forms), -1)
 
 
-def _diagram_tuple_term(diagrams, r: int, table: dict, char_v, char_tangent) -> Product:
+class FactorTable:
+    """One series build's memo: `pieces` by key, weight forms by tangent
+    monomial (`weights`), and the 2r mass-shifted forms by tautological
+    monomial (`masses`); see the module docstring."""
+
+    __slots__ = ("pieces", "weights", "masses")
+
+    def __init__(self) -> None:
+        self.pieces: dict = {}
+        self.weights: dict = {}
+        self.masses: dict = {}
+
+
+
+def _diagram_tuple_term(diagrams, r: int, table: FactorTable, char_v, char_tangent) -> Product:
     """Term of a diagram tuple whose slot alpha has the tautological piece
     char_v(alpha, Y_alpha) and whose slot pair the tangent piece
     char_tangent(alpha, beta, Y_alpha, Y_beta)."""
+    cached = table.pieces
     pieces: list = []
     for alpha, ya in enumerate(diagrams, start=1):
-        piece = table.get((alpha, ya))
+        piece = cached.get((alpha, ya))
         if piece is None:
-            piece = table[alpha, ya] = matter_euler(char_v(alpha, ya), r)
+            piece = cached[alpha, ya] = matter_euler(char_v(alpha, ya), r, table.masses)
         if piece.factors:
             pieces.append(piece)
         for beta, yb in enumerate(diagrams, start=1):
             key = (alpha, beta, ya, yb)
-            piece = table.get(key)
+            piece = cached.get(key)
             if piece is None:
-                piece = table[key] = _tangent_piece(char_tangent(alpha, beta, ya, yb))
+                ch = char_tangent(alpha, beta, ya, yb)
+                piece = cached[key] = _tangent_piece(ch, table.weights)
             if piece.factors:
                 pieces.append(piece)
     return Product(tuple(pieces))
 
 
-def term_p2(r: int, diagrams, table: dict) -> Product:
+def term_p2(r: int, diagrams, table: FactorTable) -> Product:
     """Localization term of one diagram tuple on the plane."""
     return _diagram_tuple_term(diagrams, r, table, char_v_p2, char_tangent_p2)
 
 
-def term_x0(frame: FrameData, fp: FixedPointX0, table: dict) -> Product:
+def term_x0(frame: FrameData, fp: FixedPointX0, table: FactorTable) -> Product:
     """Localization term of one orbifold fixed point."""
     return _diagram_tuple_term(
         fp.diagrams,
@@ -161,47 +219,49 @@ def term_x0(frame: FrameData, fp: FixedPointX0, table: dict) -> Product:
     )
 
 
-def term_x1(frame: FrameData, fp: FixedPointX1, table: dict) -> Product:
+def term_x1(frame: FrameData, fp: FixedPointX1, table: FactorTable) -> Product:
     """Localization term of one resolved-surface fixed point."""
     r = frame.r
     doubled = [k.doubled for k in fp.kvec]
     charts = ((1, fp.y1), (2, fp.y2))
+    cached, weights, masses = table.pieces, table.weights, table.masses
     pieces: list = []
     for alpha in range(1, r + 1):
         d = doubled[alpha - 1]
-        piece = table.get((alpha, d))
+        piece = cached.get((alpha, d))
         if piece is None:
-            piece = table[alpha, d] = matter_euler(char_v_twist(alpha, d, 0), r)
+            piece = cached[alpha, d] = matter_euler(char_v_twist(alpha, d, 0), r, masses)
         if piece.factors:
             pieces.append(piece)
         for chart, ys in charts:
             key = (alpha, d, chart, ys[alpha - 1])
-            piece = table.get(key)
+            piece = cached.get(key)
             if piece is None:
                 ch = char_v_x1(alpha, d, chart, ys[alpha - 1], 0)
-                piece = table[key] = matter_euler(ch, r)
+                piece = cached[key] = matter_euler(ch, r, masses)
             if piece.factors:
                 pieces.append(piece)
         for beta in range(1, r + 1):
             delta = doubled[beta - 1] - d
             key = (alpha, beta, delta)
-            piece = table.get(key)
+            piece = cached.get(key)
             if piece is None:
-                piece = table[key] = _tangent_piece(char_tangent_twist(alpha, beta, delta))
+                ch = char_tangent_twist(alpha, beta, delta)
+                piece = cached[key] = _tangent_piece(ch, weights)
             if piece.factors:
                 pieces.append(piece)
             for chart, ys in charts:
                 key = (alpha, beta, delta, chart, ys[alpha - 1], ys[beta - 1])
-                piece = table.get(key)
+                piece = cached.get(key)
                 if piece is None:
                     ch = char_tangent_x1(alpha, beta, delta, chart, ys[alpha - 1], ys[beta - 1])
-                    piece = table[key] = _tangent_piece(ch)
+                    piece = cached[key] = _tangent_piece(ch, weights)
                 if piece.factors:
                     pieces.append(piece)
     return Product(tuple(pieces))
 
 
-def ell_factor(frame: FrameData, kvec, table: dict) -> Product:
+def ell_factor(frame: FrameData, kvec, table: FactorTable) -> Product:
     """Pure line-bundle contribution of a first-Chern vector: the term of
     the resolved fixed point with that vector and no boxes."""
     empties = ((),) * frame.r

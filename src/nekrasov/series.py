@@ -18,9 +18,10 @@ terms of the grades that vector uses.  Each chart rule keeps one image
 dict while it is applied, so each distinct piece and each distinct form
 of the plane series is substituted once per rule.
 
-Each series build makes one factor table (see ``localization``), local
-to series_zp2, series_zx0 or series_zx1, and passes it to every term it
-builds, so a slot's or slot pair's piece is built once per build;
+Each series build makes one factor table (``localization.FactorTable``),
+local to series_zp2, series_zx0 or series_zx1, and passes it to every
+term it builds, so a slot's or slot pair's piece, and each monomial's
+form, is built once per build;
 series_zx1_factorized keeps one more for its ell(kvec) pieces.  Every
 term of those series is an ``exact.Product`` of the table's pieces, and
 the charted plane terms, their Cauchy products and ell times a product
@@ -70,7 +71,7 @@ from .exact import (
     var_a,
     var_m,
 )
-from .localization import ell_factor, term_p2, term_x0, term_x1
+from .localization import FactorTable, ell_factor, term_p2, term_x0, term_x1
 
 SubstitutionRule = Mapping
 
@@ -184,7 +185,7 @@ def series_prefactor(r: int, sign: int, max_n: int) -> QSeries:
 def series_zp2(r: int, max_n: int) -> QSeries:
     """Plane partition-function series up to q^max_n."""
     coeffs = {}
-    table: dict = {}
+    table = FactorTable()
     for n in range(max_n + 1):
         coeffs[4 * n] = tuple(term_p2(r, tup, table) for tup in diagram_tuples(r, n))
     return QSeries(coeffs, 4 * max_n, 0)
@@ -207,7 +208,7 @@ def series_zx0(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
     negative or non-integral (parity-infeasible k) hold zero."""
     offset = frame.w1 % 4
     coeffs = {}
-    table: dict = {}
+    table = FactorTable()
     for g in range(offset, max4n + 1, 4):
         if g < frame.w1:
             coeffs[g] = ()
@@ -229,7 +230,7 @@ def series_zx1(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
     offset = frame.w1 % 4
     feasible = (k.doubled + frame.w1) % 2 == 0
     coeffs = {}
-    table: dict = {}
+    table = FactorTable()
     for g in range(offset, max4n + 1, 4):
         if not feasible:
             coeffs[g] = ()
@@ -274,7 +275,7 @@ def series_zx1_factorized(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
     if kvecs:
         bases = [sum(h.doubled ** 2 for h in kvec) for kvec in kvecs]
         zp2 = series_zp2(frame.r, (max4n - min(bases)) // 4)
-        table: dict = {}
+        table = FactorTable()
         for kvec, base in zip(kvecs, bases):
             max_n = (max4n - base) // 4
             ell = ell_factor(frame, kvec, table)

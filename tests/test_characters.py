@@ -6,18 +6,34 @@ a whole fixed point's character sum its pieces (whole_fixed_point.py)."""
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nekrasov.characters import char_lk, char_tangent_p2, degree_mod2
+from nekrasov.characters import (
+    _pair_weights,
+    char_lk,
+    char_tangent_p2,
+    char_tangent_x0,
+    char_tangent_x1,
+    char_v_p2,
+    char_v_x0,
+)
 from nekrasov.diagrams import (
     FixedPointX1,
     FrameData,
     HalfInt,
+    boxes,
     diagram_tuples,
     enum_fixed_points_x0,
     enum_fixed_points_x1,
+    partitions,
 )
 from whole_fixed_point import (
+    arm_in,
     char_rank,
+    degree_mod2,
+    degree_part,
+    leg_in,
     fixed_point_x0,
     whole_tangent_p2,
     whole_tangent_x0,
@@ -291,3 +307,56 @@ class TestDegree:
                 lhs = degree_mod2(mono_mul(a, b), frame)
                 rhs = (degree_mod2(a, frame) + degree_mod2(b, frame)) % 2
                 assert lhs == rhs
+
+
+def _defined_pair_weights(ya, yb):
+    """The arm/leg pair weights box by box, each arm and leg measured by
+    its definition (one transpose per leg)."""
+    out = [(-leg_in(yb, i, j), arm_in(ya, i, j) + 1) for i, j in boxes(ya)]
+    out += [(leg_in(ya, i, j) + 1, -arm_in(yb, i, j)) for i, j in boxes(yb)]
+    return out
+
+
+def _defined_tangent_p2(alpha, beta, ya, yb):
+    ratio = mono_t(0, 0, {beta: 1, alpha: -1} if alpha != beta else {})
+    return Counter(mono_mul(mono_t(p, q), ratio) for p, q in _defined_pair_weights(ya, yb))
+
+
+_DIAGRAMS = [y for n in range(7) for y in partitions(n)]
+_CHART_MATRICES = {1: ((2, -1), (0, 1)), 2: ((1, 0), (-1, 2))}
+
+
+class TestCharactersAgainstDefinitions:
+    """The builders read arms and legs off one transpose per diagram and
+    keep the Z2-invariant part by one parity test per weight; they equal
+    the box-by-box definitions (``arm_in``, ``leg_in``) filtered by
+    ``degree_mod2``, for every slot pair of frames with r <= 3 and mixed
+    colors, both charts and delta in [-4, 4]."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        w=st.sampled_from([(w0, w1) for w0 in range(4) for w1 in range(4) if 1 <= w0 + w1 <= 3]),
+        ya=st.sampled_from(_DIAGRAMS),
+        yb=st.sampled_from(_DIAGRAMS),
+        delta=st.integers(-4, 4),
+    )
+    @example(w=(1, 2), ya=(3, 1, 1), yb=(2, 2), delta=-1)
+    @example(w=(0, 1), ya=(), yb=(1, 1, 1, 1, 1, 1), delta=4)
+    def test_builders_equal_their_definitions(self, w, ya, yb, delta):
+        frame = FrameData(*w)
+        assert _pair_weights(ya, yb) == _defined_pair_weights(ya, yb)
+        for alpha in range(1, frame.r + 1):
+            for s in (0, 1):
+                expected = degree_part(char_v_p2(alpha, ya), frame, s)
+                assert char_v_x0(frame, alpha, ya, s) == expected
+            for beta in range(1, frame.r + 1):
+                plane = _defined_tangent_p2(alpha, beta, ya, yb)
+                assert char_tangent_p2(alpha, beta, ya, yb) == plane
+                expected = degree_part(plane, frame, 0)
+                assert char_tangent_x0(frame, alpha, beta, ya, yb) == expected
+                for chart, ((a, b), (c, d)) in _CHART_MATRICES.items():
+                    shift = (delta, 0) if chart == 1 else (0, delta)
+                    expected = Counter()
+                    for (p, q, e), n in plane.items():
+                        expected[(a * p + b * q + shift[0], c * p + d * q + shift[1], e)] += n
+                    assert char_tangent_x1(alpha, beta, delta, chart, ya, yb) == expected

@@ -10,17 +10,15 @@ from nekrasov.diagrams import (
     GradeError,
     HalfInt,
     ParityError,
-    arm_in,
     diagram_tuples,
     enum_fixed_points_x0,
     enum_fixed_points_x1,
     enum_kvectors,
     enum_walls,
     partitions,
-    leg_in,
     transpose,
 )
-from whole_fixed_point import colored_sizes, fixed_point_x0
+from whole_fixed_point import arm_in, colored_sizes, fixed_point_x0, leg_in
 
 
 def H(text):

@@ -23,7 +23,9 @@ from nekrasov.exact import (
     linear_form,
     parse_rational,
     term_eval,
+    UNIT_TERM,
     term_mul,
+    term_pow,
     term_substitute,
     var_a,
     var_m,
@@ -207,6 +209,25 @@ def test_normalization_order_independent_and_idempotent(factors, scalar, data):
     assert a == b
     rebuilt = factored_term(a.scalar, a.factors)
     assert rebuilt == a
+
+
+@settings(max_examples=150)
+@given(t=_term_strategy, n=st.sampled_from([-3, -1, 2, 3]))
+def test_term_pow_scales_a_canonical_term_in_place(t, n):
+    # the fast path equals the merge it replaced, and shares t's forms
+    got = term_pow(t, n)
+    assert got == factored_term(t.scalar ** n, [(form, exp * n) for form, exp in t.factors])
+    assert type(got.scalar) is Fraction
+    assert all(a is b for (a, _), (b, _) in zip(got.factors, t.factors))
+    assert term_pow(t, 0) == UNIT_TERM
+
+
+def test_term_pow_of_the_zero_term():
+    zero = factored_term(0)
+    assert term_pow(zero, 0) == UNIT_TERM
+    assert term_pow(zero, 2) is zero
+    with pytest.raises(ZeroDivisionError):
+        term_pow(zero, -1)
 
 
 # The evaluation kernel against a plain Fraction reference.  Coefficients

@@ -34,7 +34,14 @@ terms became products of their cached pieces, each piece compiled and
 evaluated once per point; until then no pin reached rank 4, where a term
 has 4 slot pieces and 16 slot-pair pieces (on the resolved side, three
 per slot and per slot pair), so it pins that products of pieces give the
-same values where the most pieces meet."""
+same values where the most pieces meet.  ``compute zx0`` at w = (2,1) and
+k = 1/2 was recorded while arms and legs were measured with one transpose
+per box and each orbifold piece was filtered to its Z2-invariant part
+monomial by monomial, before the builders read one transpose per diagram,
+kept that part by one parity test with the slot pair's color offset, and
+built each form once per series build; its slot pairs of mixed colors have
+offset 1 and its diagrams reach several columns, so it pins that the
+inline filter and the shared forms build the same terms."""
 
 import hashlib
 import os
@@ -125,6 +132,11 @@ GOLDEN = [
     (
         "check all --w0 2 --w1 2 --k 0 --max-n 1",
         "86aa04fdf5453e31d9110e5ece5eeae418d7e51834559c9c821b71d4f76fa82b",
+    ),
+    # mixed-color slot pairs and multi-column diagrams on the orbifold
+    (
+        "compute zx0 --w0 2 --w1 1 --k 1/2 --max-n 3",
+        "ae0103e3513186665ed4daa1ea001c64b1f879526ddb24fe2cf55f5b09860f1b",
     ),
 ]
 

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nekrasov.characters import char_lk
@@ -30,9 +30,12 @@ from nekrasov.exact import (
     var_m,
 )
 from nekrasov.localization import (
+    FactorTable,
     VanishingWeight,
+    _tangent_piece,
     ell_factor,
     euler_class,
+    mass_shifted_weight,
     matter_euler,
     term_p2,
     term_x0,
@@ -124,18 +127,75 @@ class TestMatterEuler:
         assert term_eval(got, p) == expected
 
 
+def _merged_euler(ch):
+    """Euler class the way it was built before the direct build: every
+    monomial's weight, merged by ``factored_term``."""
+    factors = []
+    for mono, mult in ch.items():
+        form = weight_form(mono)
+        if form.is_zero():
+            raise VanishingWeight(f"zero weight for monomial {mono}")
+        factors.append((form, mult))
+    return factored_term(1, factors)
+
+
+def _merged_matter(ch, r):
+    return factored_term(
+        1, [(mass_shifted_weight(mono, f), mult) for f in range(1, 2 * r + 1) for mono, mult in ch.items()]
+    )
+
+
+def _merged_pow(t, n):
+    return factored_term(t.scalar ** n, [(form, exp * n) for form, exp in t.factors])
+
+
+_MONOMIALS = st.tuples(
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.sampled_from([(), ((1, 1),), ((2, 1),), ((1, -1), (2, 1)), ((1, 1), (3, -1))]),
+)
+_CHARACTERS = st.dictionaries(_MONOMIALS, st.integers(-2, 3), max_size=8).map(Counter)
+
+
+class TestDirectCanonicalBuild:
+    """euler_class, matter_euler and _tangent_piece sort their factors
+    into a canonical term without merging, since distinct monomials have
+    distinct forms; they equal the merge through ``factored_term``, zero
+    multiplicities dropped, with or without a memo shared across calls."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(chars=st.lists(_CHARACTERS, min_size=1, max_size=4), r=st.integers(1, 3))
+    @example(chars=[Counter({(1, 0, ()): 0, (0, 1, ()): 2, (1, 1, ((1, 1),)): -1})], r=1)
+    @example(chars=[Counter({(0, 0, ()): 0, (1, 0, ()): 1})], r=2)
+    def test_equal_to_the_merged_build(self, chars, r):
+        weights, masses = {}, {}
+        for ch in chars:
+            assert matter_euler(ch, r) == _merged_matter(ch, r)
+            assert matter_euler(ch, r, masses) == _merged_matter(ch, r)
+            if (0, 0, ()) in ch:
+                for build in (euler_class, _tangent_piece):
+                    with pytest.raises(VanishingWeight):
+                        build(ch)
+                continue
+            expected = _merged_euler(ch)
+            assert euler_class(ch) == expected
+            assert euler_class(ch, weights) == expected
+            assert _tangent_piece(ch) == _merged_pow(expected, -1)
+            assert _tangent_piece(ch, weights) == _merged_pow(expected, -1)
+
+
 class TestPlaneTerms:
     def test_empty_tuple_is_unit(self):
-        assert merged(term_p2(1, [()], {})) == UNIT_TERM
+        assert merged(term_p2(1, [()], FactorTable())) == UNIT_TERM
 
     def test_single_box(self):
-        got = term_eval(term_p2(1, [(1,)], {}), GENERIC)
+        got = term_eval(term_p2(1, [(1,)], FactorTable()), GENERIC)
         p = GENERIC
         expected = matter_values(p, p[var_a(1)]) / (p[EPS1] * p[EPS2])
         assert got == expected
 
     def test_column_of_two(self):
-        got = term_eval(term_p2(1, [(2,)], {}), GENERIC)
+        got = term_eval(term_p2(1, [(2,)], FactorTable()), GENERIC)
         p = GENERIC
         expected = matter_values(p, p[var_a(1)], p[var_a(1)] - p[EPS2]) / (
             2 * p[EPS2] * p[EPS2] * (p[EPS1] - p[EPS2]) * p[EPS1]
@@ -151,7 +211,7 @@ class TestPlaneTerms:
                 values[var_m(4)] = Fraction(13)
             for total in range(4):
                 for tup in diagram_tuples(r, total):
-                    term = term_p2(r, tup, {})  # no VanishingWeight
+                    term = term_p2(r, tup, FactorTable())  # no VanishingWeight
                     term_eval(term, values)  # no PoleError at a generic point
 
 
@@ -159,15 +219,15 @@ class TestOrbifoldTerms:
     def test_single_box_dim_zero(self):
         frame = FrameData(1, 0)
         (fp,) = enum_fixed_points_x0(frame, 1, 0)
-        got = term_x0(frame, fp, {})
+        got = term_x0(frame, fp, FactorTable())
         assert merged(got).factors == matter_euler(counted(mono_t(0, 0, {1: 1})), 1).factors
 
     def test_two_box_pair(self):
         frame = FrameData(1, 0)
         column, row = enum_fixed_points_x0(frame, 1, 1)
         p = GENERIC
-        col_val = term_eval(term_x0(frame, column, {}), p)
-        row_val = term_eval(term_x0(frame, row, {}), p)
+        col_val = term_eval(term_x0(frame, column, FactorTable()), p)
+        row_val = term_eval(term_x0(frame, row, FactorTable()), p)
         num = matter_values(p, p[var_a(1)])
         assert col_val == num / (2 * p[EPS2] * (p[EPS1] - p[EPS2]))
         assert row_val == num / (2 * p[EPS1] * (p[EPS2] - p[EPS1]))
@@ -177,7 +237,7 @@ class TestOrbifoldTerms:
         frame = FrameData(1, 0)
         fps = enum_fixed_points_x0(frame, 1, 1)
         for p in (GENERIC, point(2, -5, 1, 0, 4), point(Fraction(1, 3), 9, -2, 1, 1)):
-            total = sum(term_eval(term_x0(frame, fp, {}), p) for fp in fps)
+            total = sum(term_eval(term_x0(frame, fp, FactorTable()), p) for fp in fps)
             expected = matter_values(p, p[var_a(1)]) / (2 * p[EPS1] * p[EPS2])
             assert total == expected
 
@@ -185,11 +245,11 @@ class TestOrbifoldTerms:
 class TestResolvedTerms:
     def test_empty_is_unit(self):
         frame = FrameData(1, 0)
-        assert merged(term_x1(frame, fp_x1([H(0)], [()], [()]), {})) == UNIT_TERM
+        assert merged(term_x1(frame, fp_x1([H(0)], [()], [()]), FactorTable())) == UNIT_TERM
 
     def test_pure_twist(self):
         frame = FrameData(1, 0)
-        got = term_x1(frame, fp_x1([H(1)], [()], [()]), {})
+        got = term_x1(frame, fp_x1([H(1)], [()], [()]), FactorTable())
         p = GENERIC
         expected = Fraction(1)
         for f in (1, 2):
@@ -198,7 +258,7 @@ class TestResolvedTerms:
 
     def test_single_box_first_chart(self):
         frame = FrameData(1, 0)
-        got = term_x1(frame, fp_x1([H(0)], [(1,)], [()]), {})
+        got = term_x1(frame, fp_x1([H(0)], [(1,)], [()]), FactorTable())
         p = GENERIC
         expected = matter_values(p, p[var_a(1)]) / (
             (p[EPS2] - p[EPS1]) * 2 * p[EPS1]
@@ -208,11 +268,11 @@ class TestResolvedTerms:
 
 class TestEllFactor:
     def test_zero_vector_is_unit(self):
-        assert merged(ell_factor(FrameData(1, 0), (H(0),), {})) == UNIT_TERM
-        assert merged(ell_factor(FrameData(2, 0), (H(0), H(0)), {})) == UNIT_TERM
+        assert merged(ell_factor(FrameData(1, 0), (H(0),), FactorTable())) == UNIT_TERM
+        assert merged(ell_factor(FrameData(2, 0), (H(0), H(0)), FactorTable())) == UNIT_TERM
 
     def test_rank_one_twist(self):
-        got = ell_factor(FrameData(1, 0), (H(1),), {})
+        got = ell_factor(FrameData(1, 0), (H(1),), FactorTable())
         p = GENERIC
         expected = Fraction(1)
         for f in (1, 2):
@@ -221,7 +281,7 @@ class TestEllFactor:
 
     def test_rank_two_opposite_twists(self):
         frame = FrameData(2, 0)
-        got = ell_factor(frame, (H(1), H(-1)), {})
+        got = ell_factor(frame, (H(1), H(-1)), FactorTable())
         p = dict(GENERIC)
         p[var_a(2)] = Fraction(-4, 5)
         p[var_m(3)] = Fraction(8)
@@ -262,7 +322,7 @@ class TestEllFactor:
                 expected = term_mul(
                     matter_euler(num, frame.r), term_pow(euler_class(den), -1)
                 )
-                assert merged(ell_factor(frame, kvec, {})) == merged(expected)
+                assert merged(ell_factor(frame, kvec, FactorTable())) == merged(expected)
 
 
 # Every framing of rank 1 to 3.
@@ -317,13 +377,13 @@ class TestSharedFactorTable:
             "x1": lambda fp: reference_term_x1(frame, fp),
         }[kind]
         order = data.draw(st.permutations(range(len(fps))), label="order")
-        table: dict = {}
+        table = FactorTable()
         for i in order:
             term = build(fps[i], table)
             assert merged(term) == reference(fps[i])
             # unit pieces are dropped, and every piece is the table's object
             assert all(piece.factors for piece in term.pieces)
-            assert {id(piece) for piece in term.pieces} <= {id(piece) for piece in table.values()}
+            assert {id(piece) for piece in term.pieces} <= {id(piece) for piece in table.pieces.values()}
             if kind == "x1":
                 empties = ((),) * frame.r
                 ell = ell_factor(frame, fps[i].kvec, table)
@@ -335,7 +395,7 @@ class TestSharedFactorTable:
         # line-bundle piece and two chart pieces
         frame = FrameData(2, 0)
         fps = [fp for g in (0, 4, 8) for fp in enum_fixed_points_x1(frame, H(0), g)]
-        table: dict = {}
+        table = FactorTable()
         for fp in fps:
             term_x1(frame, fp, table)
-        assert len(table) < len(fps) * (2 + 4) * 3
+        assert len(table.pieces) < len(fps) * (2 + 4) * 3

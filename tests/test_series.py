@@ -266,7 +266,7 @@ class TestScaleAndShift:
         frame = FrameData(1, 0)
         kvec = (H(1),)
         zp2 = series_zp2(1, 1)
-        ell = ell_factor(frame, kvec, {})
+        ell = ell_factor(frame, kvec, localization.FactorTable())
         whole = series_zx1_factorized(frame, H(1), 8)
         for p in POINTS:
             p1 = map_point(p, rule_chart(1, kvec))
@@ -394,6 +394,26 @@ class TestFactorTables:
             merged_ref = dataclasses.replace(ref, coeffs=_merged_coeffs(ref))
             assert _merged_coeffs(built[name]) == merged_ref.coeffs, name
             assert set(union_pole_forms(built[name])) == set(union_pole_forms(merged_ref)), name
+
+    def test_each_form_is_one_object_per_build(self):
+        # within one build every piece holding a form holds the same
+        # object; a second build shares none, so no memo outlives a build
+        frame, k, max4n = FrameData(1, 2), H(0), 4 * 3 + 2
+        builds = {
+            "zx0": lambda: series_zx0(frame, k, max4n),
+            "zx1": lambda: series_zx1(frame, k, max4n),
+            "zp2": lambda: series_zp2(frame.r, 3),
+        }
+
+        def forms(built):
+            pieces = {id(piece): piece for c in built.coeffs.values() for t in c for piece in t.pieces}
+            return [form for piece in pieces.values() for form, _ in piece.factors]
+
+        for name, build in builds.items():
+            first, second = build(), build()
+            held = forms(first)
+            assert len({id(form) for form in held}) == len(set(held)), name
+            assert not {id(form) for form in held} & {id(form) for form in forms(second)}, name
 
     def test_no_module_level_table_survives_a_build(self):
         def state(module):

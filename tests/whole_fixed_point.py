@@ -9,7 +9,9 @@ class of the whole tautological character, one Euler class of the whole
 tangent character, then num * den^-1, merged into one canonical
 ``FactoredTerm``.  ``merged`` gives any term, product or not, that
 canonical form, so a product term is compared with the reference through
-it.  The last helpers read quantities only tests need.
+it.  The box-by-box definitions of arms, legs and the Z2-degree, which
+the engine's builders inline, are the references for the characters.
+The last helpers read quantities only tests need.
 """
 
 from collections import Counter
@@ -26,9 +28,35 @@ from nekrasov.characters import (
     char_v_x0,
     char_v_x1,
 )
-from nekrasov.diagrams import FixedPointX0, boxes
+from nekrasov.diagrams import FixedPointX0, boxes, transpose
 from nekrasov.exact import factored_term, term_mul, term_pow
 from nekrasov.localization import euler_class, matter_euler
+
+
+def column_height(diagram, i) -> int:
+    """Height of the i-th column (0 beyond the diagram's width)."""
+    return diagram[i - 1] if 1 <= i <= len(diagram) else 0
+
+
+def arm_in(diagram, i, j) -> int:
+    """lambda_i - j, measured in `diagram`; negative for boxes outside it."""
+    return column_height(diagram, i) - j
+
+
+def leg_in(diagram, i, j) -> int:
+    """lambda'_j - i, measured in `diagram`; negative for boxes outside it."""
+    return column_height(transpose(diagram), j) - i
+
+
+def degree_mod2(mono, frame) -> int:
+    """Z2-degree: t1, t2 and the color-1 framing characters are odd."""
+    p, q, e = mono
+    return (p + q + sum(exp for alpha, exp in e if alpha > frame.w0)) % 2
+
+
+def degree_part(ch, frame, s) -> Counter:
+    """The monomials of `ch` of Z2-degree s, with their multiplicities."""
+    return Counter({m: n for m, n in ch.items() if degree_mod2(m, frame) == s})
 
 
 def merged(t):
