@@ -12,8 +12,6 @@ builder below returns one piece of such a sum, built from only the data
 that piece depends on, so a series build can make each distinct piece
 once (see ``localization``):
 
-  * char_lk(k)            -- cohomology character of the k-th line bundle
-                             twist on the resolved surface,
   * char_v_*              -- one slot's tautological fiber: on the plane
                              and the orbifold (degree-s part) it depends on
                              (alpha, Y_alpha); on the resolved surface it
@@ -48,7 +46,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterator
 
-from .diagrams import FrameData, HalfInt, YoungDiagram, boxes, transpose
+from .diagrams import FrameData, YoungDiagram, boxes, transpose
 
 
 def _ratio(alpha: int, beta: int) -> tuple:
@@ -59,19 +57,15 @@ def _ratio(alpha: int, beta: int) -> tuple:
 
 
 def _twist(d: int) -> Iterator[tuple[int, int]]:
-    """t-exponents (p, q) of the twist character with doubled index d."""
+    """t-exponents (p, q) of the twist character with doubled index d: for
+    d > 1 the monomials t1^(i+1) t2^(j+1) over i, j >= 0 with
+    i + j <= d - 2 and i + j = d mod 2; for d < -1 the mirror family
+    t1^(-i) t2^(-j) with |d| in place of d; none otherwise."""
     bound = abs(d) - 2
     for i in range(bound + 1):
         for j in range(bound + 1 - i):
             if (i + j - d) % 2 == 0:
                 yield (i + 1, j + 1) if d > 0 else (-i, -j)
-
-
-def char_lk(k: HalfInt) -> Counter:
-    """Lattice character of the k-th twist: for k > 1/2 the monomials
-    t1^(i+1) t2^(j+1) over i, j >= 0 with i + j <= 2k - 2 and i + j = 2k
-    mod 2; for k < -1/2 the mirror family t1^(-i) t2^(-j); empty otherwise."""
-    return Counter((p, q, ()) for p, q in _twist(k.doubled))
 
 
 def _color(frame: FrameData, alpha: int) -> int:

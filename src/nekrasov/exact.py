@@ -42,6 +42,8 @@ denominator per piece, and each term as the product of its pieces' ints.
 Each coefficient's terms are added as int fractions, in pairs over the
 lcm of their denominators, and a ``Fraction`` is made once per
 coefficient, so the arithmetic stays arbitrary precision and exact.
+The compile is the one walk over a series' pieces: it also records the
+forms a sample point must avoid and each coefficient's degree.
 """
 
 from __future__ import annotations
@@ -309,10 +311,9 @@ class Product:
     `FactoredTerm`; the empty product is 1.
 
     Pieces are never merged: a piece shared by many terms stays one
-    object, so a `Kernel` compiles and evaluates it once, and
-    `coeff_degree` and `coeff_denominator_forms` read it once.  Merging
-    every piece's factors with `factored_term` gives the same term in
-    canonical form."""
+    object, so a `Kernel` compiles and evaluates it once.  Merging every
+    piece's factors with `factored_term` gives the same term in canonical
+    form."""
 
     pieces: tuple[FactoredTerm, ...]
 
@@ -416,15 +417,24 @@ class Kernel:
     scaled to (ints, D), so a piece is the int pair num0 * prod(num
     values) over den0 * prod(den values), times D^-degree, and a term is
     the product of its pieces' pairs times D^-degree.  A term with a
-    zero-scalar piece is dropped before its pieces are compiled."""
+    zero-scalar piece is dropped before its pieces are compiled.
 
-    __slots__ = ("forms", "pieces", "_compiled", "_coeffs")
+    The compile also records `pole_forms`, the distinct forms with a
+    negative exponent in some compiled piece in first-seen order (those
+    whose zero makes `evaluate` raise PoleError), and `degrees`, one per
+    coefficient: the degree its kept terms share, 0 for none, or None
+    when they differ.  Forms have no constant part, so a coefficient of
+    one degree d takes (-1)^d times its value at p at the point -p."""
+
+    __slots__ = ("forms", "pieces", "pole_forms", "degrees", "_compiled", "_coeffs")
 
     def __init__(self, coefficients: Iterable[Coefficient]) -> None:
         slots: dict[tuple, int] = {}  # (pairs, den) -> slot: equal forms share one
         index: dict[int, int] = {}  # id(piece) -> its place in self.pieces, which holds it
+        poles: dict[int, None] = {}  # denominator slots, in first-seen order
         self.forms: list[LinearForm] = []
         self.pieces: list[FactoredTerm] = []
+        self.degrees: list[int | None] = []
         self._compiled: list[tuple] = []
         self._coeffs = []
         for c in coefficients:
@@ -441,10 +451,14 @@ class Kernel:
                         i = index[id(piece)] = len(self.pieces)
                         self.pieces.append(piece)
                         self._compiled.append(_compile_piece(piece, slots, self.forms))
+                        poles.update(dict.fromkeys(self._compiled[i][3]))
                     refs.append(i)
                     degree += self._compiled[i][4]
                 terms.append((tuple(refs), degree))
+            degrees = {degree for _, degree in terms} or {0}
+            self.degrees.append(degrees.pop() if len(degrees) == 1 else None)
             self._coeffs.append(terms)
+        self.pole_forms = [self.forms[slot] for slot in poles]
 
     def evaluate(self, point: Mapping[Var, Fraction]) -> list[Fraction]:
         """Every coefficient's value at `point`, in compile order.  Each
@@ -529,41 +543,3 @@ def _sum_fractions(parts: list[tuple[int, int]]) -> Fraction:
             merged.append(parts[-1])
         parts = merged
     return Fraction(*parts[0]) if parts else Fraction(0)
-
-
-def coeff_degree(c: Coefficient) -> int | None:
-    """The total degree (sum of factor exponents) every term of `c` shares,
-    0 for the empty coefficient, or None when the terms' degrees differ.
-    Each distinct piece's degree is summed once.  Forms have no constant
-    part, so a coefficient of one degree d takes (-1)^d times its value at
-    p at the point -p."""
-    piece_degrees: dict[int, int] = {}  # id(piece) -> degree; c holds the pieces
-    degrees = set()
-    for t in c:
-        total = 0
-        for piece in t.pieces:
-            d = piece_degrees.get(id(piece))
-            if d is None:
-                d = piece_degrees[id(piece)] = sum(exp for _, exp in piece.factors)
-            total += d
-        degrees.add(total)
-    if len(degrees) > 1:
-        return None
-    return degrees.pop() if degrees else 0
-
-
-def coeff_denominator_forms(c: Coefficient) -> list[LinearForm]:
-    """Distinct forms appearing with negative exponent in some piece, in
-    first-seen order, each distinct piece read once.  These are the forms
-    whose zero makes `Kernel.evaluate` raise PoleError."""
-    read: set[int] = set()  # ids of the pieces read; c holds them
-    seen: dict[LinearForm, None] = {}
-    for t in c:
-        for piece in t.pieces:
-            if id(piece) in read:
-                continue
-            read.add(id(piece))
-            for form, exp in piece.factors:
-                if exp < 0 and form not in seen:
-                    seen[form] = None
-    return list(seen)

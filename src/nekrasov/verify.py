@@ -31,11 +31,12 @@ Each side also carries the linear forms its draws must avoid: a series
 read at R(p) carries its plain denominator forms composed with R (form o
 R vanishes at p exactly when form vanishes at R(p)), and a product
 carries both factors' forms.  A check's draws avoid the union of its
-sides' forms; a draw that zeroes any of them is rejected and the whole
-point redrawn, so an honest pole can never masquerade as a mismatch.
-Each series' plain denominator forms are collected once per pair.  The
-pole test is exact.clear_of, on the integer kernel: the draw is scaled
-to one common denominator once, and each form is one int dot product.
+sides' forms (union_pole_forms); a draw that zeroes any of them is
+rejected and the whole point redrawn, so an honest pole can never
+masquerade as a mismatch.  Each series' plain denominator forms are read
+off its kernel, once per pair.  The pole test is exact.clear_of, on the
+integer kernel: the draw is scaled to one common denominator once, and
+each form is one int dot product.
 
 The pair also holds one value table per invocation: a series read at a
 point is evaluated once, keyed by (series, the point's values), and every
@@ -45,10 +46,11 @@ compiles on first use: each distinct form of the series is one int dot
 product per point, each distinct piece (a slot's matter factor or a slot
 pair's tangent factor) one int numerator and denominator, each term the
 product of its pieces' ints, and each grade's value one Fraction.  The
-pole forms and degrees are read off the distinct pieces too; no form
-cancels between the pieces of a term (every matter form carries a mass,
-no tangent form does), so they are those of the merged terms.  Kernels
-and table hold only what they compute and die with the pair.  Every linear
+same compile walk records the series' pole forms and each coefficient's
+degree, so nothing else reads the pieces; no form cancels between the
+pieces of a term (every matter form carries a mass, no tangent form
+does), so they are those of the merged terms.  Kernels and table hold
+only what they compute and die with the pair.  Every linear
 form has no constant part, so a coefficient whose terms all have one
 total degree d (the sum of the factor exponents) takes exactly (-1)^d
 times its value at p at the point -p, and its forms vanish at -p exactly
@@ -87,8 +89,6 @@ from .exact import (
     Kernel,
     LinearForm,
     clear_of,
-    coeff_degree,
-    coeff_denominator_forms,
     format_rational,
     scope_vars,
     term_eval,
@@ -195,31 +195,24 @@ def sample_points(
     return points, resamples
 
 
-def union_pole_forms(*series_list: QSeries) -> list[LinearForm]:
-    """Every distinct denominator form of every coefficient."""
-    seen: dict[LinearForm, None] = {}
-    for series in series_list:
-        for g in series.grades():
-            for form in coeff_denominator_forms(series.coefficient(g)):
-                seen.setdefault(form, None)
-    return list(seen)
+def union_pole_forms(*form_lists: list[LinearForm]) -> list[LinearForm]:
+    """The distinct forms of all `form_lists`, in first-seen order."""
+    return list(dict.fromkeys(form for forms in form_lists for form in forms))
 
 
 class SeriesPair:
     """Every series of one (frame, k, max4n), each built on first use and
     then kept, so checks that share a pair share the series.
 
-    The pair also keeps, per series, its plain denominator forms, its
-    coefficients' degrees and its compiled kernel, each made once, and one
-    value table: a series read at a point is evaluated once, keyed by
+    The pair also keeps, per series, its compiled kernel, made once and
+    read for the series' values, plain denominator forms and degrees, and
+    one value table: a series read at a point is evaluated once, keyed by
     (series name, the point's values), and then served to every check
     from the table."""
 
     def __init__(self, frame: FrameData, k: HalfInt, max4n: int) -> None:
         self.key = (frame, k, max4n)
         self._series: dict[str, QSeries] = {}
-        self._forms: dict[str, list[LinearForm]] = {}
-        self._degrees: dict[str, dict] = {}
         self._kernels: dict[str, Kernel] = {}
         self._values: dict[tuple, dict] = {}
 
@@ -246,45 +239,40 @@ class SeriesPair:
             self._series[name] = series
         return series
 
+    def _kernel(self, name: str) -> Kernel:
+        """The compiled kernel of series `name`, made on first use."""
+        kernel = self._kernels.get(name)
+        if kernel is None:
+            series = self.series(name)
+            kernel = self._kernels[name] = Kernel(map(series.coefficient, series.grades()))
+        return kernel
+
     def pole_forms(self, name: str) -> list[LinearForm]:
         """Every distinct denominator form of series `name`."""
-        if name not in self._forms:
-            self._forms[name] = union_pole_forms(self.series(name))
-        return self._forms[name]
+        return self._kernel(name).pole_forms
 
     def degrees(self, name: str) -> dict:
         """{grade: the degree all terms share, or None} for series `name`."""
-        if name not in self._degrees:
-            series = self.series(name)
-            self._degrees[name] = {g: coeff_degree(series.coefficient(g)) for g in series.grades()}
-        return self._degrees[name]
-
-    def _evaluate(self, name: str, image: EvalPoint) -> dict:
-        """{grade: value} of series `name` at `image`, from the series'
-        kernel, compiled on first use."""
-        kernel = self._kernels.get(name)
-        series = self.series(name)
-        if kernel is None:
-            kernel = self._kernels[name] = Kernel(map(series.coefficient, series.grades()))
-        return dict(zip(series.grades(), kernel.evaluate(image)))
+        return dict(zip(self.series(name).grades(), self._kernel(name).degrees))
 
     def values(self, name: str, image: EvalPoint) -> dict:
-        """{grade: value} of series `name` at `image`, evaluated once per
-        distinct image."""
+        """{grade: value} of series `name` at `image`, evaluated by its
+        kernel once per distinct image."""
         key = (name, tuple(image.values()))
         values = self._values.get(key)
         if values is None:
-            values = self._values[key] = self._evaluate(name, image)
+            grades = self.series(name).grades()
+            values = self._values[key] = dict(zip(grades, self._kernel(name).evaluate(image)))
         return values
 
     def negated(self, name: str, image: EvalPoint) -> dict:
         """{grade: value} of series `name` at -image.  A coefficient whose
         terms share one degree d takes (-1)^d times its value at `image`;
-        if any coefficient mixes degrees, the series is evaluated at -image
-        and that coefficient read from there."""
+        if any coefficient mixes degrees, the series is read at -image too
+        and that coefficient taken from there."""
         plain, degrees = self.values(name, image), self.degrees(name)
         if None in degrees.values():
-            flipped = self._evaluate(name, {v: -x for v, x in image.items()})
+            flipped = self.values(name, {v: -x for v, x in image.items()})
         out = {}
         for g, d in degrees.items():
             if d is None:
@@ -359,28 +347,17 @@ def _side(value, forms: list[LinearForm]):
     return value
 
 
-def _composed(forms: list[LinearForm], rule) -> list[LinearForm]:
-    """Each form composed with `rule`: form o R vanishes at p exactly when
-    form vanishes at R(p)."""
-    return forms if rule is None else [form.substitute(rule) for form in forms]
-
-
-def _read(pair: SeriesPair, name: str, rule=None):
+def _read(pair: SeriesPair, name: str, rule=None, negated: bool = False):
     """The side reading every coefficient of the pair's series `name` at
-    rule(p), through the pair's value table."""
+    rule(p), through the pair's value table, or at -rule(p) from its
+    values at rule(p) when `negated`.  Its forms are the series' forms
+    composed with the rule: form o R vanishes at p exactly when form
+    vanishes at R(p), and a form vanishes at -q exactly when it vanishes
+    at q."""
+    read, forms = pair.negated if negated else pair.values, pair.pole_forms(name)
     return _side(
-        lambda point: pair.values(name, map_point(point, rule)),
-        _composed(pair.pole_forms(name), rule),
-    )
-
-
-def _read_negated(pair: SeriesPair, name: str, rule=None):
-    """The side reading the pair's series `name` at -rule(p), from its
-    values at rule(p).  A form vanishes at -q exactly when it vanishes at
-    q, so its forms are those of _read(pair, name, rule)."""
-    return _side(
-        lambda point: pair.negated(name, map_point(point, rule)),
-        _composed(pair.pole_forms(name), rule),
+        lambda point: read(name, map_point(point, rule)),
+        forms if rule is None else [form.substitute(rule) for form in forms],
     )
 
 
@@ -404,7 +381,7 @@ def _run_check(name: str, pair: SeriesPair, cfg: SampleConfig, rows) -> Verifica
     shared by several rows is evaluated once per point."""
     frame, k, max4n = pair.key
     sides = dict.fromkeys(side for _, lhs, rhs in rows for side in (lhs, rhs))
-    pole_forms = list(dict.fromkeys(form for side in sides for form in side.forms))
+    pole_forms = union_pole_forms(*(side.forms for side in sides))
     points, resamples = sample_points(cfg, pole_forms, frame.r)
     values = [{side: side(point) for side in sides} for point in points]
     grades = [
@@ -445,7 +422,7 @@ def check_symmetry(pair: SeriesPair, cfg: SampleConfig) -> VerificationReport:
     times its plain value, so it passes exactly when d is even; one of
     mixed degree is evaluated at the flipped point."""
     rows = [
-        ({"kappa": kappa}, _read_negated(pair, name), _read(pair, name))
+        ({"kappa": kappa}, _read(pair, name, negated=True), _read(pair, name))
         for kappa, name in ((0, "zx0"), (1, "zx1"))
     ]
     return _run_check("symmetry", pair, cfg, rows)
@@ -463,7 +440,7 @@ def _must_weights(r: int, max_n: int):
             out[4 * j] = out[4 * j - 4] * sign * (u + j - 1) / j
         return out
 
-    return _side(weights, coeff_denominator_forms((u_term,)))
+    return _side(weights, Kernel([(u_term,)]).pole_forms)
 
 
 def check_recursion_must(pair: SeriesPair, cfg: SampleConfig) -> VerificationReport:
@@ -480,5 +457,6 @@ def check_recursion_must(pair: SeriesPair, cfg: SampleConfig) -> VerificationRep
     frame, k, max4n = pair.key
     if k.doubled < 0:
         raise ValueError("recursion check is defined for k >= 0")
-    rhs = _cauchy(_must_weights(frame.r, max4n // 4), _read_negated(pair, "zx0", rule_negate_eps()))
+    beta = _read(pair, "zx0", rule_negate_eps(), negated=True)
+    rhs = _cauchy(_must_weights(frame.r, max4n // 4), beta)
     return _run_check("must", pair, cfg, [({}, _read(pair, "zx1"), rhs)])

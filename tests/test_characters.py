@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from nekrasov.characters import (
     _pair_weights,
-    char_lk,
     char_tangent_p2,
+    char_tangent_twist,
     char_tangent_x0,
     char_tangent_x1,
     char_v_p2,
+    char_v_twist,
     char_v_x0,
 )
 from nekrasov.diagrams import (
@@ -30,6 +31,7 @@ from nekrasov.diagrams import (
 )
 from whole_fixed_point import (
     arm_in,
+    char_lk,
     char_rank,
     degree_mod2,
     degree_part,
@@ -84,6 +86,18 @@ class TestTwistCharacter:
 
     def test_minus_one(self):
         assert char_lk(H(-1)) == counted(mono_t(0, 0))
+
+    def test_engine_twist_pieces_are_the_lattice_character(self):
+        # a slot's twist piece is e_alpha times it; a pair's, e_beta/e_alpha
+        for doubled in range(-6, 7):
+            ch = char_lk(HalfInt(doubled))
+            assert char_v_twist(2, doubled, 0) == {
+                (p, q, ((2, 1),)): n for (p, q, _), n in ch.items()
+            }
+            assert char_tangent_twist(1, 1, doubled) == ch
+            assert char_tangent_twist(1, 2, doubled) == {
+                (p, q, ((1, -1), (2, 1))): n for (p, q, _), n in ch.items()
+            }
 
     def test_rank_formula_up_to_4(self):
         # independent oracle: count lattice points of the defining index set

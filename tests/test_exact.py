@@ -15,8 +15,6 @@ from nekrasov.exact import (
     PoleError,
     Product,
     Var,
-    coeff_degree,
-    coeff_denominator_forms,
     coeff_eval,
     factored_term,
     format_rational,
@@ -31,7 +29,7 @@ from nekrasov.exact import (
     var_m,
 )
 from nekrasov.localization import mass_shifted_weight, weight_form
-from whole_fixed_point import coefficient, merged
+from whole_fixed_point import coeff_degree, coeff_denominator_forms, coefficient, merged
 
 
 def F(*args):
@@ -439,6 +437,11 @@ class TestCompiledKernel:
         assert all(a is b for a, b in zip(kernel.pieces, pieces))
         forms = {form for piece in pieces for form, _ in piece.factors}
         assert len(kernel.forms) == len(forms) and set(kernel.forms) == forms
+        # pole forms and degrees count the kept terms only
+        live = [tuple(t for t in c if all(piece.scalar for piece in t.pieces)) for c in coeffs]
+        poles = dict.fromkeys(form for c in live for form in coeff_denominator_forms(c))
+        assert kernel.pole_forms == list(poles)
+        assert kernel.degrees == [coeff_degree(c) for c in live]
         try:
             expected = [sum((_reference_term(t, point) for t in c), F(0)) for c in coeffs]
         except PoleError:
@@ -454,12 +457,25 @@ class TestCompiledKernel:
         assert kernel.forms == [a]
         # a = 1/2 + 2 = 5/2 at (1, -2)
         assert kernel.evaluate({EPS1: F(1), EPS2: F(-2)}) == [F(25, 4), 3 / F(5, 2) ** 3]
+        assert kernel.pole_forms == [a] and kernel.degrees == [2, -3]
+
+    def test_a_dropped_zero_scalar_term_adds_no_pole_form(self):
+        # a raw zero-scalar term 0 / (eps1 - eps2) beside 3 / (2 eps1 + eps2)
+        f, g = linear_form({EPS1: 1, EPS2: -1}), linear_form({EPS1: 2, EPS2: 1})
+        zero = FactoredTerm(F(0), ((f, -1),))
+        kernel = Kernel([(zero, factored_term(3, [(g, -1)])), (zero,)])
+        assert f not in kernel.pole_forms and kernel.pole_forms == [g]
+        assert kernel.degrees == [-1, 0]
+        # f = 0 and g = 6 at (2, 2)
+        assert kernel.evaluate({EPS1: F(2), EPS2: F(2)}) == [F(1, 2), F(0)]
+        with pytest.raises(PoleError):
+            kernel.evaluate({EPS1: F(1), EPS2: F(-2)})
 
 
 class TestProducts:
-    """A product term keeps its pieces: the kernel, the degree and the
-    denominator forms read each distinct piece once, and agree with the
-    term's canonical merge wherever no form cancels between pieces."""
+    """A product term keeps its pieces: the kernel compiles each distinct
+    piece once, and its values, degrees and denominator forms agree with
+    the term's canonical merge wherever no form cancels between pieces."""
 
     def _pieces(self):
         a = factored_term(F(1, 2), [(_E1, 1), (_HALF_E2, -1)])
@@ -476,11 +492,15 @@ class TestProducts:
         assert coeff_degree(coeff) is None
         assert coeff_degree((Product((a, b)), Product((b, a)))) == -2
         assert coeff_degree((Product(()),)) == 0
+        kernel = Kernel([coeff, (Product((a, b)), Product((b, a))), (Product(()),), ()])
+        assert kernel.degrees == [None, -2, 0, 0]
 
     def test_denominator_forms_are_read_once_per_piece(self):
         a, b, c = self._pieces()
-        forms = coeff_denominator_forms((Product((a, b)), Product((b, c)), c))
+        coeff = (Product((a, b)), Product((b, c)), c)
+        forms = coeff_denominator_forms(coeff)
         assert forms == [_HALF_E2, _E2]
+        assert Kernel([coeff]).pole_forms == forms
 
     def test_each_piece_compiles_once(self, monkeypatch):
         from nekrasov import exact

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nekrasov.characters import char_lk
 from nekrasov.diagrams import (
     FixedPointX1,
     FrameData,
@@ -42,7 +41,13 @@ from nekrasov.localization import (
     term_x1,
     weight_form,
 )
-from whole_fixed_point import merged, reference_term_p2, reference_term_x0, reference_term_x1
+from whole_fixed_point import (
+    char_lk,
+    merged,
+    reference_term_p2,
+    reference_term_x0,
+    reference_term_x1,
+)
 
 
 def H(text):

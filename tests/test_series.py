@@ -40,9 +40,14 @@ from nekrasov.verify import (
     check_main,
     check_recursion_must,
     check_symmetry,
-    union_pole_forms,
 )
-from whole_fixed_point import merged, reference_term_p2, reference_term_x0, reference_term_x1
+from whole_fixed_point import (
+    merged,
+    reference_term_p2,
+    reference_term_x0,
+    reference_term_x1,
+    series_pole_forms,
+)
 
 
 def H(text):
@@ -393,7 +398,7 @@ class TestFactorTables:
         for name, ref in reference.items():
             merged_ref = dataclasses.replace(ref, coeffs=_merged_coeffs(ref))
             assert _merged_coeffs(built[name]) == merged_ref.coeffs, name
-            assert set(union_pole_forms(built[name])) == set(union_pole_forms(merged_ref)), name
+            assert set(series_pole_forms(built[name])) == set(series_pole_forms(merged_ref)), name
 
     def test_each_form_is_one_object_per_build(self):
         # within one build every piece holding a form holds the same

@@ -12,8 +12,6 @@ from nekrasov.exact import (
     EPS2,
     ZERO_FORM,
     Kernel,
-    coeff_degree,
-    coeff_denominator_forms,
     coeff_eval,
     factored_term,
     linear_form,
@@ -44,7 +42,13 @@ from nekrasov.verify import (
     sample_points,
     union_pole_forms,
 )
-from whole_fixed_point import coefficient, merged
+from whole_fixed_point import (
+    coeff_degree,
+    coeff_denominator_forms,
+    coefficient,
+    merged,
+    series_pole_forms,
+)
 
 
 def H(text):
@@ -237,7 +241,7 @@ class TestSensitivity:
     perturbed term is the canonical merge of a product term."""
 
     def _points(self, lhs, rhs):
-        forms = union_pole_forms(lhs, rhs)
+        forms = series_pole_forms(lhs, rhs)
         return [sample_point(CFG, t, forms, 1) for t in range(CFG.trials)]
 
     def test_exponent_perturbation_detected(self):
@@ -285,8 +289,8 @@ class TestZeroKBranchGuard:
         pref = series_prefactor(frame.r, +1, 2)
         rhs_ge = series_mul(pref, plain)
         u_term = prefactor_exponent(frame.r)
-        forms = union_pole_forms(plain) + coeff_denominator_forms((u_term,))
-        forms += [form.substitute(flip) for form in union_pole_forms(plain)]
+        forms = series_pole_forms(plain) + coeff_denominator_forms((u_term,))
+        forms += [form.substitute(flip) for form in series_pole_forms(plain)]
         for trial in range(CFG.trials):
             p = sample_point(CFG, trial, forms, frame.r)
             q = map_point(p, flip)
@@ -391,7 +395,7 @@ class TestFlippedSides:
         zx1 = series_zx1(frame, k, max4n)
         target = next(
             form
-            for form in union_pole_forms(zx1)
+            for form in series_pole_forms(zx1)
             if coefficient(form, var_a(1)) != 0
             and (coefficient(form, EPS1) != 0 or coefficient(form, EPS2) != 0)
         )
@@ -401,7 +405,7 @@ class TestFlippedSides:
         trap = map_point(image, flip)
         hit = target.substitute(flip)
         assert hit.evaluate(trap) == 0 and target.evaluate(trap) != 0
-        forms = union_pole_forms(zx1, series_zx0(frame, k, max4n))
+        forms = series_pole_forms(zx1, series_zx0(frame, k, max4n))
         loci = forms + [form.substitute(flip) for form in forms]
         assert {form for form in loci if form.evaluate(trap) == 0} <= {hit, -hit}
 
@@ -571,10 +575,14 @@ class TestPieceReads:
         merged_series = dataclasses.replace(
             series, coeffs={g: tuple(map(merged, c)) for g, c in series.coeffs.items()}
         )
-        assert set(pair.pole_forms(name)) == set(union_pole_forms(merged_series))
+        assert set(pair.pole_forms(name)) == set(series_pole_forms(merged_series))
+        assert pair.pole_forms(name) == series_pole_forms(series)
         assert len(pair.pole_forms(name)) == len(set(pair.pole_forms(name)))
         assert pair.degrees(name) == {
             g: coeff_degree(merged_series.coefficient(g)) for g in series.grades()
+        }
+        assert pair.degrees(name) == {
+            g: coeff_degree(series.coefficient(g)) for g in series.grades()
         }
 
     def test_kernel_compiles_and_evaluates_each_distinct_piece_once(self, monkeypatch):
@@ -749,6 +757,12 @@ class TestSideForms:
     -(a, m), is a form of zx1 or its negative."""
 
     FRAME, K, MAX4N, GRADE = FrameData(1, 0), H(1), 8, 4
+
+    def test_union_keeps_each_form_once_in_first_seen_order(self):
+        a, b = linear_form({EPS1: 1}), linear_form({EPS2: 1})
+        c = linear_form({EPS1: 1, EPS2: 1})
+        assert union_pole_forms([a, b], [], [b, c, linear_form({EPS1: 1})]) == [a, b, c]
+        assert union_pole_forms() == []
 
     @staticmethod
     def _trap(monkeypatch, name, grade, rule):

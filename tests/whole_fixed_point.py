@@ -10,8 +10,11 @@ tangent character, then num * den^-1, merged into one canonical
 ``FactoredTerm``.  ``merged`` gives any term, product or not, that
 canonical form, so a product term is compared with the reference through
 it.  The box-by-box definitions of arms, legs and the Z2-degree, which
-the engine's builders inline, are the references for the characters.
-The last helpers read quantities only tests need.
+the engine's builders inline, are the references for the characters,
+and ``char_lk`` is the line-bundle twist character written from its
+definition.  The last helpers read quantities only tests need, and read
+a coefficient's degree and denominator forms off its pieces directly, as
+references for what ``exact.Kernel`` records while it compiles.
 """
 
 from collections import Counter
@@ -28,9 +31,22 @@ from nekrasov.characters import (
     char_v_x0,
     char_v_x1,
 )
-from nekrasov.diagrams import FixedPointX0, boxes, transpose
+from nekrasov.diagrams import FixedPointX0, HalfInt, boxes, transpose
 from nekrasov.exact import factored_term, term_mul, term_pow
 from nekrasov.localization import euler_class, matter_euler
+
+
+def char_lk(k: HalfInt) -> Counter:
+    """Lattice character of the k-th twist: for k > 1/2 the monomials
+    t1^(i+1) t2^(j+1) over i, j >= 0 with i + j <= 2k - 2 and i + j = 2k
+    mod 2; for k < -1/2 the mirror family t1^(-i) t2^(-j); empty otherwise."""
+    d = k.doubled
+    out = Counter()
+    for i in range(abs(d) - 1):
+        for j in range(abs(d) - 1 - i):
+            if (i + j - d) % 2 == 0:
+                out[(i + 1, j + 1, ()) if d > 0 else (-i, -j, ())] += 1
+    return out
 
 
 def column_height(diagram, i) -> int:
@@ -168,3 +184,34 @@ def fixed_point_x0(frame, diagrams) -> FixedPointX0:
 def coefficient(form, v) -> Fraction:
     """The coefficient of variable `v` in a linear form."""
     return dict(form.coeffs).get(v, Fraction(0))
+
+
+def coeff_degree(c) -> int | None:
+    """The total degree (sum of factor exponents) every term of `c` shares,
+    0 for the empty coefficient, or None when the terms' degrees differ."""
+    degrees = {sum(exp for piece in t.pieces for _, exp in piece.factors) for t in c}
+    if len(degrees) > 1:
+        return None
+    return degrees.pop() if degrees else 0
+
+
+def coeff_denominator_forms(c) -> list:
+    """Distinct forms appearing with negative exponent in some piece of a
+    term of `c`, in first-seen order."""
+    seen = {}
+    for t in c:
+        for piece in t.pieces:
+            for form, exp in piece.factors:
+                if exp < 0:
+                    seen.setdefault(form, None)
+    return list(seen)
+
+
+def series_pole_forms(*series_list) -> list:
+    """Every distinct denominator form of every coefficient of every
+    series, in first-seen order."""
+    seen = {}
+    for series in series_list:
+        for g in series.grades():
+            seen.update(dict.fromkeys(coeff_denominator_forms(series.coefficient(g))))
+    return list(seen)
