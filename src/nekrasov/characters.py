@@ -115,13 +115,16 @@ def _pair_weights(ya: YoungDiagram, yb: YoungDiagram) -> list[tuple[int, int]]:
     """t-exponents of the arm/leg pair character, before the framing ratio:
     (-leg_b(s), arm_a(s) + 1) per box s of Y_a, then (leg_a(t) + 1,
     -arm_b(t)) per box t of Y_b, column-major.  Each diagram is transposed
-    once; a row or column outside a diagram has length 0."""
+    once; a row or column outside a diagram has length 0.  For Y_a = Y_b
+    the second half is (1 - p, 1 - q) for each (p, q) of the first."""
     ta, tb = transpose(ya), transpose(yb)
     la, lb = len(ta), len(tb)
     out = []
     for i, height in enumerate(ya, start=1):
         for j in range(1, height + 1):
             out.append((i - (tb[j - 1] if j <= lb else 0), height - j + 1))
+    if ya == yb:
+        return out + [(1 - p, 1 - q) for p, q in out]
     for i, height in enumerate(yb, start=1):
         for j in range(1, height + 1):
             out.append(((ta[j - 1] if j <= la else 0) - i + 1, j - height))

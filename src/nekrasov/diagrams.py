@@ -41,7 +41,10 @@ def diagram_size(diagram: YoungDiagram) -> int:
     return sum(diagram)
 
 
+@lru_cache(maxsize=None)
 def transpose(diagram: YoungDiagram) -> YoungDiagram:
+    """Row lengths lambda'_j, j = 1..lambda_1.  Memoized like `partitions`:
+    the enumerated diagrams are few and each is transposed many times."""
     if not diagram:
         return ()
     width = diagram[0]

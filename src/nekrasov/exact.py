@@ -14,12 +14,12 @@ normal form -- with 2 + 3r variables that blows up quickly -- instead all
 equality questions are settled by exact evaluation at rational sample
 points.
 
-A series term is a `Product` of pieces, each a canonical `FactoredTerm`
-(a localization term's pieces are its per-slot matter and per-slot-pair
-tangent factors).  Pieces are shared objects and are never merged into
-one term: `term_mul` concatenates pieces, `term_substitute` images each
-distinct piece once per rule, and a plain `FactoredTerm` counts as a
-one-piece product.
+A series term is a `Product` of pieces, each a `FactoredTerm` (a
+localization term's pieces are its per-slot matter and per-slot-pair
+tangent factors, each holding its factors in build order).  Pieces are
+shared objects and are never merged into one term: `term_mul`
+concatenates pieces, `term_substitute` images each distinct piece once
+per rule, and a plain `FactoredTerm` counts as a one-piece product.
 
 A linear form is stored in ints: sorted (slot, numerator) pairs over one
 positive common denominator, in lowest terms, where a slot is an int that
@@ -27,7 +27,8 @@ orders variables canonically.  Every form the engine builds has its
 coefficients in (1/2)Z -- the only halves come from the sqrt(t1 t2) matter
 twist -- so that denominator is 1 or 2, but any rational coefficient is
 held exactly.  Building, adding, substituting, hashing and comparing forms
-is therefore int arithmetic with one gcd reduction per form.
+is therefore int arithmetic with one gcd reduction per form, and a
+form's hash is computed once, when it is made.
 
 Scalars and sample-point values are ``fractions.Fraction``.  Evaluation
 works in ints through a `Kernel`, compiled once from a list of
@@ -144,15 +145,17 @@ class LinearForm:
 
     `pairs` holds the (slot, numerator) pairs with nonzero numerator,
     sorted by slot; `den` is positive and coprime to the numerators taken
-    together.  Every equal form therefore has equal `pairs` and `den`.
-    Build forms with `linear_form` or the form arithmetic; treat them as
+    together.  Every equal form therefore has equal `pairs` and `den`,
+    and the hash of both is computed once, when the form is made.  Build
+    forms with `linear_form` or the form arithmetic; treat them as
     immutable."""
 
-    __slots__ = ("pairs", "den")
+    __slots__ = ("pairs", "den", "_hash")
 
     def __init__(self, pairs: tuple[tuple[int, int], ...], den: int) -> None:
         self.pairs = pairs
         self.den = den
+        self._hash = hash((pairs, den))
 
     @property
     def coeffs(self) -> tuple[tuple[Var, Fraction], ...]:
@@ -172,7 +175,7 @@ class LinearForm:
         return self.pairs == other.pairs and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.pairs, self.den))
+        return self._hash
 
     def evaluate(self, point: Mapping[Var, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -190,11 +193,15 @@ class LinearForm:
         return _reduced(acc, d)
 
     def __neg__(self) -> "LinearForm":
-        return LinearForm(tuple((s, -n) for s, n in self.pairs), self.den)
+        return LinearForm(tuple([(s, -n) for s, n in self.pairs]), self.den)
 
     def substitute(self, rule: "Mapping[Var, LinearForm]") -> "LinearForm":
         """Post-compose with a variable substitution (missing vars are fixed)."""
-        images = {v.slot: image for v, image in rule.items()}
+        return self.substitute_slots(slot_rule(rule))
+
+    def substitute_slots(self, images: "Mapping[int, LinearForm]") -> "LinearForm":
+        """`substitute` with the rule keyed by slot (see `slot_rule`), so a
+        caller substituting many forms builds that map once."""
         hits = [(s, n, images[s]) for s, n in self.pairs if s in images]
         d = lcm(*(image.den for _, _, image in hits))
         acc: dict[int, int] = {s: n * d for s, n in self.pairs if s not in images}
@@ -225,6 +232,11 @@ class LinearForm:
 
     def __repr__(self) -> str:
         return f"LinearForm({self})"
+
+
+def slot_rule(rule: "Mapping[Var, LinearForm]") -> dict[int, LinearForm]:
+    """A substitution rule keyed by its variables' slots."""
+    return {v.slot: image for v, image in rule.items()}
 
 
 def _reduced(acc: Mapping[int, int], den: int) -> LinearForm:
@@ -258,12 +270,15 @@ ZERO_FORM = linear_form({})
 
 @dataclass(frozen=True)
 class FactoredTerm:
-    """scalar * product of (linear form)^exponent, in canonical storage.
+    """scalar * product of (linear form)^exponent.
 
-    Invariants: factors are merged by form and sorted, no zero exponents,
-    no symbolically-zero forms, and a zero scalar forces an empty factor
-    list.  Terms built from any permutation of the same factor multiset
-    are therefore identical objects.
+    Invariants: the factors' forms are pairwise distinct, no exponent is
+    zero, no form is symbolically zero, and a zero scalar forces an empty
+    factor list.  `factored_term` also sorts the factors, so the terms it
+    builds from any permutation of the same factor multiset are equal
+    objects: the canonical term.  The pieces ``localization`` builds keep
+    their factors in build order instead (no reader needs the sort), so
+    two of them are compared as factor multisets, through that merge.
     """
 
     scalar: Fraction
@@ -307,8 +322,8 @@ UNIT_TERM = factored_term(1)
 
 @dataclass(frozen=True)
 class Product:
-    """A term held as the product of its pieces, each a canonical
-    `FactoredTerm`; the empty product is 1.
+    """A term held as the product of its pieces, each a `FactoredTerm`
+    (in canonical form or in build order); the empty product is 1.
 
     Pieces are never merged: a piece shared by many terms stays one
     object, so a `Kernel` compiles and evaluates it once.  Merging every
@@ -351,15 +366,17 @@ def term_mul(a: Term, b: Term) -> Product:
 
 def term_pow(t: FactoredTerm, n: int) -> FactoredTerm:
     """Integer power of a term (n may be negative; scalar must be nonzero).
-    For n != 0 the exponents of a canonical term are scaled in place:
-    scaling keeps the forms' order and distinctness and no exponent zero."""
+    For n != 0 the exponents are scaled in place: scaling keeps the
+    forms' order and distinctness and no exponent zero.  A unit scalar,
+    every piece's, is kept as it is."""
     if n == 0:
         return UNIT_TERM
     if t.is_zero():
         if n < 0:
             raise ZeroDivisionError("inverse of the zero term")
         return t
-    return FactoredTerm(t.scalar ** n, tuple([(form, exp * n) for form, exp in t.factors]))
+    scalar = t.scalar if t.scalar == 1 else t.scalar ** n
+    return FactoredTerm(scalar, tuple([(form, exp * n) for form, exp in t.factors]))
 
 
 def term_scale(t: FactoredTerm, c: Fraction | int) -> FactoredTerm:
@@ -373,10 +390,14 @@ def term_eval(t: Term, point: Mapping[Var, Fraction]) -> Fraction:
 def term_substitute(t: Term, rule: "Mapping[Var, LinearForm]", images: dict) -> Product:
     """The term with `rule` substituted into every piece, as a product.
     `images` is the rule's memo: it maps each form already substituted by
-    this rule to its image, and each piece's id to the piece and its image
-    (holding the piece keeps its id from being reused).  New ones are
-    added, so a caller substituting one rule into many terms substitutes
-    each distinct piece, and each distinct form, once."""
+    this rule to its image, each piece's id to the piece and its image
+    (holding the piece keeps its id from being reused), and None to the
+    rule keyed by slot.  New ones are added, so a caller substituting one
+    rule into many terms builds that slot map once and substitutes each
+    distinct piece, and each distinct form, once."""
+    slots = images.get(None)
+    if slots is None:
+        slots = images[None] = slot_rule(rule)
     out = []
     for piece in t.pieces:
         entry = images.get(id(piece))
@@ -385,7 +406,7 @@ def term_substitute(t: Term, rule: "Mapping[Var, LinearForm]", images: dict) -> 
             for form, exp in piece.factors:
                 image = images.get(form)
                 if image is None:
-                    image = images[form] = form.substitute(rule)
+                    image = images[form] = form.substitute_slots(slots)
                 factors.append((image, exp))
             entry = images[id(piece)] = (piece, factored_term(piece.scalar, factors))
         out.append(entry[1])
@@ -429,32 +450,33 @@ class Kernel:
     __slots__ = ("forms", "pieces", "pole_forms", "degrees", "_compiled", "_coeffs")
 
     def __init__(self, coefficients: Iterable[Coefficient]) -> None:
-        slots: dict[tuple, int] = {}  # (pairs, den) -> slot: equal forms share one
+        slots: dict[LinearForm, int] = {}  # equal forms share one slot
         index: dict[int, int] = {}  # id(piece) -> its place in self.pieces, which holds it
         poles: dict[int, None] = {}  # denominator slots, in first-seen order
         self.forms: list[LinearForm] = []
         self.pieces: list[FactoredTerm] = []
         self.degrees: list[int | None] = []
-        self._compiled: list[tuple] = []
+        self._compiled = compiled = []
         self._coeffs = []
         for c in coefficients:
             terms = []
             for t in c:
                 pieces = t.pieces
-                if not all(piece.scalar for piece in pieces):
-                    continue
-                refs = []
-                degree = 0
-                for piece in pieces:
-                    i = index.get(id(piece))
-                    if i is None:
-                        i = index[id(piece)] = len(self.pieces)
-                        self.pieces.append(piece)
-                        self._compiled.append(_compile_piece(piece, slots, self.forms))
-                        poles.update(dict.fromkeys(self._compiled[i][3]))
-                    refs.append(i)
-                    degree += self._compiled[i][4]
-                terms.append((tuple(refs), degree))
+                refs = [index.get(id(piece)) for piece in pieces]
+                if None in refs:
+                    # a compiled piece's scalar is nonzero: test only the new ones
+                    if not all(piece.scalar for piece, i in zip(pieces, refs) if i is None):
+                        continue
+                    for n, piece in enumerate(pieces):
+                        if refs[n] is None:
+                            i = index.get(id(piece))  # a piece may recur in one term
+                            if i is None:
+                                i = index[id(piece)] = len(self.pieces)
+                                self.pieces.append(piece)
+                                compiled.append(_compile_piece(piece, slots, self.forms))
+                                poles.update(dict.fromkeys(compiled[i][3]))
+                            refs[n] = i
+                terms.append((tuple(refs), sum([compiled[i][4] for i in refs])))
             degrees = {degree for _, degree in terms} or {0}
             self.degrees.append(degrees.pop() if len(degrees) == 1 else None)
             self._coeffs.append(terms)
@@ -493,10 +515,9 @@ def _compile_piece(piece: FactoredTerm, slots: dict, forms: list) -> tuple:
     num: list[int] = []
     den: list[int] = []
     for form, exp in piece.factors:
-        key = (form.pairs, form.den)
-        slot = slots.get(key)
+        slot = slots.get(form)
         if slot is None:
-            slot = slots[key] = len(forms)
+            slot = slots[form] = len(forms)
             forms.append(form)
         if exp == 1:
             num.append(slot)

@@ -21,7 +21,7 @@ slot's tautological piece (``matter_euler``) and the inverse Euler class
 of each slot pair's tangent piece (``euler_class`` to the power -1).
 ``term_p2``, ``term_x0`` and ``term_x1`` take a ``FactorTable``, one
 series build's memo.  Its `pieces` dict maps a piece's key to that
-piece's canonical ``FactoredTerm``; a piece missing from it is built and
+piece's ``FactoredTerm``; a piece missing from it is built and
 stored, and the term is an ``exact.Product`` of the table's objects, unit
 pieces dropped.  No fixed point's factors are merged: merged, the product
 is the canonical term one Euler class of each whole character gives.
@@ -41,10 +41,12 @@ tangent monomial's weight form (`weights`) and each tautological
 monomial's 2r mass-shifted forms (`masses`) are built once per build, and
 every piece holding a form holds that one object.  (A monomial (p, q, e)
 has the shape of a resolved tangent key, so forms and pieces never share
-a dict.)  Each piece is built directly in canonical form: a monomial's
-weight is a linear form injective in (p, q, e), and its mass-shifted form
-injective in (monomial, f), so a piece's factors have pairwise distinct
-forms and need only sorting, not the merge of ``exact.factored_term``.
+a dict.)  Each piece is built directly, without the merge of
+``exact.factored_term``: a monomial's weight is a linear form injective
+in (p, q, e), and its mass-shifted form injective in (monomial, f), so a
+piece's factors have pairwise distinct forms.  They stay in build order
+(the character's monomial order), which is independent of the hash seed;
+merged, a piece is the canonical term ``factored_term`` gives.
 The caller owns the table: ``series`` makes one per series build, so a
 table holds at most the distinct pieces and forms of that series and
 dies with the build.  Nothing here keeps state between calls.
@@ -111,10 +113,10 @@ _ONE = Fraction(1)
 
 
 def _canonical(factors: list) -> FactoredTerm:
-    """The canonical term with scalar 1 of (form, exponent) factors whose
-    forms are pairwise distinct and whose exponents are nonzero: sorting
-    is all that is left of ``factored_term``'s merge."""
-    factors.sort(key=lambda fe: fe[0].sort_key())
+    """The piece with scalar 1 of (form, exponent) factors whose forms are
+    pairwise distinct and whose exponents are nonzero, kept in build
+    order: ``factored_term``'s merge would change nothing, and no reader
+    needs its sort."""
     return FactoredTerm(_ONE, tuple(factors))
 
 
@@ -122,8 +124,8 @@ def euler_class(ch: Counter, forms: dict | None = None) -> FactoredTerm:
     """Product of the weights of a character; empty character gives 1.
     `forms` is a memo from monomial to weight form: a monomial met before
     reuses its form object.  Distinct monomials have distinct weights, so
-    the factors need no merge, only sorting; a zero multiplicity drops its
-    factor."""
+    the factors need no merge and stay in the character's order; a zero
+    multiplicity drops its factor."""
     if forms is None:
         forms = {}
     factors = []
@@ -144,8 +146,8 @@ def matter_euler(ch_v0: Counter, r: int, forms: dict | None = None) -> FactoredT
     product of mass-shifted weights over the tautological fiber.  Every
     factor carries m_f with coefficient 1, so none can vanish.  `forms` is
     a memo from monomial to its 2r mass-shifted forms, for one r.  Each
-    (monomial, f) gives a distinct form, so the factors need no merge, only
-    sorting; a zero multiplicity drops its factors."""
+    (monomial, f) gives a distinct form, so the factors need no merge and
+    stay in build order; a zero multiplicity drops its factors."""
     if forms is None:
         forms = {}
     factors = []

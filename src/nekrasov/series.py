@@ -26,7 +26,9 @@ series_zx1_factorized keeps one more for its ell(kvec) pieces.  Every
 term of those series is an ``exact.Product`` of the table's pieces, and
 the charted plane terms, their Cauchy products and ell times a product
 stay products, so no term's factors are ever merged.  The tables and the
-chart-image dicts die with the build: nothing is cached at module level.
+chart-image dicts die with the build: nothing is cached at module level
+here (``diagrams`` memoizes `partitions` and `transpose`, which depend
+on a diagram alone).
 
 Implemented series:
 

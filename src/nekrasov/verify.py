@@ -9,9 +9,10 @@ any one value with probability at most 1/1998.  By the Schwartz-Zippel
 bound a grade whose cleared difference has degree at most D (the LCD
 degree of both sides plus the term degree) passes one trial falsely with
 probability at most D/1998, and all `trials` with at most (D/1998)^trials.
-D is not yet computed per check; measured by hand it is at most 80 at
-w = (2,0) max-n 3 and at most 446 at w = (1,2) max-n 4, about 6e-4 per
-grade over five trials.
+D is not yet computed per check.  Measured with F and -F merged, for
+main's k <= 0 branch at the top grade, it is 265 at w = (1,2) max-n 4
+and 413 to 694 at the ~10 s frontier cells, 4e-4 to 5e-3 per grade over
+five trials there.
 
 The point stream is deterministic: trial t's point is a pure function of
 (seed, t), generated by a splitmix64 stream, so reports are byte-identical
@@ -31,12 +32,12 @@ Each side also carries the linear forms its draws must avoid: a series
 read at R(p) carries its plain denominator forms composed with R (form o
 R vanishes at p exactly when form vanishes at R(p)), and a product
 carries both factors' forms.  A check's draws avoid the union of its
-sides' forms (union_pole_forms); a draw that zeroes any of them is
-rejected and the whole point redrawn, so an honest pole can never
-masquerade as a mismatch.  Each series' plain denominator forms are read
-off its kernel, once per pair.  The pole test is exact.clear_of, on the
-integer kernel: the draw is scaled to one common denominator once, and
-each form is one int dot product.
+sides' forms, one of each pair F and -F (union_pole_forms); a draw that
+zeroes any of them is rejected and the whole point redrawn, so an honest
+pole can never masquerade as a mismatch.  Each series' plain denominator
+forms are read off its kernel, once per pair.  The pole test is
+exact.clear_of, on the integer kernel: the draw is scaled to one common
+denominator once, and each form is one int dot product.
 
 The pair also holds one value table per invocation: a series read at a
 point is evaluated once, keyed by (series, the point's values), and every
@@ -91,6 +92,7 @@ from .exact import (
     clear_of,
     format_rational,
     scope_vars,
+    slot_rule,
     term_eval,
 )
 from .series import (
@@ -196,8 +198,14 @@ def sample_points(
 
 
 def union_pole_forms(*form_lists: list[LinearForm]) -> list[LinearForm]:
-    """The distinct forms of all `form_lists`, in first-seen order."""
-    return list(dict.fromkeys(form for forms in form_lists for form in forms))
+    """The distinct forms of all `form_lists` up to sign, in first-seen
+    order: F and -F vanish together, so of each such pair only the one
+    seen first is kept.  A form is keyed by its sign-normal version, the
+    one whose first coefficient is positive."""
+    union: dict[LinearForm, LinearForm] = {}
+    for form in dict.fromkeys(form for forms in form_lists for form in forms):
+        union.setdefault(-form if form.pairs[0][1] < 0 else form, form)
+    return list(union.values())
 
 
 class SeriesPair:
@@ -355,10 +363,10 @@ def _read(pair: SeriesPair, name: str, rule=None, negated: bool = False):
     vanishes at R(p), and a form vanishes at -q exactly when it vanishes
     at q."""
     read, forms = pair.negated if negated else pair.values, pair.pole_forms(name)
-    return _side(
-        lambda point: read(name, map_point(point, rule)),
-        forms if rule is None else [form.substitute(rule) for form in forms],
-    )
+    if rule is not None:
+        images = slot_rule(rule)
+        forms = [form.substitute_slots(images) for form in forms]
+    return _side(lambda point: read(name, map_point(point, rule)), forms)
 
 
 def _cauchy(weights, side):

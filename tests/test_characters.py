@@ -336,6 +336,14 @@ def _defined_tangent_p2(alpha, beta, ya, yb):
     return Counter(mono_mul(mono_t(p, q), ratio) for p, q in _defined_pair_weights(ya, yb))
 
 
+def test_diagonal_pair_weights_equal_their_definition_to_size_8():
+    """For Y_a = Y_b, _pair_weights reads the second half off the first,
+    as (1 - p, 1 - q); it equals the box-by-box definition."""
+    for n in range(9):
+        for diagram in partitions(n):
+            assert _pair_weights(diagram, diagram) == _defined_pair_weights(diagram, diagram)
+
+
 _DIAGRAMS = [y for n in range(7) for y in partitions(n)]
 _CHART_MATRICES = {1: ((2, -1), (0, 1)), 2: ((1, 0), (-1, 2))}
 

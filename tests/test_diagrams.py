@@ -1,5 +1,7 @@
 """Diagram combinatorics, colorings, fixed-point and wall enumeration."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from nekrasov.diagrams import (
     GradeError,
     HalfInt,
     ParityError,
+    boxes,
     diagram_tuples,
     enum_fixed_points_x0,
     enum_fixed_points_x1,
@@ -60,6 +63,17 @@ def test_transpose_involution_exhaustive_to_size_8():
     for n in range(9):
         for diagram in partitions(n):
             assert transpose(transpose(diagram)) == diagram
+
+
+def test_memoized_transpose_equals_the_row_lengths_to_size_8():
+    """transpose is memoized; each call, first or repeated, gives the row
+    lengths counted box by box."""
+    for n in range(9):
+        for diagram in partitions(n):
+            rows = Counter(j for _, j in boxes(diagram))
+            expected = tuple(rows[j] for j in range(1, len(rows) + 1))
+            assert transpose(diagram) == expected
+            assert transpose(tuple(list(diagram))) == expected  # an equal tuple: a memo hit
 
 
 def test_diagram_order_within_size():

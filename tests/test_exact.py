@@ -17,6 +17,7 @@ from nekrasov.exact import (
     Var,
     coeff_eval,
     factored_term,
+    form_from_doubled,
     format_rational,
     linear_form,
     parse_rational,
@@ -471,6 +472,17 @@ class TestCompiledKernel:
         with pytest.raises(PoleError):
             kernel.evaluate({EPS1: F(1), EPS2: F(-2)})
 
+    def test_a_zero_piece_drops_its_term_before_any_of_its_pieces_compiles(self):
+        # the new piece 3 / g comes before the zero piece; later it recurs in one term
+        f, g = linear_form({EPS1: 1, EPS2: -1}), linear_form({EPS1: 2, EPS2: 1})
+        zero = FactoredTerm(F(0), ((f, -1),))
+        piece = factored_term(3, [(g, -1)])
+        kernel = Kernel([(Product((piece, zero)),), (Product((piece, piece)), zero)])
+        assert kernel.pieces == [piece] and kernel.pole_forms == [g]
+        assert kernel.degrees == [0, -2]
+        # g = 6 at (2, 2)
+        assert kernel.evaluate({EPS1: F(2), EPS2: F(2)}) == [F(0), F(1, 4)]
+
 
 class TestProducts:
     """A product term keeps its pieces: the kernel compiles each distinct
@@ -624,6 +636,35 @@ class TestFormsAgainstReference:
         t = factored_term(1, [(third, 1), (built, 2)])
         assert t.factors == ((third, 3),)
         assert str(third) == "1/3*eps1 + 5/6*eps2"
+
+
+_halves = st.lists(st.sampled_from([F(n, 2) for n in range(-4, 5)]), min_size=5, max_size=5)
+
+
+class TestFormHash:
+    """A form's hash is computed once, when the form is made; equal forms
+    hash equal whichever way they were built, so they are one dict key
+    (a kernel slot, a memo entry, a pole-union key)."""
+
+    @settings(max_examples=200)
+    @given(b=_halves, c=_halves)
+    def test_equal_forms_built_by_every_route_hash_equal(self, b, c):
+        ref_b = {v: x for v, x in zip(_REF_VARS, b) if x}
+        ref_c = {v: x for v, x in zip(_REF_VARS, c) if x}
+        total = _ref_add(ref_b, ref_c)
+        expected = linear_form(total)
+        built = [
+            form_from_doubled(sorted((v.slot, int(2 * x)) for v, x in total.items())),
+            linear_form(ref_b) + linear_form(ref_c),
+            linear_form({EPS1: 1, EPS2: 1}).substitute(
+                {EPS1: linear_form(ref_b), EPS2: linear_form(ref_c)}
+            ),
+            -(-expected),
+        ]
+        for form in [expected] + built:
+            assert form == expected
+            assert hash(form) == hash(expected) == hash((form.pairs, form.den))
+        assert list(dict.fromkeys(built)) == [built[0]]
 
 
 _monomials = st.builds(

@@ -107,7 +107,7 @@ class TestEulerClass:
         b = counted(mono_t(1, 0), mono_t(-1, 1))
         lhs = euler_class(a + b)
         rhs = term_mul(euler_class(a), euler_class(b))
-        assert lhs == merged(rhs)
+        assert merged(lhs) == merged(rhs)
 
     def test_weight_form_reads_exponents(self):
         form = weight_form(mono_t(-2, 3, {1: -1}))
@@ -162,11 +162,19 @@ _MONOMIALS = st.tuples(
 _CHARACTERS = st.dictionaries(_MONOMIALS, st.integers(-2, 3), max_size=8).map(Counter)
 
 
+def _same_piece(piece, expected):
+    """`piece` holds the factor multiset of the canonical term `expected`,
+    in any order: merged they are equal, and no two of its factors share
+    a form (merging would shorten it)."""
+    return merged(piece) == expected and len(piece.factors) == len(expected.factors)
+
+
 class TestDirectCanonicalBuild:
-    """euler_class, matter_euler and _tangent_piece sort their factors
-    into a canonical term without merging, since distinct monomials have
-    distinct forms; they equal the merge through ``factored_term``, zero
-    multiplicities dropped, with or without a memo shared across calls."""
+    """euler_class, matter_euler and _tangent_piece build their factors
+    in build order without merging, since distinct monomials have
+    distinct forms; they hold the factor multiset of the merge through
+    ``factored_term``, zero multiplicities dropped, with or without a memo
+    shared across calls."""
 
     @settings(max_examples=150, deadline=None)
     @given(chars=st.lists(_CHARACTERS, min_size=1, max_size=4), r=st.integers(1, 3))
@@ -175,18 +183,18 @@ class TestDirectCanonicalBuild:
     def test_equal_to_the_merged_build(self, chars, r):
         weights, masses = {}, {}
         for ch in chars:
-            assert matter_euler(ch, r) == _merged_matter(ch, r)
-            assert matter_euler(ch, r, masses) == _merged_matter(ch, r)
+            assert _same_piece(matter_euler(ch, r), _merged_matter(ch, r))
+            assert _same_piece(matter_euler(ch, r, masses), _merged_matter(ch, r))
             if (0, 0, ()) in ch:
                 for build in (euler_class, _tangent_piece):
                     with pytest.raises(VanishingWeight):
                         build(ch)
                 continue
             expected = _merged_euler(ch)
-            assert euler_class(ch) == expected
-            assert euler_class(ch, weights) == expected
-            assert _tangent_piece(ch) == _merged_pow(expected, -1)
-            assert _tangent_piece(ch, weights) == _merged_pow(expected, -1)
+            assert _same_piece(euler_class(ch), expected)
+            assert _same_piece(euler_class(ch, weights), expected)
+            assert _same_piece(_tangent_piece(ch), _merged_pow(expected, -1))
+            assert _same_piece(_tangent_piece(ch, weights), _merged_pow(expected, -1))
 
 
 class TestPlaneTerms:

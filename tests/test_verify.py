@@ -764,6 +764,36 @@ class TestSideForms:
         assert union_pole_forms([a, b], [], [b, c, linear_form({EPS1: 1})]) == [a, b, c]
         assert union_pole_forms() == []
 
+    def test_union_keeps_the_first_seen_of_each_sign_pair(self):
+        a, b = linear_form({EPS1: 1, EPS2: -1}), linear_form({EPS1: Fraction(1, 2)})
+        assert union_pole_forms([-a, b], [a, -b, -a]) == [-a, b]
+        assert union_pole_forms([b], [-b, -b]) == [b]
+
+    @pytest.mark.parametrize(
+        "w, max_n, merged_away", [((2, 0), 3, 28), ((1, 2), 3, 98)], ids=["w20", "w12"]
+    )
+    def test_sign_merged_union_rejects_the_same_draws(self, w, max_n, merged_away):
+        """zx0 and zx1 hold many forms together with their negatives (56 of
+        72 at (2,0) max-n 3, 196 of 240 at (1,2)); the union keeps one of
+        each pair, and every trial draws the same point after the same
+        redraws as against all the forms, also with a trap F and -F added
+        where trial 0's first draw is a zero of F."""
+        frame = FrameData(*w)
+        pair = SeriesPair(frame, H(0), 4 * max_n + frame.w1)
+        every = list(dict.fromkeys(pair.pole_forms("zx0") + pair.pole_forms("zx1")))
+        union = union_pole_forms(pair.pole_forms("zx0"), pair.pole_forms("zx1"))
+        assert len(every) - len(union) == merged_away
+        assert {-f for f in every} | set(every) == {-f for f in union} | set(union)
+        first = sample_point(CFG, 0, [], frame.r)
+        rest = linear_form({EPS1: 3, var_a(1): -2})
+        trap = rest + linear_form({EPS2: -rest.evaluate(first) / first[EPS2]})
+        for forms in ([], [-trap, trap]):
+            union = union_pole_forms(every, forms)
+            for trial in range(CFG.trials):
+                got = sample_point_with_stats(CFG, trial, union, frame.r)
+                assert got == sample_point_with_stats(CFG, trial, every + forms, frame.r)
+        assert sample_point_with_stats(CFG, 0, union, frame.r)[1] >= 1
+
     @staticmethod
     def _trap(monkeypatch, name, grade, rule):
         """Put 1/F - 1/F into series `name` at `grade`, with F zero at
