@@ -18,16 +18,25 @@ avoid the series' denominator forms, and reads values off the pair.
 interface stability, but evaluation is sequential either way, so output
 is byte-identical for any thread count.  The count is a no-op: each
 series is compiled once into an integer kernel and evaluated at two
-points per trial, so evaluation, compiling included, is about 52-54% of
-``check all`` at w = (1,2) max-n 4 (0.42-0.50 of 0.80-0.93 s on a 2-core
-x86-64 VM, Python 3.11, timing every kernel compile and evaluation
-in-process); the rest is series construction, which a pool over trials
-cannot share out.
+points per trial.  In ``check all`` evaluation is about 51% of the wall
+time at w = (1,0) max-n 16 and 68-69% at w = (1,2) and (3,0) max-n 6,
+compiling 7-10%, and series construction, which a pool over trials
+cannot share out, the rest (2-core x86-64 VM, Python 3.11, timing every
+kernel compile and evaluation in-process).
+
+``main`` runs each request with the cyclic garbage collector off and
+hands the caller's setting back on the way out, however the request
+ends.  The engine allocates no reference cycles (see
+``nekrasov.diagrams``), so reference counting frees all its garbage; the
+collector found nothing to free but kept re-scanning the growing heap of
+forms, pieces and terms, 11-22% of ``check all``'s wall time at those
+cells.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -306,6 +315,21 @@ def _merge_negative_values(argv: list) -> list:
 
 
 def main(argv=None) -> int:
+    # The engine allocates no reference cycles (see `nekrasov.diagrams`),
+    # so reference counting frees all its garbage.  The cyclic collector
+    # would only re-scan the growing heap of forms, pieces and terms a
+    # request builds (11-22% of `check all` near the ~10 s frontier), so
+    # it is off for the request; the caller's setting comes back after.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]

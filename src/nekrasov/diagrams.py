@@ -17,6 +17,14 @@ engine produces identical output: diagrams are ordered by (size, then
 reverse-lexicographic on columns), tuples of diagrams lexicographically
 in that order, and k-vectors coordinate-wise with each coordinate ranged
 over 0, 1, -1, 2, -2, ... (doubled values, smallest absolute value first).
+
+Every recursive enumerator is a module-level function that takes its
+state as arguments.  A nested recursive closure reaches itself through
+its own cell: a reference cycle, which would keep the closure and the
+fixed points it appended to until the cyclic collector ran.  The engine
+allocates no reference cycles (a tier-1 test checks every series build
+and check), so reference counting frees all its garbage and `cli.main`
+runs each request with the cyclic collector off.
 """
 
 from __future__ import annotations
@@ -151,33 +159,66 @@ class FixedPointX0:
     v1: int
 
 
+def _columns(
+    prefix: list, left: int, cap: int, color: int, room0: int, room1: int
+) -> Iterator[tuple[YoungDiagram, int, int]]:
+    """The ways to finish a diagram framed with `color` whose first columns
+    are `prefix`: `left` more boxes in columns of height at most `cap`,
+    holding at most room0 boxes of color 0 and room1 of color 1.  Each is
+    yielded with the rooms it leaves, tallest next column first."""
+    if left == 0:
+        yield tuple(prefix), room0, room1
+        return
+    if left > room0 + room1:
+        return
+    # Column i's boxes alternate in color, starting at l + i + 1 mod 2, so
+    # a column of height h holds (h + 1) // 2 boxes of its starting color
+    # and h // 2 of the other: it fits exactly when h <= 2 * (the starting
+    # color's room) and h <= 2 * (the other's room) + 1.
+    starts_at_0 = (color + len(prefix)) % 2 == 0
+    own, other = (room0, room1) if starts_at_0 else (room1, room0)
+    for height in range(min(cap, left, 2 * own, 2 * other + 1), 0, -1):
+        major, minor = (height + 1) // 2, height // 2
+        prefix.append(height)
+        if starts_at_0:
+            yield from _columns(prefix, left - height, height, color, room0 - major, room1 - minor)
+        else:
+            yield from _columns(prefix, left - height, height, color, room0 - minor, room1 - major)
+        prefix.pop()
+
+
 def _bounded_diagrams(
     size: int, color: int, room0: int, room1: int
 ) -> Iterator[tuple[YoungDiagram, int, int]]:
     """Diagrams of `size` boxes framed with `color` that hold at most room0
     boxes of color 0 and room1 of color 1, in partitions(size) order, each
-    with its two colored counts.  A column is cut as soon as the running
-    counts leave the room, so no diagram outside it is ever built."""
-    prefix: list[int] = []
+    with the rooms of color 0 and 1 it leaves.  A column is cut as soon as
+    it would leave the room, so no diagram outside it is ever built, and
+    the work does not grow with a room the other color caps."""
+    return _columns([], size, size, color, room0, room1)
 
-    def extend(left: int, cap: int, n0: int, n1: int):
-        if left == 0:
-            yield tuple(prefix), n0, n1
-            return
-        # Column i's boxes alternate in color, starting at l + i + 1 mod 2.
-        starts_at_0 = (color + len(prefix)) % 2 == 0
-        for height in range(min(cap, left), 0, -1):
-            major, minor = (height + 1) // 2, height // 2
-            if starts_at_0:
-                c0, c1 = n0 + major, n1 + minor
-            else:
-                c0, c1 = n0 + minor, n1 + major
-            if c0 <= room0 and c1 <= room1:
-                prefix.append(height)
-                yield from extend(left - height, height, c0, c1)
-                prefix.pop()
 
-    yield from extend(size, size, 0, 0)
+def _fill_slots(
+    out: list, colors: tuple, head: tuple, room0: int, room1: int, v0: int, v1: int
+) -> None:
+    """Append to `out` every completion of the first slots' diagrams `head`
+    whose later slots hold exactly room0 boxes of color 0 and room1 of
+    color 1."""
+    slot = len(head)
+    color = colors[slot]
+    if slot == len(colors) - 1:  # the last diagram takes what is left
+        for diagram, _, _ in _bounded_diagrams(room0 + room1, color, room0, room1):
+            out.append(FixedPointX0(head + (diagram,), v0, v1))
+        return
+    for size in range(room0 + room1 + 1):
+        fits = False
+        for diagram, left0, left1 in _bounded_diagrams(size, color, room0, room1):
+            fits = True
+            _fill_slots(out, colors, head + (diagram,), left0, left1, v0, v1)
+        # Dropping a removable corner from a diagram that fits leaves one
+        # that fits, so once no diagram of this size fits, none larger does.
+        if not fits:
+            break
 
 
 def enum_fixed_points_x0(
@@ -188,20 +229,8 @@ def enum_fixed_points_x0(
     counts the earlier slots left, so branches that overshoot v0 or v1
     are cut while they are built."""
     out: list[FixedPointX0] = []
-    colors = frame.colors
-
-    def extend(slot: int, head: tuple, room0: int, room1: int) -> None:
-        color = colors[slot]
-        if slot == len(colors) - 1:  # the last diagram takes what is left
-            for diagram, _, _ in _bounded_diagrams(room0 + room1, color, room0, room1):
-                out.append(FixedPointX0(head + (diagram,), v0, v1))
-            return
-        for size in range(room0 + room1 + 1):
-            for diagram, n0, n1 in _bounded_diagrams(size, color, room0, room1):
-                extend(slot + 1, head + (diagram,), room0 - n0, room1 - n1)
-
     if v0 >= 0 and v1 >= 0:
-        extend(0, (), v0, v1)
+        _fill_slots(out, frame.colors, (), v0, v1, v0, v1)
     return out
 
 
@@ -216,6 +245,21 @@ def _coordinate_values(parity: int, budget4: int) -> Iterator[int]:
             yield -mag
 
 
+def _fill_kvectors(
+    out: list, parities: list, k2: int, max4n: int, prefix: list, used4: int
+) -> None:
+    """Append to `out` every first-Chern vector that extends the doubled
+    entries `prefix` (whose squares sum to used4) to sum k2."""
+    slot = len(prefix)
+    if slot == len(parities) - 1:
+        last = k2 - sum(prefix)
+        if last % 2 == parities[slot] and used4 + last * last <= max4n:
+            out.append(tuple(HalfInt(d) for d in prefix + [last]))
+        return
+    for d in _coordinate_values(parities[slot], max4n - used4):
+        _fill_kvectors(out, parities, k2, max4n, prefix + [d], used4 + d * d)
+
+
 def enum_kvectors(
     frame: FrameData, k: HalfInt, max4n: int
 ) -> list[tuple[HalfInt, ...]]:
@@ -226,22 +270,7 @@ def enum_kvectors(
         raise ParityError(f"2k = {k.doubled} has wrong parity for w1 = {frame.w1}")
     parities = [0 if c == 0 else 1 for c in frame.colors]
     out: list[tuple[HalfInt, ...]] = []
-
-    def extend(prefix: list[int], used4: int) -> None:
-        slot = len(prefix)
-        if slot == frame.r - 1:
-            last = k.doubled - sum(prefix)
-            if last % 2 == parities[slot] and used4 + last * last <= max4n:
-                out.append(tuple(HalfInt(d) for d in prefix + [last]))
-            return
-        for d in _coordinate_values(parities[slot], max4n - used4):
-            extend(prefix + [d], used4 + d * d)
-
-    if frame.r == 1:
-        if k.doubled % 2 == parities[0] and k.doubled ** 2 <= max4n:
-            out.append((k,))
-    else:
-        extend([], 0)
+    _fill_kvectors(out, parities, k.doubled, max4n, [], 0)
     return out
 
 

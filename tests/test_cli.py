@@ -1,14 +1,18 @@
 """Command-line surface: flags, output formats, exit codes, determinism."""
 
+import gc
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nekrasov import cli
 from nekrasov.cli import main
+from nekrasov.localization import VanishingWeight
 
 
 def run(capsys, argv):
@@ -61,9 +65,6 @@ class TestCheckCommand:
         assert err.value.code == 2
 
     def test_internal_errors_exit_3(self, capsys, monkeypatch):
-        from nekrasov import cli
-        from nekrasov.localization import VanishingWeight
-
         def boom(*args, **kwargs):
             raise VanishingWeight("zero weight for monomial 1")
 
@@ -173,6 +174,91 @@ class TestComputeCommand:
         assert [g["values"] for g in direct["grades"]] == [
             g["values"] for g in factored["grades"]
         ]
+
+
+class TestLargeK:
+    """A k far beyond what max-n can reach gives the zero series at once:
+    enumeration does not walk the unreachable colored count."""
+
+    @pytest.mark.parametrize("w0", [1, 2, 3])
+    def test_compute_is_the_zero_series(self, capsys, w0):
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys,
+            ["compute", "zx0", "--w0", str(w0), "--w1", "0", "--k", "99999999999",
+             "--max-n", "1", "--json"],
+        )
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        grades = json.loads(out)["grades"]
+        assert grades and all(v == "0" for g in grades for v in g["values"])
+
+    def test_check_all_passes(self, capsys):
+        start = time.perf_counter()
+        code, _, _ = run(
+            capsys,
+            ["check", "all", "--w0", "1", "--w1", "0", "--k", "99999999999",
+             "--max-n", "1"],
+        )
+        assert time.perf_counter() - start < 5
+        assert code == 0
+
+
+class TestCollectorState:
+    """`main` runs its request with the cyclic collector off and leaves the
+    collector as it found it, however the request ends."""
+
+    ARGS = ["check", "main", "--w0", "1", "--w1", "0", "--k", "0", "--max-n", "1"]
+
+    @pytest.fixture(params=[True, False], ids=["caller-enabled", "caller-disabled"])
+    def caller_enabled(self, request):
+        enabled = gc.isenabled()
+        if request.param:
+            gc.enable()
+        else:
+            gc.disable()
+        try:
+            yield request.param
+        finally:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+
+    def _patch_check(self, monkeypatch, seen, fail=False):
+        """`check main` notes whether the collector is on, then runs, or
+        raises VanishingWeight when `fail`."""
+        original = cli._CHECKS["main"]
+
+        def check(pair, cfg):
+            seen.append(gc.isenabled())
+            if fail:
+                raise VanishingWeight("zero weight for monomial 1")
+            return original(pair, cfg)
+
+        monkeypatch.setitem(cli._CHECKS, "main", check)
+
+    def test_normal_return(self, capsys, monkeypatch, caller_enabled):
+        seen = []
+        self._patch_check(monkeypatch, seen)
+        code, _, _ = run(capsys, self.ARGS)
+        assert code == 0
+        assert seen == [False]
+        assert gc.isenabled() == caller_enabled
+
+    def test_usage_error(self, capsys, caller_enabled):
+        with pytest.raises(SystemExit) as err:
+            main(["check", "main", "--w0", "1", "--w1", "0", "--k", "0", "--max-n", "-1"])
+        assert err.value.code == 2
+        assert gc.isenabled() == caller_enabled
+
+    def test_internal_error(self, capsys, monkeypatch, caller_enabled):
+        seen = []
+        self._patch_check(monkeypatch, seen, fail=True)
+        code, _, _ = run(capsys, self.ARGS)
+        assert code == 3
+        assert seen == [False]
+        assert gc.isenabled() == caller_enabled
 
 
 class TestDeterminism:

@@ -21,7 +21,14 @@ from nekrasov.diagrams import (
     partitions,
     transpose,
 )
-from whole_fixed_point import arm_in, colored_sizes, fixed_point_x0, leg_in
+from whole_fixed_point import (
+    arm_in,
+    closure_fixed_points_x0,
+    closure_kvectors,
+    colored_sizes,
+    fixed_point_x0,
+    leg_in,
+)
 
 
 def H(text):
@@ -147,6 +154,51 @@ class TestPrunedX0Enumeration:
         monkeypatch.setattr(diagrams, "partitions", counting)
         assert enum_fixed_points_x0(FrameData(1, 0), 0, 40) == []
         assert asked == []
+
+
+_FRAMES_UP_TO_RANK_3 = [
+    FrameData(w0, w1) for w0 in range(4) for w1 in range(4 - w0) if w0 + w1 >= 1
+]
+
+
+class TestAgainstClosureEnumerators:
+    """The module-level enumerators list what the closure-based ones did,
+    in the same order."""
+
+    @pytest.mark.parametrize("frame", _FRAMES_UP_TO_RANK_3, ids=repr)
+    def test_orbifold_fixed_points(self, frame):
+        for v0 in range(5):
+            for v1 in range(5):
+                expected = closure_fixed_points_x0(frame, v0, v1)
+                assert enum_fixed_points_x0(frame, v0, v1) == expected, (v0, v1)
+
+    @pytest.mark.parametrize("frame", _FRAMES_UP_TO_RANK_3, ids=repr)
+    def test_first_chern_vectors(self, frame):
+        for k in (H(-1), H("-1/2"), H(0), H("1/2"), H(1)):
+            if (k.doubled + frame.w1) % 2:
+                with pytest.raises(ParityError):
+                    enum_kvectors(frame, k, 16)
+                continue
+            for max4n in range(17):
+                assert enum_kvectors(frame, k, max4n) == closure_kvectors(frame, k, max4n)
+
+
+class TestLargeCounts:
+    """A count far beyond what the other color's room can pair with is cut
+    at once, not walked box by box."""
+
+    @pytest.mark.parametrize("w0, w1", [(1, 0), (2, 0), (3, 0), (1, 1), (0, 2)])
+    def test_unreachable_counts_are_empty(self, w0, w1):
+        frame = FrameData(w0, w1)
+        assert enum_fixed_points_x0(frame, 1, 10**11) == []
+        assert enum_fixed_points_x0(frame, 10**11, 1) == []
+
+    def test_one_room_caps_the_other(self):
+        # Rank 1, color 0: one color-0 box pairs with at most two of color
+        # 1, as the columns (2, 1).
+        fps = enum_fixed_points_x0(FrameData(1, 0), 1, 2)
+        assert [fp.diagrams for fp in fps] == [((2, 1),)]
+        assert enum_fixed_points_x0(FrameData(1, 0), 1, 3) == []
 
 
 class TestKVectors:

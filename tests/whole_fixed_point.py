@@ -15,11 +15,15 @@ and ``char_lk`` is the line-bundle twist character written from its
 definition.  The last helpers read quantities only tests need, and read
 a coefficient's degree and denominator forms off its pieces directly, as
 references for what ``exact.Kernel`` records while it compiles.
+``closure_fixed_points_x0`` and ``closure_kvectors`` are the orbifold
+fixed-point and first-Chern-vector enumerators written as nested
+recursive closures, the way the engine wrote them before it moved every
+recursive helper to module level; they pin the enumeration order.
 """
 
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 from nekrasov.characters import (
     char_tangent_p2,
@@ -31,7 +35,7 @@ from nekrasov.characters import (
     char_v_x0,
     char_v_x1,
 )
-from nekrasov.diagrams import FixedPointX0, HalfInt, boxes, transpose
+from nekrasov.diagrams import FixedPointX0, HalfInt, ParityError, boxes, transpose
 from nekrasov.exact import factored_term, term_mul, term_pow
 from nekrasov.localization import euler_class, matter_euler
 
@@ -215,3 +219,82 @@ def series_pole_forms(*series_list) -> list:
         for g in series.grades():
             seen.update(dict.fromkeys(coeff_denominator_forms(series.coefficient(g))))
     return list(seen)
+
+
+def _closure_bounded_diagrams(size, color, room0, room1):
+    """Diagrams of `size` boxes framed with `color` within room0 boxes of
+    color 0 and room1 of color 1, in partitions(size) order, each with its
+    two colored counts; every column height is tried and checked."""
+    prefix = []
+
+    def extend(left, cap, n0, n1):
+        if left == 0:
+            yield tuple(prefix), n0, n1
+            return
+        starts_at_0 = (color + len(prefix)) % 2 == 0
+        for height in range(min(cap, left), 0, -1):
+            major, minor = (height + 1) // 2, height // 2
+            if starts_at_0:
+                c0, c1 = n0 + major, n1 + minor
+            else:
+                c0, c1 = n0 + minor, n1 + major
+            if c0 <= room0 and c1 <= room1:
+                prefix.append(height)
+                yield from extend(left - height, height, c0, c1)
+                prefix.pop()
+
+    yield from extend(size, size, 0, 0)
+
+
+def closure_fixed_points_x0(frame, v0, v1) -> list:
+    """Every r-tuple of diagrams with colored sizes (v0, v1), each slot
+    tried at every size up to the room left."""
+    out = []
+    colors = frame.colors
+
+    def extend(slot, head, room0, room1):
+        color = colors[slot]
+        if slot == len(colors) - 1:
+            for diagram, _, _ in _closure_bounded_diagrams(room0 + room1, color, room0, room1):
+                out.append(FixedPointX0(head + (diagram,), v0, v1))
+            return
+        for size in range(room0 + room1 + 1):
+            for diagram, n0, n1 in _closure_bounded_diagrams(size, color, room0, room1):
+                extend(slot + 1, head + (diagram,), room0 - n0, room1 - n1)
+
+    if v0 >= 0 and v1 >= 0:
+        extend(0, (), v0, v1)
+    return out
+
+
+def closure_kvectors(frame, k, max4n) -> list:
+    """Every first-Chern vector summing to k with 4 * sum(k_alpha^2) <=
+    max4n, each coordinate ranged over 0, 1, -1, 2, -2, ... (doubled)."""
+    if (k.doubled + frame.w1) % 2 != 0:
+        raise ParityError(f"2k = {k.doubled} has wrong parity for w1 = {frame.w1}")
+    parities = [0 if c == 0 else 1 for c in frame.colors]
+    out = []
+
+    def values(parity, budget4):
+        limit = isqrt(budget4) if budget4 >= 0 else -1
+        for mag in range(parity % 2, limit + 1, 2):
+            yield mag
+            if mag > 0:
+                yield -mag
+
+    def extend(prefix, used4):
+        slot = len(prefix)
+        if slot == frame.r - 1:
+            last = k.doubled - sum(prefix)
+            if last % 2 == parities[slot] and used4 + last * last <= max4n:
+                out.append(tuple(HalfInt(d) for d in prefix + [last]))
+            return
+        for d in values(parities[slot], max4n - used4):
+            extend(prefix + [d], used4 + d * d)
+
+    if frame.r == 1:
+        if k.doubled % 2 == parities[0] and k.doubled ** 2 <= max4n:
+            out.append((k,))
+    else:
+        extend([], 0)
+    return out
