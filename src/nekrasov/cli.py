@@ -27,15 +27,17 @@ kernel compile and evaluation in-process).
 ``main`` runs each request with the cyclic garbage collector off and
 hands the caller's setting back on the way out, however the request
 ends.  The engine allocates no reference cycles (see
-``nekrasov.diagrams``), so reference counting frees all its garbage; the
-collector found nothing to free but kept re-scanning the growing heap of
-forms, pieces and terms, 11-22% of ``check all``'s wall time at those
-cells.
+``nekrasov.diagrams``), and argparse's parser, which is cyclic, is
+built once per process, so after the first request reference counting
+frees all of a request's garbage; the collector found nothing to free
+but kept re-scanning the growing heap of forms, pieces and terms, 11-22%
+of ``check all``'s wall time at those cells.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -100,6 +102,7 @@ def _add_series_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--threads", type=int, default=1)
 
 
+@functools.cache  # an argparse parser is cyclic: build one per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nekrasov",

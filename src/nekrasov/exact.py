@@ -379,10 +379,6 @@ def term_pow(t: FactoredTerm, n: int) -> FactoredTerm:
     return FactoredTerm(scalar, tuple([(form, exp * n) for form, exp in t.factors]))
 
 
-def term_scale(t: FactoredTerm, c: Fraction | int) -> FactoredTerm:
-    return factored_term(t.scalar * Fraction(c), t.factors)
-
-
 def term_eval(t: Term, point: Mapping[Var, Fraction]) -> Fraction:
     return coeff_eval((t,), point)
 

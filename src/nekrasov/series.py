@@ -35,8 +35,9 @@ Implemented series:
   * series_zx0      -- orbifold side, summed over colored diagram tuples,
   * series_zx1      -- resolved side, summed over (kvec, Y1, Y2) data,
   * series_zp2      -- plane series, summed over diagram tuples,
-  * series_prefactor-- (1 - (-1)^r q)^(+-u) as binomials in the exponent
-                       ratio u = (eps1+eps2)(2*sum a + sum m)/(2 eps1 eps2),
+  * series_prefactor-- (1 - (-1)^r q)^(+-u) over Q[u], each grade the
+                       (degree, coefficient) pairs of a binomial in the
+                       exponent ratio u = (eps1+eps2)(2*sum a + sum m)/(2 eps1 eps2),
   * series_zx1_factorized -- the blow-up factorization: a sum over
     first-Chern vectors of q^(sum k^2) * ell(kvec) times two plane series
     taken at the chart substitutions.
@@ -67,8 +68,6 @@ from .exact import (
     factored_term,
     linear_form,
     term_mul,
-    term_pow,
-    term_scale,
     term_substitute,
     var_a,
     var_m,
@@ -166,21 +165,17 @@ def _binomial_poly(j: int) -> list[Fraction]:
 
 
 def series_prefactor(r: int, sign: int, max_n: int) -> QSeries:
-    """(1 - (-1)^r q)^(sign * u) as a q-series; grade 4j holds the degree-j
-    binomial, stored as a polynomial in the single exponent-ratio term."""
+    """(1 - (-1)^r q)^(sign * u) over Q[u]: grade 4j holds binom(sign u, j)
+    (-(-1)^r)^j as the (d, c) pairs of its nonzero coefficients c of u^d."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    u = prefactor_exponent(r)
     sigma = 1 if r % 2 == 1 else -1  # -(-1)^r
-    coeffs = {}
-    for j in range(max_n + 1):
-        terms = []
-        for d, c in enumerate(_binomial_poly(j)):
-            scalar = c * sign ** d * sigma ** j
-            if scalar == 0:
-                continue
-            terms.append(term_scale(term_pow(u, d), scalar))
-        coeffs[4 * j] = tuple(terms)
+    coeffs = {
+        4 * j: tuple(
+            (d, c * sign ** d * sigma ** j) for d, c in enumerate(_binomial_poly(j)) if c
+        )
+        for j in range(max_n + 1)
+    }
     return QSeries(coeffs, 4 * max_n, 0)
 
 

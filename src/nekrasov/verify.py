@@ -26,7 +26,9 @@ so each series is built once per invocation, and `nekrasov compute`
 builds, samples and reads its one series through a pair too.
 Each side of a check maps a point to {grade: value}: every coefficient
 of one series read at R(p), or a numeric Cauchy product of such values,
-so no product series is ever built.
+so no product series is ever built.  main's k >= 0 prefactor and must's
+weights are one side, the coefficients of (1 - (-1)^r q)^(+-u): u is
+evaluated at p and each grade's polynomial in u (series_prefactor) summed.
 
 Each side also carries the linear forms its draws must avoid: a series
 read at R(p) carries its plain denominator forms composed with R (form o
@@ -74,8 +76,8 @@ Checks:
   * check_symmetry       -- invariance under (eps, a, m) -> -(eps, a, m),
   * check_recursion_must -- the convolution recursion expressing the
                             resolved coefficients through sign-flipped
-                            orbifold coefficients with rising-factorial
-                            weights in the exponent ratio u.
+                            orbifold coefficients, weighted by
+                            (1 - (-1)^r q)^(-u).
 """
 
 from __future__ import annotations
@@ -226,9 +228,8 @@ class SeriesPair:
 
     def series(self, name: str) -> QSeries:
         """Series `name`: the orbifold series zx0, the resolved series zx1,
-        its blow-up factorization zx1-fact, the plane series zp2 to
-        q^((max4n - w1)/4), or main's prefactor (1 - (-1)^r q)^u to
-        q^(max4n // 4)."""
+        its blow-up factorization zx1-fact, or the plane series zp2 to
+        q^((max4n - w1)/4)."""
         series = self._series.get(name)
         if series is None:
             frame, k, max4n = self.key
@@ -240,8 +241,6 @@ class SeriesPair:
                 series = series_zx1_factorized(frame, k, max4n)
             elif name == "zp2":
                 series = series_zp2(frame.r, (max4n - frame.w1) // 4)
-            elif name == "prefactor":
-                series = series_prefactor(frame.r, +1, max4n // 4)
             else:
                 raise ValueError(f"unknown series {name!r}")
             self._series[name] = series
@@ -369,6 +368,21 @@ def _read(pair: SeriesPair, name: str, rule=None, negated: bool = False):
     return _side(lambda point: read(name, map_point(point, rule)), forms)
 
 
+def _prefactor(r: int, sign: int, max_n: int):
+    """The side of (1 - (-1)^r q)^(sign u) to q^max_n: grade 4j holds
+    sum c u^d over series_prefactor's (d, c) pairs, with u read at p."""
+    series, u_term = series_prefactor(r, sign, max_n), prefactor_exponent(r)
+
+    def values(point: EvalPoint) -> dict:
+        u = term_eval(u_term, point)
+        return {
+            g: sum((c * u ** d for d, c in series.coefficient(g)), Fraction(0))
+            for g in series.grades()
+        }
+
+    return _side(values, Kernel([(u_term,)]).pole_forms)
+
+
 def _cauchy(weights, side):
     """The side whose grade g is sum_j weights(p)[j] * side(p)[g - j], over
     the grades of `side`."""
@@ -406,11 +420,11 @@ def check_main(pair: SeriesPair, cfg: SampleConfig) -> VerificationReport:
     For k >= 0 the right side is the orbifold series convolved with the
     prefactor (1 - (-1)^r q)^u; for k <= 0 it is the orbifold series at
     -eps; k = 0 runs both branches, which share one orbifold series."""
-    _, k, _ = pair.key
+    frame, k, max4n = pair.key
     flip = rule_negate_eps()
     lhs, rows = _read(pair, "zx1", flip), []
     if k.doubled >= 0:
-        rhs = _cauchy(_read(pair, "prefactor"), _read(pair, "zx0"))
+        rhs = _cauchy(_prefactor(frame.r, +1, max4n // 4), _read(pair, "zx0"))
         rows.append(({"branch": "k>=0"}, lhs, rhs))
     if k.doubled <= 0:
         rows.append(({"branch": "k<=0"}, lhs, _read(pair, "zx0", flip)))
@@ -436,26 +450,13 @@ def check_symmetry(pair: SeriesPair, cfg: SampleConfig) -> VerificationReport:
     return _run_check("symmetry", pair, cfg, rows)
 
 
-def _must_weights(r: int, max_n: int):
-    """must's weights as a side: grade 4j holds
-    (-1)^(j r) u(u+1)...(u+j-1)/j! at p, for j = 0..max_n."""
-    u_term = prefactor_exponent(r)
-
-    def weights(point: EvalPoint) -> dict:
-        u, sign = term_eval(u_term, point), (-1) ** r
-        out = {0: Fraction(1)}
-        for j in range(1, max_n + 1):
-            out[4 * j] = out[4 * j - 4] * sign * (u + j - 1) / j
-        return out
-
-    return _side(weights, Kernel([(u_term,)]).pole_forms)
-
-
 def check_recursion_must(pair: SeriesPair, cfg: SampleConfig) -> VerificationReport:
     """Convolution recursion: with alpha the resolved series (plain
     variables) and beta the orbifold series at (a, m) -> (-a, -m),
 
-        alpha_n = sum_j (-1)^(j r) u(u+1)...(u+j-1)/j! * beta_(n-j).
+        alpha_n = sum_j (-1)^(j r) u(u+1)...(u+j-1)/j! * beta_(n-j),
+
+    the weights being the coefficients of (1 - (-1)^r q)^(-u).
 
     -(a, m) is the full flip -(eps, a, m) composed with -eps, so beta is
     read at -(-eps p): a coefficient of one degree d is (-1)^d times the
@@ -466,5 +467,5 @@ def check_recursion_must(pair: SeriesPair, cfg: SampleConfig) -> VerificationRep
     if k.doubled < 0:
         raise ValueError("recursion check is defined for k >= 0")
     beta = _read(pair, "zx0", rule_negate_eps(), negated=True)
-    rhs = _cauchy(_must_weights(frame.r, max4n // 4), beta)
+    rhs = _cauchy(_prefactor(frame.r, -1, max4n // 4), beta)
     return _run_check("must", pair, cfg, [({}, _read(pair, "zx1"), rhs)])

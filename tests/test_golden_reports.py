@@ -41,7 +41,13 @@ monomial by monomial, before the builders read one transpose per diagram,
 kept that part by one parity test with the slot pair's color offset, and
 built each form once per series build; its slot pairs of mixed colors have
 offset 1 and its diagrams reach several columns, so it pins that the
-inline filter and the shared forms build the same terms."""
+inline filter and the shared forms build the same terms.  The two
+``check main`` runs at k = 1/2 were recorded while main's k >= 0
+prefactor was a series of terms, compiled and evaluated like the others,
+and must's weights a separate recurrence, before both became one numeric
+side; they read the prefactor to u^6 at r = 1 and to u^4 at r = 2, where
+its sign -(-1)^r is -1, so they pin that the numeric side gives the same
+values."""
 
 import hashlib
 import os
@@ -137,6 +143,15 @@ GOLDEN = [
     (
         "compute zx0 --w0 2 --w1 1 --k 1/2 --max-n 3",
         "ae0103e3513186665ed4daa1ea001c64b1f879526ddb24fe2cf55f5b09860f1b",
+    ),
+    # main's k >= 0 prefactor read deep, at both signs of -(-1)^r
+    (
+        "check main --w0 0 --w1 1 --k 1/2 --max-n 6",
+        "325037a026f13d1decdaac3d489dee4c10535c6c6ece8cb4fcf040ef7c1fc069",
+    ),
+    (
+        "check main --w0 1 --w1 1 --k 1/2 --max-n 4",
+        "a8ce3f73887e0aac99967da82c1199edcaaa701ebb0b2b82cceeb6e06d0c17ca",
     ),
 ]
 

@@ -43,6 +43,7 @@ from nekrasov.verify import (
 )
 from whole_fixed_point import (
     merged,
+    reference_prefactor,
     reference_term_p2,
     reference_term_x0,
     reference_term_x1,
@@ -168,18 +169,34 @@ class TestPlaneSeries:
 
 
 class TestPrefactor:
+    """main's k >= 0 prefactor and must's weights are one numeric side:
+    series_prefactor's polynomials in u, summed at u's value."""
+
+    def test_grades_hold_polynomials_in_u(self):
+        # binom(u, j) at r = 1: 1, u, u(u - 1)/2
+        half = Fraction(1, 2)
+        assert series_prefactor(1, +1, 2).coeffs == {
+            0: ((0, 1),), 4: ((1, 1),), 8: ((1, -half), (2, half))
+        }
+        # binom(-u, j) (-1)^j at r = 2: 1, u, u(u + 1)/2
+        assert series_prefactor(2, -1, 2).coeffs == {
+            0: ((0, 1),), 4: ((1, 1),), 8: ((1, half), (2, half))
+        }
+        with pytest.raises(ValueError):
+            series_prefactor(1, 0, 2)
+
     def test_grade_zero_is_one(self):
-        series = series_prefactor(1, +1, 2)
+        side = verify._prefactor(1, +1, 2)
         for p in POINTS:
-            assert coeff_eval(series.coefficient(0), p) == 1
+            assert side(p)[0] == 1
 
     def test_rank_one_grade_four_is_u(self):
-        series = series_prefactor(1, +1, 2)
+        side = verify._prefactor(1, +1, 2)
         for p in POINTS:
-            assert coeff_eval(series.coefficient(4), p) == u_value(p)
+            assert side(p)[4] == u_value(p)
 
     def test_rank_two_grade_eight_is_binomial(self):
-        series = series_prefactor(2, +1, 2)
+        side = verify._prefactor(2, +1, 2)
         p = dict(POINTS[0])
         p[var_a(2)] = Fraction(11, 3)
         p[var_m(3)] = Fraction(-9, 4)
@@ -192,7 +209,7 @@ class TestPrefactor:
             )
             / (2 * p[EPS1] * p[EPS2])
         )
-        assert coeff_eval(series.coefficient(8), p) == u * (u - 1) / 2
+        assert side(p)[8] == u * (u - 1) / 2
 
     def test_exponent_ratio_term_shape(self):
         u = prefactor_exponent(1)
@@ -203,13 +220,9 @@ class TestPrefactor:
         assert negatives == ["eps1", "eps2"]
 
     def test_opposite_signs_multiply_to_unit(self):
-        plus = series_prefactor(1, +1, 3)
-        minus = series_prefactor(1, -1, 3)
-        prod = series_mul(plus, minus)
+        prod = verify._cauchy(verify._prefactor(1, +1, 3), verify._prefactor(1, -1, 3))
         for p in POINTS:
-            assert coeff_eval(prod.coefficient(0), p) == 1
-            for g in (4, 8, 12):
-                assert coeff_eval(prod.coefficient(g), p) == 0
+            assert prod(p) == {0: 1, 4: 0, 8: 0, 12: 0}
 
 
 class TestSeriesProduct:
@@ -240,7 +253,7 @@ class TestSeriesProduct:
             assert coeff_eval(prod.coefficient(8), p) == -a * a
 
     def test_associative_and_commutative_under_evaluation(self):
-        a = series_prefactor(1, +1, 2)
+        a = reference_prefactor(1, +1, 2)
         b = series_zx0(FrameData(1, 0), H(0), 8)
         c = series_zp2(1, 2)
         left = series_mul(series_mul(a, b), c)
@@ -253,7 +266,7 @@ class TestSeriesProduct:
                 assert coeff_eval(swapped.coefficient(g), p) == value
 
     def test_offset_aware_truncation(self):
-        pref = series_prefactor(1, +1, 2)  # grades 0..8
+        pref = reference_prefactor(1, +1, 2)  # grades 0..8
         zx0 = series_zx0(FrameData(0, 1), H("1/2"), 9)  # grades 1, 5, 9
         prod = series_mul(pref, zx0)
         assert prod.offset == 1

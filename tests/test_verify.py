@@ -25,7 +25,6 @@ from nekrasov.series import (
     prefactor_exponent,
     rule_negate_eps,
     series_mul,
-    series_prefactor,
     series_zx0,
     series_zx1,
     series_zx1_factorized,
@@ -34,6 +33,8 @@ from nekrasov.verify import (
     ResampleExhausted,
     SampleConfig,
     SeriesPair,
+    _cauchy,
+    _prefactor,
     check_factorization,
     check_main,
     check_recursion_must,
@@ -47,6 +48,7 @@ from whole_fixed_point import (
     coeff_denominator_forms,
     coefficient,
     merged,
+    reference_prefactor,
     series_pole_forms,
 )
 
@@ -211,29 +213,58 @@ class TestReports:
         assert rep.passed
         assert "k>=0" in {g.tags["branch"] for g in rep.grades}
 
-    @pytest.mark.parametrize("r", [1, 2, 3, 4])
-    def test_must_weights_are_the_prefactor_coefficients(self, r):
-        # w_j(p) is (1 - (-1)^r q)^u's coefficient at -(a, m) p, and
-        # (1 - (-1)^r q)^(-u)'s at p
-        from nekrasov.verify import _must_weights
-
-        max_n = 4
-        plus = series_prefactor(r, +1, max_n)
-        minus = series_prefactor(r, -1, max_n)
-        flip = negate_am(r)
-        for trial in range(3):
-            p = sample_point(CFG, trial, [], r)
-            weights = _must_weights(r, max_n)(p)
-            assert list(weights) == list(plus.grades())
-            for g, w in weights.items():
-                assert w == coeff_eval(plus.coefficient(g), map_point(p, flip))
-                assert w == coeff_eval(minus.coefficient(g), p)
-
     def test_parity_infeasible_inputs_compare_zero_series(self):
         rep = check_main(SeriesPair(FrameData(1, 1), H(0), 9), CFG)
         assert rep.passed
         for record in rep.grades:
             assert all(lhs == rhs == 0 for lhs, rhs in record.values)
+
+
+class TestPrefactorSide:
+    """main's k >= 0 prefactor and must's weights are one numeric side,
+    (1 - (-1)^r q)^(+-u): at sampled points its grades are the
+    coefficients of the symbolic reference series."""
+
+    @pytest.mark.parametrize("max_n", [0, 1, 3, 6])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_values_are_the_reference_coefficients(self, r, sign, max_n):
+        reference, side = reference_prefactor(r, sign, max_n), _prefactor(r, sign, max_n)
+        for trial in range(3):
+            p = sample_point(CFG, trial, side.forms, r)
+            values = side(p)
+            assert list(values) == list(reference.grades())
+            for g, value in values.items():
+                assert value == coeff_eval(reference.coefficient(g), p)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_must_weights_are_rising_factorials(self, r):
+        # (1 - (-1)^r q)^(-u) at p is (1 - (-1)^r q)^u at -(a, m) p, and
+        # its grade 4j is (-1)^(j r) u(u+1)...(u+j-1)/j!
+        max_n = 6
+        minus, plus = _prefactor(r, -1, max_n), _prefactor(r, +1, max_n)
+        for trial in range(3):
+            p = sample_point(CFG, trial, [], r)
+            weights, u, w = minus(p), term_eval(prefactor_exponent(r), p), Fraction(1)
+            assert weights == plus(map_point(p, negate_am(r)))
+            for j in range(max_n + 1):
+                assert weights[4 * j] == w
+                w *= (-1) ** r * (u + j) / (j + 1)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_opposite_signs_convolve_to_one(self, r):
+        max_n = 6
+        prod = _cauchy(_prefactor(r, +1, max_n), _prefactor(r, -1, max_n))
+        for trial in range(3):
+            p = sample_point(CFG, trial, prod.forms, r)
+            assert prod(p) == {4 * j: int(j == 0) for j in range(max_n + 1)}
+
+    @pytest.mark.parametrize("max_n", [0, 2])
+    def test_forms_are_the_denominator_forms_of_u(self, max_n):
+        # also at max_n 0, where every grade above 0 is truncated away: a
+        # draw never zeroes a lone coordinate, so this changes no draw
+        eps = {linear_form({EPS1: 1}), linear_form({EPS2: 1})}
+        assert set(_prefactor(1, +1, max_n).forms) == eps
 
 
 class TestSensitivity:
@@ -286,7 +317,7 @@ class TestZeroKBranchGuard:
         frame = FrameData(1, 0)
         flip = rule_negate_eps()
         plain = series_zx0(frame, H(0), 8)
-        pref = series_prefactor(frame.r, +1, 2)
+        pref = reference_prefactor(frame.r, +1, 2)
         rhs_ge = series_mul(pref, plain)
         u_term = prefactor_exponent(frame.r)
         forms = series_pole_forms(plain) + coeff_denominator_forms((u_term,))
@@ -313,7 +344,6 @@ BUILDERS = {
     "zx1": "series_zx1",
     "zx1-fact": "series_zx1_factorized",
     "zp2": "series_zp2",
-    "prefactor": "series_prefactor",
 }
 
 
@@ -334,6 +364,20 @@ def count_builds(monkeypatch):
     for name, builder in BUILDERS.items():
         monkeypatch.setattr(verify, builder, counting(name, getattr(verify, builder)))
     return calls
+
+
+def count_prefactors(monkeypatch) -> list:
+    """Record, from here on, the sign of each prefactor side built."""
+    from nekrasov import verify
+
+    signs, build = [], verify.series_prefactor
+
+    def recording(r, sign, max_n):
+        signs.append(sign)
+        return build(r, sign, max_n)
+
+    monkeypatch.setattr(verify, "series_prefactor", recording)
+    return signs
 
 
 def builds(*names):
@@ -380,7 +424,7 @@ class TestFlippedSides:
         rep = check_main(SeriesPair(FrameData(1, 0), H(0), 8), CFG)
         assert rep.passed
         assert {g.tags["branch"] for g in rep.grades} == {"k>=0", "k<=0"}
-        assert calls == builds("zx0", "zx1", "prefactor")
+        assert calls == builds("zx0", "zx1")
 
     def test_pole_of_flipped_side_forces_a_redraw(self, monkeypatch):
         # A rank-2 resolved-side denominator form mixing eps and a, zeroed
@@ -438,7 +482,7 @@ class TestSeriesPair:
         calls = count_builds(monkeypatch)
         pair = SeriesPair(frame, k, max4n)
         shared = [check(pair, CFG).to_dict() for check in self.CHECKS]
-        assert calls == builds("zx0", "zx1", "zx1-fact", "prefactor")
+        assert calls == builds("zx0", "zx1", "zx1-fact")
         assert shared == alone
 
     def test_series_are_built_on_first_use(self, monkeypatch):
@@ -461,24 +505,26 @@ class TestSeriesPair:
     def test_check_all_builds_each_series_once(self, monkeypatch, capsys, w0, w1, k):
         from nekrasov.cli import main
 
-        calls = count_builds(monkeypatch)
+        calls, signs = count_builds(monkeypatch), count_prefactors(monkeypatch)
         argv = ["check", "all", "--w0", str(w0), "--w1", str(w1), "--k", k,
                 "--max-n", "1", "--trials", "2", "--json"]
         assert main(argv) == 0
         checks = [report["check"] for report in json.loads(capsys.readouterr().out)]
         assert checks == ["main", "mult", "symmetry", "must"]
-        assert calls == builds("zx0", "zx1", "zx1-fact", "prefactor")
+        assert calls == builds("zx0", "zx1", "zx1-fact")
+        assert signs == [1, -1]  # main's prefactor, then must's weights
 
     def test_check_all_at_negative_k_builds_no_prefactor(self, monkeypatch, capsys):
         from nekrasov.cli import main
 
-        calls = count_builds(monkeypatch)
+        calls, signs = count_builds(monkeypatch), count_prefactors(monkeypatch)
         argv = ["check", "all", "--w0", "1", "--w1", "1", "--k=-1/2",
                 "--max-n", "1", "--trials", "2", "--json"]
         assert main(argv) == 0
         checks = [report["check"] for report in json.loads(capsys.readouterr().out)]
         assert checks == ["main", "mult", "symmetry"]
         assert calls == builds("zx0", "zx1", "zx1-fact")
+        assert signs == []
 
     @pytest.mark.parametrize("target", ["zx0", "zx1", "zp2", "zx1-fact"])
     def test_compute_builds_only_its_series(self, monkeypatch, capsys, target):
@@ -544,7 +590,7 @@ class TestSeriesKernels:
     """A pair reads every series through one compiled kernel; its values
     are the term-by-term Fraction sums of the merged terms."""
 
-    @pytest.mark.parametrize("name", ["zx0", "zx1", "zx1-fact", "zp2", "prefactor"])
+    @pytest.mark.parametrize("name", ["zx0", "zx1", "zx1-fact", "zp2"])
     @pytest.mark.parametrize("k", ["-1/2", "0", "1/2", "1"])
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_values_equal_the_term_by_term_sum(self, r, k, name):
@@ -713,8 +759,6 @@ class TestValueTable:
     def test_must_reads_a_mutant_orbifold_series_at_its_real_values(self, monkeypatch, mutate):
         # beta at -(a, m) p, read off main's -eps values or evaluated, is
         # the mutant's real value there
-        from nekrasov.verify import _must_weights
-
         frame, k, max4n = FrameData(1, 0), H(1), 8
         self._mutant(monkeypatch, "zx0", 4, mutate)
         pair = SeriesPair(frame, k, max4n)
@@ -722,7 +766,7 @@ class TestValueTable:
         rep = check_recursion_must(pair, CFG)
         flip = negate_am(frame.r)
         for t, point in enumerate(rep.points):
-            weights = _must_weights(frame.r, max4n // 4)(point)
+            weights = _prefactor(frame.r, -1, max4n // 4)(point)
             beta = {g: coeff_eval(pair.series("zx0").coefficient(g), map_point(point, flip))
                     for g in pair.series("zx0").grades()}
             for record in rep.grades:

@@ -15,6 +15,9 @@ and ``char_lk`` is the line-bundle twist character written from its
 definition.  The last helpers read quantities only tests need, and read
 a coefficient's degree and denominator forms off its pieces directly, as
 references for what ``exact.Kernel`` records while it compiles.
+``reference_prefactor`` is (1 - (-1)^r q)^(+-u) built the way the engine
+built it before it became a numeric side: a series of terms, each a
+power of the exponent-ratio term u times a scalar.
 ``closure_fixed_points_x0`` and ``closure_kvectors`` are the orbifold
 fixed-point and first-Chern-vector enumerators written as nested
 recursive closures, the way the engine wrote them before it moved every
@@ -38,6 +41,7 @@ from nekrasov.characters import (
 from nekrasov.diagrams import FixedPointX0, HalfInt, ParityError, boxes, transpose
 from nekrasov.exact import factored_term, term_mul, term_pow
 from nekrasov.localization import euler_class, matter_euler
+from nekrasov.series import QSeries, _binomial_poly, prefactor_exponent
 
 
 def char_lk(k: HalfInt) -> Counter:
@@ -219,6 +223,24 @@ def series_pole_forms(*series_list) -> list:
         for g in series.grades():
             seen.update(dict.fromkeys(coeff_denominator_forms(series.coefficient(g))))
     return list(seen)
+
+
+def reference_prefactor(r: int, sign: int, max_n: int) -> QSeries:
+    """(1 - (-1)^r q)^(sign * u) as a q-series of terms; grade 4j holds the
+    degree-j binomial as a polynomial in the single exponent-ratio term."""
+    u = prefactor_exponent(r)
+    sigma = 1 if r % 2 == 1 else -1  # -(-1)^r
+    coeffs = {}
+    for j in range(max_n + 1):
+        terms = []
+        for d, c in enumerate(_binomial_poly(j)):
+            scalar = c * sign ** d * sigma ** j
+            if scalar == 0:
+                continue
+            power = term_pow(u, d)
+            terms.append(factored_term(power.scalar * scalar, power.factors))
+        coeffs[4 * j] = tuple(terms)
+    return QSeries(coeffs, 4 * max_n, 0)
 
 
 def _closure_bounded_diagrams(size, color, room0, room1):
