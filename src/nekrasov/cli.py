@@ -18,11 +18,11 @@ avoid the series' denominator forms, and reads values off the pair.
 interface stability, but evaluation is sequential either way, so output
 is byte-identical for any thread count.  The count is a no-op: each
 series is compiled once into an integer kernel and evaluated at two
-points per trial.  In ``check all`` evaluation is about 51% of the wall
-time at w = (1,0) max-n 16 and 68-69% at w = (1,2) and (3,0) max-n 6,
-compiling 7-10%, and series construction, which a pool over trials
-cannot share out, the rest (2-core x86-64 VM, Python 3.11, timing every
-kernel compile and evaluation in-process).
+points per trial.  In ``check all`` evaluation is 48-49% of the wall
+time at w = (1,0) max-n 16 and 61-69% at w = (1,2) and (3,0) max-n 6,
+compiling 8-12%, and series construction, which a pool over trials
+cannot share out, the rest (2-core x86-64 VM, Python 3.11, two runs
+per cell, timing every kernel compile and evaluation in-process).
 
 ``main`` runs each request with the cyclic garbage collector off and
 hands the caller's setting back on the way out, however the request

@@ -32,19 +32,22 @@ form's hash is computed once, when it is made.
 
 Scalars and sample-point values are ``fractions.Fraction``.  Evaluation
 works in ints through a `Kernel`, compiled once from a list of
-coefficients: each distinct form gets one slot, each distinct piece
-becomes its integer constants (the scalar with the form denominators
-folded in), the slots of its numerator and denominator factors, each
-repeated by its exponent, and its degree, and each term becomes the
-indices of its pieces.  At a point the kernel scales the point to one
-common denominator D, takes one integer dot product per slot (the form's
-value times D times its denominator), forms one int numerator and
-denominator per piece, and each term as the product of its pieces' ints.
-Each coefficient's terms are added as int fractions, in pairs over the
-lcm of their denominators, and a ``Fraction`` is made once per
-coefficient, so the arithmetic stays arbitrary precision and exact.
-The compile is the one walk over a series' pieces: it also records the
-forms a sample point must avoid and each coefficient's degree.
+coefficients: each distinct form gets one slot, each side of each
+distinct piece becomes one factor set (the sorted slots of its
+numerator, or of its denominator, factors, each repeated by its
+exponent), equal sets across the whole kernel share one product, and
+each term becomes the refs of its pieces' sets and its degree.  Form
+denominators are folded into one kernel-wide scale, so a unit-scalar
+piece carries no int constant.  At a point the kernel scales the point
+to one common denominator, takes one integer dot product per form, one
+``math.prod`` per distinct multi-slot set (a one-slot set is its form's
+value), and two per term, one over its numerator refs and one over its
+denominator refs.  Each coefficient's terms are added as int fractions,
+in pairs over the lcm of their denominators, and a ``Fraction`` is made
+once per coefficient, so the arithmetic stays arbitrary precision and
+exact.  The compile is the one walk over a series' pieces: it also
+records the forms a sample point must avoid and each coefficient's
+degree.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping
 
@@ -326,9 +330,9 @@ class Product:
     (in canonical form or in build order); the empty product is 1.
 
     Pieces are never merged: a piece shared by many terms stays one
-    object, so a `Kernel` compiles and evaluates it once.  Merging every
-    piece's factors with `factored_term` gives the same term in canonical
-    form."""
+    object, so a `Kernel` compiles it once and evaluates its factor sets
+    once per point.  Merging every piece's factors with `factored_term`
+    gives the same term in canonical form."""
 
     pieces: tuple[FactoredTerm, ...]
 
@@ -424,17 +428,27 @@ class Kernel:
 
     A term is the product of its pieces.  `pieces` holds each distinct
     piece once, by identity, and `forms` each distinct form once, by
-    value: equal forms share one slot.  A piece compiles to (num0, den0,
-    num, den, degree): the int fraction num0/den0 is its scalar with its
-    forms' denominators folded in, num and den are the slots of its
-    factors with positive and with negative exponent, each repeated by its
-    exponent, and degree is the sum of exponents.  A term compiles to the
-    indices of its pieces and its degree, the sum of theirs.  A form
-    (sum n_i v_i) / q takes the value (sum n_i ints_i) / (q D) at a point
-    scaled to (ints, D), so a piece is the int pair num0 * prod(num
-    values) over den0 * prod(den values), times D^-degree, and a term is
-    the product of its pieces' pairs times D^-degree.  A term with a
-    zero-scalar piece is dropped before its pieces are compiled.
+    value: equal forms share one slot.  At a point every int the kernel
+    reads has a ref: ref 0 reads 1, ref i + 1 the value of forms[i], and
+    ref -(k + 1) the product of sets[k].  A piece compiles to one ref per
+    side and its degree (the sum of its exponents).  A side's factor set
+    is (constant, the sorted refs of its forms, each repeated by its
+    exponent), the constant being the scalar's numerator on the
+    numerator side and its denominator on the other.  With constant 1,
+    an empty set is ref 0 and a one-form set is that form's ref; any
+    other set is an entry of `sets`, where equal sets of one side share
+    one entry across the whole kernel, so value-equal pieces built as
+    distinct objects share their products.  A term compiles to its
+    pieces' nonzero numerator refs, their nonzero denominator refs and
+    its degree, the sum of theirs.  A term with a zero-scalar piece is
+    dropped before its pieces are compiled.
+
+    With L the lcm of the forms' denominators, a form (sum n_i v_i) / q
+    reads L D times its value, (L / q) sum n_i ints_i, at a point scaled
+    to (ints, D).  So a term is the product of its numerator refs over
+    the product of its denominator refs, times (L D)^-degree, and a
+    unit-scalar piece, which every piece the engine builds is, carries
+    no int constant.
 
     The compile also records `pole_forms`, the distinct forms with a
     negative exponent in some compiled piece in first-seen order (those
@@ -443,107 +457,135 @@ class Kernel:
     when they differ.  Forms have no constant part, so a coefficient of
     one degree d takes (-1)^d times its value at p at the point -p."""
 
-    __slots__ = ("forms", "pieces", "pole_forms", "degrees", "_compiled", "_coeffs")
+    __slots__ = (
+        "forms", "pieces", "sets", "pole_forms", "degrees", "_den", "_dots", "_poles", "_coeffs"
+    )
 
     def __init__(self, coefficients: Iterable[Coefficient]) -> None:
-        slots: dict[LinearForm, int] = {}  # equal forms share one slot
-        index: dict[int, int] = {}  # id(piece) -> its place in self.pieces, which holds it
-        poles: dict[int, None] = {}  # denominator slots, in first-seen order
-        self.forms: list[LinearForm] = []
+        slots: dict[LinearForm, int] = {}  # equal forms share one ref
+        num_sets: dict[tuple, int] = {}  # equal numerator sets share one ref
+        den_sets: dict[tuple, int] = {}  # and equal denominator sets
+        index: dict[int, tuple] = {}  # id(piece) -> its compiled piece; self.pieces holds it
+        poles: list[list[int]] = []  # each compiled piece's denominator refs
+        forms: list[LinearForm] = []
+        products: list[tuple[int, tuple[int, ...]]] = []
+        self.forms, self.sets = forms, products
         self.pieces: list[FactoredTerm] = []
         self.degrees: list[int | None] = []
-        self._compiled = compiled = []
         self._coeffs = []
         for c in coefficients:
             terms = []
             for t in c:
                 pieces = t.pieces
-                refs = [index.get(id(piece)) for piece in pieces]
-                if None in refs:
+                entries = [index.get(id(piece)) for piece in pieces]
+                if None in entries:
                     # a compiled piece's scalar is nonzero: test only the new ones
-                    if not all(piece.scalar for piece, i in zip(pieces, refs) if i is None):
+                    if not all(piece.scalar for piece, e in zip(pieces, entries) if e is None):
                         continue
                     for n, piece in enumerate(pieces):
-                        if refs[n] is None:
-                            i = index.get(id(piece))  # a piece may recur in one term
-                            if i is None:
-                                i = index[id(piece)] = len(self.pieces)
+                        if entries[n] is None:
+                            entry = index.get(id(piece))  # a piece may recur in one term
+                            if entry is None:
+                                entry = index[id(piece)] = _compile_piece(
+                                    piece, slots, forms, num_sets, den_sets, products, poles
+                                )
                                 self.pieces.append(piece)
-                                compiled.append(_compile_piece(piece, slots, self.forms))
-                                poles.update(dict.fromkeys(compiled[i][3]))
-                            refs[n] = i
-                terms.append((tuple(refs), sum([compiled[i][4] for i in refs])))
-            degrees = {degree for _, degree in terms} or {0}
+                            entries[n] = entry
+                nums, dens, degrees = zip(*entries) if entries else ((), (), ())
+                terms.append((tuple(filter(None, nums)), tuple(filter(None, dens)), sum(degrees)))
+            degrees = {term[2] for term in terms} or {0}
             self.degrees.append(degrees.pop() if len(degrees) == 1 else None)
             self._coeffs.append(terms)
-        self.pole_forms = [self.forms[slot] for slot in poles]
+        self._den = lcm(*(form.den for form in self.forms))
+        self._dots = [(form.pairs, self._den // form.den) for form in self.forms]
+        self._poles = list(dict.fromkeys(chain.from_iterable(poles)))
+        self.pole_forms = [self.forms[ref - 1] for ref in self._poles]
 
     def evaluate(self, point: Mapping[Var, Fraction]) -> list[Fraction]:
-        """Every coefficient's value at `point`, in compile order.  Each
-        distinct piece is evaluated once.  A vanishing denominator factor
-        of any piece is a pole, even where a numerator factor vanishes too;
-        otherwise a vanishing factor makes its term 0."""
+        """Every coefficient's value at `point`, in compile order: one dot
+        product per form, one product per factor set, and two products per
+        term.  A vanishing denominator form of any piece is a pole, even
+        where a numerator form vanishes too; otherwise a vanishing form
+        makes its term 0."""
         ints, d = _scale_point(point)
-        values = [sum([n * ints[s] for s, n in form.pairs]) for form in self.forms]
-        nums, dens = _piece_values(self._compiled, values, self.forms, point)
-        num_at, den_at = nums.__getitem__, dens.__getitem__
+        values = [1]
+        values += [sum([n * ints[s] for s, n in pairs]) * m for pairs, m in self._dots]
+        if 0 in values:
+            self._check_poles(values, point)
+        at = values.__getitem__
+        # set k's product is read at ref -(k + 1), from the end of the list
+        values += [prod(map(at, refs), start=c) for c, refs in reversed(self.sets)]
+        scale = d * self._den
         powers = {0: 1}
         out = []
         for terms in self._coeffs:
             parts = []
-            for refs, degree in terms:
-                p = prod(map(num_at, refs))
+            for num, den, degree in terms:
+                p = prod(map(at, num))
                 if not p:
                     continue
-                q = prod(map(den_at, refs))
-                scale = powers.get(degree)
-                if scale is None:
-                    scale = powers[degree] = d ** abs(degree)
-                parts.append((p, q * scale) if degree > 0 else (p * scale, q))
+                q = prod(map(at, den))
+                power = powers.get(degree)
+                if power is None:
+                    power = powers[degree] = scale ** abs(degree)
+                parts.append((p, q * power) if degree > 0 else (p * power, q))
             out.append(_sum_fractions(parts))
         return out
 
+    def _check_poles(self, values: list, point) -> None:
+        """Raise PoleError for the first-seen denominator form that
+        vanishes, with its exponent in the first piece that holds it."""
+        for ref in self._poles:
+            if not values[ref]:
+                form = self.forms[ref - 1]
+                for piece in self.pieces:
+                    exp = sum([e for f, e in piece.factors if e < 0 and f == form])
+                    if exp:
+                        raise PoleError(f"pole: ({form})^{exp} at {point}")
 
-def _compile_piece(piece: FactoredTerm, slots: dict, forms: list) -> tuple:
-    """A piece as (num0, den0, num, den, degree) (see `Kernel`); a form not
-    yet in `slots` gets the next slot and is appended to `forms`."""
-    num0, den0 = piece.scalar.numerator, piece.scalar.denominator
+
+def _compile_piece(piece, slots, forms, num_sets, den_sets, products, poles) -> tuple:
+    """A piece as (numerator ref, denominator ref, degree) (see `Kernel`).
+    A form not yet in `slots` gets the next ref and is appended to
+    `forms`.  `num_sets` and `den_sets` map each factor set, as (constant,
+    sorted slots), seen on that side to its ref; a new one gets the next
+    negative ref and is appended to `products`.  The denominator refs, in
+    factor order, are appended to `poles`."""
     num: list[int] = []
     den: list[int] = []
     for form, exp in piece.factors:
-        slot = slots.get(form)
-        if slot is None:
-            slot = slots[form] = len(forms)
+        ref = slots.get(form)
+        if ref is None:
             forms.append(form)
+            ref = slots[form] = len(forms)
         if exp == 1:
-            num.append(slot)
+            num.append(ref)
         elif exp == -1:
-            den.append(slot)
+            den.append(ref)
         elif exp > 0:
-            num += [slot] * exp
+            num += [ref] * exp
         else:
-            den += [slot] * -exp
-        if form.den != 1:
-            if exp > 0:
-                den0 *= form.den**exp
-            else:
-                num0 *= form.den**-exp
-    return (num0, den0, tuple(num), tuple(den), len(num) - len(den))
-
-
-def _piece_values(compiled: list, values: list, forms: list, point) -> tuple[list, list]:
-    """Each compiled piece's int numerator and denominator at the slot
-    values `values`; a zero denominator is a PoleError."""
-    at = values.__getitem__
-    nums, dens = [], []
-    for num0, den0, num, den, _ in compiled:
-        q = prod(map(at, den), start=den0)
-        if not q:
-            slot = next(s for s in den if not values[s])
-            raise PoleError(f"pole: ({forms[slot]})^{-den.count(slot)} at {point}")
-        nums.append(prod(map(at, num), start=num0))
-        dens.append(q)
-    return nums, dens
+            den += [ref] * -exp
+    poles.append(den)
+    scalar = piece.scalar
+    c_num, c_den = (1, 1) if scalar == 1 else (scalar.numerator, scalar.denominator)
+    if c_num == 1 and len(num) < 2:
+        num_ref = num[0] if num else 0
+    else:
+        key = (c_num, tuple(sorted(num)))
+        new = -1 - len(products)
+        num_ref = num_sets.setdefault(key, new)
+        if num_ref == new:
+            products.append(key)
+    if c_den == 1 and len(den) < 2:
+        den_ref = den[0] if den else 0
+    else:
+        key = (c_den, tuple(sorted(den)))
+        new = -1 - len(products)
+        den_ref = den_sets.setdefault(key, new)
+        if den_ref == new:
+            products.append(key)
+    return (num_ref, den_ref, len(num) - len(den))
 
 
 def _sum_fractions(parts: list[tuple[int, int]]) -> Fraction:

@@ -27,8 +27,12 @@ builds, samples and reads its one series through a pair too.
 Each side of a check maps a point to {grade: value}: every coefficient
 of one series read at R(p), or a numeric Cauchy product of such values,
 so no product series is ever built.  main's k >= 0 prefactor and must's
-weights are one side, the coefficients of (1 - (-1)^r q)^(+-u): u is
-evaluated at p and each grade's polynomial in u (series_prefactor) summed.
+weights are one side, the coefficients of (1 - (-1)^r q)^(+-u): u = n/m
+is evaluated at p, and each grade's polynomial in u (series_prefactor)
+is summed in ints over L m^j (L its coefficients' common denominator)
+into one Fraction.  A Cauchy product writes each factor's values over
+their common denominator and sums each grade in ints over the product of
+the two, one Fraction per grade.
 
 Each side also carries the linear forms its draws must avoid: a series
 read at R(p) carries its plain denominator forms composed with R (form o
@@ -46,9 +50,12 @@ point is evaluated once, keyed by (series, the point's values), and every
 later read of it, by any check, is served from the table.  That one
 evaluation is one call of the series' exact.Kernel, which the pair
 compiles on first use: each distinct form of the series is one int dot
-product per point, each distinct piece (a slot's matter factor or a slot
-pair's tangent factor) one int numerator and denominator, each term the
-product of its pieces' ints, and each grade's value one Fraction.  The
+product per point, each distinct factor set of more than one form (the
+numerator or the denominator forms of a piece, a slot's matter factor or
+a slot pair's tangent factor, each repeated by its exponent) one int
+product, shared by the value-equal pieces zx1-fact builds anew per chart
+rule, each term one product over its numerator sets and one over its
+denominator sets, and each grade's value one Fraction.  The
 same compile walk records the series' pole forms and each coefficient's
 degree, so nothing else reads the pieces; no form cancels between the
 pieces of a term (every matter form carries a mass, no tangent form
@@ -85,6 +92,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .diagrams import FrameData, HalfInt
 from .exact import (
@@ -370,14 +378,27 @@ def _read(pair: SeriesPair, name: str, rule=None, negated: bool = False):
 
 def _prefactor(r: int, sign: int, max_n: int):
     """The side of (1 - (-1)^r q)^(sign u) to q^max_n: grade 4j holds
-    sum c u^d over series_prefactor's (d, c) pairs, with u read at p."""
+    sum c u^d over series_prefactor's (d, c) pairs, with u = n/m read at
+    p.  Each grade is summed in ints, sum c' n^d m^(j-d) over L m^j with
+    c' = c L and L the lcm of the grade's c denominators (d <= j), into
+    one Fraction."""
     series, u_term = series_prefactor(r, sign, max_n), prefactor_exponent(r)
+    grades = []
+    for g in series.grades():
+        pairs = series.coefficient(g)
+        den = lcm(*(c.denominator for _, c in pairs))
+        scaled = [(d, c.numerator * (den // c.denominator)) for d, c in pairs]
+        grades.append((g, g // 4, den, scaled))
 
     def values(point: EvalPoint) -> dict:
         u = term_eval(u_term, point)
+        n_pow, m_pow = [1], [1]
+        for _ in range(max_n):
+            n_pow.append(n_pow[-1] * u.numerator)
+            m_pow.append(m_pow[-1] * u.denominator)
         return {
-            g: sum((c * u ** d for d, c in series.coefficient(g)), Fraction(0))
-            for g in series.grades()
+            g: Fraction(sum([c * n_pow[d] * m_pow[j - d] for d, c in pairs]), den * m_pow[j])
+            for g, j, den, pairs in grades
         }
 
     return _side(values, Kernel([(u_term,)]).pole_forms)
@@ -385,13 +406,20 @@ def _prefactor(r: int, sign: int, max_n: int):
 
 def _cauchy(weights, side):
     """The side whose grade g is sum_j weights(p)[j] * side(p)[g - j], over
-    the grades of `side`."""
+    the grades of `side`.  Both factors' values are written over their own
+    common denominator, the lcm of theirs, and each grade is summed in
+    ints over the product of the two into one Fraction."""
 
     def product(point: EvalPoint) -> dict:
         w, values = weights(point), side(point)
+        w_den = lcm(*(c.denominator for c in w.values()))
+        v_den = lcm(*(v.denominator for v in values.values()))
+        w_num = [(j, c.numerator * (w_den // c.denominator)) for j, c in w.items()]
+        v_num = {g: v.numerator * (v_den // v.denominator) for g, v in values.items()}
+        den = w_den * v_den
         return {
-            g: sum((c * values[g - j] for j, c in w.items() if g - j in values), Fraction(0))
-            for g in values
+            g: Fraction(sum([c * v_num[g - j] for j, c in w_num if g - j in v_num]), den)
+            for g in v_num
         }
 
     return _side(product, weights.forms + side.forms)

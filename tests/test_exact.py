@@ -1,7 +1,7 @@
 """Exact-arithmetic layer: rationals, linear forms, factored terms."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -332,6 +332,18 @@ class TestKernelAgainstReference:
         assert term_eval(t, {EPS1: F(0)}) == 0
         assert coeff_eval((t,), {EPS1: F(0)}) == 0
 
+    def test_pole_error_names_the_form_its_exponent_and_the_point(self):
+        # both denominator forms vanish where eps1 = eps2; the first seen is
+        # named, eps1 - eps2, with its exponent in the first piece that
+        # holds it
+        f, g = linear_form({EPS1: 1, EPS2: -1}), linear_form({EPS1: F(1, 2), EPS2: F(-1, 2)})
+        first, second = factored_term(5, [(_E1, 1), (f, -2)]), factored_term(1, [(g, -1), (f, -3)])
+        kernel = Kernel([(factored_term(1, [(_E1, 1)]),), (Product((first, second)),)])
+        point = {EPS1: F(2, 3), EPS2: F(2, 3)}
+        with pytest.raises(PoleError) as info:
+            kernel.evaluate(point)
+        assert str(info.value) == f"pole: (eps1 - eps2)^-2 at {point}"
+
     def test_pole_after_vanished_factor_raises(self):
         vanishing = linear_form({EPS1: 1})
         pole = linear_form({EPS2: F(1, 2)})
@@ -348,6 +360,10 @@ class TestKernelAgainstReference:
 # small pool.  Every use rebuilds its form from the pool's coefficients, so
 # equal forms reach the kernel as distinct objects; halves give forms of
 # denominator 2, and zero-scalar terms keep a factor that may be a pole.
+# A piece's factors may have either sign of exponent and its scalar need
+# not be 1, and some pieces are built twice from one draw: value-equal
+# twins that are distinct objects, in canonical or in reversed (build)
+# order.
 _SLOT_COEFFS = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)]
 _EXPONENTS = [-3, -2, -1, 1, 2, 3]
 
@@ -365,19 +381,22 @@ def _compiled_coefficients(draw):
     def rebuilt(i):
         return linear_form(dict(zip(_POOL_VARS, pool[i])))
 
+    def built(scalar, factors, reverse=False):
+        piece = factored_term(scalar, [(rebuilt(i), e) for i, e in factors])
+        return FactoredTerm(piece.scalar, piece.factors[::-1]) if reverse else piece
+
     index = st.integers(0, len(pool) - 1)
     factors = st.lists(st.tuples(index, st.sampled_from(_EXPONENTS)), max_size=4)
+    scalars = st.sampled_from([F(1), F(1), F(-2), F(3, 4), F(-5, 7)])
     term = st.one_of(
-        st.builds(
-            lambda s, fs: factored_term(s, [(rebuilt(i), e) for i, e in fs]),
-            st.sampled_from([F(1), F(-2), F(3, 4), F(-5, 7)]),
-            factors,
-        ),
+        st.builds(built, scalars, factors),
         st.builds(lambda i, e: FactoredTerm(F(0), ((rebuilt(i), e),)), index, st.sampled_from(_EXPONENTS)),
     )
     # products draw their pieces from one pool, so pieces are shared by
-    # identity across terms and coefficients
+    # identity across terms and coefficients, and twins share by value
     shared = draw(st.lists(term, min_size=1, max_size=4))
+    for scalar, fs, reverse in draw(st.lists(st.tuples(scalars, factors, st.booleans()), max_size=2)):
+        shared += [built(scalar, fs), built(scalar, fs, reverse)]
     product = st.builds(
         lambda ix: Product(tuple(shared[i] for i in ix)),
         st.lists(st.integers(0, len(shared) - 1), max_size=3),
@@ -396,6 +415,21 @@ def _live_pieces(coeffs):
                 for piece in t.pieces:
                     seen.setdefault(id(piece), piece)
     return list(seen.values())
+
+
+def _factor_sets(pieces, forms):
+    """The (constant, sorted value refs) of every side of `pieces` that is
+    not a lone form or nothing with constant 1, each once per side: the
+    products a kernel whose forms are `forms` takes at a point.  Form i
+    is read at ref i + 1."""
+    ref = {form: i + 1 for i, form in enumerate(forms)}
+    sets = {}
+    for piece in pieces:
+        for sign, c in ((1, piece.scalar.numerator), (-1, piece.scalar.denominator)):
+            refs = sorted(ref[f] for f, e in piece.factors for _ in range(e * sign))
+            if c != 1 or len(refs) > 1:
+                sets[sign, c, tuple(refs)] = None
+    return [(c, refs) for _, c, refs in sets]
 
 
 _E1, _E2 = linear_form({EPS1: 1}), linear_form({EPS2: 1})
@@ -438,6 +472,8 @@ class TestCompiledKernel:
         assert all(a is b for a, b in zip(kernel.pieces, pieces))
         forms = {form for piece in pieces for form, _ in piece.factors}
         assert len(kernel.forms) == len(forms) and set(kernel.forms) == forms
+        # one product per distinct factor set and side: twins add none
+        assert kernel.sets == _factor_sets(pieces, kernel.forms)
         # pole forms and degrees count the kept terms only
         live = [tuple(t for t in c if all(piece.scalar for piece in t.pieces)) for c in coeffs]
         poles = dict.fromkeys(form for c in live for form in coeff_denominator_forms(c))
@@ -515,20 +551,46 @@ class TestProducts:
         assert Kernel([coeff]).pole_forms == forms
 
     def test_each_piece_compiles_once(self, monkeypatch):
+        # and each distinct factor set is one product per point: b's twin,
+        # value-equal but built anew, shares b's
         from nekrasov import exact
 
         a, b, c = self._pieces()
+        twin = factored_term(3, [(linear_form({EPS2: 1}), -2)])
+        assert twin == b and twin is not b
         compiled = []
         compile_piece = exact._compile_piece
 
-        def counting(piece, slots, forms):
+        def counting(piece, *state):
             compiled.append(piece)
-            return compile_piece(piece, slots, forms)
+            return compile_piece(piece, *state)
 
         monkeypatch.setattr(exact, "_compile_piece", counting)
-        kernel = Kernel([(Product((a, b)), Product((b, c))), (Product((c, a)), a)])
-        assert compiled == [a, b, c] and kernel.pieces == [a, b, c]
+        coeffs = [(Product((a, b)), Product((b, c))), (Product((c, a)), a, Product((twin, c)))]
+        kernel = Kernel(coeffs)
+        assert compiled == [a, b, c, twin] and kernel.pieces == [a, b, c, twin]
         assert set(kernel.forms) == {_E1, _HALF_E2, _E2, linear_form({EPS1: 1, EPS2: 1})}
+        ref = {form: i + 1 for i, form in enumerate(kernel.forms)}
+        # a's 1/2 and b's 3 and c's -1 are constants of their sides
+        assert kernel.sets == [
+            (2, (ref[_HALF_E2],)),
+            (3, ()),
+            (1, (ref[_E2], ref[_E2])),
+            (-1, (ref[linear_form({EPS1: 1, EPS2: 1})],)),
+        ]
+        point = {EPS1: F(3), EPS2: F(-5, 2)}
+        expected = [sum((term_eval(merged(t), point) for t in coeff), F(0)) for coeff in coeffs]
+        products = []
+
+        def recording(values, **kw):
+            products.append(kw)
+            return prod(values, **kw)
+
+        monkeypatch.setattr(exact, "prod", recording)
+        assert kernel.evaluate(point) == expected
+        # one product per factor set, then two per term
+        assert products[:4] == [{"start": const} for const, _ in reversed(kernel.sets)]
+        assert products[4:] == [{}] * 2 * 5
 
     def test_substitution_images_each_distinct_piece_once(self, monkeypatch):
         from nekrasov import exact

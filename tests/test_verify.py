@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nekrasov.diagrams import FrameData, HalfInt
 from nekrasov.exact import (
@@ -12,6 +14,7 @@ from nekrasov.exact import (
     EPS2,
     ZERO_FORM,
     Kernel,
+    clear_of,
     coeff_eval,
     factored_term,
     linear_form,
@@ -35,6 +38,7 @@ from nekrasov.verify import (
     SeriesPair,
     _cauchy,
     _prefactor,
+    _side,
     check_factorization,
     check_main,
     check_recursion_must,
@@ -225,7 +229,7 @@ class TestPrefactorSide:
     (1 - (-1)^r q)^(+-u): at sampled points its grades are the
     coefficients of the symbolic reference series."""
 
-    @pytest.mark.parametrize("max_n", [0, 1, 3, 6])
+    @pytest.mark.parametrize("max_n", [0, 1, 3, 6, 8])
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_values_are_the_reference_coefficients(self, r, sign, max_n):
@@ -258,6 +262,46 @@ class TestPrefactorSide:
         for trial in range(3):
             p = sample_point(CFG, trial, prod.forms, r)
             assert prod(p) == {4 * j: int(j == 0) for j in range(max_n + 1)}
+
+    @staticmethod
+    def _check_int_sides(r, sign, max_n, grades, point):
+        # _prefactor against the symbolic reference, and _cauchy of it with
+        # a side of arbitrary values against a Fraction Cauchy product
+        weights = _prefactor(r, sign, max_n)
+        assert clear_of(weights.forms, point)
+        reference = reference_prefactor(r, sign, max_n)
+        expected_weights = {g: coeff_eval(reference.coefficient(g), point) for g in reference.grades()}
+        assert weights(point) == expected_weights
+        side = _side(lambda p: grades, [])
+        expected = {
+            g: sum((w * grades[g - j] for j, w in expected_weights.items() if g - j in grades), Fraction(0))
+            for g in grades
+        }
+        assert _cauchy(weights, side)(point) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        r=st.integers(1, 4),
+        sign=st.sampled_from([1, -1]),
+        max_n=st.integers(0, 8),
+        values=st.lists(st.fractions(max_denominator=10**12), min_size=1, max_size=12),
+        offset=st.integers(0, 3),
+        coords=st.lists(st.fractions(max_denominator=10**9), min_size=14, max_size=14),
+    )
+    def test_int_sides_equal_the_fraction_reference(self, r, sign, max_n, values, offset, coords):
+        point = dict(zip(scope_vars(r), coords))
+        assume(point[EPS1] and point[EPS2])  # u's denominator forms
+        grades = {offset + 4 * n: value for n, value in enumerate(values)}
+        self._check_int_sides(r, sign, max_n, grades, point)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_int_sides_at_a_u_of_large_denominator(self, r, sign):
+        coords = [Fraction(10**9 + 7, 999_999_937), Fraction(-(10**9 + 9), 999_999_929)]
+        point = dict(zip(scope_vars(r), coords + [Fraction(7, 5)] * 3 * r))
+        assert term_eval(prefactor_exponent(r), point).denominator > 10**17
+        grades = {2 + 4 * n: Fraction(n - 3, 10**12 + n) for n in range(10)}
+        self._check_int_sides(r, sign, 8, grades, point)
 
     @pytest.mark.parametrize("max_n", [0, 2])
     def test_forms_are_the_denominator_forms_of_u(self, max_n):
@@ -644,27 +688,65 @@ class TestPieceReads:
         assert (len(terms), sum(len(t.pieces) for t in terms), len(pieces)) == (1188, 11210, 3248)
         assert sum(len(merged(t).factors) for t in terms) == 51824
 
-        compiled, evaluated = [], []
-        compile_piece, piece_values = exact._compile_piece, exact._piece_values
+        compiled = []
+        compile_piece = exact._compile_piece
 
-        def compiling(piece, slots, forms):
+        def compiling(piece, *state):
             compiled.append(piece)
-            return compile_piece(piece, slots, forms)
-
-        def evaluating(compiled_pieces, values, forms, point):
-            nums, dens = piece_values(compiled_pieces, values, forms, point)
-            evaluated.append((len(nums), len(dens)))
-            return nums, dens
+            return compile_piece(piece, *state)
 
         monkeypatch.setattr(exact, "_compile_piece", compiling)
-        monkeypatch.setattr(exact, "_piece_values", evaluating)
         (point,), _ = sample_points(SampleConfig(seed=7, trials=1), pair.pole_forms("zx0"), 3)
+        products = count_products(monkeypatch)
         pair.values("zx0", point)
         # one form-slot lookup per factor of each distinct piece
         assert len({id(piece) for piece in compiled}) == len(compiled) == len(pieces)
         assert sum(len(piece.factors) for piece in compiled) == 16184
-        # one int pair per distinct piece at the point
-        assert evaluated == [(len(pieces), len(pieces))]
+        # at the point, one product per distinct factor set, then two per term
+        kernel = pair._kernel("zx0")
+        assert len(set(kernel.sets)) == len(kernel.sets) == 2091
+        assert products == {"sets": 2091, "terms": 2 * 1188}
+
+    @pytest.mark.parametrize("max_n", [3, 4])
+    def test_zx1_fact_evaluates_no_more_factor_sets_than_zx1(self, monkeypatch, max_n):
+        # zx1-fact images each plane piece once per chart rule, so its terms
+        # hold more pieces than zx1's (822 against 686 at max-n 3), many of
+        # them value-equal; they share their factor sets' products
+        pair = SeriesPair(FrameData(1, 2), H(0), 4 * max_n + 2)
+        pieces = {}
+        for name in ("zx1", "zx1-fact"):
+            series = pair.series(name)
+            terms = [t for g in series.grades() for t in series.coefficient(g)]
+            pieces[name] = len({id(piece) for t in terms for piece in t.pieces})
+        assert pieces["zx1-fact"] > pieces["zx1"]
+        forms = union_pole_forms(pair.pole_forms("zx1"), pair.pole_forms("zx1-fact"))
+        (point,), _ = sample_points(SampleConfig(seed=7, trials=1), forms, 3)
+        sets = {}
+        for name in ("zx1", "zx1-fact"):
+            products = count_products(monkeypatch)
+            pair.values(name, point)
+            sets[name] = products["sets"]
+        assert sets["zx1-fact"] <= sets["zx1"]
+        if max_n == 3:
+            assert sets == {"zx1": 528, "zx1-fact": 528}
+        assert pair.values("zx1", point) == pair.values("zx1-fact", point)
+
+
+def count_products(monkeypatch) -> dict:
+    """Count the kernel's int products from here on: a factor set's product
+    passes its constant as `start`, a term's passes none."""
+    from math import prod
+
+    from nekrasov import exact
+
+    counts = {"sets": 0, "terms": 0}
+
+    def counting(values, **kw):
+        counts["sets" if kw else "terms"] += 1
+        return prod(values, **kw)
+
+    monkeypatch.setattr(exact, "prod", counting)
+    return counts
 
 
 class TestValueTable:
