@@ -32,22 +32,12 @@ form's hash is computed once, when it is made.
 
 Scalars and sample-point values are ``fractions.Fraction``.  Evaluation
 works in ints through a `Kernel`, compiled once from a list of
-coefficients: each distinct form gets one slot, each side of each
-distinct piece becomes one factor set (the sorted slots of its
-numerator, or of its denominator, factors, each repeated by its
-exponent), equal sets across the whole kernel share one product, and
-each term becomes the refs of its pieces' sets and its degree.  Form
-denominators are folded into one kernel-wide scale, so a unit-scalar
-piece carries no int constant.  At a point the kernel scales the point
-to one common denominator, takes one integer dot product per form, one
-``math.prod`` per distinct multi-slot set (a one-slot set is its form's
-value), and two per term, one over its numerator refs and one over its
-denominator refs.  Each coefficient's terms are added as int fractions,
-in pairs over the lcm of their denominators, and a ``Fraction`` is made
-once per coefficient, so the arithmetic stays arbitrary precision and
-exact.  The compile is the one walk over a series' pieces: it also
-records the forms a sample point must avoid and each coefficient's
-degree.
+coefficients by the one walk over their pieces, which also records the
+forms a sample point must avoid and each coefficient's degree.  At a
+point it takes one int dot product per distinct form, one ``math.prod``
+per distinct factor set and per term side of more than one ref, adds
+each coefficient's terms as int fractions and makes one ``Fraction`` per
+coefficient, so the arithmetic stays arbitrary precision and exact.
 """
 
 from __future__ import annotations
@@ -57,6 +47,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import gcd, lcm, prod
+from operator import attrgetter, mul
 from typing import Iterable, Mapping
 
 _KIND_RANK = {"eps": 0, "a": 1, "m": 2}
@@ -426,29 +417,26 @@ def coeff_eval(c: Coefficient, point: Mapping[Var, Fraction]) -> Fraction:
 class Kernel:
     """Coefficients compiled for integer evaluation.
 
-    A term is the product of its pieces.  `pieces` holds each distinct
-    piece once, by identity, and `forms` each distinct form once, by
-    value: equal forms share one slot.  At a point every int the kernel
-    reads has a ref: ref 0 reads 1, ref i + 1 the value of forms[i], and
-    ref -(k + 1) the product of sets[k].  A piece compiles to one ref per
-    side and its degree (the sum of its exponents).  A side's factor set
-    is (constant, the sorted refs of its forms, each repeated by its
-    exponent), the constant being the scalar's numerator on the
-    numerator side and its denominator on the other.  With constant 1,
-    an empty set is ref 0 and a one-form set is that form's ref; any
-    other set is an entry of `sets`, where equal sets of one side share
-    one entry across the whole kernel, so value-equal pieces built as
-    distinct objects share their products.  A term compiles to its
-    pieces' nonzero numerator refs, their nonzero denominator refs and
-    its degree, the sum of theirs.  A term with a zero-scalar piece is
-    dropped before its pieces are compiled.
+    `pieces` holds each distinct piece once, by identity, and `forms` each
+    distinct form once, by value (looked up once per form object).  At a
+    point ref 0 reads 1, ref i + 1 the value of forms[i], and ref -(k + 1)
+    the product of sets[k].  A piece compiles to one ref per side and its
+    degree.  A side's factor set is (constant, the sorted refs of its
+    forms, each repeated by its exponent), the constant being the scalar's
+    numerator or denominator.  With constant 1, an empty set is ref 0 and
+    a one-form set that form's ref; any other set is an entry of `sets`,
+    shared by the equal sets of its side across the kernel.  A term
+    compiles to its pieces' nonzero refs per side (a plain ref if at most
+    one, 0 for none) and its degree; a term with a zero-scalar piece is
+    dropped before any of its pieces is compiled.
 
     With L the lcm of the forms' denominators, a form (sum n_i v_i) / q
-    reads L D times its value, (L / q) sum n_i ints_i, at a point scaled
-    to (ints, D).  So a term is the product of its numerator refs over
-    the product of its denominator refs, times (L D)^-degree, and a
-    unit-scalar piece, which every piece the engine builds is, carries
-    no int constant.
+    reads L D times its value at a point scaled to (ints, D): the dot
+    product of ints with a dense row of (L / q) n_i.  A term is then its
+    numerator product over its denominator product times (L D)^-degree,
+    and a coefficient adds its terms as int fractions and takes (L D)^-d
+    once, d its largest degree (a term of degree e < d is first scaled by
+    (L D)^(d - e)).
 
     The compile also records `pole_forms`, the distinct forms with a
     negative exponent in some compiled piece in first-seen order (those
@@ -457,12 +445,12 @@ class Kernel:
     when they differ.  Forms have no constant part, so a coefficient of
     one degree d takes (-1)^d times its value at p at the point -p."""
 
-    __slots__ = (
-        "forms", "pieces", "sets", "pole_forms", "degrees", "_den", "_dots", "_poles", "_coeffs"
-    )
+    __slots__ = ("forms", "pieces", "sets", "pole_forms", "degrees", "_den", "_slots", "_rows",
+                 "_poles", "_coeffs")
 
     def __init__(self, coefficients: Iterable[Coefficient]) -> None:
         slots: dict[LinearForm, int] = {}  # equal forms share one ref
+        refs: dict[int, int] = {}  # id(form) -> its ref; self.pieces holds the form
         num_sets: dict[tuple, int] = {}  # equal numerator sets share one ref
         den_sets: dict[tuple, int] = {}  # and equal denominator sets
         index: dict[int, tuple] = {}  # id(piece) -> its compiled piece; self.pieces holds it
@@ -477,7 +465,7 @@ class Kernel:
             terms = []
             for t in c:
                 pieces = t.pieces
-                entries = [index.get(id(piece)) for piece in pieces]
+                entries = list(map(index.get, map(id, pieces)))
                 if None in entries:
                     # a compiled piece's scalar is nonzero: test only the new ones
                     if not all(piece.scalar for piece, e in zip(pieces, entries) if e is None):
@@ -487,49 +475,55 @@ class Kernel:
                             entry = index.get(id(piece))  # a piece may recur in one term
                             if entry is None:
                                 entry = index[id(piece)] = _compile_piece(
-                                    piece, slots, forms, num_sets, den_sets, products, poles
+                                    piece, slots, refs, forms, num_sets, den_sets, products, poles
                                 )
                                 self.pieces.append(piece)
                             entries[n] = entry
-                nums, dens, degrees = zip(*entries) if entries else ((), (), ())
-                terms.append((tuple(filter(None, nums)), tuple(filter(None, dens)), sum(degrees)))
+                nums, dens, degrees = zip((0, 0, 0), *entries)  # (0, 0, 0) for no pieces
+                num, den = tuple(filter(None, nums)), tuple(filter(None, dens))
+                num = num if len(num) > 1 else sum(num)  # a lone ref, or 0 for none
+                den = den if len(den) > 1 else sum(den)
+                terms.append((num, den, sum(degrees)))
             degrees = {term[2] for term in terms} or {0}
-            self.degrees.append(degrees.pop() if len(degrees) == 1 else None)
-            self._coeffs.append(terms)
-        self._den = lcm(*(form.den for form in self.forms))
-        self._dots = [(form.pairs, self._den // form.den) for form in self.forms]
+            self.degrees.append(max(degrees) if len(degrees) == 1 else None)
+            self._coeffs.append((terms, max(degrees)))
+        self._den = lcm(*map(attrgetter("den"), forms))
+        self._slots = sorted(dict(chain.from_iterable(map(attrgetter("pairs"), forms))))
+        column = {s: i for i, s in enumerate(self._slots)}
+        self._rows = []
+        for form in forms:
+            row, m = [0] * len(column), self._den // form.den
+            for s, n in form.pairs:
+                row[column[s]] = n * m
+            self._rows.append(row)
         self._poles = list(dict.fromkeys(chain.from_iterable(poles)))
-        self.pole_forms = [self.forms[ref - 1] for ref in self._poles]
+        self.pole_forms = [forms[ref - 1] for ref in self._poles]
 
     def evaluate(self, point: Mapping[Var, Fraction]) -> list[Fraction]:
-        """Every coefficient's value at `point`, in compile order: one dot
-        product per form, one product per factor set, and two products per
-        term.  A vanishing denominator form of any piece is a pole, even
-        where a numerator form vanishes too; otherwise a vanishing form
-        makes its term 0."""
+        """Every coefficient's value at `point`, in compile order.  A
+        vanishing denominator form of any piece is a pole, even where a
+        numerator form vanishes too; else a vanishing form zeroes its term."""
         ints, d = _scale_point(point)
+        xs = [ints[s] for s in self._slots]
         values = [1]
-        values += [sum([n * ints[s] for s, n in pairs]) * m for pairs, m in self._dots]
+        values += [sum(map(mul, row, xs)) for row in self._rows]
         if 0 in values:
             self._check_poles(values, point)
         at = values.__getitem__
         # set k's product is read at ref -(k + 1), from the end of the list
         values += [prod(map(at, refs), start=c) for c, refs in reversed(self.sets)]
         scale = d * self._den
-        powers = {0: 1}
         out = []
-        for terms in self._coeffs:
+        for terms, degree in self._coeffs:
             parts = []
-            for num, den, degree in terms:
-                p = prod(map(at, num))
-                if not p:
-                    continue
-                q = prod(map(at, den))
-                power = powers.get(degree)
-                if power is None:
-                    power = powers[degree] = scale ** abs(degree)
-                parts.append((p, q * power) if degree > 0 else (p * power, q))
-            out.append(_sum_fractions(parts))
+            for num, den, e in terms:
+                p = values[num] if num.__class__ is int else prod(map(at, num))
+                if p:
+                    q = values[den] if den.__class__ is int else prod(map(at, den))
+                    parts.append((p, q) if e == degree else (p * scale ** (degree - e), q))
+            p, q = _sum_fractions(parts)
+            power = scale ** abs(degree)
+            out.append(Fraction(p, q * power) if degree > 0 else Fraction(p * power, q))
         return out
 
     def _check_poles(self, values: list, point) -> None:
@@ -544,20 +538,22 @@ class Kernel:
                         raise PoleError(f"pole: ({form})^{exp} at {point}")
 
 
-def _compile_piece(piece, slots, forms, num_sets, den_sets, products, poles) -> tuple:
+def _compile_piece(piece, slots, refs, forms, num_sets, den_sets, products, poles) -> tuple:
     """A piece as (numerator ref, denominator ref, degree) (see `Kernel`).
-    A form not yet in `slots` gets the next ref and is appended to
-    `forms`.  `num_sets` and `den_sets` map each factor set, as (constant,
-    sorted slots), seen on that side to its ref; a new one gets the next
-    negative ref and is appended to `products`.  The denominator refs, in
-    factor order, are appended to `poles`."""
+    `refs` maps form ids to refs, `slots` forms to refs (a new form is
+    appended to `forms`), and `num_sets` and `den_sets` factor sets to
+    their negative refs (a new set is appended to `products`).  The
+    denominator refs, in factor order, are appended to `poles`."""
     num: list[int] = []
     den: list[int] = []
     for form, exp in piece.factors:
-        ref = slots.get(form)
+        ref = refs.get(id(form))
         if ref is None:
-            forms.append(form)
-            ref = slots[form] = len(forms)
+            ref = slots.get(form)
+            if ref is None:
+                forms.append(form)
+                ref = slots[form] = len(forms)
+            refs[id(form)] = ref
         if exp == 1:
             num.append(ref)
         elif exp == -1:
@@ -573,32 +569,35 @@ def _compile_piece(piece, slots, forms, num_sets, den_sets, products, poles) -> 
         num_ref = num[0] if num else 0
     else:
         key = (c_num, tuple(sorted(num)))
-        new = -1 - len(products)
-        num_ref = num_sets.setdefault(key, new)
-        if num_ref == new:
+        num_ref = num_sets.setdefault(key, -1 - len(products))
+        if num_ref == -1 - len(products):
             products.append(key)
     if c_den == 1 and len(den) < 2:
         den_ref = den[0] if den else 0
     else:
         key = (c_den, tuple(sorted(den)))
-        new = -1 - len(products)
-        den_ref = den_sets.setdefault(key, new)
-        if den_ref == new:
+        den_ref = den_sets.setdefault(key, -1 - len(products))
+        if den_ref == -1 - len(products):
             products.append(key)
     return (num_ref, den_ref, len(num) - len(den))
 
 
-def _sum_fractions(parts: list[tuple[int, int]]) -> Fraction:
-    """The sum of p/q over `parts` as one Fraction.  Parts are added in
-    pairs, level by level, each pair over the lcm of its denominators (one
-    gcd each); a running sum would carry the whole lcm into every later
-    addition."""
+def _sum_fractions(parts: list[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of p/q over `parts` as one (p, q), not in lowest terms.
+    Parts are added in pairs, level by level, each pair over the lcm of
+    its denominators (one gcd each, and no division when it is 1); a
+    running sum would carry the whole lcm into every later addition."""
     while len(parts) > 1:
+        pairs = iter(parts)
         merged = []
-        for (p1, q1), (p2, q2) in zip(parts[::2], parts[1::2]):
+        for (p1, q1), (p2, q2) in zip(pairs, pairs):
             g = gcd(q1, q2)
-            merged.append((p1 * (q2 // g) + p2 * (q1 // g), q1 // g * q2))
+            if g == 1:
+                merged.append((p1 * q2 + p2 * q1, q1 * q2))
+            else:
+                q1 //= g
+                merged.append((p1 * (q2 // g) + p2 * q1, q1 * q2))
         if len(parts) % 2:
             merged.append(parts[-1])
         parts = merged
-    return Fraction(*parts[0]) if parts else Fraction(0)
+    return parts[0] if parts else (0, 1)

@@ -46,16 +46,18 @@ exact.clear_of, on the integer kernel: the draw is scaled to one common
 denominator once, and each form is one int dot product.
 
 The pair also holds one value table per invocation: a series read at a
-point is evaluated once, keyed by (series, the point's values), and every
-later read of it, by any check, is served from the table.  That one
-evaluation is one call of the series' exact.Kernel, which the pair
-compiles on first use: each distinct form of the series is one int dot
-product per point, each distinct factor set of more than one form (the
-numerator or the denominator forms of a piece, a slot's matter factor or
-a slot pair's tangent factor, each repeated by its exponent) one int
-product, shared by the value-equal pieces zx1-fact builds anew per chart
-rule, each term one product over its numerator sets and one over its
-denominator sets, and each grade's value one Fraction.  The
+point is evaluated once, keyed by (series, each coordinate's numerator
+and denominator), so equal points share one entry and no coordinate is
+hashed as a Fraction, and every later read of it, by any check, is
+served from the table.  That one evaluation is one call of the series'
+exact.Kernel, which the pair compiles on first use: each distinct form
+of the series is one int dot product per point, each distinct factor set
+of more than one form (the numerator or the denominator forms of a
+piece, a slot's matter factor or a slot pair's tangent factor, each
+repeated by its exponent) one int product, shared by the value-equal
+pieces zx1-fact builds anew per chart rule, each term side that reads
+more than one set or form one product (a lone one is read directly),
+and each grade's value one Fraction.  The
 same compile walk records the series' pole forms and each coefficient's
 degree, so nothing else reads the pieces; no form cancels between the
 pieces of a term (every matter form carries a mass, no tangent form
@@ -93,6 +95,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 
 from .diagrams import FrameData, HalfInt
 from .exact import (
@@ -118,6 +121,9 @@ from .series import (
 )
 
 logger = logging.getLogger(__name__)
+
+# A coordinate's key in the value table: its (numerator, denominator) ints.
+_RATIO = attrgetter("numerator", "denominator")
 
 # A draw's numerators lie in [-NUMERATOR, NUMERATOR] \ {0}, its
 # denominators in [1, DENOMINATOR]; a pole-hitting draw is redrawn at most
@@ -225,8 +231,8 @@ class SeriesPair:
     The pair also keeps, per series, its compiled kernel, made once and
     read for the series' values, plain denominator forms and degrees, and
     one value table: a series read at a point is evaluated once, keyed by
-    (series name, the point's values), and then served to every check
-    from the table."""
+    (series name, each coordinate's numerator and denominator), and then
+    served to every check from the table."""
 
     def __init__(self, frame: FrameData, k: HalfInt, max4n: int) -> None:
         self.key = (frame, k, max4n)
@@ -273,7 +279,7 @@ class SeriesPair:
     def values(self, name: str, image: EvalPoint) -> dict:
         """{grade: value} of series `name` at `image`, evaluated by its
         kernel once per distinct image."""
-        key = (name, tuple(image.values()))
+        key = (name, tuple(map(_RATIO, image.values())))
         values = self._values.get(key)
         if values is None:
             grades = self.series(name).grades()

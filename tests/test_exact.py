@@ -363,9 +363,15 @@ class TestKernelAgainstReference:
 # A piece's factors may have either sign of exponent and its scalar need
 # not be 1, and some pieces are built twice from one draw: value-equal
 # twins that are distinct objects, in canonical or in reversed (build)
-# order.
+# order.  Unit pieces of one or two factors of exponent +-1 give term
+# sides of one form, which the kernel reads directly, and the pool may
+# hold a form that vanishes at the test's point (drawn from the same
+# shared strategy), so such a side zeroes its term or is a pole.  A
+# coefficient mixes degrees, or holds one degree d: each of its terms then
+# gets one more piece, a form to the power d minus the term's degree.
 _SLOT_COEFFS = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)]
 _EXPONENTS = [-3, -2, -1, 1, 2, 3]
+_COMPILED_POINT = st.shared(_kernel_point, key="compiled-kernel-point")
 
 
 @st.composite
@@ -377,6 +383,14 @@ def _compiled_coefficients(draw):
             max_size=4,
         )
     )
+    if draw(st.booleans()):
+        # x_j v_i - x_i v_j vanishes at the point x (v_i alone when both are 0)
+        point = draw(_COMPILED_POINT)
+        i, j = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+        xi, xj = point[_POOL_VARS[i]], point[_POOL_VARS[j]]
+        row = [F(0)] * 4
+        row[i], row[j] = (xj, -xi) if xi or xj else (F(1), F(0))
+        pool.append(row)
 
     def rebuilt(i):
         return linear_form(dict(zip(_POOL_VARS, pool[i])))
@@ -387,9 +401,11 @@ def _compiled_coefficients(draw):
 
     index = st.integers(0, len(pool) - 1)
     factors = st.lists(st.tuples(index, st.sampled_from(_EXPONENTS)), max_size=4)
+    lone = st.lists(st.tuples(index, st.sampled_from([-1, 1])), min_size=1, max_size=2)
     scalars = st.sampled_from([F(1), F(1), F(-2), F(3, 4), F(-5, 7)])
     term = st.one_of(
         st.builds(built, scalars, factors),
+        st.builds(built, st.just(F(1)), lone),
         st.builds(lambda i, e: FactoredTerm(F(0), ((rebuilt(i), e),)), index, st.sampled_from(_EXPONENTS)),
     )
     # products draw their pieces from one pool, so pieces are shared by
@@ -402,7 +418,18 @@ def _compiled_coefficients(draw):
         st.lists(st.integers(0, len(shared) - 1), max_size=3),
     )
     terms = st.one_of(term, product)
-    return [tuple(c) for c in draw(st.lists(st.lists(terms, max_size=4), min_size=1, max_size=3))]
+
+    def of_degree(d, c, balancers):
+        out = []
+        for t, i in zip(c, balancers):
+            e = d - sum(exp for piece in t.pieces for _, exp in piece.factors)
+            out.append(Product(t.pieces + (built(F(1), [(i, e)]),)) if e else t)
+        return tuple(out)
+
+    mixed = st.lists(terms, max_size=4).map(tuple)
+    balancers = st.lists(index, min_size=4, max_size=4)
+    one_degree = st.builds(of_degree, st.integers(-2, 2), st.lists(terms, max_size=4), balancers)
+    return draw(st.lists(st.one_of(mixed, one_degree), min_size=1, max_size=3))
 
 
 def _live_pieces(coeffs):
@@ -437,8 +464,8 @@ _HALF_E2 = linear_form({EPS2: F(1, 2)})
 
 
 class TestCompiledKernel:
-    @settings(max_examples=200)
-    @given(coeffs=_compiled_coefficients(), point=_kernel_point)
+    @settings(max_examples=300)
+    @given(coeffs=_compiled_coefficients(), point=_COMPILED_POINT)
     # negative denominators: 1/eps1 + 2/(eps1 eps2)^2 - 1/(2 eps2)
     @example(
         coeffs=[(
@@ -452,6 +479,23 @@ class TestCompiledKernel:
     @example(
         coeffs=[(factored_term(5, [(_E1, 3), (_E2, -1)]), factored_term(F(1, 2), [(_E2, -2)])), ()],
         point={EPS1: F(0), EPS2: F(2)},
+    )
+    # a lone numerator ref that vanishes zeroes its term in a coefficient of
+    # one degree: eps1 / eps2 + eps2^2 / (2 eps2) = 3 / 2 at (0, 3)
+    @example(
+        coeffs=[(
+            Product((factored_term(1, [(_E1, 1)]), factored_term(1, [(_E2, -1)]))),
+            factored_term(F(1, 2), [(_E2, 1)]),
+        )],
+        point={EPS1: F(0), EPS2: F(3)},
+    )
+    # mixed degrees 1, -1 and 0 beside a coefficient of degree 2
+    @example(
+        coeffs=[
+            (factored_term(1, [(_E1, 1)]), factored_term(F(1, 2), [(_HALF_E2, -1)]), factored_term(3)),
+            (factored_term(-2, [(_E1, 1), (_E2, 1)]), factored_term(1, [(_HALF_E2, 2)])),
+        ],
+        point={EPS1: F(2, 3), EPS2: F(-5)},
     )
     # a denominator vanishing after a vanished numerator factor is a pole,
     # after another coefficient was read clean
@@ -588,9 +632,11 @@ class TestProducts:
 
         monkeypatch.setattr(exact, "prod", recording)
         assert kernel.evaluate(point) == expected
-        # one product per factor set, then two per term
+        # one product per factor set, then one per term side with more than
+        # one ref: (a, b) has two, (b, c), (c, a) and (twin, c) one each (c
+        # has no denominator, a's numerator is its lone form), and a none
         assert products[:4] == [{"start": const} for const, _ in reversed(kernel.sets)]
-        assert products[4:] == [{}] * 2 * 5
+        assert products[4:] == [{}] * 5
 
     def test_substitution_images_each_distinct_piece_once(self, monkeypatch):
         from nekrasov import exact

@@ -702,10 +702,12 @@ class TestPieceReads:
         # one form-slot lookup per factor of each distinct piece
         assert len({id(piece) for piece in compiled}) == len(compiled) == len(pieces)
         assert sum(len(piece.factors) for piece in compiled) == 16184
-        # at the point, one product per distinct factor set, then two per term
+        # at the point, one product per distinct factor set, then one per
+        # term side that reads more than one ref; a lone ref is read directly
         kernel = pair._kernel("zx0")
         assert len(set(kernel.sets)) == len(kernel.sets) == 2091
-        assert products == {"sets": 2091, "terms": 2 * 1188}
+        assert products == {"sets": 2091, "terms": 2116}
+        assert products["terms"] == multi_ref_sides(terms)
 
     @pytest.mark.parametrize("max_n", [3, 4])
     def test_zx1_fact_evaluates_no_more_factor_sets_than_zx1(self, monkeypatch, max_n):
@@ -732,9 +734,21 @@ class TestPieceReads:
         assert pair.values("zx1", point) == pair.values("zx1-fact", point)
 
 
+def multi_ref_sides(terms) -> int:
+    """The term sides a kernel reads through a product: those where more
+    than one piece has a factor set, a piece's side having one when it
+    holds a factor or a scalar part other than 1 there."""
+    count = 0
+    for t in terms:
+        nums = sum(1 for p in t.pieces if p.scalar.numerator != 1 or any(e > 0 for _, e in p.factors))
+        dens = sum(1 for p in t.pieces if p.scalar.denominator != 1 or any(e < 0 for _, e in p.factors))
+        count += (nums > 1) + (dens > 1)
+    return count
+
+
 def count_products(monkeypatch) -> dict:
     """Count the kernel's int products from here on: a factor set's product
-    passes its constant as `start`, a term's passes none."""
+    passes its constant as `start`, a term side's passes none."""
     from math import prod
 
     from nekrasov import exact
@@ -871,6 +885,20 @@ class TestValueTable:
         assert [check(pair, other).to_dict() for check in checks] == [
             check(SeriesPair(frame, k, max4n), other).to_dict() for check in checks
         ]
+
+    def test_equal_points_share_one_entry(self, monkeypatch):
+        # a point rebuilt from new Fraction objects is read from the table;
+        # a point that differs in one coordinate is not
+        pair = SeriesPair(FrameData(1, 0), H(1), 8)
+        points, _ = sample_points(CFG, pair.pole_forms("zx0"), 1)
+        point = points[0]
+        twin = {v: Fraction(x.numerator, x.denominator) for v, x in point.items()}
+        other = {v: x + 1 if v == EPS1 else x for v, x in point.items()}
+        evaluate, calls = Kernel.evaluate, []
+        monkeypatch.setattr(Kernel, "evaluate", lambda kernel, p: calls.append(p) or evaluate(kernel, p))
+        values = pair.values("zx0", point)
+        assert pair.values("zx0", twin) is values and len(calls) == 1
+        assert pair.values("zx0", other) is not values and len(calls) == 2
 
 
 class TestSideForms:
