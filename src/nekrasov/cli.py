@@ -18,10 +18,10 @@ avoid the series' denominator forms, and reads values off the pair.
 interface stability, but evaluation is sequential either way, so output
 is byte-identical for any thread count.  The count is a no-op: each
 series is compiled once into an integer kernel and evaluated at two
-points per trial.  In ``check all`` evaluation is 42-45% of the wall
-time at w = (1,0) max-n 16 and 61-64% at w = (1,2) and (3,0) max-n 6,
-compiling 9-14%, and series construction, which a pool over trials
-cannot share out, the rest (2-core x86-64 VM, Python 3.11, two runs
+points per trial.  In ``check all`` evaluation is 42-51% of the wall
+time at w = (1,0) max-n 16 and 57-65% at w = (1,2) and (3,0) max-n 6,
+compiling 9-12%, and series construction, which a pool over trials
+cannot share out, the rest (2-core x86-64 VM, Python 3.11, four runs
 per cell, timing every kernel compile and evaluation in-process).
 
 ``main`` runs each request with the cyclic garbage collector off and

@@ -47,7 +47,6 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import gcd, lcm, prod
-from operator import attrgetter, mul
 from typing import Iterable, Mapping
 
 _KIND_RANK = {"eps": 0, "a": 1, "m": 2}
@@ -418,7 +417,7 @@ class Kernel:
     """Coefficients compiled for integer evaluation.
 
     `pieces` holds each distinct piece once, by identity, and `forms` each
-    distinct form once, by value (looked up once per form object).  At a
+    distinct form once, by value: equal forms share one slot.  At a
     point ref 0 reads 1, ref i + 1 the value of forms[i], and ref -(k + 1)
     the product of sets[k].  A piece compiles to one ref per side and its
     degree.  A side's factor set is (constant, the sorted refs of its
@@ -431,12 +430,11 @@ class Kernel:
     dropped before any of its pieces is compiled.
 
     With L the lcm of the forms' denominators, a form (sum n_i v_i) / q
-    reads L D times its value at a point scaled to (ints, D): the dot
-    product of ints with a dense row of (L / q) n_i.  A term is then its
-    numerator product over its denominator product times (L D)^-degree,
-    and a coefficient adds its terms as int fractions and takes (L D)^-d
-    once, d its largest degree (a term of degree e < d is first scaled by
-    (L D)^(d - e)).
+    reads L D times its value, (L / q) sum n_i ints_i, at a point scaled
+    to (ints, D).  A term is then its numerator product over its
+    denominator product times (L D)^-degree, and a coefficient adds its
+    terms as int fractions and takes (L D)^-d once, d its largest degree
+    (a term of degree e < d is first scaled by (L D)^(d - e)).
 
     The compile also records `pole_forms`, the distinct forms with a
     negative exponent in some compiled piece in first-seen order (those
@@ -445,12 +443,12 @@ class Kernel:
     when they differ.  Forms have no constant part, so a coefficient of
     one degree d takes (-1)^d times its value at p at the point -p."""
 
-    __slots__ = ("forms", "pieces", "sets", "pole_forms", "degrees", "_den", "_slots", "_rows",
-                 "_poles", "_coeffs")
+    __slots__ = (
+        "forms", "pieces", "sets", "pole_forms", "degrees", "_den", "_dots", "_poles", "_coeffs"
+    )
 
     def __init__(self, coefficients: Iterable[Coefficient]) -> None:
         slots: dict[LinearForm, int] = {}  # equal forms share one ref
-        refs: dict[int, int] = {}  # id(form) -> its ref; self.pieces holds the form
         num_sets: dict[tuple, int] = {}  # equal numerator sets share one ref
         den_sets: dict[tuple, int] = {}  # and equal denominator sets
         index: dict[int, tuple] = {}  # id(piece) -> its compiled piece; self.pieces holds it
@@ -465,7 +463,7 @@ class Kernel:
             terms = []
             for t in c:
                 pieces = t.pieces
-                entries = list(map(index.get, map(id, pieces)))
+                entries = [index.get(id(piece)) for piece in pieces]
                 if None in entries:
                     # a compiled piece's scalar is nonzero: test only the new ones
                     if not all(piece.scalar for piece, e in zip(pieces, entries) if e is None):
@@ -475,7 +473,7 @@ class Kernel:
                             entry = index.get(id(piece))  # a piece may recur in one term
                             if entry is None:
                                 entry = index[id(piece)] = _compile_piece(
-                                    piece, slots, refs, forms, num_sets, den_sets, products, poles
+                                    piece, slots, forms, num_sets, den_sets, products, poles
                                 )
                                 self.pieces.append(piece)
                             entries[n] = entry
@@ -487,26 +485,18 @@ class Kernel:
             degrees = {term[2] for term in terms} or {0}
             self.degrees.append(max(degrees) if len(degrees) == 1 else None)
             self._coeffs.append((terms, max(degrees)))
-        self._den = lcm(*map(attrgetter("den"), forms))
-        self._slots = sorted(dict(chain.from_iterable(map(attrgetter("pairs"), forms))))
-        column = {s: i for i, s in enumerate(self._slots)}
-        self._rows = []
-        for form in forms:
-            row, m = [0] * len(column), self._den // form.den
-            for s, n in form.pairs:
-                row[column[s]] = n * m
-            self._rows.append(row)
+        self._den = lcm(*(form.den for form in self.forms))
+        self._dots = [(form.pairs, self._den // form.den) for form in self.forms]
         self._poles = list(dict.fromkeys(chain.from_iterable(poles)))
-        self.pole_forms = [forms[ref - 1] for ref in self._poles]
+        self.pole_forms = [self.forms[ref - 1] for ref in self._poles]
 
     def evaluate(self, point: Mapping[Var, Fraction]) -> list[Fraction]:
         """Every coefficient's value at `point`, in compile order.  A
         vanishing denominator form of any piece is a pole, even where a
         numerator form vanishes too; else a vanishing form zeroes its term."""
         ints, d = _scale_point(point)
-        xs = [ints[s] for s in self._slots]
         values = [1]
-        values += [sum(map(mul, row, xs)) for row in self._rows]
+        values += [sum([n * ints[s] for s, n in pairs]) * m for pairs, m in self._dots]
         if 0 in values:
             self._check_poles(values, point)
         at = values.__getitem__
@@ -538,22 +528,19 @@ class Kernel:
                         raise PoleError(f"pole: ({form})^{exp} at {point}")
 
 
-def _compile_piece(piece, slots, refs, forms, num_sets, den_sets, products, poles) -> tuple:
+def _compile_piece(piece, slots, forms, num_sets, den_sets, products, poles) -> tuple:
     """A piece as (numerator ref, denominator ref, degree) (see `Kernel`).
-    `refs` maps form ids to refs, `slots` forms to refs (a new form is
-    appended to `forms`), and `num_sets` and `den_sets` factor sets to
-    their negative refs (a new set is appended to `products`).  The
-    denominator refs, in factor order, are appended to `poles`."""
+    `slots` maps forms to refs (a new form is appended to `forms`), and
+    `num_sets` and `den_sets` factor sets to their negative refs (a new
+    set is appended to `products`).  The denominator refs, in factor
+    order, are appended to `poles`."""
     num: list[int] = []
     den: list[int] = []
     for form, exp in piece.factors:
-        ref = refs.get(id(form))
+        ref = slots.get(form)
         if ref is None:
-            ref = slots.get(form)
-            if ref is None:
-                forms.append(form)
-                ref = slots[form] = len(forms)
-            refs[id(form)] = ref
+            forms.append(form)
+            ref = slots[form] = len(forms)
         if exp == 1:
             num.append(ref)
         elif exp == -1:
@@ -569,15 +556,17 @@ def _compile_piece(piece, slots, refs, forms, num_sets, den_sets, products, pole
         num_ref = num[0] if num else 0
     else:
         key = (c_num, tuple(sorted(num)))
-        num_ref = num_sets.setdefault(key, -1 - len(products))
-        if num_ref == -1 - len(products):
+        new = -1 - len(products)
+        num_ref = num_sets.setdefault(key, new)
+        if num_ref == new:
             products.append(key)
     if c_den == 1 and len(den) < 2:
         den_ref = den[0] if den else 0
     else:
         key = (c_den, tuple(sorted(den)))
-        den_ref = den_sets.setdefault(key, -1 - len(products))
-        if den_ref == -1 - len(products):
+        new = -1 - len(products)
+        den_ref = den_sets.setdefault(key, new)
+        if den_ref == new:
             products.append(key)
     return (num_ref, den_ref, len(num) - len(den))
 
@@ -585,18 +574,15 @@ def _compile_piece(piece, slots, refs, forms, num_sets, den_sets, products, pole
 def _sum_fractions(parts: list[tuple[int, int]]) -> tuple[int, int]:
     """The sum of p/q over `parts` as one (p, q), not in lowest terms.
     Parts are added in pairs, level by level, each pair over the lcm of
-    its denominators (one gcd each, and no division when it is 1); a
-    running sum would carry the whole lcm into every later addition."""
+    its denominators (one gcd and two divisions each); a running sum would
+    carry the whole lcm into every later addition."""
     while len(parts) > 1:
         pairs = iter(parts)
         merged = []
         for (p1, q1), (p2, q2) in zip(pairs, pairs):
             g = gcd(q1, q2)
-            if g == 1:
-                merged.append((p1 * q2 + p2 * q1, q1 * q2))
-            else:
-                q1 //= g
-                merged.append((p1 * (q2 // g) + p2 * q1, q1 * q2))
+            q1 //= g
+            merged.append((p1 * (q2 // g) + p2 * q1, q1 * q2))
         if len(parts) % 2:
             merged.append(parts[-1])
         parts = merged
