@@ -1,10 +1,14 @@
 """Torus characters of tautological and tangent spaces, one piece at a time.
 
-A Laurent monomial t1^p t2^q e_1^c_1 .. e_r^c_r is the plain int tuple
-(p, q, e), with e the nonzero (alpha, c_alpha) pairs sorted by alpha.
+A Laurent monomial t1^p t2^q e_1^c_1 .. e_r^c_r splits into its
+t-exponents (p, q) and its e-part, the framing characters.  Within one
+piece of a character the e-part is the same for every monomial -- e_alpha
+for a slot's tautological piece, the framing ratio e_beta/e_alpha for a
+slot pair's tangent piece -- so a piece is held as the list of its
+monomials' (p, q) int pairs, in build order and with repeats, and its
+e-part is left to the caller (``localization`` passes it once per piece).
 Every exponent is integral: the half shift sqrt(t1*t2) coming from the
-matter twist is applied later, on the linear-form side.  A character is
-a finite multiset of monomials, held as a ``collections.Counter``.
+matter twist is applied later, on the linear-form side.
 
 A fixed point's tautological character is a sum over framing slots alpha,
 and its tangent character a sum over slot pairs (alpha, beta).  Each
@@ -12,60 +16,53 @@ builder below returns one piece of such a sum, built from only the data
 that piece depends on, so a series build can make each distinct piece
 once (see ``localization``):
 
+  * char_twist            -- the line-bundle twist character with doubled
+                             index d: on the resolved surface a slot's
+                             line-bundle piece is d = 2k_alpha + s, and a
+                             slot pair's is d = delta = 2(k_beta - k_alpha),
   * char_v_*              -- one slot's tautological fiber: on the plane
                              and the orbifold (degree-s part) it depends on
-                             (alpha, Y_alpha); on the resolved surface it
-                             is a line-bundle piece (char_v_twist) on
-                             (alpha, 2k_alpha) plus one piece per chart
-                             (char_v_x1) on (alpha, 2k_alpha, chart,
-                             Y^chart_alpha),
+                             Y_alpha (and alpha's color); on the resolved
+                             surface one piece per chart (char_v_x1) on
+                             (2k_alpha, chart, Y^chart_alpha),
   * char_tangent_*        -- one slot pair's tangent character: the
                              arm/leg pair character on the plane, its
                              Z2-invariant (degree-0) part on the orbifold,
-                             and on the resolved surface a line-bundle
-                             piece (char_tangent_twist) on (alpha, beta,
-                             delta), delta = 2(k_beta - k_alpha), plus one
-                             piece per chart (char_tangent_x1): the chart
-                             image t -> (t1^2, t2/t1) or t -> (t1/t2,
-                             t2^2) of the pair weights, shifted by t_i^delta,
-                             on (alpha, beta, delta, chart, Y^chart_alpha,
-                             Y^chart_beta).
+                             and on the resolved surface one piece per chart
+                             (char_tangent_x1): the chart image t -> (t1^2,
+                             t2/t1) or t -> (t1/t2, t2^2) of the pair
+                             weights, shifted by t_i^delta, on (delta,
+                             chart, Y^chart_alpha, Y^chart_beta).
 
 A slot pair's arms and legs are read by index off one transpose of each
 diagram (``_pair_weights``).  An orbifold piece keeps its Z2-degree-s
 part with one parity test per weight, p + q + c = s mod 2, where c is the
 constant color offset of its e-part: color(alpha) for a slot's e_alpha,
 color(alpha) + color(beta) for a slot pair's e_beta/e_alpha (t1, t2 and
-the color-1 framing characters are odd).  The pieces carry monomials
-only; ``localization`` turns each distinct monomial into a linear form
-once per series build.
+the color-1 framing characters are odd).  ``localization`` merges a
+piece's repeated pairs and turns each distinct (e-part, pair) into a
+linear form once per series build.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterator
-
 from .diagrams import FrameData, YoungDiagram, boxes, transpose
 
 
-def _ratio(alpha: int, beta: int) -> tuple:
-    """The e-part of e_beta / e_alpha."""
-    if alpha == beta:
-        return ()
-    return ((alpha, -1), (beta, 1)) if alpha < beta else ((beta, 1), (alpha, -1))
-
-
-def _twist(d: int) -> Iterator[tuple[int, int]]:
-    """t-exponents (p, q) of the twist character with doubled index d: for
-    d > 1 the monomials t1^(i+1) t2^(j+1) over i, j >= 0 with
-    i + j <= d - 2 and i + j = d mod 2; for d < -1 the mirror family
-    t1^(-i) t2^(-j) with |d| in place of d; none otherwise."""
+def char_twist(d: int) -> list[tuple[int, int]]:
+    """The twist character with doubled index d: for d > 1 the monomials
+    t1^(i+1) t2^(j+1) over i, j >= 0 with i + j <= d - 2 and i + j = d
+    mod 2; for d < -1 the mirror family t1^(-i) t2^(-j) with |d| in place
+    of d; none otherwise."""
     bound = abs(d) - 2
-    for i in range(bound + 1):
-        for j in range(bound + 1 - i):
-            if (i + j - d) % 2 == 0:
-                yield (i + 1, j + 1) if d > 0 else (-i, -j)
+    sign = 1 if d > 0 else -1
+    shift = 1 if d > 0 else 0
+    return [
+        (sign * i + shift, sign * j + shift)
+        for i in range(bound + 1)
+        for j in range(bound + 1 - i)
+        if (i + j - d) % 2 == 0
+    ]
 
 
 def _color(frame: FrameData, alpha: int) -> int:
@@ -73,42 +70,46 @@ def _color(frame: FrameData, alpha: int) -> int:
     return 1 if alpha > frame.w0 else 0
 
 
-def char_v_p2(alpha: int, diagram: YoungDiagram) -> Counter:
-    """Tautological fiber of slot alpha on the plane: e_alpha t1^(1-i)
-    t2^(1-j) per box."""
-    e = ((alpha, 1),)
-    return Counter((1 - i, 1 - j, e) for i, j in boxes(diagram))
+def char_v_p2(diagram: YoungDiagram) -> list[tuple[int, int]]:
+    """Tautological fiber of a slot on the plane, before its e_alpha:
+    t1^(1-i) t2^(1-j) per box."""
+    return [(1 - i, 1 - j) for i, j in boxes(diagram)]
 
 
-def char_v_x0(frame: FrameData, alpha: int, diagram: YoungDiagram, s: int) -> Counter:
+def char_v_x0(frame: FrameData, alpha: int, diagram: YoungDiagram, s: int) -> list[tuple[int, int]]:
     """Degree-s part of slot alpha's plane tautological fiber, at an
     orbifold point: the boxes whose monomial t1^p t2^q e_alpha has
     p + q + color(alpha) = s mod 2."""
-    e = ((alpha, 1),)
-    c = _color(frame, alpha) + s  # p + q = 2 - i - j has the parity of i + j
-    return Counter(
-        (1 - i, 1 - j, e) for i, j in boxes(diagram) if (i + j + c) % 2 == 0
-    )
+    # p + q = 2 - i - j has the parity of i + j: row j of column i is kept
+    # when j = i + c mod 2, every other row from the first such one
+    c = _color(frame, alpha) + s
+    return [
+        (1 - i, 1 - j)
+        for i, height in enumerate(diagram, start=1)
+        for j in range(2 - (i + c) % 2, height + 1, 2)
+    ]
 
 
-def char_v_twist(alpha: int, d: int, s: int) -> Counter:
-    """Line-bundle piece of slot alpha's tautological fiber on the resolved
-    surface, for k_alpha = d/2: e_alpha times the twist character with
-    doubled index d + s (the shift by s/2)."""
-    e = ((alpha, 1),)
-    return Counter((p, q, e) for p, q in _twist(d + s))
-
-
-def char_v_x1(alpha: int, d: int, chart: int, diagram: YoungDiagram, s: int) -> Counter:
-    """Chart piece of slot alpha's tautological fiber on the resolved
-    surface, for k_alpha = d/2 and the diagram in that chart: one monomial
+def char_v_x1(d: int, chart: int, diagram: YoungDiagram, s: int) -> list[tuple[int, int]]:
+    """Chart piece of a slot's tautological fiber on the resolved surface,
+    for k_alpha = d/2 and the slot's diagram in that chart: one monomial
     per box, twisted into the chart and shifted by s/2.  The slot's third
-    piece is char_v_twist(alpha, d, s)."""
-    e = ((alpha, 1),)
+    piece is char_twist(d + s)."""
     if chart == 1:
         # t1^(2(k - i + 1 + s/2)) * (t2/t1)^(1-j)
-        return Counter((d - 2 * i + j + s + 1, 1 - j, e) for i, j in boxes(diagram))
-    return Counter((1 - i, d - 2 * j + i + s + 1, e) for i, j in boxes(diagram))
+        return [(d - 2 * i + j + s + 1, 1 - j) for i, j in boxes(diagram)]
+    return [(1 - i, d - 2 * j + i + s + 1) for i, j in boxes(diagram)]
+
+
+def _first_half(ya: YoungDiagram, tb: tuple) -> list[tuple[int, int]]:
+    """(-leg_b(s), arm_a(s) + 1) per box s of Y_a, column-major, with tb
+    the transpose of Y_b (a column outside Y_b has length 0)."""
+    lb = len(tb)
+    return [
+        (i - (tb[j - 1] if j <= lb else 0), height - j + 1)
+        for i, height in enumerate(ya, start=1)
+        for j in range(1, height + 1)
+    ]
 
 
 def _pair_weights(ya: YoungDiagram, yb: YoungDiagram) -> list[tuple[int, int]]:
@@ -117,58 +118,49 @@ def _pair_weights(ya: YoungDiagram, yb: YoungDiagram) -> list[tuple[int, int]]:
     -arm_b(t)) per box t of Y_b, column-major.  Each diagram is transposed
     once; a row or column outside a diagram has length 0.  For Y_a = Y_b
     the second half is (1 - p, 1 - q) for each (p, q) of the first."""
-    ta, tb = transpose(ya), transpose(yb)
-    la, lb = len(ta), len(tb)
-    out = []
-    for i, height in enumerate(ya, start=1):
-        for j in range(1, height + 1):
-            out.append((i - (tb[j - 1] if j <= lb else 0), height - j + 1))
+    ta = transpose(ya)
     if ya == yb:
+        out = _first_half(ya, ta)
         return out + [(1 - p, 1 - q) for p, q in out]
+    out = _first_half(ya, transpose(yb))
+    la = len(ta)
     for i, height in enumerate(yb, start=1):
         for j in range(1, height + 1):
             out.append(((ta[j - 1] if j <= la else 0) - i + 1, j - height))
     return out
 
 
-def char_tangent_p2(alpha: int, beta: int, ya: YoungDiagram, yb: YoungDiagram) -> Counter:
-    """Arm/leg character of the slot pair (alpha, beta) on the plane:
-    e_beta/e_alpha * ( sum over s in Y_a of t1^(-leg_b(s)) t2^(arm_a(s)+1)
-    + sum over t in Y_b of t1^(leg_a(t)+1) t2^(-arm_b(t)) ).  Cross-diagram
+def char_tangent_p2(ya: YoungDiagram, yb: YoungDiagram) -> list[tuple[int, int]]:
+    """Arm/leg character of a slot pair (alpha, beta) on the plane, before
+    its e_beta/e_alpha: sum over s in Y_a of t1^(-leg_b(s)) t2^(arm_a(s)+1)
+    + sum over t in Y_b of t1^(leg_a(t)+1) t2^(-arm_b(t)).  Cross-diagram
     arms and legs may be negative; that is intended.  The plane tangent
     character is the sum over all r^2 slot pairs."""
-    e = _ratio(alpha, beta)
-    return Counter((p, q, e) for p, q in _pair_weights(ya, yb))
+    return _pair_weights(ya, yb)
 
 
 def char_tangent_x0(
     frame: FrameData, alpha: int, beta: int, ya: YoungDiagram, yb: YoungDiagram
-) -> Counter:
+) -> list[tuple[int, int]]:
     """Slot pair (alpha, beta) of the orbifold tangent character: the
     Z2-invariant (degree-0) part of the plane pair character, the weights
     with p + q + color(alpha) + color(beta) even."""
-    e = _ratio(alpha, beta)
     c = _color(frame, alpha) + _color(frame, beta)
-    return Counter((p, q, e) for p, q in _pair_weights(ya, yb) if (p + q + c) % 2 == 0)
-
-
-def char_tangent_twist(alpha: int, beta: int, delta: int) -> Counter:
-    """Line-bundle piece of slot pair (alpha, beta) of the resolved tangent
-    character, for 2(k_beta - k_alpha) = delta: e_beta/e_alpha times the
-    twist character with doubled index delta."""
-    e = _ratio(alpha, beta)
-    return Counter((p, q, e) for p, q in _twist(delta))
+    if ya == yb:
+        # (1 - p, 1 - q) has the parity of (p, q): filter the first half only
+        out = [(p, q) for p, q in _first_half(ya, transpose(ya)) if (p + q + c) % 2 == 0]
+        return out + [(1 - p, 1 - q) for p, q in out]
+    return [(p, q) for p, q in _pair_weights(ya, yb) if (p + q + c) % 2 == 0]
 
 
 def char_tangent_x1(
-    alpha: int, beta: int, delta: int, chart: int, ya: YoungDiagram, yb: YoungDiagram
-) -> Counter:
-    """Chart piece of slot pair (alpha, beta) of the resolved tangent
-    character, for 2(k_beta - k_alpha) = delta: the arm/leg weights of that
-    chart's diagrams, sent t1^p t2^q -> t1^(2p-q) t2^q in the first chart
-    and t1^p t2^(2q-p) in the second, and shifted by t_i^delta.  The pair's
-    third piece is char_tangent_twist(alpha, beta, delta)."""
-    e = _ratio(alpha, beta)
+    delta: int, chart: int, ya: YoungDiagram, yb: YoungDiagram
+) -> list[tuple[int, int]]:
+    """Chart piece of a slot pair of the resolved tangent character, for
+    2(k_beta - k_alpha) = delta: the arm/leg weights of that chart's
+    diagrams, sent t1^p t2^q -> t1^(2p-q) t2^q in the first chart and
+    t1^p t2^(2q-p) in the second, and shifted by t_i^delta.  The pair's
+    third piece is char_twist(delta)."""
     if chart == 1:
-        return Counter((2 * p - q + delta, q, e) for p, q in _pair_weights(ya, yb))
-    return Counter((p, 2 * q - p + delta, e) for p, q in _pair_weights(ya, yb))
+        return [(2 * p - q + delta, q) for p, q in _pair_weights(ya, yb)]
+    return [(p, 2 * q - p + delta) for p, q in _pair_weights(ya, yb)]

@@ -71,22 +71,43 @@ _CHECKS = {
 }
 
 
+# The flag types raise argparse.ArgumentTypeError: for any other error
+# argparse prints only "invalid <function name> value", not the reason.
+
+
 def _half_int(text: str) -> HalfInt:
-    return HalfInt.parse(text)
+    try:
+        return HalfInt.parse(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"half-integers must be 'p' or 'p/2', got {text!r}"
+        ) from None
 
 
 def _u64(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
     if not 0 <= value < 1 << 64:
-        raise ValueError("seed must fit in 64 unsigned bits")
+        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
     return value
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"rationals must be 'p' or 'p/q' with q nonzero, got {text!r}"
+        ) from None
 
 
 def _fraction_list(text: str) -> list[Fraction]:
     parts = text.split(",")
     if "" in parts:
-        raise ValueError(f"empty item in {text!r}")
-    return [parse_rational(part) for part in parts]
+        raise argparse.ArgumentTypeError(f"empty item in {text!r}")
+    return [_rational(part) for part in parts]
 
 
 def _add_series_flags(sub: argparse.ArgumentParser) -> None:
@@ -127,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     imo = commands.add_parser(
         "imo-point", help="convert an evaluation point to the alternate convention"
     )
-    imo.add_argument("--eps1", type=parse_rational, required=True)
-    imo.add_argument("--eps2", type=parse_rational, required=True)
+    imo.add_argument("--eps1", type=_rational, required=True)
+    imo.add_argument("--eps2", type=_rational, required=True)
     imo.add_argument("--a", type=_fraction_list, required=True,
                      help="comma-separated framing values, one per slot")
     imo.add_argument("--m", type=_fraction_list, required=True,

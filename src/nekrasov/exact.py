@@ -261,6 +261,10 @@ def form_from_doubled(pairs: list[tuple[int, int]]) -> LinearForm:
 
 ZERO_FORM = linear_form({})
 
+# The one unit scalar every localization piece shares: readers on the hot
+# path test a scalar for it by identity, not by Fraction comparison.
+ONE = Fraction(1)
+
 
 @dataclass(frozen=True)
 class FactoredTerm:
@@ -297,8 +301,9 @@ def factored_term(
     scalar: Fraction | int,
     factors: Iterable[tuple[LinearForm, int]] = (),
 ) -> FactoredTerm:
-    """Build a term in canonical form from an unordered factor multiset."""
-    s = Fraction(scalar)
+    """Build a term in canonical form from an unordered factor multiset.
+    The shared unit scalar ``ONE`` is kept as it is."""
+    s = scalar if scalar is ONE else Fraction(scalar)
     if s == 0:
         return FactoredTerm(Fraction(0), ())
     merged: dict[LinearForm, int] = {}
@@ -311,7 +316,7 @@ def factored_term(
     return FactoredTerm(s, tuple(kept))
 
 
-UNIT_TERM = factored_term(1)
+UNIT_TERM = factored_term(ONE)
 
 
 @dataclass(frozen=True)
@@ -361,15 +366,17 @@ def term_mul(a: Term, b: Term) -> Product:
 def term_pow(t: FactoredTerm, n: int) -> FactoredTerm:
     """Integer power of a term (n may be negative; scalar must be nonzero).
     For n != 0 the exponents are scaled in place: scaling keeps the
-    forms' order and distinctness and no exponent zero.  A unit scalar,
-    every piece's, is kept as it is."""
+    forms' order and distinctness and no exponent zero.  The shared unit
+    scalar ``ONE``, every piece's, is kept as it is."""
     if n == 0:
         return UNIT_TERM
-    if t.is_zero():
-        if n < 0:
-            raise ZeroDivisionError("inverse of the zero term")
-        return t
-    scalar = t.scalar if t.scalar == 1 else t.scalar ** n
+    scalar = t.scalar
+    if scalar is not ONE:
+        if not scalar:
+            if n < 0:
+                raise ZeroDivisionError("inverse of the zero term")
+            return t
+        scalar **= n
     return FactoredTerm(scalar, tuple([(form, exp * n) for form, exp in t.factors]))
 
 
@@ -466,7 +473,11 @@ class Kernel:
                 entries = [index.get(id(piece)) for piece in pieces]
                 if None in entries:
                     # a compiled piece's scalar is nonzero: test only the new ones
-                    if not all(piece.scalar for piece, e in zip(pieces, entries) if e is None):
+                    if not all(
+                        piece.scalar is ONE or piece.scalar
+                        for piece, e in zip(pieces, entries)
+                        if e is None
+                    ):
                         continue
                     for n, piece in enumerate(pieces):
                         if entries[n] is None:
@@ -551,7 +562,7 @@ def _compile_piece(piece, slots, forms, num_sets, den_sets, products, poles) -> 
             den += [ref] * -exp
     poles.append(den)
     scalar = piece.scalar
-    c_num, c_den = (1, 1) if scalar == 1 else (scalar.numerator, scalar.denominator)
+    c_num, c_den = (1, 1) if scalar is ONE else (scalar.numerator, scalar.denominator)
     if c_num == 1 and len(num) < 2:
         num_ref = num[0] if num else 0
     else:

@@ -1,7 +1,8 @@
 """Equivariant Euler classes and per-fixed-point localization terms.
 
-A monomial (p, q, e) of a character, t1^p t2^q e_1^c1 .. e_r^cr, has
-equivariant weight
+A monomial t1^p t2^q e_1^c1 .. e_r^cr, with t-exponents (p, q) and e-part
+e = the nonzero (alpha, c_alpha) pairs sorted by alpha, has equivariant
+weight
 
     p*eps1 + q*eps2 + c1*a_1 + ... + cr*a_r
 
@@ -15,10 +16,14 @@ exponents.  Every form is built from doubled coefficients through
 ``exact.form_from_doubled``, so no ``Fraction`` is made.
 
 A localization term is matter Euler class divided by tangent Euler class.
-Both characters are sums of pieces (see ``characters``), so the term is
-the product of one factor per piece: the matter Euler class of each
-slot's tautological piece (``matter_euler``) and the inverse Euler class
-of each slot pair's tangent piece (``euler_class`` to the power -1).
+Both characters are sums of pieces (see ``characters``), each a list of
+(p, q) pairs sharing one e-part, so the term is the product of one factor
+per piece: the matter Euler class of each slot's tautological piece
+(``matter_euler``) and the inverse Euler class of each slot pair's
+tangent piece (``euler_class`` to the power -1).  Both take the piece's
+pairs and its e-part, passed once: they merge equal pairs once, in a
+dict keyed by the pair, in first-seen order, and read each distinct
+pair's form off a memo for that e-part.
 ``term_p2``, ``term_x0`` and ``term_x1`` take a ``FactorTable``, one
 series build's memo.  Its `pieces` dict maps a piece's key to that
 piece's ``FactoredTerm``; a piece missing from it is built and
@@ -36,17 +41,18 @@ The keys:
     delta = 2(k_beta - k_alpha).
 
 The key shapes differ in length, so they cannot collide within one table.
-Beside the pieces the table keeps its forms, in dicts of their own: each
-tangent monomial's weight form (`weights`) and each tautological
-monomial's 2r mass-shifted forms (`masses`) are built once per build, and
-every piece holding a form holds that one object.  (A monomial (p, q, e)
-has the shape of a resolved tangent key, so forms and pieces never share
-a dict.)  Each piece is built directly, without the merge of
-``exact.factored_term``: a monomial's weight is a linear form injective
-in (p, q, e), and its mass-shifted form injective in (monomial, f), so a
-piece's factors have pairwise distinct forms.  They stay in build order
-(the character's monomial order), which is independent of the hash seed;
-merged, a piece is the canonical term ``factored_term`` gives.
+Beside the pieces the table keeps its forms, in dicts of their own, each
+keyed by e-part and then by (p, q): each tangent monomial's weight form
+(`weights`) and each tautological monomial's 2r mass-shifted forms
+(`masses`) are built once per build, and every piece holding a form
+holds that one object.  Each piece is built directly, without the sort
+of ``exact.factored_term``: a monomial's weight is a linear form
+injective in (p, q, e), and its mass-shifted form injective in
+(monomial, f), so once equal pairs are merged a piece's factors have
+pairwise distinct forms.  They stay in build order (the first-seen order
+of the piece's pairs), which is independent of the hash seed; sorted, a
+piece is the canonical term ``factored_term`` gives.  Every piece's
+scalar is the one shared ``exact.ONE``.
 The caller owns the table: ``series`` makes one per series build, so a
 table holds at most the distinct pieces and forms of that series and
 dies with the build.  Nothing here keeps state between calls.
@@ -59,16 +65,12 @@ isolated at generic parameters), so it is a hard error.
 
 from __future__ import annotations
 
-from collections import Counter
-from fractions import Fraction
-
 from .characters import (
     char_tangent_p2,
-    char_tangent_twist,
     char_tangent_x0,
     char_tangent_x1,
+    char_twist,
     char_v_p2,
-    char_v_twist,
     char_v_x0,
     char_v_x1,
 )
@@ -76,6 +78,7 @@ from .diagrams import FixedPointX0, FixedPointX1, FrameData
 from .exact import (
     EPS1,
     EPS2,
+    ONE,
     FactoredTerm,
     LinearForm,
     Product,
@@ -91,7 +94,7 @@ class VanishingWeight(ArithmeticError):
 
 
 def weight_form(mono: tuple) -> LinearForm:
-    """Equivariant weight of a monomial as a linear form."""
+    """Equivariant weight of a monomial (p, q, e) as a linear form."""
     return form_from_doubled(_doubled_weight(mono))
 
 
@@ -109,69 +112,107 @@ def _doubled_weight(mono: tuple, eps_shift: int = 0) -> list[tuple[int, int]]:
     return pairs
 
 
-_ONE = Fraction(1)
+def slot_part(alpha: int) -> tuple:
+    """The e-part e_alpha of slot alpha's tautological pieces."""
+    return ((alpha, 1),)
 
 
-def _canonical(factors: list) -> FactoredTerm:
-    """The piece with scalar 1 of (form, exponent) factors whose forms are
-    pairwise distinct and whose exponents are nonzero, kept in build
-    order: ``factored_term``'s merge would change nothing, and no reader
-    needs its sort."""
-    return FactoredTerm(_ONE, tuple(factors))
+def ratio_part(alpha: int, beta: int) -> tuple:
+    """The e-part e_beta / e_alpha of slot pair (alpha, beta)'s tangent
+    pieces."""
+    if alpha == beta:
+        return ()
+    return ((alpha, -1), (beta, 1)) if alpha < beta else ((beta, 1), (alpha, -1))
 
 
-def euler_class(ch: Counter, forms: dict | None = None) -> FactoredTerm:
-    """Product of the weights of a character; empty character gives 1.
-    `forms` is a memo from monomial to weight form: a monomial met before
-    reuses its form object.  Distinct monomials have distinct weights, so
-    the factors need no merge and stay in the character's order; a zero
-    multiplicity drops its factor."""
-    if forms is None:
-        forms = {}
-    factors = []
-    for mono, mult in ch.items():
-        form = forms.get(mono)
-        if form is None:
-            form = weight_form(mono)
-            if form.is_zero():
-                raise VanishingWeight(f"zero weight for monomial {mono}")
-            forms[mono] = form
-        if mult:
-            factors.append((form, mult))
-    return _canonical(factors)
+def _multiplicities(weights: list) -> dict:
+    """Each distinct pair of `weights` with its multiplicity, in first-seen
+    order."""
+    mults = dict.fromkeys(weights, 1)
+    if len(mults) < len(weights):
+        mults = dict.fromkeys(mults, 0)
+        for w in weights:
+            mults[w] += 1
+    return mults
 
 
-def matter_euler(ch_v0: Counter, r: int, forms: dict | None = None) -> FactoredTerm:
-    """Euler class of the matter bundle: for each of the 2r masses, the
-    product of mass-shifted weights over the tautological fiber.  Every
-    factor carries m_f with coefficient 1, so none can vanish.  `forms` is
-    a memo from monomial to its 2r mass-shifted forms, for one r.  Each
-    (monomial, f) gives a distinct form, so the factors need no merge and
-    stay in build order; a zero multiplicity drops its factors."""
-    if forms is None:
-        forms = {}
-    factors = []
-    for mono, mult in ch_v0.items():
-        if not mult:
-            continue
-        shifted = forms.get(mono)
-        if shifted is None:
-            shifted = forms[mono] = tuple(
-                mass_shifted_weight(mono, f) for f in range(1, 2 * r + 1)
-            )
-        factors.extend((form, mult) for form in shifted)
-    return _canonical(factors)
+class _WeightForms(dict):
+    """Weight forms of the monomials with one e-part, keyed by (p, q); a
+    missing one is made on first read, so each is made once per build."""
+
+    __slots__ = ("e",)
+
+    def __init__(self, e: tuple) -> None:
+        super().__init__()
+        self.e = e
+
+    def __missing__(self, w: tuple) -> LinearForm:
+        mono = (*w, self.e)
+        form = weight_form(mono)
+        if form.is_zero():
+            raise VanishingWeight(f"zero weight for monomial {mono}")
+        self[w] = form
+        return form
 
 
-def _tangent_piece(ch: Counter, forms: dict | None = None) -> FactoredTerm:
+class _MassForms(dict):
+    """The 2r mass-shifted forms of each monomial with one e-part, keyed by
+    (p, q) and made on first read."""
+
+    __slots__ = ("e", "r")
+
+    def __init__(self, e: tuple, r: int) -> None:
+        super().__init__()
+        self.e, self.r = e, r
+
+    def __missing__(self, w: tuple) -> tuple:
+        mono = (*w, self.e)
+        shifted = self[w] = tuple([mass_shifted_weight(mono, f) for f in range(1, 2 * self.r + 1)])
+        return shifted
+
+
+def euler_class(weights: list, e: tuple = (), forms: dict | None = None) -> FactoredTerm:
+    """Product of the weights of a character piece: its (p, q) pairs, all
+    with e-part e; no pairs give 1.  `forms` is a memo from e-part to its
+    weight forms by pair: a monomial met before reuses its form object.
+    Equal pairs are merged into one factor, whose exponent is their count;
+    distinct monomials have distinct weights, so the factors need no
+    further merge and stay in first-seen order."""
+    memo = forms.get(e) if forms is not None else None
+    if memo is None:
+        memo = _WeightForms(e)
+        if forms is not None:
+            forms[e] = memo
+    return FactoredTerm(ONE, tuple([(memo[w], m) for w, m in _multiplicities(weights).items()]))
+
+
+def matter_euler(weights: list, e: tuple, r: int, forms: dict | None = None) -> FactoredTerm:
+    """Euler class of the matter bundle over a tautological piece, its
+    (p, q) pairs all with e-part e: for each of the 2r masses, the product
+    of mass-shifted weights.  Every factor carries m_f with coefficient 1,
+    so none can vanish.  `forms` is a memo from e-part to its 2r
+    mass-shifted forms by pair, for one r.  Equal pairs are merged as in
+    ``euler_class``; each (monomial, f) gives a distinct form, so the
+    factors need no further merge and stay in build order."""
+    memo = forms.get(e) if forms is not None else None
+    if memo is None:
+        memo = _MassForms(e, r)
+        if forms is not None:
+            forms[e] = memo
+    mults = _multiplicities(weights)
+    return FactoredTerm(ONE, tuple([(form, m) for w, m in mults.items() for form in memo[w]]))
+
+
+def _tangent_piece(weights: list, e: tuple, forms: dict | None = None) -> FactoredTerm:
     """Inverse Euler class of a tangent piece."""
-    return term_pow(euler_class(ch, forms), -1)
+    return term_pow(euler_class(weights, e, forms), -1)
 
 
 class FactorTable:
-    """One series build's memo: `pieces` by key, weight forms by tangent
-    monomial (`weights`), and the 2r mass-shifted forms by tautological
-    monomial (`masses`); see the module docstring."""
+    """One series build's memo: `pieces` by key, and by e-part then
+    (p, q) the weight forms of tangent monomials (`weights`) and the 2r
+    mass-shifted forms of tautological monomials (`masses`); see the
+    module docstring."""
 
     __slots__ = ("pieces", "weights", "masses")
 
@@ -179,7 +220,6 @@ class FactorTable:
         self.pieces: dict = {}
         self.weights: dict = {}
         self.masses: dict = {}
-
 
 
 def _diagram_tuple_term(diagrams, r: int, table: FactorTable, char_v, char_tangent) -> Product:
@@ -191,7 +231,8 @@ def _diagram_tuple_term(diagrams, r: int, table: FactorTable, char_v, char_tange
     for alpha, ya in enumerate(diagrams, start=1):
         piece = cached.get((alpha, ya))
         if piece is None:
-            piece = cached[alpha, ya] = matter_euler(char_v(alpha, ya), r, table.masses)
+            ch = char_v(alpha, ya)
+            piece = cached[alpha, ya] = matter_euler(ch, slot_part(alpha), r, table.masses)
         if piece.factors:
             pieces.append(piece)
         for beta, yb in enumerate(diagrams, start=1):
@@ -199,7 +240,7 @@ def _diagram_tuple_term(diagrams, r: int, table: FactorTable, char_v, char_tange
             piece = cached.get(key)
             if piece is None:
                 ch = char_tangent(alpha, beta, ya, yb)
-                piece = cached[key] = _tangent_piece(ch, table.weights)
+                piece = cached[key] = _tangent_piece(ch, ratio_part(alpha, beta), table.weights)
             if piece.factors:
                 pieces.append(piece)
     return Product(tuple(pieces))
@@ -207,7 +248,13 @@ def _diagram_tuple_term(diagrams, r: int, table: FactorTable, char_v, char_tange
 
 def term_p2(r: int, diagrams, table: FactorTable) -> Product:
     """Localization term of one diagram tuple on the plane."""
-    return _diagram_tuple_term(diagrams, r, table, char_v_p2, char_tangent_p2)
+    return _diagram_tuple_term(
+        diagrams,
+        r,
+        table,
+        lambda alpha, y: char_v_p2(y),
+        lambda alpha, beta, ya, yb: char_tangent_p2(ya, yb),
+    )
 
 
 def term_x0(frame: FrameData, fp: FixedPointX0, table: FactorTable) -> Product:
@@ -232,15 +279,15 @@ def term_x1(frame: FrameData, fp: FixedPointX1, table: FactorTable) -> Product:
         d = doubled[alpha - 1]
         piece = cached.get((alpha, d))
         if piece is None:
-            piece = cached[alpha, d] = matter_euler(char_v_twist(alpha, d, 0), r, masses)
+            piece = cached[alpha, d] = matter_euler(char_twist(d), slot_part(alpha), r, masses)
         if piece.factors:
             pieces.append(piece)
         for chart, ys in charts:
             key = (alpha, d, chart, ys[alpha - 1])
             piece = cached.get(key)
             if piece is None:
-                ch = char_v_x1(alpha, d, chart, ys[alpha - 1], 0)
-                piece = cached[key] = matter_euler(ch, r, masses)
+                ch = char_v_x1(d, chart, ys[alpha - 1], 0)
+                piece = cached[key] = matter_euler(ch, slot_part(alpha), r, masses)
             if piece.factors:
                 pieces.append(piece)
         for beta in range(1, r + 1):
@@ -248,16 +295,17 @@ def term_x1(frame: FrameData, fp: FixedPointX1, table: FactorTable) -> Product:
             key = (alpha, beta, delta)
             piece = cached.get(key)
             if piece is None:
-                ch = char_tangent_twist(alpha, beta, delta)
-                piece = cached[key] = _tangent_piece(ch, weights)
+                e = ratio_part(alpha, beta)
+                piece = cached[key] = _tangent_piece(char_twist(delta), e, weights)
             if piece.factors:
                 pieces.append(piece)
             for chart, ys in charts:
                 key = (alpha, beta, delta, chart, ys[alpha - 1], ys[beta - 1])
                 piece = cached.get(key)
                 if piece is None:
-                    ch = char_tangent_x1(alpha, beta, delta, chart, ys[alpha - 1], ys[beta - 1])
-                    piece = cached[key] = _tangent_piece(ch, weights)
+                    ch = char_tangent_x1(delta, chart, ys[alpha - 1], ys[beta - 1])
+                    e = ratio_part(alpha, beta)
+                    piece = cached[key] = _tangent_piece(ch, e, weights)
                 if piece.factors:
                     pieces.append(piece)
     return Product(tuple(pieces))

@@ -1,7 +1,9 @@
 """Character builders: twists, tautological fibers, tangent spaces.
 
-The engine builds one slot's or slot pair's piece at a time; the tests of
-a whole fixed point's character sum its pieces (whole_fixed_point.py)."""
+The engine builds one slot's or slot pair's piece at a time, as a list of
+(p, q) pairs whose e-part the caller holds; the tests of a whole fixed
+point's character give each piece its e-part and sum the pieces
+(whole_fixed_point.py)."""
 
 from collections import Counter
 
@@ -12,37 +14,45 @@ from hypothesis import strategies as st
 from nekrasov.characters import (
     _pair_weights,
     char_tangent_p2,
-    char_tangent_twist,
     char_tangent_x0,
     char_tangent_x1,
+    char_twist,
     char_v_p2,
-    char_v_twist,
     char_v_x0,
+    char_v_x1,
 )
 from nekrasov.diagrams import (
     FixedPointX1,
     FrameData,
     HalfInt,
-    boxes,
     diagram_tuples,
     enum_fixed_points_x0,
     enum_fixed_points_x1,
     partitions,
 )
+from nekrasov.localization import ratio_part, slot_part
 from whole_fixed_point import (
-    arm_in,
+    CHART_MATRICES,
     char_lk,
     char_rank,
+    defined_pair_weights,
     degree_mod2,
-    degree_part,
-    leg_in,
     fixed_point_x0,
+    ref_char_tangent_p2,
+    ref_char_tangent_twist,
+    ref_char_tangent_x0,
+    ref_char_tangent_x1,
+    ref_char_v_p2,
+    ref_char_v_twist,
+    ref_char_v_x0,
+    ref_char_v_x1,
     whole_tangent_p2,
     whole_tangent_x0,
     whole_tangent_x1,
     whole_v_p2,
     whole_v_x0,
     whole_v_x1,
+    with_e,
 )
 
 
@@ -91,11 +101,12 @@ class TestTwistCharacter:
         # a slot's twist piece is e_alpha times it; a pair's, e_beta/e_alpha
         for doubled in range(-6, 7):
             ch = char_lk(HalfInt(doubled))
-            assert char_v_twist(2, doubled, 0) == {
+            assert char_twist(doubled) == [(p, q) for p, q, _ in ch]
+            assert with_e(char_twist(doubled), slot_part(2)) == {
                 (p, q, ((2, 1),)): n for (p, q, _), n in ch.items()
             }
-            assert char_tangent_twist(1, 1, doubled) == ch
-            assert char_tangent_twist(1, 2, doubled) == {
+            assert with_e(char_twist(doubled), ratio_part(1, 1)) == ch
+            assert with_e(char_twist(doubled), ratio_part(1, 2)) == {
                 (p, q, ((1, -1), (2, 1))): n for (p, q, _), n in ch.items()
             }
 
@@ -162,20 +173,23 @@ class TestTautologicalFibers:
 
 class TestPairCharacter:
     def test_empty(self):
-        assert char_tangent_p2(1, 1, (), ()) == {}
+        assert char_tangent_p2((), ()) == []
 
     def test_single_boxes(self):
-        assert char_tangent_p2(1, 1, (1,), (1,)) == counted(mono_t(0, 1), mono_t(1, 0))
+        assert char_tangent_p2((1,), (1,)) == [(0, 1), (1, 0)]
 
     def test_columns_of_two(self):
-        assert char_tangent_p2(1, 1, (2,), (2,)) == counted(
-            mono_t(0, 2), mono_t(0, 1), mono_t(1, -1), mono_t(1, 0)
-        )
+        assert char_tangent_p2((2,), (2,)) == [(0, 2), (0, 1), (1, -1), (1, 0)]
 
     def test_distinct_slots_carry_framing_ratio(self):
         # the single box of Y_a has arm 0 in Y_a and leg -1 in the empty Y_b
-        ch = char_tangent_p2(1, 2, (1,), ())
+        ch = with_e(char_tangent_p2((1,), ()), ratio_part(1, 2))
         assert ch == counted(mono_t(1, 1, {2: 1, 1: -1}))
+
+    def test_repeated_weights_are_kept(self):
+        # two boxes of (2, 1) have arm 0 and leg 0: (0, 1) comes twice,
+        # and so does its mirror (1, 0)
+        assert char_tangent_p2((2, 1), (2, 1)) == [(-1, 2), (0, 1), (0, 1), (2, -1), (1, 0), (1, 0)]
 
 
 class TestTangentCharacters:
@@ -268,7 +282,7 @@ class TestTangentCharacters:
                     out[mono_mul(m, ratio)] += n
                 for side, (ys, m) in enumerate(zip((fp.y1, fp.y2), charts)):
                     shift = (delta, 0) if side == 0 else (0, delta)
-                    for (p, q, e), n in char_tangent_p2(a + 1, b + 1, ys[a], ys[b]).items():
+                    for (p, q, e), n in ref_char_tangent_p2(a + 1, b + 1, ys[a], ys[b]).items():
                         image = (
                             m[0][0] * p + m[0][1] * q + shift[0],
                             m[1][0] * p + m[1][1] * q + shift[1],
@@ -323,37 +337,34 @@ class TestDegree:
                 assert lhs == rhs
 
 
-def _defined_pair_weights(ya, yb):
-    """The arm/leg pair weights box by box, each arm and leg measured by
-    its definition (one transpose per leg)."""
-    out = [(-leg_in(yb, i, j), arm_in(ya, i, j) + 1) for i, j in boxes(ya)]
-    out += [(leg_in(ya, i, j) + 1, -arm_in(yb, i, j)) for i, j in boxes(yb)]
-    return out
-
-
-def _defined_tangent_p2(alpha, beta, ya, yb):
-    ratio = mono_t(0, 0, {beta: 1, alpha: -1} if alpha != beta else {})
-    return Counter(mono_mul(mono_t(p, q), ratio) for p, q in _defined_pair_weights(ya, yb))
-
-
 def test_diagonal_pair_weights_equal_their_definition_to_size_8():
     """For Y_a = Y_b, _pair_weights reads the second half off the first,
     as (1 - p, 1 - q); it equals the box-by-box definition."""
     for n in range(9):
         for diagram in partitions(n):
-            assert _pair_weights(diagram, diagram) == _defined_pair_weights(diagram, diagram)
+            assert _pair_weights(diagram, diagram) == defined_pair_weights(diagram, diagram)
 
 
 _DIAGRAMS = [y for n in range(7) for y in partitions(n)]
-_CHART_MATRICES = {1: ((2, -1), (0, 1)), 2: ((1, 0), (-1, 2))}
+
+
+def _as_reference(pairs, e, reference):
+    """`pairs` with e-part e is the reference piece, monomial for monomial:
+    the same multiset, with its distinct monomials in the same first-seen
+    order."""
+    ch = with_e(pairs, e)
+    return ch == reference and list(ch) == list(reference)
 
 
 class TestCharactersAgainstDefinitions:
-    """The builders read arms and legs off one transpose per diagram and
-    keep the Z2-invariant part by one parity test per weight; they equal
-    the box-by-box definitions (``arm_in``, ``leg_in``) filtered by
-    ``degree_mod2``, for every slot pair of frames with r <= 3 and mixed
-    colors, both charts and delta in [-4, 4]."""
+    """The builders read arms and legs off one transpose per diagram, keep
+    the Z2-invariant part by one parity test per weight (the first half of
+    a diagonal pair only, mirrored) or a stepped row range, and leave the
+    e-part to the caller; with it, each piece equals the ``Counter``
+    reference built from the box-by-box definitions (``arm_in``,
+    ``leg_in``, ``degree_mod2``), monomial for monomial and in the same
+    order, for every slot pair of frames with r <= 3 and mixed colors,
+    s in {0, 1}, both charts and delta in [-4, 4]."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -364,21 +375,33 @@ class TestCharactersAgainstDefinitions:
     )
     @example(w=(1, 2), ya=(3, 1, 1), yb=(2, 2), delta=-1)
     @example(w=(0, 1), ya=(), yb=(1, 1, 1, 1, 1, 1), delta=4)
+    @example(w=(1, 1), ya=(3, 2, 1), yb=(3, 2, 1), delta=0)
     def test_builders_equal_their_definitions(self, w, ya, yb, delta):
         frame = FrameData(*w)
-        assert _pair_weights(ya, yb) == _defined_pair_weights(ya, yb)
+        assert _pair_weights(ya, yb) == defined_pair_weights(ya, yb)
         for alpha in range(1, frame.r + 1):
+            e = slot_part(alpha)
+            assert _as_reference(char_v_p2(ya), e, ref_char_v_p2(alpha, ya))
             for s in (0, 1):
-                expected = degree_part(char_v_p2(alpha, ya), frame, s)
-                assert char_v_x0(frame, alpha, ya, s) == expected
+                assert _as_reference(char_v_x0(frame, alpha, ya, s), e, ref_char_v_x0(frame, alpha, ya, s))
+                assert _as_reference(char_twist(delta + s), e, ref_char_v_twist(alpha, delta, s))
+                for chart in CHART_MATRICES:
+                    assert _as_reference(
+                        char_v_x1(delta, chart, ya, s), e, ref_char_v_x1(alpha, delta, chart, ya, s)
+                    )
             for beta in range(1, frame.r + 1):
-                plane = _defined_tangent_p2(alpha, beta, ya, yb)
-                assert char_tangent_p2(alpha, beta, ya, yb) == plane
-                expected = degree_part(plane, frame, 0)
-                assert char_tangent_x0(frame, alpha, beta, ya, yb) == expected
-                for chart, ((a, b), (c, d)) in _CHART_MATRICES.items():
-                    shift = (delta, 0) if chart == 1 else (0, delta)
-                    expected = Counter()
-                    for (p, q, e), n in plane.items():
-                        expected[(a * p + b * q + shift[0], c * p + d * q + shift[1], e)] += n
-                    assert char_tangent_x1(alpha, beta, delta, chart, ya, yb) == expected
+                e = ratio_part(alpha, beta)
+                plane = ref_char_tangent_p2(alpha, beta, ya, yb)
+                assert _as_reference(char_tangent_p2(ya, yb), e, plane)
+                assert _as_reference(
+                    char_tangent_x0(frame, alpha, beta, ya, yb),
+                    e,
+                    ref_char_tangent_x0(frame, alpha, beta, ya, yb),
+                )
+                assert _as_reference(char_twist(delta), e, ref_char_tangent_twist(alpha, beta, delta))
+                for chart in CHART_MATRICES:
+                    assert _as_reference(
+                        char_tangent_x1(delta, chart, ya, yb),
+                        e,
+                        ref_char_tangent_x1(alpha, beta, delta, chart, ya, yb),
+                    )

@@ -127,6 +127,36 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err.splitlines()[-1]
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compute", "zx0", "--w0", "1", "--w1", "0", "--k", "1/3", "--max-n", "1"],
+             "argument --k: half-integers must be 'p' or 'p/2', got '1/3'"),
+            (["compute", "zx0", "--w0", "1", "--w1", "0", "--k", "0", "--max-n", "1",
+              "--seed", "18446744073709551616"],
+             "argument --seed: seed must fit in 64 unsigned bits"),
+            (["check", "main", "--w0", "1", "--w1", "0", "--k", "0", "--max-n", "1",
+              "--seed", "x1"],
+             "argument --seed: seed must be an integer, got 'x1'"),
+            (["imo-point", "--eps1", "1", "--eps2", "2", "--a", "1,y", "--m", "5,0"],
+             "argument --a: rationals must be 'p' or 'p/q' with q nonzero, got 'y'"),
+            (["imo-point", "--eps1", "1", "--eps2", "2", "--a", "3", "--m", "5,"],
+             "argument --m: empty item in '5,'"),
+            (["imo-point", "--eps1", "1/0", "--eps2", "2", "--a", "3", "--m", "5,0"],
+             "argument --eps1: rationals must be 'p' or 'p/q' with q nonzero, got '1/0'"),
+        ],
+    )
+    def test_bad_flag_value_names_its_reason(self, capsys, argv, message):
+        # argparse prints a type's private name for a plain ValueError
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(message)
+        assert "invalid" not in captured.err
+
+
 class TestComputeCommand:
     def test_json_series_dump(self, capsys):
         code, out, _ = run(

@@ -47,7 +47,12 @@ prefactor was a series of terms, compiled and evaluated like the others,
 and must's weights a separate recurrence, before both became one numeric
 side; they read the prefactor to u^6 at r = 1 and to u^4 at r = 2, where
 its sign -(-1)^r is -1, so they pin that the numeric side gives the same
-values."""
+values.  ``compute zx0`` at w = (1,0), k = 0 and max-n 8 was recorded
+while each piece's character was a ``Counter`` of (p, q, e) monomials,
+before pieces became lists of (p, q) pairs merged once per piece with
+their e-part passed once; its diagrams reach 16 boxes, and 303 of its
+866 non-unit pieces repeat a hook weight, so it pins that the merge keeps
+every exponent and the first-seen factor order."""
 
 import hashlib
 import os
@@ -152,6 +157,11 @@ GOLDEN = [
     (
         "check main --w0 1 --w1 1 --k 1/2 --max-n 4",
         "a8ce3f73887e0aac99967da82c1199edcaaa701ebb0b2b82cceeb6e06d0c17ca",
+    ),
+    # orbifold pieces with repeated hook weights, diagrams up to 16 boxes
+    (
+        "compute zx0 --w0 1 --w1 0 --k 0 --max-n 8",
+        "491461699834920e6d2bee6ef4cc3f6723d1e114e0ed125d5dc1243a31aa0977",
     ),
 ]
 

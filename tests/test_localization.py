@@ -7,11 +7,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nekrasov.characters import (
+    char_tangent_p2,
+    char_tangent_x0,
+    char_tangent_x1,
+    char_twist,
+    char_v_p2,
+    char_v_x0,
+    char_v_x1,
+)
 from nekrasov.diagrams import (
     FixedPointX1,
     FrameData,
     HalfInt,
     diagram_tuples,
+    partitions,
     enum_fixed_points_x0,
     enum_fixed_points_x1,
     enum_kvectors,
@@ -19,7 +29,9 @@ from nekrasov.diagrams import (
 from nekrasov.exact import (
     EPS1,
     EPS2,
+    ONE,
     UNIT_TERM,
+    FactoredTerm,
     factored_term,
     linear_form,
     term_eval,
@@ -36,14 +48,27 @@ from nekrasov.localization import (
     euler_class,
     mass_shifted_weight,
     matter_euler,
+    ratio_part,
+    slot_part,
     term_p2,
     term_x0,
     term_x1,
     weight_form,
 )
 from whole_fixed_point import (
+    CHART_MATRICES,
     char_lk,
     merged,
+    ref_char_tangent_p2,
+    ref_char_tangent_twist,
+    ref_char_tangent_x0,
+    ref_char_tangent_x1,
+    ref_char_v_p2,
+    ref_char_v_twist,
+    ref_char_v_x0,
+    ref_char_v_x1,
+    ref_euler_class,
+    ref_matter_euler,
     reference_term_p2,
     reference_term_x0,
     reference_term_x1,
@@ -92,22 +117,34 @@ def matter_values(p, *weights):
 
 class TestEulerClass:
     def test_single_monomial(self):
-        got = euler_class(counted(mono_t(1, 1, {1: 1})))
+        got = euler_class([(1, 1)], slot_part(1))
         assert got == factored_term(1, [(linear_form({EPS1: 1, EPS2: 1, var_a(1): 1}), 1)])
 
     def test_empty_is_unit(self):
-        assert euler_class({}) == UNIT_TERM
+        assert euler_class([]) == UNIT_TERM
+        assert euler_class([], ratio_part(1, 2)).scalar is ONE
 
     def test_constant_monomial_vanishes(self):
         with pytest.raises(VanishingWeight):
-            euler_class(counted(mono_t(0, 0)))
+            euler_class([(0, 0)])
+        with pytest.raises(VanishingWeight):
+            euler_class([(1, 0), (0, 0)], (), {})
 
     def test_additive_over_direct_sum(self):
-        a = counted(mono_t(1, 0), mono_t(0, 2, {1: 1}))
-        b = counted(mono_t(1, 0), mono_t(-1, 1))
-        lhs = euler_class(a + b)
-        rhs = term_mul(euler_class(a), euler_class(b))
+        a = [(1, 0), (0, 2)]
+        b = [(1, 0), (-1, 1)]
+        e = ratio_part(2, 1)
+        lhs = euler_class(a + b, e)
+        rhs = term_mul(euler_class(a, e), euler_class(b, e))
         assert merged(lhs) == merged(rhs)
+
+    def test_repeated_pairs_are_merged_in_first_seen_order(self):
+        got = euler_class([(0, 1), (1, 1), (0, 1), (2, -1), (1, 1), (0, 1)])
+        assert got == FactoredTerm(ONE, (
+            (linear_form({EPS2: 1}), 3),
+            (linear_form({EPS1: 1, EPS2: 1}), 2),
+            (linear_form({EPS1: 2, EPS2: -1}), 1),
+        ))
 
     def test_weight_form_reads_exponents(self):
         form = weight_form(mono_t(-2, 3, {1: -1}))
@@ -116,14 +153,20 @@ class TestEulerClass:
 
 class TestMatterEuler:
     def test_empty_is_unit(self):
-        assert matter_euler({}, 1) == UNIT_TERM
+        assert matter_euler([], slot_part(1), 1) == UNIT_TERM
 
     def test_single_framing_weight(self):
-        got = matter_euler(counted(mono_t(0, 0, {1: 1})), 1)
+        got = matter_euler([(0, 0)], slot_part(1), 1)
         assert term_eval(got, GENERIC) == matter_values(GENERIC, GENERIC[var_a(1)])
 
+    def test_repeated_pairs_are_merged(self):
+        got = matter_euler([(0, 0), (1, 0), (0, 0)], slot_part(1), 1)
+        assert [exp for _, exp in got.factors] == [2, 2, 1, 1]
+        p = GENERIC
+        assert term_eval(got, p) == matter_values(p, p[var_a(1)], p[var_a(1)], p[var_a(1)] + p[EPS1])
+
     def test_shift_combines_with_torus_weight(self):
-        got = matter_euler(counted(mono_t(1, 1, {1: 1})), 1)
+        got = matter_euler([(1, 1)], slot_part(1), 1)
         # weight a1 + eps1 + eps2, shifted: a1 + m_f + (eps1+eps2)/2
         p = GENERIC
         expected = Fraction(1)
@@ -132,21 +175,21 @@ class TestMatterEuler:
         assert term_eval(got, p) == expected
 
 
-def _merged_euler(ch):
+def _merged_euler(pairs, e):
     """Euler class the way it was built before the direct build: every
     monomial's weight, merged by ``factored_term``."""
     factors = []
-    for mono, mult in ch.items():
-        form = weight_form(mono)
+    for p, q in pairs:
+        form = weight_form((p, q, e))
         if form.is_zero():
-            raise VanishingWeight(f"zero weight for monomial {mono}")
-        factors.append((form, mult))
+            raise VanishingWeight(f"zero weight for monomial {(p, q, e)}")
+        factors.append((form, 1))
     return factored_term(1, factors)
 
 
-def _merged_matter(ch, r):
+def _merged_matter(pairs, e, r):
     return factored_term(
-        1, [(mass_shifted_weight(mono, f), mult) for f in range(1, 2 * r + 1) for mono, mult in ch.items()]
+        1, [(mass_shifted_weight((p, q, e), f), 1) for f in range(1, 2 * r + 1) for p, q in pairs]
     )
 
 
@@ -154,12 +197,10 @@ def _merged_pow(t, n):
     return factored_term(t.scalar ** n, [(form, exp * n) for form, exp in t.factors])
 
 
-_MONOMIALS = st.tuples(
-    st.integers(-3, 3),
-    st.integers(-3, 3),
-    st.sampled_from([(), ((1, 1),), ((2, 1),), ((1, -1), (2, 1)), ((1, 1), (3, -1))]),
+_E_PARTS = st.sampled_from([(), ((1, 1),), ((2, 1),), ((1, -1), (2, 1)), ((1, 1), (3, -1))])
+_PIECES = st.tuples(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=10), _E_PARTS
 )
-_CHARACTERS = st.dictionaries(_MONOMIALS, st.integers(-2, 3), max_size=8).map(Counter)
 
 
 def _same_piece(piece, expected):
@@ -170,31 +211,34 @@ def _same_piece(piece, expected):
 
 
 class TestDirectCanonicalBuild:
-    """euler_class, matter_euler and _tangent_piece build their factors
-    in build order without merging, since distinct monomials have
-    distinct forms; they hold the factor multiset of the merge through
-    ``factored_term``, zero multiplicities dropped, with or without a memo
-    shared across calls."""
+    """euler_class, matter_euler and _tangent_piece merge a piece's equal
+    pairs once and build one factor per distinct monomial, without the
+    merge of ``factored_term``, since distinct monomials have distinct
+    forms; they hold the factor multiset of that merge, with or without a
+    memo shared across calls and e-parts, and every piece's scalar is the
+    shared ``ONE``."""
 
     @settings(max_examples=150, deadline=None)
-    @given(chars=st.lists(_CHARACTERS, min_size=1, max_size=4), r=st.integers(1, 3))
-    @example(chars=[Counter({(1, 0, ()): 0, (0, 1, ()): 2, (1, 1, ((1, 1),)): -1})], r=1)
-    @example(chars=[Counter({(0, 0, ()): 0, (1, 0, ()): 1})], r=2)
-    def test_equal_to_the_merged_build(self, chars, r):
+    @given(pieces=st.lists(_PIECES, min_size=1, max_size=4), r=st.integers(1, 3))
+    @example(pieces=[([(1, 0), (0, 1), (0, 1), (1, 1)], ((1, 1),))], r=1)
+    @example(pieces=[([(0, 0), (1, 0)], ())], r=2)
+    def test_equal_to_the_merged_build(self, pieces, r):
         weights, masses = {}, {}
-        for ch in chars:
-            assert _same_piece(matter_euler(ch, r), _merged_matter(ch, r))
-            assert _same_piece(matter_euler(ch, r, masses), _merged_matter(ch, r))
-            if (0, 0, ()) in ch:
+        for pairs, e in pieces:
+            for memo in (None, masses):
+                got = matter_euler(pairs, e, r, memo)
+                assert got.scalar is ONE and _same_piece(got, _merged_matter(pairs, e, r))
+            if e == () and (0, 0) in pairs:
                 for build in (euler_class, _tangent_piece):
                     with pytest.raises(VanishingWeight):
-                        build(ch)
+                        build(pairs, e)
                 continue
-            expected = _merged_euler(ch)
-            assert _same_piece(euler_class(ch), expected)
-            assert _same_piece(euler_class(ch, weights), expected)
-            assert _same_piece(_tangent_piece(ch), _merged_pow(expected, -1))
-            assert _same_piece(_tangent_piece(ch, weights), _merged_pow(expected, -1))
+            expected = _merged_euler(pairs, e)
+            for memo in (None, weights):
+                got = euler_class(pairs, e, memo)
+                assert got.scalar is ONE and _same_piece(got, expected)
+                got = _tangent_piece(pairs, e, memo)
+                assert got.scalar is ONE and _same_piece(got, _merged_pow(expected, -1))
 
 
 class TestPlaneTerms:
@@ -233,7 +277,7 @@ class TestOrbifoldTerms:
         frame = FrameData(1, 0)
         (fp,) = enum_fixed_points_x0(frame, 1, 0)
         got = term_x0(frame, fp, FactorTable())
-        assert merged(got).factors == matter_euler(counted(mono_t(0, 0, {1: 1})), 1).factors
+        assert merged(got).factors == matter_euler([(0, 0)], slot_part(1), 1).factors
 
     def test_two_box_pair(self):
         frame = FrameData(1, 0)
@@ -333,7 +377,7 @@ class TestEllFactor:
                         for p, q, _ in char_lk(kvec[b] - kvec[a]):
                             den[mono_t(p, q, e)] += 1
                 expected = term_mul(
-                    matter_euler(num, frame.r), term_pow(euler_class(den), -1)
+                    ref_matter_euler(num, frame.r), term_pow(ref_euler_class(den), -1)
                 )
                 assert merged(ell_factor(frame, kvec, FactorTable())) == merged(expected)
 
@@ -412,3 +456,86 @@ class TestSharedFactorTable:
         for fp in fps:
             term_x1(frame, fp, table)
         assert len(table.pieces) < len(fps) * (2 + 4) * 3
+
+
+_DIAGRAMS = [y for n in range(7) for y in partitions(n)]
+
+
+class TestPiecesAgainstReferences:
+    """Each engine piece -- a builder's (p, q) pairs with the e-part passed
+    once, merged and read through a shared form memo -- equals the piece
+    the ``Counter`` API built (``ref_`` builders and Euler classes), factor
+    for factor and in the same order: the pairs' first-seen order is the
+    monomials' first-seen order.  Factor order fixes the kernel's slots
+    and pole-form order, so this pins them."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        w=st.sampled_from(FRAMES),
+        ya=st.sampled_from(_DIAGRAMS),
+        yb=st.sampled_from(_DIAGRAMS),
+        delta=st.integers(-4, 4),
+    )
+    @example(w=(1, 0), ya=(3, 2, 1), yb=(3, 2, 1), delta=0)
+    @example(w=(2, 1), ya=(2, 2, 1, 1), yb=(4, 1), delta=-3)
+    def test_pieces_equal_the_counter_pieces(self, w, ya, yb, delta):
+        frame = FrameData(*w)
+        r = frame.r
+        table = FactorTable()
+        for alpha in range(1, r + 1):
+            e = slot_part(alpha)
+            matter = [
+                (char_v_p2(ya), ref_char_v_p2(alpha, ya)),
+                (char_twist(delta), ref_char_v_twist(alpha, delta, 0)),
+            ]
+            for s in (0, 1):
+                matter.append((char_v_x0(frame, alpha, ya, s), ref_char_v_x0(frame, alpha, ya, s)))
+                for chart in CHART_MATRICES:
+                    matter.append(
+                        (char_v_x1(delta, chart, ya, s), ref_char_v_x1(alpha, delta, chart, ya, s))
+                    )
+            for pairs, ch in matter:
+                expected = ref_matter_euler(ch, r)
+                assert matter_euler(pairs, e, r, table.masses) == expected
+                assert matter_euler(pairs, e, r) == expected
+            for beta in range(1, r + 1):
+                e = ratio_part(alpha, beta)
+                tangent = [
+                    (char_tangent_p2(ya, yb), ref_char_tangent_p2(alpha, beta, ya, yb)),
+                    (char_tangent_x0(frame, alpha, beta, ya, yb),
+                     ref_char_tangent_x0(frame, alpha, beta, ya, yb)),
+                    (char_twist(delta), ref_char_tangent_twist(alpha, beta, delta)),
+                ]
+                for chart in CHART_MATRICES:
+                    tangent.append((
+                        char_tangent_x1(delta, chart, ya, yb),
+                        ref_char_tangent_x1(alpha, beta, delta, chart, ya, yb),
+                    ))
+                for pairs, ch in tangent:
+                    if e == () and (0, 0, ()) in ch:
+                        with pytest.raises(VanishingWeight):
+                            euler_class(pairs, e, table.weights)
+                        continue
+                    expected = ref_euler_class(ch)
+                    assert euler_class(pairs, e, table.weights) == expected
+                    assert euler_class(pairs, e) == expected
+                    assert _tangent_piece(pairs, e, table.weights) == term_pow(expected, -1)
+
+    def test_orbifold_pieces_repeat_weights(self):
+        """zx0 at w = (1, 0), k = 0, max-n 8 (diagrams up to 16 boxes) has
+        tangent pieces whose pairs repeat, so the merge is exercised where
+        the golden pin of that series runs."""
+        frame = FrameData(1, 0)
+        table = FactorTable()
+        repeated = 0
+        for v0 in range(9):
+            for fp in enum_fixed_points_x0(frame, v0, v0):
+                (y,) = fp.diagrams
+                pairs = char_tangent_x0(frame, 1, 1, y, y)
+                repeated += len(set(pairs)) < len(pairs)
+                term_x0(frame, fp, table)
+        # 434 fixed points, each with a matter and a tangent piece; only
+        # the empty diagram's two are units
+        assert sum(bool(piece.factors) for piece in table.pieces.values()) == 866
+        assert repeated == 303
+        assert min(exp for piece in table.pieces.values() for _, exp in piece.factors) < -1

@@ -1,13 +1,19 @@
 """Whole-fixed-point characters and localization terms, as test references.
 
 The engine builds a fixed point's characters one framing slot or slot
-pair at a time (``nekrasov.characters``) and its term as the product of
-pieces cached per slot and slot pair (``nekrasov.localization``).  The
-helpers here sum a fixed point's pieces into its whole tautological and
-tangent characters, and build its term the direct way: one matter Euler
+pair at a time (``nekrasov.characters``), each piece a list of (p, q)
+pairs sharing one e-part, and its term as the product of pieces cached
+per slot and slot pair (``nekrasov.localization``).  The helpers here
+give each engine piece its e-part, sum a fixed point's pieces into its
+whole tautological and tangent characters, each a ``Counter`` of
+(p, q, e) monomials, and build its term the direct way: one matter Euler
 class of the whole tautological character, one Euler class of the whole
 tangent character, then num * den^-1, merged into one canonical
-``FactoredTerm``.  ``merged`` gives any term, product or not, that
+``FactoredTerm``.  The ``ref_`` helpers are the piece builders and Euler
+classes the way the engine wrote them while a character was a
+``Counter`` of monomials, each carrying its e-part: the characters from
+the box-by-box definitions, the Euler classes monomial by monomial, so a
+piece's factors come in its monomials' first-seen order.  ``merged`` gives any term, product or not, that
 canonical form, so a product term is compared with the reference through
 it.  The box-by-box definitions of arms, legs and the Z2-degree, which
 the engine's builders inline, are the references for the characters,
@@ -30,17 +36,22 @@ from math import isqrt, prod
 
 from nekrasov.characters import (
     char_tangent_p2,
-    char_tangent_twist,
     char_tangent_x0,
     char_tangent_x1,
+    char_twist,
     char_v_p2,
-    char_v_twist,
     char_v_x0,
     char_v_x1,
 )
 from nekrasov.diagrams import FixedPointX0, HalfInt, ParityError, boxes, transpose
-from nekrasov.exact import factored_term, term_mul, term_pow
-from nekrasov.localization import euler_class, matter_euler
+from nekrasov.exact import ONE, FactoredTerm, factored_term, term_mul, term_pow
+from nekrasov.localization import (
+    VanishingWeight,
+    mass_shifted_weight,
+    ratio_part,
+    slot_part,
+    weight_form,
+)
 from nekrasov.series import QSeries, _binomial_poly, prefactor_exponent
 
 
@@ -92,6 +103,11 @@ def merged(t):
     )
 
 
+def with_e(pairs, e) -> Counter:
+    """An engine piece as a character: each (p, q) pair times the e-part."""
+    return Counter((p, q, e) for p, q in pairs)
+
+
 def _sum(pieces) -> Counter:
     total = Counter()
     for piece in pieces:
@@ -104,33 +120,37 @@ def _slot_pairs(r):
 
 
 def whole_v_p2(diagrams) -> Counter:
-    return _sum(char_v_p2(a, y) for a, y in enumerate(diagrams, start=1))
+    return _sum(with_e(char_v_p2(y), slot_part(a)) for a, y in enumerate(diagrams, start=1))
 
 
 def whole_v_x0(frame, fp, s) -> Counter:
-    return _sum(char_v_x0(frame, a, y, s) for a, y in enumerate(fp.diagrams, start=1))
+    return _sum(
+        with_e(char_v_x0(frame, a, y, s), slot_part(a)) for a, y in enumerate(fp.diagrams, start=1)
+    )
 
 
 def whole_v_x1(frame, fp, s) -> Counter:
     pieces = []
     for a in range(1, frame.r + 1):
         d = fp.kvec[a - 1].doubled
-        pieces.append(char_v_twist(a, d, s))
-        pieces.append(char_v_x1(a, d, 1, fp.y1[a - 1], s))
-        pieces.append(char_v_x1(a, d, 2, fp.y2[a - 1], s))
+        pieces.append(with_e(char_twist(d + s), slot_part(a)))
+        pieces.append(with_e(char_v_x1(d, 1, fp.y1[a - 1], s), slot_part(a)))
+        pieces.append(with_e(char_v_x1(d, 2, fp.y2[a - 1], s), slot_part(a)))
     return _sum(pieces)
 
 
 def whole_tangent_p2(r, diagrams) -> Counter:
     return _sum(
-        char_tangent_p2(a, b, diagrams[a - 1], diagrams[b - 1]) for a, b in _slot_pairs(r)
+        with_e(char_tangent_p2(diagrams[a - 1], diagrams[b - 1]), ratio_part(a, b))
+        for a, b in _slot_pairs(r)
     )
 
 
 def whole_tangent_x0(frame, fp) -> Counter:
     ys = fp.diagrams
     return _sum(
-        char_tangent_x0(frame, a, b, ys[a - 1], ys[b - 1]) for a, b in _slot_pairs(frame.r)
+        with_e(char_tangent_x0(frame, a, b, ys[a - 1], ys[b - 1]), ratio_part(a, b))
+        for a, b in _slot_pairs(frame.r)
     )
 
 
@@ -138,9 +158,10 @@ def whole_tangent_x1(frame, fp) -> Counter:
     pieces = []
     for a, b in _slot_pairs(frame.r):
         delta = fp.kvec[b - 1].doubled - fp.kvec[a - 1].doubled
-        pieces.append(char_tangent_twist(a, b, delta))
-        pieces.append(char_tangent_x1(a, b, delta, 1, fp.y1[a - 1], fp.y1[b - 1]))
-        pieces.append(char_tangent_x1(a, b, delta, 2, fp.y2[a - 1], fp.y2[b - 1]))
+        e = ratio_part(a, b)
+        pieces.append(with_e(char_twist(delta), e))
+        pieces.append(with_e(char_tangent_x1(delta, 1, fp.y1[a - 1], fp.y1[b - 1]), e))
+        pieces.append(with_e(char_tangent_x1(delta, 2, fp.y2[a - 1], fp.y2[b - 1]), e))
     return _sum(pieces)
 
 
@@ -149,18 +170,115 @@ def _quotient(num, den):
 
 
 def reference_term_p2(r, diagrams):
-    num = matter_euler(whole_v_p2(diagrams), r)
-    return _quotient(num, euler_class(whole_tangent_p2(r, diagrams)))
+    num = ref_matter_euler(whole_v_p2(diagrams), r)
+    return _quotient(num, ref_euler_class(whole_tangent_p2(r, diagrams)))
 
 
 def reference_term_x0(frame, fp):
-    num = matter_euler(whole_v_x0(frame, fp, 0), frame.r)
-    return _quotient(num, euler_class(whole_tangent_x0(frame, fp)))
+    num = ref_matter_euler(whole_v_x0(frame, fp, 0), frame.r)
+    return _quotient(num, ref_euler_class(whole_tangent_x0(frame, fp)))
 
 
 def reference_term_x1(frame, fp):
-    num = matter_euler(whole_v_x1(frame, fp, 0), frame.r)
-    return _quotient(num, euler_class(whole_tangent_x1(frame, fp)))
+    num = ref_matter_euler(whole_v_x1(frame, fp, 0), frame.r)
+    return _quotient(num, ref_euler_class(whole_tangent_x1(frame, fp)))
+
+
+def _mono(p, q, e) -> tuple:
+    """t1^p t2^q times prod e_alpha^c over e's (alpha, c), zero c dropped."""
+    return (p, q, tuple(sorted((alpha, c) for alpha, c in e.items() if c)))
+
+
+def _ratio(alpha, beta) -> dict:
+    return {beta: 1, alpha: -1} if alpha != beta else {}
+
+
+def ref_char_v_p2(alpha, diagram) -> Counter:
+    """Tautological fiber of slot alpha on the plane: e_alpha t1^(1-i)
+    t2^(1-j) per box."""
+    return Counter(_mono(1 - i, 1 - j, {alpha: 1}) for i, j in boxes(diagram))
+
+
+def ref_char_v_x0(frame, alpha, diagram, s) -> Counter:
+    """The degree-s part of slot alpha's plane fiber."""
+    return degree_part(ref_char_v_p2(alpha, diagram), frame, s)
+
+
+def ref_char_v_twist(alpha, d, s) -> Counter:
+    """e_alpha times the twist character with doubled index d + s."""
+    return Counter(_mono(p, q, {alpha: 1}) for p, q, _ in char_lk(HalfInt(d + s)).elements())
+
+
+def ref_char_v_x1(alpha, d, chart, diagram, s) -> Counter:
+    """Chart piece of slot alpha's resolved fiber, k_alpha = d/2: per box
+    (i, j), t1^(2(k - i + 1 + s/2)) (t2/t1)^(1-j) in the first chart and
+    its mirror in the second."""
+    if chart == 1:
+        return Counter(_mono(d - 2 * i + j + s + 1, 1 - j, {alpha: 1}) for i, j in boxes(diagram))
+    return Counter(_mono(1 - i, d - 2 * j + i + s + 1, {alpha: 1}) for i, j in boxes(diagram))
+
+
+def defined_pair_weights(ya, yb) -> list:
+    """The arm/leg pair weights box by box, each arm and leg measured by
+    its definition (one transpose per leg)."""
+    out = [(-leg_in(yb, i, j), arm_in(ya, i, j) + 1) for i, j in boxes(ya)]
+    out += [(leg_in(ya, i, j) + 1, -arm_in(yb, i, j)) for i, j in boxes(yb)]
+    return out
+
+
+def ref_char_tangent_p2(alpha, beta, ya, yb) -> Counter:
+    """e_beta/e_alpha times the arm/leg pair character, box by box."""
+    e = _ratio(alpha, beta)
+    return Counter(_mono(p, q, e) for p, q in defined_pair_weights(ya, yb))
+
+
+def ref_char_tangent_x0(frame, alpha, beta, ya, yb) -> Counter:
+    """The Z2-invariant part of the plane pair character."""
+    return degree_part(ref_char_tangent_p2(alpha, beta, ya, yb), frame, 0)
+
+
+def ref_char_tangent_twist(alpha, beta, delta) -> Counter:
+    """e_beta/e_alpha times the twist character with doubled index delta."""
+    e = _ratio(alpha, beta)
+    return Counter(_mono(p, q, e) for p, q, _ in char_lk(HalfInt(delta)).elements())
+
+
+CHART_MATRICES = {1: ((2, -1), (0, 1)), 2: ((1, 0), (-1, 2))}
+
+
+def ref_char_tangent_x1(alpha, beta, delta, chart, ya, yb) -> Counter:
+    """The plane pair character with the chart's exponent matrix applied
+    and shifted by t_chart^delta."""
+    (a, b), (c, d) = CHART_MATRICES[chart]
+    shift = (delta, 0) if chart == 1 else (0, delta)
+    out = Counter()
+    for (p, q, e), n in ref_char_tangent_p2(alpha, beta, ya, yb).items():
+        out[(a * p + b * q + shift[0], c * p + d * q + shift[1], e)] += n
+    return out
+
+
+def ref_euler_class(ch) -> FactoredTerm:
+    """Product of the weights of a character's monomials, each to its
+    multiplicity, in the character's order; a zero multiplicity drops its
+    factor."""
+    factors = []
+    for mono, mult in ch.items():
+        form = weight_form(mono)
+        if form.is_zero():
+            raise VanishingWeight(f"zero weight for monomial {mono}")
+        if mult:
+            factors.append((form, mult))
+    return FactoredTerm(ONE, tuple(factors))
+
+
+def ref_matter_euler(ch, r) -> FactoredTerm:
+    """For each monomial in the character's order and each of the 2r
+    masses, its mass-shifted weight to the monomial's multiplicity."""
+    factors = []
+    for mono, mult in ch.items():
+        if mult:
+            factors.extend((mass_shifted_weight(mono, f), mult) for f in range(1, 2 * r + 1))
+    return FactoredTerm(ONE, tuple(factors))
 
 
 def char_rank(ch) -> int:
