@@ -36,12 +36,15 @@ once (see ``localization``):
 
 A slot pair's arms and legs are read by index off one transpose of each
 diagram (``_pair_weights``).  An orbifold piece keeps its Z2-degree-s
-part with one parity test per weight, p + q + c = s mod 2, where c is the
-constant color offset of its e-part: color(alpha) for a slot's e_alpha,
-color(alpha) + color(beta) for a slot pair's e_beta/e_alpha (t1, t2 and
-the color-1 framing characters are odd).  ``localization`` merges a
-piece's repeated pairs and turns each distinct (e-part, pair) into a
-linear form once per series build.
+part, the weights with p + q + c = s mod 2, where c is the constant color
+offset of its e-part: color(alpha) for a slot's e_alpha, color(alpha) +
+color(beta) for a slot pair's e_beta/e_alpha (t1, t2 and the color-1
+framing characters are odd).  A slot's fiber steps over every other row
+of each column; a slot pair tests each weight's parity once, and for
+Y_alpha = Y_beta tests only the first half, whose mirror (1 - p, 1 - q)
+has the same parity.  ``localization`` merges a piece's repeated pairs
+and turns each distinct (e-part, pair) into a linear form once per
+series build.
 """
 
 from __future__ import annotations

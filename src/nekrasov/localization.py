@@ -171,7 +171,7 @@ class _MassForms(dict):
         return shifted
 
 
-def euler_class(weights: list, e: tuple = (), forms: dict | None = None) -> FactoredTerm:
+def euler_class(weights: list, e: tuple, forms: dict | None = None) -> FactoredTerm:
     """Product of the weights of a character piece: its (p, q) pairs, all
     with e-part e; no pairs give 1.  `forms` is a memo from e-part to its
     weight forms by pair: a monomial met before reuses its form object.

@@ -121,12 +121,12 @@ class TestEulerClass:
         assert got == factored_term(1, [(linear_form({EPS1: 1, EPS2: 1, var_a(1): 1}), 1)])
 
     def test_empty_is_unit(self):
-        assert euler_class([]) == UNIT_TERM
+        assert euler_class([], ()) == UNIT_TERM
         assert euler_class([], ratio_part(1, 2)).scalar is ONE
 
     def test_constant_monomial_vanishes(self):
         with pytest.raises(VanishingWeight):
-            euler_class([(0, 0)])
+            euler_class([(0, 0)], ())
         with pytest.raises(VanishingWeight):
             euler_class([(1, 0), (0, 0)], (), {})
 
@@ -139,7 +139,7 @@ class TestEulerClass:
         assert merged(lhs) == merged(rhs)
 
     def test_repeated_pairs_are_merged_in_first_seen_order(self):
-        got = euler_class([(0, 1), (1, 1), (0, 1), (2, -1), (1, 1), (0, 1)])
+        got = euler_class([(0, 1), (1, 1), (0, 1), (2, -1), (1, 1), (0, 1)], ())
         assert got == FactoredTerm(ONE, (
             (linear_form({EPS2: 1}), 3),
             (linear_form({EPS1: 1, EPS2: 1}), 2),
