@@ -339,10 +339,17 @@ class TestDegree:
 
 def test_diagonal_pair_weights_equal_their_definition_to_size_8():
     """For Y_a = Y_b, _pair_weights reads the second half off the first,
-    as (1 - p, 1 - q); it equals the box-by-box definition."""
+    as (1 - p, 1 - q), and char_tangent_x0 filters only the first half by
+    parity and mirrors it; both equal the box-by-box definition, at color
+    offsets 0 and 1."""
+    frame = FrameData(1, 1)
     for n in range(9):
         for diagram in partitions(n):
-            assert _pair_weights(diagram, diagram) == defined_pair_weights(diagram, diagram)
+            defined = defined_pair_weights(diagram, diagram)
+            assert _pair_weights(diagram, diagram) == defined
+            for beta, c in ((1, 0), (2, 1)):
+                expected = [(p, q) for p, q in defined if (p + q + c) % 2 == 0]
+                assert char_tangent_x0(frame, 1, beta, diagram, diagram) == expected
 
 
 _DIAGRAMS = [y for n in range(7) for y in partitions(n)]
