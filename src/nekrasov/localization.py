@@ -136,71 +136,45 @@ def _multiplicities(weights: list) -> dict:
     return mults
 
 
-class _WeightForms(dict):
-    """Weight forms of the monomials with one e-part, keyed by (p, q); a
-    missing one is made on first read, so each is made once per build."""
-
-    __slots__ = ("e",)
-
-    def __init__(self, e: tuple) -> None:
-        super().__init__()
-        self.e = e
-
-    def __missing__(self, w: tuple) -> LinearForm:
-        mono = (*w, self.e)
-        form = weight_form(mono)
-        if form.is_zero():
-            raise VanishingWeight(f"zero weight for monomial {mono}")
-        self[w] = form
-        return form
-
-
-class _MassForms(dict):
-    """The 2r mass-shifted forms of each monomial with one e-part, keyed by
-    (p, q) and made on first read."""
-
-    __slots__ = ("e", "r")
-
-    def __init__(self, e: tuple, r: int) -> None:
-        super().__init__()
-        self.e, self.r = e, r
-
-    def __missing__(self, w: tuple) -> tuple:
-        mono = (*w, self.e)
-        shifted = self[w] = tuple([mass_shifted_weight(mono, f) for f in range(1, 2 * self.r + 1)])
-        return shifted
-
-
 def euler_class(weights: list, e: tuple, forms: dict | None = None) -> FactoredTerm:
     """Product of the weights of a character piece: its (p, q) pairs, all
-    with e-part e; no pairs give 1.  `forms` is a memo from e-part to its
-    weight forms by pair: a monomial met before reuses its form object.
-    Equal pairs are merged into one factor, whose exponent is their count;
-    distinct monomials have distinct weights, so the factors need no
-    further merge and stay in first-seen order."""
-    memo = forms.get(e) if forms is not None else None
-    if memo is None:
-        memo = _WeightForms(e)
-        if forms is not None:
-            forms[e] = memo
-    return FactoredTerm(ONE, tuple([(memo[w], m) for w, m in _multiplicities(weights).items()]))
+    with e-part e; no pairs give 1.  `forms` is a memo from e-part to a
+    dict from pair to weight form: a monomial met before reuses its form
+    object.  Equal pairs are merged into one factor, whose exponent is
+    their count; distinct monomials have distinct weights, so the factors
+    need no further merge and stay in first-seen order."""
+    memo = {} if forms is None else forms.setdefault(e, {})
+    factors = []
+    for w, mult in _multiplicities(weights).items():
+        form = memo.get(w)
+        if form is None:
+            mono = (*w, e)
+            form = weight_form(mono)
+            if form.is_zero():
+                raise VanishingWeight(f"zero weight for monomial {mono}")
+            memo[w] = form
+        factors.append((form, mult))
+    return FactoredTerm(ONE, tuple(factors))
 
 
 def matter_euler(weights: list, e: tuple, r: int, forms: dict | None = None) -> FactoredTerm:
     """Euler class of the matter bundle over a tautological piece, its
     (p, q) pairs all with e-part e: for each of the 2r masses, the product
     of mass-shifted weights.  Every factor carries m_f with coefficient 1,
-    so none can vanish.  `forms` is a memo from e-part to its 2r
-    mass-shifted forms by pair, for one r.  Equal pairs are merged as in
+    so none can vanish.  `forms` is a memo from e-part to a dict from pair
+    to its 2r mass-shifted forms, for one r.  Equal pairs are merged as in
     ``euler_class``; each (monomial, f) gives a distinct form, so the
     factors need no further merge and stay in build order."""
-    memo = forms.get(e) if forms is not None else None
-    if memo is None:
-        memo = _MassForms(e, r)
-        if forms is not None:
-            forms[e] = memo
-    mults = _multiplicities(weights)
-    return FactoredTerm(ONE, tuple([(form, m) for w, m in mults.items() for form in memo[w]]))
+    memo = {} if forms is None else forms.setdefault(e, {})
+    factors = []
+    for w, mult in _multiplicities(weights).items():
+        shifted = memo.get(w)
+        if shifted is None:
+            mono = (*w, e)
+            shifted = memo[w] = tuple([mass_shifted_weight(mono, f) for f in range(1, 2 * r + 1)])
+        for form in shifted:
+            factors.append((form, mult))
+    return FactoredTerm(ONE, tuple(factors))
 
 
 def _tangent_piece(weights: list, e: tuple, forms: dict | None = None) -> FactoredTerm:
