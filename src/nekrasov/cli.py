@@ -18,10 +18,10 @@ avoid the series' denominator forms, and reads values off the pair.
 interface stability, but evaluation is sequential either way, so output
 is byte-identical for any thread count.  The count is a no-op: each
 series is compiled once into an integer kernel and evaluated at two
-points per trial.  In ``check all`` evaluation is 48-49% of the wall
-time at w = (1,0) max-n 16 and 62-65% at w = (1,2) and (3,0) max-n 6,
-compiling 14% and 10-11%, and series construction, which a pool over
-trials cannot share out, the rest, 38% and 24-27% (2-core x86-64 VM,
+points per trial.  In ``check all`` evaluation is 47-55% of the wall
+time at w = (1,0) max-n 16 and 58-70% at w = (1,2) and (3,0) max-n 6,
+compiling 11-13% and 10-12%, and series construction, which a pool over
+trials cannot share out, the rest, 34-40% and 20-30% (2-core x86-64 VM,
 Python 3.11, four runs per cell in a process each, timing every kernel
 compile and evaluation in-process).
 
