@@ -58,10 +58,8 @@ def char_twist(d: int) -> list[tuple[int, int]]:
     mod 2; for d < -1 the mirror family t1^(-i) t2^(-j) with |d| in place
     of d; none otherwise."""
     bound = abs(d) - 2
-    sign = 1 if d > 0 else -1
-    shift = 1 if d > 0 else 0
     return [
-        (sign * i + shift, sign * j + shift)
+        (i + 1, j + 1) if d > 0 else (-i, -j)
         for i in range(bound + 1)
         for j in range(bound + 1 - i)
         if (i + j - d) % 2 == 0
@@ -79,7 +77,9 @@ def char_v_p2(diagram: YoungDiagram) -> list[tuple[int, int]]:
     return [(1 - i, 1 - j) for i, j in boxes(diagram)]
 
 
-def char_v_x0(frame: FrameData, alpha: int, diagram: YoungDiagram, s: int) -> list[tuple[int, int]]:
+def char_v_x0(
+    frame: FrameData, alpha: int, diagram: YoungDiagram, s: int
+) -> list[tuple[int, int]]:
     """Degree-s part of slot alpha's plane tautological fiber, at an
     orbifold point: the boxes whose monomial t1^p t2^q e_alpha has
     p + q + color(alpha) = s mod 2."""
