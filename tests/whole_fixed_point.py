@@ -9,16 +9,16 @@ whole tautological and tangent characters, each a ``Counter`` of
 (p, q, e) monomials, and build its term the direct way: one matter Euler
 class of the whole tautological character, one Euler class of the whole
 tangent character, then num * den^-1, merged into one canonical
-``FactoredTerm``.  The ``ref_`` helpers are the piece builders and Euler
-classes the way the engine wrote them while a character was a
-``Counter`` of monomials, each carrying its e-part: the characters from
-the box-by-box definitions, the Euler classes monomial by monomial, so a
-piece's factors come in its monomials' first-seen order.  ``merged`` gives any term, product or not, that
+``FactoredTerm``.  ``merged`` gives any term, product or not, that
 canonical form, so a product term is compared with the reference through
 it.  The box-by-box definitions of arms, legs and the Z2-degree, which
 the engine's builders inline, are the references for the characters,
 and ``char_lk`` is the line-bundle twist character written from its
-definition.  The last helpers read quantities only tests need, and read
+definition.  The ``ref_`` helpers are the piece builders and Euler
+classes the way the engine wrote them while a character was a
+``Counter`` of monomials, each carrying its e-part: the characters from
+those definitions, the Euler classes monomial by monomial, so a piece's
+factors come in its monomials' first-seen order.  The last helpers read quantities only tests need, and read
 a coefficient's degree and denominator forms off its pieces directly, as
 references for what ``exact.Kernel`` records while it compiles.
 ``reference_prefactor`` is (1 - (-1)^r q)^(+-u) built the way the engine
