@@ -195,7 +195,7 @@ def _request(parser: argparse.ArgumentParser, args) -> tuple[SeriesPair, SampleC
 def _cmd_compute(parser: argparse.ArgumentParser, args) -> int:
     pair, cfg = _request(parser, args)
     frame = pair.key[0]
-    series = pair.series(args.target)
+    span = pair.grades(args.target)
     points, resamples = sample_points(cfg, pair.pole_forms(args.target), frame.r)
     values = [pair.values(args.target, p) for p in points]
     grades = [
@@ -204,14 +204,14 @@ def _cmd_compute(parser: argparse.ArgumentParser, args) -> int:
             "n": format_rational(Fraction(g, 4)),
             "values": [format_rational(v[g]) for v in values],
         }
-        for g in series.grades()
+        for g in span
     ]
     payload = {
         "series": args.target,
         "w": [frame.w0, frame.w1],
         "k": str(args.k),
-        "max_4n": series.max_grade,
-        "grade_offset": series.offset,
+        "max_4n": span[-1],
+        "grade_offset": span.start,
         "seed": cfg.seed,
         "trials": cfg.trials,
         "points": [
@@ -226,7 +226,7 @@ def _cmd_compute(parser: argparse.ArgumentParser, args) -> int:
         return 0
     print(
         f"series={args.target} w=({frame.w0},{frame.w1}) k={args.k} "
-        f"max_4n={series.max_grade} grade_offset={series.offset} "
+        f"max_4n={span[-1]} grade_offset={span.start} "
         f"seed={cfg.seed} trials={cfg.trials}"
     )
     for trial, point in enumerate(points):

@@ -33,7 +33,9 @@ form's hash is computed once, when it is made.
 Scalars and sample-point values are ``fractions.Fraction``.  Evaluation
 works in ints through a `Kernel`, compiled once from a list of
 coefficients by the one walk over their pieces, which also records the
-forms a sample point must avoid and each coefficient's degree.  At a
+forms a sample point must avoid, each one's exponent for the pole
+message, and each coefficient's degree; the kernel keeps no piece, so
+the coefficients may be freed once it is compiled.  At a
 point it takes one int dot product per distinct form, one ``math.prod``
 per distinct factor set and per term side of more than one ref, adds
 each coefficient's terms as int fractions and makes one ``Fraction`` per
@@ -45,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping
 
@@ -423,18 +424,22 @@ def coeff_eval(c: Coefficient, point: Mapping[Var, Fraction]) -> Fraction:
 class Kernel:
     """Coefficients compiled for integer evaluation.
 
-    `pieces` holds each distinct piece once, by identity, and `forms` each
-    distinct form once, by value: equal forms share one slot.  At a
-    point ref 0 reads 1, ref i + 1 the value of forms[i], and ref -(k + 1)
-    the product of sets[k].  A piece compiles to one ref per side and its
-    degree.  A side's factor set is (constant, the sorted refs of its
-    forms, each repeated by its exponent), the constant being the scalar's
-    numerator or denominator.  With constant 1, an empty set is ref 0 and
-    a one-form set that form's ref; any other set is an entry of `sets`,
-    shared by the equal sets of its side across the kernel.  A term
-    compiles to its pieces' nonzero refs per side (a plain ref if at most
-    one, 0 for none) and its degree; a term with a zero-scalar piece is
-    dropped before any of its pieces is compiled.
+    Each distinct piece, by identity, is compiled once, and `forms` holds
+    each distinct form once, by value: equal forms share one slot.  A
+    piece is known by its id, which is unique only while the piece is
+    alive, so the compile holds every piece it has indexed until it
+    returns: the coefficients may come from a generator that frees them,
+    and a freed piece's id may be reused by a new one.  The kernel keeps
+    no piece.  At a point ref 0 reads 1, ref i + 1 the value of forms[i],
+    and ref -(k + 1) the product of sets[k].  A piece compiles to one ref
+    per side and its degree.  A side's factor set is (constant, the
+    sorted refs of its forms, each repeated by its exponent), the
+    constant being the scalar's numerator or denominator.  With constant
+    1, an empty set is ref 0 and a one-form set that form's ref; any other
+    set is an entry of `sets`, shared by the equal sets of its side across
+    the kernel.  A term compiles to its pieces' nonzero refs per side (a
+    plain ref if at most one, 0 for none) and its degree; a term with a
+    zero-scalar piece is dropped before any of its pieces is compiled.
 
     With L the lcm of the forms' denominators, a form (sum n_i v_i) / q
     reads L D times its value, (L / q) sum n_i ints_i, at a point scaled
@@ -445,25 +450,24 @@ class Kernel:
 
     The compile also records `pole_forms`, the distinct forms with a
     negative exponent in some compiled piece in first-seen order (those
-    whose zero makes `evaluate` raise PoleError), and `degrees`, one per
+    whose zero makes `evaluate` raise PoleError, which names the form's
+    exponent in the first piece that holds it), and `degrees`, one per
     coefficient: the degree its kept terms share, 0 for none, or None
     when they differ.  Forms have no constant part, so a coefficient of
     one degree d takes (-1)^d times its value at p at the point -p."""
 
-    __slots__ = (
-        "forms", "pieces", "sets", "pole_forms", "degrees", "_den", "_dots", "_poles", "_coeffs"
-    )
+    __slots__ = ("forms", "sets", "pole_forms", "degrees", "_den", "_dots", "_poles", "_coeffs")
 
     def __init__(self, coefficients: Iterable[Coefficient]) -> None:
         slots: dict[LinearForm, int] = {}  # equal forms share one ref
         num_sets: dict[tuple, int] = {}  # equal numerator sets share one ref
         den_sets: dict[tuple, int] = {}  # and equal denominator sets
-        index: dict[int, tuple] = {}  # id(piece) -> its compiled piece; self.pieces holds it
-        poles: list[list[int]] = []  # each compiled piece's denominator refs
+        index: dict[int, tuple] = {}  # id(piece) -> its compiled piece
+        held: list[FactoredTerm] = []  # every indexed piece, so no id is reused
+        poles: dict[int, int] = {}  # denominator ref -> exponent in its first piece
         forms: list[LinearForm] = []
         products: list[tuple[int, tuple[int, ...]]] = []
         self.forms, self.sets = forms, products
-        self.pieces: list[FactoredTerm] = []
         self.degrees: list[int | None] = []
         self._coeffs = []
         for c in coefficients:
@@ -486,7 +490,7 @@ class Kernel:
                                 entry = index[id(piece)] = _compile_piece(
                                     piece, slots, forms, num_sets, den_sets, products, poles
                                 )
-                                self.pieces.append(piece)
+                                held.append(piece)
                             entries[n] = entry
                 nums, dens, degrees = zip((0, 0, 0), *entries)  # (0, 0, 0) for no pieces
                 num, den = tuple(filter(None, nums)), tuple(filter(None, dens))
@@ -498,8 +502,8 @@ class Kernel:
             self._coeffs.append((terms, max(degrees)))
         self._den = lcm(*(form.den for form in self.forms))
         self._dots = [(form.pairs, self._den // form.den) for form in self.forms]
-        self._poles = list(dict.fromkeys(chain.from_iterable(poles)))
-        self.pole_forms = [self.forms[ref - 1] for ref in self._poles]
+        self._poles = poles
+        self.pole_forms = [self.forms[ref - 1] for ref in poles]
 
     def evaluate(self, point: Mapping[Var, Fraction]) -> list[Fraction]:
         """Every coefficient's value at `point`, in compile order.  A
@@ -530,21 +534,17 @@ class Kernel:
     def _check_poles(self, values: list, point) -> None:
         """Raise PoleError for the first-seen denominator form that
         vanishes, with its exponent in the first piece that holds it."""
-        for ref in self._poles:
+        for ref, exp in self._poles.items():
             if not values[ref]:
-                form = self.forms[ref - 1]
-                for piece in self.pieces:
-                    exp = sum([e for f, e in piece.factors if e < 0 and f == form])
-                    if exp:
-                        raise PoleError(f"pole: ({form})^{exp} at {point}")
+                raise PoleError(f"pole: ({self.forms[ref - 1]})^{exp} at {point}")
 
 
 def _compile_piece(piece, slots, forms, num_sets, den_sets, products, poles) -> tuple:
     """A piece as (numerator ref, denominator ref, degree) (see `Kernel`).
     `slots` maps forms to refs (a new form is appended to `forms`), and
     `num_sets` and `den_sets` factor sets to their negative refs (a new
-    set is appended to `products`).  The denominator refs, in factor
-    order, are appended to `poles`."""
+    set is appended to `products`).  Each denominator ref new to `poles`
+    is added to it, in factor order, with its exponent in this piece."""
     num: list[int] = []
     den: list[int] = []
     for form, exp in piece.factors:
@@ -560,7 +560,9 @@ def _compile_piece(piece, slots, forms, num_sets, den_sets, products, poles) -> 
             num += [ref] * exp
         else:
             den += [ref] * -exp
-    poles.append(den)
+    for ref in den:
+        if ref not in poles:
+            poles[ref] = -den.count(ref)
     scalar = piece.scalar
     c_num, c_den = (1, 1) if scalar is ONE else (scalar.numerator, scalar.denominator)
     if c_num == 1 and len(num) < 2:

@@ -18,8 +18,9 @@ The point stream is deterministic: trial t's point is a pure function of
 (seed, t), generated by a splitmix64 stream, so reports are byte-identical
 across runs and platforms.  Every series is built once, in plain
 variables; a side that compares a series under a sign flip R is its plain
-coefficient evaluated at R(p).  The series of one (frame, k, max4n) live
-in a SeriesPair, which builds each on first use.  A check is a function
+coefficient evaluated at R(p).  The series of one (frame, k, max4n) are
+read through a SeriesPair, which builds and compiles each on first use
+and then keeps only its grades and its kernel.  A check is a function
 of a pair and a SampleConfig, check_X(pair, cfg), and reads its request
 from pair.key; `nekrasov check all` hands one pair to all of its checks,
 so each series is built once per invocation, and `nekrasov compute`
@@ -61,14 +62,16 @@ and each grade's value one Fraction.  The
 same compile walk records the series' pole forms and each coefficient's
 degree, so nothing else reads the pieces; no form cancels between the
 pieces of a term (every matter form carries a mass, no tangent form
-does), so they are those of the merged terms.  Kernels and table hold
-only what they compute and die with the pair.  Every linear
-form has no constant part, so a coefficient whose terms all have one
-total degree d (the sum of the factor exponents) takes exactly (-1)^d
-times its value at p at the point -p, and its forms vanish at -p exactly
-when they vanish at p.  symmetry therefore reports (-1)^d times the plain value as its
-flipped side, and must reads beta at -(a, m) p, the full flip of -eps p,
-as (-1)^d times the orbifold value at -eps p that main reads.  A
+does), so they are those of the merged terms.  The kernel holds no
+piece, so a series is freed as soon as its kernel is compiled, and
+kernels and table hold only what they compute and die with the pair.
+Every linear form has no constant part, so a coefficient whose terms
+all have one total degree d (the sum of the factor exponents) takes
+exactly (-1)^d times its value at p at the point -p, and its forms
+vanish at -p exactly when they vanish at p.  symmetry therefore reports
+(-1)^d times the plain value as its flipped side, and must reads beta at
+-(a, m) p, the full flip of -eps p, as (-1)^d times the orbifold value
+at -eps p that main reads.  A
 coefficient of mixed degree is evaluated at the flipped point instead,
 so a broken term still fails with its real values.  At k = 0 one
 `check all` evaluates each series at two points per trial, p and -eps p.
@@ -225,56 +228,57 @@ def union_pole_forms(*form_lists: list[LinearForm]) -> list[LinearForm]:
 
 
 class SeriesPair:
-    """Every series of one (frame, k, max4n), each built on first use and
-    then kept, so checks that share a pair share the series.
+    """Every series of one (frame, k, max4n), each compiled on first use
+    and then dropped: per series the pair keeps only its grades and its
+    kernel, read for the series' values, plain denominator forms and
+    degrees, so checks that share a pair share the compile.
 
-    The pair also keeps, per series, its compiled kernel, made once and
-    read for the series' values, plain denominator forms and degrees, and
-    one value table: a series read at a point is evaluated once, keyed by
-    (series name, each coordinate's numerator and denominator), and then
-    served to every check from the table."""
+    The pair also keeps one value table: a series read at a point is
+    evaluated once, keyed by (series name, each coordinate's numerator
+    and denominator), and then served to every check from the table."""
 
     def __init__(self, frame: FrameData, k: HalfInt, max4n: int) -> None:
         self.key = (frame, k, max4n)
-        self._series: dict[str, QSeries] = {}
-        self._kernels: dict[str, Kernel] = {}
+        self._compiled: dict[str, tuple[range, Kernel]] = {}
         self._values: dict[tuple, dict] = {}
 
     def series(self, name: str) -> QSeries:
-        """Series `name`: the orbifold series zx0, the resolved series zx1,
-        its blow-up factorization zx1-fact, or the plane series zp2 to
-        q^((max4n - w1)/4)."""
-        series = self._series.get(name)
-        if series is None:
-            frame, k, max4n = self.key
-            if name == "zx0":
-                series = series_zx0(frame, k, max4n)
-            elif name == "zx1":
-                series = series_zx1(frame, k, max4n)
-            elif name == "zx1-fact":
-                series = series_zx1_factorized(frame, k, max4n)
-            elif name == "zp2":
-                series = series_zp2(frame.r, (max4n - frame.w1) // 4)
-            else:
-                raise ValueError(f"unknown series {name!r}")
-            self._series[name] = series
-        return series
+        """Series `name`, built anew: the orbifold series zx0, the resolved
+        series zx1, its blow-up factorization zx1-fact, or the plane
+        series zp2 to q^((max4n - w1)/4)."""
+        frame, k, max4n = self.key
+        if name == "zx0":
+            return series_zx0(frame, k, max4n)
+        if name == "zx1":
+            return series_zx1(frame, k, max4n)
+        if name == "zx1-fact":
+            return series_zx1_factorized(frame, k, max4n)
+        if name == "zp2":
+            return series_zp2(frame.r, (max4n - frame.w1) // 4)
+        raise ValueError(f"unknown series {name!r}")
 
-    def _kernel(self, name: str) -> Kernel:
-        """The compiled kernel of series `name`, made on first use."""
-        kernel = self._kernels.get(name)
-        if kernel is None:
+    def _compile(self, name: str) -> tuple[range, Kernel]:
+        """The grades and the compiled kernel of series `name`, made on
+        first use; the series itself is freed once its kernel is built."""
+        compiled = self._compiled.get(name)
+        if compiled is None:
             series = self.series(name)
-            kernel = self._kernels[name] = Kernel(map(series.coefficient, series.grades()))
-        return kernel
+            grades = series.grades()
+            compiled = self._compiled[name] = (grades, Kernel(map(series.coefficient, grades)))
+        return compiled
+
+    def grades(self, name: str) -> range:
+        """The grades of series `name`, in increasing order."""
+        return self._compile(name)[0]
 
     def pole_forms(self, name: str) -> list[LinearForm]:
         """Every distinct denominator form of series `name`."""
-        return self._kernel(name).pole_forms
+        return self._compile(name)[1].pole_forms
 
     def degrees(self, name: str) -> dict:
         """{grade: the degree all terms share, or None} for series `name`."""
-        return dict(zip(self.series(name).grades(), self._kernel(name).degrees))
+        grades, kernel = self._compile(name)
+        return dict(zip(grades, kernel.degrees))
 
     def values(self, name: str, image: EvalPoint) -> dict:
         """{grade: value} of series `name` at `image`, evaluated by its
@@ -282,8 +286,8 @@ class SeriesPair:
         key = (name, tuple(map(_RATIO, image.values())))
         values = self._values.get(key)
         if values is None:
-            grades = self.series(name).grades()
-            values = self._values[key] = dict(zip(grades, self._kernel(name).evaluate(image)))
+            grades, kernel = self._compile(name)
+            values = self._values[key] = dict(zip(grades, kernel.evaluate(image)))
         return values
 
     def negated(self, name: str, image: EvalPoint) -> dict:

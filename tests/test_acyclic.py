@@ -1,9 +1,11 @@
 """The engine allocates no reference cycles: every object a series build,
 a kernel compile, a check or a whole `cli.main` request makes is freed by
 reference counting alone.  This is what lets `cli.main` run a request
-with the cyclic collector off."""
+with the cyclic collector off.  A series pair keeps no series either:
+each is freed as soon as its kernel is compiled."""
 
 import gc
+import weakref
 
 import pytest
 
@@ -46,6 +48,38 @@ def test_builds_and_checks_leave_no_cyclic_garbage(collector_off, w0, w1, k, max
     for check in (check_main, check_factorization, check_symmetry, check_recursion_must):
         check(pair, cfg)
         assert gc.collect() == 0, check.__name__
+
+
+@pytest.mark.parametrize(
+    "w0, w1, k, max_n",
+    [(1, 0, "0", 3), (1, 1, "1/2", 2), (1, 2, "1", 1)],
+)
+def test_no_series_outlives_its_compile(collector_off, monkeypatch, w0, w1, k, max_n):
+    from nekrasov import verify
+
+    built = {}  # series name -> weakrefs to the series and a sample of its pieces
+
+    def recording(name, build):
+        def wrapper(*args):
+            series = build(*args)
+            terms = [t for c in series.coeffs.values() for t in c]
+            pieces = [piece for t in terms[:3] + terms[-3:] for piece in t.pieces]
+            assert pieces, name
+            built[name] = [weakref.ref(series)] + [weakref.ref(piece) for piece in pieces]
+            return series
+
+        return wrapper
+
+    for name in ("series_zx0", "series_zx1", "series_zx1_factorized", "series_zp2"):
+        monkeypatch.setattr(verify, name, recording(name, getattr(verify, name)))
+    pair = SeriesPair(FrameData(w0, w1), HalfInt.parse(k), 4 * max_n + w1)
+    cfg = SampleConfig(seed=161, trials=2)
+    for check in (check_main, check_factorization, check_symmetry, check_recursion_must):
+        check(pair, cfg)
+    pair.pole_forms("zp2")
+    assert set(built) == {"series_zx0", "series_zx1", "series_zx1_factorized", "series_zp2"}
+    for name, refs in built.items():
+        assert all(ref() is None for ref in refs), name
 
 
 def test_requests_leave_no_cyclic_garbage(collector_off, capsys):

@@ -1,5 +1,7 @@
 """Exact-arithmetic layer: rationals, linear forms, factored terms."""
 
+import weakref
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, prod
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nekrasov import exact
 from nekrasov.exact import (
     EPS1,
     EPS2,
@@ -459,6 +462,43 @@ def _factor_sets(pieces, forms):
     return [(c, refs) for _, c, refs in sets]
 
 
+@contextmanager
+def compiled_pieces():
+    """Record every piece a kernel compile hands to `_compile_piece`, in
+    order, while the block runs."""
+    compiled, compile_piece = [], exact._compile_piece
+
+    def recording(piece, *state):
+        compiled.append(piece)
+        return compile_piece(piece, *state)
+
+    exact._compile_piece = recording
+    try:
+        yield compiled
+    finally:
+        exact._compile_piece = compile_piece
+
+
+def reusing_ids():
+    """An `id` unique among live objects only, as CPython's is, that hands
+    a dead object's number to the next object it is asked about."""
+    numbers, free = {}, []
+
+    def fake_id(obj):
+        key = id(obj)
+        if key not in numbers:
+            number = free.pop() if free else len(numbers)
+
+            def died(_, key=key, number=number):
+                del numbers[key]
+                free.append(number)
+
+            numbers[key] = (weakref.ref(obj, died), number)
+        return numbers[key][1]
+
+    return fake_id
+
+
 _E1, _E2 = linear_form({EPS1: 1}), linear_form({EPS2: 1})
 _HALF_E2 = linear_form({EPS2: F(1, 2)})
 
@@ -510,10 +550,11 @@ class TestCompiledKernel:
         point={EPS1: F(0), EPS2: F(1)},
     )
     def test_kernel_matches_the_reference_with_one_slot_per_form(self, coeffs, point):
-        kernel = Kernel(coeffs)
+        with compiled_pieces() as compiled:
+            kernel = Kernel(coeffs)
         pieces = _live_pieces(coeffs)
-        assert len(kernel.pieces) == len(pieces)
-        assert all(a is b for a, b in zip(kernel.pieces, pieces))
+        assert len(compiled) == len(pieces)
+        assert all(a is b for a, b in zip(compiled, pieces))
         forms = {form for piece in pieces for form, _ in piece.factors}
         assert len(kernel.forms) == len(forms) and set(kernel.forms) == forms
         # one product per distinct factor set and side: twins add none
@@ -557,11 +598,29 @@ class TestCompiledKernel:
         f, g = linear_form({EPS1: 1, EPS2: -1}), linear_form({EPS1: 2, EPS2: 1})
         zero = FactoredTerm(F(0), ((f, -1),))
         piece = factored_term(3, [(g, -1)])
-        kernel = Kernel([(Product((piece, zero)),), (Product((piece, piece)), zero)])
-        assert kernel.pieces == [piece] and kernel.pole_forms == [g]
+        with compiled_pieces() as compiled:
+            kernel = Kernel([(Product((piece, zero)),), (Product((piece, piece)), zero)])
+        assert compiled == [piece] and kernel.pole_forms == [g]
         assert kernel.degrees == [0, -2]
         # g = 6 at (2, 2)
         assert kernel.evaluate({EPS1: F(2), EPS2: F(2)}) == [F(0), F(1, 4)]
+
+    def test_a_freed_piece_lends_no_id_to_a_later_piece(self, monkeypatch):
+        # each coefficient is a product of one piece built anew, which the
+        # generator drops once it is handed over: were the compile not to
+        # hold it, a later piece could take its id and be read as its entry.
+        # CPython reuses a freed object's id only when its memory is reused;
+        # this id does so at every chance, so the hazard does not hang on
+        # the allocator
+        monkeypatch.setattr(exact, "id", reusing_ids(), raising=False)
+
+        def fresh(i):
+            return (Product((factored_term(i + 1, [(linear_form({EPS1: 1, EPS2: i}), -1)]),)),)
+
+        point = {EPS1: F(3), EPS2: F(-5, 2)}
+        kernel = Kernel(fresh(i) for i in range(40))
+        expected = [sum((_reference_term(t, point) for t in fresh(i)), F(0)) for i in range(40)]
+        assert kernel.evaluate(point) == expected
 
 
 class TestProducts:
@@ -597,22 +656,14 @@ class TestProducts:
     def test_each_piece_compiles_once(self, monkeypatch):
         # and each distinct factor set is one product per point: b's twin,
         # value-equal but built anew, shares b's
-        from nekrasov import exact
-
         a, b, c = self._pieces()
         twin = factored_term(3, [(linear_form({EPS2: 1}), -2)])
         assert twin == b and twin is not b
-        compiled = []
-        compile_piece = exact._compile_piece
-
-        def counting(piece, *state):
-            compiled.append(piece)
-            return compile_piece(piece, *state)
-
-        monkeypatch.setattr(exact, "_compile_piece", counting)
         coeffs = [(Product((a, b)), Product((b, c))), (Product((c, a)), a, Product((twin, c)))]
-        kernel = Kernel(coeffs)
-        assert compiled == [a, b, c, twin] and kernel.pieces == [a, b, c, twin]
+        with compiled_pieces() as compiled:
+            kernel = Kernel(coeffs)
+        assert compiled == [a, b, c, twin]
+        assert all(x is y for x, y in zip(compiled, [a, b, c, twin]))
         assert set(kernel.forms) == {_E1, _HALF_E2, _E2, linear_form({EPS1: 1, EPS2: 1})}
         ref = {form: i + 1 for i, form in enumerate(kernel.forms)}
         # a's 1/2 and b's 3 and c's -1 are constants of their sides
@@ -639,8 +690,6 @@ class TestProducts:
         assert products[4:] == [{}] * 5
 
     def test_substitution_images_each_distinct_piece_once(self, monkeypatch):
-        from nekrasov import exact
-
         a, b, c = self._pieces()
         rule = {EPS1: linear_form({EPS1: 2}), EPS2: linear_form({EPS1: -1, EPS2: 1})}
         built = []

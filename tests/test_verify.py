@@ -704,7 +704,7 @@ class TestPieceReads:
         assert sum(len(piece.factors) for piece in compiled) == 16184
         # at the point, one product per distinct factor set, then one per
         # term side that reads more than one ref; a lone ref is read directly
-        kernel = pair._kernel("zx0")
+        _, kernel = pair._compile("zx0")
         assert len(set(kernel.sets)) == len(kernel.sets) == 2091
         assert products == {"sets": 2091, "terms": 2116}
         assert products["terms"] == multi_ref_sides(terms)
