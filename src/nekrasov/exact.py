@@ -35,11 +35,18 @@ works in ints through a `Kernel`, compiled once from a list of
 coefficients by the one walk over their pieces, which also records the
 forms a sample point must avoid, each one's exponent for the pole
 message, and each coefficient's degree; the kernel keeps no piece, so
-the coefficients may be freed once it is compiled.  At a
-point it takes one int dot product per distinct form, one ``math.prod``
-per distinct factor set and per term side of more than one ref, adds
-each coefficient's terms as int fractions and makes one ``Fraction`` per
-coefficient, so the arithmetic stays arbitrary precision and exact.
+the coefficients may be freed once it is compiled.  Every form the
+engine builds is p eps1 + q eps2 plus a *frame part*: nothing,
+a_beta - a_alpha, or the mass shift a_alpha + m_f, so a rank-r kernel
+holds at most 3r^2 - r + 1 frame parts however many forms it holds.  The
+kernel keeps one row per form, its eps numerators and the index of its
+frame part.  At a point it reads eps1 and eps2 once, takes one int dot
+product per distinct frame part and reads each form from its row, then
+one ``math.prod`` per distinct factor set and per term side of more
+than one ref, adds each coefficient's terms as int fractions and makes
+one ``Fraction`` per coefficient, so the arithmetic stays arbitrary
+precision and exact.  The sampler's pole test, `clear_of`, stays one
+int dot product per form.
 """
 
 from __future__ import annotations
@@ -103,6 +110,7 @@ class Var:
 
 EPS1 = Var("eps", 1)
 EPS2 = Var("eps", 2)
+_EPS1_SLOT, _EPS2_SLOT = EPS1.slot, EPS2.slot
 
 
 # One shared Var per index: building a form reads the slot of a cached
@@ -347,7 +355,9 @@ def _scale_point(point: Mapping[Var, Fraction]) -> tuple[dict[int, int], int]:
 def clear_of(forms: Iterable[LinearForm], point: Mapping[Var, Fraction]) -> bool:
     """True when no form in `forms` vanishes at `point`.  A form's value is
     its int dot product with the scaled point over a positive denominator,
-    so the dot product alone decides."""
+    so the dot product alone decides.  Each form is its own dot product
+    here, not a `Kernel` row: a draw's forms are a union over series, met
+    once per draw."""
     ints, _ = _scale_point(point)
     for form in forms:
         value = 0
@@ -443,10 +453,18 @@ class Kernel:
 
     With L the lcm of the forms' denominators, a form (sum n_i v_i) / q
     reads L D times its value, (L / q) sum n_i ints_i, at a point scaled
-    to (ints, D).  A term is then its numerator product over its
-    denominator product times (L D)^-degree, and a coefficient adds its
-    terms as int fractions and takes (L D)^-d once, d its largest degree
-    (a term of degree e < d is first scaled by (L D)^(d - e)).
+    to (ints, D).  The compile splits each form's pairs into its eps1 and
+    eps2 numerators a and b and the rest, its frame part; `frames` holds
+    each distinct frame part once, in first-seen order, and the form's row
+    is (a m, b m, its frame part's index, m) with m = L / q.  At a point
+    each frame part is one int dot product R, and each form reads
+    a m e1 + b m e2 + R m, the same int, e1 and e2 being the scaled eps
+    values; an eps is read only if some row has its numerator, so a point
+    without eps evaluates a kernel whose forms never read it.  A term is
+    then its numerator product over its denominator product times
+    (L D)^-degree, and a coefficient adds its terms as int fractions and
+    takes (L D)^-d once, d its largest degree (a term of degree e < d is
+    first scaled by (L D)^(d - e)).
 
     The compile also records `pole_forms`, the distinct forms with a
     negative exponent in some compiled piece in first-seen order (those
@@ -456,7 +474,9 @@ class Kernel:
     when they differ.  Forms have no constant part, so a coefficient of
     one degree d takes (-1)^d times its value at p at the point -p."""
 
-    __slots__ = ("forms", "sets", "pole_forms", "degrees", "_den", "_dots", "_poles", "_coeffs")
+    __slots__ = (
+        "forms", "frames", "sets", "pole_forms", "degrees", "_den", "_rows", "_reads", "_poles", "_coeffs"
+    )
 
     def __init__(self, coefficients: Iterable[Coefficient]) -> None:
         slots: dict[LinearForm, int] = {}  # equal forms share one ref
@@ -500,8 +520,19 @@ class Kernel:
             degrees = {term[2] for term in terms} or {0}
             self.degrees.append(max(degrees) if len(degrees) == 1 else None)
             self._coeffs.append((terms, max(degrees)))
-        self._den = lcm(*(form.den for form in self.forms))
-        self._dots = [(form.pairs, self._den // form.den) for form in self.forms]
+        self._den = lcm(*(form.den for form in forms))
+        frames: dict[tuple, int] = {}  # equal frame parts share one index
+        rows = self._rows = []
+        for form in forms:
+            pairs, m = form.pairs, self._den // form.den
+            p = q = k = 0  # the eps pairs lead, k of them: eps slots sort first
+            if pairs and pairs[0][0] == _EPS1_SLOT:
+                p, k = pairs[0][1] * m, 1
+            if k < len(pairs) and pairs[k][0] == _EPS2_SLOT:
+                q, k = pairs[k][1] * m, k + 1
+            rows.append((p, q, frames.setdefault(pairs[k:], len(frames)), m))
+        self.frames = list(frames)
+        self._reads = (any(row[0] for row in rows), any(row[1] for row in rows))
         self._poles = poles
         self.pole_forms = [self.forms[ref - 1] for ref in poles]
 
@@ -510,8 +541,11 @@ class Kernel:
         vanishing denominator form of any piece is a pole, even where a
         numerator form vanishes too; else a vanishing form zeroes its term."""
         ints, d = _scale_point(point)
+        e1 = ints[_EPS1_SLOT] if self._reads[0] else 0
+        e2 = ints[_EPS2_SLOT] if self._reads[1] else 0
+        frames = [sum([n * ints[s] for s, n in pairs]) for pairs in self.frames]
         values = [1]
-        values += [sum([n * ints[s] for s, n in pairs]) * m for pairs, m in self._dots]
+        values += [p * e1 + q * e2 + frames[i] * m for p, q, i, m in self._rows]
         if 0 in values:
             self._check_poles(values, point)
         at = values.__getitem__

@@ -44,15 +44,19 @@ zeroes any of them is rejected and the whole point redrawn, so an honest
 pole can never masquerade as a mismatch.  Each series' plain denominator
 forms are read off its kernel, once per pair.  The pole test is
 exact.clear_of, on the integer kernel: the draw is scaled to one common
-denominator once, and each form is one int dot product.
+denominator once, and each form is still one int dot product (a draw
+meets the union once, so no kernel row or frame part is shared there).
 
 The pair also holds one value table per invocation: a series read at a
 point is evaluated once, keyed by (series, each coordinate's numerator
 and denominator), so equal points share one entry and no coordinate is
 hashed as a Fraction, and every later read of it, by any check, is
 served from the table.  That one evaluation is one call of the series'
-exact.Kernel, which the pair compiles on first use: each distinct form
-of the series is one int dot product per point, each distinct factor set
+exact.Kernel, which the pair compiles on first use: each distinct frame
+part of the series' forms (nothing, a_beta - a_alpha or a mass shift
+a_alpha + m_f; at most 3r^2 - r + 1 at rank r) is one int dot product
+per point, each distinct form is read off its row as p eps1 + q eps2
+plus its frame part's value, each distinct factor set
 of more than one form (the numerator or the denominator forms of a
 piece, a slot's matter factor or a slot pair's tangent factor, each
 repeated by its exponent) one int product, shared by the value-equal
@@ -74,7 +78,8 @@ vanish at -p exactly when they vanish at p.  symmetry therefore reports
 at -eps p that main reads.  A
 coefficient of mixed degree is evaluated at the flipped point instead,
 so a broken term still fails with its real values.  At k = 0 one
-`check all` evaluates each series at two points per trial, p and -eps p.
+`check all` evaluates zx0 and zx1 at two points per trial, p and -eps p,
+and zx1-fact at one, p (mult is its only reader).
 
 Checks:
 

@@ -249,17 +249,15 @@ _kernel_term = st.builds(
     st.lists(st.tuples(_kernel_form, st.integers(-3, 3).filter(bool)), max_size=5),
 )
 
+_kernel_value = st.one_of(
+    st.just(F(0)),
+    st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+)
+
 _kernel_point = st.builds(
     lambda vals: dict(zip(_POOL_VARS, vals)),
-    st.lists(
-        st.one_of(
-            st.just(F(0)),
-            st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3)]),
-            st.fractions(min_value=-3, max_value=3, max_denominator=12),
-        ),
-        min_size=4,
-        max_size=4,
-    ),
+    st.lists(_kernel_value, min_size=4, max_size=4),
 )
 
 
@@ -347,6 +345,37 @@ class TestKernelAgainstReference:
             kernel.evaluate(point)
         assert str(info.value) == f"pole: (eps1 - eps2)^-2 at {point}"
 
+    @pytest.mark.parametrize(
+        "first, second, named",
+        [
+            # a form with no eps part beside forms that have one
+            (linear_form({var_a(1): 1, var_a(2): -1}), linear_form({var_a(1): 2, var_a(2): -2}), "a1 - a2"),
+            # a pure eps form beside forms with a frame part
+            (linear_form({EPS1: 1, EPS2: -1}), linear_form({EPS1: F(1, 2), EPS2: F(-1, 2)}), "eps1 - eps2"),
+        ],
+    )
+    def test_pole_error_names_the_first_seen_form_whatever_its_parts(self, first, second, named):
+        # both denominator forms vanish where eps1 = eps2 and a1 = a2; the
+        # numerator forms mix eps and frame parts and do not vanish
+        mass = linear_form({var_a(1): 1, var_m(1): 1, EPS1: F(-1, 2), EPS2: F(-1, 2)})
+        gap = linear_form({var_a(2): 1, var_a(1): -1, EPS1: 1})
+        pieces = factored_term(5, [(mass, 1), (first, -2)]), factored_term(1, [(second, -1), (first, -3)])
+        kernel = Kernel([(factored_term(1, [(mass, 1), (gap, 2)]),), (Product(pieces),)])
+        point = {EPS1: F(2, 3), EPS2: F(2, 3), var_a(1): F(-3, 4), var_a(2): F(-3, 4), var_m(1): F(5)}
+        with pytest.raises(PoleError) as info:
+            kernel.evaluate(point)
+        assert str(info.value) == f"pole: ({named})^-2 at {point}"
+
+    def test_forms_without_eps_evaluate_at_a_point_without_eps(self):
+        diff, mass = linear_form({var_a(1): 1, var_a(2): -1}), linear_form({var_a(1): 1, var_m(1): 1})
+        t = factored_term(F(3, 2), [(diff, -1), (mass, 2)])
+        point = {var_a(1): F(2), var_a(2): F(-1, 3), var_m(1): F(1, 2)}
+        kernel = Kernel([(t,), (t, factored_term(-1, [(mass, 1)]))])
+        assert kernel.frames == [diff.pairs, mass.pairs]
+        # diff = 7/3 and mass = 5/2
+        value = F(3, 2) * F(5, 2) ** 2 / F(7, 3)
+        assert kernel.evaluate(point) == [value, value - F(5, 2)]
+
     def test_pole_after_vanished_factor_raises(self):
         vanishing = linear_form({EPS1: 1})
         pole = linear_form({EPS2: F(1, 2)})
@@ -360,9 +389,13 @@ class TestKernelAgainstReference:
 
 
 # A kernel compiled from several coefficients that draw their forms from one
-# small pool.  Every use rebuilds its form from the pool's coefficients, so
-# equal forms reach the kernel as distinct objects; halves give forms of
-# denominator 2, and zero-scalar terms keep a factor that may be a pole.
+# small pool over eps1, eps2, a1, m1 and a2, so forms have several distinct
+# frame parts (all but their eps pairs).  Every use rebuilds its form from
+# the pool's coefficients, so equal forms reach the kernel as distinct
+# objects; halves give forms of denominator 2, and zero-scalar terms keep a
+# factor that may be a pole.  The pool's first form always has a twin with
+# the same frame part and another eps part (an integer shift keeps the
+# denominator), and one coefficient holds both.
 # A piece's factors may have either sign of exponent and its scalar need
 # not be 1, and some pieces are built twice from one draw: value-equal
 # twins that are distinct objects, in canonical or in reversed (build)
@@ -374,29 +407,44 @@ class TestKernelAgainstReference:
 # gets one more piece, a form to the power d minus the term's degree.
 _SLOT_COEFFS = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)]
 _EXPONENTS = [-3, -2, -1, 1, 2, 3]
-_COMPILED_POINT = st.shared(_kernel_point, key="compiled-kernel-point")
+_COMPILED_VARS = [*_POOL_VARS, var_a(2)]
+_COMPILED_POINT = st.shared(
+    st.builds(
+        lambda vals: dict(zip(_COMPILED_VARS, vals)),
+        st.lists(_kernel_value, min_size=5, max_size=5),
+    ),
+    key="compiled-kernel-point",
+)
 
 
 @st.composite
 def _compiled_coefficients(draw):
     pool = draw(
         st.lists(
-            st.lists(st.sampled_from(_SLOT_COEFFS), min_size=4, max_size=4).filter(any),
+            st.lists(st.sampled_from(_SLOT_COEFFS), min_size=5, max_size=5).filter(any),
             min_size=1,
             max_size=4,
         )
     )
+    first = pool[0]
+    shift = draw(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(
+            lambda s: any(s) and any([first[0] + s[0], first[1] + s[1], *first[2:]])
+        )
+    )
+    pool.append([first[0] + shift[0], first[1] + shift[1], *first[2:]])
+    twins = len(pool) - 1
     if draw(st.booleans()):
         # x_j v_i - x_i v_j vanishes at the point x (v_i alone when both are 0)
         point = draw(_COMPILED_POINT)
-        i, j = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
-        xi, xj = point[_POOL_VARS[i]], point[_POOL_VARS[j]]
-        row = [F(0)] * 4
+        i, j = draw(st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True))
+        xi, xj = point[_COMPILED_VARS[i]], point[_COMPILED_VARS[j]]
+        row = [F(0)] * 5
         row[i], row[j] = (xj, -xi) if xi or xj else (F(1), F(0))
         pool.append(row)
 
     def rebuilt(i):
-        return linear_form(dict(zip(_POOL_VARS, pool[i])))
+        return linear_form(dict(zip(_COMPILED_VARS, pool[i])))
 
     def built(scalar, factors, reverse=False):
         piece = factored_term(scalar, [(rebuilt(i), e) for i, e in factors])
@@ -432,7 +480,11 @@ def _compiled_coefficients(draw):
     mixed = st.lists(terms, max_size=4).map(tuple)
     balancers = st.lists(index, min_size=4, max_size=4)
     one_degree = st.builds(of_degree, st.integers(-2, 2), st.lists(terms, max_size=4), balancers)
-    return draw(st.lists(st.one_of(mixed, one_degree), min_size=1, max_size=3))
+    coeffs = draw(st.lists(st.one_of(mixed, one_degree), min_size=1, max_size=3))
+    exps = draw(st.tuples(st.sampled_from(_EXPONENTS), st.sampled_from(_EXPONENTS)))
+    twin_term = built(draw(scalars), [(0, exps[0]), (twins, exps[1])])
+    coeffs.insert(draw(st.integers(0, len(coeffs))), (twin_term,))
+    return coeffs
 
 
 def _live_pieces(coeffs):
@@ -557,6 +609,12 @@ class TestCompiledKernel:
         assert all(a is b for a, b in zip(compiled, pieces))
         forms = {form for piece in pieces for form, _ in piece.factors}
         assert len(kernel.forms) == len(forms) and set(kernel.forms) == forms
+        # each distinct frame part once, in first-seen order (twins share one)
+        frames = dict.fromkeys(
+            tuple(pair for pair in form.pairs if pair[0] not in (EPS1.slot, EPS2.slot))
+            for form in kernel.forms
+        )
+        assert kernel.frames == list(frames)
         # one product per distinct factor set and side: twins add none
         assert kernel.sets == _factor_sets(pieces, kernel.forms)
         # pole forms and degrees count the kept terms only

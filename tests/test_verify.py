@@ -22,6 +22,7 @@ from nekrasov.exact import (
     term_eval,
     term_mul,
     var_a,
+    var_m,
 )
 from nekrasov.series import (
     map_point,
@@ -646,6 +647,30 @@ class TestSeriesKernels:
         for point in points:
             expected = {g: reference_value(series.coefficient(g), point) for g in series.grades()}
             assert pair.values(name, point) == expected
+
+
+class TestFrameParts:
+    """Every form a series' kernel reads is p eps1 + q eps2 plus a frame
+    part: nothing, a_beta - a_alpha, or the mass shift a_alpha + m_f (held
+    doubled, over the form's denominator 2, beside -(eps1 + eps2)/2 plus
+    integers).  So a rank-r kernel has at most 1 + r(r - 1) + 2r^2 frame
+    parts, however many forms it holds, and evaluates one dot product per
+    frame part."""
+
+    @pytest.mark.parametrize("k", ["-1/2", "0", "1/2", "1"])
+    @pytest.mark.parametrize("r", RANKS)
+    def test_every_frame_part_is_empty_an_a_difference_or_a_mass_shift(self, r, k):
+        a, m = [var_a(i).slot for i in range(1, r + 1)], [var_m(f).slot for f in range(1, 2 * r + 1)]
+        allowed = {()}
+        allowed |= {tuple(sorted([(beta, 1), (alpha, -1)])) for alpha in a for beta in a if alpha != beta}
+        allowed |= {((alpha, 2), (f, 2)) for alpha in a for f in m}
+        assert len(allowed) == 3 * r * r - r + 1
+        frame = FRAMES[r, H(k).doubled % 2]
+        pair = SeriesPair(frame, H(k), 4 * MAX_N[r] + frame.w1)
+        for name in ("zx0", "zx1", "zx1-fact", "zp2"):
+            kernel = pair._compile(name)[1]
+            assert len(set(kernel.frames)) == len(kernel.frames), name
+            assert set(kernel.frames) <= allowed, name
 
 
 class TestPieceReads:
