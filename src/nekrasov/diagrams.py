@@ -29,10 +29,11 @@ runs each request with the cyclic collector off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
+
+from .exact import Record
 
 YoungDiagram = tuple
 
@@ -66,16 +67,27 @@ def boxes(diagram: YoungDiagram) -> Iterator[tuple[int, int]]:
             yield (i, j)
 
 
-@dataclass(frozen=True)
-class FrameData:
+class FrameData(Record):
     """Framing dimensions (w0, w1); colors are 0 for the first w0 slots."""
 
-    w0: int
-    w1: int
+    __slots__ = ("w0", "w1")
 
-    def __post_init__(self) -> None:
-        if self.w0 < 0 or self.w1 < 0 or self.w0 + self.w1 < 1:
+    def __init__(self, w0: int, w1: int) -> None:
+        if w0 < 0 or w1 < 0 or w0 + w1 < 1:
             raise ValueError("need w0, w1 >= 0 with w0 + w1 >= 1")
+        object.__setattr__(self, "w0", w0)
+        object.__setattr__(self, "w1", w1)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FrameData:
+            return NotImplemented
+        return self.w0 == other.w0 and self.w1 == other.w1
+
+    def __hash__(self) -> int:
+        return hash((self.w0, self.w1))
+
+    def __repr__(self) -> str:
+        return f"FrameData(w0={self.w0!r}, w1={self.w1!r})"
 
     @property
     def r(self) -> int:
@@ -86,11 +98,30 @@ class FrameData:
         return (0,) * self.w0 + (1,) * self.w1
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
+@total_ordering
+class HalfInt(Record):
     """An element of (1/2)Z stored as its doubled integer value."""
 
-    doubled: int
+    __slots__ = ("doubled",)
+
+    def __init__(self, doubled: int) -> None:
+        object.__setattr__(self, "doubled", doubled)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HalfInt:
+            return NotImplemented
+        return self.doubled == other.doubled
+
+    def __lt__(self, other: "HalfInt") -> bool:
+        if other.__class__ is not HalfInt:
+            return NotImplemented
+        return self.doubled < other.doubled
+
+    def __hash__(self) -> int:
+        return hash(self.doubled)
+
+    def __repr__(self) -> str:
+        return f"HalfInt(doubled={self.doubled!r})"
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
@@ -150,8 +181,7 @@ def diagram_tuples(slots: int, total: int) -> Iterator[tuple[YoungDiagram, ...]]
                 yield (head,) + rest
 
 
-@dataclass(frozen=True)
-class FixedPointX0:
+class FixedPointX0(NamedTuple):
     """A torus-fixed point on the orbifold side: r colored diagrams."""
 
     diagrams: tuple
@@ -274,8 +304,7 @@ def enum_kvectors(
     return out
 
 
-@dataclass(frozen=True)
-class FixedPointX1:
+class FixedPointX1(NamedTuple):
     """A torus-fixed point on the resolved side: a first-Chern vector plus
     one pair of diagrams per framing slot."""
 
@@ -308,25 +337,29 @@ def enum_fixed_points_x1(
     return out
 
 
-@dataclass(frozen=True)
-class Wall:
-    """A root (alpha0, alpha1) cutting a wall in the stability plane."""
-
+class _WallFields(NamedTuple):
     kind: str  # "real" or "imaginary"
     index: int  # m for real walls alpha_m, p for imaginary walls p*delta
     root: tuple
 
-    def __post_init__(self) -> None:
-        if self.kind == "real":
-            expected = (abs(self.index), abs(self.index + 1))
-        elif self.kind == "imaginary":
-            if self.index <= 0:
+
+class Wall(_WallFields):
+    """A root (alpha0, alpha1) cutting a wall in the stability plane."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, index: int, root: tuple) -> "Wall":
+        if kind == "real":
+            expected = (abs(index), abs(index + 1))
+        elif kind == "imaginary":
+            if index <= 0:
                 raise ValueError("imaginary walls have p > 0")
-            expected = (self.index, self.index)
+            expected = (index, index)
         else:
-            raise ValueError(f"unknown wall kind {self.kind!r}")
-        if self.root != expected:
-            raise ValueError(f"root {self.root} does not match {self.kind} {self.index}")
+            raise ValueError(f"unknown wall kind {kind!r}")
+        if root != expected:
+            raise ValueError(f"root {root} does not match {kind} {index}")
+        return super().__new__(cls, kind, index, root)
 
 
 def enum_walls(v0: int, v1: int) -> list[Wall]:

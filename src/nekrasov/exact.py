@@ -51,11 +51,10 @@ int dot product per form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 _KIND_RANK = {"eps": 0, "a": 1, "m": 2}
 _KINDS = tuple(_KIND_RANK)
@@ -82,20 +81,52 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-@dataclass(frozen=True)
-class Var:
-    """One equivariant variable: eps1, eps2, a_alpha, or m_f (1-based)."""
+class Record:
+    """Base of an immutable record that equals only records of its own
+    class (a ``NamedTuple`` equals any tuple of its values) or that must
+    be weakly referenceable (a tuple cannot be).  A subclass lists its
+    fields in ``__slots__``, sets each once in ``__init__`` through
+    ``object.__setattr__`` or the slot's own setter, and writes its own
+    ``__eq__`` and ``__repr__``, and ``__hash__`` when it is hashable;
+    assigning or deleting a field afterwards raises AttributeError."""
 
-    kind: str
-    index: int
-    slot: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_RANK:
-            raise ValueError(f"unknown variable kind {self.kind!r}")
-        if not 1 <= self.index < _SLOT_SPAN:
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Var(Record):
+    """One equivariant variable: eps1, eps2, a_alpha, or m_f (1-based).
+
+    Its `slot` orders variables canonically and is also its hash, so a
+    point-dict lookup hashes no tuple of fields; equal slots mean equal
+    variables."""
+
+    __slots__ = ("kind", "index", "slot")
+
+    def __init__(self, kind: str, index: int) -> None:
+        if kind not in _KIND_RANK:
+            raise ValueError(f"unknown variable kind {kind!r}")
+        if not 1 <= index < _SLOT_SPAN:
             raise ValueError(f"variable index must lie in [1, {_SLOT_SPAN})")
-        object.__setattr__(self, "slot", _KIND_RANK[self.kind] * _SLOT_SPAN + self.index)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "slot", _KIND_RANK[kind] * _SLOT_SPAN + index)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.slot == other.slot
+
+    def __hash__(self) -> int:
+        return self.slot
+
+    def __repr__(self) -> str:
+        return f"Var(kind={self.kind!r}, index={self.index!r})"
 
     def sort_key(self) -> tuple[int, int]:
         return (_KIND_RANK[self.kind], self.index)
@@ -114,7 +145,7 @@ _EPS1_SLOT, _EPS2_SLOT = EPS1.slot, EPS2.slot
 
 
 # One shared Var per index: building a form reads the slot of a cached
-# Var instead of making a fresh dataclass per call.
+# Var instead of making a fresh one per call.
 @cache
 def var_a(alpha: int) -> Var:
     return Var("a", alpha)
@@ -275,8 +306,7 @@ ZERO_FORM = linear_form({})
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class FactoredTerm:
+class FactoredTerm(Record):
     """scalar * product of (linear form)^exponent.
 
     Invariants: the factors' forms are pairwise distinct, no exponent is
@@ -286,10 +316,28 @@ class FactoredTerm:
     objects: the canonical term.  The pieces ``localization`` builds keep
     their factors in build order instead (no reader needs the sort), so
     two of them are compared as factor multisets, through that merge.
+
+    A term is weakly referenceable, so a test can see a piece freed.  It
+    is built once per piece, so its fields are set through their slots'
+    own setters, without a ``setattr`` lookup.
     """
 
-    scalar: Fraction
-    factors: tuple[tuple[LinearForm, int], ...]
+    __slots__ = ("scalar", "factors", "__weakref__")
+
+    def __init__(self, scalar: Fraction, factors: tuple[tuple[LinearForm, int], ...]) -> None:
+        _set_scalar(self, scalar)
+        _set_factors(self, factors)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FactoredTerm:
+            return NotImplemented
+        return self.scalar == other.scalar and self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.scalar, self.factors))
+
+    def __repr__(self) -> str:
+        return f"FactoredTerm(scalar={self.scalar!r}, factors={self.factors!r})"
 
     def is_zero(self) -> bool:
         return self.scalar == 0
@@ -304,6 +352,9 @@ class FactoredTerm:
             return format_rational(self.scalar)
         body = " ".join(f"({form})^{exp}" for form, exp in self.factors)
         return f"{format_rational(self.scalar)} * {body}"
+
+
+_set_scalar, _set_factors = FactoredTerm.scalar.__set__, FactoredTerm.factors.__set__
 
 
 def factored_term(
@@ -328,8 +379,7 @@ def factored_term(
 UNIT_TERM = factored_term(ONE)
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(NamedTuple):
     """A term held as the product of its pieces, each a `FactoredTerm`
     (in canonical form or in build order); the empty product is 1.
 

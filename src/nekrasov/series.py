@@ -45,7 +45,6 @@ Implemented series:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Mapping
@@ -64,6 +63,7 @@ from .exact import (
     Coefficient,
     EvalPoint,
     FactoredTerm,
+    Record,
     Var,
     factored_term,
     linear_form,
@@ -77,13 +77,24 @@ from .localization import FactorTable, ell_factor, term_p2, term_x0, term_x1
 SubstitutionRule = Mapping
 
 
-@dataclass(frozen=True)
-class QSeries:
-    """Truncated series: grade -> coefficient, all grades = offset mod 4."""
+class QSeries(Record):
+    """Truncated series: grade -> coefficient, all grades = offset mod 4.
+    A series is weakly referenceable, so a test can see it freed."""
 
-    coeffs: dict
-    max_grade: int
-    offset: int
+    __slots__ = ("coeffs", "max_grade", "offset", "__weakref__")
+
+    def __init__(self, coeffs: dict, max_grade: int, offset: int) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "max_grade", max_grade)
+        object.__setattr__(self, "offset", offset)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not QSeries:
+            return NotImplemented
+        return (self.coeffs, self.max_grade, self.offset) == (other.coeffs, other.max_grade, other.offset)
+
+    def __repr__(self) -> str:
+        return f"QSeries(coeffs={self.coeffs!r}, max_grade={self.max_grade!r}, offset={self.offset!r})"
 
     def grades(self) -> range:
         return range(self.offset, self.max_grade + 1, 4)

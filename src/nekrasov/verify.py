@@ -99,11 +99,11 @@ Checks:
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
+from typing import NamedTuple
 
 from .diagrams import FrameData, HalfInt
 from .exact import (
@@ -128,8 +128,6 @@ from .series import (
     series_zx1_factorized,
 )
 
-logger = logging.getLogger(__name__)
-
 # A coordinate's key in the value table: its (numerator, denominator) ints.
 _RATIO = attrgetter("numerator", "denominator")
 
@@ -145,18 +143,22 @@ class ResampleExhausted(RuntimeError):
     """Could not find a pole-free sample point within the resample budget."""
 
 
-@dataclass(frozen=True)
-class SampleConfig:
+class _SampleFields(NamedTuple):
+    seed: int
+    trials: int
+
+
+class SampleConfig(_SampleFields):
     """Deterministic sampling protocol for identity testing."""
 
-    seed: int
-    trials: int = 5
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.seed < 1 << 64:
+    def __new__(cls, seed: int, trials: int = 5) -> "SampleConfig":
+        if not 0 <= seed < 1 << 64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.trials < 1:
+        if trials < 1:
             raise ValueError("need at least one trial")
+        return super().__new__(cls, seed, trials)
 
 
 _MASK64 = (1 << 64) - 1
@@ -215,7 +217,7 @@ def sample_points(
     for trial in range(cfg.trials):
         point, redraws = sample_point_with_stats(cfg, trial, pole_forms, r)
         if point in points:
-            logger.warning("sample-point collision between trials (seed %d)", cfg.seed)
+            print(f"sample-point collision between trials (seed {cfg.seed})", file=sys.stderr)
         points.append(point)
         resamples.append(redraws)
     return points, resamples
@@ -312,8 +314,7 @@ class SeriesPair:
         return out
 
 
-@dataclass
-class GradeRecord:
+class GradeRecord(NamedTuple):
     grade4n: int
     tags: dict
     values: list  # one (lhs, rhs) Fraction pair per trial
@@ -323,8 +324,7 @@ class GradeRecord:
         return all(lhs == rhs for lhs, rhs in self.values)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     check: str
     frame: FrameData
     k: HalfInt

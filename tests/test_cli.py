@@ -3,8 +3,11 @@
 import gc
 import io
 import json
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -333,6 +336,30 @@ class TestDeterminism:
             got = err.code
         capsys.readouterr()
         assert got == code
+
+
+# Modules a CLI process must not load at start-up: `dataclasses` pulls in
+# `inspect`, `ast`, `dis` and `tokenize`, and `logging` threading, weakref
+# and traceback, each for work the engine does not need.
+HEAVY_MODULES = ("dataclasses", "inspect", "logging")
+
+
+def test_cli_setup_imports_no_heavy_module():
+    """A fresh `python -S` process that imports the CLI from the source
+    tree and builds its parser has loaded none of HEAVY_MODULES."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import nekrasov.cli\n"
+        "nekrasov.cli.build_parser()\n"
+        f"print(sorted(set({HEAVY_MODULES!r}) & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestWallsCommand:

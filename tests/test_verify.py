@@ -1,6 +1,5 @@
 """Sampling protocol, report structure, and check behavior."""
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -25,6 +24,7 @@ from nekrasov.exact import (
     var_m,
 )
 from nekrasov.series import (
+    QSeries,
     map_point,
     prefactor_exponent,
     rule_negate_eps,
@@ -100,7 +100,18 @@ class TestSampler:
             assert redraws == 0
 
     def test_config_holds_only_seed_and_trials(self):
-        assert [f.name for f in dataclasses.fields(SampleConfig)] == ["seed", "trials"]
+        assert SampleConfig._fields == ("seed", "trials")
+
+    def test_a_collision_writes_one_line_to_stderr(self, monkeypatch, capsys):
+        from nekrasov import verify
+
+        point = {EPS1: Fraction(1), EPS2: Fraction(2)}
+        monkeypatch.setattr(verify, "sample_point_with_stats", lambda cfg, trial, forms, r: (dict(point), 0))
+        points, resamples = sample_points(SampleConfig(seed=42, trials=2), [], 1)
+        assert points == [point, point] and resamples == [0, 0]
+        captured = capsys.readouterr()
+        assert captured.err == "sample-point collision between trials (seed 42)\n"
+        assert captured.out == ""
 
     def test_sample_points_is_one_point_per_trial(self):
         trap = linear_form({EPS1: 231, EPS2: 80})
@@ -687,8 +698,8 @@ class TestPieceReads:
         frame = FRAMES[r, H(k).doubled % 2]
         pair = SeriesPair(frame, H(k), 4 * MAX_N[r] + frame.w1)
         series = pair.series(name)
-        merged_series = dataclasses.replace(
-            series, coeffs={g: tuple(map(merged, c)) for g, c in series.coeffs.items()}
+        merged_series = QSeries(
+            {g: tuple(map(merged, c)) for g, c in series.coeffs.items()}, series.max_grade, series.offset
         )
         assert set(pair.pole_forms(name)) == set(series_pole_forms(merged_series))
         assert pair.pole_forms(name) == series_pole_forms(series)
@@ -845,7 +856,7 @@ class TestValueTable:
             series = build(*args)
             coeffs = dict(series.coeffs)
             coeffs[grade] = mutate(coeffs[grade])
-            return dataclasses.replace(series, coeffs=coeffs)
+            return QSeries(coeffs, series.max_grade, series.offset)
 
         monkeypatch.setattr(verify, BUILDERS[name], mutated)
 
