@@ -39,11 +39,8 @@ Importing this module loads the engine and, from the standard library,
 import: 65 modules under ``python -S``.  It loads none of
 ``dataclasses``, ``inspect`` or ``logging`` (a tier-1 test and CI check
 this): the engine's records are ``typing.NamedTuple`` or ``__slots__``
-classes, and a sample-point collision is one line written to stderr.
-With those three (89 modules), the import and ``build_parser`` took 87
-ms, now 63 ms (medians of 40 alternating fresh ``python -S`` processes),
-and perfbench's ``setup_s`` on frontier fell from 0.149 to 0.125 s
-(medians of 10 alternating pairs; 2-core x86-64 VM, Python 3.11.7).
+classes, and a sample-point collision is one line written to stderr, so
+no request pays the set-up time of importing them.
 """
 
 from __future__ import annotations

@@ -18,18 +18,22 @@ reverse-lexicographic on columns), tuples of diagrams lexicographically
 in that order, and k-vectors coordinate-wise with each coordinate ranged
 over 0, 1, -1, 2, -2, ... (doubled values, smallest absolute value first).
 
-Every recursive enumerator is a module-level function that takes its
-state as arguments.  A nested recursive closure reaches itself through
-its own cell: a reference cycle, which would keep the closure and the
-fixed points it appended to until the cyclic collector ran.  The engine
-allocates no reference cycles (a tier-1 test checks every series build
-and check), so reference counting frees all its garbage and `cli.main`
-runs each request with the cyclic collector off.
+The enumerators walk framing slots with `_heads`, an explicit stack of
+one iterator per slot, not one call per slot, so a request of any rank
+runs at the same call depth.  Only `partitions` and `_columns` recurse,
+once per column, which the box count bounds.  Each is a module-level
+function that takes its state as arguments: a nested recursive closure
+reaches itself through its own cell, a reference cycle, which would keep
+the closure and the fixed points it appended to until the cyclic
+collector ran.  The engine allocates no reference cycles (a tier-1 test
+checks every series build and check), so reference counting frees all
+its garbage and `cli.main` runs each request with the cyclic collector
+off.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, total_ordering
+from functools import lru_cache, partial, total_ordering
 from math import isqrt
 from typing import Iterator, NamedTuple
 
@@ -164,6 +168,40 @@ def partitions(n: int, max_part: int | None = None) -> tuple[YoungDiagram, ...]:
     return tuple(out)
 
 
+def _heads(slots: int, choices, state) -> Iterator[tuple[tuple, object]]:
+    """Every choice of values for the first slots - 1 of `slots` slots,
+    lexicographically in the order `choices` gives, with the state it
+    leaves for the last slot.  `choices(slot, state)` iterates the (value,
+    state after it) pairs of one slot.  One iterator per slot is kept on
+    an explicit stack, so the call depth does not grow with `slots`."""
+    if slots == 1:
+        yield (), state
+        return
+    head: list = []  # the values of the slots below the top of the stack
+    stack = [choices(0, state)]
+    while stack:
+        entry = next(stack[-1], None)
+        if entry is None:
+            stack.pop()
+            if head:
+                head.pop()
+            continue
+        value, after = entry
+        if len(stack) == slots - 1:
+            yield (*head, value), after
+        else:
+            head.append(value)
+            stack.append(choices(len(stack), after))
+
+
+def _diagrams_within(slot: int, boxes: int) -> Iterator[tuple[YoungDiagram, int]]:
+    """Every diagram of at most `boxes` boxes in the diagram order, with
+    the boxes it leaves."""
+    for size in range(boxes + 1):
+        for diagram in partitions(size):
+            yield diagram, boxes - size
+
+
 def diagram_tuples(slots: int, total: int) -> Iterator[tuple[YoungDiagram, ...]]:
     """All `slots`-tuples of diagrams of given total size, lexicographically
     in the diagram order (size first, then reverse-lex)."""
@@ -171,14 +209,9 @@ def diagram_tuples(slots: int, total: int) -> Iterator[tuple[YoungDiagram, ...]]
         if total == 0:
             yield ()
         return
-    if slots == 1:
-        for diagram in partitions(total):
-            yield (diagram,)
-        return
-    for head_size in range(total + 1):
-        for head in partitions(head_size):
-            for rest in diagram_tuples(slots - 1, total - head_size):
-                yield (head,) + rest
+    for head, left in _heads(slots, _diagrams_within, total):
+        for diagram in partitions(left):
+            yield head + (diagram,)
 
 
 class FixedPointX0(NamedTuple):
@@ -228,27 +261,22 @@ def _bounded_diagrams(
     return _columns([], size, size, color, room0, room1)
 
 
-def _fill_slots(
-    out: list, colors: tuple, head: tuple, room0: int, room1: int, v0: int, v1: int
-) -> None:
-    """Append to `out` every completion of the first slots' diagrams `head`
-    whose later slots hold exactly room0 boxes of color 0 and room1 of
-    color 1."""
-    slot = len(head)
-    color = colors[slot]
-    if slot == len(colors) - 1:  # the last diagram takes what is left
-        for diagram, _, _ in _bounded_diagrams(room0 + room1, color, room0, room1):
-            out.append(FixedPointX0(head + (diagram,), v0, v1))
-        return
+def _fitting_diagrams(
+    colors: tuple, slot: int, rooms: tuple[int, int]
+) -> Iterator[tuple[YoungDiagram, tuple[int, int]]]:
+    """Every diagram framed with slot `slot`'s color that holds at most
+    rooms[0] boxes of color 0 and rooms[1] of color 1, by size and then in
+    partitions order, with the rooms it leaves."""
+    color, (room0, room1) = colors[slot], rooms
     for size in range(room0 + room1 + 1):
         fits = False
         for diagram, left0, left1 in _bounded_diagrams(size, color, room0, room1):
             fits = True
-            _fill_slots(out, colors, head + (diagram,), left0, left1, v0, v1)
+            yield diagram, (left0, left1)
         # Dropping a removable corner from a diagram that fits leaves one
         # that fits, so once no diagram of this size fits, none larger does.
         if not fits:
-            break
+            return
 
 
 def enum_fixed_points_x0(
@@ -260,7 +288,11 @@ def enum_fixed_points_x0(
     are cut while they are built."""
     out: list[FixedPointX0] = []
     if v0 >= 0 and v1 >= 0:
-        _fill_slots(out, frame.colors, (), v0, v1, v0, v1)
+        colors = frame.colors
+        for head, (room0, room1) in _heads(len(colors), partial(_fitting_diagrams, colors), (v0, v1)):
+            # the last diagram takes what is left
+            for diagram, _, _ in _bounded_diagrams(room0 + room1, colors[-1], room0, room1):
+                out.append(FixedPointX0(head + (diagram,), v0, v1))
     return out
 
 
@@ -275,19 +307,13 @@ def _coordinate_values(parity: int, budget4: int) -> Iterator[int]:
             yield -mag
 
 
-def _fill_kvectors(
-    out: list, parities: list, k2: int, max4n: int, prefix: list, used4: int
-) -> None:
-    """Append to `out` every first-Chern vector that extends the doubled
-    entries `prefix` (whose squares sum to used4) to sum k2."""
-    slot = len(prefix)
-    if slot == len(parities) - 1:
-        last = k2 - sum(prefix)
-        if last % 2 == parities[slot] and used4 + last * last <= max4n:
-            out.append(tuple(HalfInt(d) for d in prefix + [last]))
-        return
+def _kvector_entries(
+    parities: tuple, max4n: int, slot: int, used4: int
+) -> Iterator[tuple[int, int]]:
+    """Slot `slot`'s doubled entries d within the budget the earlier
+    entries' squares (summing to used4) leave, each with used4 + d^2."""
     for d in _coordinate_values(parities[slot], max4n - used4):
-        _fill_kvectors(out, parities, k2, max4n, prefix + [d], used4 + d * d)
+        yield d, used4 + d * d
 
 
 def enum_kvectors(
@@ -298,9 +324,13 @@ def enum_kvectors(
     4 * sum(k_alpha^2) <= max4n."""
     if (k.doubled + frame.w1) % 2 != 0:
         raise ParityError(f"2k = {k.doubled} has wrong parity for w1 = {frame.w1}")
-    parities = [0 if c == 0 else 1 for c in frame.colors]
+    parities = frame.colors  # a color-1 entry is half-odd: its double is odd
     out: list[tuple[HalfInt, ...]] = []
-    _fill_kvectors(out, parities, k.doubled, max4n, [], 0)
+    choices = partial(_kvector_entries, parities, max4n)
+    for head, used4 in _heads(len(parities), choices, 0):
+        last = k.doubled - sum(head)  # the last entry makes the sum k
+        if last % 2 == parities[-1] and used4 + last * last <= max4n:
+            out.append(tuple([HalfInt(d) for d in (*head, last)]))
     return out
 
 

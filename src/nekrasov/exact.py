@@ -7,38 +7,39 @@ equivariant variables
     a_1 .. a_r        framing weights,
     m_1 .. m_2r       fundamental-matter masses,
 
-and every quantity we ever need is a sum of *factored terms*: a rational
-scalar times a product of integer powers of linear forms in those
-variables.  Coefficients are never expanded into a canonical multivariate
-normal form -- with 2 + 3r variables that blows up quickly -- instead all
-equality questions are settled by exact evaluation at rational sample
-points.
+and every quantity we ever need is a sum of *terms*, each a product of
+integer powers of linear forms in those variables with coefficient 1, as
+every fixed point's localization contribution is.  Coefficients are never
+expanded into a canonical multivariate normal form -- with 2 + 3r
+variables that blows up quickly -- instead all equality questions are
+settled by exact evaluation at rational sample points.
 
-A series term is a `Product` of pieces, each a `FactoredTerm` (a
-localization term's pieces are its per-slot matter and per-slot-pair
-tangent factors, each holding its factors in build order).  Pieces are
-shared objects and are never merged into one term: `term_mul`
-concatenates pieces, `term_substitute` images each distinct piece once
-per rule, and a plain `FactoredTerm` counts as a one-piece product.
+A term is the tuple of its pieces, each a `FactoredTerm`: the product of
+its factors, (form, exponent) pairs (a localization term's pieces are its
+per-slot matter and per-slot-pair tangent factors, each holding its
+factors in build order).  Pieces are shared objects and are never merged
+into one term: `term_mul` concatenates two terms' pieces, and
+`term_substitute` images each distinct piece once per rule.
 
 A linear form is stored in ints: sorted (slot, numerator) pairs over one
 positive common denominator, in lowest terms, where a slot is an int that
 orders variables canonically.  Every form the engine builds has its
 coefficients in (1/2)Z -- the only halves come from the sqrt(t1 t2) matter
-twist -- so that denominator is 1 or 2, but any rational coefficient is
-held exactly.  Building, adding, substituting, hashing and comparing forms
+twist and from the prefactor exponent's numerator (eps1 + eps2)/2 -- so
+that denominator is 1 or 2, but any rational coefficient is held
+exactly.  Building, adding, substituting, hashing and comparing forms
 is therefore int arithmetic with one gcd reduction per form, and a
 form's hash is computed once, when it is made.
 
-Scalars and sample-point values are ``fractions.Fraction``.  Evaluation
-works in ints through a `Kernel`, compiled once from a list of
-coefficients by the one walk over their pieces, which also records the
-forms a sample point must avoid, each one's exponent for the pole
-message, and each coefficient's degree; the kernel keeps no piece, so
-the coefficients may be freed once it is compiled.  Every form the
-engine builds is p eps1 + q eps2 plus a *frame part*: nothing,
-a_beta - a_alpha, or the mass shift a_alpha + m_f, so a rank-r kernel
-holds at most 3r^2 - r + 1 frame parts however many forms it holds.  The
+Sample-point values are ``fractions.Fraction``.  Evaluation works in
+ints through a `Kernel`, compiled once from a list of coefficients by the
+one walk over their pieces, which also records the forms a sample point
+must avoid, each one's exponent for the pole message, and each
+coefficient's degree; the kernel keeps no piece, so the coefficients may
+be freed once it is compiled.  Every form the engine builds is
+p eps1 + q eps2 plus a *frame part*: nothing, a_beta - a_alpha, or the
+mass shift a_alpha + m_f, so a rank-r kernel holds at most 3r^2 - r + 1
+frame parts however many forms it holds.  The
 kernel keeps one row per form, its eps numerators and the index of its
 frame part.  At a point it reads eps1 and eps2 once, takes one int dot
 product per distinct frame part and reads each form from its row, then
@@ -54,7 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 _KIND_RANK = {"eps": 0, "a": 1, "m": 2}
 _KINDS = tuple(_KIND_RANK)
@@ -301,71 +302,51 @@ def form_from_doubled(pairs: list[tuple[int, int]]) -> LinearForm:
 
 ZERO_FORM = linear_form({})
 
-# The one unit scalar every localization piece shares: readers on the hot
-# path test a scalar for it by identity, not by Fraction comparison.
-ONE = Fraction(1)
-
 
 class FactoredTerm(Record):
-    """scalar * product of (linear form)^exponent.
+    """One piece of a term: the product of its factors, each a (linear
+    form, exponent) pair.
 
     Invariants: the factors' forms are pairwise distinct, no exponent is
-    zero, no form is symbolically zero, and a zero scalar forces an empty
-    factor list.  `factored_term` also sorts the factors, so the terms it
-    builds from any permutation of the same factor multiset are equal
-    objects: the canonical term.  The pieces ``localization`` builds keep
-    their factors in build order instead (no reader needs the sort), so
-    two of them are compared as factor multisets, through that merge.
+    zero, and no form is symbolically zero.  `factored_term` also sorts
+    the factors, so the pieces it builds from any permutation of the same
+    factor multiset are equal objects: the canonical piece.  The pieces
+    ``localization`` builds keep their factors in build order instead (no
+    reader needs the sort), so two of them are compared as factor
+    multisets, through that merge.
 
-    A term is weakly referenceable, so a test can see a piece freed.  It
-    is built once per piece, so its fields are set through their slots'
-    own setters, without a ``setattr`` lookup.
+    A piece is weakly referenceable, so a test can see a piece freed.  It
+    is built once per piece, so its field is set through its slot's own
+    setter, without a ``setattr`` lookup.
     """
 
-    __slots__ = ("scalar", "factors", "__weakref__")
+    __slots__ = ("factors", "__weakref__")
 
-    def __init__(self, scalar: Fraction, factors: tuple[tuple[LinearForm, int], ...]) -> None:
-        _set_scalar(self, scalar)
+    def __init__(self, factors: tuple[tuple[LinearForm, int], ...]) -> None:
         _set_factors(self, factors)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not FactoredTerm:
             return NotImplemented
-        return self.scalar == other.scalar and self.factors == other.factors
+        return self.factors == other.factors
 
     def __hash__(self) -> int:
-        return hash((self.scalar, self.factors))
+        return hash(self.factors)
 
     def __repr__(self) -> str:
-        return f"FactoredTerm(scalar={self.scalar!r}, factors={self.factors!r})"
-
-    def is_zero(self) -> bool:
-        return self.scalar == 0
-
-    @property
-    def pieces(self) -> tuple["FactoredTerm", ...]:
-        """A factored term is a one-piece `Product`."""
-        return (self,)
+        return f"FactoredTerm(factors={self.factors!r})"
 
     def __str__(self) -> str:
         if not self.factors:
-            return format_rational(self.scalar)
-        body = " ".join(f"({form})^{exp}" for form, exp in self.factors)
-        return f"{format_rational(self.scalar)} * {body}"
+            return "1"
+        return " ".join(f"({form})^{exp}" for form, exp in self.factors)
 
 
-_set_scalar, _set_factors = FactoredTerm.scalar.__set__, FactoredTerm.factors.__set__
+_set_factors = FactoredTerm.factors.__set__
 
 
-def factored_term(
-    scalar: Fraction | int,
-    factors: Iterable[tuple[LinearForm, int]] = (),
-) -> FactoredTerm:
-    """Build a term in canonical form from an unordered factor multiset.
-    The shared unit scalar ``ONE`` is kept as it is."""
-    s = scalar if scalar is ONE else Fraction(scalar)
-    if s == 0:
-        return FactoredTerm(Fraction(0), ())
+def factored_term(factors: Iterable[tuple[LinearForm, int]] = ()) -> FactoredTerm:
+    """Build a piece in canonical form from an unordered factor multiset."""
     merged: dict[LinearForm, int] = {}
     for form, exp in factors:
         if not form.pairs:
@@ -373,25 +354,17 @@ def factored_term(
         merged[form] = merged.get(form, 0) + exp
     kept = [(form, exp) for form, exp in merged.items() if exp != 0]
     kept.sort(key=lambda fe: fe[0].sort_key())
-    return FactoredTerm(s, tuple(kept))
+    return FactoredTerm(tuple(kept))
 
 
-UNIT_TERM = factored_term(ONE)
+UNIT_TERM = factored_term()
 
-
-class Product(NamedTuple):
-    """A term held as the product of its pieces, each a `FactoredTerm`
-    (in canonical form or in build order); the empty product is 1.
-
-    Pieces are never merged: a piece shared by many terms stays one
-    object, so a `Kernel` compiles it once and evaluates its factor sets
-    once per point.  Merging every piece's factors with `factored_term`
-    gives the same term in canonical form."""
-
-    pieces: tuple[FactoredTerm, ...]
-
-
-Term = FactoredTerm | Product
+# A term is the tuple of its pieces, each a `FactoredTerm` (in canonical
+# form or in build order); the empty term is 1.  Pieces are never merged:
+# a piece shared by many terms stays one object, so a `Kernel` compiles it
+# once and evaluates its factor sets once per point.  Merging every
+# piece's factors with `factored_term` gives the term's canonical piece.
+Term = tuple
 
 
 def _scale_point(point: Mapping[Var, Fraction]) -> tuple[dict[int, int], int]:
@@ -418,46 +391,38 @@ def clear_of(forms: Iterable[LinearForm], point: Mapping[Var, Fraction]) -> bool
     return True
 
 
-def term_mul(a: Term, b: Term) -> Product:
-    """Product of two terms: the concatenation of their pieces, none
-    merged (a `FactoredTerm` is one piece)."""
-    return Product(a.pieces + b.pieces)
+def term_mul(a: Term, b: Term) -> Term:
+    """The product of two terms: the concatenation of their pieces, none
+    merged."""
+    return a + b
 
 
 def term_pow(t: FactoredTerm, n: int) -> FactoredTerm:
-    """Integer power of a term (n may be negative; scalar must be nonzero).
-    For n != 0 the exponents are scaled in place: scaling keeps the
-    forms' order and distinctness and no exponent zero.  The shared unit
-    scalar ``ONE``, every piece's, is kept as it is."""
+    """Integer power of a piece (n may be negative).  For n != 0 the
+    exponents are scaled in place: scaling keeps the forms' order and
+    distinctness and no exponent zero."""
     if n == 0:
         return UNIT_TERM
-    scalar = t.scalar
-    if scalar is not ONE:
-        if not scalar:
-            if n < 0:
-                raise ZeroDivisionError("inverse of the zero term")
-            return t
-        scalar **= n
-    return FactoredTerm(scalar, tuple([(form, exp * n) for form, exp in t.factors]))
+    return FactoredTerm(tuple([(form, exp * n) for form, exp in t.factors]))
 
 
 def term_eval(t: Term, point: Mapping[Var, Fraction]) -> Fraction:
     return coeff_eval((t,), point)
 
 
-def term_substitute(t: Term, rule: "Mapping[Var, LinearForm]", images: dict) -> Product:
-    """The term with `rule` substituted into every piece, as a product.
-    `images` is the rule's memo: it maps each form already substituted by
-    this rule to its image, each piece's id to the piece and its image
-    (holding the piece keeps its id from being reused), and None to the
-    rule keyed by slot.  New ones are added, so a caller substituting one
-    rule into many terms builds that slot map once and substitutes each
-    distinct piece, and each distinct form, once."""
+def term_substitute(t: Term, rule: "Mapping[Var, LinearForm]", images: dict) -> Term:
+    """The term with `rule` substituted into every piece.  `images` is the
+    rule's memo: it maps each form already substituted by this rule to its
+    image, each piece's id to the piece and its image (holding the piece
+    keeps its id from being reused), and None to the rule keyed by slot.
+    New ones are added, so a caller substituting one rule into many terms
+    builds that slot map once and substitutes each distinct piece, and
+    each distinct form, once."""
     slots = images.get(None)
     if slots is None:
         slots = images[None] = slot_rule(rule)
     out = []
-    for piece in t.pieces:
+    for piece in t:
         entry = images.get(id(piece))
         if entry is None:
             factors = []
@@ -466,9 +431,9 @@ def term_substitute(t: Term, rule: "Mapping[Var, LinearForm]", images: dict) -> 
                 if image is None:
                     image = images[form] = form.substitute_slots(slots)
                 factors.append((image, exp))
-            entry = images[id(piece)] = (piece, factored_term(piece.scalar, factors))
+            entry = images[id(piece)] = (piece, factored_term(factors))
         out.append(entry[1])
-    return Product(tuple(out))
+    return tuple(out)
 
 
 # A coefficient (of one q-grade of a series) is a formal sum of terms; its
@@ -492,14 +457,12 @@ class Kernel:
     and a freed piece's id may be reused by a new one.  The kernel keeps
     no piece.  At a point ref 0 reads 1, ref i + 1 the value of forms[i],
     and ref -(k + 1) the product of sets[k].  A piece compiles to one ref
-    per side and its degree.  A side's factor set is (constant, the
-    sorted refs of its forms, each repeated by its exponent), the
-    constant being the scalar's numerator or denominator.  With constant
-    1, an empty set is ref 0 and a one-form set that form's ref; any other
-    set is an entry of `sets`, shared by the equal sets of its side across
-    the kernel.  A term compiles to its pieces' nonzero refs per side (a
-    plain ref if at most one, 0 for none) and its degree; a term with a
-    zero-scalar piece is dropped before any of its pieces is compiled.
+    per side and its degree.  A side's factor set is the sorted refs of
+    its forms, each repeated by its exponent: an empty set is ref 0, a
+    one-form set that form's ref, and any other set an entry of `sets`,
+    shared by every equal set across the kernel.  A term compiles to its
+    pieces' nonzero refs per side (a plain ref if at most one, 0 for
+    none) and its degree.
 
     With L the lcm of the forms' denominators, a form (sum n_i v_i) / q
     reads L D times its value, (L / q) sum n_i ints_i, at a point scaled
@@ -520,7 +483,7 @@ class Kernel:
     negative exponent in some compiled piece in first-seen order (those
     whose zero makes `evaluate` raise PoleError, which names the form's
     exponent in the first piece that holds it), and `degrees`, one per
-    coefficient: the degree its kept terms share, 0 for none, or None
+    coefficient: the degree its terms share, 0 for none, or None
     when they differ.  Forms have no constant part, so a coefficient of
     one degree d takes (-1)^d times its value at p at the point -p."""
 
@@ -530,35 +493,26 @@ class Kernel:
 
     def __init__(self, coefficients: Iterable[Coefficient]) -> None:
         slots: dict[LinearForm, int] = {}  # equal forms share one ref
-        num_sets: dict[tuple, int] = {}  # equal numerator sets share one ref
-        den_sets: dict[tuple, int] = {}  # and equal denominator sets
+        set_refs: dict[tuple, int] = {}  # equal factor sets share one ref
         index: dict[int, tuple] = {}  # id(piece) -> its compiled piece
         held: list[FactoredTerm] = []  # every indexed piece, so no id is reused
         poles: dict[int, int] = {}  # denominator ref -> exponent in its first piece
         forms: list[LinearForm] = []
-        products: list[tuple[int, tuple[int, ...]]] = []
-        self.forms, self.sets = forms, products
+        sets: list[tuple[int, ...]] = []
+        self.forms, self.sets = forms, sets
         self.degrees: list[int | None] = []
         self._coeffs = []
         for c in coefficients:
             terms = []
             for t in c:
-                pieces = t.pieces
-                entries = [index.get(id(piece)) for piece in pieces]
+                entries = [index.get(id(piece)) for piece in t]
                 if None in entries:
-                    # a compiled piece's scalar is nonzero: test only the new ones
-                    if not all(
-                        piece.scalar is ONE or piece.scalar
-                        for piece, e in zip(pieces, entries)
-                        if e is None
-                    ):
-                        continue
-                    for n, piece in enumerate(pieces):
+                    for n, piece in enumerate(t):
                         if entries[n] is None:
                             entry = index.get(id(piece))  # a piece may recur in one term
                             if entry is None:
                                 entry = index[id(piece)] = _compile_piece(
-                                    piece, slots, forms, num_sets, den_sets, products, poles
+                                    piece, slots, forms, set_refs, sets, poles
                                 )
                                 held.append(piece)
                             entries[n] = entry
@@ -600,7 +554,7 @@ class Kernel:
             self._check_poles(values, point)
         at = values.__getitem__
         # set k's product is read at ref -(k + 1), from the end of the list
-        values += [prod(map(at, refs), start=c) for c, refs in reversed(self.sets)]
+        values += [prod(map(at, refs)) for refs in reversed(self.sets)]
         scale = d * self._den
         out = []
         for terms, degree in self._coeffs:
@@ -623,12 +577,12 @@ class Kernel:
                 raise PoleError(f"pole: ({self.forms[ref - 1]})^{exp} at {point}")
 
 
-def _compile_piece(piece, slots, forms, num_sets, den_sets, products, poles) -> tuple:
+def _compile_piece(piece, slots, forms, set_refs, sets, poles) -> tuple:
     """A piece as (numerator ref, denominator ref, degree) (see `Kernel`).
     `slots` maps forms to refs (a new form is appended to `forms`), and
-    `num_sets` and `den_sets` factor sets to their negative refs (a new
-    set is appended to `products`).  Each denominator ref new to `poles`
-    is added to it, in factor order, with its exponent in this piece."""
+    `set_refs` factor sets to their negative refs (a new set is appended
+    to `sets`).  Each denominator ref new to `poles` is added to it, in
+    factor order, with its exponent in this piece."""
     num: list[int] = []
     den: list[int] = []
     for form, exp in piece.factors:
@@ -647,25 +601,20 @@ def _compile_piece(piece, slots, forms, num_sets, den_sets, products, poles) -> 
     for ref in den:
         if ref not in poles:
             poles[ref] = -den.count(ref)
-    scalar = piece.scalar
-    c_num, c_den = (1, 1) if scalar is ONE else (scalar.numerator, scalar.denominator)
-    if c_num == 1 and len(num) < 2:
-        num_ref = num[0] if num else 0
-    else:
-        key = (c_num, tuple(sorted(num)))
-        new = -1 - len(products)
-        num_ref = num_sets.setdefault(key, new)
-        if num_ref == new:
-            products.append(key)
-    if c_den == 1 and len(den) < 2:
-        den_ref = den[0] if den else 0
-    else:
-        key = (c_den, tuple(sorted(den)))
-        new = -1 - len(products)
-        den_ref = den_sets.setdefault(key, new)
-        if den_ref == new:
-            products.append(key)
-    return (num_ref, den_ref, len(num) - len(den))
+    return (_side_ref(num, set_refs, sets), _side_ref(den, set_refs, sets), len(num) - len(den))
+
+
+def _side_ref(refs: list[int], set_refs: dict, sets: list) -> int:
+    """The ref of one piece side's factor set `refs`: 0 for none, the
+    form's own ref for one, else the set's shared negative ref."""
+    if len(refs) < 2:
+        return refs[0] if refs else 0
+    key = tuple(sorted(refs))
+    ref = set_refs.get(key)
+    if ref is None:
+        sets.append(key)
+        ref = set_refs[key] = -len(sets)
+    return ref
 
 
 def _sum_fractions(parts: list[tuple[int, int]]) -> tuple[int, int]:

@@ -27,9 +27,10 @@ pair's form off a memo for that e-part.
 ``term_p2``, ``term_x0`` and ``term_x1`` take a ``FactorTable``, one
 series build's memo.  Its `pieces` dict maps a piece's key to that
 piece's ``FactoredTerm``; a piece missing from it is built and
-stored, and the term is an ``exact.Product`` of the table's objects, unit
-pieces dropped.  No fixed point's factors are merged: merged, the product
-is the canonical term one Euler class of each whole character gives.
+stored, and the term is the tuple of the table's objects, unit pieces
+dropped (a term is the tuple of its pieces; see ``exact``).  No fixed
+point's factors are merged: merged, its pieces give the canonical piece
+that one Euler class of each whole character gives.
 The keys:
 
   * plane and orbifold: matter (alpha, Y_alpha), tangent
@@ -51,8 +52,7 @@ injective in (p, q, e), and its mass-shifted form injective in
 (monomial, f), so once equal pairs are merged a piece's factors have
 pairwise distinct forms.  They stay in build order (the first-seen order
 of the piece's pairs), which is independent of the hash seed; sorted, a
-piece is the canonical term ``factored_term`` gives.  Every piece's
-scalar is the one shared ``exact.ONE``.
+piece is the canonical piece ``factored_term`` gives.
 The caller owns the table: ``series`` makes one per series build, so a
 table holds at most the distinct pieces and forms of that series and
 dies with the build.  Nothing here keeps state between calls.
@@ -78,10 +78,9 @@ from .diagrams import FixedPointX0, FixedPointX1, FrameData
 from .exact import (
     EPS1,
     EPS2,
-    ONE,
     FactoredTerm,
     LinearForm,
-    Product,
+    Term,
     form_from_doubled,
     term_pow,
     var_a,
@@ -137,7 +136,7 @@ def _multiplicities(weights: list) -> dict:
 
 
 def euler_class(weights: list, e: tuple, forms: dict | None = None) -> FactoredTerm:
-    """Product of the weights of a character piece: its (p, q) pairs, all
+    """The product of the weights of a character piece: its (p, q) pairs, all
     with e-part e; no pairs give 1.  `forms` is a memo from e-part to a
     dict from pair to weight form: a monomial met before reuses its form
     object.  Equal pairs are merged into one factor, whose exponent is
@@ -154,7 +153,7 @@ def euler_class(weights: list, e: tuple, forms: dict | None = None) -> FactoredT
                 raise VanishingWeight(f"zero weight for monomial {mono}")
             memo[w] = form
         factors.append((form, mult))
-    return FactoredTerm(ONE, tuple(factors))
+    return FactoredTerm(tuple(factors))
 
 
 def matter_euler(weights: list, e: tuple, r: int, forms: dict | None = None) -> FactoredTerm:
@@ -174,7 +173,7 @@ def matter_euler(weights: list, e: tuple, r: int, forms: dict | None = None) -> 
             shifted = memo[w] = tuple([mass_shifted_weight(mono, f) for f in range(1, 2 * r + 1)])
         for form in shifted:
             factors.append((form, mult))
-    return FactoredTerm(ONE, tuple(factors))
+    return FactoredTerm(tuple(factors))
 
 
 def _tangent_piece(weights: list, e: tuple, forms: dict | None = None) -> FactoredTerm:
@@ -196,7 +195,7 @@ class FactorTable:
         self.masses: dict = {}
 
 
-def _diagram_tuple_term(diagrams, r: int, table: FactorTable, char_v, char_tangent) -> Product:
+def _diagram_tuple_term(diagrams, r: int, table: FactorTable, char_v, char_tangent) -> Term:
     """Term of a diagram tuple whose slot alpha has the tautological piece
     char_v(alpha, Y_alpha) and whose slot pair the tangent piece
     char_tangent(alpha, beta, Y_alpha, Y_beta)."""
@@ -217,10 +216,10 @@ def _diagram_tuple_term(diagrams, r: int, table: FactorTable, char_v, char_tange
                 piece = cached[key] = _tangent_piece(ch, ratio_part(alpha, beta), table.weights)
             if piece.factors:
                 pieces.append(piece)
-    return Product(tuple(pieces))
+    return tuple(pieces)
 
 
-def term_p2(r: int, diagrams, table: FactorTable) -> Product:
+def term_p2(r: int, diagrams, table: FactorTable) -> Term:
     """Localization term of one diagram tuple on the plane."""
     return _diagram_tuple_term(
         diagrams,
@@ -231,7 +230,7 @@ def term_p2(r: int, diagrams, table: FactorTable) -> Product:
     )
 
 
-def term_x0(frame: FrameData, fp: FixedPointX0, table: FactorTable) -> Product:
+def term_x0(frame: FrameData, fp: FixedPointX0, table: FactorTable) -> Term:
     """Localization term of one orbifold fixed point."""
     return _diagram_tuple_term(
         fp.diagrams,
@@ -242,7 +241,7 @@ def term_x0(frame: FrameData, fp: FixedPointX0, table: FactorTable) -> Product:
     )
 
 
-def term_x1(frame: FrameData, fp: FixedPointX1, table: FactorTable) -> Product:
+def term_x1(frame: FrameData, fp: FixedPointX1, table: FactorTable) -> Term:
     """Localization term of one resolved-surface fixed point."""
     r = frame.r
     doubled = [k.doubled for k in fp.kvec]
@@ -282,10 +281,10 @@ def term_x1(frame: FrameData, fp: FixedPointX1, table: FactorTable) -> Product:
                     piece = cached[key] = _tangent_piece(ch, e, weights)
                 if piece.factors:
                     pieces.append(piece)
-    return Product(tuple(pieces))
+    return tuple(pieces)
 
 
-def ell_factor(frame: FrameData, kvec, table: FactorTable) -> Product:
+def ell_factor(frame: FrameData, kvec, table: FactorTable) -> Term:
     """Pure line-bundle contribution of a first-Chern vector: the term of
     the resolved fixed point with that vector and no boxes."""
     empties = ((),) * frame.r

@@ -23,12 +23,12 @@ local to series_zp2, series_zx0 or series_zx1, and passes it to every
 term it builds, so a slot's or slot pair's piece, and each monomial's
 form, is built once per build;
 series_zx1_factorized keeps one more for its ell(kvec) pieces.  Every
-term of those series is an ``exact.Product`` of the table's pieces, and
-the charted plane terms, their Cauchy products and ell times a product
-stay products, so no term's factors are ever merged.  The tables and the
-chart-image dicts die with the build: nothing is cached at module level
-here (``diagrams`` memoizes `partitions` and `transpose`, which depend
-on a diagram alone).
+term of those series is the tuple of its pieces, each the table's
+object, and the charted plane terms, their Cauchy products and ell
+times a term are tuples of pieces too, so no term's factors are ever
+merged.  The tables and the chart-image dicts die with the build:
+nothing is cached at module level here (``diagrams`` memoizes
+`partitions` and `transpose`, which depend on a diagram alone).
 
 Implemented series:
 
@@ -37,7 +37,7 @@ Implemented series:
   * series_zp2      -- plane series, summed over diagram tuples,
   * series_prefactor-- (1 - (-1)^r q)^(+-u) over Q[u], each grade the
                        (degree, coefficient) pairs of a binomial in the
-                       exponent ratio u = (eps1+eps2)(2*sum a + sum m)/(2 eps1 eps2),
+                       exponent ratio u = ((eps1+eps2)/2)(2*sum a + sum m)/(eps1 eps2),
   * series_zx1_factorized -- the blow-up factorization: a sum over
     first-Chern vectors of q^(sum k^2) * ell(kvec) times two plane series
     taken at the chart substitutions.
@@ -149,19 +149,19 @@ def map_point(point: EvalPoint, rule: SubstitutionRule | None) -> EvalPoint:
 
 
 def prefactor_exponent(r: int) -> FactoredTerm:
-    """The exponent ratio u = (eps1+eps2)(2 sum a + sum m)/(2 eps1 eps2)."""
-    eps_sum = linear_form({EPS1: 1, EPS2: 1})
+    """The exponent ratio u = ((eps1+eps2)/2)(2 sum a + sum m)/(eps1 eps2),
+    as one piece: its 1/2 is held by the numerator form (eps1+eps2)/2."""
+    half_eps_sum = linear_form({EPS1: Fraction(1, 2), EPS2: Fraction(1, 2)})
     charge: dict[Var, int] = {var_a(alpha): 2 for alpha in range(1, r + 1)}
     for f in range(1, 2 * r + 1):
         charge[var_m(f)] = 1
     return factored_term(
-        Fraction(1, 2),
         [
-            (eps_sum, 1),
+            (half_eps_sum, 1),
             (linear_form(charge), 1),
             (linear_form({EPS1: 1}), -1),
             (linear_form({EPS2: 1}), -1),
-        ],
+        ]
     )
 
 

@@ -211,13 +211,18 @@ def sample_point_with_stats(
 def sample_points(
     cfg: SampleConfig, pole_forms, r: int
 ) -> tuple[list[EvalPoint], list[int]]:
-    """Every trial's point, and the redraws each one needed."""
+    """Every trial's point, and the redraws each one needed.  A point equal
+    to an earlier trial's is reported on stderr; points are compared by
+    their coordinates' (numerator, denominator) ints, one set lookup each."""
     points: list[EvalPoint] = []
     resamples: list[int] = []
+    seen: set[tuple] = set()
     for trial in range(cfg.trials):
         point, redraws = sample_point_with_stats(cfg, trial, pole_forms, r)
-        if point in points:
+        key = tuple(map(_RATIO, point.values()))
+        if key in seen:
             print(f"sample-point collision between trials (seed {cfg.seed})", file=sys.stderr)
+        seen.add(key)
         points.append(point)
         resamples.append(redraws)
     return points, resamples
@@ -397,7 +402,7 @@ def _prefactor(r: int, sign: int, max_n: int):
     p.  Each grade is summed in ints, sum c' n^d m^(j-d) over L m^j with
     c' = c L and L the lcm of the grade's c denominators (d <= j), into
     one Fraction."""
-    series, u_term = series_prefactor(r, sign, max_n), prefactor_exponent(r)
+    series, u_piece = series_prefactor(r, sign, max_n), prefactor_exponent(r)
     grades = []
     for g in series.grades():
         pairs = series.coefficient(g)
@@ -406,7 +411,7 @@ def _prefactor(r: int, sign: int, max_n: int):
         grades.append((g, g // 4, den, scaled))
 
     def values(point: EvalPoint) -> dict:
-        u = term_eval(u_term, point)
+        u = term_eval((u_piece,), point)
         n_pow, m_pow = [1], [1]
         for _ in range(max_n):
             n_pow.append(n_pow[-1] * u.numerator)
@@ -416,7 +421,7 @@ def _prefactor(r: int, sign: int, max_n: int):
             for g, j, den, pairs in grades
         }
 
-    return _side(values, Kernel([(u_term,)]).pole_forms)
+    return _side(values, Kernel([((u_piece,),)]).pole_forms)
 
 
 def _cauchy(weights, side):

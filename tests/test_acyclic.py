@@ -63,7 +63,7 @@ def test_no_series_outlives_its_compile(collector_off, monkeypatch, w0, w1, k, m
         def wrapper(*args):
             series = build(*args)
             terms = [t for c in series.coeffs.values() for t in c]
-            pieces = [piece for t in terms[:3] + terms[-3:] for piece in t.pieces]
+            pieces = [piece for t in terms[:3] + terms[-3:] for piece in t]
             assert pieces, name
             built[name] = [weakref.ref(series)] + [weakref.ref(piece) for piece in pieces]
             return series

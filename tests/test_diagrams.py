@@ -1,5 +1,6 @@
 """Diagram combinatorics, colorings, fixed-point and wall enumeration."""
 
+import sys
 from collections import Counter
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from nekrasov import diagrams
 from nekrasov.diagrams import (
+    FixedPointX0,
+    FixedPointX1,
     FrameData,
     GradeError,
     HalfInt,
@@ -28,6 +31,7 @@ from whole_fixed_point import (
     colored_sizes,
     fixed_point_x0,
     leg_in,
+    recursive_diagram_tuples,
 )
 
 
@@ -201,6 +205,33 @@ class TestLargeCounts:
         assert enum_fixed_points_x0(FrameData(1, 0), 1, 3) == []
 
 
+class TestLargeRanks:
+    """The enumerators walk slots without a call per slot, so a rank far
+    beyond the interpreter's recursion limit enumerates as a small one
+    does; at max-n 0 each grade holds one fixed point."""
+
+    RANK = 1200
+
+    def test_the_rank_is_beyond_the_recursion_limit(self):
+        assert sys.getrecursionlimit() < self.RANK
+
+    def test_plane_tuples(self):
+        slots = 2 * self.RANK
+        assert list(diagram_tuples(slots, 0)) == [((),) * slots]
+        assert next(diagram_tuples(slots, 1)) == ((),) * (slots - 1) + ((1,),)
+
+    @pytest.mark.parametrize("w0, w1", [(RANK, 0), (0, RANK), (RANK - 1, 1)])
+    def test_orbifold_fixed_points(self, w0, w1):
+        empties = ((),) * self.RANK
+        assert enum_fixed_points_x0(FrameData(w0, w1), 0, 0) == [FixedPointX0(empties, 0, 0)]
+
+    def test_first_chern_vectors_and_resolved_fixed_points(self):
+        frame, zero = FrameData(self.RANK, 0), (H(0),) * self.RANK
+        assert enum_kvectors(frame, H(0), 0) == [zero]
+        empties = ((),) * self.RANK
+        assert enum_fixed_points_x1(frame, H(0), 0) == [FixedPointX1(zero, empties, empties)]
+
+
 class TestKVectors:
     def test_rank_one(self):
         assert enum_kvectors(FrameData(1, 0), H(0), 100) == [(H(0),)]
@@ -313,6 +344,12 @@ class TestHalfInt:
         assert str(H("4/2")) == "2"
         assert str(H("-1/2")) == "-1/2"
         assert str(H(3)) == "3"
+
+
+@pytest.mark.parametrize("slots", range(6))
+def test_diagram_tuples_in_the_recursive_order(slots):
+    for total in range(6):
+        assert list(diagram_tuples(slots, total)) == list(recursive_diagram_tuples(slots, total))
 
 
 def test_diagram_tuples_cover_all_splits():

@@ -16,7 +16,6 @@ from nekrasov.exact import (
     FactoredTerm,
     Kernel,
     PoleError,
-    Product,
     Var,
     coeff_eval,
     factored_term,
@@ -92,52 +91,45 @@ class TestLinearForm:
 class TestFactoredTerm:
     def test_mul_cancels_exponents(self):
         e1 = linear_form({EPS1: 1})
-        a = factored_term(2, [(e1, 1)])
-        b = factored_term(3, [(e1, -1)])
-        assert merged(term_mul(a, b)) == factored_term(6)
+        a = (factored_term([(e1, 1)]),)
+        b = (factored_term([(e1, -1)]),)
+        assert merged(term_mul(a, b)) == factored_term()
 
     def test_mul_adds_exponents(self):
         e2 = linear_form({EPS2: 1})
-        a = factored_term(1, [(e2, 2)])
-        b = factored_term(1, [(e2, 1)])
-        assert merged(term_mul(a, b)) == factored_term(1, [(e2, 3)])
-
-    def test_zero_absorbs(self):
-        e1 = linear_form({EPS1: 1})
-        assert merged(term_mul(factored_term(0), factored_term(5, [(e1, 2)]))) == factored_term(0)
+        a = (factored_term([(e2, 2)]),)
+        b = (factored_term([(e2, 1)]),)
+        assert merged(term_mul(a, b)) == factored_term([(e2, 3)])
 
     def test_mul_concatenates_pieces_without_merging(self):
         e1, e2 = linear_form({EPS1: 1}), linear_form({EPS2: 1})
-        a, b, c = factored_term(2, [(e1, 1)]), factored_term(3, [(e1, -1)]), factored_term(1, [(e2, 1)])
-        ab = term_mul(a, b)
-        assert ab == Product((a, b)) and ab.pieces[0] is a and ab.pieces[1] is b
-        assert term_mul(ab, c).pieces == (a, b, c)
-        assert term_mul(c, Product(())).pieces == (c,)
+        a, b, c = factored_term([(e1, 1)]), factored_term([(e1, -1)]), factored_term([(e2, 1)])
+        ab = term_mul((a,), (b,))
+        assert ab == (a, b) and ab[0] is a and ab[1] is b
+        assert term_mul(ab, (c,)) == (a, b, c)
+        assert term_mul((c,), ()) == (c,)
 
     def test_eval_direct_substitution(self):
-        t = factored_term(1, [(linear_form({EPS1: 1, EPS2: 1}), 1)])
+        t = factored_term([(linear_form({EPS1: 1, EPS2: 1}), 1)])
         point = {EPS1: F(1), EPS2: F(2)}
-        assert term_eval(t, point) == 3
+        assert term_eval((t,), point) == 3
 
     def test_eval_pole(self):
-        t = factored_term(1, [(linear_form({EPS1: 1}), -1)])
+        t = factored_term([(linear_form({EPS1: 1}), -1)])
         with pytest.raises(PoleError):
-            term_eval(t, {EPS1: F(0)})
+            term_eval((t,), {EPS1: F(0)})
 
     def test_eval_half_times_ratio(self):
-        t = factored_term(
-            F(1, 2),
-            [(linear_form({EPS1: 1}), 1), (linear_form({EPS2: 1}), -2)],
-        )
-        assert term_eval(t, {EPS1: F(4), EPS2: F(2)}) == F(1, 2)
+        t = factored_term([(linear_form({EPS1: F(1, 2)}), 1), (linear_form({EPS2: 1}), -2)])
+        assert term_eval((t,), {EPS1: F(4), EPS2: F(2)}) == F(1, 2)
 
     def test_zero_base_with_positive_exponent_is_zero(self):
-        t = factored_term(7, [(linear_form({EPS1: 1, EPS2: -1}), 2)])
-        assert term_eval(t, {EPS1: F(3), EPS2: F(3)}) == 0
+        t = factored_term([(linear_form({EPS1: 1, EPS2: -1}), 2)])
+        assert term_eval((t,), {EPS1: F(3), EPS2: F(3)}) == 0
 
     def test_rejects_symbolically_zero_form(self):
         with pytest.raises(ValueError):
-            factored_term(1, [(linear_form({}), 1)])
+            factored_term([(linear_form({}), 1)])
 
 
 class TestCoefficient:
@@ -152,14 +144,14 @@ class TestCoefficient:
         d12 = linear_form({EPS2: 1, EPS1: -1})
         d21 = linear_form({EPS1: 1, EPS2: -1})
         c = (
-            factored_term(1, [(e1, -1), (d12, -1)]),
-            factored_term(1, [(e2, -1), (d21, -1)]),
+            (factored_term([(e1, -1), (d12, -1)]),),
+            (factored_term([(e2, -1), (d21, -1)]),),
         )
         assert coeff_eval(c, {EPS1: F(1), EPS2: F(3)}) == F(1, 3)
 
     def test_opposite_terms_cancel(self):
-        t = factored_term(2, [(linear_form({EPS1: 1}), 1)])
-        c = (t, factored_term(-t.scalar, t.factors))
+        form = linear_form({EPS1: 2})
+        c = ((factored_term([(form, 1)]),), (factored_term([(-form, 1)]),))
         for value in (F(1), F(-5, 3), F(7, 2)):
             assert coeff_eval(c, {EPS1: value}) == 0
 
@@ -173,11 +165,7 @@ _form_strategy = st.builds(
 
 _factor_strategy = st.tuples(_form_strategy, st.integers(-2, 2).filter(bool))
 
-_term_strategy = st.builds(
-    lambda s, fs: factored_term(s, fs),
-    st.fractions(min_value=-5, max_value=5).filter(bool),
-    st.lists(_factor_strategy, max_size=4),
-)
+_term_strategy = st.builds(factored_term, st.lists(_factor_strategy, max_size=4))
 
 _point_strategy = st.builds(
     lambda vals: dict(zip(_POOL_VARS, vals)),
@@ -191,25 +179,21 @@ _point_strategy = st.builds(
 @given(t=_term_strategy, u=_term_strategy, point=_point_strategy)
 def test_term_mul_is_pointwise_product(t, u, point):
     try:
-        expected = term_eval(t, point) * term_eval(u, point)
-        got = term_eval(term_mul(t, u), point)
+        expected = term_eval((t,), point) * term_eval((u,), point)
+        got = term_eval(term_mul((t,), (u,)), point)
     except PoleError:
         return  # pole of one side: nothing to compare at this point
     assert got == expected
 
 
 @settings(max_examples=150)
-@given(
-    factors=st.lists(_factor_strategy, max_size=5),
-    scalar=st.fractions(min_value=-5, max_value=5).filter(bool),
-    data=st.data(),
-)
-def test_normalization_order_independent_and_idempotent(factors, scalar, data):
+@given(factors=st.lists(_factor_strategy, max_size=5), data=st.data())
+def test_normalization_order_independent_and_idempotent(factors, data):
     shuffled = data.draw(st.permutations(factors))
-    a = factored_term(scalar, factors)
-    b = factored_term(scalar, shuffled)
+    a = factored_term(factors)
+    b = factored_term(shuffled)
     assert a == b
-    rebuilt = factored_term(a.scalar, a.factors)
+    rebuilt = factored_term(a.factors)
     assert rebuilt == a
 
 
@@ -218,18 +202,9 @@ def test_normalization_order_independent_and_idempotent(factors, scalar, data):
 def test_term_pow_scales_a_canonical_term_in_place(t, n):
     # the fast path equals the merge it replaced, and shares t's forms
     got = term_pow(t, n)
-    assert got == factored_term(t.scalar ** n, [(form, exp * n) for form, exp in t.factors])
-    assert type(got.scalar) is Fraction
+    assert got == factored_term([(form, exp * n) for form, exp in t.factors])
     assert all(a is b for (a, _), (b, _) in zip(got.factors, t.factors))
     assert term_pow(t, 0) == UNIT_TERM
-
-
-def test_term_pow_of_the_zero_term():
-    zero = factored_term(0)
-    assert term_pow(zero, 0) == UNIT_TERM
-    assert term_pow(zero, 2) is zero
-    with pytest.raises(ZeroDivisionError):
-        term_pow(zero, -1)
 
 
 # The evaluation kernel against a plain Fraction reference.  Coefficients
@@ -244,8 +219,7 @@ _kernel_form = st.builds(
 ).filter(lambda f: not f.is_zero())
 
 _kernel_term = st.builds(
-    lambda s, fs: factored_term(s, fs),
-    st.sampled_from([F(0), F(1), F(-2), F(3, 4), F(-5, 7)]),
+    factored_term,
     st.lists(st.tuples(_kernel_form, st.integers(-3, 3).filter(bool)), max_size=5),
 )
 
@@ -262,24 +236,19 @@ _kernel_point = st.builds(
 
 
 def _reference_piece(t, point):
-    if t.scalar == 0:
-        return F(0)
     values = [(form.evaluate(point), exp) for form, exp in t.factors]
     if any(value == 0 and exp < 0 for value, exp in values):
         raise PoleError("reference pole")
-    total = t.scalar
+    total = F(1)
     for value, exp in values:
         total *= value**exp
     return total
 
 
 def _reference_term(t, point):
-    """A term's value: 0 when a piece has a zero scalar, else the product
-    of its pieces' values, a pole when any piece has one (even where
-    another piece's numerator vanishes)."""
-    if any(piece.scalar == 0 for piece in t.pieces):
-        return F(0)
-    values = [_reference_piece(piece, point) for piece in t.pieces]
+    """A term's value: the product of its pieces' values, a pole when any
+    piece has one (even where another piece's numerator vanishes)."""
+    values = [_reference_piece(piece, point) for piece in t]
     total = F(1)
     for value in values:
         total *= value
@@ -287,10 +256,10 @@ def _reference_term(t, point):
 
 
 @settings(max_examples=200)
-@given(c=st.lists(_term_strategy, max_size=4), point=_point_strategy)
-def test_one_degree_coefficient_takes_its_sign_at_the_negated_point(c, point):
-    c = tuple(c)
-    degrees = {sum(exp for _, exp in t.factors) for t in c}
+@given(pieces=st.lists(_term_strategy, max_size=4), point=_point_strategy)
+def test_one_degree_coefficient_takes_its_sign_at_the_negated_point(pieces, point):
+    c = tuple((piece,) for piece in pieces)
+    degrees = {sum(exp for _, exp in piece.factors) for piece in pieces}
     d = coeff_degree(c)
     assert d == (None if len(degrees) > 1 else max(degrees, default=0))
     if d is None:
@@ -305,9 +274,9 @@ def test_one_degree_coefficient_takes_its_sign_at_the_negated_point(c, point):
 
 class TestKernelAgainstReference:
     @settings(max_examples=300)
-    @given(c=st.lists(_kernel_term, min_size=1, max_size=4), point=_kernel_point)
-    def test_coeff_and_term_eval_match_fraction_reference(self, c, point):
-        c = tuple(c)
+    @given(pieces=st.lists(_kernel_term, min_size=1, max_size=4), point=_kernel_point)
+    def test_coeff_and_term_eval_match_fraction_reference(self, pieces, point):
+        c = tuple((piece,) for piece in pieces)
         try:
             expected = sum((_reference_term(t, point) for t in c), F(0))
         except PoleError:
@@ -320,26 +289,19 @@ class TestKernelAgainstReference:
 
     def test_coefficients_outside_half_integers_are_exact(self):
         f = linear_form({EPS1: F(1, 3), EPS2: F(5, 6)})
-        t = factored_term(F(3, 2), [(f, 2), (linear_form({EPS1: F(2, 3)}), -1)])
+        t = (factored_term([(f, 2), (linear_form({EPS1: F(2, 3)}), -1)]),)
         point = {EPS1: F(3, 5), EPS2: F(-7, 4)}
         # f = 1/5 - 35/24 = -151/120, eps1 term = 2/5
-        assert term_eval(t, point) == F(3, 2) * F(-151, 120) ** 2 / F(2, 5)
+        assert term_eval(t, point) == F(-151, 120) ** 2 / F(2, 5)
         assert coeff_eval((t, t), point) == 2 * term_eval(t, point)
-
-    def test_zero_scalar_term_is_zero_before_its_factors_are_read(self):
-        # factored_term drops the factors of a zero term; a raw one keeps a
-        # factor that would be a pole, and still evaluates to 0.
-        t = FactoredTerm(F(0), ((linear_form({EPS1: 1}), -1),))
-        assert term_eval(t, {EPS1: F(0)}) == 0
-        assert coeff_eval((t,), {EPS1: F(0)}) == 0
 
     def test_pole_error_names_the_form_its_exponent_and_the_point(self):
         # both denominator forms vanish where eps1 = eps2; the first seen is
         # named, eps1 - eps2, with its exponent in the first piece that
         # holds it
         f, g = linear_form({EPS1: 1, EPS2: -1}), linear_form({EPS1: F(1, 2), EPS2: F(-1, 2)})
-        first, second = factored_term(5, [(_E1, 1), (f, -2)]), factored_term(1, [(g, -1), (f, -3)])
-        kernel = Kernel([(factored_term(1, [(_E1, 1)]),), (Product((first, second)),)])
+        first, second = factored_term([(_E1, 1), (f, -2)]), factored_term([(g, -1), (f, -3)])
+        kernel = Kernel([((factored_term([(_E1, 1)]),),), ((first, second),)])
         point = {EPS1: F(2, 3), EPS2: F(2, 3)}
         with pytest.raises(PoleError) as info:
             kernel.evaluate(point)
@@ -359,8 +321,8 @@ class TestKernelAgainstReference:
         # numerator forms mix eps and frame parts and do not vanish
         mass = linear_form({var_a(1): 1, var_m(1): 1, EPS1: F(-1, 2), EPS2: F(-1, 2)})
         gap = linear_form({var_a(2): 1, var_a(1): -1, EPS1: 1})
-        pieces = factored_term(5, [(mass, 1), (first, -2)]), factored_term(1, [(second, -1), (first, -3)])
-        kernel = Kernel([(factored_term(1, [(mass, 1), (gap, 2)]),), (Product(pieces),)])
+        pieces = factored_term([(mass, 1), (first, -2)]), factored_term([(second, -1), (first, -3)])
+        kernel = Kernel([((factored_term([(mass, 1), (gap, 2)]),),), (pieces,)])
         point = {EPS1: F(2, 3), EPS2: F(2, 3), var_a(1): F(-3, 4), var_a(2): F(-3, 4), var_m(1): F(5)}
         with pytest.raises(PoleError) as info:
             kernel.evaluate(point)
@@ -368,43 +330,42 @@ class TestKernelAgainstReference:
 
     def test_forms_without_eps_evaluate_at_a_point_without_eps(self):
         diff, mass = linear_form({var_a(1): 1, var_a(2): -1}), linear_form({var_a(1): 1, var_m(1): 1})
-        t = factored_term(F(3, 2), [(diff, -1), (mass, 2)])
+        t = (factored_term([(diff, -1), (mass, 2)]),)
         point = {var_a(1): F(2), var_a(2): F(-1, 3), var_m(1): F(1, 2)}
-        kernel = Kernel([(t,), (t, factored_term(-1, [(mass, 1)]))])
+        kernel = Kernel([(t,), (t, (factored_term([(mass, 1)]),))])
         assert kernel.frames == [diff.pairs, mass.pairs]
         # diff = 7/3 and mass = 5/2
-        value = F(3, 2) * F(5, 2) ** 2 / F(7, 3)
-        assert kernel.evaluate(point) == [value, value - F(5, 2)]
+        value = F(5, 2) ** 2 / F(7, 3)
+        assert kernel.evaluate(point) == [value, value + F(5, 2)]
 
     def test_pole_after_vanished_factor_raises(self):
         vanishing = linear_form({EPS1: 1})
         pole = linear_form({EPS2: F(1, 2)})
-        t = factored_term(1, [(pole, -1), (vanishing, 2)])
+        t = factored_term([(pole, -1), (vanishing, 2)])
         assert [form for form, _ in t.factors] == [vanishing, pole]
         point = {EPS1: F(0), EPS2: F(0)}
         with pytest.raises(PoleError):
-            term_eval(t, point)
+            term_eval((t,), point)
         with pytest.raises(PoleError):
-            coeff_eval((factored_term(1), t), point)
+            coeff_eval(((), (t,)), point)
 
 
 # A kernel compiled from several coefficients that draw their forms from one
 # small pool over eps1, eps2, a1, m1 and a2, so forms have several distinct
 # frame parts (all but their eps pairs).  Every use rebuilds its form from
 # the pool's coefficients, so equal forms reach the kernel as distinct
-# objects; halves give forms of denominator 2, and zero-scalar terms keep a
-# factor that may be a pole.  The pool's first form always has a twin with
-# the same frame part and another eps part (an integer shift keeps the
-# denominator), and one coefficient holds both.
-# A piece's factors may have either sign of exponent and its scalar need
-# not be 1, and some pieces are built twice from one draw: value-equal
-# twins that are distinct objects, in canonical or in reversed (build)
-# order.  Unit pieces of one or two factors of exponent +-1 give term
-# sides of one form, which the kernel reads directly, and the pool may
-# hold a form that vanishes at the test's point (drawn from the same
-# shared strategy), so such a side zeroes its term or is a pole.  A
-# coefficient mixes degrees, or holds one degree d: each of its terms then
-# gets one more piece, a form to the power d minus the term's degree.
+# objects, and halves give forms of denominator 2.  The pool's first form
+# always has a twin with the same frame part and another eps part (an
+# integer shift keeps the denominator), and one coefficient holds both.
+# A piece's factors may have either sign of exponent, and some pieces are
+# built twice from one draw: value-equal twins that are distinct objects,
+# in canonical or in reversed (build) order.  Pieces of one or two factors
+# of exponent +-1 give term sides of one form, which the kernel reads
+# directly, and the pool may hold a form that vanishes at the test's point
+# (drawn from the same shared strategy), so such a side zeroes its term or
+# is a pole.  A coefficient mixes degrees, or holds one degree d: each of
+# its terms then gets one more piece, a form to the power d minus the
+# term's degree.
 _SLOT_COEFFS = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)]
 _EXPONENTS = [-3, -2, -1, 1, 2, 3]
 _COMPILED_VARS = [*_POOL_VARS, var_a(2)]
@@ -446,35 +407,30 @@ def _compiled_coefficients(draw):
     def rebuilt(i):
         return linear_form(dict(zip(_COMPILED_VARS, pool[i])))
 
-    def built(scalar, factors, reverse=False):
-        piece = factored_term(scalar, [(rebuilt(i), e) for i, e in factors])
-        return FactoredTerm(piece.scalar, piece.factors[::-1]) if reverse else piece
+    def built(factors, reverse=False):
+        piece = factored_term([(rebuilt(i), e) for i, e in factors])
+        return FactoredTerm(piece.factors[::-1]) if reverse else piece
 
     index = st.integers(0, len(pool) - 1)
     factors = st.lists(st.tuples(index, st.sampled_from(_EXPONENTS)), max_size=4)
     lone = st.lists(st.tuples(index, st.sampled_from([-1, 1])), min_size=1, max_size=2)
-    scalars = st.sampled_from([F(1), F(1), F(-2), F(3, 4), F(-5, 7)])
-    term = st.one_of(
-        st.builds(built, scalars, factors),
-        st.builds(built, st.just(F(1)), lone),
-        st.builds(lambda i, e: FactoredTerm(F(0), ((rebuilt(i), e),)), index, st.sampled_from(_EXPONENTS)),
-    )
-    # products draw their pieces from one pool, so pieces are shared by
+    one_piece = st.one_of(st.builds(built, factors), st.builds(built, lone))
+    # terms draw their pieces from one pool, so pieces are shared by
     # identity across terms and coefficients, and twins share by value
-    shared = draw(st.lists(term, min_size=1, max_size=4))
-    for scalar, fs, reverse in draw(st.lists(st.tuples(scalars, factors, st.booleans()), max_size=2)):
-        shared += [built(scalar, fs), built(scalar, fs, reverse)]
+    shared = draw(st.lists(one_piece, min_size=1, max_size=4))
+    for fs, reverse in draw(st.lists(st.tuples(factors, st.booleans()), max_size=2)):
+        shared += [built(fs), built(fs, reverse)]
     product = st.builds(
-        lambda ix: Product(tuple(shared[i] for i in ix)),
+        lambda ix: tuple(shared[i] for i in ix),
         st.lists(st.integers(0, len(shared) - 1), max_size=3),
     )
-    terms = st.one_of(term, product)
+    terms = st.one_of(one_piece.map(lambda p: (p,)), product)
 
     def of_degree(d, c, balancers):
         out = []
         for t, i in zip(c, balancers):
-            e = d - sum(exp for piece in t.pieces for _, exp in piece.factors)
-            out.append(Product(t.pieces + (built(F(1), [(i, e)]),)) if e else t)
+            e = d - sum(exp for piece in t for _, exp in piece.factors)
+            out.append(t + (built([(i, e)]),) if e else t)
         return tuple(out)
 
     mixed = st.lists(terms, max_size=4).map(tuple)
@@ -482,36 +438,34 @@ def _compiled_coefficients(draw):
     one_degree = st.builds(of_degree, st.integers(-2, 2), st.lists(terms, max_size=4), balancers)
     coeffs = draw(st.lists(st.one_of(mixed, one_degree), min_size=1, max_size=3))
     exps = draw(st.tuples(st.sampled_from(_EXPONENTS), st.sampled_from(_EXPONENTS)))
-    twin_term = built(draw(scalars), [(0, exps[0]), (twins, exps[1])])
+    twin_term = (built([(0, exps[0]), (twins, exps[1])]),)
     coeffs.insert(draw(st.integers(0, len(coeffs))), (twin_term,))
     return coeffs
 
 
-def _live_pieces(coeffs):
-    """The distinct pieces, by identity and in first-seen order, of the
-    terms with no zero-scalar piece."""
+def _distinct_pieces(coeffs):
+    """The distinct pieces of the coefficients' terms, by identity and in
+    first-seen order."""
     seen = {}
     for c in coeffs:
         for t in c:
-            if all(piece.scalar for piece in t.pieces):
-                for piece in t.pieces:
-                    seen.setdefault(id(piece), piece)
+            for piece in t:
+                seen.setdefault(id(piece), piece)
     return list(seen.values())
 
 
 def _factor_sets(pieces, forms):
-    """The (constant, sorted value refs) of every side of `pieces` that is
-    not a lone form or nothing with constant 1, each once per side: the
-    products a kernel whose forms are `forms` takes at a point.  Form i
-    is read at ref i + 1."""
+    """The sorted value refs of every side of `pieces` that holds more than
+    one form, each once across sides: the products a kernel whose forms
+    are `forms` takes at a point.  Form i is read at ref i + 1."""
     ref = {form: i + 1 for i, form in enumerate(forms)}
     sets = {}
     for piece in pieces:
-        for sign, c in ((1, piece.scalar.numerator), (-1, piece.scalar.denominator)):
+        for sign in (1, -1):
             refs = sorted(ref[f] for f, e in piece.factors for _ in range(e * sign))
-            if c != 1 or len(refs) > 1:
-                sets[sign, c, tuple(refs)] = None
-    return [(c, refs) for _, c, refs in sets]
+            if len(refs) > 1:
+                sets[tuple(refs)] = None
+    return list(sets)
 
 
 @contextmanager
@@ -558,53 +512,53 @@ _HALF_E2 = linear_form({EPS2: F(1, 2)})
 class TestCompiledKernel:
     @settings(max_examples=300)
     @given(coeffs=_compiled_coefficients(), point=_COMPILED_POINT)
-    # negative denominators: 1/eps1 + 2/(eps1 eps2)^2 - 1/(2 eps2)
+    # negative denominators: 1/eps1 + 1/(eps1 eps2)^2 + 2/eps2
     @example(
         coeffs=[(
-            factored_term(1, [(_E1, -1)]),
-            factored_term(2, [(_E1, -2), (_E2, -2)]),
-            factored_term(F(-1, 2), [(_E2, -1)]),
+            (factored_term([(_E1, -1)]),),
+            (factored_term([(_E1, -2), (_E2, -2)]),),
+            (factored_term([(_HALF_E2, -1)]),),
         )],
         point={EPS1: F(-2), EPS2: F(-1, 3)},
     )
     # a vanishing numerator makes its term 0, and an empty coefficient is 0
     @example(
-        coeffs=[(factored_term(5, [(_E1, 3), (_E2, -1)]), factored_term(F(1, 2), [(_E2, -2)])), ()],
+        coeffs=[((factored_term([(_E1, 3), (_E2, -1)]),), (factored_term([(_E2, -2)]),)), ()],
         point={EPS1: F(0), EPS2: F(2)},
     )
     # a lone numerator ref that vanishes zeroes its term in a coefficient of
-    # one degree: eps1 / eps2 + eps2^2 / (2 eps2) = 3 / 2 at (0, 3)
+    # one degree: eps1 / eps2 + eps2 / 2 = 3 / 2 at (0, 3)
     @example(
         coeffs=[(
-            Product((factored_term(1, [(_E1, 1)]), factored_term(1, [(_E2, -1)]))),
-            factored_term(F(1, 2), [(_E2, 1)]),
+            (factored_term([(_E1, 1)]), factored_term([(_E2, -1)])),
+            (factored_term([(_HALF_E2, 1)]),),
         )],
         point={EPS1: F(0), EPS2: F(3)},
     )
     # mixed degrees 1, -1 and 0 beside a coefficient of degree 2
     @example(
         coeffs=[
-            (factored_term(1, [(_E1, 1)]), factored_term(F(1, 2), [(_HALF_E2, -1)]), factored_term(3)),
-            (factored_term(-2, [(_E1, 1), (_E2, 1)]), factored_term(1, [(_HALF_E2, 2)])),
+            ((factored_term([(_E1, 1)]),), (factored_term([(_HALF_E2, -1)]),), ()),
+            ((factored_term([(_E1, 1), (_E2, 1)]),), (factored_term([(_HALF_E2, 2)]),)),
         ],
         point={EPS1: F(2, 3), EPS2: F(-5)},
     )
     # a denominator vanishing after a vanished numerator factor is a pole,
     # after another coefficient was read clean
     @example(
-        coeffs=[(factored_term(1, [(_E1, 1)]),), (factored_term(1, [(_HALF_E2, -2), (_E1, 1)]),)],
+        coeffs=[((factored_term([(_E1, 1)]),),), ((factored_term([(_HALF_E2, -2), (_E1, 1)]),),)],
         point={EPS1: F(0), EPS2: F(0)},
     )
     # a piece's vanishing denominator is a pole even where another piece's
     # numerator vanishes, and merged the two would cancel
     @example(
-        coeffs=[(Product((factored_term(1, [(_E1, 1)]), factored_term(1, [(_E1, -1)]))),)],
+        coeffs=[((factored_term([(_E1, 1)]), factored_term([(_E1, -1)])),)],
         point={EPS1: F(0), EPS2: F(1)},
     )
     def test_kernel_matches_the_reference_with_one_slot_per_form(self, coeffs, point):
         with compiled_pieces() as compiled:
             kernel = Kernel(coeffs)
-        pieces = _live_pieces(coeffs)
+        pieces = _distinct_pieces(coeffs)
         assert len(compiled) == len(pieces)
         assert all(a is b for a, b in zip(compiled, pieces))
         forms = {form for piece in pieces for form, _ in piece.factors}
@@ -615,13 +569,11 @@ class TestCompiledKernel:
             for form in kernel.forms
         )
         assert kernel.frames == list(frames)
-        # one product per distinct factor set and side: twins add none
+        # one product per distinct factor set: twins add none
         assert kernel.sets == _factor_sets(pieces, kernel.forms)
-        # pole forms and degrees count the kept terms only
-        live = [tuple(t for t in c if all(piece.scalar for piece in t.pieces)) for c in coeffs]
-        poles = dict.fromkeys(form for c in live for form in coeff_denominator_forms(c))
+        poles = dict.fromkeys(form for c in coeffs for form in coeff_denominator_forms(c))
         assert kernel.pole_forms == list(poles)
-        assert kernel.degrees == [coeff_degree(c) for c in live]
+        assert kernel.degrees == [coeff_degree(c) for c in coeffs]
         try:
             expected = [sum((_reference_term(t, point) for t in c), F(0)) for c in coeffs]
         except PoleError:
@@ -633,38 +585,14 @@ class TestCompiledKernel:
     def test_equal_forms_share_one_slot(self):
         a, b = linear_form({EPS1: F(1, 2), EPS2: -1}), linear_form({EPS2: -1, EPS1: F(1, 2)})
         assert a is not b and a == b and a.den == 2
-        kernel = Kernel([(factored_term(1, [(a, 2)]),), (factored_term(3, [(b, -3)]),)])
+        kernel = Kernel([((factored_term([(a, 2)]),),), ((factored_term([(b, -3)]),),)])
         assert kernel.forms == [a]
         # a = 1/2 + 2 = 5/2 at (1, -2)
-        assert kernel.evaluate({EPS1: F(1), EPS2: F(-2)}) == [F(25, 4), 3 / F(5, 2) ** 3]
+        assert kernel.evaluate({EPS1: F(1), EPS2: F(-2)}) == [F(25, 4), 1 / F(5, 2) ** 3]
         assert kernel.pole_forms == [a] and kernel.degrees == [2, -3]
 
-    def test_a_dropped_zero_scalar_term_adds_no_pole_form(self):
-        # a raw zero-scalar term 0 / (eps1 - eps2) beside 3 / (2 eps1 + eps2)
-        f, g = linear_form({EPS1: 1, EPS2: -1}), linear_form({EPS1: 2, EPS2: 1})
-        zero = FactoredTerm(F(0), ((f, -1),))
-        kernel = Kernel([(zero, factored_term(3, [(g, -1)])), (zero,)])
-        assert f not in kernel.pole_forms and kernel.pole_forms == [g]
-        assert kernel.degrees == [-1, 0]
-        # f = 0 and g = 6 at (2, 2)
-        assert kernel.evaluate({EPS1: F(2), EPS2: F(2)}) == [F(1, 2), F(0)]
-        with pytest.raises(PoleError):
-            kernel.evaluate({EPS1: F(1), EPS2: F(-2)})
-
-    def test_a_zero_piece_drops_its_term_before_any_of_its_pieces_compiles(self):
-        # the new piece 3 / g comes before the zero piece; later it recurs in one term
-        f, g = linear_form({EPS1: 1, EPS2: -1}), linear_form({EPS1: 2, EPS2: 1})
-        zero = FactoredTerm(F(0), ((f, -1),))
-        piece = factored_term(3, [(g, -1)])
-        with compiled_pieces() as compiled:
-            kernel = Kernel([(Product((piece, zero)),), (Product((piece, piece)), zero)])
-        assert compiled == [piece] and kernel.pole_forms == [g]
-        assert kernel.degrees == [0, -2]
-        # g = 6 at (2, 2)
-        assert kernel.evaluate({EPS1: F(2), EPS2: F(2)}) == [F(0), F(1, 4)]
-
     def test_a_freed_piece_lends_no_id_to_a_later_piece(self, monkeypatch):
-        # each coefficient is a product of one piece built anew, which the
+        # each coefficient is a term of one piece built anew, which the
         # generator drops once it is handed over: were the compile not to
         # hold it, a later piece could take its id and be read as its entry.
         # CPython reuses a freed object's id only when its memory is reused;
@@ -673,7 +601,7 @@ class TestCompiledKernel:
         monkeypatch.setattr(exact, "id", reusing_ids(), raising=False)
 
         def fresh(i):
-            return (Product((factored_term(i + 1, [(linear_form({EPS1: 1, EPS2: i}), -1)]),)),)
+            return ((factored_term([(linear_form({EPS1: 1, EPS2: i}), -1)]),),)
 
         point = {EPS1: F(3), EPS2: F(-5, 2)}
         kernel = Kernel(fresh(i) for i in range(40))
@@ -682,31 +610,32 @@ class TestCompiledKernel:
 
 
 class TestProducts:
-    """A product term keeps its pieces: the kernel compiles each distinct
-    piece once, and its values, degrees and denominator forms agree with
-    the term's canonical merge wherever no form cancels between pieces."""
+    """A term of several pieces keeps them: the kernel compiles each
+    distinct piece once, and its values, degrees and denominator forms
+    agree with the term's canonical merge wherever no form cancels between
+    pieces."""
 
     def _pieces(self):
-        a = factored_term(F(1, 2), [(_E1, 1), (_HALF_E2, -1)])
-        b = factored_term(3, [(_E2, -2)])
-        c = factored_term(-1, [(linear_form({EPS1: 1, EPS2: 1}), 1)])
+        a = factored_term([(_E1, 1), (_HALF_E2, -1)])
+        b = factored_term([(_E2, -2)])
+        c = factored_term([(linear_form({EPS1: 1, EPS2: 1}), 1)])
         return a, b, c
 
     def test_merge_of_a_product_evaluates_like_the_product(self):
         a, b, c = self._pieces()
-        coeff = (Product((a, b)), Product((b, c, a)), c)
+        coeff = ((a, b), (b, c, a), (c,))
         point = {EPS1: F(3), EPS2: F(-5, 2)}
-        expected = sum((term_eval(merged(t), point) for t in coeff), F(0))
+        expected = sum((term_eval((merged(t),), point) for t in coeff), F(0))
         assert coeff_eval(coeff, point) == expected
         assert coeff_degree(coeff) is None
-        assert coeff_degree((Product((a, b)), Product((b, a)))) == -2
-        assert coeff_degree((Product(()),)) == 0
-        kernel = Kernel([coeff, (Product((a, b)), Product((b, a))), (Product(()),), ()])
+        assert coeff_degree(((a, b), (b, a))) == -2
+        assert coeff_degree(((),)) == 0
+        kernel = Kernel([coeff, ((a, b), (b, a)), ((),), ()])
         assert kernel.degrees == [None, -2, 0, 0]
 
     def test_denominator_forms_are_read_once_per_piece(self):
         a, b, c = self._pieces()
-        coeff = (Product((a, b)), Product((b, c)), c)
+        coeff = ((a, b), (b, c), (c,))
         forms = coeff_denominator_forms(coeff)
         assert forms == [_HALF_E2, _E2]
         assert Kernel([coeff]).pole_forms == forms
@@ -715,37 +644,32 @@ class TestProducts:
         # and each distinct factor set is one product per point: b's twin,
         # value-equal but built anew, shares b's
         a, b, c = self._pieces()
-        twin = factored_term(3, [(linear_form({EPS2: 1}), -2)])
+        twin = factored_term([(linear_form({EPS2: 1}), -2)])
         assert twin == b and twin is not b
-        coeffs = [(Product((a, b)), Product((b, c))), (Product((c, a)), a, Product((twin, c)))]
+        coeffs = [((a, b), (b, c)), ((c, a), (a,), (twin, c))]
         with compiled_pieces() as compiled:
             kernel = Kernel(coeffs)
         assert compiled == [a, b, c, twin]
         assert all(x is y for x, y in zip(compiled, [a, b, c, twin]))
         assert set(kernel.forms) == {_E1, _HALF_E2, _E2, linear_form({EPS1: 1, EPS2: 1})}
         ref = {form: i + 1 for i, form in enumerate(kernel.forms)}
-        # a's 1/2 and b's 3 and c's -1 are constants of their sides
-        assert kernel.sets == [
-            (2, (ref[_HALF_E2],)),
-            (3, ()),
-            (1, (ref[_E2], ref[_E2])),
-            (-1, (ref[linear_form({EPS1: 1, EPS2: 1})],)),
-        ]
+        # every other piece side is one form: only b's denominator is a set
+        assert kernel.sets == [(ref[_E2], ref[_E2])]
         point = {EPS1: F(3), EPS2: F(-5, 2)}
-        expected = [sum((term_eval(merged(t), point) for t in coeff), F(0)) for coeff in coeffs]
+        expected = [sum((term_eval((merged(t),), point) for t in coeff), F(0)) for coeff in coeffs]
         products = []
 
-        def recording(values, **kw):
-            products.append(kw)
-            return prod(values, **kw)
+        def recording(values):
+            values = list(values)
+            products.append(len(values))
+            return prod(values)
 
         monkeypatch.setattr(exact, "prod", recording)
         assert kernel.evaluate(point) == expected
         # one product per factor set, then one per term side with more than
-        # one ref: (a, b) has two, (b, c), (c, a) and (twin, c) one each (c
-        # has no denominator, a's numerator is its lone form), and a none
-        assert products[:4] == [{"start": const} for const, _ in reversed(kernel.sets)]
-        assert products[4:] == [{}] * 5
+        # one ref: (a, b)'s denominator and (c, a)'s numerator have two
+        # each; (b, c), (twin, c) and (a,) read one ref per side
+        assert products == [len(refs) for refs in reversed(kernel.sets)] + [2, 2]
 
     def test_substitution_images_each_distinct_piece_once(self, monkeypatch):
         a, b, c = self._pieces()
@@ -753,15 +677,13 @@ class TestProducts:
         built = []
         monkeypatch.setattr(exact, "factored_term", lambda *args: built.append(args) or factored_term(*args))
         images: dict = {}
-        first = term_substitute(Product((a, b)), rule, images)
-        second = term_substitute(Product((b, c)), rule, images)
-        third = term_substitute(a, rule, images)
+        first = term_substitute((a, b), rule, images)
+        second = term_substitute((b, c), rule, images)
+        third = term_substitute((a,), rule, images)
         assert len(built) == 3
-        assert first.pieces[1] is second.pieces[0] and third.pieces == (first.pieces[0],)
-        for t, image in ((Product((a, b)), first), (Product((b, c)), second)):
-            by_hand = factored_term(
-                merged(t).scalar, [(form.substitute(rule), exp) for form, exp in merged(t).factors]
-            )
+        assert first[1] is second[0] and third == (first[0],)
+        for t, image in (((a, b), first), ((b, c), second)):
+            by_hand = factored_term([(form.substitute(rule), exp) for form, exp in merged(t).factors])
             assert merged(image) == by_hand
 
 
@@ -848,7 +770,7 @@ class TestFormsAgainstReference:
         third = linear_form({EPS1: F(1, 3), EPS2: F(5, 6)})
         built = linear_form({EPS1: F(1, 6)}) + linear_form({EPS1: F(1, 6), EPS2: F(5, 6)})
         assert built == third and hash(built) == hash(third)
-        t = factored_term(1, [(third, 1), (built, 2)])
+        t = factored_term([(third, 1), (built, 2)])
         assert t.factors == ((third, 3),)
         assert str(third) == "1/3*eps1 + 5/6*eps2"
 
@@ -916,5 +838,5 @@ class TestWeightForms:
         expected = linear_form(coeffs)
         got = mass_shifted_weight(mono, f)
         assert got == expected and hash(got) == hash(expected)
-        merged = factored_term(1, [(got, 1), (expected, 1)])
+        merged = factored_term([(got, 1), (expected, 1)])
         assert merged.factors == ((expected, 2),)

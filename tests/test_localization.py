@@ -29,7 +29,6 @@ from nekrasov.diagrams import (
 from nekrasov.exact import (
     EPS1,
     EPS2,
-    ONE,
     UNIT_TERM,
     FactoredTerm,
     factored_term,
@@ -118,11 +117,11 @@ def matter_values(p, *weights):
 class TestEulerClass:
     def test_single_monomial(self):
         got = euler_class([(1, 1)], slot_part(1))
-        assert got == factored_term(1, [(linear_form({EPS1: 1, EPS2: 1, var_a(1): 1}), 1)])
+        assert got == factored_term([(linear_form({EPS1: 1, EPS2: 1, var_a(1): 1}), 1)])
 
     def test_empty_is_unit(self):
         assert euler_class([], ()) == UNIT_TERM
-        assert euler_class([], ratio_part(1, 2)).scalar is ONE
+        assert euler_class([], ratio_part(1, 2)) == UNIT_TERM
 
     def test_constant_monomial_vanishes(self):
         with pytest.raises(VanishingWeight):
@@ -135,12 +134,12 @@ class TestEulerClass:
         b = [(1, 0), (-1, 1)]
         e = ratio_part(2, 1)
         lhs = euler_class(a + b, e)
-        rhs = term_mul(euler_class(a, e), euler_class(b, e))
-        assert merged(lhs) == merged(rhs)
+        rhs = term_mul((euler_class(a, e),), (euler_class(b, e),))
+        assert merged((lhs,)) == merged(rhs)
 
     def test_repeated_pairs_are_merged_in_first_seen_order(self):
         got = euler_class([(0, 1), (1, 1), (0, 1), (2, -1), (1, 1), (0, 1)], ())
-        assert got == FactoredTerm(ONE, (
+        assert got == FactoredTerm((
             (linear_form({EPS2: 1}), 3),
             (linear_form({EPS1: 1, EPS2: 1}), 2),
             (linear_form({EPS1: 2, EPS2: -1}), 1),
@@ -157,13 +156,13 @@ class TestMatterEuler:
 
     def test_single_framing_weight(self):
         got = matter_euler([(0, 0)], slot_part(1), 1)
-        assert term_eval(got, GENERIC) == matter_values(GENERIC, GENERIC[var_a(1)])
+        assert term_eval((got,), GENERIC) == matter_values(GENERIC, GENERIC[var_a(1)])
 
     def test_repeated_pairs_are_merged(self):
         got = matter_euler([(0, 0), (1, 0), (0, 0)], slot_part(1), 1)
         assert [exp for _, exp in got.factors] == [2, 2, 1, 1]
         p = GENERIC
-        assert term_eval(got, p) == matter_values(p, p[var_a(1)], p[var_a(1)], p[var_a(1)] + p[EPS1])
+        assert term_eval((got,), p) == matter_values(p, p[var_a(1)], p[var_a(1)], p[var_a(1)] + p[EPS1])
 
     def test_shift_combines_with_torus_weight(self):
         got = matter_euler([(1, 1)], slot_part(1), 1)
@@ -172,7 +171,7 @@ class TestMatterEuler:
         expected = Fraction(1)
         for f in (1, 2):
             expected *= p[var_a(1)] + p[var_m(f)] + (p[EPS1] + p[EPS2]) / 2
-        assert term_eval(got, p) == expected
+        assert term_eval((got,), p) == expected
 
 
 def _merged_euler(pairs, e):
@@ -184,17 +183,17 @@ def _merged_euler(pairs, e):
         if form.is_zero():
             raise VanishingWeight(f"zero weight for monomial {(p, q, e)}")
         factors.append((form, 1))
-    return factored_term(1, factors)
+    return factored_term(factors)
 
 
 def _merged_matter(pairs, e, r):
     return factored_term(
-        1, [(mass_shifted_weight((p, q, e), f), 1) for f in range(1, 2 * r + 1) for p, q in pairs]
+        [(mass_shifted_weight((p, q, e), f), 1) for f in range(1, 2 * r + 1) for p, q in pairs]
     )
 
 
 def _merged_pow(t, n):
-    return factored_term(t.scalar ** n, [(form, exp * n) for form, exp in t.factors])
+    return factored_term([(form, exp * n) for form, exp in t.factors])
 
 
 _E_PARTS = st.sampled_from([(), ((1, 1),), ((2, 1),), ((1, -1), (2, 1)), ((1, 1), (3, -1))])
@@ -207,7 +206,7 @@ def _same_piece(piece, expected):
     """`piece` holds the factor multiset of the canonical term `expected`,
     in any order: merged they are equal, and no two of its factors share
     a form (merging would shorten it)."""
-    return merged(piece) == expected and len(piece.factors) == len(expected.factors)
+    return merged((piece,)) == expected and len(piece.factors) == len(expected.factors)
 
 
 class TestDirectCanonicalBuild:
@@ -215,8 +214,7 @@ class TestDirectCanonicalBuild:
     pairs once and build one factor per distinct monomial, without the
     merge of ``factored_term``, since distinct monomials have distinct
     forms; they hold the factor multiset of that merge, with or without a
-    memo shared across calls and e-parts, and every piece's scalar is the
-    shared ``ONE``."""
+    memo shared across calls and e-parts."""
 
     @settings(max_examples=150, deadline=None)
     @given(pieces=st.lists(_PIECES, min_size=1, max_size=4), r=st.integers(1, 3))
@@ -227,7 +225,7 @@ class TestDirectCanonicalBuild:
         for pairs, e in pieces:
             for memo in (None, masses):
                 got = matter_euler(pairs, e, r, memo)
-                assert got.scalar is ONE and _same_piece(got, _merged_matter(pairs, e, r))
+                assert _same_piece(got, _merged_matter(pairs, e, r))
             if e == () and (0, 0) in pairs:
                 for build in (euler_class, _tangent_piece):
                     with pytest.raises(VanishingWeight):
@@ -236,9 +234,9 @@ class TestDirectCanonicalBuild:
             expected = _merged_euler(pairs, e)
             for memo in (None, weights):
                 got = euler_class(pairs, e, memo)
-                assert got.scalar is ONE and _same_piece(got, expected)
+                assert _same_piece(got, expected)
                 got = _tangent_piece(pairs, e, memo)
-                assert got.scalar is ONE and _same_piece(got, _merged_pow(expected, -1))
+                assert _same_piece(got, _merged_pow(expected, -1))
 
 
 class TestPlaneTerms:
@@ -376,9 +374,7 @@ class TestEllFactor:
                         e = {b + 1: 1, a + 1: -1} if a != b else None
                         for p, q, _ in char_lk(kvec[b] - kvec[a]):
                             den[mono_t(p, q, e)] += 1
-                expected = term_mul(
-                    ref_matter_euler(num, frame.r), term_pow(ref_euler_class(den), -1)
-                )
+                expected = (ref_matter_euler(num, frame.r), term_pow(ref_euler_class(den), -1))
                 assert merged(ell_factor(frame, kvec, FactorTable())) == merged(expected)
 
 
@@ -439,8 +435,8 @@ class TestSharedFactorTable:
             term = build(fps[i], table)
             assert merged(term) == reference(fps[i])
             # unit pieces are dropped, and every piece is the table's object
-            assert all(piece.factors for piece in term.pieces)
-            assert {id(piece) for piece in term.pieces} <= {id(piece) for piece in table.pieces.values()}
+            assert all(piece.factors for piece in term)
+            assert {id(piece) for piece in term} <= {id(piece) for piece in table.pieces.values()}
             if kind == "x1":
                 empties = ((),) * frame.r
                 ell = ell_factor(frame, fps[i].kvec, table)

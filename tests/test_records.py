@@ -16,7 +16,6 @@ from nekrasov.exact import (
     EPS2,
     FactoredTerm,
     PoleError,
-    Product,
     Var,
     _var_of_slot,
     factored_term,
@@ -52,7 +51,7 @@ class TestVar:
         assert repr(var_m(3)) == "Var(kind='m', index=3)"
 
     def test_pole_error_text_names_the_point(self):
-        t = factored_term(1, [(linear_form({EPS1: 1, var_a(2): -1}), -2), (linear_form({EPS2: 1}), 1)])
+        t = (factored_term([(linear_form({EPS1: 1, var_a(2): -1}), -2), (linear_form({EPS2: 1}), 1)]),)
         point = {EPS1: F(3, 2), EPS2: F(-1), var_a(1): F(7), var_a(2): F(3, 2)}
         with pytest.raises(PoleError) as err:
             term_eval(t, point)
@@ -135,11 +134,10 @@ class TestValidationMessages:
 
 def _records():
     """One instance of each immutable record, with one of its fields."""
-    term = factored_term(2, [(linear_form({EPS1: 1}), -1)])
+    term = factored_term([(linear_form({EPS1: 1}), -1)])
     return [
         (Var("a", 1), "kind"),
-        (term, "scalar"),
-        (Product((term,)), "pieces"),
+        (term, "factors"),
         (FrameData(1, 2), "w0"),
         (HalfInt(1), "doubled"),
         (FixedPointX0(((1,),), 1, 0), "v0"),
@@ -175,9 +173,8 @@ def test_record_never_equals_a_tuple_of_its_values(record, values):
 
 def test_reprs_and_keyword_constructors():
     e1 = linear_form({EPS1: 1})
-    term = FactoredTerm(scalar=F(1, 2), factors=((e1, -1),))
-    assert repr(term) == "FactoredTerm(scalar=Fraction(1, 2), factors=((LinearForm(eps1), -1),))"
-    assert repr(Product(pieces=())) == "Product(pieces=())"
+    term = FactoredTerm(factors=((e1, -1),))
+    assert repr(term) == "FactoredTerm(factors=((LinearForm(eps1), -1),))"
     assert repr(FrameData(w0=1, w1=2)) == "FrameData(w0=1, w1=2)"
     assert repr(FixedPointX0(diagrams=((1,),), v0=1, v1=0)) == "FixedPointX0(diagrams=((1,),), v0=1, v1=0)"
     assert repr(FixedPointX1(kvec=(HalfInt(1),), y1=((),), y2=((),))) == (

@@ -11,7 +11,6 @@ from nekrasov.diagrams import FixedPointX1, FrameData, HalfInt
 from nekrasov.exact import (
     EPS1,
     EPS2,
-    UNIT_TERM,
     coeff_eval,
     factored_term,
     linear_form,
@@ -42,7 +41,6 @@ from nekrasov.verify import (
 )
 from whole_fixed_point import (
     merged,
-    reference_prefactor,
     reference_term_p2,
     reference_term_x0,
     reference_term_x1,
@@ -212,7 +210,8 @@ class TestPrefactor:
 
     def test_exponent_ratio_term_shape(self):
         u = prefactor_exponent(1)
-        assert u.scalar == Fraction(1, 2)
+        half_sum = linear_form({EPS1: Fraction(1, 2), EPS2: Fraction(1, 2)})
+        assert (half_sum, 1) in u.factors
         negatives = sorted(
             str(form) for form, exp in u.factors if exp == -1
         )
@@ -226,7 +225,7 @@ class TestPrefactor:
 
 class TestSeriesProduct:
     def unit_series(self, max_grade):
-        coeffs = {0: (UNIT_TERM,)}
+        coeffs = {0: ((),)}
         for g in range(4, max_grade + 1, 4):
             coeffs[g] = ()
         return QSeries(coeffs, max_grade, 0)
@@ -241,18 +240,16 @@ class TestSeriesProduct:
                 )
 
     def test_difference_of_squares(self):
-        c = factored_term(1, [(linear_form({var_a(1): 1}), 1)])
-        plus = QSeries({0: (UNIT_TERM,), 4: (c,), 8: ()}, 8, 0)
-        minus = QSeries(
-            {0: (UNIT_TERM,), 4: (factored_term(-1, c.factors),), 8: ()}, 8, 0
-        )
+        a1 = linear_form({var_a(1): 1})
+        plus = QSeries({0: ((),), 4: ((factored_term([(a1, 1)]),),), 8: ()}, 8, 0)
+        minus = QSeries({0: ((),), 4: ((factored_term([(-a1, 1)]),),), 8: ()}, 8, 0)
         prod = series_mul(plus, minus)
         for p in POINTS:
             a = p[var_a(1)]
             assert coeff_eval(prod.coefficient(8), p) == -a * a
 
     def test_associative_and_commutative_under_evaluation(self):
-        a = reference_prefactor(1, +1, 2)
+        a = series_zx1(FrameData(1, 0), H(0), 8)
         b = series_zx0(FrameData(1, 0), H(0), 8)
         c = series_zp2(1, 2)
         left = series_mul(series_mul(a, b), c)
@@ -265,9 +262,9 @@ class TestSeriesProduct:
                 assert coeff_eval(swapped.coefficient(g), p) == value
 
     def test_offset_aware_truncation(self):
-        pref = reference_prefactor(1, +1, 2)  # grades 0..8
+        zp2 = series_zp2(1, 2)  # grades 0..8
         zx0 = series_zx0(FrameData(0, 1), H("1/2"), 9)  # grades 1, 5, 9
-        prod = series_mul(pref, zx0)
+        prod = series_mul(zp2, zx0)
         assert prod.offset == 1
         assert prod.max_grade == 9
         assert list(prod.grades()) == [1, 5, 9]
@@ -372,15 +369,17 @@ def check_all_pass(pair):
 
 def _reference_ell(frame, kvec, table):
     empties = ((),) * frame.r
-    return reference_term_x1(frame, FixedPointX1(kvec, empties, empties))
+    return (reference_term_x1(frame, FixedPointX1(kvec, empties, empties)),)
 
 
 def _reference_substitute(t, rule, images):
-    return factored_term(t.scalar, [(form.substitute(rule), exp) for form, exp in t.factors])
+    return tuple(
+        factored_term([(form.substitute(rule), exp) for form, exp in piece.factors]) for piece in t
+    )
 
 
 def _merged_coeffs(series):
-    return {g: tuple(map(merged, c)) for g, c in series.coeffs.items()}
+    return {g: tuple((merged(t),) for t in c) for g, c in series.coeffs.items()}
 
 
 class TestFactorTables:
@@ -401,9 +400,9 @@ class TestFactorTables:
         k, max4n = HalfInt(doubled), 4 * levels + frame.w1
         built = _build_all(frame, k, max4n)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(series, "term_p2", lambda r, tup, table: reference_term_p2(r, tup))
-            mp.setattr(series, "term_x0", lambda fr, fp, table: reference_term_x0(fr, fp))
-            mp.setattr(series, "term_x1", lambda fr, fp, table: reference_term_x1(fr, fp))
+            mp.setattr(series, "term_p2", lambda r, tup, table: (reference_term_p2(r, tup),))
+            mp.setattr(series, "term_x0", lambda fr, fp, table: (reference_term_x0(fr, fp),))
+            mp.setattr(series, "term_x1", lambda fr, fp, table: (reference_term_x1(fr, fp),))
             mp.setattr(series, "ell_factor", _reference_ell)
             mp.setattr(series, "term_substitute", _reference_substitute)
             reference = _build_all(frame, k, max4n)
@@ -423,7 +422,7 @@ class TestFactorTables:
         }
 
         def forms(built):
-            pieces = {id(piece): piece for c in built.coeffs.values() for t in c for piece in t.pieces}
+            pieces = {id(piece): piece for c in built.coeffs.values() for t in c for piece in t}
             return [form for piece in pieces.values() for form, _ in piece.factors]
 
         for name, build in builds.items():

@@ -28,7 +28,6 @@ from nekrasov.series import (
     map_point,
     prefactor_exponent,
     rule_negate_eps,
-    series_mul,
     series_zx0,
     series_zx1,
     series_zx1_factorized,
@@ -53,6 +52,7 @@ from whole_fixed_point import (
     coeff_denominator_forms,
     coefficient,
     merged,
+    prefactor_value,
     reference_prefactor,
     series_pole_forms,
 )
@@ -112,6 +112,41 @@ class TestSampler:
         captured = capsys.readouterr()
         assert captured.err == "sample-point collision between trials (seed 42)\n"
         assert captured.out == ""
+
+    def test_the_warning_fires_on_each_trial_that_repeats_an_earlier_point(self, monkeypatch, capsys):
+        from nekrasov import verify
+
+        first, second = {EPS1: Fraction(1), EPS2: Fraction(2)}, {EPS1: Fraction(2), EPS2: Fraction(1)}
+        drawn = [first, second, first, dict(second), first]
+        monkeypatch.setattr(verify, "sample_point_with_stats", lambda cfg, trial, forms, r: (drawn[trial], 0))
+        points, _ = sample_points(SampleConfig(seed=3, trials=5), [], 1)
+        assert points == drawn
+        assert capsys.readouterr().err == "sample-point collision between trials (seed 3)\n" * 3
+
+    def test_collision_test_compares_no_coordinate_pairwise(self, monkeypatch):
+        # each trial's point is looked up among the earlier ones by its
+        # coordinates' ints, so no Fraction is compared with another: a list
+        # search would compare every new point with every earlier one
+        from nekrasov import verify
+
+        compared = []
+
+        class Counted(Fraction):
+            def __eq__(self, other):
+                compared.append(other)
+                return super().__eq__(other)
+
+            __hash__ = Fraction.__hash__
+
+        def draw(cfg, trial, forms, r):
+            return {EPS1: Counted(trial + 1), EPS2: Counted(1, trial + 2)}, 0
+
+        monkeypatch.setattr(verify, "sample_point_with_stats", draw)
+        points, _ = sample_points(SampleConfig(seed=3, trials=60), [], 1)
+        assert [p[EPS1] for p in points] == list(range(1, 61))
+        compared.clear()  # the check above compared
+        sample_points(SampleConfig(seed=3, trials=60), [], 1)
+        assert compared == []
 
     def test_sample_points_is_one_point_per_trial(self):
         trap = linear_form({EPS1: 231, EPS2: 80})
@@ -251,7 +286,7 @@ class TestPrefactorSide:
             values = side(p)
             assert list(values) == list(reference.grades())
             for g, value in values.items():
-                assert value == coeff_eval(reference.coefficient(g), p)
+                assert value == prefactor_value(reference.coefficient(g), p)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_must_weights_are_rising_factorials(self, r):
@@ -261,7 +296,7 @@ class TestPrefactorSide:
         minus, plus = _prefactor(r, -1, max_n), _prefactor(r, +1, max_n)
         for trial in range(3):
             p = sample_point(CFG, trial, [], r)
-            weights, u, w = minus(p), term_eval(prefactor_exponent(r), p), Fraction(1)
+            weights, u, w = minus(p), term_eval((prefactor_exponent(r),), p), Fraction(1)
             assert weights == plus(map_point(p, negate_am(r)))
             for j in range(max_n + 1):
                 assert weights[4 * j] == w
@@ -282,7 +317,7 @@ class TestPrefactorSide:
         weights = _prefactor(r, sign, max_n)
         assert clear_of(weights.forms, point)
         reference = reference_prefactor(r, sign, max_n)
-        expected_weights = {g: coeff_eval(reference.coefficient(g), point) for g in reference.grades()}
+        expected_weights = {g: prefactor_value(reference.coefficient(g), point) for g in reference.grades()}
         assert weights(point) == expected_weights
         side = _side(lambda p: grades, [])
         expected = {
@@ -311,7 +346,7 @@ class TestPrefactorSide:
     def test_int_sides_at_a_u_of_large_denominator(self, r, sign):
         coords = [Fraction(10**9 + 7, 999_999_937), Fraction(-(10**9 + 9), 999_999_929)]
         point = dict(zip(scope_vars(r), coords + [Fraction(7, 5)] * 3 * r))
-        assert term_eval(prefactor_exponent(r), point).denominator > 10**17
+        assert term_eval((prefactor_exponent(r),), point).denominator > 10**17
         grades = {2 + 4 * n: Fraction(n - 3, 10**12 + n) for n in range(10)}
         self._check_int_sides(r, sign, 8, grades, point)
 
@@ -338,7 +373,7 @@ class TestSensitivity:
         target = lhs.coefficient(8)
         term = merged(target[0])
         form, exp = term.factors[0]
-        tampered_term = factored_term(term.scalar, ((form, exp + 1),) + term.factors[1:])
+        tampered_term = (factored_term(((form, exp + 1),) + term.factors[1:]),)
         tampered = (tampered_term,) + target[1:]
         for point in self._points(lhs, rhs):
             clean = coeff_eval(target, point)
@@ -354,8 +389,9 @@ class TestSensitivity:
         lhs = series_zx1(frame, H(1), 8)
         rhs = series_zx1_factorized(frame, H(1), 8)
         target = lhs.coefficient(4)
-        term = merged(target[0])
-        tampered = (factored_term(2 * term.scalar, term.factors),) + target[1:]
+        # the scalar 2 as the piece (2 eps1) / eps1
+        two = factored_term([(linear_form({EPS1: 2}), 1), (linear_form({EPS1: 1}), -1)])
+        tampered = (target[0] + (two,),) + target[1:]
         mismatches = sum(
             coeff_eval(tampered, point) != coeff_eval(rhs.coefficient(4), point)
             for point in self._points(lhs, rhs)
@@ -374,14 +410,13 @@ class TestZeroKBranchGuard:
         flip = rule_negate_eps()
         plain = series_zx0(frame, H(0), 8)
         pref = reference_prefactor(frame.r, +1, 2)
-        rhs_ge = series_mul(pref, plain)
-        u_term = prefactor_exponent(frame.r)
-        forms = series_pole_forms(plain) + coeff_denominator_forms((u_term,))
+        u_piece = prefactor_exponent(frame.r)
+        forms = series_pole_forms(plain) + coeff_denominator_forms(((u_piece,),))
         forms += [form.substitute(flip) for form in series_pole_forms(plain)]
         for trial in range(CFG.trials):
             p = sample_point(CFG, trial, forms, frame.r)
             q = map_point(p, flip)
-            u = term_eval(u_term, p)
+            u = term_eval((u_piece,), p)
             a0 = coeff_eval(plain.coefficient(0), p)
             a4 = coeff_eval(plain.coefficient(4), p)
             b4 = coeff_eval(plain.coefficient(4), q)
@@ -389,9 +424,11 @@ class TestZeroKBranchGuard:
             assert (b4 != a4) == (u != 0)
             # both branch right sides agree wherever the identity holds
             for g in (0, 4, 8):
-                assert coeff_eval(rhs_ge.coefficient(g), p) == coeff_eval(
-                    plain.coefficient(g), q
+                rhs_ge = sum(
+                    prefactor_value(pref.coefficient(j), p) * coeff_eval(plain.coefficient(g - j), p)
+                    for j in range(0, g + 1, 4)
                 )
+                assert rhs_ge == coeff_eval(plain.coefficient(g), q)
 
 
 # The builder of each series a SeriesPair holds, by series name.
@@ -631,11 +668,11 @@ class TestHomogeneity:
 
 
 def reference_value(c, point):
-    """sum of scalar * prod form(point)^exp over the canonical merges of
-    the terms of `c`, term by term in Fraction."""
+    """sum of prod form(point)^exp over the canonical merges of the terms
+    of `c`, term by term in Fraction."""
     total = Fraction(0)
     for t in map(merged, c):
-        value = t.scalar
+        value = Fraction(1)
         for form, exp in t.factors:
             value *= form.evaluate(point) ** exp
         total += value
@@ -699,7 +736,9 @@ class TestPieceReads:
         pair = SeriesPair(frame, H(k), 4 * MAX_N[r] + frame.w1)
         series = pair.series(name)
         merged_series = QSeries(
-            {g: tuple(map(merged, c)) for g, c in series.coeffs.items()}, series.max_grade, series.offset
+            {g: tuple((merged(t),) for t in c) for g, c in series.coeffs.items()},
+            series.max_grade,
+            series.offset,
         )
         assert set(pair.pole_forms(name)) == set(series_pole_forms(merged_series))
         assert pair.pole_forms(name) == series_pole_forms(series)
@@ -720,8 +759,8 @@ class TestPieceReads:
         pair = SeriesPair(FrameData(1, 2), H(0), 18)
         series = pair.series("zx0")
         terms = [t for g in series.grades() for t in series.coefficient(g)]
-        pieces = {id(piece): piece for t in terms for piece in t.pieces}
-        assert (len(terms), sum(len(t.pieces) for t in terms), len(pieces)) == (1188, 11210, 3248)
+        pieces = {id(piece): piece for t in terms for piece in t}
+        assert (len(terms), sum(map(len, terms)), len(pieces)) == (1188, 11210, 3248)
         assert sum(len(merged(t).factors) for t in terms) == 51824
 
         compiled = []
@@ -733,14 +772,14 @@ class TestPieceReads:
 
         monkeypatch.setattr(exact, "_compile_piece", compiling)
         (point,), _ = sample_points(SampleConfig(seed=7, trials=1), pair.pole_forms("zx0"), 3)
-        products = count_products(monkeypatch)
+        _, kernel = pair._compile("zx0")
+        products = count_products(monkeypatch, kernel)
         pair.values("zx0", point)
         # one form-slot lookup per factor of each distinct piece
         assert len({id(piece) for piece in compiled}) == len(compiled) == len(pieces)
         assert sum(len(piece.factors) for piece in compiled) == 16184
         # at the point, one product per distinct factor set, then one per
         # term side that reads more than one ref; a lone ref is read directly
-        _, kernel = pair._compile("zx0")
         assert len(set(kernel.sets)) == len(kernel.sets) == 2091
         assert products == {"sets": 2091, "terms": 2116}
         assert products["terms"] == multi_ref_sides(terms)
@@ -755,13 +794,13 @@ class TestPieceReads:
         for name in ("zx1", "zx1-fact"):
             series = pair.series(name)
             terms = [t for g in series.grades() for t in series.coefficient(g)]
-            pieces[name] = len({id(piece) for t in terms for piece in t.pieces})
+            pieces[name] = len({id(piece) for t in terms for piece in t})
         assert pieces["zx1-fact"] > pieces["zx1"]
         forms = union_pole_forms(pair.pole_forms("zx1"), pair.pole_forms("zx1-fact"))
         (point,), _ = sample_points(SampleConfig(seed=7, trials=1), forms, 3)
         sets = {}
         for name in ("zx1", "zx1-fact"):
-            products = count_products(monkeypatch)
+            products = count_products(monkeypatch, pair._compile(name)[1])
             pair.values(name, point)
             sets[name] = products["sets"]
         assert sets["zx1-fact"] <= sets["zx1"]
@@ -773,27 +812,28 @@ class TestPieceReads:
 def multi_ref_sides(terms) -> int:
     """The term sides a kernel reads through a product: those where more
     than one piece has a factor set, a piece's side having one when it
-    holds a factor or a scalar part other than 1 there."""
+    holds a factor there."""
     count = 0
     for t in terms:
-        nums = sum(1 for p in t.pieces if p.scalar.numerator != 1 or any(e > 0 for _, e in p.factors))
-        dens = sum(1 for p in t.pieces if p.scalar.denominator != 1 or any(e < 0 for _, e in p.factors))
+        nums = sum(1 for p in t if any(e > 0 for _, e in p.factors))
+        dens = sum(1 for p in t if any(e < 0 for _, e in p.factors))
         count += (nums > 1) + (dens > 1)
     return count
 
 
-def count_products(monkeypatch) -> dict:
-    """Count the kernel's int products from here on: a factor set's product
-    passes its constant as `start`, a term side's passes none."""
+def count_products(monkeypatch, kernel) -> dict:
+    """Count the int products of one evaluation of `kernel` from here on:
+    it takes one product per factor set in `kernel.sets` first, then one
+    per term side that reads more than one ref."""
     from math import prod
 
     from nekrasov import exact
 
     counts = {"sets": 0, "terms": 0}
 
-    def counting(values, **kw):
-        counts["sets" if kw else "terms"] += 1
-        return prod(values, **kw)
+    def counting(values):
+        counts["sets" if counts["sets"] < len(kernel.sets) else "terms"] += 1
+        return prod(values)
 
     monkeypatch.setattr(exact, "prod", counting)
     return counts
@@ -862,10 +902,10 @@ class TestValueTable:
 
     # every term times eps1 (one odd degree), or one degree-1 term added
     ODD = staticmethod(
-        lambda c: tuple(term_mul(t, factored_term(1, [(linear_form({EPS1: 1}), 1)])) for t in c)
+        lambda c: tuple(term_mul(t, (factored_term([(linear_form({EPS1: 1}), 1)]),)) for t in c)
     )
     MIXED = staticmethod(
-        lambda c: c + (factored_term(3, [(linear_form({EPS1: 1, var_a(1): 2}), 1)]),)
+        lambda c: c + ((factored_term([(linear_form({EPS1: 1, var_a(1): 2}), 1)]),),)
     )
 
     @pytest.mark.parametrize("mutate, degree", [(ODD, 1), (MIXED, None)], ids=["odd", "mixed"])
@@ -995,10 +1035,8 @@ class TestSideForms:
         trap = rest + linear_form({EPS2: -rest.evaluate(image) / image[EPS2]})
         assert trap.evaluate(image) == 0
         assert rule is None or trap.evaluate(first) != 0
-        pole = factored_term(1, [(trap, -1)])
-        TestValueTable._mutant(
-            monkeypatch, name, grade, lambda c: c + (pole, factored_term(-1, pole.factors))
-        )
+        pole, opposite = factored_term([(trap, -1)]), factored_term([(-trap, -1)])
+        TestValueTable._mutant(monkeypatch, name, grade, lambda c: c + ((pole,), (opposite,)))
 
     @pytest.mark.parametrize(
         "name, check, rule",

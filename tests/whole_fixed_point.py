@@ -9,10 +9,10 @@ whole tautological and tangent characters, each a ``Counter`` of
 (p, q, e) monomials, and build its term the direct way: one matter Euler
 class of the whole tautological character, one Euler class of the whole
 tangent character, then num * den^-1, merged into one canonical
-``FactoredTerm``.  ``merged`` gives any term, product or not, that
-canonical form, so a product term is compared with the reference through
-it.  The box-by-box definitions of arms, legs and the Z2-degree, which
-the engine's builders inline, are the references for the characters,
+``FactoredTerm``.  ``merged`` gives any term, a tuple of pieces, that
+canonical piece, so a term is compared with the reference through it.
+The box-by-box definitions of arms, legs and the Z2-degree, which the
+engine's builders inline, are the references for the characters,
 and ``char_lk`` is the line-bundle twist character written from its
 definition.  The ``ref_`` helpers are the piece builders and Euler
 classes the way the engine wrote them while a character was a
@@ -22,17 +22,22 @@ factors come in its monomials' first-seen order.  The last helpers read quantiti
 a coefficient's degree and denominator forms off its pieces directly, as
 references for what ``exact.Kernel`` records while it compiles.
 ``reference_prefactor`` is (1 - (-1)^r q)^(+-u) built the way the engine
-built it before it became a numeric side: a series of terms, each a
-power of the exponent-ratio term u times a scalar.
+built it before it became a numeric side: each grade a sum of powers of
+the exponent-ratio piece u, each power held here beside its binomial
+coefficient as a (Fraction, piece) pair, which ``prefactor_value`` reads
+at a point.
 ``closure_fixed_points_x0`` and ``closure_kvectors`` are the orbifold
 fixed-point and first-Chern-vector enumerators written as nested
 recursive closures, the way the engine wrote them before it moved every
-recursive helper to module level; they pin the enumeration order.
+recursive helper to module level, and ``recursive_diagram_tuples`` is
+the plane enumerator with one call per slot, the way the engine wrote it
+before it walked slots on an explicit stack; they pin the enumeration
+order.
 """
 
 from collections import Counter
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt
 
 from nekrasov.characters import (
     char_tangent_p2,
@@ -43,8 +48,8 @@ from nekrasov.characters import (
     char_v_x0,
     char_v_x1,
 )
-from nekrasov.diagrams import FixedPointX0, HalfInt, ParityError, boxes, transpose
-from nekrasov.exact import ONE, FactoredTerm, factored_term, term_mul, term_pow
+from nekrasov.diagrams import FixedPointX0, HalfInt, ParityError, boxes, partitions, transpose
+from nekrasov.exact import FactoredTerm, factored_term, term_eval, term_pow
 from nekrasov.localization import (
     VanishingWeight,
     mass_shifted_weight,
@@ -95,12 +100,9 @@ def degree_part(ch, frame, s) -> Counter:
 
 
 def merged(t):
-    """The canonical FactoredTerm of a term: the product of its pieces'
-    scalars times all their factors, merged by form."""
-    return factored_term(
-        prod((piece.scalar for piece in t.pieces), start=Fraction(1)),
-        [factor for piece in t.pieces for factor in piece.factors],
-    )
+    """The canonical FactoredTerm of a term: all its pieces' factors,
+    merged by form."""
+    return factored_term([factor for piece in t for factor in piece.factors])
 
 
 def with_e(pairs, e) -> Counter:
@@ -166,7 +168,7 @@ def whole_tangent_x1(frame, fp) -> Counter:
 
 
 def _quotient(num, den):
-    return merged(term_mul(num, term_pow(den, -1)))
+    return merged((num, term_pow(den, -1)))
 
 
 def reference_term_p2(r, diagrams):
@@ -268,7 +270,7 @@ def ref_euler_class(ch) -> FactoredTerm:
             raise VanishingWeight(f"zero weight for monomial {mono}")
         if mult:
             factors.append((form, mult))
-    return FactoredTerm(ONE, tuple(factors))
+    return FactoredTerm(tuple(factors))
 
 
 def ref_matter_euler(ch, r) -> FactoredTerm:
@@ -278,7 +280,7 @@ def ref_matter_euler(ch, r) -> FactoredTerm:
     for mono, mult in ch.items():
         if mult:
             factors.extend((mass_shifted_weight(mono, f), mult) for f in range(1, 2 * r + 1))
-    return FactoredTerm(ONE, tuple(factors))
+    return FactoredTerm(tuple(factors))
 
 
 def char_rank(ch) -> int:
@@ -315,7 +317,7 @@ def coefficient(form, v) -> Fraction:
 def coeff_degree(c) -> int | None:
     """The total degree (sum of factor exponents) every term of `c` shares,
     0 for the empty coefficient, or None when the terms' degrees differ."""
-    degrees = {sum(exp for piece in t.pieces for _, exp in piece.factors) for t in c}
+    degrees = {sum(exp for piece in t for _, exp in piece.factors) for t in c}
     if len(degrees) > 1:
         return None
     return degrees.pop() if degrees else 0
@@ -326,7 +328,7 @@ def coeff_denominator_forms(c) -> list:
     term of `c`, in first-seen order."""
     seen = {}
     for t in c:
-        for piece in t.pieces:
+        for piece in t:
             for form, exp in piece.factors:
                 if exp < 0:
                     seen.setdefault(form, None)
@@ -344,21 +346,26 @@ def series_pole_forms(*series_list) -> list:
 
 
 def reference_prefactor(r: int, sign: int, max_n: int) -> QSeries:
-    """(1 - (-1)^r q)^(sign * u) as a q-series of terms; grade 4j holds the
-    degree-j binomial as a polynomial in the single exponent-ratio term."""
+    """(1 - (-1)^r q)^(sign * u) as a q-series; grade 4j holds the
+    degree-j binomial as a polynomial in the single exponent-ratio piece u:
+    a (coefficient, u^d) pair per nonzero coefficient."""
     u = prefactor_exponent(r)
     sigma = 1 if r % 2 == 1 else -1  # -(-1)^r
     coeffs = {}
     for j in range(max_n + 1):
-        terms = []
+        pairs = []
         for d, c in enumerate(_binomial_poly(j)):
-            scalar = c * sign ** d * sigma ** j
-            if scalar == 0:
-                continue
-            power = term_pow(u, d)
-            terms.append(factored_term(power.scalar * scalar, power.factors))
-        coeffs[4 * j] = tuple(terms)
+            c *= sign ** d * sigma ** j
+            if c:
+                pairs.append((c, term_pow(u, d)))
+        coeffs[4 * j] = tuple(pairs)
     return QSeries(coeffs, 4 * max_n, 0)
+
+
+def prefactor_value(pairs, point) -> Fraction:
+    """The value at `point` of one grade of ``reference_prefactor``: the
+    sum of its coefficients times their powers of u."""
+    return sum((c * term_eval((power,), point) for c, power in pairs), Fraction(0))
 
 
 def _closure_bounded_diagrams(size, color, room0, room1):
@@ -438,3 +445,21 @@ def closure_kvectors(frame, k, max4n) -> list:
     else:
         extend([], 0)
     return out
+
+
+def recursive_diagram_tuples(slots, total):
+    """Every `slots`-tuple of diagrams of `total` boxes: the first slot's
+    diagram by size and then in partitions order, each followed by every
+    tuple of the other slots."""
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    if slots == 1:
+        for diagram in partitions(total):
+            yield (diagram,)
+        return
+    for head_size in range(total + 1):
+        for head in partitions(head_size):
+            for rest in recursive_diagram_tuples(slots - 1, total - head_size):
+                yield (head,) + rest
