@@ -34,13 +34,14 @@ frees all of a request's garbage; the collector found nothing to free
 but kept re-scanning the growing heap of forms, pieces and terms, 11-22%
 of ``check all``'s wall time at those cells.
 
-Importing this module loads the engine and, from the standard library,
-``argparse``, ``fractions``, ``json`` and ``typing`` with what they
-import: 65 modules under ``python -S``.  It loads none of
-``dataclasses``, ``inspect`` or ``logging`` (a tier-1 test and CI check
-this): the engine's records are ``typing.NamedTuple`` or ``__slots__``
-classes, and a sample-point collision is one line written to stderr, so
-no request pays the set-up time of importing them.
+Importing this module and building its parser loads the engine and,
+from the standard library, ``argparse``, ``fractions`` and ``json`` with
+what they import: 52 modules under ``python -S``.  It loads none of
+``dataclasses``, ``inspect``, ``logging``, ``shutil`` or ``typing`` (a
+tier-1 test and CI check this): the engine's records are
+``collections.namedtuple`` or ``__slots__`` classes, the parser's help
+formatter sets itself up only to format help or usage, and a
+sample-point collision is one line written to stderr.
 """
 
 from __future__ import annotations
@@ -132,31 +133,47 @@ def _add_series_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--threads", type=int, default=1)
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter, set up only to format help or usage, not for
+    add_argument's metavar check or an add_subparsers given its prog: the
+    stock one imports shutil, bz2, lzma, zlib and fnmatch for the width."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._deferred = (args, kwargs)
+
+    def __getattr__(self, name: str):
+        deferred = self.__dict__.pop("_deferred", None)
+        if deferred is None:
+            raise AttributeError(name)
+        super().__init__(*deferred[0], **deferred[1])
+        return getattr(self, name)
+
+
 @functools.cache  # an argparse parser is cyclic: build one per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nekrasov",
         description="Exact Nekrasov partition functions on the A1 orbifold "
         "and its resolution, with identity checks by rational sampling.",
+        formatter_class=_HelpFormatter,
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True, prog="nekrasov")
+    sub = functools.partial(commands.add_parser, formatter_class=_HelpFormatter)
 
-    compute = commands.add_parser("compute", help="compute one series and print it")
+    compute = sub("compute", help="compute one series and print it")
     compute.add_argument("target", choices=["zx0", "zx1", "zp2", "zx1-fact"])
     _add_series_flags(compute)
 
-    check = commands.add_parser("check", help="verify functional equations")
+    check = sub("check", help="verify functional equations")
     check.add_argument("target", choices=["main", "mult", "symmetry", "must", "all"])
     _add_series_flags(check)
 
-    walls = commands.add_parser("walls", help="list walls for a dimension vector")
+    walls = sub("walls", help="list walls for a dimension vector")
     walls.add_argument("--v0", type=int, required=True)
     walls.add_argument("--v1", type=int, required=True)
     walls.add_argument("--json", action="store_true")
 
-    imo = commands.add_parser(
-        "imo-point", help="convert an evaluation point to the alternate convention"
-    )
+    imo = sub("imo-point", help="convert an evaluation point to the alternate convention")
     imo.add_argument("--eps1", type=_rational, required=True)
     imo.add_argument("--eps2", type=_rational, required=True)
     imo.add_argument("--a", type=_fraction_list, required=True,

@@ -33,9 +33,10 @@ off.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache, partial, total_ordering
 from math import isqrt
-from typing import Iterator, NamedTuple
 
 from .exact import Record
 
@@ -214,12 +215,10 @@ def diagram_tuples(slots: int, total: int) -> Iterator[tuple[YoungDiagram, ...]]
             yield head + (diagram,)
 
 
-class FixedPointX0(NamedTuple):
+class FixedPointX0(namedtuple("FixedPointX0", "diagrams v0 v1")):
     """A torus-fixed point on the orbifold side: r colored diagrams."""
 
-    diagrams: tuple
-    v0: int
-    v1: int
+    __slots__ = ()
 
 
 def _columns(
@@ -334,13 +333,11 @@ def enum_kvectors(
     return out
 
 
-class FixedPointX1(NamedTuple):
+class FixedPointX1(namedtuple("FixedPointX1", "kvec y1 y2")):
     """A torus-fixed point on the resolved side: a first-Chern vector plus
     one pair of diagrams per framing slot."""
 
-    kvec: tuple
-    y1: tuple
-    y2: tuple
+    __slots__ = ()
 
     @property
     def grade4n(self) -> int:
@@ -367,14 +364,10 @@ def enum_fixed_points_x1(
     return out
 
 
-class _WallFields(NamedTuple):
-    kind: str  # "real" or "imaginary"
-    index: int  # m for real walls alpha_m, p for imaginary walls p*delta
-    root: tuple
-
-
-class Wall(_WallFields):
-    """A root (alpha0, alpha1) cutting a wall in the stability plane."""
+class Wall(namedtuple("Wall", "kind index root")):
+    """A root (alpha0, alpha1) cutting a wall in the stability plane: of
+    `kind` "real" or "imaginary", with `index` m for the real wall alpha_m
+    and p for the imaginary wall p*delta."""
 
     __slots__ = ()
 

@@ -27,9 +27,12 @@ orders variables canonically.  Every form the engine builds has its
 coefficients in (1/2)Z -- the only halves come from the sqrt(t1 t2) matter
 twist and from the prefactor exponent's numerator (eps1 + eps2)/2 -- so
 that denominator is 1 or 2, but any rational coefficient is held
-exactly.  Building, adding, substituting, hashing and comparing forms
-is therefore int arithmetic with one gcd reduction per form, and a
-form's hash is computed once, when it is made.
+exactly.  Building, adding, hashing and comparing forms is therefore int
+arithmetic with one gcd reduction per form, and a form's hash is computed
+once, when it is made.  A substitution rule (`Rule`, a chart or the eps
+flip) is a small int map, and `form_image` is the one place a rule meets
+a form: chart images of terms (`term_substitute`), rule-composed pole
+forms (``verify``) and point images (``series.map_point``) all use it.
 
 Sample-point values are ``fractions.Fraction``.  Evaluation works in
 ints through a `Kernel`, compiled once from a list of coefficients by the
@@ -52,10 +55,11 @@ int dot product per form.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
-from typing import Iterable, Mapping
 
 _KIND_RANK = {"eps": 0, "a": 1, "m": 2}
 _KINDS = tuple(_KIND_RANK)
@@ -84,7 +88,7 @@ def parse_rational(text: str) -> Fraction:
 
 class Record:
     """Base of an immutable record that equals only records of its own
-    class (a ``NamedTuple`` equals any tuple of its values) or that must
+    class (a namedtuple equals any tuple of its values) or that must
     be weakly referenceable (a tuple cannot be).  A subclass lists its
     fields in ``__slots__``, sets each once in ``__init__`` through
     ``object.__setattr__`` or the slot's own setter, and writes its own
@@ -230,22 +234,6 @@ class LinearForm:
     def __neg__(self) -> "LinearForm":
         return LinearForm(tuple([(s, -n) for s, n in self.pairs]), self.den)
 
-    def substitute(self, rule: "Mapping[Var, LinearForm]") -> "LinearForm":
-        """Post-compose with a variable substitution (missing vars are fixed)."""
-        return self.substitute_slots(slot_rule(rule))
-
-    def substitute_slots(self, images: "Mapping[int, LinearForm]") -> "LinearForm":
-        """`substitute` with the rule keyed by slot (see `slot_rule`), so a
-        caller substituting many forms builds that map once."""
-        hits = [(s, n, images[s]) for s, n in self.pairs if s in images]
-        d = lcm(*(image.den for _, _, image in hits))
-        acc: dict[int, int] = {s: n * d for s, n in self.pairs if s not in images}
-        for _, n, image in hits:
-            scale = n * (d // image.den)
-            for s2, n2 in image.pairs:
-                acc[s2] = acc.get(s2, 0) + scale * n2
-        return _reduced(acc, self.den * d)
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -267,11 +255,6 @@ class LinearForm:
 
     def __repr__(self) -> str:
         return f"LinearForm({self})"
-
-
-def slot_rule(rule: "Mapping[Var, LinearForm]") -> dict[int, LinearForm]:
-    """A substitution rule keyed by its variables' slots."""
-    return {v.slot: image for v, image in rule.items()}
 
 
 def _reduced(acc: Mapping[int, int], den: int) -> LinearForm:
@@ -298,6 +281,37 @@ def form_from_doubled(pairs: list[tuple[int, int]]) -> LinearForm:
     if all(n % 2 == 0 for _, n in pairs):
         return LinearForm(tuple([(s, n // 2) for s, n in pairs]), 1)
     return LinearForm(tuple(pairs), 2)
+
+
+# A substitution rule: the linear map R that sends eps_i to x eps1 + y eps2
+# for (x, y) = matrix[i - 1], a_alpha to a_alpha + shifts[alpha - 1] times
+# the eps form `carrier`, (x, y) too, and fixes every mass and every
+# a_alpha past `shifts`.  It is hashable, so it can key a memo.
+Rule = namedtuple("Rule", "matrix carrier shifts")
+
+
+def form_image(form: LinearForm, rule: Rule) -> LinearForm:
+    """form o R, whose value at p is form's at R(p): the eps numerators
+    (p, q) go to (p, q) times the matrix plus sum n_alpha shifts[alpha - 1]
+    times the carrier, n_alpha the a_alpha numerator; the rest is kept,
+    and the form reduced by one gcd when its denominator is not 1."""
+    pairs = form.pairs
+    p = q = k = 0  # the eps pairs lead, k of them: eps slots sort first
+    if pairs and pairs[0][0] == _EPS1_SLOT:
+        p, k = pairs[0][1], 1
+    if k < len(pairs) and pairs[k][0] == _EPS2_SLOT:
+        q, k = pairs[k][1], k + 1
+    tail, shifts = pairs[k:], rule.shifts  # a_alpha's slot is _SLOT_SPAN + alpha
+    shift = sum([n * shifts[s - _SLOT_SPAN - 1] for s, n in tail if s - _SLOT_SPAN <= len(shifts)])
+    ((x1, y1), (x2, y2)), (xc, yc) = rule.matrix, rule.carrier
+    p, q = p * x1 + q * x2 + shift * xc, p * y1 + q * y2 + shift * yc
+    pairs = tuple([pair for pair in ((_EPS1_SLOT, p), (_EPS2_SLOT, q)) if pair[1]]) + tail
+    den = form.den
+    if den > 1:
+        g = gcd(den, *(n for _, n in pairs))
+        if g > 1:
+            return LinearForm(tuple([(s, n // g) for s, n in pairs]), den // g)
+    return LinearForm(pairs, den)
 
 
 ZERO_FORM = linear_form({})
@@ -410,17 +424,12 @@ def term_eval(t: Term, point: Mapping[Var, Fraction]) -> Fraction:
     return coeff_eval((t,), point)
 
 
-def term_substitute(t: Term, rule: "Mapping[Var, LinearForm]", images: dict) -> Term:
-    """The term with `rule` substituted into every piece.  `images` is the
-    rule's memo: it maps each form already substituted by this rule to its
-    image, each piece's id to the piece and its image (holding the piece
-    keeps its id from being reused), and None to the rule keyed by slot.
-    New ones are added, so a caller substituting one rule into many terms
-    builds that slot map once and substitutes each distinct piece, and
-    each distinct form, once."""
-    slots = images.get(None)
-    if slots is None:
-        slots = images[None] = slot_rule(rule)
+def term_substitute(t: Term, rule: Rule, images: dict) -> Term:
+    """The term with `rule` substituted into every piece, each image made
+    canonical by `factored_term`.  `images` is the rule's memo: it maps
+    each form already substituted to its `form_image`, and each piece's
+    id to the piece and its image (holding the piece keeps its id from
+    being reused), so each distinct piece and form is imaged once."""
     out = []
     for piece in t:
         entry = images.get(id(piece))
@@ -429,7 +438,7 @@ def term_substitute(t: Term, rule: "Mapping[Var, LinearForm]", images: dict) -> 
             for form, exp in piece.factors:
                 image = images.get(form)
                 if image is None:
-                    image = images[form] = form.substitute_slots(slots)
+                    image = images[form] = form_image(form, rule)
                 factors.append((image, exp))
             entry = images[id(piece)] = (piece, factored_term(factors))
         out.append(entry[1])

@@ -6,29 +6,26 @@ quarter offset, carried implicitly by the residue g mod 4 (reported once
 per series as its offset), so grade keys stay integers.  A missing grade
 at or below the truncation means the coefficient is zero.
 
-Every substitution rule is a linear map R on the variables, and a series
-substituted by R takes at a point p the value the plain series takes at
-R(p).  The sign flip rule_negate_eps is such a map: every series is
-built once, in plain variables, by verify.SeriesPair for both the checks
-and ``compute``, and a flipped side is evaluated at map_point(p, R).
-Only the two blow-up chart maps are still applied to linear forms:
-series_zx1_factorized builds one plain plane series, up to the largest
-grade any first-Chern vector needs, and substitutes each chart into the
-terms of the grades that vector uses.  Each chart rule keeps one image
-dict while it is applied, so each distinct piece and each distinct form
-of the plane series is substituted once per rule.
+Every substitution rule is an exact.Rule, an int map R on the variables,
+and a series substituted by R takes at a point p the value the plain
+series takes at R(p), map_point(p, R).  Every series is built once, in
+plain variables, by verify.SeriesPair for both the checks and
+``compute``, and a side under the sign flip rule_negate_eps is read at
+R(p).  Only the two blow-up chart rules (rule_chart) are applied to
+terms: series_zx1_factorized builds one plain plane series, up to the
+largest grade any first-Chern vector needs, and substitutes each chart
+into the terms of the grades that vector uses, with one image memo per
+rule, so each distinct piece and form is imaged once per rule.
 
 Each series build makes one factor table (``localization.FactorTable``),
 local to series_zp2, series_zx0 or series_zx1, and passes it to every
 term it builds, so a slot's or slot pair's piece, and each monomial's
-form, is built once per build;
-series_zx1_factorized keeps one more for its ell(kvec) pieces.  Every
-term of those series is the tuple of its pieces, each the table's
-object, and the charted plane terms, their Cauchy products and ell
-times a term are tuples of pieces too, so no term's factors are ever
-merged.  The tables and the chart-image dicts die with the build:
-nothing is cached at module level here (``diagrams`` memoizes
-`partitions` and `transpose`, which depend on a diagram alone).
+form, is built once per build; series_zx1_factorized keeps one more for
+its ell(kvec) pieces.  Every term is the tuple of its pieces (charted
+plane terms, their Cauchy products and ell times a term too), so no
+term's factors are ever merged.  The tables and the image memos die
+with the build: nothing is cached at module level here (``diagrams``
+memoizes `partitions` and `transpose`, which depend on a diagram alone).
 
 Implemented series:
 
@@ -47,7 +44,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Mapping
 
 from .diagrams import (
     FrameData,
@@ -63,9 +59,12 @@ from .exact import (
     Coefficient,
     EvalPoint,
     FactoredTerm,
+    LinearForm,
     Record,
+    Rule,
     Var,
     factored_term,
+    form_image,
     linear_form,
     term_mul,
     term_substitute,
@@ -73,8 +72,6 @@ from .exact import (
     var_m,
 )
 from .localization import FactorTable, ell_factor, term_p2, term_x0, term_x1
-
-SubstitutionRule = Mapping
 
 
 class QSeries(Record):
@@ -103,47 +100,37 @@ class QSeries(Record):
         return self.coeffs.get(grade, ())
 
 
-def rule_negate_eps() -> dict:
-    return {
-        EPS1: linear_form({EPS1: -1}),
-        EPS2: linear_form({EPS2: -1}),
-    }
+def rule_negate_eps() -> Rule:
+    """eps -> -eps."""
+    return Rule(((-1, 0), (0, -1)), (0, 0), ())
 
 
-def rule_chart(side: int, kvec) -> dict:
+def rule_chart(side: int, kvec) -> Rule:
     """Blow-up chart substitution for a first-Chern vector.
 
     Chart 1: (eps1, eps2) -> (2 eps1, eps2 - eps1), a -> a + 2 k eps1.
     Chart 2: (eps1, eps2) -> (eps1 - eps2, 2 eps2), a -> a + 2 k eps2.
     Masses are unchanged.
     """
+    shifts = tuple([k.doubled for k in kvec])
     if side == 1:
-        rule = {
-            EPS1: linear_form({EPS1: 2}),
-            EPS2: linear_form({EPS1: -1, EPS2: 1}),
-        }
-        carrier = EPS1
-    elif side == 2:
-        rule = {
-            EPS1: linear_form({EPS1: 1, EPS2: -1}),
-            EPS2: linear_form({EPS2: 2}),
-        }
-        carrier = EPS2
-    else:
-        raise ValueError("side must be 1 or 2")
-    for alpha, k in enumerate(kvec, start=1):
-        rule[var_a(alpha)] = linear_form({var_a(alpha): 1, carrier: k.doubled})
-    return rule
+        return Rule(((2, 0), (-1, 1)), (1, 0), shifts)
+    if side == 2:
+        return Rule(((1, -1), (0, 2)), (0, 1), shifts)
+    raise ValueError("side must be 1 or 2")
 
 
-def map_point(point: EvalPoint, rule: SubstitutionRule | None) -> EvalPoint:
-    """R(p): each variable v takes the value rule[v](p) (unchanged when the
-    rule fixes v), so a coefficient evaluated at R(p) equals the
-    coefficient substituted by the rule evaluated at p."""
+def map_point(point: EvalPoint, rule: Rule | None) -> EvalPoint:
+    """R(p): each variable v the rule moves (eps, and a_alpha up to its
+    shifts) takes the value at p of its image v o R (exact.form_image), so
+    a coefficient at R(p) is the coefficient substituted by R at p."""
     if rule is None:
         return point
+    moved = len(rule.shifts)
     return {
-        v: rule[v].evaluate(point) if v in rule else value
+        v: form_image(LinearForm(((v.slot, 1),), 1), rule).evaluate(point)
+        if v.kind == "eps" or v.kind == "a" and v.index <= moved
+        else value
         for v, value in point.items()
     }
 
@@ -199,7 +186,7 @@ def series_zp2(r: int, max_n: int) -> QSeries:
     return QSeries(coeffs, 4 * max_n, 0)
 
 
-def _charted(zp2: QSeries, max_n: int, rule: SubstitutionRule) -> QSeries:
+def _charted(zp2: QSeries, max_n: int, rule: Rule) -> QSeries:
     """The plane series up to q^max_n with a chart substituted into every
     term; each distinct piece and each distinct form is substituted once."""
     images: dict = {}
@@ -287,9 +274,7 @@ def series_zx1_factorized(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
         for kvec, base in zip(kvecs, bases):
             max_n = (max4n - base) // 4
             ell = ell_factor(frame, kvec, table)
-            z1 = _charted(zp2, max_n, rule_chart(1, kvec))
-            z2 = _charted(zp2, max_n, rule_chart(2, kvec))
-            prod = series_mul(z1, z2)
+            prod = series_mul(*(_charted(zp2, max_n, rule_chart(side, kvec)) for side in (1, 2)))
             for g in prod.grades():
                 acc[g + base].extend(term_mul(ell, t) for t in prod.coefficient(g))
     return QSeries({g: tuple(ts) for g, ts in acc.items()}, max4n, offset)

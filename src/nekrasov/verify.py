@@ -42,7 +42,9 @@ carries both factors' forms.  A check's draws avoid the union of its
 sides' forms, one of each pair F and -F (union_pole_forms); a draw that
 zeroes any of them is rejected and the whole point redrawn, so an honest
 pole can never masquerade as a mismatch.  Each series' plain denominator
-forms are read off its kernel, once per pair.  The pole test is
+forms are read off its kernel, and composed with each rule R (an
+exact.Rule, through exact.form_image) once per pair: main and must both
+read zx0 at -eps p, and share one composition.  The pole test is
 exact.clear_of, on the integer kernel: the draw is scaled to one common
 denominator once, and each form is still one int dot product (a draw
 meets the union once, so no kernel row or frame part is shared there).
@@ -100,20 +102,21 @@ Checks:
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
-from typing import NamedTuple
 
 from .diagrams import FrameData, HalfInt
 from .exact import (
     EvalPoint,
     Kernel,
     LinearForm,
+    Rule,
     clear_of,
+    form_image,
     format_rational,
     scope_vars,
-    slot_rule,
     term_eval,
 )
 from .series import (
@@ -143,12 +146,7 @@ class ResampleExhausted(RuntimeError):
     """Could not find a pole-free sample point within the resample budget."""
 
 
-class _SampleFields(NamedTuple):
-    seed: int
-    trials: int
-
-
-class SampleConfig(_SampleFields):
+class SampleConfig(namedtuple("SampleConfig", "seed trials")):
     """Deterministic sampling protocol for identity testing."""
 
     __slots__ = ()
@@ -241,9 +239,9 @@ def union_pole_forms(*form_lists: list[LinearForm]) -> list[LinearForm]:
 
 class SeriesPair:
     """Every series of one (frame, k, max4n), each compiled on first use
-    and then dropped: per series the pair keeps only its grades and its
-    kernel, read for the series' values, plain denominator forms and
-    degrees, so checks that share a pair share the compile.
+    and then dropped: per series the pair keeps its grades, its kernel
+    (values, denominator forms, degrees) and its forms composed with each
+    rule read, so checks sharing a pair share compiles and compositions.
 
     The pair also keeps one value table: a series read at a point is
     evaluated once, keyed by (series name, each coordinate's numerator
@@ -252,6 +250,7 @@ class SeriesPair:
     def __init__(self, frame: FrameData, k: HalfInt, max4n: int) -> None:
         self.key = (frame, k, max4n)
         self._compiled: dict[str, tuple[range, Kernel]] = {}
+        self._composed: dict[tuple, list[LinearForm]] = {}
         self._values: dict[tuple, dict] = {}
 
     def series(self, name: str) -> QSeries:
@@ -283,9 +282,16 @@ class SeriesPair:
         """The grades of series `name`, in increasing order."""
         return self._compile(name)[0]
 
-    def pole_forms(self, name: str) -> list[LinearForm]:
-        """Every distinct denominator form of series `name`."""
-        return self._compile(name)[1].pole_forms
+    def pole_forms(self, name: str, rule: Rule | None = None) -> list[LinearForm]:
+        """Every distinct denominator form of series `name`, composed with
+        `rule` when one is given (exact.form_image); each series' forms
+        are composed with each rule once per pair."""
+        if rule is None:
+            return self._compile(name)[1].pole_forms
+        forms = self._composed.get((name, rule))
+        if forms is None:
+            forms = self._composed[name, rule] = [form_image(f, rule) for f in self.pole_forms(name)]
+        return forms
 
     def degrees(self, name: str) -> dict:
         """{grade: the degree all terms share, or None} for series `name`."""
@@ -319,25 +325,18 @@ class SeriesPair:
         return out
 
 
-class GradeRecord(NamedTuple):
-    grade4n: int
-    tags: dict
-    values: list  # one (lhs, rhs) Fraction pair per trial
+class GradeRecord(namedtuple("GradeRecord", "grade4n tags values")):
+    __slots__ = ()  # values: one (lhs, rhs) Fraction pair per trial
 
     @property
     def all_equal(self) -> bool:
         return all(lhs == rhs for lhs, rhs in self.values)
 
 
-class VerificationReport(NamedTuple):
-    check: str
-    frame: FrameData
-    k: HalfInt
-    max4n: int
-    cfg: SampleConfig
-    points: list
-    resamples: list
-    grades: list
+class VerificationReport(
+    namedtuple("VerificationReport", "check frame k max4n cfg points resamples grades")
+):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -389,11 +388,8 @@ def _read(pair: SeriesPair, name: str, rule=None, negated: bool = False):
     composed with the rule: form o R vanishes at p exactly when form
     vanishes at R(p), and a form vanishes at -q exactly when it vanishes
     at q."""
-    read, forms = pair.negated if negated else pair.values, pair.pole_forms(name)
-    if rule is not None:
-        images = slot_rule(rule)
-        forms = [form.substitute_slots(images) for form in forms]
-    return _side(lambda point: read(name, map_point(point, rule)), forms)
+    read = pair.negated if negated else pair.values
+    return _side(lambda point: read(name, map_point(point, rule)), pair.pole_forms(name, rule))
 
 
 def _prefactor(r: int, sign: int, max_n: int):

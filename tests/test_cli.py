@@ -1,5 +1,6 @@
 """Command-line surface: flags, output formats, exit codes, determinism."""
 
+import argparse
 import gc
 import io
 import json
@@ -339,9 +340,10 @@ class TestDeterminism:
 
 
 # Modules a CLI process must not load at start-up: `dataclasses` pulls in
-# `inspect`, `ast`, `dis` and `tokenize`, and `logging` threading, weakref
-# and traceback, each for work the engine does not need.
-HEAVY_MODULES = ("dataclasses", "inspect", "logging")
+# `inspect`, `ast`, `dis` and `tokenize`, `logging` threading, weakref
+# and traceback, and `shutil` bz2, lzma, zlib and fnmatch, each for work
+# the engine does not need; `typing` only named the engine's records.
+HEAVY_MODULES = ("dataclasses", "inspect", "logging", "shutil", "typing")
 
 
 def test_cli_setup_imports_no_heavy_module():
@@ -360,6 +362,30 @@ def test_cli_setup_imports_no_heavy_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["compute", "--help"], ["check", "--help"], ["walls", "--help"],
+     ["imo-point", "--help"], [], ["bogus"], ["check", "all", "--w0", "1"],
+     ["compute", "zx9", "--w0", "1"], ["walls", "--v0", "x", "--v1", "1"]],
+)
+def test_help_and_usage_errors_equal_the_stock_formatters(monkeypatch, argv):
+    """The parser's formatter sets itself up only to format, and then
+    prints what argparse's stock formatter prints, at a fixed width."""
+    monkeypatch.setenv("COLUMNS", "60")
+
+    def text(parser):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+            parser.parse_args(argv)
+        return out.getvalue(), err.getvalue(), exit_.value.code
+
+    lazy = text(cli.build_parser.__wrapped__())
+    monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+    stock = text(cli.build_parser.__wrapped__())
+    assert lazy == stock
+    assert "usage: nekrasov" in lazy[0] + lazy[1]
 
 
 class TestWallsCommand:

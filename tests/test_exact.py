@@ -10,19 +10,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nekrasov import exact
+from nekrasov.diagrams import HalfInt
 from nekrasov.exact import (
     EPS1,
     EPS2,
     FactoredTerm,
     Kernel,
+    ZERO_FORM,
     PoleError,
+    Rule,
     Var,
     coeff_eval,
     factored_term,
     form_from_doubled,
+    form_image,
     format_rational,
     linear_form,
     parse_rational,
+    scope_vars,
     term_eval,
     UNIT_TERM,
     term_mul,
@@ -32,7 +37,16 @@ from nekrasov.exact import (
     var_m,
 )
 from nekrasov.localization import mass_shifted_weight, weight_form
-from whole_fixed_point import coeff_degree, coeff_denominator_forms, coefficient, merged
+from nekrasov.series import rule_chart, rule_negate_eps
+from whole_fixed_point import (
+    coeff_degree,
+    coeff_denominator_forms,
+    coefficient,
+    merged,
+    reference_chart,
+    reference_negate_eps,
+    substitute,
+)
 
 
 def F(*args):
@@ -83,9 +97,10 @@ class TestLinearForm:
             Var("a", 2**30)
 
     def test_substitute_fixes_missing_variables(self):
-        f = linear_form({EPS1: 2, var_a(1): 1})
-        image = f.substitute({EPS1: linear_form({EPS2: 1})})
-        assert image == linear_form({EPS2: 2, var_a(1): 1})
+        # eps1 -> eps2, eps2 fixed, and no a shifted: a1 and m1 are kept
+        f = linear_form({EPS1: 2, var_a(1): 1, var_m(1): 1})
+        image = form_image(f, Rule(((0, 1), (0, 1)), (1, 0), ()))
+        assert image == linear_form({EPS2: 2, var_a(1): 1, var_m(1): 1})
 
 
 class TestFactoredTerm:
@@ -673,7 +688,7 @@ class TestProducts:
 
     def test_substitution_images_each_distinct_piece_once(self, monkeypatch):
         a, b, c = self._pieces()
-        rule = {EPS1: linear_form({EPS1: 2}), EPS2: linear_form({EPS1: -1, EPS2: 1})}
+        rule = rule_chart(1, (HalfInt(0),))
         built = []
         monkeypatch.setattr(exact, "factored_term", lambda *args: built.append(args) or factored_term(*args))
         images: dict = {}
@@ -683,7 +698,9 @@ class TestProducts:
         assert len(built) == 3
         assert first[1] is second[0] and third == (first[0],)
         for t, image in (((a, b), first), ((b, c), second)):
-            by_hand = factored_term([(form.substitute(rule), exp) for form, exp in merged(t).factors])
+            by_hand = factored_term(
+                [(substitute(form, reference_chart(1, (HalfInt(0),))), exp) for form, exp in merged(t).factors]
+            )
             assert merged(image) == by_hand
 
 
@@ -710,6 +727,24 @@ def _ref_add(a, b):
     for v, c in b.items():
         out[v] = out.get(v, F(0)) + c
     return {v: c for v, c in out.items() if c}
+
+
+_int_rule = st.builds(
+    lambda m, carrier, shifts: Rule((m[:2], m[2:]), carrier, tuple(shifts)),
+    st.tuples(*[st.integers(-3, 3)] * 4),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    st.lists(st.integers(-3, 3), max_size=2),
+)
+
+
+def _ref_rule(rule):
+    """An int rule as a dict from variable to its image's nonzero
+    Fraction coefficients."""
+    ((x1, y1), (x2, y2)), (xc, yc) = rule.matrix, rule.carrier
+    images = {EPS1: {EPS1: x1, EPS2: y1}, EPS2: {EPS1: x2, EPS2: y2}}
+    for alpha, n in enumerate(rule.shifts, start=1):
+        images[var_a(alpha)] = {var_a(alpha): 1, EPS1: n * xc, EPS2: n * yc}
+    return {v: {w: F(c) for w, c in image.items() if c} for v, image in images.items()}
 
 
 def _ref_substitute(a, rule):
@@ -750,7 +785,7 @@ class TestFormsAgainstReference:
         a=_ref_form,
         b=_ref_form,
         cancel=st.booleans(),
-        rule=st.dictionaries(st.sampled_from(_REF_VARS), _ref_form, max_size=3),
+        rule=_int_rule,
         point=_ref_point,
     )
     def test_int_coded_forms_match_fraction_reference(self, a, b, cancel, rule, point):
@@ -761,8 +796,7 @@ class TestFormsAgainstReference:
         _assert_matches(form_a + form_b, _ref_add(a, b))
         _assert_matches(-form_a, {v: -c for v, c in a.items()})
         _assert_matches(form_a + (-form_a), {})
-        image = form_a.substitute({v: linear_form(img) for v, img in rule.items()})
-        _assert_matches(image, _ref_substitute(a, rule))
+        _assert_matches(form_image(form_a, rule), _ref_substitute(a, _ref_rule(rule)))
         expected = sum((c * point[v] for v, c in a.items()), F(0))
         assert form_a.evaluate(point) == expected
 
@@ -773,6 +807,53 @@ class TestFormsAgainstReference:
         t = factored_term([(third, 1), (built, 2)])
         assert t.factors == ((third, 3),)
         assert str(third) == "1/3*eps1 + 5/6*eps2"
+
+
+# Rank 1-3 forms with coefficients outside (1/2)Z, and first-Chern
+# vectors with entries in {-1, -1/2, 0, 1/2, 1}.
+_IMAGE_COEFFS = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2), F(1, 3), F(5, 6)]
+
+
+@st.composite
+def _form_and_rules(draw):
+    r = draw(st.integers(1, 3))
+    scope = scope_vars(r)
+    coeffs = draw(st.lists(st.sampled_from(_IMAGE_COEFFS), min_size=len(scope), max_size=len(scope)))
+    kvec = tuple(HalfInt(d) for d in draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r)))
+    rules = [(rule_negate_eps(), reference_negate_eps())]
+    rules += [(rule_chart(side, kvec), reference_chart(side, kvec)) for side in (1, 2)]
+    return linear_form(dict(zip(scope, coeffs))), rules
+
+
+class TestRuleImages:
+    """`form_image`, the one place the engine substitutes a rule into a
+    form, against the reference substitution of the rule written as a
+    dict of image forms: both charts and the eps flip."""
+
+    @settings(max_examples=300)
+    @given(drawn=_form_and_rules())
+    def test_form_image_equals_the_reference_substitution(self, drawn):
+        form, rules = drawn
+        for rule, reference in rules:
+            image, expected = form_image(form, rule), substitute(form, reference)
+            assert (image.pairs, image.den) == (expected.pairs, expected.den)
+            assert hash(image) == hash(expected)
+
+    def test_rules_are_small_hashable_int_maps(self):
+        kvec = (HalfInt(1), HalfInt(-2))
+        assert rule_chart(1, kvec) == Rule(((2, 0), (-1, 1)), (1, 0), (1, -2))
+        assert rule_chart(2, kvec) == Rule(((1, -1), (0, 2)), (0, 1), (1, -2))
+        assert rule_negate_eps() == Rule(((-1, 0), (0, -1)), (0, 0), ())
+        assert len({rule_chart(1, kvec), rule_chart(1, kvec), rule_chart(2, kvec)}) == 2
+        with pytest.raises(ValueError):
+            rule_chart(3, kvec)
+
+    def test_one_gcd_reduces_a_half_denominator(self):
+        # (eps1 + eps2)/2 under eps2 -> eps1: eps1, over 1
+        half = linear_form({EPS1: F(1, 2), EPS2: F(1, 2)})
+        image = form_image(half, Rule(((1, 0), (1, 0)), (0, 0), ()))
+        assert (image.pairs, image.den) == (((EPS1.slot, 1),), 1)
+        assert form_image(ZERO_FORM, rule_negate_eps()) == ZERO_FORM
 
 
 _halves = st.lists(st.sampled_from([F(n, 2) for n in range(-4, 5)]), min_size=5, max_size=5)
@@ -793,9 +874,7 @@ class TestFormHash:
         built = [
             form_from_doubled(sorted((v.slot, int(2 * x)) for v, x in total.items())),
             linear_form(ref_b) + linear_form(ref_c),
-            linear_form({EPS1: 1, EPS2: 1}).substitute(
-                {EPS1: linear_form(ref_b), EPS2: linear_form(ref_c)}
-            ),
+            form_image(form_image(expected, rule_negate_eps()), rule_negate_eps()),
             -(-expected),
         ]
         for form in [expected] + built:

@@ -11,9 +11,11 @@ from nekrasov.diagrams import FixedPointX1, FrameData, HalfInt
 from nekrasov.exact import (
     EPS1,
     EPS2,
+    Kernel,
     coeff_eval,
     factored_term,
     linear_form,
+    scope_vars,
     term_eval,
     var_a,
     var_m,
@@ -24,6 +26,7 @@ from nekrasov.series import (
     map_to_imo,
     prefactor_exponent,
     rule_chart,
+    rule_negate_eps,
     series_mul,
     series_prefactor,
     series_zp2,
@@ -41,10 +44,14 @@ from nekrasov.verify import (
 )
 from whole_fixed_point import (
     merged,
+    reference_chart,
+    reference_map_point,
+    reference_negate_eps,
     reference_term_p2,
     reference_term_x0,
     reference_term_x1,
     series_pole_forms,
+    substitute,
 )
 
 
@@ -373,8 +380,10 @@ def _reference_ell(frame, kvec, table):
 
 
 def _reference_substitute(t, rule, images):
+    """term_substitute's reference for a dict rule (see reference_chart):
+    every piece imaged anew, form by form."""
     return tuple(
-        factored_term([(form.substitute(rule), exp) for form, exp in piece.factors]) for piece in t
+        factored_term([(substitute(form, rule), exp) for form, exp in piece.factors]) for piece in t
     )
 
 
@@ -404,6 +413,7 @@ class TestFactorTables:
             mp.setattr(series, "term_x0", lambda fr, fp, table: (reference_term_x0(fr, fp),))
             mp.setattr(series, "term_x1", lambda fr, fp, table: (reference_term_x1(fr, fp),))
             mp.setattr(series, "ell_factor", _reference_ell)
+            mp.setattr(series, "rule_chart", reference_chart)
             mp.setattr(series, "term_substitute", _reference_substitute)
             reference = _build_all(frame, k, max4n)
         for name, ref in reference.items():
@@ -454,3 +464,43 @@ class TestFactorTables:
             assert state(module) == (sizes, memos)
             # exact interns one Var per slot and index, and memoizes nothing else
             assert sorted(memos) == (["_var_of_slot", "var_a", "var_m"] if module is exact else [])
+
+
+# Ranks 1-3, k in {-1, -1/2, 0, 1/2, 1} and max-n <= 2.
+RULE_GRID = [
+    (w, doubled, levels) for w in FRAMES for doubled in range(-2, 3) for levels in range(3)
+]
+
+
+class TestIntRules:
+    """Chart images and point images made with the int rules equal those
+    made with the same rules written as dicts of image forms."""
+
+    @settings(max_examples=50)
+    @given(
+        r=st.integers(1, 3),
+        doubled=st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+        values=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=11, max_size=11),
+    )
+    def test_map_point_equals_the_reference_point_image(self, r, doubled, values):
+        kvec = tuple(HalfInt(d) for d in doubled[:r])
+        p = dict(zip(scope_vars(r), values))
+        rules = [(rule_negate_eps(), reference_negate_eps())]
+        rules += [(rule_chart(side, kvec), reference_chart(side, kvec)) for side in (1, 2)]
+        for rule, reference in rules:
+            image = map_point(p, rule)
+            assert image == reference_map_point(p, reference)
+            assert list(image) == list(p)
+
+    @pytest.mark.parametrize("w, doubled, levels", RULE_GRID)
+    def test_factorized_kernel_equals_the_reference_substitution(self, w, doubled, levels):
+        frame = FrameData(*w)
+        k, max4n = HalfInt(doubled), 4 * levels + frame.w1
+        built = Kernel(series_zx1_factorized(frame, k, max4n).coeffs.values())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "rule_chart", reference_chart)
+            mp.setattr(series, "term_substitute", _reference_substitute)
+            reference = Kernel(series_zx1_factorized(frame, k, max4n).coeffs.values())
+        assert built.forms == reference.forms
+        assert built.pole_forms == reference.pole_forms
+        assert built.sets == reference.sets

@@ -16,6 +16,7 @@ from nekrasov.exact import (
     clear_of,
     coeff_eval,
     factored_term,
+    form_image,
     linear_form,
     scope_vars,
     term_eval,
@@ -53,6 +54,7 @@ from whole_fixed_point import (
     coefficient,
     merged,
     prefactor_value,
+    reference_map_point,
     reference_prefactor,
     series_pole_forms,
 )
@@ -71,7 +73,8 @@ def sample_point(cfg, trial, pole_forms, r):
 
 
 def negate_am(r):
-    """The map (a, m) -> (-a, -m) on rank r's variables."""
+    """The map (a, m) -> (-a, -m) on rank r's variables, as a dict rule
+    for reference_map_point: an engine rule fixes every mass."""
     return {v: linear_form({v: -1}) for v in scope_vars(r)[2:]}
 
 
@@ -297,7 +300,7 @@ class TestPrefactorSide:
         for trial in range(3):
             p = sample_point(CFG, trial, [], r)
             weights, u, w = minus(p), term_eval((prefactor_exponent(r),), p), Fraction(1)
-            assert weights == plus(map_point(p, negate_am(r)))
+            assert weights == plus(reference_map_point(p, negate_am(r)))
             for j in range(max_n + 1):
                 assert weights[4 * j] == w
                 w *= (-1) ** r * (u + j) / (j + 1)
@@ -412,7 +415,7 @@ class TestZeroKBranchGuard:
         pref = reference_prefactor(frame.r, +1, 2)
         u_piece = prefactor_exponent(frame.r)
         forms = series_pole_forms(plain) + coeff_denominator_forms(((u_piece,),))
-        forms += [form.substitute(flip) for form in series_pole_forms(plain)]
+        forms += [form_image(form, flip) for form in series_pole_forms(plain)]
         for trial in range(CFG.trials):
             p = sample_point(CFG, trial, forms, frame.r)
             q = map_point(p, flip)
@@ -540,10 +543,10 @@ class TestFlippedSides:
         image = map_point(point, flip)
         image[var_a(1)] -= target.evaluate(image) / coefficient(target, var_a(1))
         trap = map_point(image, flip)
-        hit = target.substitute(flip)
+        hit = form_image(target, flip)
         assert hit.evaluate(trap) == 0 and target.evaluate(trap) != 0
         forms = series_pole_forms(zx1, series_zx0(frame, k, max4n))
-        loci = forms + [form.substitute(flip) for form in forms]
+        loci = forms + [form_image(form, flip) for form in forms]
         assert {form for form in loci if form.evaluate(trap) == 0} <= {hit, -hit}
 
         draws = []
@@ -939,7 +942,7 @@ class TestValueTable:
         flip = negate_am(frame.r)
         for t, point in enumerate(rep.points):
             weights = _prefactor(frame.r, -1, max4n // 4)(point)
-            beta = {g: coeff_eval(pair.series("zx0").coefficient(g), map_point(point, flip))
+            beta = {g: coeff_eval(pair.series("zx0").coefficient(g), reference_map_point(point, flip))
                     for g in pair.series("zx0").grades()}
             for record in rep.grades:
                 g = record.grade4n
@@ -994,6 +997,22 @@ class TestSideForms:
         assert union_pole_forms([a, b], [], [b, c, linear_form({EPS1: 1})]) == [a, b, c]
         assert union_pole_forms() == []
 
+    def test_check_all_composes_each_series_forms_with_a_rule_once(self, monkeypatch):
+        # at k = 0, main reads zx1 and zx0 at -eps p and must reads zx0's
+        # -eps values negated: the pair composes zx1's and zx0's pole forms
+        # with -eps once each, though two checks read zx0 at -eps
+        from nekrasov import verify
+
+        composed, image = [], verify.form_image
+        monkeypatch.setattr(
+            verify, "form_image", lambda form, rule: composed.append((form, rule)) or image(form, rule)
+        )
+        pair = SeriesPair(FrameData(1, 2), H(0), 6)
+        for check in (check_main, check_factorization, check_symmetry, check_recursion_must):
+            assert check(pair, CFG).passed
+        assert {rule for _, rule in composed} == {rule_negate_eps()}
+        assert [form for form, _ in composed] == pair.pole_forms("zx1") + pair.pole_forms("zx0")
+
     def test_union_keeps_the_first_seen_of_each_sign_pair(self):
         a, b = linear_form({EPS1: 1, EPS2: -1}), linear_form({EPS1: Fraction(1, 2)})
         assert union_pole_forms([-a, b], [a, -b, -a]) == [-a, b]
@@ -1030,7 +1049,7 @@ class TestSideForms:
         rule(first draw of trial 0), and nonzero at that draw when the
         rule moves it."""
         first = sample_point(CFG, 0, [], 1)
-        image = map_point(first, rule)
+        image = reference_map_point(first, rule) if rule else first
         rest = linear_form({EPS1: 3, var_a(1): -2})
         trap = rest + linear_form({EPS2: -rest.evaluate(image) / image[EPS2]})
         assert trap.evaluate(image) == 0

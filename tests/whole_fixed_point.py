@@ -26,6 +26,11 @@ built it before it became a numeric side: each grade a sum of powers of
 the exponent-ratio piece u, each power held here beside its binomial
 coefficient as a (Fraction, piece) pair, which ``prefactor_value`` reads
 at a point.
+``substitute`` and ``reference_map_point`` apply a substitution rule
+written as a dict from variable to its image form, the way the engine
+applied rules before a rule became an int map (``exact.Rule``), and
+``reference_chart`` and ``reference_negate_eps`` are its rules as dicts,
+written from their definitions.
 ``closure_fixed_points_x0`` and ``closure_kvectors`` are the orbifold
 fixed-point and first-Chern-vector enumerators written as nested
 recursive closures, the way the engine wrote them before it moved every
@@ -49,7 +54,7 @@ from nekrasov.characters import (
     char_v_x1,
 )
 from nekrasov.diagrams import FixedPointX0, HalfInt, ParityError, boxes, partitions, transpose
-from nekrasov.exact import FactoredTerm, factored_term, term_eval, term_pow
+from nekrasov.exact import EPS1, EPS2, FactoredTerm, factored_term, linear_form, term_eval, term_pow, var_a
 from nekrasov.localization import (
     VanishingWeight,
     mass_shifted_weight,
@@ -343,6 +348,42 @@ def series_pole_forms(*series_list) -> list:
         for g in series.grades():
             seen.update(dict.fromkeys(coeff_denominator_forms(series.coefficient(g))))
     return list(seen)
+
+
+def substitute(form, rule):
+    """form o R for a rule written as a dict from variable to its image
+    form (a variable the dict misses is fixed), summed in Fractions: the
+    reference for ``exact.form_image``."""
+    out = {}
+    for v, c in form.coeffs:
+        for v2, c2 in rule[v].coeffs if v in rule else ((v, 1),):
+            out[v2] = out.get(v2, 0) + c * c2
+    return linear_form(out)
+
+
+def reference_map_point(point, rule):
+    """R(p) for a dict rule: each variable takes its image's value at p."""
+    return {v: rule[v].evaluate(point) if v in rule else value for v, value in point.items()}
+
+
+def reference_negate_eps() -> dict:
+    """eps -> -eps as a dict rule."""
+    return {EPS1: linear_form({EPS1: -1}), EPS2: linear_form({EPS2: -1})}
+
+
+def reference_chart(side: int, kvec) -> dict:
+    """Blow-up chart `side` of a first-Chern vector as a dict rule, from
+    its definition: chart 1 sends (eps1, eps2) to (2 eps1, eps2 - eps1)
+    and a to a + 2k eps1, chart 2 sends (eps1, eps2) to (eps1 - eps2,
+    2 eps2) and a to a + 2k eps2; masses are fixed."""
+    if side == 1:
+        rule = {EPS1: linear_form({EPS1: 2}), EPS2: linear_form({EPS1: -1, EPS2: 1})}
+    else:
+        rule = {EPS1: linear_form({EPS1: 1, EPS2: -1}), EPS2: linear_form({EPS2: 2})}
+    carrier = EPS1 if side == 1 else EPS2
+    for alpha, k in enumerate(kvec, start=1):
+        rule[var_a(alpha)] = linear_form({var_a(alpha): 1, carrier: k.doubled})  # 2k
+    return rule
 
 
 def reference_prefactor(r: int, sign: int, max_n: int) -> QSeries:
