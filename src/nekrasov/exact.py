@@ -21,35 +21,35 @@ factors in build order).  Pieces are shared objects and are never merged
 into one term: `term_mul` concatenates two terms' pieces, and
 `term_substitute` images each distinct piece once per rule.
 
-A linear form is stored in ints: sorted (slot, numerator) pairs over one
-positive common denominator, in lowest terms, where a slot is an int that
-orders variables canonically.  Every form the engine builds has its
-coefficients in (1/2)Z -- the only halves come from the sqrt(t1 t2) matter
-twist and from the prefactor exponent's numerator (eps1 + eps2)/2 -- so
-that denominator is 1 or 2, but any rational coefficient is held
-exactly.  Building, adding, hashing and comparing forms is therefore int
-arithmetic with one gcd reduction per form, and a form's hash is computed
-once, when it is made.  A substitution rule (`Rule`, a chart or the eps
-flip) is a small int map, and `form_image` is the one place a rule meets
-a form: chart images of terms (`term_substitute`), rule-composed pole
-forms (``verify``) and point images (``series.map_point``) all use it.
+Every form the engine builds is p eps1 + q eps2 plus a *frame part*:
+nothing, a_beta - a_alpha, or the mass shift a_alpha + m_f, with every
+coefficient in (1/2)Z -- the only halves come from the sqrt(t1 t2) matter
+twist and from the prefactor exponent's numerator (eps1 + eps2)/2.  So a
+`LinearForm` is the int triple (p, q, frame) over the fixed denominator
+2: the doubled eps1 and eps2 coefficients, and the sorted (slot, doubled
+coefficient) pairs of every other variable, where a slot is an int that
+orders variables canonically.  `linear_form`, the one constructor from
+rationals, refuses any coefficient outside (1/2)Z.  Building, hashing
+and comparing forms is int arithmetic with no reduction, and a form's
+hash is computed once, when it is made.  A substitution rule (`Rule`, a
+chart or the eps flip) is a small int map on (p, q) that keeps the frame,
+and `form_image` is the one place a rule meets a form: chart images of
+terms (`term_substitute`), rule-composed pole forms (``verify``) and
+point images (``series.map_point``) all use it.
 
 Sample-point values are ``fractions.Fraction``.  Evaluation works in
 ints through a `Kernel`, compiled once from a list of coefficients by the
 one walk over their pieces, which also records the forms a sample point
 must avoid, each one's exponent for the pole message, and each
 coefficient's degree; the kernel keeps no piece, so the coefficients may
-be freed once it is compiled.  Every form the engine builds is
-p eps1 + q eps2 plus a *frame part*: nothing, a_beta - a_alpha, or the
-mass shift a_alpha + m_f, so a rank-r kernel holds at most 3r^2 - r + 1
-frame parts however many forms it holds.  The
-kernel keeps one row per form, its eps numerators and the index of its
-frame part.  At a point it reads eps1 and eps2 once, takes one int dot
-product per distinct frame part and reads each form from its row, then
-one ``math.prod`` per distinct factor set and per term side of more
-than one ref, adds each coefficient's terms as int fractions and makes
-one ``Fraction`` per coefficient, so the arithmetic stays arbitrary
-precision and exact.  The sampler's pole test, `clear_of`, stays one
+be freed once it is compiled.  A rank-r kernel holds at most
+3r^2 - r + 1 frame parts however many forms it holds, and keeps one row
+per form, the form's (p, q) and the index of its frame part.  At a point
+it reads eps1 and eps2 once, takes one int dot product per distinct
+frame part and reads each form from its row, then one ``math.prod`` per
+distinct factor set and per term side of more than one ref, adds each
+coefficient's terms as int fractions and makes one ``Fraction`` per
+coefficient, so the arithmetic stays arbitrary precision and exact.  The sampler's pole test, `clear_of`, stays one
 int dot product per form.
 """
 
@@ -63,7 +63,7 @@ from math import gcd, lcm, prod
 
 _KIND_RANK = {"eps": 0, "a": 1, "m": 2}
 _KINDS = tuple(_KIND_RANK)
-# slot = kind rank * _SLOT_SPAN + index, so slots sort like Var.sort_key.
+# slot = kind rank * _SLOT_SPAN + index, so slots sort eps, then a, then m.
 _SLOT_SPAN = 1 << 30
 
 
@@ -133,9 +133,6 @@ class Var(Record):
     def __repr__(self) -> str:
         return f"Var(kind={self.kind!r}, index={self.index!r})"
 
-    def sort_key(self) -> tuple[int, int]:
-        return (_KIND_RANK[self.kind], self.index)
-
     @property
     def name(self) -> str:
         return f"{self.kind}{self.index}"
@@ -180,59 +177,55 @@ EvalPoint = dict
 
 
 class LinearForm:
-    """A homogeneous linear form sum_i (numerator_i / den) * var_i.
+    """A homogeneous linear form (p eps1 + q eps2 + sum_s n_s v_s) / 2.
 
-    `pairs` holds the (slot, numerator) pairs with nonzero numerator,
-    sorted by slot; `den` is positive and coprime to the numerators taken
-    together.  Every equal form therefore has equal `pairs` and `den`,
-    and the hash of both is computed once, when the form is made.  Build
-    forms with `linear_form` or the form arithmetic; treat them as
-    immutable."""
+    `p` and `q` are the doubled eps1 and eps2 coefficients, and `frame`
+    the (slot, doubled coefficient) pairs of every other variable with a
+    nonzero one, sorted by slot.  The denominator is always 2, so every
+    equal form has equal fields, and their hash is computed once, when the
+    form is made.  Build forms with `linear_form`, or from their doubled
+    ints directly; treat them as immutable."""
 
-    __slots__ = ("pairs", "den", "_hash")
+    __slots__ = ("p", "q", "frame", "_hash")
 
-    def __init__(self, pairs: tuple[tuple[int, int], ...], den: int) -> None:
-        self.pairs = pairs
-        self.den = den
-        self._hash = hash((pairs, den))
+    def __init__(self, p: int, q: int, frame: tuple[tuple[int, int], ...]) -> None:
+        self.p = p
+        self.q = q
+        self.frame = frame
+        self._hash = hash((p, q, frame))
+
+    def _numerators(self) -> list[tuple[int, int]]:
+        """Every (slot, doubled coefficient) pair with a nonzero one, by slot."""
+        return [(s, n) for s, n in ((_EPS1_SLOT, self.p), (_EPS2_SLOT, self.q)) if n] + list(self.frame)
 
     @property
     def coeffs(self) -> tuple[tuple[Var, Fraction], ...]:
         """The (variable, coefficient) pairs, in canonical variable order."""
-        return tuple((_var_of_slot(s), Fraction(n, self.den)) for s, n in self.pairs)
+        return tuple((_var_of_slot(s), Fraction(n, 2)) for s, n in self._numerators())
 
     def is_zero(self) -> bool:
-        return not self.pairs
+        return not (self.p or self.q or self.frame)
 
     def sort_key(self) -> tuple:
         """Canonical order of forms in a factored term."""
-        return (self.pairs, self.den)
+        return (self.p, self.q, self.frame)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not LinearForm:
             return NotImplemented
-        return self.pairs == other.pairs and self.den == other.den
+        return self.p == other.p and self.q == other.q and self.frame == other.frame
 
     def __hash__(self) -> int:
         return self._hash
 
     def evaluate(self, point: Mapping[Var, Fraction]) -> Fraction:
         total = Fraction(0)
-        for s, n in self.pairs:
+        for s, n in self._numerators():
             total += n * point[_var_of_slot(s)]
-        return total / self.den if self.den != 1 else total
-
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        d = lcm(self.den, other.den)
-        acc: dict[int, int] = {}
-        for form in (self, other):
-            scale = d // form.den
-            for s, n in form.pairs:
-                acc[s] = acc.get(s, 0) + n * scale
-        return _reduced(acc, d)
+        return total / 2
 
     def __neg__(self) -> "LinearForm":
-        return LinearForm(tuple([(s, -n) for s, n in self.pairs]), self.den)
+        return LinearForm(-self.p, -self.q, tuple([(s, -n) for s, n in self.frame]))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -257,30 +250,18 @@ class LinearForm:
         return f"LinearForm({self})"
 
 
-def _reduced(acc: Mapping[int, int], den: int) -> LinearForm:
-    """The form sum acc[slot] / den * var, zeros dropped, in lowest terms."""
-    pairs = sorted((s, n) for s, n in acc.items() if n)
-    g = gcd(den, *(n for _, n in pairs))
-    if g != 1:
-        pairs = [(s, n // g) for s, n in pairs]
-        den //= g
-    return LinearForm(tuple(pairs), den)
-
-
 def linear_form(coeffs: Mapping[Var, Fraction | int]) -> LinearForm:
-    """Build a form from a coefficient mapping, merging and dropping zeros."""
-    fracs = [(v.slot, Fraction(c)) for v, c in coeffs.items()]
-    d = lcm(*(c.denominator for _, c in fracs))
-    return _reduced({s: c.numerator * (d // c.denominator) for s, c in fracs}, d)
-
-
-def form_from_doubled(pairs: list[tuple[int, int]]) -> LinearForm:
-    """The form sum n/2 * var over (slot, n) pairs sorted by slot, with
-    each slot once; zero numerators are dropped."""
-    pairs = [(s, n) for s, n in pairs if n]
-    if all(n % 2 == 0 for _, n in pairs):
-        return LinearForm(tuple([(s, n // 2) for s, n in pairs]), 1)
-    return LinearForm(tuple(pairs), 2)
+    """Build a form from a coefficient mapping, dropping zeros; a
+    coefficient outside (1/2)Z is a ValueError."""
+    doubled = {}
+    for v, c in coeffs.items():
+        n = 2 * Fraction(c)
+        if n.denominator != 1:
+            raise ValueError(f"coefficient {c} of {v} is not in (1/2)Z")
+        if n:
+            doubled[v.slot] = n.numerator
+    p, q = doubled.pop(_EPS1_SLOT, 0), doubled.pop(_EPS2_SLOT, 0)
+    return LinearForm(p, q, tuple(sorted(doubled.items())))
 
 
 # A substitution rule: the linear map R that sends eps_i to x eps1 + y eps2
@@ -291,30 +272,15 @@ Rule = namedtuple("Rule", "matrix carrier shifts")
 
 
 def form_image(form: LinearForm, rule: Rule) -> LinearForm:
-    """form o R, whose value at p is form's at R(p): the eps numerators
-    (p, q) go to (p, q) times the matrix plus sum n_alpha shifts[alpha - 1]
-    times the carrier, n_alpha the a_alpha numerator; the rest is kept,
-    and the form reduced by one gcd when its denominator is not 1."""
-    pairs = form.pairs
-    p = q = k = 0  # the eps pairs lead, k of them: eps slots sort first
-    if pairs and pairs[0][0] == _EPS1_SLOT:
-        p, k = pairs[0][1], 1
-    if k < len(pairs) and pairs[k][0] == _EPS2_SLOT:
-        q, k = pairs[k][1], k + 1
-    tail, shifts = pairs[k:], rule.shifts  # a_alpha's slot is _SLOT_SPAN + alpha
-    shift = sum([n * shifts[s - _SLOT_SPAN - 1] for s, n in tail if s - _SLOT_SPAN <= len(shifts)])
+    """form o R, whose value at p is form's at R(p): the doubled eps
+    numerators (p, q) go to (p, q) times the matrix plus sum n_alpha
+    shifts[alpha - 1] times the carrier, n_alpha the doubled a_alpha
+    numerator, and the frame is kept as it is."""
+    shifts = rule.shifts  # a_alpha's slot is _SLOT_SPAN + alpha
+    shift = sum([n * shifts[s - _SLOT_SPAN - 1] for s, n in form.frame if s - _SLOT_SPAN <= len(shifts)])
     ((x1, y1), (x2, y2)), (xc, yc) = rule.matrix, rule.carrier
-    p, q = p * x1 + q * x2 + shift * xc, p * y1 + q * y2 + shift * yc
-    pairs = tuple([pair for pair in ((_EPS1_SLOT, p), (_EPS2_SLOT, q)) if pair[1]]) + tail
-    den = form.den
-    if den > 1:
-        g = gcd(den, *(n for _, n in pairs))
-        if g > 1:
-            return LinearForm(tuple([(s, n // g) for s, n in pairs]), den // g)
-    return LinearForm(pairs, den)
-
-
-ZERO_FORM = linear_form({})
+    p, q = form.p, form.q
+    return LinearForm(p * x1 + q * x2 + shift * xc, p * y1 + q * y2 + shift * yc, form.frame)
 
 
 class FactoredTerm(Record):
@@ -363,7 +329,7 @@ def factored_term(factors: Iterable[tuple[LinearForm, int]] = ()) -> FactoredTer
     """Build a piece in canonical form from an unordered factor multiset."""
     merged: dict[LinearForm, int] = {}
     for form, exp in factors:
-        if not form.pairs:
+        if form.is_zero():
             raise ValueError("symbolically zero form in a factored term")
         merged[form] = merged.get(form, 0) + exp
     kept = [(form, exp) for form, exp in merged.items() if exp != 0]
@@ -390,16 +356,19 @@ def _scale_point(point: Mapping[Var, Fraction]) -> tuple[dict[int, int], int]:
 
 
 def clear_of(forms: Iterable[LinearForm], point: Mapping[Var, Fraction]) -> bool:
-    """True when no form in `forms` vanishes at `point`.  A form's value is
-    its int dot product with the scaled point over a positive denominator,
-    so the dot product alone decides.  Each form is its own dot product
+    """True when no form in `forms` vanishes at `point`.  A form's value at
+    a point scaled to (ints, D) is p e1 + q e2 plus its frame's dot
+    product with ints, over 2 D, so that int alone decides (an eps is read
+    only where its numerator is nonzero).  Each form is its own dot product
     here, not a `Kernel` row: a draw's forms are a union over series, met
     once per draw."""
     ints, _ = _scale_point(point)
     for form in forms:
-        value = 0
-        for s, n in form.pairs:
-            value += n * ints[s]
+        value = sum([n * ints[s] for s, n in form.frame])
+        if form.p:
+            value += form.p * ints[_EPS1_SLOT]
+        if form.q:
+            value += form.q * ints[_EPS2_SLOT]
         if value == 0:
             return False
     return True
@@ -473,20 +442,17 @@ class Kernel:
     pieces' nonzero refs per side (a plain ref if at most one, 0 for
     none) and its degree.
 
-    With L the lcm of the forms' denominators, a form (sum n_i v_i) / q
-    reads L D times its value, (L / q) sum n_i ints_i, at a point scaled
-    to (ints, D).  The compile splits each form's pairs into its eps1 and
-    eps2 numerators a and b and the rest, its frame part; `frames` holds
-    each distinct frame part once, in first-seen order, and the form's row
-    is (a m, b m, its frame part's index, m) with m = L / q.  At a point
-    each frame part is one int dot product R, and each form reads
-    a m e1 + b m e2 + R m, the same int, e1 and e2 being the scaled eps
+    A form (p eps1 + q eps2 + frame) / 2 reads 2 D times its value at a
+    point scaled to (ints, D).  `frames` holds each distinct frame part
+    once, in first-seen order, and the form's row is (p, q, its frame
+    part's index).  At a point each frame part is one int dot product R,
+    and each form reads p e1 + q e2 + R, e1 and e2 being the scaled eps
     values; an eps is read only if some row has its numerator, so a point
     without eps evaluates a kernel whose forms never read it.  A term is
     then its numerator product over its denominator product times
-    (L D)^-degree, and a coefficient adds its terms as int fractions and
-    takes (L D)^-d once, d its largest degree (a term of degree e < d is
-    first scaled by (L D)^(d - e)).
+    (2 D)^-degree, and a coefficient adds its terms as int fractions and
+    takes (2 D)^-d once, d its largest degree (a term of degree e < d is
+    first scaled by (2 D)^(d - e)).
 
     The compile also records `pole_forms`, the distinct forms with a
     negative exponent in some compiled piece in first-seen order (those
@@ -497,7 +463,7 @@ class Kernel:
     one degree d takes (-1)^d times its value at p at the point -p."""
 
     __slots__ = (
-        "forms", "frames", "sets", "pole_forms", "degrees", "_den", "_rows", "_reads", "_poles", "_coeffs"
+        "forms", "frames", "sets", "pole_forms", "degrees", "_rows", "_reads", "_poles", "_coeffs"
     )
 
     def __init__(self, coefficients: Iterable[Coefficient]) -> None:
@@ -533,17 +499,8 @@ class Kernel:
             degrees = {term[2] for term in terms} or {0}
             self.degrees.append(max(degrees) if len(degrees) == 1 else None)
             self._coeffs.append((terms, max(degrees)))
-        self._den = lcm(*(form.den for form in forms))
         frames: dict[tuple, int] = {}  # equal frame parts share one index
-        rows = self._rows = []
-        for form in forms:
-            pairs, m = form.pairs, self._den // form.den
-            p = q = k = 0  # the eps pairs lead, k of them: eps slots sort first
-            if pairs and pairs[0][0] == _EPS1_SLOT:
-                p, k = pairs[0][1] * m, 1
-            if k < len(pairs) and pairs[k][0] == _EPS2_SLOT:
-                q, k = pairs[k][1] * m, k + 1
-            rows.append((p, q, frames.setdefault(pairs[k:], len(frames)), m))
+        rows = self._rows = [(form.p, form.q, frames.setdefault(form.frame, len(frames))) for form in forms]
         self.frames = list(frames)
         self._reads = (any(row[0] for row in rows), any(row[1] for row in rows))
         self._poles = poles
@@ -556,15 +513,15 @@ class Kernel:
         ints, d = _scale_point(point)
         e1 = ints[_EPS1_SLOT] if self._reads[0] else 0
         e2 = ints[_EPS2_SLOT] if self._reads[1] else 0
-        frames = [sum([n * ints[s] for s, n in pairs]) for pairs in self.frames]
+        frames = [sum([n * ints[s] for s, n in frame]) for frame in self.frames]
         values = [1]
-        values += [p * e1 + q * e2 + frames[i] * m for p, q, i, m in self._rows]
+        values += [p * e1 + q * e2 + frames[i] for p, q, i in self._rows]
         if 0 in values:
             self._check_poles(values, point)
         at = values.__getitem__
         # set k's product is read at ref -(k + 1), from the end of the list
         values += [prod(map(at, refs)) for refs in reversed(self.sets)]
-        scale = d * self._den
+        scale = 2 * d
         out = []
         for terms, degree in self._coeffs:
             parts = []

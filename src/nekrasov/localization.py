@@ -12,8 +12,10 @@ contributes, for each mass m_f, the product of (weight + m_f -
 (eps1 + eps2)/2) over the tautological fiber: the half shift is the
 double-cover identification sqrt(t1*t2), injected here as a
 half-integral coefficient so characters themselves keep integral
-exponents.  Every form is built from doubled coefficients through
-``exact.form_from_doubled``, so no ``Fraction`` is made.
+exponents.  Every form is built straight in its doubled ints (see
+``exact.LinearForm``): the weight is (2p, 2q, frame) and its mass shift
+(2p - 1, 2q - 1, frame + m_f), the frame holding 2c_alpha per a_alpha,
+so no ``Fraction`` is made.
 
 A localization term is matter Euler class divided by tangent Euler class.
 Both characters are sums of pieces (see ``characters``), each a list of
@@ -75,40 +77,28 @@ from .characters import (
     char_v_x1,
 )
 from .diagrams import FixedPointX0, FixedPointX1, FrameData
-from .exact import (
-    EPS1,
-    EPS2,
-    FactoredTerm,
-    LinearForm,
-    Term,
-    form_from_doubled,
-    term_pow,
-    var_a,
-    var_m,
-)
+from .exact import FactoredTerm, LinearForm, Term, term_pow, var_a, var_m
 
 
 class VanishingWeight(ArithmeticError):
     """A monomial with symbolically zero weight entered an Euler class."""
 
 
+def _frame(e: tuple) -> tuple:
+    """The frame part of e-part e: (a_alpha's slot, 2 c_alpha) per pair."""
+    return tuple([(var_a(alpha).slot, 2 * c) for alpha, c in e])
+
+
 def weight_form(mono: tuple) -> LinearForm:
     """Equivariant weight of a monomial (p, q, e) as a linear form."""
-    return form_from_doubled(_doubled_weight(mono))
+    p, q, e = mono
+    return LinearForm(2 * p, 2 * q, _frame(e))
 
 
 def mass_shifted_weight(mono: tuple, f: int) -> LinearForm:
     """Weight of a matter monomial: weight + m_f - (eps1 + eps2)/2."""
-    return form_from_doubled(_doubled_weight(mono, -1) + [(var_m(f).slot, 2)])
-
-
-def _doubled_weight(mono: tuple, eps_shift: int = 0) -> list[tuple[int, int]]:
-    """(slot, 2 * coefficient) pairs of the weight plus eps_shift/2 times
-    (eps1 + eps2), sorted by slot."""
     p, q, e = mono
-    pairs = [(EPS1.slot, 2 * p + eps_shift), (EPS2.slot, 2 * q + eps_shift)]
-    pairs.extend((var_a(alpha).slot, 2 * exp) for alpha, exp in e)
-    return pairs
+    return LinearForm(2 * p - 1, 2 * q - 1, _frame(e) + ((var_m(f).slot, 2),))
 
 
 def slot_part(alpha: int) -> tuple:

@@ -8,14 +8,17 @@ at or below the truncation means the coefficient is zero.
 
 Every substitution rule is an exact.Rule, an int map R on the variables,
 and a series substituted by R takes at a point p the value the plain
-series takes at R(p), map_point(p, R).  Every series is built once, in
-plain variables, by verify.SeriesPair for both the checks and
-``compute``, and a side under the sign flip rule_negate_eps is read at
-R(p).  Only the two blow-up chart rules (rule_chart) are applied to
-terms: series_zx1_factorized builds one plain plane series, up to the
-largest grade any first-Chern vector needs, and substitutes each chart
-into the terms of the grades that vector uses, with one image memo per
-rule, so each distinct piece and form is imaged once per rule.
+series takes at R(p), map_point(p, R).  A form is its doubled ints
+(p, q, frame) over the denominator 2 (exact.LinearForm), and a rule maps
+its (p, q) and keeps its frame, so a form's image is a few int products.
+Every series is built once, in plain variables, by verify.SeriesPair for
+both the checks and ``compute``, and a side under the sign flip
+rule_negate_eps is read at R(p).  Only the two blow-up chart rules
+(rule_chart) are applied to terms: series_zx1_factorized builds one
+plain plane series, up to the largest grade any first-Chern vector
+needs, and substitutes each chart into the terms of the grades that
+vector uses, with one image memo per rule, so each distinct piece and
+form is imaged once per rule.
 
 Each series build makes one factor table (``localization.FactorTable``),
 local to series_zp2, series_zx0 or series_zx1, and passes it to every
@@ -59,7 +62,6 @@ from .exact import (
     Coefficient,
     EvalPoint,
     FactoredTerm,
-    LinearForm,
     Record,
     Rule,
     Var,
@@ -128,7 +130,7 @@ def map_point(point: EvalPoint, rule: Rule | None) -> EvalPoint:
         return point
     moved = len(rule.shifts)
     return {
-        v: form_image(LinearForm(((v.slot, 1),), 1), rule).evaluate(point)
+        v: form_image(linear_form({v: 1}), rule).evaluate(point)
         if v.kind == "eps" or v.kind == "a" and v.index <= moved
         else value
         for v, value in point.items()
@@ -137,7 +139,8 @@ def map_point(point: EvalPoint, rule: Rule | None) -> EvalPoint:
 
 def prefactor_exponent(r: int) -> FactoredTerm:
     """The exponent ratio u = ((eps1+eps2)/2)(2 sum a + sum m)/(eps1 eps2),
-    as one piece: its 1/2 is held by the numerator form (eps1+eps2)/2."""
+    as one piece: its 1/2 is held by the numerator form (eps1+eps2)/2,
+    whose doubled eps numerators are (1, 1)."""
     half_eps_sum = linear_form({EPS1: Fraction(1, 2), EPS2: Fraction(1, 2)})
     charge: dict[Var, int] = {var_a(alpha): 2 for alpha in range(1, r + 1)}
     for f in range(1, 2 * r + 1):

@@ -46,8 +46,9 @@ forms are read off its kernel, and composed with each rule R (an
 exact.Rule, through exact.form_image) once per pair: main and must both
 read zx0 at -eps p, and share one composition.  The pole test is
 exact.clear_of, on the integer kernel: the draw is scaled to one common
-denominator once, and each form is still one int dot product (a draw
-meets the union once, so no kernel row or frame part is shared there).
+denominator once, and each form, its doubled ints (p, q, frame), is still
+one int dot product (a draw meets the union once, so no kernel row or
+frame part is shared there).
 
 The pair also holds one value table per invocation: a series read at a
 point is evaluated once, keyed by (series, each coordinate's numerator
@@ -92,7 +93,11 @@ Checks:
                             branches when k = 0),
   * check_factorization  -- resolved series against its blow-up
                             factorization through two plane series,
-  * check_symmetry       -- invariance under (eps, a, m) -> -(eps, a, m),
+  * check_symmetry       -- invariance under (eps, a, m) -> -(eps, a, m):
+                            a degree-parity test, which passes whenever
+                            each coefficient has one even degree (it caught
+                            none of five one-line engine mutants that main,
+                            mult or must catch),
   * check_recursion_must -- the convolution recursion expressing the
                             resolved coefficients through sign-flipped
                             orbifold coefficients, weighted by
@@ -230,10 +235,11 @@ def union_pole_forms(*form_lists: list[LinearForm]) -> list[LinearForm]:
     """The distinct forms of all `form_lists` up to sign, in first-seen
     order: F and -F vanish together, so of each such pair only the one
     seen first is kept.  A form is keyed by its sign-normal version, the
-    one whose first coefficient is positive."""
+    one whose first nonzero coefficient (eps1, eps2, then the frame's
+    first) is positive."""
     union: dict[LinearForm, LinearForm] = {}
     for form in dict.fromkeys(form for forms in form_lists for form in forms):
-        union.setdefault(-form if form.pairs[0][1] < 0 else form, form)
+        union.setdefault(-form if (form.p or form.q or form.frame[0][1]) < 0 else form, form)
     return list(union.values())
 
 

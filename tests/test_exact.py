@@ -16,13 +16,12 @@ from nekrasov.exact import (
     EPS2,
     FactoredTerm,
     Kernel,
-    ZERO_FORM,
+    LinearForm,
     PoleError,
     Rule,
     Var,
     coeff_eval,
     factored_term,
-    form_from_doubled,
     form_image,
     format_rational,
     linear_form,
@@ -39,10 +38,12 @@ from nekrasov.exact import (
 from nekrasov.localization import mass_shifted_weight, weight_form
 from nekrasov.series import rule_chart, rule_negate_eps
 from whole_fixed_point import (
+    added,
     coeff_degree,
     coeff_denominator_forms,
     coefficient,
     merged,
+    reduced_pairs,
     reference_chart,
     reference_negate_eps,
     substitute,
@@ -89,8 +90,21 @@ class TestLinearForm:
         assert not linear_form({EPS1: 1}).is_zero()
 
     def test_cancellation_is_zero(self):
-        built = linear_form({EPS1: 1}) + linear_form({EPS1: -1})
-        assert built.is_zero()
+        form = linear_form({EPS1: 1, var_a(1): F(-1, 2)})
+        assert added(form, -form).is_zero()
+        assert linear_form({EPS1: 0, var_m(1): F(0)}) == LinearForm(0, 0, ())
+
+    @pytest.mark.parametrize("c", [F(1, 3), F(5, 6), F(-7, 4), F(1, 2**40)])
+    def test_a_coefficient_outside_half_integers_is_refused(self, c):
+        with pytest.raises(ValueError):
+            linear_form({EPS1: c})
+        with pytest.raises(ValueError):
+            linear_form({EPS2: 1, var_m(2): c})
+
+    def test_fields_are_the_doubled_numerators(self):
+        form = linear_form({var_m(1): 1, EPS2: F(-1, 2), var_a(2): -1, EPS1: 3})
+        assert (form.p, form.q, form.frame) == (6, -1, ((var_a(2).slot, -2), (var_m(1).slot, 2)))
+        assert form == LinearForm(6, -1, form.frame) and hash(form) == hash(LinearForm(6, -1, form.frame))
 
     def test_variable_index_must_fit_a_slot(self):
         with pytest.raises(ValueError):
@@ -223,10 +237,9 @@ def test_term_pow_scales_a_canonical_term_in_place(t, n):
 
 
 # The evaluation kernel against a plain Fraction reference.  Coefficients
-# include values outside (1/2)Z, which the engine never builds but the
-# kernel must still evaluate exactly; points include 0 so that factors
-# vanish and poles occur.
-_KERNEL_COEFFS = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2), F(1, 3), F(5, 6), F(-7, 4)]
+# lie in (1/2)Z, as every form's must, and points are arbitrary rationals
+# that include 0, so that factors vanish and poles occur.
+_KERNEL_COEFFS = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2), F(5, 2), F(-7, 2), F(3)]
 
 _kernel_form = st.builds(
     lambda coeffs: linear_form(dict(zip(_POOL_VARS, coeffs))),
@@ -302,12 +315,12 @@ class TestKernelAgainstReference:
         for t in c:
             assert term_eval(t, point) == _reference_term(t, point)
 
-    def test_coefficients_outside_half_integers_are_exact(self):
-        f = linear_form({EPS1: F(1, 3), EPS2: F(5, 6)})
-        t = (factored_term([(f, 2), (linear_form({EPS1: F(2, 3)}), -1)]),)
+    def test_half_integer_coefficients_at_rational_points_are_exact(self):
+        f = linear_form({EPS1: F(1, 2), EPS2: F(5, 2)})
+        t = (factored_term([(f, 2), (linear_form({EPS1: F(3, 2)}), -1)]),)
         point = {EPS1: F(3, 5), EPS2: F(-7, 4)}
-        # f = 1/5 - 35/24 = -151/120, eps1 term = 2/5
-        assert term_eval(t, point) == F(-151, 120) ** 2 / F(2, 5)
+        # f = 3/10 - 35/8 = -163/40, eps1 term = 9/10
+        assert term_eval(t, point) == F(-163, 40) ** 2 / F(9, 10)
         assert coeff_eval((t, t), point) == 2 * term_eval(t, point)
 
     def test_pole_error_names_the_form_its_exponent_and_the_point(self):
@@ -348,13 +361,14 @@ class TestKernelAgainstReference:
         t = (factored_term([(diff, -1), (mass, 2)]),)
         point = {var_a(1): F(2), var_a(2): F(-1, 3), var_m(1): F(1, 2)}
         kernel = Kernel([(t,), (t, (factored_term([(mass, 1)]),))])
-        assert kernel.frames == [diff.pairs, mass.pairs]
+        assert kernel.frames == [diff.frame, mass.frame]
+        assert diff.frame == ((var_a(1).slot, 2), (var_a(2).slot, -2))
         # diff = 7/3 and mass = 5/2
         value = F(5, 2) ** 2 / F(7, 3)
         assert kernel.evaluate(point) == [value, value + F(5, 2)]
 
     def test_pole_after_vanished_factor_raises(self):
-        vanishing = linear_form({EPS1: 1})
+        vanishing = linear_form({EPS1: -1})
         pole = linear_form({EPS2: F(1, 2)})
         t = factored_term([(pole, -1), (vanishing, 2)])
         assert [form for form, _ in t.factors] == [vanishing, pole]
@@ -367,11 +381,11 @@ class TestKernelAgainstReference:
 
 # A kernel compiled from several coefficients that draw their forms from one
 # small pool over eps1, eps2, a1, m1 and a2, so forms have several distinct
-# frame parts (all but their eps pairs).  Every use rebuilds its form from
-# the pool's coefficients, so equal forms reach the kernel as distinct
-# objects, and halves give forms of denominator 2.  The pool's first form
-# always has a twin with the same frame part and another eps part (an
-# integer shift keeps the denominator), and one coefficient holds both.
+# frame parts (all but their eps coefficients).  Every use rebuilds its
+# form from the pool's coefficients, so equal forms reach the kernel as
+# distinct objects, and halves give odd doubled numerators.  The pool's
+# first form always has a twin with the same frame part and other eps
+# coefficients, and one coefficient holds both.
 # A piece's factors may have either sign of exponent, and some pieces are
 # built twice from one draw: value-equal twins that are distinct objects,
 # in canonical or in reversed (build) order.  Pieces of one or two factors
@@ -411,12 +425,14 @@ def _compiled_coefficients(draw):
     pool.append([first[0] + shift[0], first[1] + shift[1], *first[2:]])
     twins = len(pool) - 1
     if draw(st.booleans()):
-        # x_j v_i - x_i v_j vanishes at the point x (v_i alone when both are 0)
+        # x_j v_i - x_i v_j vanishes at the point x (v_i alone when both are
+        # 0), cleared of denominators so its coefficients are integers
         point = draw(_COMPILED_POINT)
         i, j = draw(st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True))
         xi, xj = point[_COMPILED_VARS[i]], point[_COMPILED_VARS[j]]
+        den = xi.denominator * xj.denominator
         row = [F(0)] * 5
-        row[i], row[j] = (xj, -xi) if xi or xj else (F(1), F(0))
+        row[i], row[j] = (xj * den, -xi * den) if xi or xj else (F(1), F(0))
         pool.append(row)
 
     def rebuilt(i):
@@ -578,9 +594,10 @@ class TestCompiledKernel:
         assert all(a is b for a, b in zip(compiled, pieces))
         forms = {form for piece in pieces for form, _ in piece.factors}
         assert len(kernel.forms) == len(forms) and set(kernel.forms) == forms
-        # each distinct frame part once, in first-seen order (twins share one)
+        # each distinct frame part once, in first-seen order (twins share
+        # one), read off the forms' Fraction coefficients and doubled
         frames = dict.fromkeys(
-            tuple(pair for pair in form.pairs if pair[0] not in (EPS1.slot, EPS2.slot))
+            tuple((v.slot, int(2 * c)) for v, c in form.coeffs if v not in (EPS1, EPS2))
             for form in kernel.forms
         )
         assert kernel.frames == list(frames)
@@ -599,7 +616,7 @@ class TestCompiledKernel:
 
     def test_equal_forms_share_one_slot(self):
         a, b = linear_form({EPS1: F(1, 2), EPS2: -1}), linear_form({EPS2: -1, EPS1: F(1, 2)})
-        assert a is not b and a == b and a.den == 2
+        assert a is not b and a == b and reduced_pairs(a)[1] == 2
         kernel = Kernel([((factored_term([(a, 2)]),),), ((factored_term([(b, -3)]),),)])
         assert kernel.forms == [a]
         # a = 1/2 + 2 = 5/2 at (1, -2)
@@ -705,9 +722,9 @@ class TestProducts:
 
 
 # Int-coded forms against a plain Fraction reference: a dict from variable
-# to nonzero coefficient.  Coefficients include values outside (1/2)Z.
+# to nonzero coefficient, in (1/2)Z.
 _REF_VARS = [EPS1, EPS2, var_a(1), var_a(2), var_m(1)]
-_REF_COEFFS = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2), F(1, 3), F(5, 6), F(-7, 4)]
+_REF_COEFFS = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2), F(5, 2), F(-7, 2)]
 
 _ref_form = st.builds(
     lambda cs: {v: c for v, c in zip(_REF_VARS, cs) if c},
@@ -759,7 +776,7 @@ def _ref_str(a):
     if not a:
         return "0"
     text = ""
-    for v, c in sorted(a.items(), key=lambda vc: vc[0].sort_key()):
+    for v, c in sorted(a.items(), key=lambda vc: vc[0].slot):
         sign = "-" if c < 0 else "+"
         body = v.name if abs(c) == 1 else f"{format_rational(abs(c))}*{v.name}"
         if not text:
@@ -769,11 +786,20 @@ def _ref_str(a):
     return text
 
 
+def _ref_fields(a):
+    """A reference form's (p, q, frame): its doubled eps1 and eps2
+    coefficients and the sorted (slot, doubled coefficient) pairs of the
+    rest."""
+    frame = tuple(sorted((v.slot, int(2 * c)) for v, c in a.items() if v not in (EPS1, EPS2)))
+    return int(2 * a.get(EPS1, 0)), int(2 * a.get(EPS2, 0)), frame
+
+
 def _assert_matches(form, ref):
-    assert form == linear_form(ref)
+    assert form == linear_form(ref) == LinearForm(*_ref_fields(ref))
+    assert (form.p, form.q, form.frame) == _ref_fields(ref)
     assert hash(form) == hash(linear_form(ref))
     assert form.is_zero() == (not ref)
-    assert form.coeffs == tuple(sorted(ref.items(), key=lambda vc: vc[0].sort_key()))
+    assert form.coeffs == tuple(sorted(ref.items(), key=lambda vc: vc[0].slot))
     for v in _REF_VARS:
         assert coefficient(form, v) == ref.get(v, F(0))
     assert str(form) == _ref_str(ref)
@@ -781,37 +807,32 @@ def _assert_matches(form, ref):
 
 class TestFormsAgainstReference:
     @settings(max_examples=200)
-    @given(
-        a=_ref_form,
-        b=_ref_form,
-        cancel=st.booleans(),
-        rule=_int_rule,
-        point=_ref_point,
-    )
-    def test_int_coded_forms_match_fraction_reference(self, a, b, cancel, rule, point):
-        if cancel:
-            b = {v: -c for v, c in a.items()}
-        form_a, form_b = linear_form(a), linear_form(b)
+    @given(a=_ref_form, rule=_int_rule, point=_ref_point)
+    def test_int_coded_forms_match_fraction_reference(self, a, rule, point):
+        form_a = linear_form(a)
         _assert_matches(form_a, a)
-        _assert_matches(form_a + form_b, _ref_add(a, b))
         _assert_matches(-form_a, {v: -c for v, c in a.items()})
-        _assert_matches(form_a + (-form_a), {})
         _assert_matches(form_image(form_a, rule), _ref_substitute(a, _ref_rule(rule)))
         expected = sum((c * point[v] for v, c in a.items()), F(0))
         assert form_a.evaluate(point) == expected
 
     def test_equal_forms_built_differently_are_one_dict_key(self):
-        third = linear_form({EPS1: F(1, 3), EPS2: F(5, 6)})
-        built = linear_form({EPS1: F(1, 6)}) + linear_form({EPS1: F(1, 6), EPS2: F(5, 6)})
-        assert built == third and hash(built) == hash(third)
-        t = factored_term([(third, 1), (built, 2)])
-        assert t.factors == ((third, 3),)
-        assert str(third) == "1/3*eps1 + 5/6*eps2"
+        half = linear_form({EPS1: F(1, 2), EPS2: F(-3, 2)})
+        built = [
+            linear_form({EPS2: F(-3, 2), var_a(1): 0, EPS1: F(2, 4)}),
+            LinearForm(1, -3, ()),
+            added(linear_form({EPS1: 1}), linear_form({EPS1: F(-1, 2), EPS2: F(-3, 2)})),
+        ]
+        for form in built:
+            assert form == half and hash(form) == hash(half)
+        t = factored_term([(half, 1), (built[0], 2), (built[1], -1)])
+        assert t.factors == ((half, 2),)
+        assert str(half) == "1/2*eps1 - 3/2*eps2"
 
 
-# Rank 1-3 forms with coefficients outside (1/2)Z, and first-Chern
-# vectors with entries in {-1, -1/2, 0, 1/2, 1}.
-_IMAGE_COEFFS = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2), F(1, 3), F(5, 6)]
+# Rank 1-3 forms with coefficients in (1/2)Z, and first-Chern vectors
+# with entries in {-1, -1/2, 0, 1/2, 1}.
+_IMAGE_COEFFS = [F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2), F(5, 2), F(-7, 2)]
 
 
 @st.composite
@@ -836,7 +857,8 @@ class TestRuleImages:
         form, rules = drawn
         for rule, reference in rules:
             image, expected = form_image(form, rule), substitute(form, reference)
-            assert (image.pairs, image.den) == (expected.pairs, expected.den)
+            assert (image.p, image.q, image.frame) == (expected.p, expected.q, expected.frame)
+            assert image.frame is form.frame
             assert hash(image) == hash(expected)
 
     def test_rules_are_small_hashable_int_maps(self):
@@ -848,12 +870,14 @@ class TestRuleImages:
         with pytest.raises(ValueError):
             rule_chart(3, kvec)
 
-    def test_one_gcd_reduces_a_half_denominator(self):
-        # (eps1 + eps2)/2 under eps2 -> eps1: eps1, over 1
+    def test_an_integral_image_of_a_half_form_equals_its_linear_form(self):
+        # (eps1 + eps2)/2 under eps2 -> eps1: eps1, doubled (2, 0)
         half = linear_form({EPS1: F(1, 2), EPS2: F(1, 2)})
         image = form_image(half, Rule(((1, 0), (1, 0)), (0, 0), ()))
-        assert (image.pairs, image.den) == (((EPS1.slot, 1),), 1)
-        assert form_image(ZERO_FORM, rule_negate_eps()) == ZERO_FORM
+        assert (image.p, image.q, image.frame) == (2, 0, ())
+        assert image == linear_form({EPS1: 1}) and reduced_pairs(image) == (((EPS1.slot, 1),), 1)
+        zero = linear_form({})
+        assert form_image(zero, rule_negate_eps()) == zero
 
 
 _halves = st.lists(st.sampled_from([F(n, 2) for n in range(-4, 5)]), min_size=5, max_size=5)
@@ -872,14 +896,14 @@ class TestFormHash:
         total = _ref_add(ref_b, ref_c)
         expected = linear_form(total)
         built = [
-            form_from_doubled(sorted((v.slot, int(2 * x)) for v, x in total.items())),
-            linear_form(ref_b) + linear_form(ref_c),
+            LinearForm(*_ref_fields(total)),
+            added(linear_form(ref_b), linear_form(ref_c)),
             form_image(form_image(expected, rule_negate_eps()), rule_negate_eps()),
             -(-expected),
         ]
         for form in [expected] + built:
             assert form == expected
-            assert hash(form) == hash(expected) == hash((form.pairs, form.den))
+            assert hash(form) == hash(expected) == hash((form.p, form.q, form.frame))
         assert list(dict.fromkeys(built)) == [built[0]]
 
 

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,8 +12,8 @@ from nekrasov.diagrams import FrameData, HalfInt
 from nekrasov.exact import (
     EPS1,
     EPS2,
-    ZERO_FORM,
     Kernel,
+    LinearForm,
     clear_of,
     coeff_eval,
     factored_term,
@@ -49,11 +50,14 @@ from nekrasov.verify import (
     union_pole_forms,
 )
 from whole_fixed_point import (
+    cleared_trap,
     coeff_degree,
     coeff_denominator_forms,
     coefficient,
+    halved,
     merged,
     prefactor_value,
+    reduced_pairs,
     reference_map_point,
     reference_prefactor,
     series_pole_forms,
@@ -160,7 +164,7 @@ class TestSampler:
 
     def test_resample_exhausted_on_unsatisfiable_pole(self):
         with pytest.raises(ResampleExhausted):
-            sample_point(CFG, 0, [ZERO_FORM], 1)
+            sample_point(CFG, 0, [linear_form({})], 1)
 
     def test_pole_hit_triggers_redraw(self):
         # 231*eps1 + 80*eps2 vanishes on trial 0's first draw for seed 161
@@ -173,19 +177,19 @@ class TestSampler:
         assert point != clean
 
     def test_traps_with_fractional_coefficients_force_redraws(self):
-        # Each trap vanishes on one draw of trial 0 and has coefficients
-        # over 3 and 5, so the pole test must read the form's denominator
-        # and the point's values together: the first two draws are
-        # rejected, the third kept.
+        # Each trap vanishes on one draw of trial 0 and is half a form
+        # cleared of denominators, with an odd coefficient, so it has
+        # denominator 2 and the pole test must read the form's doubled
+        # numerators and the point's values together: the first two draws
+        # are rejected, the third kept.
         def trap_at(point):
-            rest = linear_form({EPS1: Fraction(1, 3), var_a(1): Fraction(-2, 5)})
-            c = -rest.evaluate(point) / point[EPS2]
-            return rest + linear_form({EPS2: c})
+            return halved(cleared_trap({EPS1: Fraction(1, 2), var_a(1): Fraction(-3, 2)}, EPS2, point))
 
         first = sample_point(CFG, 0, [], 1)
         trap0 = trap_at(first)
+        assert trap0.evaluate(first) == 0
         second, redraws = sample_point_with_stats(CFG, 0, [trap0], 1)
-        assert redraws == 1 and trap0.den > 1
+        assert redraws == 1 and reduced_pairs(trap0)[1] == 2
         trap1 = trap_at(second)
         third, redraws = sample_point_with_stats(CFG, 0, [trap0, trap1], 1)
         assert redraws == 2
@@ -700,28 +704,59 @@ class TestSeriesKernels:
             assert pair.values(name, point) == expected
 
 
+@cache
+def series_kernels(r, k):
+    """{name: compiled kernel} of every series of the rank-r frame at k,
+    to MAX_N[r]; built once per module."""
+    frame = FRAMES[r, H(k).doubled % 2]
+    pair = SeriesPair(frame, H(k), 4 * MAX_N[r] + frame.w1)
+    return {name: pair._compile(name)[1] for name in ("zx0", "zx1", "zx1-fact", "zp2")}
+
+
 class TestFrameParts:
     """Every form a series' kernel reads is p eps1 + q eps2 plus a frame
-    part: nothing, a_beta - a_alpha, or the mass shift a_alpha + m_f (held
-    doubled, over the form's denominator 2, beside -(eps1 + eps2)/2 plus
-    integers).  So a rank-r kernel has at most 1 + r(r - 1) + 2r^2 frame
-    parts, however many forms it holds, and evaluates one dot product per
-    frame part."""
+    part: nothing, a_beta - a_alpha, or the mass shift a_alpha + m_f, each
+    held as doubled numerators over the denominator 2 every form has.  So
+    a rank-r kernel has at most 1 + r(r - 1) + 2r^2 frame parts, however
+    many forms it holds, and evaluates one dot product per frame part."""
 
     @pytest.mark.parametrize("k", ["-1/2", "0", "1/2", "1"])
     @pytest.mark.parametrize("r", RANKS)
     def test_every_frame_part_is_empty_an_a_difference_or_a_mass_shift(self, r, k):
         a, m = [var_a(i).slot for i in range(1, r + 1)], [var_m(f).slot for f in range(1, 2 * r + 1)]
         allowed = {()}
-        allowed |= {tuple(sorted([(beta, 1), (alpha, -1)])) for alpha in a for beta in a if alpha != beta}
+        allowed |= {tuple(sorted([(beta, 2), (alpha, -2)])) for alpha in a for beta in a if alpha != beta}
         allowed |= {((alpha, 2), (f, 2)) for alpha in a for f in m}
         assert len(allowed) == 3 * r * r - r + 1
-        frame = FRAMES[r, H(k).doubled % 2]
-        pair = SeriesPair(frame, H(k), 4 * MAX_N[r] + frame.w1)
-        for name in ("zx0", "zx1", "zx1-fact", "zp2"):
-            kernel = pair._compile(name)[1]
+        for name, kernel in series_kernels(r, k).items():
             assert len(set(kernel.frames)) == len(kernel.frames), name
             assert set(kernel.frames) <= allowed, name
+
+
+class TestFormRoundTrip:
+    """Every form of every series kernel at ranks 1-4 round-trips: its
+    kernel row (p, q, frame index) is the form, its (variable, Fraction)
+    coefficients rebuild it through linear_form with the same hash, and
+    its value at a point, and its row's over 2, are the Fraction sum of
+    those coefficients times the point's values."""
+
+    @pytest.mark.parametrize("k", ["-1/2", "0", "1/2", "1"])
+    @pytest.mark.parametrize("r", RANKS)
+    @settings(max_examples=3, deadline=None)
+    @given(values=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=40), min_size=14, max_size=14))
+    def test_rows_coefficients_and_values_round_trip(self, r, k, values):
+        scope = scope_vars(r)
+        point = dict(zip(scope, values))
+        by_slot = {v.slot: x for v, x in point.items()}
+        for name, kernel in series_kernels(r, k).items():
+            for form, (p, q, i) in zip(kernel.forms, kernel._rows):
+                assert LinearForm(p, q, kernel.frames[i]) == form, name
+                rebuilt = linear_form(dict(form.coeffs))
+                assert rebuilt == form and hash(rebuilt) == hash(form), name
+                expected = sum((coefficient(form, v) * point[v] for v in scope), Fraction(0))
+                assert form.evaluate(point) == expected, name
+                row = p * point[EPS1] + q * point[EPS2] + sum(n * by_slot[s] for s, n in kernel.frames[i])
+                assert row / 2 == expected, name
 
 
 class TestPieceReads:
@@ -1034,8 +1069,8 @@ class TestSideForms:
         assert len(every) - len(union) == merged_away
         assert {-f for f in every} | set(every) == {-f for f in union} | set(union)
         first = sample_point(CFG, 0, [], frame.r)
-        rest = linear_form({EPS1: 3, var_a(1): -2})
-        trap = rest + linear_form({EPS2: -rest.evaluate(first) / first[EPS2]})
+        trap = cleared_trap({EPS1: 3, var_a(1): -2}, EPS2, first)
+        assert trap.evaluate(first) == 0
         for forms in ([], [-trap, trap]):
             union = union_pole_forms(every, forms)
             for trial in range(CFG.trials):
@@ -1050,8 +1085,7 @@ class TestSideForms:
         rule moves it."""
         first = sample_point(CFG, 0, [], 1)
         image = reference_map_point(first, rule) if rule else first
-        rest = linear_form({EPS1: 3, var_a(1): -2})
-        trap = rest + linear_form({EPS2: -rest.evaluate(image) / image[EPS2]})
+        trap = cleared_trap({EPS1: 3, var_a(1): -2}, EPS2, image)
         assert trap.evaluate(image) == 0
         assert rule is None or trap.evaluate(first) != 0
         pole, opposite = factored_term([(trap, -1)]), factored_term([(-trap, -1)])

@@ -31,6 +31,12 @@ written as a dict from variable to its image form, the way the engine
 applied rules before a rule became an int map (``exact.Rule``), and
 ``reference_chart`` and ``reference_negate_eps`` are its rules as dicts,
 written from their definitions.
+``added``, ``halved`` and ``cleared_trap`` make forms the engine has no
+arithmetic for (a sum, a half, a form scaled to coprime integer
+coefficients), through their Fraction coefficients, and
+``reduced_pairs`` reads a form in the layout the engine used before a
+form became its doubled ints: sorted (slot, numerator) pairs over the
+least common denominator.
 ``closure_fixed_points_x0`` and ``closure_kvectors`` are the orbifold
 fixed-point and first-Chern-vector enumerators written as nested
 recursive closures, the way the engine wrote them before it moved every
@@ -42,7 +48,7 @@ order.
 
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from nekrasov.characters import (
     char_tangent_p2,
@@ -317,6 +323,40 @@ def fixed_point_x0(frame, diagrams) -> FixedPointX0:
 def coefficient(form, v) -> Fraction:
     """The coefficient of variable `v` in a linear form."""
     return dict(form.coeffs).get(v, Fraction(0))
+
+
+def added(*forms):
+    """The sum of linear forms."""
+    out = {}
+    for form in forms:
+        for v, c in form.coeffs:
+            out[v] = out.get(v, 0) + c
+    return linear_form(out)
+
+
+def halved(form):
+    """The form with every coefficient halved; its coefficients must be
+    integers, so the half stays in (1/2)Z."""
+    return linear_form({v: c / 2 for v, c in form.coeffs})
+
+
+def cleared_trap(rest: dict, v, point):
+    """The form rest + c v that vanishes at `point`, c = -rest(point) /
+    point[v], cleared of denominators: scaled to coprime integer
+    coefficients, so it vanishes at `point` too."""
+    coeffs = {w: Fraction(c) for w, c in rest.items()}
+    coeffs[v] = coeffs.get(v, 0) - sum(c * point[w] for w, c in coeffs.items()) / point[v]
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    nums = {w: int(c * den) for w, c in coeffs.items()}
+    g = gcd(*nums.values())
+    return linear_form({w: n // g for w, n in nums.items()})
+
+
+def reduced_pairs(form) -> tuple:
+    """(pairs, den): the form's sorted (slot, numerator) pairs over the
+    least positive common denominator of its coefficients."""
+    den = lcm(*(c.denominator for _, c in form.coeffs))
+    return tuple((v.slot, int(c * den)) for v, c in form.coeffs), den
 
 
 def coeff_degree(c) -> int | None:
