@@ -7,7 +7,8 @@
     nekrasov imo-point --eps1 FRAC --eps2 FRAC --a FRAC,... --m FRAC,... [--k FRAC]
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage error,
-3 internal error (vanishing weight / resampling exhausted).
+3 internal error (vanishing weight / resampling exhausted), 141 stdout
+closed before the output was written (``| head``).
 
 ``--max-n N`` truncates at max4n = 4N + w1, i.e. N whole instanton levels
 above the base grade (for ``compute zp2`` it simply truncates at q^N).
@@ -402,7 +403,15 @@ def _run(argv) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run `main` and exit with its code, or with 141 (128 + SIGPIPE) and no
+    traceback when stdout closes early; the exit flush then goes to devnull."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -27,13 +27,11 @@ pairs and its e-part, passed once: they merge equal pairs once, in a
 dict keyed by the pair, in first-seen order, and read each distinct
 pair's form off a memo for that e-part.
 ``term_p2``, ``term_x0`` and ``term_x1`` take a ``FactorTable``, one
-series build's memo.  Its `pieces` dict maps a piece's key to that
-piece's ``FactoredTerm``; a piece missing from it is built and
-stored, and the term is the tuple of the table's objects, unit pieces
-dropped (a term is the tuple of its pieces; see ``exact``).  No fixed
-point's factors are merged: merged, its pieces give the canonical piece
-that one Euler class of each whole character gives.
-The keys:
+series build's memos.  Its `pieces` dict maps a piece's key to that
+piece's ``FactoredTerm``, built on first use, and a term is the tuple
+of the table's objects, unit pieces dropped (see ``exact``); merged, a
+term's pieces give the canonical piece one Euler class of each whole
+character gives.  The piece keys:
 
   * plane and orbifold: matter (alpha, Y_alpha), tangent
     (alpha, beta, Y_alpha, Y_beta);
@@ -43,26 +41,34 @@ The keys:
     (alpha, beta, delta, chart, Y^chart_alpha, Y^chart_beta) per chart,
     delta = 2(k_beta - k_alpha).
 
-The key shapes differ in length, so they cannot collide within one table.
-Beside the pieces the table keeps its forms, in dicts of their own, each
-keyed by e-part and then by (p, q): each tangent monomial's weight form
-(`weights`) and each tautological monomial's 2r mass-shifted forms
-(`masses`) are built once per build, and every piece holding a form
-holds that one object.  Each piece is built directly, without the sort
-of ``exact.factored_term``: a monomial's weight is a linear form
-injective in (p, q, e), and its mass-shifted form injective in
-(monomial, f), so once equal pairs are merged a piece's factors have
-pairwise distinct forms.  They stay in build order (the first-seen order
-of the piece's pairs), which is independent of the hash seed; sorted, a
-piece is the canonical piece ``factored_term`` gives.
-The caller owns the table: ``series`` makes one per series build, so a
-table holds at most the distinct pieces and forms of that series and
+A diagonal tangent piece has e-part () and a character that does not
+depend on alpha (color(alpha) + color(alpha) is even, delta is 0), so
+every slot shares one, keyed as the slot pair (0, 0).  A piece whose
+character is empty by construction is never keyed or built: the tangent
+piece of two empty diagrams, the matter piece of an empty diagram, and a
+line-bundle piece char_twist(d) with |d| <= 1.  `chars` memoizes a slot
+pair's (p, q) list by what it depends on: (Y_alpha, Y_beta) on the
+plane, (color(alpha) + color(beta) mod 2, Y_alpha, Y_beta) on the
+orbifold, (delta, chart, Y_alpha, Y_beta) on a chart.  A resolved term
+has the blow-up shape ell(kvec) + part_1 + part_2: ell holds each slot's
+line-bundle matter piece and then its slot pairs' line-bundle tangent
+pieces, and part c the same for chart c.  `parts` memoizes ell by the
+doubled first-Chern vector and part c by (that vector, c, Y^c).
+The forms are memoized by e-part and then by (p, q): each tangent
+monomial's weight form (`weights`) and each tautological monomial's 2r
+mass-shifted forms (`masses`), so every piece holding a form holds one
+object.  A piece is built without the sort of ``exact.factored_term``: a
+monomial's weight is a linear form injective in (p, q, e), and its
+mass-shifted form injective in (monomial, f), so once equal pairs are
+merged a piece's factors have pairwise distinct forms, kept in build
+order (the first-seen order of its pairs, independent of the hash seed).
+The caller owns the table: ``series`` makes one per series build, and it
 dies with the build.  Nothing here keeps state between calls.
 
-The line-bundle factor ell(kvec) of a first-Chern vector is the term of
-the resolved fixed point (kvec, empty, empty).  A symbolically zero
-weight can only come from a transcription bug (every fixed point is
-isolated at generic parameters), so it is a hard error.
+The line-bundle factor ell(kvec) is the term of the resolved fixed point
+(kvec, empty, empty).  A symbolically zero weight can only come from a
+transcription bug (every fixed point is isolated at generic parameters),
+so it is a hard error.
 """
 
 from __future__ import annotations
@@ -172,37 +178,48 @@ def _tangent_piece(weights: list, e: tuple, forms: dict | None = None) -> Factor
 
 
 class FactorTable:
-    """One series build's memo: `pieces` by key, and by e-part then
-    (p, q) the weight forms of tangent monomials (`weights`) and the 2r
-    mass-shifted forms of tautological monomials (`masses`); see the
-    module docstring."""
+    """One series build's memos of pieces, slot-pair characters, resolved
+    parts, weight forms and mass-shifted forms; see the module docstring."""
 
-    __slots__ = ("pieces", "weights", "masses")
+    __slots__ = ("pieces", "chars", "parts", "weights", "masses")
 
     def __init__(self) -> None:
         self.pieces: dict = {}
+        self.chars: dict = {}
+        self.parts: dict = {}
         self.weights: dict = {}
         self.masses: dict = {}
 
 
-def _diagram_tuple_term(diagrams, r: int, table: FactorTable, char_v, char_tangent) -> Term:
+def _memo(memo: dict, key, build, *args):
+    """memo[key], made by build(*args) on first use."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build(*args)
+    return value
+
+
+def _diagram_tuple_term(diagrams, r: int, table: FactorTable, char_v, pair_char) -> Term:
     """Term of a diagram tuple whose slot alpha has the tautological piece
-    char_v(alpha, Y_alpha) and whose slot pair the tangent piece
-    char_tangent(alpha, beta, Y_alpha, Y_beta)."""
+    char_v(alpha, Y_alpha) and whose slot pair the tangent piece on
+    pair_char(alpha, beta, Y_alpha, Y_beta)."""
     cached = table.pieces
     pieces: list = []
     for alpha, ya in enumerate(diagrams, start=1):
-        piece = cached.get((alpha, ya))
-        if piece is None:
-            ch = char_v(alpha, ya)
-            piece = cached[alpha, ya] = matter_euler(ch, slot_part(alpha), r, table.masses)
-        if piece.factors:
-            pieces.append(piece)
+        if ya:
+            piece = cached.get((alpha, ya))
+            if piece is None:
+                ch = char_v(alpha, ya)
+                piece = cached[alpha, ya] = matter_euler(ch, slot_part(alpha), r, table.masses)
+            if piece.factors:
+                pieces.append(piece)
         for beta, yb in enumerate(diagrams, start=1):
-            key = (alpha, beta, ya, yb)
+            if not (ya or yb):
+                continue
+            key = (alpha, beta, ya, yb) if alpha != beta else (0, 0, ya, yb)
             piece = cached.get(key)
             if piece is None:
-                ch = char_tangent(alpha, beta, ya, yb)
+                ch = pair_char(alpha, beta, ya, yb)
                 piece = cached[key] = _tangent_piece(ch, ratio_part(alpha, beta), table.weights)
             if piece.factors:
                 pieces.append(piece)
@@ -216,66 +233,90 @@ def term_p2(r: int, diagrams, table: FactorTable) -> Term:
         r,
         table,
         lambda alpha, y: char_v_p2(y),
-        lambda alpha, beta, ya, yb: char_tangent_p2(ya, yb),
+        lambda alpha, beta, ya, yb: _memo(table.chars, (ya, yb), char_tangent_p2, ya, yb),
     )
 
 
 def term_x0(frame: FrameData, fp: FixedPointX0, table: FactorTable) -> Term:
     """Localization term of one orbifold fixed point."""
+    w0 = frame.w0
     return _diagram_tuple_term(
         fp.diagrams,
         frame.r,
         table,
         lambda alpha, y: char_v_x0(frame, alpha, y, 0),
-        lambda alpha, beta, ya, yb: char_tangent_x0(frame, alpha, beta, ya, yb),
+        # slots past w0 have color 1: the key leads with color(alpha) + color(beta) mod 2
+        lambda alpha, beta, ya, yb: _memo(
+            table.chars, ((alpha > w0) != (beta > w0), ya, yb), char_tangent_x0, frame, alpha, beta, ya, yb
+        ),
     )
 
 
-def term_x1(frame: FrameData, fp: FixedPointX1, table: FactorTable) -> Term:
-    """Localization term of one resolved-surface fixed point."""
-    r = frame.r
-    doubled = [k.doubled for k in fp.kvec]
-    charts = ((1, fp.y1), (2, fp.y2))
-    cached, weights, masses = table.pieces, table.weights, table.masses
-    pieces: list = []
-    for alpha in range(1, r + 1):
-        d = doubled[alpha - 1]
-        piece = cached.get((alpha, d))
-        if piece is None:
-            piece = cached[alpha, d] = matter_euler(char_twist(d), slot_part(alpha), r, masses)
-        if piece.factors:
+def _ell_part(doubled: tuple, r: int, table: FactorTable) -> Term:
+    """ell(kvec) for the doubled first-Chern vector: each slot's
+    line-bundle matter piece, then its slot pairs' line-bundle tangent
+    pieces."""
+    cached, pieces = table.pieces, []
+    for alpha, d in enumerate(doubled, start=1):
+        if abs(d) > 1:
+            piece = cached.get((alpha, d))
+            if piece is None:
+                piece = cached[alpha, d] = matter_euler(char_twist(d), slot_part(alpha), r, table.masses)
             pieces.append(piece)
-        for chart, ys in charts:
-            key = (alpha, d, chart, ys[alpha - 1])
-            piece = cached.get(key)
-            if piece is None:
-                ch = char_v_x1(d, chart, ys[alpha - 1], 0)
-                piece = cached[key] = matter_euler(ch, slot_part(alpha), r, masses)
-            if piece.factors:
-                pieces.append(piece)
-        for beta in range(1, r + 1):
-            delta = doubled[beta - 1] - d
-            key = (alpha, beta, delta)
-            piece = cached.get(key)
-            if piece is None:
-                e = ratio_part(alpha, beta)
-                piece = cached[key] = _tangent_piece(char_twist(delta), e, weights)
-            if piece.factors:
-                pieces.append(piece)
-            for chart, ys in charts:
-                key = (alpha, beta, delta, chart, ys[alpha - 1], ys[beta - 1])
+        for beta, d_beta in enumerate(doubled, start=1):
+            delta = d_beta - d
+            if abs(delta) > 1:
+                key = (alpha, beta, delta)
                 piece = cached.get(key)
                 if piece is None:
-                    ch = char_tangent_x1(delta, chart, ys[alpha - 1], ys[beta - 1])
                     e = ratio_part(alpha, beta)
-                    piece = cached[key] = _tangent_piece(ch, e, weights)
-                if piece.factors:
-                    pieces.append(piece)
+                    piece = cached[key] = _tangent_piece(char_twist(delta), e, table.weights)
+                pieces.append(piece)
     return tuple(pieces)
+
+
+def _chart_part(doubled: tuple, chart: int, ys: tuple, r: int, table: FactorTable) -> Term:
+    """Chart `chart`'s part of a resolved term, for the doubled first-Chern
+    vector and that chart's diagrams `ys`: each slot's chart matter piece,
+    then its slot pairs' chart tangent pieces."""
+    cached, pieces = table.pieces, []
+    slots = list(zip(doubled, ys))
+    for alpha, (d, ya) in enumerate(slots, start=1):
+        if ya:
+            key = (alpha, d, chart, ya)
+            piece = cached.get(key)
+            if piece is None:
+                ch = char_v_x1(d, chart, ya, 0)
+                piece = cached[key] = matter_euler(ch, slot_part(alpha), r, table.masses)
+            pieces.append(piece)
+        for beta, (d_beta, yb) in enumerate(slots, start=1):
+            if not (ya or yb):
+                continue
+            delta = d_beta - d
+            key = (alpha, beta, delta, chart, ya, yb) if alpha != beta else (0, 0, 0, chart, ya, yb)
+            piece = cached.get(key)
+            if piece is None:
+                ch = _memo(table.chars, (delta, chart, ya, yb), char_tangent_x1, delta, chart, ya, yb)
+                piece = cached[key] = _tangent_piece(ch, ratio_part(alpha, beta), table.weights)
+            pieces.append(piece)
+    return tuple(pieces)
+
+
+def term_x1(frame: FrameData, fp: FixedPointX1, table: FactorTable) -> Term:
+    """Localization term of one resolved-surface fixed point, in the
+    blow-up shape ell(kvec) + part_1 + part_2, each part made once per
+    table."""
+    r, parts = frame.r, table.parts
+    doubled = tuple([k.doubled for k in fp.kvec])
+    return (
+        _memo(parts, doubled, _ell_part, doubled, r, table)
+        + _memo(parts, (doubled, 1, fp.y1), _chart_part, doubled, 1, fp.y1, r, table)
+        + _memo(parts, (doubled, 2, fp.y2), _chart_part, doubled, 2, fp.y2, r, table)
+    )
 
 
 def ell_factor(frame: FrameData, kvec, table: FactorTable) -> Term:
     """Pure line-bundle contribution of a first-Chern vector: the term of
     the resolved fixed point with that vector and no boxes."""
-    empties = ((),) * frame.r
-    return term_x1(frame, FixedPointX1(kvec, empties, empties), table)
+    doubled = tuple([k.doubled for k in kvec])
+    return _memo(table.parts, doubled, _ell_part, doubled, frame.r, table)

@@ -22,13 +22,18 @@ form is imaged once per rule.
 
 Each series build makes one factor table (``localization.FactorTable``),
 local to series_zp2, series_zx0 or series_zx1, and passes it to every
-term it builds, so a slot's or slot pair's piece, and each monomial's
-form, is built once per build; series_zx1_factorized keeps one more for
-its ell(kvec) pieces.  Every term is the tuple of its pieces (charted
-plane terms, their Cauchy products and ell times a term too), so no
-term's factors are ever merged.  The tables and the image memos die
-with the build: nothing is cached at module level here (``diagrams``
-memoizes `partitions` and `transpose`, which depend on a diagram alone).
+term it builds, so a slot's or slot pair's piece, each slot-pair
+character class and each monomial's form is built once per build, and
+every slot shares one diagonal tangent piece per diagram;
+series_zx1_factorized keeps one more for its ell(kvec) pieces.
+series_zx1 builds each term in the blow-up shape from its own chart
+characters, ell(kvec) + part_1 + part_2, each part made once per build;
+series_zx1_factorized still goes through the charted plane series.
+Every term is the tuple of its pieces (charted plane terms, their Cauchy
+products and ell times a term too), so no term's factors are ever
+merged.  The tables and the image memos die with the build: nothing is
+cached at module level here (``diagrams`` memoizes `partitions` and
+`transpose`, which depend on a diagram alone).
 
 Implemented series:
 

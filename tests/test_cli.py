@@ -4,6 +4,7 @@ import argparse
 import gc
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -362,6 +363,29 @@ def test_cli_setup_imports_no_heavy_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["walls", "--v0", "1", "--v1", "2"],
+     ["compute", "zx1", "--w0", "2", "--w1", "1", "--k", "-1/2", "--max-n", "2", "--json"]],
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    """A reader that is gone before the CLI writes (`| head -c 200` that
+    has already exited) ends the run with 128 + SIGPIPE and no traceback."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-S", "-m", "nekrasov.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nekrasov import localization
 from nekrasov.characters import (
     char_tangent_p2,
     char_tangent_x0,
@@ -54,6 +55,7 @@ from nekrasov.localization import (
     term_x1,
     weight_form,
 )
+from nekrasov.series import series_zp2, series_zx0, series_zx1
 from whole_fixed_point import (
     CHART_MATRICES,
     char_lk,
@@ -378,8 +380,9 @@ class TestEllFactor:
                 assert merged(ell_factor(frame, kvec, FactorTable())) == merged(expected)
 
 
-# Every framing of rank 1 to 3.
+# Every framing of rank 1 to 3, and of rank 1 to 4.
 FRAMES = [(w0, w1) for w0 in range(4) for w1 in range(4) if 1 <= w0 + w1 <= 3]
+FRAMES_TO_4 = [(w0, w1) for w0 in range(5) for w1 in range(5) if 1 <= w0 + w1 <= 4]
 
 
 def _series_fixed_points(kind, frame, doubled, levels):
@@ -403,15 +406,16 @@ def _series_fixed_points(kind, frame, doubled, levels):
 
 class TestSharedFactorTable:
     """A term is the product of the pieces one table caches per slot and
-    slot pair; merged, it equals the whole-fixed-point term (one Euler
-    class each for the whole matter and tangent characters), whatever the
-    order in which the table's fixed points come.  On the resolved side,
-    each fixed point's ell(kvec) is checked the same way."""
+    slot pair (per class, part and diagonal; see ``TestSharedBuild``);
+    merged, it equals the whole-fixed-point term (one Euler class each
+    for the whole matter and tangent characters), whatever the order in
+    which the table's fixed points come.  On the resolved side, each
+    fixed point's ell(kvec) is checked the same way."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_terms_equal_the_whole_fixed_point_reference(self, data):
-        frame = FrameData(*data.draw(st.sampled_from(FRAMES), label="w"))
+        frame = FrameData(*data.draw(st.sampled_from(FRAMES_TO_4), label="w"))
         kind = data.draw(st.sampled_from(["p2", "x0", "x1"]), label="kind")
         doubled = data.draw(
             st.sampled_from([d for d in range(-2, 3) if (d + frame.w1) % 2 == 0]),
@@ -530,8 +534,103 @@ class TestPiecesAgainstReferences:
                 pairs = char_tangent_x0(frame, 1, 1, y, y)
                 repeated += len(set(pairs)) < len(pairs)
                 term_x0(frame, fp, table)
-        # 434 fixed points, each with a matter and a tangent piece; only
-        # the empty diagram's two are units
-        assert sum(bool(piece.factors) for piece in table.pieces.values()) == 866
+        # 434 fixed points, each with a matter and a tangent piece; the
+        # empty diagram's two are empty by construction and never built,
+        # so every piece the table holds has factors
+        assert len(table.pieces) == 866
+        assert all(piece.factors for piece in table.pieces.values())
         assert repeated == 303
         assert min(exp for piece in table.pieces.values() for _, exp in piece.factors) < -1
+
+
+def _diagonal(term) -> list:
+    """The term's diagonal tangent pieces: the only pieces with e-part (),
+    so the only ones whose forms have no frame part."""
+    return [piece for piece in term if not any(form.frame for form, _ in piece.factors)]
+
+
+class TestSharedBuild:
+    """A series build makes what its fixed points share once: a slot
+    pair's character once per class, a diagonal tangent piece once per
+    diagram (per chart on the resolved side), a resolved term from one
+    ell part and two chart parts, and no piece whose character is empty
+    by construction.  ``TestSharedFactorTable`` checks that the terms stay
+    the whole-fixed-point terms."""
+
+    @pytest.mark.parametrize("w", [(3, 0), (1, 2), (2, 2)])
+    def test_each_character_is_built_once_per_build(self, monkeypatch, w):
+        # a slot pair's character depends on (Y_alpha, Y_beta) on the
+        # plane, also on color(alpha) + color(beta) mod 2 on the orbifold,
+        # and on (delta, chart, Y_alpha, Y_beta) on a chart
+        frame = FrameData(*w)
+        keys = {"p2": [], "x0": [], "x1": []}
+
+        def counted(kind, build, key):
+            def counting(*args):
+                keys[kind].append(key(*args))
+                return build(*args)
+
+            monkeypatch.setattr(localization, build.__name__, counting)
+
+        def color(alpha):
+            return 1 if alpha > frame.w0 else 0
+
+        counted("p2", char_tangent_p2, lambda ya, yb: (ya, yb))
+        counted("x0", char_tangent_x0, lambda fr, a, b, ya, yb: ((color(a) + color(b)) % 2, ya, yb))
+        counted("x1", char_tangent_x1, lambda delta, chart, ya, yb: (delta, chart, ya, yb))
+        series_zp2(frame.r, 2)
+        series_zx0(frame, H(0), 8 + frame.w1)
+        series_zx1(frame, H(0), 8 + frame.w1)
+        for kind, built in keys.items():
+            assert built, kind
+            assert len(built) == len(set(built)), kind
+
+    def test_every_slot_shares_one_diagonal_piece(self):
+        y = (2, 1)
+        table = FactorTable()
+        plane = _diagonal(term_p2(3, (y, y, y), table))
+        assert len(plane) == 3 and len({id(piece) for piece in plane}) == 1
+        # slots of both colors, in one orbifold build
+        frame = FrameData(1, 2)
+        fps = [
+            fp
+            for v0 in range(7)
+            for v1 in range(7)
+            for fp in enum_fixed_points_x0(frame, v0, v1)
+            if len(set(fp.diagrams)) == 1
+        ]
+        diagonals = {}
+        for fp in fps:
+            pieces = _diagonal(term_x0(frame, fp, table))
+            assert len({id(piece) for piece in pieces}) <= 1
+            if pieces:
+                assert len(pieces) == frame.r
+                assert diagonals.setdefault(fp.diagrams[0], pieces[0]) is pieces[0]
+        assert len(diagonals) > 1
+        # on the resolved side, one per chart, whatever the slots' k
+        frame, table = FrameData(2, 0), FactorTable()
+        first = _diagonal(term_x1(frame, fp_x1([H(1), H(-1)], [y, y], [(), y]), table))
+        second = _diagonal(term_x1(frame, fp_x1([H(0), H(0)], [y, ()], [y, y]), table))
+        assert [id(piece) for piece in first] == [id(first[0])] * 2 + [id(first[2])]
+        assert first[0] is not first[2]
+        assert [id(piece) for piece in second] == [id(first[0])] + [id(first[2])] * 2
+
+    def test_no_piece_is_built_from_an_empty_character(self, monkeypatch):
+        calls = []
+        for name in ("euler_class", "matter_euler"):
+            build = getattr(localization, name)
+            monkeypatch.setattr(
+                localization, name, lambda pairs, *rest, build=build: calls.append(pairs) or build(pairs, *rest)
+            )
+        # rank 500 at max-n 0: one fixed point, with no boxes, so no piece
+        frame = FrameData(500, 0)
+        assert series_zx1(frame, H(0), 0).coeffs == {0: ((),)}
+        assert series_zx0(frame, H(0), 0).coeffs == {0: ((),)}
+        assert series_zp2(500, 0).coeffs == {0: ((),)}
+        assert calls == []
+        # on the plane and the resolved surface a character that is not
+        # empty by construction has a monomial
+        frame = FrameData(2, 1)
+        series_zp2(frame.r, 2)
+        series_zx1(frame, H("1/2"), 8 + frame.w1)
+        assert calls and all(calls)

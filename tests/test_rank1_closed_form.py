@@ -10,6 +10,13 @@ At rank 1 every series has a closed form in one exponent,
     factor times the plane exponents at the two blow-up charts, shifted
     by the base grade 4k^2; a k of the wrong parity for w1 gives zero.
 
+  * the orbifold series at k >= 0 is (1 + q)^(-u(p)) Zx1(-eps p), with
+    u = h (2 a1 + m1 + m2)/(eps1 eps2) and Zx1 the resolved closed form
+    above: main's k >= 0 branch solved for Zx0.  That identity is the
+    paper's theorem, not a closed form derived here, so this part is a
+    deep regression test of the orbifold enumerator and its terms, not
+    independent evidence for the theorem.
+
 The series are read through a `SeriesPair` at points drawn by hypothesis,
 each pair built once per module.  The charts and ell(k) are the test
 references of ``whole_fixed_point``, written from their definitions.
@@ -29,6 +36,7 @@ from whole_fixed_point import reference_chart, reference_map_point, reference_te
 
 PLANE_MAX_N = 20
 RESOLVED_MAX_N = 12
+ORBIFOLD_MAX_N = 10
 
 
 @cache
@@ -78,9 +86,40 @@ def test_resolved_series_is_ell_times_the_charted_plane_exponents(w, k, point):
     if (kk.doubled + frame.w1) % 2:
         assert set(values.values()) == {0}
         return
-    images = [reference_map_point(point, reference_chart(side, (kk,))) for side in (1, 2)]
-    assume(all(image[EPS1] * image[EPS2] for image in images))
+    expected = resolved_closed_form(frame, kk, point, values)
+    assume(expected is not None)
+    assert values == expected
+
+
+def resolved_closed_form(frame: FrameData, k: HalfInt, point, grades) -> dict:
+    """{grade: Zx1 at `point`} from the rank-1 closed form, or None when
+    a chart image of `point` has a zero eps."""
+    images = [reference_map_point(point, reference_chart(side, (k,))) for side in (1, 2)]
+    if not all(image[EPS1] * image[EPS2] for image in images):
+        return None
     c = sum(exponent(image) for image in images)
-    ell = term_eval((reference_term_x1(frame, FixedPointX1((kk,), ((),), ((),))),), point)
-    base = kk.doubled**2
-    assert values == {g: ell * binom(c, (g - base) // 4) if g >= base else 0 for g in values}
+    ell = term_eval((reference_term_x1(frame, FixedPointX1((k,), ((),), ((),))),), point)
+    base = k.doubled**2
+    return {g: ell * binom(c, (g - base) // 4) if g >= base else 0 for g in grades}
+
+
+@pytest.mark.parametrize("w, k", [((1, 0), "0"), ((1, 0), "1"), ((0, 1), "1/2")])
+@settings(max_examples=4, deadline=None)
+@given(point=_points)
+def test_orbifold_series_is_the_resolved_closed_form_at_minus_eps(w, k, point):
+    frame, kk = FrameData(*w), HalfInt.parse(k)
+    pair = _pair(*w, k, ORBIFOLD_MAX_N)
+    assume(clear_of(pair.pole_forms("zx0"), point))
+    values = pair.values("zx0", point)
+    assert list(values) == list(range(w[1] % 4, 4 * ORBIFOLD_MAX_N + w[1] + 1, 4))
+    flipped = {**point, EPS1: -point[EPS1], EPS2: -point[EPS2]}
+    resolved = resolved_closed_form(frame, kk, flipped, values)
+    assume(resolved is not None)
+    h = (point[EPS1] + point[EPS2]) / 2
+    u = h * (2 * point[var_a(1)] + point[var_m(1)] + point[var_m(2)]) / (point[EPS1] * point[EPS2])
+    # (1 + q)^(-u) times the resolved series, grade by grade
+    weights = [binom(-u, j) for j in range(ORBIFOLD_MAX_N + 1)]
+    assert values == {
+        g: sum(weights[j] * resolved[g - 4 * j] for j in range(len(weights)) if g - 4 * j in resolved)
+        for g in values
+    }

@@ -790,7 +790,8 @@ class TestPieceReads:
 
     def test_kernel_compiles_and_evaluates_each_distinct_piece_once(self, monkeypatch):
         # zx0 at w = (1,2), k = 0, max-n 4: 1188 terms hold 11,210 piece
-        # references to 3248 distinct pieces, which have 16,184 factors;
+        # references to 3114 distinct pieces, which have 15,420 factors
+        # (a diagonal slot pair's piece serves every slot of its diagram);
         # merged, the terms have 51,824 factor occurrences
         from nekrasov import exact
 
@@ -798,7 +799,7 @@ class TestPieceReads:
         series = pair.series("zx0")
         terms = [t for g in series.grades() for t in series.coefficient(g)]
         pieces = {id(piece): piece for t in terms for piece in t}
-        assert (len(terms), sum(map(len, terms)), len(pieces)) == (1188, 11210, 3248)
+        assert (len(terms), sum(map(len, terms)), len(pieces)) == (1188, 11210, 3114)
         assert sum(len(merged(t).factors) for t in terms) == 51824
 
         compiled = []
@@ -815,7 +816,7 @@ class TestPieceReads:
         pair.values("zx0", point)
         # one form-slot lookup per factor of each distinct piece
         assert len({id(piece) for piece in compiled}) == len(compiled) == len(pieces)
-        assert sum(len(piece.factors) for piece in compiled) == 16184
+        assert sum(len(piece.factors) for piece in compiled) == 15420
         # at the point, one product per distinct factor set, then one per
         # term side that reads more than one ref; a lone ref is read directly
         assert len(set(kernel.sets)) == len(kernel.sets) == 2091
