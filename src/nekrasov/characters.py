@@ -18,10 +18,10 @@ once (see ``localization``):
 
   * char_twist            -- the line-bundle twist character with doubled
                              index d: on the resolved surface a slot's
-                             line-bundle piece is d = 2k_alpha + s, and a
+                             line-bundle piece is d = 2k_alpha, and a
                              slot pair's is d = delta = 2(k_beta - k_alpha),
   * char_v_*              -- one slot's tautological fiber: on the plane
-                             and the orbifold (degree-s part) it depends on
+                             and the orbifold (degree-0 part) it depends on
                              Y_alpha (and alpha's color); on the resolved
                              surface one piece per chart (char_v_x1) on
                              (2k_alpha, chart, Y^chart_alpha),
@@ -35,8 +35,8 @@ once (see ``localization``):
                              chart, Y^chart_alpha, Y^chart_beta).
 
 A slot pair's arms and legs are read by index off one transpose of each
-diagram (``_pair_weights``).  An orbifold piece keeps its Z2-degree-s
-part, the weights with p + q + c = s mod 2, where c is the constant color
+diagram (``_pair_weights``).  An orbifold piece keeps its Z2-invariant
+part, the weights with p + q + c even, where c is the constant color
 offset of its e-part: color(alpha) for a slot's e_alpha, color(alpha) +
 color(beta) for a slot pair's e_beta/e_alpha (t1, t2 and the color-1
 framing characters are odd).  A slot's fiber steps over every other row
@@ -77,15 +77,13 @@ def char_v_p2(diagram: YoungDiagram) -> list[tuple[int, int]]:
     return [(1 - i, 1 - j) for i, j in boxes(diagram)]
 
 
-def char_v_x0(
-    frame: FrameData, alpha: int, diagram: YoungDiagram, s: int
-) -> list[tuple[int, int]]:
-    """Degree-s part of slot alpha's plane tautological fiber, at an
-    orbifold point: the boxes whose monomial t1^p t2^q e_alpha has
-    p + q + color(alpha) = s mod 2."""
+def char_v_x0(frame: FrameData, alpha: int, diagram: YoungDiagram) -> list[tuple[int, int]]:
+    """Z2-invariant (degree-0) part of slot alpha's plane tautological
+    fiber, at an orbifold point: the boxes whose monomial t1^p t2^q e_alpha
+    has p + q + color(alpha) even."""
     # p + q = 2 - i - j has the parity of i + j: row j of column i is kept
-    # when j = i + c mod 2, every other row from the first such one
-    c = _color(frame, alpha) + s
+    # when j = i + color(alpha) mod 2, every other row from the first such one
+    c = _color(frame, alpha)
     return [
         (1 - i, 1 - j)
         for i, height in enumerate(diagram, start=1)
@@ -93,15 +91,15 @@ def char_v_x0(
     ]
 
 
-def char_v_x1(d: int, chart: int, diagram: YoungDiagram, s: int) -> list[tuple[int, int]]:
+def char_v_x1(d: int, chart: int, diagram: YoungDiagram) -> list[tuple[int, int]]:
     """Chart piece of a slot's tautological fiber on the resolved surface,
     for k_alpha = d/2 and the slot's diagram in that chart: one monomial
-    per box, twisted into the chart and shifted by s/2.  The slot's third
-    piece is char_twist(d + s)."""
+    per box, twisted into the chart.  The slot's third piece is
+    char_twist(d)."""
     if chart == 1:
-        # t1^(2(k - i + 1 + s/2)) * (t2/t1)^(1-j)
-        return [(d - 2 * i + j + s + 1, 1 - j) for i, j in boxes(diagram)]
-    return [(1 - i, d - 2 * j + i + s + 1) for i, j in boxes(diagram)]
+        # t1^(2(k - i + 1)) * (t2/t1)^(1-j)
+        return [(d - 2 * i + j + 1, 1 - j) for i, j in boxes(diagram)]
+    return [(1 - i, d - 2 * j + i + 1) for i, j in boxes(diagram)]
 
 
 def _first_half(ya: YoungDiagram, tb: tuple) -> list[tuple[int, int]]:

@@ -371,11 +371,20 @@ def main(argv=None) -> int:
     # would only re-scan the growing heap of forms, pieces and terms a
     # request builds (11-22% of `check all` near the ~10 s frontier), so
     # it is off for the request; the caller's setting comes back after.
+    # The limit on int-to-str digits (Python 3.10.7 on) is lifted the same
+    # way: an exact value can run past its default 4300 digits, as rank 50
+    # at max-n 1 does.
     enabled = gc.isenabled()
+    limit = getattr(sys, "set_int_max_str_digits", None)
+    digits = sys.get_int_max_str_digits() if limit else 0
     gc.disable()
+    if limit:
+        limit(0)
     try:
         return _run(argv)
     finally:
+        if limit:
+            limit(digits)
         if enabled:
             gc.enable()
 

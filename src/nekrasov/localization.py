@@ -31,29 +31,27 @@ series build's memos.  Its `pieces` dict maps a piece's key to that
 piece's ``FactoredTerm``, built on first use, and a term is the tuple
 of the table's objects, unit pieces dropped (see ``exact``); merged, a
 term's pieces give the canonical piece one Euler class of each whole
-character gives.  The piece keys:
+character gives.
 
-  * plane and orbifold: matter (alpha, Y_alpha), tangent
-    (alpha, beta, Y_alpha, Y_beta);
-  * resolved surface: matter (alpha, 2k_alpha) for the line-bundle piece
-    and (alpha, 2k_alpha, chart, Y^chart_alpha) per chart; tangent
-    (alpha, beta, delta) for the line-bundle piece and
-    (alpha, beta, delta, chart, Y^chart_alpha, Y^chart_beta) per chart,
-    delta = 2(k_beta - k_alpha).
-
-A diagonal tangent piece has e-part () and a character that does not
-depend on alpha (color(alpha) + color(alpha) is even, delta is 0), so
-every slot shares one, keyed as the slot pair (0, 0).  A piece whose
-character is empty by construction is never keyed or built: the tangent
-piece of two empty diagrams, the matter piece of an empty diagram, and a
-line-bundle piece char_twist(d) with |d| <= 1.  `chars` memoizes a slot
-pair's (p, q) list by what it depends on: (Y_alpha, Y_beta) on the
-plane, (color(alpha) + color(beta) mod 2, Y_alpha, Y_beta) on the
-orbifold, (delta, chart, Y_alpha, Y_beta) on a chart.  A resolved term
-has the blow-up shape ell(kvec) + part_1 + part_2: ell holds each slot's
-line-bundle matter piece and then its slot pairs' line-bundle tangent
-pieces, and part c the same for chart c.  `parts` memoizes ell by the
-doubled first-Chern vector and part c by (that vector, c, Y^c).
+One slot walk (``_slot_walk``) builds the plane and orbifold terms and
+each chart part of a resolved term.  They differ in a class c_alpha per
+slot (0 on the plane, the color on the orbifold, 2k_alpha on a chart), a
+tag (the chart, else 0) and two character builders.  The walk keys each
+slot's matter piece (alpha, c_alpha, tag, Y_alpha), then its slot pairs'
+tangent pieces (alpha, beta, d, tag, Y_alpha, Y_beta), d = c_beta -
+c_alpha, and visits only the pairs with a box (every beta for a slot
+with a diagram, the filled beta otherwise), so n boxes give O(n r)
+pieces.  `chars` holds each character once per (c_alpha, tag, Y_alpha)
+or (d, tag, Y_alpha, Y_beta), d mod 2 on the orbifold.  A diagonal
+tangent piece has e-part () and d = 0, so every slot shares one per tag
+and diagram, keyed as the slot pair (0, 0).  No piece whose character is
+empty by construction is keyed or built: two empty diagrams' tangent
+piece, an empty diagram's matter piece, a line-bundle piece
+char_twist(d) with |d| <= 1.  A resolved term is ell(kvec) + part_1 +
+part_2: ell holds each slot's line-bundle matter piece (alpha, 2k_alpha)
+and then its slot pairs' (alpha, beta, delta), delta = 2(k_beta -
+k_alpha), visiting no pair when 2kvec spreads by at most 1; `parts`
+memoizes ell by 2kvec and part c by (2kvec, c, Y^c).
 The forms are memoized by e-part and then by (p, q): each tangent
 monomial's weight form (`weights`) and each tautological monomial's 2r
 mass-shifted forms (`masses`), so every piece holding a form holds one
@@ -178,8 +176,8 @@ def _tangent_piece(weights: list, e: tuple, forms: dict | None = None) -> Factor
 
 
 class FactorTable:
-    """One series build's memos of pieces, slot-pair characters, resolved
-    parts, weight forms and mass-shifted forms; see the module docstring."""
+    """One series build's memos of pieces, characters, resolved parts,
+    weight forms and mass-shifted forms; see the module docstring."""
 
     __slots__ = ("pieces", "chars", "parts", "weights", "masses")
 
@@ -199,71 +197,80 @@ def _memo(memo: dict, key, build, *args):
     return value
 
 
-def _diagram_tuple_term(diagrams, r: int, table: FactorTable, char_v, pair_char) -> Term:
-    """Term of a diagram tuple whose slot alpha has the tautological piece
-    char_v(alpha, Y_alpha) and whose slot pair the tangent piece on
-    pair_char(alpha, beta, Y_alpha, Y_beta)."""
-    cached = table.pieces
-    pieces: list = []
+def _slot_walk(classes, diagrams, tag, fold: int, r: int, table: FactorTable, v_char, pair_char) -> Term:
+    """Term of the slots with classes `classes` and diagrams `diagrams`
+    under tag `tag`; a character is v_char(alpha, c_alpha, tag, Y_alpha)
+    or pair_char(alpha, beta, d, tag, Y_alpha, Y_beta), d mod `fold` if
+    set.  The builders read each ``char_*`` as a module global when they
+    run, so a rebinding of one (a test's patch, a tracer) is seen."""
+    pieces, chars, out = table.pieces, table.chars, []
+    filled = () if all(diagrams) else [(beta, yb) for beta, yb in enumerate(diagrams, start=1) if yb]
     for alpha, ya in enumerate(diagrams, start=1):
+        ca = classes[alpha - 1]
         if ya:
-            piece = cached.get((alpha, ya))
+            key = (alpha, ca, tag, ya)
+            piece = pieces.get(key)
             if piece is None:
-                ch = char_v(alpha, ya)
-                piece = cached[alpha, ya] = matter_euler(ch, slot_part(alpha), r, table.masses)
+                ch = _memo(chars, (ca, tag, ya), v_char, alpha, ca, tag, ya)
+                piece = pieces[key] = matter_euler(ch, slot_part(alpha), r, table.masses)
             if piece.factors:
-                pieces.append(piece)
-        for beta, yb in enumerate(diagrams, start=1):
-            if not (ya or yb):
-                continue
-            key = (alpha, beta, ya, yb) if alpha != beta else (0, 0, ya, yb)
-            piece = cached.get(key)
+                out.append(piece)
+        for beta, yb in enumerate(diagrams, start=1) if ya else filled:
+            d = classes[beta - 1] - ca
+            key = (alpha, beta, d, tag, ya, yb) if alpha != beta else (0, 0, 0, tag, ya, yb)
+            piece = pieces.get(key)
             if piece is None:
-                ch = pair_char(alpha, beta, ya, yb)
-                piece = cached[key] = _tangent_piece(ch, ratio_part(alpha, beta), table.weights)
+                if fold:
+                    d %= fold
+                ch = _memo(chars, (d, tag, ya, yb), pair_char, alpha, beta, d, tag, ya, yb)
+                piece = pieces[key] = _tangent_piece(ch, ratio_part(alpha, beta), table.weights)
             if piece.factors:
-                pieces.append(piece)
-    return tuple(pieces)
+                out.append(piece)
+    return tuple(out)
+
+
+# The plane's builders for the slot walk: every slot has class 0 and tag 0.
+def _v_p2(alpha: int, c: int, tag: int, y) -> list:
+    return char_v_p2(y)
+
+
+def _pair_p2(alpha: int, beta: int, d: int, tag: int, ya, yb) -> list:
+    return char_tangent_p2(ya, yb)
 
 
 def term_p2(r: int, diagrams, table: FactorTable) -> Term:
     """Localization term of one diagram tuple on the plane."""
-    return _diagram_tuple_term(
-        diagrams,
-        r,
-        table,
-        lambda alpha, y: char_v_p2(y),
-        lambda alpha, beta, ya, yb: _memo(table.chars, (ya, yb), char_tangent_p2, ya, yb),
-    )
+    return _slot_walk((0,) * r, diagrams, 0, 0, r, table, _v_p2, _pair_p2)
 
 
 def term_x0(frame: FrameData, fp: FixedPointX0, table: FactorTable) -> Term:
-    """Localization term of one orbifold fixed point."""
-    w0 = frame.w0
-    return _diagram_tuple_term(
+    """Localization term of one orbifold fixed point: a slot's class is its
+    color, and a slot pair's character depends on their difference mod 2."""
+    return _slot_walk(
+        frame.colors,
         fp.diagrams,
+        0,
+        2,
         frame.r,
         table,
-        lambda alpha, y: char_v_x0(frame, alpha, y, 0),
-        # slots past w0 have color 1: the key leads with color(alpha) + color(beta) mod 2
-        lambda alpha, beta, ya, yb: _memo(
-            table.chars, ((alpha > w0) != (beta > w0), ya, yb), char_tangent_x0, frame, alpha, beta, ya, yb
-        ),
+        lambda alpha, c, tag, y: char_v_x0(frame, alpha, y),
+        lambda alpha, beta, d, tag, ya, yb: char_tangent_x0(frame, alpha, beta, ya, yb),
     )
 
 
 def _ell_part(doubled: tuple, r: int, table: FactorTable) -> Term:
     """ell(kvec) for the doubled first-Chern vector: each slot's
     line-bundle matter piece, then its slot pairs' line-bundle tangent
-    pieces."""
+    pieces.  No slot pair has one when the vector's spread is at most 1."""
     cached, pieces = table.pieces, []
+    pairs = doubled if max(doubled) - min(doubled) > 1 else ()
     for alpha, d in enumerate(doubled, start=1):
         if abs(d) > 1:
             piece = cached.get((alpha, d))
             if piece is None:
                 piece = cached[alpha, d] = matter_euler(char_twist(d), slot_part(alpha), r, table.masses)
             pieces.append(piece)
-        for beta, d_beta in enumerate(doubled, start=1):
+        for beta, d_beta in enumerate(pairs, start=1):
             delta = d_beta - d
             if abs(delta) > 1:
                 key = (alpha, beta, delta)
@@ -275,43 +282,26 @@ def _ell_part(doubled: tuple, r: int, table: FactorTable) -> Term:
     return tuple(pieces)
 
 
-def _chart_part(doubled: tuple, chart: int, ys: tuple, r: int, table: FactorTable) -> Term:
-    """Chart `chart`'s part of a resolved term, for the doubled first-Chern
-    vector and that chart's diagrams `ys`: each slot's chart matter piece,
-    then its slot pairs' chart tangent pieces."""
-    cached, pieces = table.pieces, []
-    slots = list(zip(doubled, ys))
-    for alpha, (d, ya) in enumerate(slots, start=1):
-        if ya:
-            key = (alpha, d, chart, ya)
-            piece = cached.get(key)
-            if piece is None:
-                ch = char_v_x1(d, chart, ya, 0)
-                piece = cached[key] = matter_euler(ch, slot_part(alpha), r, table.masses)
-            pieces.append(piece)
-        for beta, (d_beta, yb) in enumerate(slots, start=1):
-            if not (ya or yb):
-                continue
-            delta = d_beta - d
-            key = (alpha, beta, delta, chart, ya, yb) if alpha != beta else (0, 0, 0, chart, ya, yb)
-            piece = cached.get(key)
-            if piece is None:
-                ch = _memo(table.chars, (delta, chart, ya, yb), char_tangent_x1, delta, chart, ya, yb)
-                piece = cached[key] = _tangent_piece(ch, ratio_part(alpha, beta), table.weights)
-            pieces.append(piece)
-    return tuple(pieces)
+# A chart's builders for the slot walk: the class is 2k_alpha, the tag the chart.
+def _v_x1(alpha: int, d: int, chart: int, y) -> list:
+    return char_v_x1(d, chart, y)
+
+
+def _pair_x1(alpha: int, beta: int, delta: int, chart: int, ya, yb) -> list:
+    return char_tangent_x1(delta, chart, ya, yb)
 
 
 def term_x1(frame: FrameData, fp: FixedPointX1, table: FactorTable) -> Term:
     """Localization term of one resolved-surface fixed point, in the
     blow-up shape ell(kvec) + part_1 + part_2, each part made once per
-    table."""
+    table.  Part c walks chart c's diagrams under tag c, a slot's class
+    being its doubled k_alpha."""
     r, parts = frame.r, table.parts
     doubled = tuple([k.doubled for k in fp.kvec])
     return (
         _memo(parts, doubled, _ell_part, doubled, r, table)
-        + _memo(parts, (doubled, 1, fp.y1), _chart_part, doubled, 1, fp.y1, r, table)
-        + _memo(parts, (doubled, 2, fp.y2), _chart_part, doubled, 2, fp.y2, r, table)
+        + _memo(parts, (doubled, 1, fp.y1), _slot_walk, doubled, fp.y1, 1, 0, r, table, _v_x1, _pair_x1)
+        + _memo(parts, (doubled, 2, fp.y2), _slot_walk, doubled, fp.y2, 2, 0, r, table, _v_x1, _pair_x1)
     )
 
 

@@ -20,11 +20,13 @@ needs, and substitutes each chart into the terms of the grades that
 vector uses, with one image memo per rule, so each distinct piece and
 form is imaged once per rule.
 
-Each series build makes one factor table (``localization.FactorTable``),
-local to series_zp2, series_zx0 or series_zx1, and passes it to every
-term it builds, so a slot's or slot pair's piece, each slot-pair
-character class and each monomial's form is built once per build, and
-every slot shares one diagonal tangent piece per diagram;
+series_zp2, series_zx0 and series_zx1 share one grade loop (``_series``),
+fed by a fixed-point source, the fixed points of a grade, and a term
+builder (``localization.term_p2``, ``term_x0`` or ``term_x1``).  The
+loop makes one factor table (``localization.FactorTable``) per build and
+passes it to every term it builds, so a slot's or slot pair's piece,
+each character class and each monomial's form is built once per build,
+and every slot shares one diagonal tangent piece per diagram;
 series_zx1_factorized keeps one more for its ell(kvec) pieces.
 series_zx1 builds each term in the blow-up shape from its own chart
 characters, ell(kvec) + part_1 + part_2, each part made once per build;
@@ -185,13 +187,20 @@ def series_prefactor(r: int, sign: int, max_n: int) -> QSeries:
     return QSeries(coeffs, 4 * max_n, 0)
 
 
+def _series(offset: int, max4n: int, fixed_points, term) -> QSeries:
+    """The series whose grade g, from offset to max4n in steps of 4, sums
+    term(fp, table) over the fixed points fixed_points(g), with one factor
+    table for the whole build."""
+    table = FactorTable()
+    coeffs = {g: tuple([term(fp, table) for fp in fixed_points(g)]) for g in range(offset, max4n + 1, 4)}
+    return QSeries(coeffs, max4n, offset)
+
+
 def series_zp2(r: int, max_n: int) -> QSeries:
     """Plane partition-function series up to q^max_n."""
-    coeffs = {}
-    table = FactorTable()
-    for n in range(max_n + 1):
-        coeffs[4 * n] = tuple(term_p2(r, tup, table) for tup in diagram_tuples(r, n))
-    return QSeries(coeffs, 4 * max_n, 0)
+    return _series(
+        0, 4 * max_n, lambda g: diagram_tuples(r, g // 4), lambda tup, table: term_p2(r, tup, table)
+    )
 
 
 def _charted(zp2: QSeries, max_n: int, rule: Rule) -> QSeries:
@@ -209,38 +218,28 @@ def series_zx0(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
     """Orbifold-side series: grade 4*v0 + w1 sums the colored diagram
     tuples with counts (v0, v1), v1 = v0 + w1/2 + k.  Grades where v1 is
     negative or non-integral (parity-infeasible k) hold zero."""
-    offset = frame.w1 % 4
-    coeffs = {}
-    table = FactorTable()
-    for g in range(offset, max4n + 1, 4):
-        if g < frame.w1:
-            coeffs[g] = ()
-            continue
+
+    def fixed_points(g: int):
         v0 = (g - frame.w1) // 4
         v1_doubled = 2 * v0 + frame.w1 + k.doubled
-        if v1_doubled < 0 or v1_doubled % 2 != 0:
-            coeffs[g] = ()
-            continue
-        fps = enum_fixed_points_x0(frame, v0, v1_doubled // 2)
-        coeffs[g] = tuple(term_x0(frame, fp, table) for fp in fps)
-    return QSeries(coeffs, max4n, offset)
+        if g < frame.w1 or v1_doubled < 0 or v1_doubled % 2 != 0:
+            return ()
+        return enum_fixed_points_x0(frame, v0, v1_doubled // 2)
+
+    return _series(frame.w1 % 4, max4n, fixed_points, lambda fp, table: term_x0(frame, fp, table))
 
 
 def series_zx1(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
     """Resolved-side series: grade 4n sums all (kvec, Y1, Y2) fixed points
     with sum(kvec) = k at that grade.  Parity-infeasible k gives the zero
     series (no admissible first-Chern vectors exist)."""
-    offset = frame.w1 % 4
     feasible = (k.doubled + frame.w1) % 2 == 0
-    coeffs = {}
-    table = FactorTable()
-    for g in range(offset, max4n + 1, 4):
-        if not feasible:
-            coeffs[g] = ()
-            continue
-        fps = enum_fixed_points_x1(frame, k, g)
-        coeffs[g] = tuple(term_x1(frame, fp, table) for fp in fps)
-    return QSeries(coeffs, max4n, offset)
+    return _series(
+        frame.w1 % 4,
+        max4n,
+        lambda g: enum_fixed_points_x1(frame, k, g) if feasible else (),
+        lambda fp, table: term_x1(frame, fp, table),
+    )
 
 
 def series_mul(a: QSeries, b: QSeries) -> QSeries:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from nekrasov import cli
 from nekrasov.cli import main
+from nekrasov.exact import format_rational
 from nekrasov.localization import VanishingWeight
 
 
@@ -294,6 +296,37 @@ class TestCollectorState:
         assert code == 3
         assert seen == [False]
         assert gc.isenabled() == caller_enabled
+
+
+class TestLargeValues:
+    """A value past Python's default 4300-digit int-to-str limit is printed
+    exactly, and `main` gives the caller back its own limit."""
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before 3.10.7")
+    @pytest.mark.parametrize("command", [["compute", "zp2"], ["check", "main"]])
+    def test_values_past_the_digit_limit_are_exact(self, capsys, command):
+        args = ["--w0", "50", "--w1", "0", "--k", "0", "--max-n", "1", "--trials", "1", "--json"]
+        caller = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(1000)
+        try:
+            code, out, _ = run(capsys, command + args)
+            assert code == 0
+            assert sys.get_int_max_str_digits() == 1000
+            sys.set_int_max_str_digits(0)
+            longest = max(_rationals(json.loads(out)), key=len)
+            assert len(longest.lstrip("-").split("/")[0]) > 4300
+            assert format_rational(Fraction(longest)) == longest
+        finally:
+            sys.set_int_max_str_digits(caller)
+
+
+def _rationals(report):
+    """Every string in a JSON report that reads as a rational number."""
+    if isinstance(report, dict):
+        report = list(report.values())
+    if isinstance(report, list):
+        return [text for item in report for text in _rationals(item)]
+    return [report] if isinstance(report, str) and report.lstrip("-").replace("/", "").isdigit() else []
 
 
 class TestDeterminism:

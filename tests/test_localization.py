@@ -488,12 +488,9 @@ class TestPiecesAgainstReferences:
                 (char_v_p2(ya), ref_char_v_p2(alpha, ya)),
                 (char_twist(delta), ref_char_v_twist(alpha, delta, 0)),
             ]
-            for s in (0, 1):
-                matter.append((char_v_x0(frame, alpha, ya, s), ref_char_v_x0(frame, alpha, ya, s)))
-                for chart in CHART_MATRICES:
-                    matter.append(
-                        (char_v_x1(delta, chart, ya, s), ref_char_v_x1(alpha, delta, chart, ya, s))
-                    )
+            matter.append((char_v_x0(frame, alpha, ya), ref_char_v_x0(frame, alpha, ya, 0)))
+            for chart in CHART_MATRICES:
+                matter.append((char_v_x1(delta, chart, ya), ref_char_v_x1(alpha, delta, chart, ya, 0)))
             for pairs, ch in matter:
                 expected = ref_matter_euler(ch, r)
                 assert matter_euler(pairs, e, r, table.masses) == expected
@@ -550,20 +547,23 @@ def _diagonal(term) -> list:
 
 
 class TestSharedBuild:
-    """A series build makes what its fixed points share once: a slot
-    pair's character once per class, a diagonal tangent piece once per
-    diagram (per chart on the resolved side), a resolved term from one
-    ell part and two chart parts, and no piece whose character is empty
-    by construction.  ``TestSharedFactorTable`` checks that the terms stay
-    the whole-fixed-point terms."""
+    """A series build makes what its fixed points share once: a slot's
+    and a slot pair's character once per class, a diagonal tangent piece
+    once per diagram (per chart on the resolved side), a resolved term
+    from one ell part and two chart parts, and no piece whose character
+    is empty by construction.  ``TestSharedFactorTable`` checks that the
+    terms stay the whole-fixed-point terms."""
 
     @pytest.mark.parametrize("w", [(3, 0), (1, 2), (2, 2)])
     def test_each_character_is_built_once_per_build(self, monkeypatch, w):
-        # a slot pair's character depends on (Y_alpha, Y_beta) on the
-        # plane, also on color(alpha) + color(beta) mod 2 on the orbifold,
-        # and on (delta, chart, Y_alpha, Y_beta) on a chart
+        # a slot's matter character depends on Y_alpha on the plane, also
+        # on color(alpha) on the orbifold, and on (2k_alpha, chart,
+        # Y_alpha) on a chart; a slot pair's character depends on
+        # (Y_alpha, Y_beta) on the plane, also on color(alpha) +
+        # color(beta) mod 2 on the orbifold, and on (delta, chart, Y_alpha,
+        # Y_beta) on a chart
         frame = FrameData(*w)
-        keys = {"p2": [], "x0": [], "x1": []}
+        keys = {"v_p2": [], "v_x0": [], "v_x1": [], "p2": [], "x0": [], "x1": []}
 
         def counted(kind, build, key):
             def counting(*args):
@@ -575,6 +575,9 @@ class TestSharedBuild:
         def color(alpha):
             return 1 if alpha > frame.w0 else 0
 
+        counted("v_p2", char_v_p2, lambda y: y)
+        counted("v_x0", char_v_x0, lambda fr, a, y: (color(a), y))
+        counted("v_x1", char_v_x1, lambda d, chart, y: (d, chart, y))
         counted("p2", char_tangent_p2, lambda ya, yb: (ya, yb))
         counted("x0", char_tangent_x0, lambda fr, a, b, ya, yb: ((color(a) + color(b)) % 2, ya, yb))
         counted("x1", char_tangent_x1, lambda delta, chart, ya, yb: (delta, chart, ya, yb))

@@ -136,19 +136,19 @@ def whole_v_p2(diagrams) -> Counter:
     return _sum(with_e(char_v_p2(y), slot_part(a)) for a, y in enumerate(diagrams, start=1))
 
 
-def whole_v_x0(frame, fp, s) -> Counter:
+def whole_v_x0(frame, fp) -> Counter:
     return _sum(
-        with_e(char_v_x0(frame, a, y, s), slot_part(a)) for a, y in enumerate(fp.diagrams, start=1)
+        with_e(char_v_x0(frame, a, y), slot_part(a)) for a, y in enumerate(fp.diagrams, start=1)
     )
 
 
-def whole_v_x1(frame, fp, s) -> Counter:
+def whole_v_x1(frame, fp) -> Counter:
     pieces = []
     for a in range(1, frame.r + 1):
         d = fp.kvec[a - 1].doubled
-        pieces.append(with_e(char_twist(d + s), slot_part(a)))
-        pieces.append(with_e(char_v_x1(d, 1, fp.y1[a - 1], s), slot_part(a)))
-        pieces.append(with_e(char_v_x1(d, 2, fp.y2[a - 1], s), slot_part(a)))
+        pieces.append(with_e(char_twist(d), slot_part(a)))
+        pieces.append(with_e(char_v_x1(d, 1, fp.y1[a - 1]), slot_part(a)))
+        pieces.append(with_e(char_v_x1(d, 2, fp.y2[a - 1]), slot_part(a)))
     return _sum(pieces)
 
 
@@ -188,12 +188,12 @@ def reference_term_p2(r, diagrams):
 
 
 def reference_term_x0(frame, fp):
-    num = ref_matter_euler(whole_v_x0(frame, fp, 0), frame.r)
+    num = ref_matter_euler(whole_v_x0(frame, fp), frame.r)
     return _quotient(num, ref_euler_class(whole_tangent_x0(frame, fp)))
 
 
 def reference_term_x1(frame, fp):
-    num = ref_matter_euler(whole_v_x1(frame, fp, 0), frame.r)
+    num = ref_matter_euler(whole_v_x1(frame, fp), frame.r)
     return _quotient(num, ref_euler_class(whole_tangent_x1(frame, fp)))
 
 
