@@ -19,12 +19,8 @@ avoid the series' denominator forms, and reads values off the pair.
 interface stability, but evaluation is sequential either way, so output
 is byte-identical for any thread count.  The count is a no-op: each
 series is compiled once into an integer kernel and evaluated at one or
-two points per trial (zx1-fact at one).  In ``check all`` evaluation is
-43-55% of the wall time at w = (1,0) max-n 16 and 61-66% at w = (1,2)
-and (3,0) max-n 6, compiling 13-15% and 10-12%, and series
-construction, which a pool over trials cannot share out, the rest,
-32-42% and 23-28% (2-core x86-64 VM, Python 3.11, four runs per cell in
-a process each, timing every kernel compile and evaluation in-process).
+two points per trial (zx1-fact at one).  ROADMAP's Baseline splits a
+``check all``'s wall time between series construction and evaluation.
 
 ``main`` runs each request with the cyclic garbage collector off and
 hands the caller's setting back on the way out, however the request
@@ -32,8 +28,7 @@ ends.  The engine allocates no reference cycles (see
 ``nekrasov.diagrams``), and argparse's parser, which is cyclic, is
 built once per process, so after the first request reference counting
 frees all of a request's garbage; the collector found nothing to free
-but kept re-scanning the growing heap of forms, pieces and terms, 11-22%
-of ``check all``'s wall time at those cells.
+but kept re-scanning the growing heap of forms, pieces and terms.
 
 Importing this module and building its parser loads the engine and,
 from the standard library, ``argparse``, ``fractions`` and ``json`` with

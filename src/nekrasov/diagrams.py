@@ -18,6 +18,14 @@ reverse-lexicographic on columns), tuples of diagrams lexicographically
 in that order, and k-vectors coordinate-wise with each coordinate ranged
 over 0, 1, -1, 2, -2, ... (doubled values, smallest absolute value first).
 
+A fixed point is the plain data its readers use: on the plane and on
+the orbifold a tuple of diagrams, one per framing slot; on the
+resolution a `FixedPointX1` (kvec, Y1, Y2), the first-Chern vector kvec
+held as its doubled entries 2k_alpha, ints like every other doubled
+datum of the engine.  The requested total k stays a `HalfInt`.  Whether
+k admits a first-Chern vector at all (2k + w1 even) is decided in one
+place, `enum_kvectors`, which returns none otherwise.
+
 The enumerators walk framing slots with `_heads`, an explicit stack of
 one iterator per slot, not one call per slot, so a request of any rank
 runs at the same call depth.  Only `partitions` and `_columns` recurse,
@@ -35,7 +43,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import lru_cache, partial, total_ordering
+from functools import lru_cache, partial
 from math import isqrt
 
 from .exact import Record
@@ -43,16 +51,8 @@ from .exact import Record
 YoungDiagram = tuple
 
 
-class ParityError(ValueError):
-    """Total first-Chern datum k incompatible with the framing parity."""
-
-
 class GradeError(ValueError):
     """Requested series grade not congruent to w1 mod 4."""
-
-
-def diagram_size(diagram: YoungDiagram) -> int:
-    return sum(diagram)
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +103,6 @@ class FrameData(Record):
         return (0,) * self.w0 + (1,) * self.w1
 
 
-@total_ordering
 class HalfInt(Record):
     """An element of (1/2)Z stored as its doubled integer value."""
 
@@ -116,11 +115,6 @@ class HalfInt(Record):
         if other.__class__ is not HalfInt:
             return NotImplemented
         return self.doubled == other.doubled
-
-    def __lt__(self, other: "HalfInt") -> bool:
-        if other.__class__ is not HalfInt:
-            return NotImplemented
-        return self.doubled < other.doubled
 
     def __hash__(self) -> int:
         return hash(self.doubled)
@@ -140,12 +134,6 @@ class HalfInt(Record):
                 return cls(2 * int(num))
             raise ValueError(f"half-integers must be 'p' or 'p/2', got {text!r}")
         return cls(2 * int(text))
-
-    def __add__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.doubled + other.doubled)
-
-    def __sub__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.doubled - other.doubled)
 
     def __neg__(self) -> "HalfInt":
         return HalfInt(-self.doubled)
@@ -215,12 +203,6 @@ def diagram_tuples(slots: int, total: int) -> Iterator[tuple[YoungDiagram, ...]]
             yield head + (diagram,)
 
 
-class FixedPointX0(namedtuple("FixedPointX0", "diagrams v0 v1")):
-    """A torus-fixed point on the orbifold side: r colored diagrams."""
-
-    __slots__ = ()
-
-
 def _columns(
     prefix: list, left: int, cap: int, color: int, room0: int, room1: int
 ) -> Iterator[tuple[YoungDiagram, int, int]]:
@@ -280,18 +262,19 @@ def _fitting_diagrams(
 
 def enum_fixed_points_x0(
     frame: FrameData, v0: int, v1: int
-) -> list[FixedPointX0]:
-    """All r-tuples of diagrams whose summed colored sizes are (v0, v1), in
-    diagram_tuples order.  Each slot's diagram is built within the colored
-    counts the earlier slots left, so branches that overshoot v0 or v1
-    are cut while they are built."""
-    out: list[FixedPointX0] = []
+) -> list[tuple[YoungDiagram, ...]]:
+    """The torus-fixed points of the orbifold side: all r-tuples of
+    diagrams whose summed colored sizes are (v0, v1), in diagram_tuples
+    order, none if a count is negative.  Each slot's diagram is built
+    within the colored counts the earlier slots left, so branches that
+    overshoot v0 or v1 are cut while they are built."""
+    out: list[tuple[YoungDiagram, ...]] = []
     if v0 >= 0 and v1 >= 0:
         colors = frame.colors
         for head, (room0, room1) in _heads(len(colors), partial(_fitting_diagrams, colors), (v0, v1)):
             # the last diagram takes what is left
             for diagram, _, _ in _bounded_diagrams(room0 + room1, colors[-1], room0, room1):
-                out.append(FixedPointX0(head + (diagram,), v0, v1))
+                out.append(head + (diagram,))
     return out
 
 
@@ -317,47 +300,41 @@ def _kvector_entries(
 
 def enum_kvectors(
     frame: FrameData, k: HalfInt, max4n: int
-) -> list[tuple[HalfInt, ...]]:
-    """All first-Chern vectors: integer entries on the color-0 slots,
-    half-odd entries on the color-1 slots, summing to k, with
-    4 * sum(k_alpha^2) <= max4n."""
+) -> list[tuple[int, ...]]:
+    """All first-Chern vectors, each the tuple of its doubled entries 2k_alpha:
+    integer entries on the color-0 slots, half-odd entries on the color-1
+    slots, summing to k, with 4 * sum(k_alpha^2) <= max4n.  The doubled
+    entries sum to w1 mod 2, so there are none when 2k + w1 is odd."""
+    out: list[tuple[int, ...]] = []
     if (k.doubled + frame.w1) % 2 != 0:
-        raise ParityError(f"2k = {k.doubled} has wrong parity for w1 = {frame.w1}")
+        return out
     parities = frame.colors  # a color-1 entry is half-odd: its double is odd
-    out: list[tuple[HalfInt, ...]] = []
     choices = partial(_kvector_entries, parities, max4n)
     for head, used4 in _heads(len(parities), choices, 0):
         last = k.doubled - sum(head)  # the last entry makes the sum k
         if last % 2 == parities[-1] and used4 + last * last <= max4n:
-            out.append(tuple([HalfInt(d) for d in (*head, last)]))
+            out.append((*head, last))
     return out
 
 
 class FixedPointX1(namedtuple("FixedPointX1", "kvec y1 y2")):
-    """A torus-fixed point on the resolved side: a first-Chern vector plus
-    one pair of diagrams per framing slot."""
+    """A torus-fixed point on the resolved side: a first-Chern vector, as
+    its doubled entries 2k_alpha, plus one pair of diagrams per framing
+    slot."""
 
     __slots__ = ()
-
-    @property
-    def grade4n(self) -> int:
-        squares = sum(k.doubled ** 2 for k in self.kvec)
-        sizes = sum(map(diagram_size, self.y1)) + sum(map(diagram_size, self.y2))
-        return squares + 4 * sizes
 
 
 def enum_fixed_points_x1(
     frame: FrameData, k: HalfInt, grade4n: int
 ) -> list[FixedPointX1]:
     """All (kvec, Y1, Y2) data with sum(kvec) = k sitting at the given grade
-    4n = 4*sum(k_alpha^2) + 4*(total boxes)."""
-    if (k.doubled + frame.w1) % 2 != 0:
-        raise ParityError(f"2k = {k.doubled} has wrong parity for w1 = {frame.w1}")
+    4n = 4*sum(k_alpha^2) + 4*(total boxes); none when 2k + w1 is odd."""
     if grade4n % 4 != frame.w1 % 4:
         raise GradeError(f"grade {grade4n} is not {frame.w1} mod 4")
     out = []
     for kvec in enum_kvectors(frame, k, grade4n):
-        remainder = grade4n - sum(d.doubled ** 2 for d in kvec)
+        remainder = grade4n - sum([d * d for d in kvec])
         total_boxes = remainder // 4
         for tup in diagram_tuples(2 * frame.r, total_boxes):
             out.append(FixedPointX1(kvec, tup[: frame.r], tup[frame.r :]))

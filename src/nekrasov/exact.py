@@ -447,8 +447,7 @@ class Kernel:
     once, in first-seen order, and the form's row is (p, q, its frame
     part's index).  At a point each frame part is one int dot product R,
     and each form reads p e1 + q e2 + R, e1 and e2 being the scaled eps
-    values; an eps is read only if some row has its numerator, so a point
-    without eps evaluates a kernel whose forms never read it.  A term is
+    values (every point the engine evaluates at has both).  A term is
     then its numerator product over its denominator product times
     (2 D)^-degree, and a coefficient adds its terms as int fractions and
     takes (2 D)^-d once, d its largest degree (a term of degree e < d is
@@ -463,7 +462,7 @@ class Kernel:
     one degree d takes (-1)^d times its value at p at the point -p."""
 
     __slots__ = (
-        "forms", "frames", "sets", "pole_forms", "degrees", "_rows", "_reads", "_poles", "_coeffs"
+        "forms", "frames", "sets", "pole_forms", "degrees", "_rows", "_poles", "_coeffs"
     )
 
     def __init__(self, coefficients: Iterable[Coefficient]) -> None:
@@ -500,9 +499,8 @@ class Kernel:
             self.degrees.append(max(degrees) if len(degrees) == 1 else None)
             self._coeffs.append((terms, max(degrees)))
         frames: dict[tuple, int] = {}  # equal frame parts share one index
-        rows = self._rows = [(form.p, form.q, frames.setdefault(form.frame, len(frames))) for form in forms]
+        self._rows = [(form.p, form.q, frames.setdefault(form.frame, len(frames))) for form in forms]
         self.frames = list(frames)
-        self._reads = (any(row[0] for row in rows), any(row[1] for row in rows))
         self._poles = poles
         self.pole_forms = [self.forms[ref - 1] for ref in poles]
 
@@ -511,8 +509,7 @@ class Kernel:
         vanishing denominator form of any piece is a pole, even where a
         numerator form vanishes too; else a vanishing form zeroes its term."""
         ints, d = _scale_point(point)
-        e1 = ints[_EPS1_SLOT] if self._reads[0] else 0
-        e2 = ints[_EPS2_SLOT] if self._reads[1] else 0
+        e1, e2 = ints[_EPS1_SLOT], ints[_EPS2_SLOT]
         frames = [sum([n * ints[s] for s, n in frame]) for frame in self.frames]
         values = [1]
         values += [p * e1 + q * e2 + frames[i] for p, q, i in self._rows]

@@ -26,8 +26,9 @@ tangent piece (``euler_class`` to the power -1).  Both take the piece's
 pairs and its e-part, passed once: they merge equal pairs once, in a
 dict keyed by the pair, in first-seen order, and read each distinct
 pair's form off a memo for that e-part.
-``term_p2``, ``term_x0`` and ``term_x1`` take a ``FactorTable``, one
-series build's memos.  Its `pieces` dict maps a piece's key to that
+``term_p2`` and ``term_x0`` take a fixed point's diagram tuple and
+``term_x1`` its (kvec, Y1, Y2); each takes a ``FactorTable``, one series
+build's memos.  Its `pieces` dict maps a piece's key to that
 piece's ``FactoredTerm``, built on first use, and a term is the tuple
 of the table's objects, unit pieces dropped (see ``exact``); merged, a
 term's pieces give the canonical piece one Euler class of each whole
@@ -42,16 +43,19 @@ tangent pieces (alpha, beta, d, tag, Y_alpha, Y_beta), d = c_beta -
 c_alpha, and visits only the pairs with a box (every beta for a slot
 with a diagram, the filled beta otherwise), so n boxes give O(n r)
 pieces.  `chars` holds each character once per (c_alpha, tag, Y_alpha)
-or (d, tag, Y_alpha, Y_beta), d mod 2 on the orbifold.  A diagonal
-tangent piece has e-part () and d = 0, so every slot shares one per tag
-and diagram, keyed as the slot pair (0, 0).  No piece whose character is
-empty by construction is keyed or built: two empty diagrams' tangent
-piece, an empty diagram's matter piece, a line-bundle piece
-char_twist(d) with |d| <= 1.  A resolved term is ell(kvec) + part_1 +
+or (d, tag, Y_alpha, Y_beta), d mod 2 on the orbifold; at rank 1 each
+class is one piece's, so the walk keeps no class memo there (it would
+copy `pieces` one for one).  A diagonal tangent piece has e-part () and
+d = 0, so every slot shares one per tag and diagram, keyed as the slot
+pair (0, 0).  No piece whose character is empty by construction is
+keyed or built: two empty diagrams' tangent piece, an empty diagram's
+matter piece, a line-bundle piece char_twist(d) with |d| <= 1.  A
+resolved fixed point's kvec is the tuple of its doubled entries 2k_alpha
+(``diagrams.FixedPointX1``), and its term is ell(kvec) + part_1 +
 part_2: ell holds each slot's line-bundle matter piece (alpha, 2k_alpha)
 and then its slot pairs' (alpha, beta, delta), delta = 2(k_beta -
-k_alpha), visiting no pair when 2kvec spreads by at most 1; `parts`
-memoizes ell by 2kvec and part c by (2kvec, c, Y^c).
+k_alpha), visiting no pair when kvec spreads by at most 1; `parts`
+memoizes ell by kvec and part c by (kvec, c, Y^c).
 The forms are memoized by e-part and then by (p, q): each tangent
 monomial's weight form (`weights`) and each tautological monomial's 2r
 mass-shifted forms (`masses`), so every piece holding a form holds one
@@ -80,7 +84,7 @@ from .characters import (
     char_v_x0,
     char_v_x1,
 )
-from .diagrams import FixedPointX0, FixedPointX1, FrameData
+from .diagrams import FixedPointX1, FrameData
 from .exact import FactoredTerm, LinearForm, Term, term_pow, var_a, var_m
 
 
@@ -203,7 +207,7 @@ def _slot_walk(classes, diagrams, tag, fold: int, r: int, table: FactorTable, v_
     or pair_char(alpha, beta, d, tag, Y_alpha, Y_beta), d mod `fold` if
     set.  The builders read each ``char_*`` as a module global when they
     run, so a rebinding of one (a test's patch, a tracer) is seen."""
-    pieces, chars, out = table.pieces, table.chars, []
+    pieces, chars, out = table.pieces, table.chars if r > 1 else {}, []
     filled = () if all(diagrams) else [(beta, yb) for beta, yb in enumerate(diagrams, start=1) if yb]
     for alpha, ya in enumerate(diagrams, start=1):
         ca = classes[alpha - 1]
@@ -243,12 +247,13 @@ def term_p2(r: int, diagrams, table: FactorTable) -> Term:
     return _slot_walk((0,) * r, diagrams, 0, 0, r, table, _v_p2, _pair_p2)
 
 
-def term_x0(frame: FrameData, fp: FixedPointX0, table: FactorTable) -> Term:
-    """Localization term of one orbifold fixed point: a slot's class is its
-    color, and a slot pair's character depends on their difference mod 2."""
+def term_x0(frame: FrameData, diagrams, table: FactorTable) -> Term:
+    """Localization term of one orbifold fixed point, a diagram tuple: a
+    slot's class is its color, and a slot pair's character depends on
+    their difference mod 2."""
     return _slot_walk(
         frame.colors,
-        fp.diagrams,
+        diagrams,
         0,
         2,
         frame.r,
@@ -296,17 +301,16 @@ def term_x1(frame: FrameData, fp: FixedPointX1, table: FactorTable) -> Term:
     blow-up shape ell(kvec) + part_1 + part_2, each part made once per
     table.  Part c walks chart c's diagrams under tag c, a slot's class
     being its doubled k_alpha."""
-    r, parts = frame.r, table.parts
-    doubled = tuple([k.doubled for k in fp.kvec])
+    r, parts, kvec = frame.r, table.parts, fp.kvec
     return (
-        _memo(parts, doubled, _ell_part, doubled, r, table)
-        + _memo(parts, (doubled, 1, fp.y1), _slot_walk, doubled, fp.y1, 1, 0, r, table, _v_x1, _pair_x1)
-        + _memo(parts, (doubled, 2, fp.y2), _slot_walk, doubled, fp.y2, 2, 0, r, table, _v_x1, _pair_x1)
+        _memo(parts, kvec, _ell_part, kvec, r, table)
+        + _memo(parts, (kvec, 1, fp.y1), _slot_walk, kvec, fp.y1, 1, 0, r, table, _v_x1, _pair_x1)
+        + _memo(parts, (kvec, 2, fp.y2), _slot_walk, kvec, fp.y2, 2, 0, r, table, _v_x1, _pair_x1)
     )
 
 
-def ell_factor(frame: FrameData, kvec, table: FactorTable) -> Term:
-    """Pure line-bundle contribution of a first-Chern vector: the term of
-    the resolved fixed point with that vector and no boxes."""
-    doubled = tuple([k.doubled for k in kvec])
-    return _memo(table.parts, doubled, _ell_part, doubled, frame.r, table)
+def ell_factor(frame: FrameData, kvec: tuple, table: FactorTable) -> Term:
+    """Pure line-bundle contribution of a first-Chern vector, given as its
+    doubled entries: the term of the resolved fixed point with that vector
+    and no boxes."""
+    return _memo(table.parts, kvec, _ell_part, kvec, frame.r, table)

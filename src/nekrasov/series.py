@@ -31,6 +31,11 @@ series_zx1_factorized keeps one more for its ell(kvec) pieces.
 series_zx1 builds each term in the blow-up shape from its own chart
 characters, ell(kvec) + part_1 + part_2, each part made once per build;
 series_zx1_factorized still goes through the charted plane series.
+A first-Chern vector is the tuple of its doubled entries 2k_alpha, as
+``diagrams.enum_kvectors`` yields it: it is a chart rule's shifts and
+keys the ell(kvec) memo as it is.  A parity-infeasible k (2k + w1 odd)
+has no first-Chern vector, so zx1 and zx1-fact are zero with no guard
+here; zx0 is zero there too, its v1 being non-integral.
 Every term is the tuple of its pieces (charted plane terms, their Cauchy
 products and ell times a term too), so no term's factors are ever
 merged.  The tables and the image memos die with the build: nothing is
@@ -114,18 +119,18 @@ def rule_negate_eps() -> Rule:
     return Rule(((-1, 0), (0, -1)), (0, 0), ())
 
 
-def rule_chart(side: int, kvec) -> Rule:
-    """Blow-up chart substitution for a first-Chern vector.
+def rule_chart(side: int, kvec: tuple) -> Rule:
+    """Blow-up chart substitution for a first-Chern vector, given as its
+    doubled entries 2k_alpha, which are the rule's shifts.
 
     Chart 1: (eps1, eps2) -> (2 eps1, eps2 - eps1), a -> a + 2 k eps1.
     Chart 2: (eps1, eps2) -> (eps1 - eps2, 2 eps2), a -> a + 2 k eps2.
     Masses are unchanged.
     """
-    shifts = tuple([k.doubled for k in kvec])
     if side == 1:
-        return Rule(((2, 0), (-1, 1)), (1, 0), shifts)
+        return Rule(((2, 0), (-1, 1)), (1, 0), kvec)
     if side == 2:
-        return Rule(((1, -1), (0, 2)), (0, 1), shifts)
+        return Rule(((1, -1), (0, 2)), (0, 1), kvec)
     raise ValueError("side must be 1 or 2")
 
 
@@ -216,13 +221,13 @@ def _charted(zp2: QSeries, max_n: int, rule: Rule) -> QSeries:
 
 def series_zx0(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
     """Orbifold-side series: grade 4*v0 + w1 sums the colored diagram
-    tuples with counts (v0, v1), v1 = v0 + w1/2 + k.  Grades where v1 is
-    negative or non-integral (parity-infeasible k) hold zero."""
+    tuples with counts (v0, v1), v1 = v0 + w1/2 + k.  Grades where v0 or
+    v1 is negative or v1 is non-integral (parity-infeasible k) hold zero."""
 
     def fixed_points(g: int):
         v0 = (g - frame.w1) // 4
         v1_doubled = 2 * v0 + frame.w1 + k.doubled
-        if g < frame.w1 or v1_doubled < 0 or v1_doubled % 2 != 0:
+        if v1_doubled % 2:
             return ()
         return enum_fixed_points_x0(frame, v0, v1_doubled // 2)
 
@@ -233,11 +238,10 @@ def series_zx1(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
     """Resolved-side series: grade 4n sums all (kvec, Y1, Y2) fixed points
     with sum(kvec) = k at that grade.  Parity-infeasible k gives the zero
     series (no admissible first-Chern vectors exist)."""
-    feasible = (k.doubled + frame.w1) % 2 == 0
     return _series(
         frame.w1 % 4,
         max4n,
-        lambda g: enum_fixed_points_x1(frame, k, g) if feasible else (),
+        lambda g: enum_fixed_points_x1(frame, k, g),
         lambda fp, table: term_x1(frame, fp, table),
     )
 
@@ -272,10 +276,9 @@ def series_zx1_factorized(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
     are substituted into the grades that vector needs."""
     offset = frame.w1 % 4
     acc: dict[int, list] = {g: [] for g in range(offset, max4n + 1, 4)}
-    feasible = (k.doubled + frame.w1) % 2 == 0
-    kvecs = enum_kvectors(frame, k, max4n) if feasible else []
+    kvecs = enum_kvectors(frame, k, max4n)
     if kvecs:
-        bases = [sum(h.doubled ** 2 for h in kvec) for kvec in kvecs]
+        bases = [sum([d * d for d in kvec]) for kvec in kvecs]
         zp2 = series_zp2(frame.r, (max4n - min(bases)) // 4)
         table = FactorTable()
         for kvec, base in zip(kvecs, bases):

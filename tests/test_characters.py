@@ -37,7 +37,6 @@ from whole_fixed_point import (
     char_rank,
     defined_pair_weights,
     degree_mod2,
-    fixed_point_x0,
     ref_char_tangent_p2,
     ref_char_tangent_twist,
     ref_char_tangent_x0,
@@ -60,11 +59,8 @@ def H(text):
     return HalfInt.parse(str(text))
 
 
-def fp_x0(frame, *diagrams):
-    return fixed_point_x0(frame, diagrams)
-
-
 def fp_x1(kvec, y1, y2):
+    """A resolved fixed point; kvec holds the doubled entries 2k_alpha."""
     return FixedPointX1(tuple(kvec), tuple(y1), tuple(y2))
 
 
@@ -132,12 +128,12 @@ class TestTwistCharacter:
 class TestTautologicalFibers:
     def test_x0_single_box(self):
         frame = FrameData(1, 0)
-        fp = fp_x0(frame, (1,))
+        fp = ((1,),)
         assert whole_v_x0(frame, fp) == counted(mono_t(0, 0, {1: 1}))
 
     def test_x0_column_of_two(self):
         frame = FrameData(1, 0)
-        fp = fp_x0(frame, (2,))
+        fp = ((2,),)
         # the second box's monomial t2^-1 e_1 is odd
         assert whole_v_x0(frame, fp) == counted(mono_t(0, 0, {1: 1}))
 
@@ -147,19 +143,19 @@ class TestTautologicalFibers:
             for v0 in range(total + 1):
                 for fp in enum_fixed_points_x0(frame, v0, total - v0):
                     # the degree-1 part is read off the reference
-                    odd = [ref_char_v_x0(frame, a, y, 1) for a, y in enumerate(fp.diagrams, start=1)]
+                    odd = [ref_char_v_x0(frame, a, y, 1) for a, y in enumerate(fp, start=1)]
                     ranks = [char_rank(whole_v_x0(frame, fp)), sum(map(char_rank, odd))]
                     assert sum(ranks) == total
-                    assert ranks == [fp.v0, fp.v1]
+                    assert ranks == [v0, total - v0]
 
     def test_x1_empty(self):
         frame = FrameData(1, 0)
-        fp = fp_x1([H(0)], [()], [()])
+        fp = fp_x1([0], [()], [()])
         assert whole_v_x1(frame, fp) == {}
 
     def test_x1_pure_twist(self):
         frame = FrameData(1, 0)
-        fp = fp_x1([H(1)], [()], [()])
+        fp = fp_x1([2], [()], [()])
         assert whole_v_x1(frame, fp) == counted(mono_t(1, 1, {1: 1}))
 
     def test_p2_examples(self):
@@ -205,14 +201,14 @@ class TestTangentCharacters:
 
     def test_x0_single_box_rigid(self):
         frame = FrameData(1, 0)
-        assert whole_tangent_x0(frame, fp_x0(frame, (1,))) == {}
+        assert whole_tangent_x0(frame, ((1,),)) == {}
 
     def test_x0_column_and_row(self):
         frame = FrameData(1, 0)
-        assert whole_tangent_x0(frame, fp_x0(frame, (2,))) == counted(
+        assert whole_tangent_x0(frame, ((2,),)) == counted(
             mono_t(0, 2), mono_t(1, -1)
         )
-        assert whole_tangent_x0(frame, fp_x0(frame, (1, 1))) == counted(
+        assert whole_tangent_x0(frame, ((1, 1),)) == counted(
             mono_t(2, 0), mono_t(-1, 1)
         )
 
@@ -228,23 +224,23 @@ class TestTangentCharacters:
 
     def test_x1_pure_twist_rigid(self):
         frame = FrameData(1, 0)
-        assert whole_tangent_x1(frame, fp_x1([H(1)], [()], [()])) == {}
+        assert whole_tangent_x1(frame, fp_x1([2], [()], [()])) == {}
 
     def test_x1_single_box_first_chart(self):
         frame = FrameData(1, 0)
-        ch = whole_tangent_x1(frame, fp_x1([H(0)], [(1,)], [()]))
+        ch = whole_tangent_x1(frame, fp_x1([0], [(1,)], [()]))
         assert ch == counted(mono_t(-1, 1), mono_t(2, 0))
 
     def test_x1_single_box_second_chart(self):
         frame = FrameData(1, 0)
-        ch = whole_tangent_x1(frame, fp_x1([H(0)], [()], [(1,)]))
+        ch = whole_tangent_x1(frame, fp_x1([0], [()], [(1,)]))
         assert ch == counted(mono_t(0, 2), mono_t(1, -1))
 
     def test_x1_rank_two_boxes_in_both_charts(self):
         # kvec = (1, -1): the off-diagonal chart weights are shifted by
         # t_i^(2(k_beta - k_alpha)) = t_i^(-/+4)
         frame = FrameData(2, 0)
-        ch = whole_tangent_x1(frame, fp_x1([H(1), H(-1)], [(1,), ()], [(), (1,)]))
+        ch = whole_tangent_x1(frame, fp_x1([2, -2], [(1,), ()], [(), (1,)]))
         e21, e12 = {2: 1, 1: -1}, {1: 1, 2: -1}
         assert ch == counted(
             mono_t(-1, 1), mono_t(2, 0), mono_t(0, 2), mono_t(1, -1),
@@ -256,7 +252,7 @@ class TestTangentCharacters:
 
     def test_x1_rank_two_twists(self):
         frame = FrameData(2, 0)
-        ch = whole_tangent_x1(frame, fp_x1([H(1), H(-1)], [(), ()], [(), ()]))
+        ch = whole_tangent_x1(frame, fp_x1([2, -2], [(), ()], [(), ()]))
         assert char_rank(ch) == 8
         e21 = mono_t(0, 0, {2: 1, 1: -1})
         e12 = mono_t(0, 0, {1: 1, 2: -1})
@@ -275,7 +271,7 @@ class TestTangentCharacters:
         out = Counter()
         for a in range(frame.r):
             for b in range(frame.r):
-                delta = fp.kvec[b].doubled - fp.kvec[a].doubled
+                delta = fp.kvec[b] - fp.kvec[a]
                 ratio = mono_t(0, 0, {b + 1: 1, a + 1: -1})
                 for m, n in char_lk(HalfInt(delta)).items():
                     out[mono_mul(m, ratio)] += n

@@ -2,6 +2,7 @@
 
 import sys
 from collections import Counter
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,12 +10,10 @@ from hypothesis import strategies as st
 
 from nekrasov import diagrams
 from nekrasov.diagrams import (
-    FixedPointX0,
     FixedPointX1,
     FrameData,
     GradeError,
     HalfInt,
-    ParityError,
     boxes,
     diagram_tuples,
     enum_fixed_points_x0,
@@ -28,8 +27,8 @@ from whole_fixed_point import (
     arm_in,
     closure_fixed_points_x0,
     closure_kvectors,
+    colored_counts,
     colored_sizes,
-    fixed_point_x0,
     leg_in,
     recursive_diagram_tuples,
 )
@@ -95,14 +94,14 @@ def test_diagram_order_within_size():
 class TestFixedPointsX0:
     def test_single_box_color0(self):
         fps = enum_fixed_points_x0(FrameData(1, 0), 1, 0)
-        assert [fp.diagrams for fp in fps] == [((1,),)]
+        assert fps == [((1,),)]
 
     def test_single_box_wrong_color_empty(self):
         assert enum_fixed_points_x0(FrameData(1, 0), 0, 1) == []
 
     def test_two_boxes(self):
         fps = enum_fixed_points_x0(FrameData(1, 0), 1, 1)
-        assert [fp.diagrams for fp in fps] == [((2,),), ((1, 1),)]
+        assert fps == [((2,),), ((1, 1),)]
 
     @pytest.mark.parametrize("w", [(1, 0), (0, 1), (1, 1), (2, 0)])
     def test_recount_reproduces_colors(self, w):
@@ -111,23 +110,13 @@ class TestFixedPointsX0:
             for v0 in range(total + 1):
                 v1 = total - v0
                 for fp in enum_fixed_points_x0(frame, v0, v1):
-                    n0 = n1 = 0
-                    for color, diagram in zip(frame.colors, fp.diagrams):
-                        c0, c1 = colored_sizes(diagram, color)
-                        n0 += c0
-                        n1 += c1
-                    assert (n0, n1) == (v0, v1)
+                    assert colored_counts(frame, fp) == (v0, v1)
 
 
 def _filtered_x0(frame, v0, v1):
     """Brute-force reference: every tuple of size v0 + v1, kept when its
     colored sizes are (v0, v1)."""
-    out = []
-    for tup in diagram_tuples(frame.r, v0 + v1):
-        fp = fixed_point_x0(frame, tup)
-        if (fp.v0, fp.v1) == (v0, v1):
-            out.append(fp)
-    return out
+    return [tup for tup in diagram_tuples(frame.r, v0 + v1) if colored_counts(frame, tup) == (v0, v1)]
 
 
 class TestPrunedX0Enumeration:
@@ -179,10 +168,6 @@ class TestAgainstClosureEnumerators:
     @pytest.mark.parametrize("frame", _FRAMES_UP_TO_RANK_3, ids=repr)
     def test_first_chern_vectors(self, frame):
         for k in (H(-1), H("-1/2"), H(0), H("1/2"), H(1)):
-            if (k.doubled + frame.w1) % 2:
-                with pytest.raises(ParityError):
-                    enum_kvectors(frame, k, 16)
-                continue
             for max4n in range(17):
                 assert enum_kvectors(frame, k, max4n) == closure_kvectors(frame, k, max4n)
 
@@ -201,7 +186,7 @@ class TestLargeCounts:
         # Rank 1, color 0: one color-0 box pairs with at most two of color
         # 1, as the columns (2, 1).
         fps = enum_fixed_points_x0(FrameData(1, 0), 1, 2)
-        assert [fp.diagrams for fp in fps] == [((2, 1),)]
+        assert fps == [((2, 1),)]
         assert enum_fixed_points_x0(FrameData(1, 0), 1, 3) == []
 
 
@@ -223,10 +208,10 @@ class TestLargeRanks:
     @pytest.mark.parametrize("w0, w1", [(RANK, 0), (0, RANK), (RANK - 1, 1)])
     def test_orbifold_fixed_points(self, w0, w1):
         empties = ((),) * self.RANK
-        assert enum_fixed_points_x0(FrameData(w0, w1), 0, 0) == [FixedPointX0(empties, 0, 0)]
+        assert enum_fixed_points_x0(FrameData(w0, w1), 0, 0) == [empties]
 
     def test_first_chern_vectors_and_resolved_fixed_points(self):
-        frame, zero = FrameData(self.RANK, 0), (H(0),) * self.RANK
+        frame, zero = FrameData(self.RANK, 0), (0,) * self.RANK
         assert enum_kvectors(frame, H(0), 0) == [zero]
         empties = ((),) * self.RANK
         assert enum_fixed_points_x1(frame, H(0), 0) == [FixedPointX1(zero, empties, empties)]
@@ -234,19 +219,18 @@ class TestLargeRanks:
 
 class TestKVectors:
     def test_rank_one(self):
-        assert enum_kvectors(FrameData(1, 0), H(0), 100) == [(H(0),)]
+        assert enum_kvectors(FrameData(1, 0), H(0), 100) == [(0,)]
 
     def test_rank_two_integer(self):
         got = enum_kvectors(FrameData(2, 0), H(0), 8)
-        assert got == [(H(0), H(0)), (H(1), H(-1)), (H(-1), H(1))]
+        assert got == [(0, 0), (2, -2), (-2, 2)]  # doubled entries
 
     def test_rank_two_half_odd(self):
         got = enum_kvectors(FrameData(0, 2), H(0), 4)
-        assert got == [(H("1/2"), H("-1/2")), (H("-1/2"), H("1/2"))]
+        assert got == [(1, -1), (-1, 1)]
 
-    def test_parity_error(self):
-        with pytest.raises(ParityError):
-            enum_kvectors(FrameData(1, 1), H(0), 8)
+    def test_parity_infeasible_k_has_none(self):
+        assert enum_kvectors(FrameData(1, 1), H(0), 8) == []
 
     def test_closed_under_color_block_permutation(self):
         frame = FrameData(2, 2)
@@ -260,7 +244,7 @@ class TestFixedPointsX1:
     def test_grade_zero_single(self):
         fps = enum_fixed_points_x1(FrameData(1, 0), H(0), 0)
         assert len(fps) == 1
-        assert fps[0].kvec == (H(0),)
+        assert fps[0].kvec == (0,)
         assert fps[0].y1 == ((),) and fps[0].y2 == ((),)
 
     def test_counts_1_2_5(self):
@@ -272,11 +256,11 @@ class TestFixedPointsX1:
         frame = FrameData(1, 1)
         for g in (1, 5, 9):
             for fp in enum_fixed_points_x1(frame, H("1/2"), g):
-                assert fp.grade4n == g
+                squares = sum(d * d for d in fp.kvec)
+                assert squares + 4 * sum(map(sum, fp.y1 + fp.y2)) == g
 
-    def test_parity_and_grade_errors(self):
-        with pytest.raises(ParityError):
-            enum_fixed_points_x1(FrameData(1, 0), H("1/2"), 4)
+    def test_parity_infeasible_k_and_grade_error(self):
+        assert enum_fixed_points_x1(FrameData(1, 0), H("1/2"), 4) == []
         with pytest.raises(GradeError):
             enum_fixed_points_x1(FrameData(1, 0), H(0), 5)
 
@@ -286,6 +270,66 @@ class TestFixedPointsX1:
             fps = enum_fixed_points_x1(frame, H(0), g)
             swapped = {(fp.kvec, fp.y2, fp.y1) for fp in fps}
             assert swapped == {(fp.kvec, fp.y1, fp.y2) for fp in fps}
+
+
+def colored_partition_counts(colors: int, top: int) -> list[int]:
+    """The q^n coefficients, n <= top, of prod_m (1 - q^m)^(-colors): the
+    number of `colors`-tuples of diagrams of n boxes in all, by series
+    multiplication, one factor 1/(1 - q^m) per color and part size."""
+    series = [1] + [0] * top
+    for _ in range(colors):
+        for m in range(1, top + 1):
+            for n in range(m, top + 1):
+                series[n] += series[n - m]
+    return series
+
+
+def kvector_counts(frame: FrameData, doubled_k: int, max4n: int) -> dict:
+    """{sum of squares: count} of the doubled first-Chern vectors summing to
+    doubled_k with squares summing to at most max4n: a walk over slots
+    keeping the count of each (sum, sum of squares) reached, each entry
+    ranging over the doubles of its slot's color's parity."""
+    reach = isqrt(max4n)
+    states = Counter({(0, 0): 1})
+    for color in frame.colors:
+        after = Counter()
+        for (total, squares), n in states.items():
+            for d in range(-reach, reach + 1):
+                if d % 2 == color and squares + d * d <= max4n:
+                    after[total + d, squares + d * d] += n
+        states = after
+    return Counter({squares: n for (total, squares), n in states.items() if total == doubled_k})
+
+
+class TestGeneratingFunctions:
+    """The enumerators count what the generating functions predict: r
+    diagrams of n boxes in all are the q^n coefficient of prod (1 -
+    q^m)^(-r); the resolved fixed points of grade g are, summed over the
+    first-Chern vectors, p_2r((g - 4 sum k_alpha^2) / 4)."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_plane_tuples(self, r):
+        predicted = colored_partition_counts(r, 8)
+        assert [len(list(diagram_tuples(r, n))) for n in range(9)] == predicted
+
+    @pytest.mark.parametrize("frame", _FRAMES_UP_TO_RANK_3, ids=repr)
+    @pytest.mark.parametrize("doubled_k", [-2, -1, 0, 1, 2])
+    def test_resolved_fixed_points(self, frame, doubled_k):
+        k, top = HalfInt(doubled_k), 16 // frame.r
+        grades = range(frame.w1 % 4, 4 * top + frame.w1 % 4 + 1, 4)
+        counted = [len(enum_fixed_points_x1(frame, k, g)) for g in grades]
+        boxes_of = colored_partition_counts(2 * frame.r, top)
+        vectors = kvector_counts(frame, doubled_k, grades[-1])
+        predicted = [
+            sum(n * boxes_of[(g - squares) // 4] for squares, n in vectors.items() if squares <= g)
+            for g in grades
+        ]
+        assert counted == predicted
+        if (doubled_k + frame.w1) % 2:
+            assert set(counted) == {0}
+            assert enum_kvectors(frame, k, grades[-1]) == []
+        else:
+            assert counted[-1] > 0
 
 
 class TestWalls:

@@ -81,6 +81,7 @@ def H(text):
 
 
 def fp_x1(kvec, y1, y2):
+    """A resolved fixed point; kvec holds the doubled entries 2k_alpha."""
     return FixedPointX1(tuple(kvec), tuple(y1), tuple(y2))
 
 
@@ -302,11 +303,11 @@ class TestOrbifoldTerms:
 class TestResolvedTerms:
     def test_empty_is_unit(self):
         frame = FrameData(1, 0)
-        assert merged(term_x1(frame, fp_x1([H(0)], [()], [()]), FactorTable())) == UNIT_TERM
+        assert merged(term_x1(frame, fp_x1([0], [()], [()]), FactorTable())) == UNIT_TERM
 
     def test_pure_twist(self):
         frame = FrameData(1, 0)
-        got = term_x1(frame, fp_x1([H(1)], [()], [()]), FactorTable())
+        got = term_x1(frame, fp_x1([2], [()], [()]), FactorTable())
         p = GENERIC
         expected = Fraction(1)
         for f in (1, 2):
@@ -315,7 +316,7 @@ class TestResolvedTerms:
 
     def test_single_box_first_chart(self):
         frame = FrameData(1, 0)
-        got = term_x1(frame, fp_x1([H(0)], [(1,)], [()]), FactorTable())
+        got = term_x1(frame, fp_x1([0], [(1,)], [()]), FactorTable())
         p = GENERIC
         expected = matter_values(p, p[var_a(1)]) / (
             (p[EPS2] - p[EPS1]) * 2 * p[EPS1]
@@ -325,11 +326,11 @@ class TestResolvedTerms:
 
 class TestEllFactor:
     def test_zero_vector_is_unit(self):
-        assert merged(ell_factor(FrameData(1, 0), (H(0),), FactorTable())) == UNIT_TERM
-        assert merged(ell_factor(FrameData(2, 0), (H(0), H(0)), FactorTable())) == UNIT_TERM
+        assert merged(ell_factor(FrameData(1, 0), (0,), FactorTable())) == UNIT_TERM
+        assert merged(ell_factor(FrameData(2, 0), (0, 0), FactorTable())) == UNIT_TERM
 
     def test_rank_one_twist(self):
-        got = ell_factor(FrameData(1, 0), (H(1),), FactorTable())
+        got = ell_factor(FrameData(1, 0), (2,), FactorTable())
         p = GENERIC
         expected = Fraction(1)
         for f in (1, 2):
@@ -338,7 +339,7 @@ class TestEllFactor:
 
     def test_rank_two_opposite_twists(self):
         frame = FrameData(2, 0)
-        got = ell_factor(frame, (H(1), H(-1)), FactorTable())
+        got = ell_factor(frame, (2, -2), FactorTable())
         p = dict(GENERIC)
         p[var_a(2)] = Fraction(-4, 5)
         p[var_m(3)] = Fraction(8)
@@ -370,11 +371,11 @@ class TestEllFactor:
             for kvec in enum_kvectors(frame, HalfInt(kd), 16):
                 num, den = Counter(), Counter()
                 for a in range(frame.r):
-                    for p, q, _ in char_lk(kvec[a]):
+                    for p, q, _ in char_lk(HalfInt(kvec[a])):
                         num[mono_t(p, q, {a + 1: 1})] += 1
                     for b in range(frame.r):
                         e = {b + 1: 1, a + 1: -1} if a != b else None
-                        for p, q, _ in char_lk(kvec[b] - kvec[a]):
+                        for p, q, _ in char_lk(HalfInt(kvec[b] - kvec[a])):
                             den[mono_t(p, q, e)] += 1
                 expected = (ref_matter_euler(num, frame.r), term_pow(ref_euler_class(den), -1))
                 assert merged(ell_factor(frame, kvec, FactorTable())) == merged(expected)
@@ -527,7 +528,7 @@ class TestPiecesAgainstReferences:
         repeated = 0
         for v0 in range(9):
             for fp in enum_fixed_points_x0(frame, v0, v0):
-                (y,) = fp.diagrams
+                (y,) = fp
                 pairs = char_tangent_x0(frame, 1, 1, y, y)
                 repeated += len(set(pairs)) < len(pairs)
                 term_x0(frame, fp, table)
@@ -600,7 +601,7 @@ class TestSharedBuild:
             for v0 in range(7)
             for v1 in range(7)
             for fp in enum_fixed_points_x0(frame, v0, v1)
-            if len(set(fp.diagrams)) == 1
+            if len(set(fp)) == 1
         ]
         diagonals = {}
         for fp in fps:
@@ -608,15 +609,31 @@ class TestSharedBuild:
             assert len({id(piece) for piece in pieces}) <= 1
             if pieces:
                 assert len(pieces) == frame.r
-                assert diagonals.setdefault(fp.diagrams[0], pieces[0]) is pieces[0]
+                assert diagonals.setdefault(fp[0], pieces[0]) is pieces[0]
         assert len(diagonals) > 1
         # on the resolved side, one per chart, whatever the slots' k
         frame, table = FrameData(2, 0), FactorTable()
-        first = _diagonal(term_x1(frame, fp_x1([H(1), H(-1)], [y, y], [(), y]), table))
-        second = _diagonal(term_x1(frame, fp_x1([H(0), H(0)], [y, ()], [y, y]), table))
+        first = _diagonal(term_x1(frame, fp_x1([2, -2], [y, y], [(), y]), table))
+        second = _diagonal(term_x1(frame, fp_x1([0, 0], [y, ()], [y, y]), table))
         assert [id(piece) for piece in first] == [id(first[0])] * 2 + [id(first[2])]
         assert first[0] is not first[2]
         assert [id(piece) for piece in second] == [id(first[0])] + [id(first[2])] * 2
+
+    @pytest.mark.parametrize("w", [(1, 0), (0, 1), (2, 0), (1, 1)])
+    def test_rank_one_keeps_no_character_memo(self, w):
+        # at rank 1 a character class is one piece's, so a class memo
+        # would hold one character per piece: zx0 and zx1 terms through
+        # one table leave it empty there, and fill it from rank 2 on
+        frame, table = FrameData(*w), FactorTable()
+        for v0 in range(3):
+            for v1 in range(3):
+                for fp in enum_fixed_points_x0(frame, v0, v1):
+                    term_x0(frame, fp, table)
+        for g in range(frame.w1 % 4, 9 + frame.w1, 4):
+            for fp in enum_fixed_points_x1(frame, HalfInt(frame.w1 % 2), g):
+                term_x1(frame, fp, table)
+        assert table.pieces
+        assert bool(table.chars) == (frame.r > 1)
 
     def test_no_piece_is_built_from_an_empty_character(self, monkeypatch):
         calls = []

@@ -94,11 +94,11 @@ def test_resolved_series_is_ell_times_the_charted_plane_exponents(w, k, point):
 def resolved_closed_form(frame: FrameData, k: HalfInt, point, grades) -> dict:
     """{grade: Zx1 at `point`} from the rank-1 closed form, or None when
     a chart image of `point` has a zero eps."""
-    images = [reference_map_point(point, reference_chart(side, (k,))) for side in (1, 2)]
+    images = [reference_map_point(point, reference_chart(side, (k.doubled,))) for side in (1, 2)]
     if not all(image[EPS1] * image[EPS2] for image in images):
         return None
     c = sum(exponent(image) for image in images)
-    ell = term_eval((reference_term_x1(frame, FixedPointX1((k,), ((),), ((),))),), point)
+    ell = term_eval((reference_term_x1(frame, FixedPointX1((k.doubled,), ((),), ((),))),), point)
     base = k.doubled**2
     return {g: ell * binom(c, (g - base) // 4) if g >= base else 0 for g in grades}
 

@@ -1,16 +1,18 @@
 """The engine's record classes: constructors, validation messages, reprs,
-ordering, immutability and equality.
+immutability and equality.
 
 `Var`'s repr is part of every `PoleError` text (through the point dict),
-`HalfInt` sorts first-Chern vectors, and `Var`, `HalfInt` and `FrameData`
-sit beside plain tuples (point dicts, k-vectors, a pair's key), so none of
-the three ever equals a tuple of its values."""
+`HalfInt` is the request's k, printed in every report (a first-Chern
+vector is a tuple of doubled ints, which `HalfInt` renders entry by
+entry), and `Var`, `HalfInt` and `FrameData` sit beside plain tuples
+(point dicts, k-vectors, a pair's key), so none of the three ever equals
+a tuple of its values."""
 
 from fractions import Fraction
 
 import pytest
 
-from nekrasov.diagrams import FixedPointX0, FixedPointX1, FrameData, HalfInt, Wall, enum_kvectors
+from nekrasov.diagrams import FixedPointX1, FrameData, HalfInt, Wall, enum_kvectors
 from nekrasov.exact import (
     EPS1,
     EPS2,
@@ -75,34 +77,37 @@ class TestVar:
         assert str(err.value) == message
 
 
+def render(kvec) -> str:
+    """A first-Chern vector, given as its doubled entries, as k_alpha's."""
+    return " ".join(str(HalfInt(d)) for d in kvec)
+
+
 class TestHalfInt:
-    def test_sorted_order_and_str(self):
-        values = [HalfInt(3), HalfInt(-1), HalfInt(0), HalfInt(-4), HalfInt(2)]
-        assert [str(h) for h in sorted(values)] == ["-2", "-1/2", "0", "1", "3/2"]
-        assert HalfInt(-1) < HalfInt(0) <= HalfInt(0) < HalfInt(1)
-        assert HalfInt(2) > HalfInt(1) >= HalfInt(1) and not HalfInt(1) > HalfInt(1)
-        assert max(values) == HalfInt(3) and min(values) == HalfInt(-4)
+    def test_str(self):
+        values = [HalfInt(-4), HalfInt(-1), HalfInt(0), HalfInt(2), HalfInt(3)]
+        assert [str(h) for h in values] == ["-2", "-1/2", "0", "1", "3/2"]
 
     def test_kvector_order(self):
         kvecs = enum_kvectors(FrameData(1, 2), HalfInt(2), 14)
-        rendered = [" ".join(map(str, kvec)) for kvec in kvecs]
-        assert rendered == [
+        assert [render(kvec) for kvec in kvecs] == [
             "0 1/2 1/2", "0 -1/2 3/2", "0 3/2 -1/2", "1 1/2 -1/2",
             "1 -1/2 1/2", "-1 1/2 3/2", "-1 3/2 1/2",
         ]
-        assert [" ".join(map(str, kvec)) for kvec in sorted(kvecs)] == [
+        assert [render(kvec) for kvec in sorted(kvecs)] == [
             "-1 1/2 3/2", "-1 3/2 1/2", "0 -1/2 3/2", "0 1/2 1/2",
             "0 3/2 -1/2", "1 -1/2 1/2", "1 1/2 -1/2",
         ]
 
     def test_arithmetic_parse_and_repr(self):
-        assert HalfInt(3) + HalfInt(-1) == HalfInt(2) == HalfInt.parse("1")
-        assert HalfInt(3) - HalfInt(4) == -HalfInt(1) == HalfInt.parse("-1/2")
+        assert HalfInt(2) == HalfInt.parse("1")
+        assert -HalfInt(1) == HalfInt.parse("-1/2")
         assert HalfInt(doubled=5).doubled == 5
         assert repr(HalfInt(3)) == "HalfInt(doubled=3)"
         assert hash(HalfInt(3)) == hash(HalfInt.parse("3/2"))
 
-    def test_order_is_class_exact(self):
+    def test_has_no_order(self):
+        with pytest.raises(TypeError):
+            HalfInt(1) < HalfInt(2)
         with pytest.raises(TypeError):
             HalfInt(1) < (2,)
         with pytest.raises(TypeError):
@@ -140,8 +145,7 @@ def _records():
         (term, "factors"),
         (FrameData(1, 2), "w0"),
         (HalfInt(1), "doubled"),
-        (FixedPointX0(((1,),), 1, 0), "v0"),
-        (FixedPointX1((HalfInt(0),), ((),), ((),)), "kvec"),
+        (FixedPointX1((0,), ((),), ((),)), "kvec"),
         (Wall("real", 0, (0, 1)), "root"),
         (QSeries({0: ()}, 0, 0), "max_grade"),
         (SampleConfig(7), "seed"),
@@ -176,10 +180,7 @@ def test_reprs_and_keyword_constructors():
     term = FactoredTerm(factors=((e1, -1),))
     assert repr(term) == "FactoredTerm(factors=((LinearForm(eps1), -1),))"
     assert repr(FrameData(w0=1, w1=2)) == "FrameData(w0=1, w1=2)"
-    assert repr(FixedPointX0(diagrams=((1,),), v0=1, v1=0)) == "FixedPointX0(diagrams=((1,),), v0=1, v1=0)"
-    assert repr(FixedPointX1(kvec=(HalfInt(1),), y1=((),), y2=((),))) == (
-        "FixedPointX1(kvec=(HalfInt(doubled=1),), y1=((),), y2=((),))"
-    )
+    assert repr(FixedPointX1(kvec=(1,), y1=((),), y2=((),))) == "FixedPointX1(kvec=(1,), y1=((),), y2=((),))"
     assert repr(Wall("real", -1, (1, 0))) == "Wall(kind='real', index=-1, root=(1, 0))"
     assert repr(QSeries(coeffs={}, max_grade=4, offset=0)) == "QSeries(coeffs={}, max_grade=4, offset=0)"
     assert repr(SampleConfig(161)) == "SampleConfig(seed=161, trials=5)"

@@ -164,7 +164,7 @@ class TestPlaneSeries:
     def test_single_box_under_chart_substitution(self):
         # the plain series read at the chart-mapped point
         series = series_zp2(1, 1)
-        chart = rule_chart(1, (H(0),))
+        chart = rule_chart(1, (0,))
         for p in POINTS:
             expected = matter_values(p, p[var_a(1)]) / (
                 2 * p[EPS1] * (p[EPS2] - p[EPS1])
@@ -285,7 +285,7 @@ class TestScaleAndShift:
         from nekrasov.localization import ell_factor
 
         frame = FrameData(1, 0)
-        kvec = (H(1),)
+        kvec = (2,)  # k_1 = 1, doubled
         zp2 = series_zp2(1, 1)
         ell = ell_factor(frame, kvec, localization.FactorTable())
         whole = series_zx1_factorized(frame, H(1), 8)
@@ -483,7 +483,7 @@ class TestIntRules:
         values=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=11, max_size=11),
     )
     def test_map_point_equals_the_reference_point_image(self, r, doubled, values):
-        kvec = tuple(HalfInt(d) for d in doubled[:r])
+        kvec = tuple(doubled[:r])
         p = dict(zip(scope_vars(r), values))
         rules = [(rule_negate_eps(), reference_negate_eps())]
         rules += [(rule_chart(side, kvec), reference_chart(side, kvec)) for side in (1, 2)]

@@ -59,7 +59,7 @@ from nekrasov.characters import (
     char_v_x0,
     char_v_x1,
 )
-from nekrasov.diagrams import FixedPointX0, HalfInt, ParityError, boxes, partitions, transpose
+from nekrasov.diagrams import HalfInt, boxes, partitions, transpose
 from nekrasov.exact import EPS1, EPS2, FactoredTerm, factored_term, linear_form, term_eval, term_pow, var_a
 from nekrasov.localization import (
     VanishingWeight,
@@ -136,16 +136,16 @@ def whole_v_p2(diagrams) -> Counter:
     return _sum(with_e(char_v_p2(y), slot_part(a)) for a, y in enumerate(diagrams, start=1))
 
 
-def whole_v_x0(frame, fp) -> Counter:
+def whole_v_x0(frame, diagrams) -> Counter:
     return _sum(
-        with_e(char_v_x0(frame, a, y), slot_part(a)) for a, y in enumerate(fp.diagrams, start=1)
+        with_e(char_v_x0(frame, a, y), slot_part(a)) for a, y in enumerate(diagrams, start=1)
     )
 
 
 def whole_v_x1(frame, fp) -> Counter:
     pieces = []
     for a in range(1, frame.r + 1):
-        d = fp.kvec[a - 1].doubled
+        d = fp.kvec[a - 1]
         pieces.append(with_e(char_twist(d), slot_part(a)))
         pieces.append(with_e(char_v_x1(d, 1, fp.y1[a - 1]), slot_part(a)))
         pieces.append(with_e(char_v_x1(d, 2, fp.y2[a - 1]), slot_part(a)))
@@ -159,8 +159,7 @@ def whole_tangent_p2(r, diagrams) -> Counter:
     )
 
 
-def whole_tangent_x0(frame, fp) -> Counter:
-    ys = fp.diagrams
+def whole_tangent_x0(frame, ys) -> Counter:
     return _sum(
         with_e(char_tangent_x0(frame, a, b, ys[a - 1], ys[b - 1]), ratio_part(a, b))
         for a, b in _slot_pairs(frame.r)
@@ -170,7 +169,7 @@ def whole_tangent_x0(frame, fp) -> Counter:
 def whole_tangent_x1(frame, fp) -> Counter:
     pieces = []
     for a, b in _slot_pairs(frame.r):
-        delta = fp.kvec[b - 1].doubled - fp.kvec[a - 1].doubled
+        delta = fp.kvec[b - 1] - fp.kvec[a - 1]
         e = ratio_part(a, b)
         pieces.append(with_e(char_twist(delta), e))
         pieces.append(with_e(char_tangent_x1(delta, 1, fp.y1[a - 1], fp.y1[b - 1]), e))
@@ -187,9 +186,9 @@ def reference_term_p2(r, diagrams):
     return _quotient(num, ref_euler_class(whole_tangent_p2(r, diagrams)))
 
 
-def reference_term_x0(frame, fp):
-    num = ref_matter_euler(whole_v_x0(frame, fp), frame.r)
-    return _quotient(num, ref_euler_class(whole_tangent_x0(frame, fp)))
+def reference_term_x0(frame, diagrams):
+    num = ref_matter_euler(whole_v_x0(frame, diagrams), frame.r)
+    return _quotient(num, ref_euler_class(whole_tangent_x0(frame, diagrams)))
 
 
 def reference_term_x1(frame, fp):
@@ -308,16 +307,15 @@ def colored_sizes(diagram, l) -> tuple[int, int]:
     return n[0], n[1]
 
 
-def fixed_point_x0(frame, diagrams) -> FixedPointX0:
-    """The orbifold fixed point of a diagram tuple, with its colored sizes
-    (v0, v1) counted box by box."""
-    diagrams = tuple(diagrams)
+def colored_counts(frame, diagrams) -> tuple[int, int]:
+    """The colored sizes (v0, v1) of an orbifold diagram tuple, counted box
+    by box."""
     v0 = v1 = 0
     for color, diagram in zip(frame.colors, diagrams):
         n0, n1 = colored_sizes(diagram, color)
         v0 += n0
         v1 += n1
-    return FixedPointX0(diagrams, v0, v1)
+    return v0, v1
 
 
 def coefficient(form, v) -> Fraction:
@@ -412,7 +410,8 @@ def reference_negate_eps() -> dict:
 
 
 def reference_chart(side: int, kvec) -> dict:
-    """Blow-up chart `side` of a first-Chern vector as a dict rule, from
+    """Blow-up chart `side` of a first-Chern vector, given as its doubled
+    entries, as a dict rule, from
     its definition: chart 1 sends (eps1, eps2) to (2 eps1, eps2 - eps1)
     and a to a + 2k eps1, chart 2 sends (eps1, eps2) to (eps1 - eps2,
     2 eps2) and a to a + 2k eps2; masses are fixed."""
@@ -421,8 +420,8 @@ def reference_chart(side: int, kvec) -> dict:
     else:
         rule = {EPS1: linear_form({EPS1: 1, EPS2: -1}), EPS2: linear_form({EPS2: 2})}
     carrier = EPS1 if side == 1 else EPS2
-    for alpha, k in enumerate(kvec, start=1):
-        rule[var_a(alpha)] = linear_form({var_a(alpha): 1, carrier: k.doubled})  # 2k
+    for alpha, d in enumerate(kvec, start=1):  # d = 2k_alpha
+        rule[var_a(alpha)] = linear_form({var_a(alpha): 1, carrier: d})
     return rule
 
 
@@ -484,7 +483,7 @@ def closure_fixed_points_x0(frame, v0, v1) -> list:
         color = colors[slot]
         if slot == len(colors) - 1:
             for diagram, _, _ in _closure_bounded_diagrams(room0 + room1, color, room0, room1):
-                out.append(FixedPointX0(head + (diagram,), v0, v1))
+                out.append(head + (diagram,))
             return
         for size in range(room0 + room1 + 1):
             for diagram, n0, n1 in _closure_bounded_diagrams(size, color, room0, room1):
@@ -497,9 +496,10 @@ def closure_fixed_points_x0(frame, v0, v1) -> list:
 
 def closure_kvectors(frame, k, max4n) -> list:
     """Every first-Chern vector summing to k with 4 * sum(k_alpha^2) <=
-    max4n, each coordinate ranged over 0, 1, -1, 2, -2, ... (doubled)."""
+    max4n, each coordinate ranged over 0, 1, -1, 2, -2, ... (doubled);
+    none when 2k + w1 is odd."""
     if (k.doubled + frame.w1) % 2 != 0:
-        raise ParityError(f"2k = {k.doubled} has wrong parity for w1 = {frame.w1}")
+        return []
     parities = [0 if c == 0 else 1 for c in frame.colors]
     out = []
 
@@ -515,14 +515,14 @@ def closure_kvectors(frame, k, max4n) -> list:
         if slot == frame.r - 1:
             last = k.doubled - sum(prefix)
             if last % 2 == parities[slot] and used4 + last * last <= max4n:
-                out.append(tuple(HalfInt(d) for d in prefix + [last]))
+                out.append(tuple(prefix + [last]))
             return
         for d in values(parities[slot], max4n - used4):
             extend(prefix + [d], used4 + d * d)
 
     if frame.r == 1:
         if k.doubled % 2 == parities[0] and k.doubled ** 2 <= max4n:
-            out.append((k,))
+            out.append((k.doubled,))
     else:
         extend([], 0)
     return out
