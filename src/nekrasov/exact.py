@@ -14,12 +14,18 @@ expanded into a canonical multivariate normal form -- with 2 + 3r
 variables that blows up quickly -- instead all equality questions are
 settled by exact evaluation at rational sample points.
 
-A term is the tuple of its pieces, each a `FactoredTerm`: the product of
-its factors, (form, exponent) pairs (a localization term's pieces are its
-per-slot matter and per-slot-pair tangent factors, each holding its
-factors in build order).  Pieces are shared objects and are never merged
-into one term: `term_mul` concatenates two terms' pieces, and
-`term_substitute` images each distinct piece once per rule.
+A term is the tuple of its factors, each a piece or a sum.  A piece is a
+`FactoredTerm`: the product of its factors, (form, exponent) pairs (a
+localization term's pieces are its per-slot matter and per-slot-pair
+tangent factors, each holding its factors in build order).  A sum is a
+tuple of terms, so a term may be a product of sums that is never
+multiplied out: a resolved term is ell(kvec) times its two chart parts,
+each a one-term sum, a zx1 grade holds one term per rectangle of fixed
+points, ell times the sum of its chart-1 parts times the sum of its
+chart-2 parts, and a Cauchy product one term per pair of grades.
+Pieces and sums are shared objects and are never merged into one term:
+`term_mul` concatenates two terms' factors, and `term_substitute` images
+each distinct piece once per rule.
 
 Every form the engine builds is p eps1 + q eps2 plus a *frame part*:
 nothing, a_beta - a_alpha, or the mass shift a_alpha + m_f, with every
@@ -34,23 +40,26 @@ and comparing forms is int arithmetic with no reduction, and a form's
 hash is computed once, when it is made.  A substitution rule (`Rule`, a
 chart or the eps flip) is a small int map on (p, q) that keeps the frame,
 and `form_image` is the one place a rule meets a form: chart images of
-terms (`term_substitute`), rule-composed pole forms (``verify``) and
-point images (``series.map_point``) all use it.
+terms (`term_substitute`) and rule-composed pole forms (``verify``) use
+it, and ``series.map_point`` reads the same ints to image a point.
 
 Sample-point values are ``fractions.Fraction``.  Evaluation works in
 ints through a `Kernel`, compiled once from a list of coefficients by the
-one walk over their pieces, which also records the forms a sample point
-must avoid, each one's exponent for the pole message, and each
-coefficient's degree; the kernel keeps no piece, so the coefficients may
-be freed once it is compiled.  A rank-r kernel holds at most
+one walk over their pieces and sums, which also records the forms a
+sample point must avoid, each one's exponent for the pole message, and
+each coefficient's degree; the kernel keeps no piece, so the coefficients
+may be freed once it is compiled.  A rank-r kernel holds at most
 3r^2 - r + 1 frame parts however many forms it holds, and keeps one row
 per form, the form's (p, q) and the index of its frame part.  At a point
 it reads eps1 and eps2 once, takes one int dot product per distinct
 frame part and reads each form from its row, then one ``math.prod`` per
 distinct factor set and per term side of more than one ref, adds each
-coefficient's terms as int fractions and makes one ``Fraction`` per
-coefficient, so the arithmetic stays arbitrary precision and exact.  The sampler's pole test, `clear_of`, stays one
-int dot product per form.
+distinct sum's terms as one int fraction, which every term holding it
+multiplies in, adds each coefficient's terms as int fractions and makes
+one ``Fraction`` per coefficient, so the arithmetic stays arbitrary
+precision and exact.  The sampler's pole test, `clear_of`, takes one int
+dot product per distinct frame part of its forms and one per form's eps
+part.
 """
 
 from __future__ import annotations
@@ -339,11 +348,13 @@ def factored_term(factors: Iterable[tuple[LinearForm, int]] = ()) -> FactoredTer
 
 UNIT_TERM = factored_term()
 
-# A term is the tuple of its pieces, each a `FactoredTerm` (in canonical
-# form or in build order); the empty term is 1.  Pieces are never merged:
-# a piece shared by many terms stays one object, so a `Kernel` compiles it
-# once and evaluates its factor sets once per point.  Merging every
-# piece's factors with `factored_term` gives the term's canonical piece.
+# A term is the tuple of its factors, each a piece, a `FactoredTerm` (in
+# canonical form or in build order), or a sum, a tuple of terms; the empty
+# term is 1.  Pieces and sums are never merged: one shared by many terms
+# stays one object, so a `Kernel` compiles it once and evaluates it once
+# per point.  Multiplying every sum out gives flat terms of pieces alone,
+# and merging a flat term's pieces' factors with `factored_term` gives its
+# canonical piece.
 Term = tuple
 
 
@@ -359,12 +370,15 @@ def clear_of(forms: Iterable[LinearForm], point: Mapping[Var, Fraction]) -> bool
     """True when no form in `forms` vanishes at `point`.  A form's value at
     a point scaled to (ints, D) is p e1 + q e2 plus its frame's dot
     product with ints, over 2 D, so that int alone decides (an eps is read
-    only where its numerator is nonzero).  Each form is its own dot product
-    here, not a `Kernel` row: a draw's forms are a union over series, met
-    once per draw."""
+    only where its numerator is nonzero).  A draw's forms, a union over
+    series, share a few frame parts among many forms, so each distinct
+    frame part is one dot product per call."""
     ints, _ = _scale_point(point)
+    frames: dict[tuple, int] = {}
     for form in forms:
-        value = sum([n * ints[s] for s, n in form.frame])
+        value = frames.get(form.frame)
+        if value is None:
+            value = frames[form.frame] = sum([n * ints[s] for s, n in form.frame])
         if form.p:
             value += form.p * ints[_EPS1_SLOT]
         if form.q:
@@ -375,8 +389,8 @@ def clear_of(forms: Iterable[LinearForm], point: Mapping[Var, Fraction]) -> bool
 
 
 def term_mul(a: Term, b: Term) -> Term:
-    """The product of two terms: the concatenation of their pieces, none
-    merged."""
+    """The product of two terms: the concatenation of their factors, none
+    merged or multiplied out."""
     return a + b
 
 
@@ -394,11 +408,12 @@ def term_eval(t: Term, point: Mapping[Var, Fraction]) -> Fraction:
 
 
 def term_substitute(t: Term, rule: Rule, images: dict) -> Term:
-    """The term with `rule` substituted into every piece, each image made
-    canonical by `factored_term`.  `images` is the rule's memo: it maps
-    each form already substituted to its `form_image`, and each piece's
-    id to the piece and its image (holding the piece keeps its id from
-    being reused), so each distinct piece and form is imaged once."""
+    """The term, its factors all pieces, with `rule` substituted into
+    every piece, each image made canonical by `factored_term`.  `images`
+    is the rule's memo: it maps each form already substituted to its
+    `form_image`, and each piece's id to the piece and its image (holding
+    the piece keeps its id from being reused), so each distinct piece and
+    form is imaged once."""
     out = []
     for piece in t:
         entry = images.get(id(piece))
@@ -414,9 +429,10 @@ def term_substitute(t: Term, rule: Rule, images: dict) -> Term:
     return tuple(out)
 
 
-# A coefficient (of one q-grade of a series) is a formal sum of terms; its
-# meaning is the sum of the term values at every evaluation point, so the
-# stored order carries no semantics (but is kept deterministic).
+# A coefficient (of one q-grade of a series) is a formal sum of terms, a
+# sum as a term's factor is; its meaning is the sum of the term values at
+# every evaluation point, so the stored order carries no semantics (but is
+# kept deterministic).
 Coefficient = tuple
 
 
@@ -427,20 +443,24 @@ def coeff_eval(c: Coefficient, point: Mapping[Var, Fraction]) -> Fraction:
 class Kernel:
     """Coefficients compiled for integer evaluation.
 
+    A term's factor is a piece or a sum, a tuple of terms (see `Term`).
     Each distinct piece, by identity, is compiled once, and `forms` holds
-    each distinct form once, by value: equal forms share one slot.  A
-    piece is known by its id, which is unique only while the piece is
-    alive, so the compile holds every piece it has indexed until it
-    returns: the coefficients may come from a generator that frees them,
-    and a freed piece's id may be reused by a new one.  The kernel keeps
-    no piece.  At a point ref 0 reads 1, ref i + 1 the value of forms[i],
-    and ref -(k + 1) the product of sets[k].  A piece compiles to one ref
-    per side and its degree.  A side's factor set is the sorted refs of
-    its forms, each repeated by its exponent: an empty set is ref 0, a
-    one-form set that form's ref, and any other set an entry of `sets`,
-    shared by every equal set across the kernel.  A term compiles to its
-    pieces' nonzero refs per side (a plain ref if at most one, 0 for
-    none) and its degree.
+    each distinct form once, by value: equal forms share one slot.  Each
+    distinct sum of more than one term, by identity, is compiled once,
+    like a coefficient, and a one-term sum is spliced into its term, its
+    term's factors read as the term's own.  A piece or a sum is known by
+    its id, which is unique only while it is alive, so the compile holds
+    every piece and sum it has indexed until it returns: the coefficients
+    may come from a generator that frees them, and a freed object's id may
+    be reused by a new one.  The kernel keeps no piece.  At a point ref 0
+    reads 1, ref i + 1 the value of forms[i], and ref -(k + 1) the product
+    of sets[k].  A piece compiles to one ref per side and its degree.  A
+    side's factor set is the sorted refs of its forms, each repeated by its
+    exponent: an empty set is ref 0, a one-form set that form's ref, and
+    any other set an entry of `sets`, shared by every equal set across the
+    kernel.  A term compiles to its pieces' nonzero refs per side (a plain
+    ref if at most one, 0 for none), its degree, and the indices of its
+    sums, if it has any.
 
     A form (p eps1 + q eps2 + frame) / 2 reads 2 D times its value at a
     point scaled to (ints, D).  `frames` holds each distinct frame part
@@ -449,60 +469,44 @@ class Kernel:
     and each form reads p e1 + q e2 + R, e1 and e2 being the scaled eps
     values (every point the engine evaluates at has both).  A term is
     then its numerator product over its denominator product times
-    (2 D)^-degree, and a coefficient adds its terms as int fractions and
-    takes (2 D)^-d once, d its largest degree (a term of degree e < d is
-    first scaled by (2 D)^(d - e)).
+    (2 D)^-degree, and a sum or a coefficient adds its terms as int
+    fractions, scaled to (2 D)^-d, d its terms' largest degree (a term of
+    degree e < d is first scaled by (2 D)^(d - e)).  Each sum is one int
+    fraction per point, read before any term that holds it (an inner sum
+    compiles before the sums that hold it), and a term multiplies its
+    sums' numerators and denominators into its own, a sum of scale d
+    adding d to its degree; a coefficient takes (2 D)^-d once, into one
+    ``Fraction``.
 
     The compile also records `pole_forms`, the distinct forms with a
     negative exponent in some compiled piece in first-seen order (those
     whose zero makes `evaluate` raise PoleError, which names the form's
     exponent in the first piece that holds it), and `degrees`, one per
     coefficient: the degree its terms share, 0 for none, or None
-    when they differ.  Forms have no constant part, so a coefficient of
-    one degree d takes (-1)^d times its value at p at the point -p."""
+    when they differ; a term holding a sum of mixed degree has mixed
+    degree, as the terms the sum multiplies out to do.  Forms have no
+    constant part, so a coefficient of one degree d takes (-1)^d times
+    its value at p at the point -p."""
 
     __slots__ = (
-        "forms", "frames", "sets", "pole_forms", "degrees", "_rows", "_poles", "_coeffs"
+        "forms", "frames", "sets", "pole_forms", "degrees", "_rows", "_poles", "_sums", "_coeffs"
     )
 
     def __init__(self, coefficients: Iterable[Coefficient]) -> None:
-        slots: dict[LinearForm, int] = {}  # equal forms share one ref
-        set_refs: dict[tuple, int] = {}  # equal factor sets share one ref
-        index: dict[int, tuple] = {}  # id(piece) -> its compiled piece
-        held: list[FactoredTerm] = []  # every indexed piece, so no id is reused
-        poles: dict[int, int] = {}  # denominator ref -> exponent in its first piece
-        forms: list[LinearForm] = []
-        sets: list[tuple[int, ...]] = []
-        self.forms, self.sets = forms, sets
+        state = _Compile()
+        self.forms, self.sets = state.forms, state.sets
         self.degrees: list[int | None] = []
         self._coeffs = []
         for c in coefficients:
-            terms = []
-            for t in c:
-                entries = [index.get(id(piece)) for piece in t]
-                if None in entries:
-                    for n, piece in enumerate(t):
-                        if entries[n] is None:
-                            entry = index.get(id(piece))  # a piece may recur in one term
-                            if entry is None:
-                                entry = index[id(piece)] = _compile_piece(
-                                    piece, slots, forms, set_refs, sets, poles
-                                )
-                                held.append(piece)
-                            entries[n] = entry
-                nums, dens, degrees = zip((0, 0, 0), *entries)  # (0, 0, 0) for no pieces
-                num, den = tuple(filter(None, nums)), tuple(filter(None, dens))
-                num = num if len(num) > 1 else sum(num)  # a lone ref, or 0 for none
-                den = den if len(den) > 1 else sum(den)
-                terms.append((num, den, sum(degrees)))
-            degrees = {term[2] for term in terms} or {0}
-            self.degrees.append(max(degrees) if len(degrees) == 1 else None)
-            self._coeffs.append((terms, max(degrees)))
+            flat, summed, scale, degree = _compile_sum(c, state)
+            self.degrees.append(degree)
+            self._coeffs.append((flat, summed, scale))
+        self._sums = [compiled[:3] for compiled in state.sums]
         frames: dict[tuple, int] = {}  # equal frame parts share one index
-        self._rows = [(form.p, form.q, frames.setdefault(form.frame, len(frames))) for form in forms]
+        self._rows = [(form.p, form.q, frames.setdefault(form.frame, len(frames))) for form in self.forms]
         self.frames = list(frames)
-        self._poles = poles
-        self.pole_forms = [self.forms[ref - 1] for ref in poles]
+        self._poles = state.poles
+        self.pole_forms = [self.forms[ref - 1] for ref in state.poles]
 
     def evaluate(self, point: Mapping[Var, Fraction]) -> list[Fraction]:
         """Every coefficient's value at `point`, in compile order.  A
@@ -519,15 +523,12 @@ class Kernel:
         # set k's product is read at ref -(k + 1), from the end of the list
         values += [prod(map(at, refs)) for refs in reversed(self.sets)]
         scale = 2 * d
+        sums: list[tuple[int, int]] = []
+        for flat, summed, degree in self._sums:
+            sums.append(_sum_value(flat, summed, degree, values, sums, scale))
         out = []
-        for terms, degree in self._coeffs:
-            parts = []
-            for num, den, e in terms:
-                p = values[num] if num.__class__ is int else prod(map(at, num))
-                if p:
-                    q = values[den] if den.__class__ is int else prod(map(at, den))
-                    parts.append((p, q) if e == degree else (p * scale ** (degree - e), q))
-            p, q = _sum_fractions(parts)
+        for flat, summed, degree in self._coeffs:
+            p, q = _sum_value(flat, summed, degree, values, sums, scale)
             power = scale ** abs(degree)
             out.append(Fraction(p, q * power) if degree > 0 else Fraction(p * power, q))
         return out
@@ -538,6 +539,114 @@ class Kernel:
         for ref, exp in self._poles.items():
             if not values[ref]:
                 raise PoleError(f"pole: ({self.forms[ref - 1]})^{exp} at {point}")
+
+
+class _Compile:
+    """One kernel compile's state: `slots` maps forms to refs and
+    `set_refs` factor sets to refs, `pieces` maps a piece's id to its
+    compiled piece and `sum_ids` a sum's id to its index in `sums`, each
+    compiled sum being (flat terms, terms with sums, scale, degree);
+    `held` keeps every indexed piece and sum alive, so no id is reused,
+    and `poles` maps each denominator ref to its exponent in its first
+    piece."""
+
+    __slots__ = ("slots", "set_refs", "pieces", "sum_ids", "held", "poles", "forms", "sets", "sums")
+
+    def __init__(self) -> None:
+        self.slots: dict[LinearForm, int] = {}
+        self.set_refs: dict[tuple, int] = {}
+        self.pieces: dict[int, tuple] = {}
+        self.sum_ids: dict[int, int] = {}
+        self.held: list = []
+        self.poles: dict[int, int] = {}
+        self.forms: list[LinearForm] = []
+        self.sets: list[tuple[int, ...]] = []
+        self.sums: list[tuple] = []
+
+
+def _compile_sum(terms: Iterable[Term], state: _Compile) -> tuple:
+    """A sum of terms, a coefficient or a factor, as (flat terms, terms
+    with sums, scale, degree): a flat term is (num, den, degree) and a term
+    with sums (num, den, degree, sum indices), its degree counting each
+    sum's scale; the scale is the terms' largest degree (0 for none), and
+    the degree the one they share, 0 for none, or None when they differ
+    or some term holds a sum of mixed degree.  A term whose factors are
+    all compiled pieces takes one lookup per piece."""
+    pieces = state.pieces
+    flat, summed, degrees, mixed = [], [], set(), False
+    for t in terms:
+        entries = [pieces.get(id(piece)) for piece in t]
+        refs: list[int] = []
+        if None in entries:
+            entries = []
+            mixed |= _term_entries(t, state, entries, refs)
+        nums, dens, degs = zip((0, 0, 0), *entries)  # (0, 0, 0) for no pieces
+        num, den = tuple(filter(None, nums)), tuple(filter(None, dens))
+        num = num if len(num) > 1 else sum(num)  # a lone ref, or 0 for none
+        den = den if len(den) > 1 else sum(den)
+        degree = sum(degs)
+        if refs:
+            degree += sum([state.sums[i][2] for i in refs])
+            summed.append((num, den, degree, tuple(refs)))
+        else:
+            flat.append((num, den, degree))
+        degrees.add(degree)
+    scale = max(degrees) if degrees else 0
+    return flat, summed, scale, None if mixed or len(degrees) > 1 else scale
+
+
+def _term_entries(t: Term, state: _Compile, entries: list, refs: list) -> bool:
+    """Append each compiled piece of term `t` to `entries` and each sum's
+    index to `refs`, compiling what is new; a one-term sum's term is read
+    in place.  True when some sum has mixed degree."""
+    mixed = False
+    for factor in t:
+        if factor.__class__ is tuple:
+            if len(factor) == 1:
+                mixed |= _term_entries(factor[0], state, entries, refs)
+                continue
+            i = state.sum_ids.get(id(factor))
+            if i is None:
+                compiled = _compile_sum(factor, state)  # its own sums first
+                state.held.append(factor)
+                state.sums.append(compiled)
+                i = state.sum_ids[id(factor)] = len(state.sums) - 1
+            refs.append(i)
+            mixed |= state.sums[i][3] is None
+        else:
+            entry = state.pieces.get(id(factor))
+            if entry is None:
+                entry = state.pieces[id(factor)] = _compile_piece(
+                    factor, state.slots, state.forms, state.set_refs, state.sets, state.poles
+                )
+                state.held.append(factor)
+            entries.append(entry)
+    return mixed
+
+
+def _sum_value(flat: list, summed: list, scale: int, values: list, sums: list, base: int) -> tuple[int, int]:
+    """The value of a compiled sum or coefficient as one int fraction (p,
+    q), not in lowest terms, times base^scale: `values` holds every ref's
+    value and `sums` every sum's fraction read so far, and a term of degree
+    e < scale is first scaled by base^(scale - e)."""
+    at = values.__getitem__
+    parts = []
+    for num, den, e in flat:
+        p = values[num] if num.__class__ is int else prod(map(at, num))
+        if p:
+            q = values[den] if den.__class__ is int else prod(map(at, den))
+            parts.append((p, q) if e == scale else (p * base ** (scale - e), q))
+    for num, den, e, refs in summed:
+        p = values[num] if num.__class__ is int else prod(map(at, num))
+        if p:
+            q = values[den] if den.__class__ is int else prod(map(at, den))
+            for i in refs:
+                sp, sq = sums[i]
+                p *= sp
+                q *= sq
+            if p:
+                parts.append((p, q) if e == scale else (p * base ** (scale - e), q))
+    return _sum_fractions(parts)
 
 
 def _compile_piece(piece, slots, forms, set_refs, sets, poles) -> tuple:

@@ -30,7 +30,8 @@ pair's form off a memo for that e-part.
 ``term_x1`` its (kvec, Y1, Y2); each takes a ``FactorTable``, one series
 build's memos.  Its `pieces` dict maps a piece's key to that
 piece's ``FactoredTerm``, built on first use, and a term is the tuple
-of the table's objects, unit pieces dropped (see ``exact``); merged, a
+of the table's objects, unit pieces dropped (see ``exact``), a resolved
+term's three parts each as a one-term sum; multiplied out and merged, a
 term's pieces give the canonical piece one Euler class of each whole
 character gives.
 
@@ -51,11 +52,14 @@ pair (0, 0).  No piece whose character is empty by construction is
 keyed or built: two empty diagrams' tangent piece, an empty diagram's
 matter piece, a line-bundle piece char_twist(d) with |d| <= 1.  A
 resolved fixed point's kvec is the tuple of its doubled entries 2k_alpha
-(``diagrams.FixedPointX1``), and its term is ell(kvec) + part_1 +
+(``diagrams.FixedPointX1``), and its term is ell(kvec) * part_1 *
 part_2: ell holds each slot's line-bundle matter piece (alpha, 2k_alpha)
 and then its slot pairs' (alpha, beta, delta), delta = 2(k_beta -
 k_alpha), visiting no pair when kvec spreads by at most 1; `parts`
-memoizes ell by kvec and part c by (kvec, c, Y^c).
+memoizes ell by kvec and part c by (kvec, c, Y^c), each as a one-term
+sum (see ``exact.Term``), and ``term_x1`` returns the three sums, so
+``series`` can gather the parts of many fixed points into one sum per
+chart and size.
 The forms are memoized by e-part and then by (p, q): each tangent
 monomial's weight form (`weights`) and each tautological monomial's 2r
 mass-shifted forms (`masses`), so every piece holding a form holds one
@@ -296,16 +300,24 @@ def _pair_x1(alpha: int, beta: int, delta: int, chart: int, ya, yb) -> list:
     return char_tangent_x1(delta, chart, ya, yb)
 
 
+def _part(parts: dict, key, build, *args) -> tuple:
+    """parts[key], the one-term sum (build(*args),), made on first use."""
+    value = parts.get(key)
+    if value is None:
+        value = parts[key] = (build(*args),)
+    return value
+
+
 def term_x1(frame: FrameData, fp: FixedPointX1, table: FactorTable) -> Term:
     """Localization term of one resolved-surface fixed point, in the
-    blow-up shape ell(kvec) + part_1 + part_2, each part made once per
-    table.  Part c walks chart c's diagrams under tag c, a slot's class
-    being its doubled k_alpha."""
+    blow-up shape (ell(kvec), part_1, part_2), each a one-term sum made
+    once per table.  Part c walks chart c's diagrams under tag c, a slot's
+    class being its doubled k_alpha."""
     r, parts, kvec = frame.r, table.parts, fp.kvec
     return (
-        _memo(parts, kvec, _ell_part, kvec, r, table)
-        + _memo(parts, (kvec, 1, fp.y1), _slot_walk, kvec, fp.y1, 1, 0, r, table, _v_x1, _pair_x1)
-        + _memo(parts, (kvec, 2, fp.y2), _slot_walk, kvec, fp.y2, 2, 0, r, table, _v_x1, _pair_x1)
+        _part(parts, kvec, _ell_part, kvec, r, table),
+        _part(parts, (kvec, 1, fp.y1), _slot_walk, kvec, fp.y1, 1, 0, r, table, _v_x1, _pair_x1),
+        _part(parts, (kvec, 2, fp.y2), _slot_walk, kvec, fp.y2, 2, 0, r, table, _v_x1, _pair_x1),
     )
 
 
@@ -313,4 +325,4 @@ def ell_factor(frame: FrameData, kvec: tuple, table: FactorTable) -> Term:
     """Pure line-bundle contribution of a first-Chern vector, given as its
     doubled entries: the term of the resolved fixed point with that vector
     and no boxes."""
-    return _memo(table.parts, kvec, _ell_part, kvec, frame.r, table)
+    return _part(table.parts, kvec, _ell_part, kvec, frame.r, table)[0]

@@ -8,9 +8,11 @@ at or below the truncation means the coefficient is zero.
 
 Every substitution rule is an exact.Rule, an int map R on the variables,
 and a series substituted by R takes at a point p the value the plain
-series takes at R(p), map_point(p, R).  A form is its doubled ints
-(p, q, frame) over the denominator 2 (exact.LinearForm), and a rule maps
-its (p, q) and keeps its frame, so a form's image is a few int products.
+series takes at R(p), map_point(p, R), which reads the rule's ints
+straight off: eps_i goes to x eps1 + y eps2 and a_alpha to a_alpha plus
+its shift times the carrier.  A form is its doubled ints (p, q, frame)
+over the denominator 2 (exact.LinearForm), and a rule maps its (p, q)
+and keeps its frame, so a form's image is a few int products.
 Every series is built once, in plain variables, by verify.SeriesPair for
 both the checks and ``compute``, and a side under the sign flip
 rule_negate_eps is read at R(p).  Only the two blow-up chart rules
@@ -18,7 +20,9 @@ rule_negate_eps is read at R(p).  Only the two blow-up chart rules
 plain plane series, up to the largest grade any first-Chern vector
 needs, and substitutes each chart into the terms of the grades that
 vector uses, with one image memo per rule, so each distinct piece and
-form is imaged once per rule.
+form is imaged once per rule.  Its Cauchy product (series_mul) is one
+term per pair of grades, the two charted coefficients as sums (see
+exact.Term), so a kernel reads each charted grade once per point.
 
 series_zp2, series_zx0 and series_zx1 share one grade loop (``_series``),
 fed by a fixed-point source, the fixed points of a grade, and a term
@@ -28,17 +32,23 @@ passes it to every term it builds, so a slot's or slot pair's piece,
 each character class and each monomial's form is built once per build,
 and every slot shares one diagonal tangent piece per diagram;
 series_zx1_factorized keeps one more for its ell(kvec) pieces.
-series_zx1 builds each term in the blow-up shape from its own chart
-characters, ell(kvec) + part_1 + part_2, each part made once per build;
+series_zx1 builds each fixed point's term in the blow-up shape from its
+own chart characters, (ell(kvec), part_1, part_2), each a one-term sum
+made once per build, and writes each grade as one term per rectangle:
+the fixed points of one kvec and one |Y1| = j are every (Y1, Y2) of
+sizes j and n - j, so their terms add up to ell * (sum of part_1) *
+(sum of part_2), each side's sum made once per (kvec, chart, size) and
+shared by every grade that holds it.  A kernel then reads each side's
+sum once per point instead of every product of parts.
 series_zx1_factorized still goes through the charted plane series.
 A first-Chern vector is the tuple of its doubled entries 2k_alpha, as
 ``diagrams.enum_kvectors`` yields it: it is a chart rule's shifts and
 keys the ell(kvec) memo as it is.  A parity-infeasible k (2k + w1 odd)
 has no first-Chern vector, so zx1 and zx1-fact are zero with no guard
 here; zx0 is zero there too, its v1 being non-integral.
-Every term is the tuple of its pieces (charted plane terms, their Cauchy
-products and ell times a term too), so no term's factors are ever
-merged.  The tables and the image memos die with the build: nothing is
+Every term is the tuple of its factors, pieces and sums (charted plane
+terms, their Cauchy products and ell times a term too), so no term's
+factors are ever merged.  The tables and the image memos die with the build: nothing is
 cached at module level here (``diagrams`` memoizes `partitions` and
 `transpose`, which depend on a diagram alone).
 
@@ -78,7 +88,6 @@ from .exact import (
     Rule,
     Var,
     factored_term,
-    form_image,
     linear_form,
     term_mul,
     term_substitute,
@@ -135,18 +144,25 @@ def rule_chart(side: int, kvec: tuple) -> Rule:
 
 
 def map_point(point: EvalPoint, rule: Rule | None) -> EvalPoint:
-    """R(p): each variable v the rule moves (eps, and a_alpha up to its
-    shifts) takes the value at p of its image v o R (exact.form_image), so
-    a coefficient at R(p) is the coefficient substituted by R at p."""
+    """R(p), read off the rule's ints: eps_i takes x eps1 + y eps2 at p,
+    (x, y) = matrix[i - 1], and a_alpha, for each shift s_alpha,
+    a_alpha + s_alpha (xc eps1 + yc eps2), (xc, yc) the carrier; every
+    other variable keeps its value.  Each value is that of the variable's
+    image v o R (exact.form_image) at p, so a coefficient at R(p) is the
+    coefficient substituted by R at p."""
     if rule is None:
         return point
-    moved = len(rule.shifts)
-    return {
-        v: form_image(linear_form({v: 1}), rule).evaluate(point)
-        if v.kind == "eps" or v.kind == "a" and v.index <= moved
-        else value
-        for v, value in point.items()
-    }
+    e1, e2 = point[EPS1], point[EPS2]
+    ((x1, y1), (x2, y2)), (xc, yc) = rule.matrix, rule.carrier
+    out = dict(point)
+    out[EPS1] = x1 * e1 + y1 * e2
+    out[EPS2] = x2 * e1 + y2 * e2
+    carried = xc * e1 + yc * e2
+    for alpha, shift in enumerate(rule.shifts, start=1):
+        if shift:
+            a = var_a(alpha)
+            out[a] = point[a] + shift * carried
+    return out
 
 
 def prefactor_exponent(r: int) -> FactoredTerm:
@@ -168,13 +184,14 @@ def prefactor_exponent(r: int) -> FactoredTerm:
 
 
 def _binomial_poly(j: int) -> list[Fraction]:
-    """Coefficients (in x^d) of binom(x, j) = x(x-1)...(x-j+1)/j!."""
-    poly = [Fraction(1)]
+    """Coefficients (in x^d) of binom(x, j) = x(x-1)...(x-j+1)/j!: the
+    signed Stirling numbers of the first kind s(j, d), by their int
+    recurrence (one factor x - i at a time), each over j! at the end."""
+    poly = [1]
     for i in range(j):
-        shifted = [Fraction(0)] + poly
-        poly = [shifted[d] - i * (poly[d] if d < len(poly) else 0) for d in range(len(shifted))]
-    inv = Fraction(1, factorial(j))
-    return [c * inv for c in poly]
+        poly = [c - i * b for c, b in zip([0] + poly, poly + [0])]
+    whole = factorial(j)
+    return [Fraction(c, whole) for c in poly]
 
 
 def series_prefactor(r: int, sign: int, max_n: int) -> QSeries:
@@ -192,12 +209,13 @@ def series_prefactor(r: int, sign: int, max_n: int) -> QSeries:
     return QSeries(coeffs, 4 * max_n, 0)
 
 
-def _series(offset: int, max4n: int, fixed_points, term) -> QSeries:
-    """The series whose grade g, from offset to max4n in steps of 4, sums
-    term(fp, table) over the fixed points fixed_points(g), with one factor
-    table for the whole build."""
+def _series(offset: int, max4n: int, fixed_points, term, grade=tuple) -> QSeries:
+    """The series whose grade g, from offset to max4n in steps of 4, is
+    grade(the list of term(fp, table) over the fixed points
+    fixed_points(g)), by default their tuple, with one factor table for the
+    whole build."""
     table = FactorTable()
-    coeffs = {g: tuple([term(fp, table) for fp in fixed_points(g)]) for g in range(offset, max4n + 1, 4)}
+    coeffs = {g: grade([term(fp, table) for fp in fixed_points(g)]) for g in range(offset, max4n + 1, 4)}
     return QSeries(coeffs, max4n, offset)
 
 
@@ -236,20 +254,61 @@ def series_zx0(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
 
 def series_zx1(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
     """Resolved-side series: grade 4n sums all (kvec, Y1, Y2) fixed points
-    with sum(kvec) = k at that grade.  Parity-infeasible k gives the zero
-    series (no admissible first-Chern vectors exist)."""
+    with sum(kvec) = k at that grade, one term per rectangle (see
+    `_rectangles`), each side's sum made once per build.  Parity-infeasible
+    k gives the zero series (no admissible first-Chern vectors exist)."""
+    sums: dict = {}
     return _series(
         frame.w1 % 4,
         max4n,
         lambda g: enum_fixed_points_x1(frame, k, g),
-        lambda fp, table: term_x1(frame, fp, table),
+        lambda fp, table: (fp, term_x1(frame, fp, table)),
+        lambda built: _rectangles(built, sums),
     )
 
 
+def _rectangles(built: list, sums: dict) -> Coefficient:
+    """One grade of zx1 from its (fixed point, term_x1 term) pairs, one
+    term per rectangle: the fixed points of one first-Chern vector kvec
+    with |Y1| = j are every (Y1, Y2) of sizes j and n - j, so their terms
+    ell * P1(Y1) * P2(Y2) add up to ell * (sum of P1) * (sum of P2).  Each
+    side's sum holds its parts' terms in first-seen order and is kept in
+    `sums` per (kvec, chart, size), so every grade that holds it holds one
+    object.  A rectangle whose fixed points are not every pair of its
+    parts, or whose side differs from the one kept, is a ValueError."""
+    rectangles: dict = {}
+    for fp, (ell, part1, part2) in built:
+        key = (fp.kvec, sum(map(sum, fp.y1)))
+        rect = rectangles.get(key)
+        if rect is None:
+            rect = rectangles[key] = [ell, {}, {}, 0, sum(map(sum, fp.y2))]
+        rect[1][id(part1)] = part1
+        rect[2][id(part2)] = part2
+        rect[3] += 1
+    out = []
+    for (kvec, j), (ell, ones, twos, count, rest) in rectangles.items():
+        if count != len(ones) * len(twos):
+            raise ValueError(f"incomplete rectangle: kvec {kvec}, |Y1| = {j}")
+        out.append((ell, _side_sum(sums, (kvec, 1, j), ones), _side_sum(sums, (kvec, 2, rest), twos)))
+    return tuple(out)
+
+
+def _side_sum(sums: dict, key: tuple, parts: dict) -> Coefficient:
+    """The sum of the one-term sums `parts`, kept in sums[key] on first
+    use; a later sum for key must hold the same terms."""
+    built = tuple([part[0] for part in parts.values()])
+    kept = sums.setdefault(key, built)
+    if kept != built:
+        raise ValueError(f"incomplete rectangle side: kvec {key[0]}, chart {key[1]}, size {key[2]}")
+    return kept
+
+
 def series_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Cauchy product.  The product is complete up to the largest grade at
-    which both factors still supply every needed coefficient, namely
-    min(a.max_grade + b.offset, b.max_grade + a.offset)."""
+    """Cauchy product, one term per pair of non-empty grades: the product
+    of their two coefficients, each a sum (exact.Term), so no pair of
+    terms is multiplied out.  The product is complete up to the largest
+    grade at which both factors still supply every needed coefficient,
+    namely min(a.max_grade + b.offset, b.max_grade + a.offset)."""
     offset = (a.offset + b.offset) % 4
     max_grade = min(a.max_grade + b.offset, b.max_grade + a.offset)
     acc: dict[int, list] = {g: [] for g in range(offset, max_grade + 1, 4)}
@@ -264,7 +323,7 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
             c2 = b.coefficient(g2)
             if not c2:
                 continue
-            acc[g].extend(term_mul(t1, t2) for t1 in c1 for t2 in c2)
+            acc[g].append(term_mul((c1,), (c2,)))
     return QSeries({g: tuple(ts) for g, ts in acc.items()}, max_grade, offset)
 
 

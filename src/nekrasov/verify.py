@@ -46,9 +46,10 @@ forms are read off its kernel, and composed with each rule R (an
 exact.Rule, through exact.form_image) once per pair: main and must both
 read zx0 at -eps p, and share one composition.  The pole test is
 exact.clear_of, on the integer kernel: the draw is scaled to one common
-denominator once, and each form, its doubled ints (p, q, frame), is still
-one int dot product (a draw meets the union once, so no kernel row or
-frame part is shared there).
+denominator once, each distinct frame part of the union's forms is one
+int dot product (main's union at w = (2,0) k = 0 max-n 3 holds 44 forms
+over 3 frame parts), and each form adds its doubled eps ints (p, q) to
+its frame part's value.
 
 The pair also holds one value table per invocation: a series read at a
 point is evaluated once, keyed by (series, each coordinate's numerator
@@ -65,11 +66,16 @@ piece, a slot's matter factor or a slot pair's tangent factor, each
 repeated by its exponent) one int product, shared by the value-equal
 pieces zx1-fact builds anew per chart rule, each term side that reads
 more than one set or form one product (a lone one is read directly),
-and each grade's value one Fraction.  The
+each distinct sum one int fraction, and each grade's value one
+Fraction.  A term's factor may be a sum (exact.Term): zx1 writes each
+grade as one term per rectangle of fixed points, ell(kvec) times the sum
+of its chart-1 parts times the sum of its chart-2 parts, and zx1-fact
+one term per first-Chern vector and pair of plane grades, so each side's
+sum is read once per point, not once per fixed point.  The
 same compile walk records the series' pole forms and each coefficient's
 degree, so nothing else reads the pieces; no form cancels between the
 pieces of a term (every matter form carries a mass, no tangent form
-does), so they are those of the merged terms.  The kernel holds no
+does), so they are those of the merged, multiplied-out terms.  The kernel holds no
 piece, so a series is freed as soon as its kernel is compiled, and
 kernels and table hold only what they compute and die with the pair.
 Every linear form has no constant part, so a coefficient whose terms

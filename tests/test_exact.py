@@ -41,6 +41,7 @@ from whole_fixed_point import (
     coeff_degree,
     coeff_denominator_forms,
     coefficient,
+    expanded_terms,
     merged,
     reduced_pairs,
     reference_chart,
@@ -637,6 +638,82 @@ class TestCompiledKernel:
         kernel = Kernel(fresh(i) for i in range(40))
         expected = [sum((_reference_term(t, point) for t in fresh(i)), F(0)) for i in range(40)]
         assert kernel.evaluate(point) == expected
+
+
+@st.composite
+def _summed_coefficients(draw):
+    """Coefficients whose terms hold sums, drawn from the flat terms of
+    `_compiled_coefficients`: a term's factors are a flat term's pieces in
+    place, a new sum of one or two terms (themselves up to two levels
+    deep), or a sum drawn before, which is the same object."""
+    flat = [t for c in draw(_compiled_coefficients()) for t in c] or [()]
+    made = []
+
+    def term(depth):
+        out = ()
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.sampled_from(["pieces", "sum", "again"] if depth else ["pieces"]))
+            if kind == "pieces":
+                out += draw(st.sampled_from(flat))
+            elif kind == "again" and made:
+                out += (draw(st.sampled_from(made)),)
+            else:
+                made.append(tuple(term(depth - 1) for _ in range(draw(st.integers(1, 2)))))
+                out += (made[-1],)
+        return out
+
+    return [tuple(term(2) for _ in range(draw(st.integers(0, 3)))) for _ in range(draw(st.integers(1, 3)))]
+
+
+class TestSums:
+    """A term's factor may be a sum, a tuple of terms: the kernel compiles
+    each distinct sum of several terms once, splices a one-term sum into
+    its term, and reads what the multiplied-out terms read."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs=_summed_coefficients(), point=_COMPILED_POINT)
+    def test_sums_read_like_their_expansion(self, coeffs, point):
+        kernel = Kernel(coeffs)
+        flat = [expanded_terms(c) for c in coeffs]
+        reference = Kernel(flat)
+        assert set(kernel.pole_forms) == set(reference.pole_forms)
+        assert kernel.pole_forms == list(dict.fromkeys(f for c in coeffs for f in coeff_denominator_forms(c)))
+        assert kernel.degrees == reference.degrees == [coeff_degree(c) for c in coeffs]
+        try:
+            expected = [sum((_reference_term(t, point) for t in c), F(0)) for c in flat]
+        except PoleError:
+            with pytest.raises(PoleError):
+                kernel.evaluate(point)
+            return
+        assert kernel.evaluate(point) == expected
+
+    def test_each_sum_compiles_once_and_a_one_term_sum_is_spliced(self, monkeypatch):
+        a = factored_term([(_E1, 1), (_HALF_E2, -1)])
+        b = factored_term([(_E2, -2)])
+        c = factored_term([(linear_form({EPS1: 1, EPS2: 1}), 1)])
+        inner = ((a,), (b, c))  # a + b c
+        outer = ((inner, c), (a,))  # (a + b c) c + a
+        # inner times the one-term sum of inner, outer times that of b
+        coeffs = [((inner, ((inner,),)), (outer, ((b,),))), ((outer, inner),)]
+        compiled, compile_sum = [], exact._compile_sum
+        monkeypatch.setattr(exact, "_compile_sum", lambda s, state: compiled.append(s) or compile_sum(s, state))
+        kernel = Kernel(coeffs)
+        # each coefficient, and each sum of several terms once, inner before
+        # the sum that holds it; the one-term sums are spliced
+        assert [id(x) for x in compiled] == [id(coeffs[0]), id(inner), id(outer), id(coeffs[1])]
+        point = {EPS1: F(3), EPS2: F(-5, 2)}
+        expected = [sum((_reference_term(t, point) for t in expanded_terms(c)), F(0)) for c in coeffs]
+        assert kernel.evaluate(point) == expected
+
+    def test_a_sum_of_mixed_degree_mixes_its_terms(self):
+        a = factored_term([(_E1, 1)])
+        b = factored_term([(_E2, 2)])
+        c = factored_term([(_E1, -1)])
+        mixed, even = ((a,), (b,)), ((a,), (c, b))
+        coeffs = [((c, mixed),), ((c, even),), ((mixed, even), (b,))]
+        # a + b has degrees 1 and 2, a + c b degree 1 twice
+        assert Kernel(coeffs).degrees == [None, 0, None]
+        assert [coeff_degree(coeff) for coeff in coeffs] == [None, 0, None]
 
 
 class TestProducts:

@@ -1,13 +1,14 @@
 """Series assembly: the three partition functions, prefactor, products."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nekrasov import exact, localization, series, verify
-from nekrasov.diagrams import FixedPointX1, FrameData, HalfInt
+from nekrasov.diagrams import FixedPointX1, FrameData, HalfInt, enum_fixed_points_x1
 from nekrasov.exact import (
     EPS1,
     EPS2,
@@ -41,8 +42,10 @@ from nekrasov.verify import (
     check_main,
     check_recursion_must,
     check_symmetry,
+    sample_points,
 )
 from whole_fixed_point import (
+    expanded_terms,
     merged,
     reference_chart,
     reference_map_point,
@@ -388,7 +391,7 @@ def _reference_substitute(t, rule, images):
 
 
 def _merged_coeffs(series):
-    return {g: tuple((merged(t),) for t in c) for g, c in series.coeffs.items()}
+    return {g: tuple((merged(t),) for t in expanded_terms(c)) for g, c in series.coeffs.items()}
 
 
 class TestFactorTables:
@@ -412,13 +415,17 @@ class TestFactorTables:
             mp.setattr(series, "term_p2", lambda r, tup, table: (reference_term_p2(r, tup),))
             mp.setattr(series, "term_x0", lambda fr, fp, table: (reference_term_x0(fr, fp),))
             mp.setattr(series, "term_x1", lambda fr, fp, table: (reference_term_x1(fr, fp),))
+            mp.setattr(series, "_rectangles", lambda built, sums: tuple(t for _, t in built))
             mp.setattr(series, "ell_factor", _reference_ell)
             mp.setattr(series, "rule_chart", reference_chart)
             mp.setattr(series, "term_substitute", _reference_substitute)
             reference = _build_all(frame, k, max4n)
         for name, ref in reference.items():
             merged_ref = QSeries(_merged_coeffs(ref), ref.max_grade, ref.offset)
-            assert _merged_coeffs(built[name]) == merged_ref.coeffs, name
+            got, want = _merged_coeffs(built[name]), merged_ref.coeffs
+            if name == "zx1":  # one term per rectangle: the same terms, by rectangle
+                got, want = ({g: Counter(c) for g, c in d.items()} for d in (got, want))
+            assert got == want, name
             assert set(series_pole_forms(built[name])) == set(series_pole_forms(merged_ref)), name
 
     def test_each_form_is_one_object_per_build(self):
@@ -432,7 +439,8 @@ class TestFactorTables:
         }
 
         def forms(built):
-            pieces = {id(piece): piece for c in built.coeffs.values() for t in c for piece in t}
+            terms = [t for c in built.coeffs.values() for t in expanded_terms(c)]
+            pieces = {id(piece): piece for t in terms for piece in t}
             return [form for piece in pieces.values() for form, _ in piece.factors]
 
         for name, build in builds.items():
@@ -464,6 +472,101 @@ class TestFactorTables:
             assert state(module) == (sizes, memos)
             # exact interns one Var per slot and index, and memoizes nothing else
             assert sorted(memos) == (["_var_of_slot", "var_a", "var_m"] if module is exact else [])
+
+
+# Ranks 1-3 with the max-n each reaches in a few milliseconds; at each a
+# rectangle has at least two parts per side (|Y1| = |Y2| = 2 at rank 1,
+# 1 and 1 above).
+SUM_MAX_N = {1: 4, 2: 3, 3: 2}
+
+
+def _rectangle_parts(frame, k, max4n):
+    """{(grade, kvec, |Y1|): (its Y1s, its Y2s, its fixed points)}, read
+    off the enumerator."""
+    out = {}
+    for g in range(frame.w1 % 4, max4n + 1, 4):
+        for fp in enum_fixed_points_x1(frame, k, g):
+            ones, twos, fps = out.setdefault((g, fp.kvec, sum(map(sum, fp.y1))), ({}, {}, []))
+            ones[fp.y1] = twos[fp.y2] = None
+            fps.append(fp)
+    return out
+
+
+class TestResolvedSums:
+    """zx1 holds one term per rectangle, ell * (sum of P1) * (sum of P2),
+    and zx1-fact one term per first-Chern vector and pair of plane grades,
+    ell * (charted grade) * (charted grade): sums a kernel reads once per
+    point.  Multiplied out (``expanded``), they are the flat terms, and
+    their kernels read the same values, pole forms and degrees.  A
+    rectangle whose fixed points are not every pair of its parts raises."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        w=st.sampled_from(FRAMES),
+        doubled=st.integers(-2, 2),
+        seed=st.integers(0, 2**32),
+    )
+    def test_kernels_equal_the_expanded_kernels(self, w, doubled, seed):
+        frame = FrameData(*w)
+        k, max4n = HalfInt(doubled), 4 * SUM_MAX_N[frame.r] + frame.w1
+        for build in (series_zx1, series_zx1_factorized):
+            coeffs = list(build(frame, k, max4n).coeffs.values())
+            kernel = Kernel(coeffs)
+            flat = Kernel(expanded_terms(c) for c in coeffs)
+            assert set(kernel.pole_forms) == set(flat.pole_forms), build.__name__
+            assert kernel.degrees == flat.degrees, build.__name__
+            (point,), _ = sample_points(SampleConfig(seed, 1), kernel.pole_forms, frame.r)
+            assert kernel.evaluate(point) == flat.evaluate(point), build.__name__
+            if (doubled + frame.w1) % 2 == 0:
+                # one term per rectangle, or per vector and pair of grades
+                assert sum(map(len, coeffs)) < sum(len(expanded_terms(c)) for c in coeffs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(w=st.sampled_from(FRAMES), doubled=st.integers(-2, 2), data=st.data())
+    def test_a_rectangle_missing_a_fixed_point_raises(self, w, doubled, data):
+        frame = FrameData(*w)
+        k, max4n = HalfInt(doubled), 4 * SUM_MAX_N[frame.r] + frame.w1
+        full = [
+            fps for ones, twos, fps in _rectangle_parts(frame, k, max4n).values()
+            if len(ones) > 1 and len(twos) > 1
+        ]
+        assume(full)
+        dropped = data.draw(st.sampled_from(data.draw(st.sampled_from(full))), label="dropped")
+        enum = series.enum_fixed_points_x1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "enum_fixed_points_x1", lambda *a: [fp for fp in enum(*a) if fp != dropped])
+            with pytest.raises(ValueError, match="incomplete rectangle"):
+                series_zx1(frame, k, max4n)
+
+    def test_a_side_that_differs_from_its_kept_sum_raises(self, monkeypatch):
+        # at rank 1 and grade 8 the rectangle |Y1| = 2, |Y2| = 0 has one
+        # part on its second side, so dropping ((1, 1),) leaves a product;
+        # grade 12 then needs both size-2 diagrams on the first side
+        frame, dropped = FrameData(1, 0), FixedPointX1((0,), ((1, 1),), ((),))
+        enum = series.enum_fixed_points_x1
+        monkeypatch.setattr(series, "enum_fixed_points_x1", lambda *a: [fp for fp in enum(*a) if fp != dropped])
+        assert series_zx1(frame, H(0), 8).coefficient(8)
+        with pytest.raises(ValueError, match="incomplete rectangle side"):
+            series_zx1(frame, H(0), 12)
+
+    def test_each_side_sum_is_one_object_per_build(self):
+        # (kvec, chart, size) keys one sum, held by every grade that needs
+        # it; the rectangles of a grade come in the enumerator's order
+        frame, k, max4n = FrameData(2, 0), H(0), 12
+        built = series_zx1(frame, k, max4n)
+        terms = [t for g in built.grades() for t in built.coefficient(g)]
+        rectangles = _rectangle_parts(frame, k, max4n)
+        assert len(terms) == len(rectangles)
+        sides = {}
+        for (g, kvec, j), (ones, twos, _), (ell, one, two) in zip(rectangles, rectangles.values(), terms):
+            assert len(ell) == 1  # a one-term sum, spliced by the kernel
+            assert (len(one), len(two)) == (len(ones), len(twos))
+            rest = (g - sum(d * d for d in kvec)) // 4 - j
+            sides.setdefault((kvec, 1, j), set()).add(id(one))
+            sides.setdefault((kvec, 2, rest), set()).add(id(two))
+        assert all(len(ids) == 1 for ids in sides.values())
+        assert len(set().union(*sides.values())) == len(sides)
+        assert max(len(ones) for ones, _, _ in rectangles.values()) == 10
 
 
 # Ranks 1-3, k in {-1, -1/2, 0, 1/2, 1} and max-n <= 2.

@@ -54,6 +54,7 @@ from whole_fixed_point import (
     coeff_degree,
     coeff_denominator_forms,
     coefficient,
+    expanded_terms,
     halved,
     merged,
     prefactor_value,
@@ -377,7 +378,7 @@ class TestSensitivity:
         frame = FrameData(1, 0)
         lhs = series_zx1(frame, H(0), 8)
         rhs = series_zx1_factorized(frame, H(0), 8)
-        target = lhs.coefficient(8)
+        target = expanded_terms(lhs.coefficient(8))
         term = merged(target[0])
         form, exp = term.factors[0]
         tampered_term = (factored_term(((form, exp + 1),) + term.factors[1:]),)
@@ -395,7 +396,7 @@ class TestSensitivity:
         frame = FrameData(1, 0)
         lhs = series_zx1(frame, H(1), 8)
         rhs = series_zx1_factorized(frame, H(1), 8)
-        target = lhs.coefficient(4)
+        target = expanded_terms(lhs.coefficient(4))
         # the scalar 2 as the piece (2 eps1) / eps1
         two = factored_term([(linear_form({EPS1: 2}), 1), (linear_form({EPS1: 1}), -1)])
         tampered = (target[0] + (two,),) + target[1:]
@@ -678,7 +679,7 @@ def reference_value(c, point):
     """sum of prod form(point)^exp over the canonical merges of the terms
     of `c`, term by term in Fraction."""
     total = Fraction(0)
-    for t in map(merged, c):
+    for t in map(merged, expanded_terms(c)):
         value = Fraction(1)
         for form, exp in t.factors:
             value *= form.evaluate(point) ** exp
@@ -774,7 +775,7 @@ class TestPieceReads:
         pair = SeriesPair(frame, H(k), 4 * MAX_N[r] + frame.w1)
         series = pair.series(name)
         merged_series = QSeries(
-            {g: tuple((merged(t),) for t in c) for g, c in series.coeffs.items()},
+            {g: tuple((merged(t),) for t in expanded_terms(c)) for g, c in series.coeffs.items()},
             series.max_grade,
             series.offset,
         )
@@ -832,7 +833,7 @@ class TestPieceReads:
         pieces = {}
         for name in ("zx1", "zx1-fact"):
             series = pair.series(name)
-            terms = [t for g in series.grades() for t in series.coefficient(g)]
+            terms = [t for g in series.grades() for t in expanded_terms(series.coefficient(g))]
             pieces[name] = len({id(piece) for t in terms for piece in t})
         assert pieces["zx1-fact"] > pieces["zx1"]
         forms = union_pole_forms(pair.pole_forms("zx1"), pair.pole_forms("zx1-fact"))

@@ -9,8 +9,11 @@ whole tautological and tangent characters, each a ``Counter`` of
 (p, q, e) monomials, and build its term the direct way: one matter Euler
 class of the whole tautological character, one Euler class of the whole
 tangent character, then num * den^-1, merged into one canonical
-``FactoredTerm``.  ``merged`` gives any term, a tuple of pieces, that
-canonical piece, so a term is compared with the reference through it.
+``FactoredTerm``.  ``merged`` gives any flat term, a tuple of pieces, that
+canonical piece, so a term is compared with the reference through it;
+``expanded`` first multiplies out a term whose factors include sums (a
+resolved term is ell(kvec) times its two chart parts, each a one-term
+sum, and a zx1 grade or a Cauchy product has sums of many terms).
 The box-by-box definitions of arms, legs and the Z2-degree, which the
 engine's builders inline, are the references for the characters,
 and ``char_lk`` is the line-bundle twist character written from its
@@ -111,9 +114,39 @@ def degree_part(ch, frame, s) -> Counter:
 
 
 def merged(t):
-    """The canonical FactoredTerm of a term: all its pieces' factors,
-    merged by form."""
+    """The canonical FactoredTerm of a flat term (pieces only, see
+    `expanded`): all its pieces' factors, merged by form."""
     return factored_term([factor for piece in t for factor in piece.factors])
+
+
+def expanded(term) -> tuple:
+    """The flat terms, each a tuple of pieces, that `term` multiplies out
+    to: each factor that is a sum (a tuple of terms, see ``exact.Term``)
+    stands for each of its terms' expansions in turn, the first factor
+    varying slowest.  A term of pieces alone expands to itself."""
+    out = [()]
+    for factor in term:
+        choices = expanded_terms(factor) if factor.__class__ is tuple else ((factor,),)
+        out = [head + tail for head in out for tail in choices]
+    return tuple(out)
+
+
+def expanded_terms(c) -> tuple:
+    """Every flat term of a coefficient (or of a sum), each term's
+    expansions in turn."""
+    return tuple([flat for t in c for flat in expanded(t)])
+
+
+def walked_pieces(term):
+    """Every piece of `term` in factor order, each sum's terms in turn:
+    the order in which ``exact.Kernel`` first meets them (a piece may
+    recur)."""
+    for factor in term:
+        if factor.__class__ is tuple:
+            for t in factor:
+                yield from walked_pieces(t)
+        else:
+            yield factor
 
 
 def with_e(pairs, e) -> Counter:
@@ -360,7 +393,7 @@ def reduced_pairs(form) -> tuple:
 def coeff_degree(c) -> int | None:
     """The total degree (sum of factor exponents) every term of `c` shares,
     0 for the empty coefficient, or None when the terms' degrees differ."""
-    degrees = {sum(exp for piece in t for _, exp in piece.factors) for t in c}
+    degrees = {sum(exp for piece in t for _, exp in piece.factors) for t in expanded_terms(c)}
     if len(degrees) > 1:
         return None
     return degrees.pop() if degrees else 0
@@ -368,10 +401,11 @@ def coeff_degree(c) -> int | None:
 
 def coeff_denominator_forms(c) -> list:
     """Distinct forms appearing with negative exponent in some piece of a
-    term of `c`, in first-seen order."""
+    term of `c`, in first-seen order, each term's pieces walked as the
+    kernel meets them (`walked_pieces`)."""
     seen = {}
     for t in c:
-        for piece in t:
+        for piece in walked_pieces(t):
             for form, exp in piece.factors:
                 if exp < 0:
                     seen.setdefault(form, None)
