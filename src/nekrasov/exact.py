@@ -48,18 +48,19 @@ ints through a `Kernel`, compiled once from a list of coefficients by the
 one walk over their pieces and sums, which also records the forms a
 sample point must avoid, each one's exponent for the pole message, and
 each coefficient's degree; the kernel keeps no piece, so the coefficients
-may be freed once it is compiled.  A rank-r kernel holds at most
-3r^2 - r + 1 frame parts however many forms it holds, and keeps one row
-per form, the form's (p, q) and the index of its frame part.  At a point
-it reads eps1 and eps2 once, takes one int dot product per distinct
-frame part and reads each form from its row, then one ``math.prod`` per
-distinct factor set and per term side of more than one ref, adds each
-distinct sum's terms as one int fraction, which every term holding it
-multiplies in, adds each coefficient's terms as int fractions and makes
-one ``Fraction`` per coefficient, so the arithmetic stays arbitrary
-precision and exact.  The sampler's pole test, `clear_of`, takes one int
-dot product per distinct frame part of its forms and one per form's eps
-part.
+may be freed once it is compiled.  A coefficient compiles as a sum does,
+into one list of sums, each a list of terms of one shape: two refs, a
+degree and the indices of the sums the term holds.  A rank-r kernel holds
+at most 3r^2 - r + 1 frame parts however many forms it holds, and keeps
+one row per form, the form's (p, q) and the index of its frame part.  At
+a point it reads eps1 and eps2 once, takes one int dot product per
+distinct frame part and reads each form from its row, then one
+``math.prod`` per distinct factor set and per term side of more than one
+ref, reads every sum as one int fraction in one loop, each term
+multiplying in the sums it holds, and makes one ``Fraction`` per
+coefficient, so the arithmetic stays arbitrary precision and exact.  The
+sampler's pole test, `clear_of`, takes one int dot product per distinct
+frame part of its forms and one per form's eps part.
 """
 
 from __future__ import annotations
@@ -404,6 +405,7 @@ def term_pow(t: FactoredTerm, n: int) -> FactoredTerm:
 
 
 def term_eval(t: Term, point: Mapping[Var, Fraction]) -> Fraction:
+    """The value of `t` at `point`, from a one-coefficient `Kernel` compiled per call (see `coeff_eval`)."""
     return coeff_eval((t,), point)
 
 
@@ -437,30 +439,35 @@ Coefficient = tuple
 
 
 def coeff_eval(c: Coefficient, point: Mapping[Var, Fraction]) -> Fraction:
+    """The value of `c` at `point`, from a one-coefficient `Kernel`
+    compiled per call.  Must's u (``verify._prefactor``) is read here until
+    ROADMAP item 8, as `perfbench/tests`' `REACH` needs this and
+    `term_eval` called on eval-deep."""
     return Kernel((c,)).evaluate(point)[0]
 
 
 class Kernel:
     """Coefficients compiled for integer evaluation.
 
-    A term's factor is a piece or a sum, a tuple of terms (see `Term`).
-    Each distinct piece, by identity, is compiled once, and `forms` holds
-    each distinct form once, by value: equal forms share one slot.  Each
-    distinct sum of more than one term, by identity, is compiled once,
-    like a coefficient, and a one-term sum is spliced into its term, its
-    term's factors read as the term's own.  A piece or a sum is known by
-    its id, which is unique only while it is alive, so the compile holds
-    every piece and sum it has indexed until it returns: the coefficients
-    may come from a generator that frees them, and a freed object's id may
-    be reused by a new one.  The kernel keeps no piece.  At a point ref 0
-    reads 1, ref i + 1 the value of forms[i], and ref -(k + 1) the product
-    of sets[k].  A piece compiles to one ref per side and its degree.  A
-    side's factor set is the sorted refs of its forms, each repeated by its
-    exponent: an empty set is ref 0, a one-form set that form's ref, and
-    any other set an entry of `sets`, shared by every equal set across the
-    kernel.  A term compiles to its pieces' nonzero refs per side (a plain
-    ref if at most one, 0 for none), its degree, and the indices of its
-    sums, if it has any.
+    A coefficient is a sum, a tuple of terms, and a term's factor is a
+    piece or a sum (see `Term`).  Each distinct piece, by identity, is
+    compiled once, and `forms` holds each distinct form once, by value:
+    equal forms share one slot.  Each coefficient, and each distinct sum
+    of more than one term that a term holds, by identity, is compiled once
+    into one list of sums, and a one-term sum is spliced into its term,
+    its term's factors read as the term's own.  A piece or a factor sum is
+    known by its id, which is unique only while it is alive, so the
+    compile holds every piece and sum it has indexed until it returns: the
+    coefficients may come from a generator that frees them, and a freed
+    object's id may be reused by a new one.  The kernel keeps no piece.  At
+    a point ref 0 reads 1, ref i + 1 the value of forms[i], and ref -(k +
+    1) the product of sets[k].  A piece compiles to one ref per side and
+    its degree.  A side's factor set is the sorted refs of its forms, each
+    repeated by its exponent: an empty set is ref 0, a one-form set that
+    form's ref, and any other set an entry of `sets`, shared by every equal
+    set across the kernel.  A term compiles to its pieces' nonzero refs
+    per side (a plain ref if at most one, 0 for none), its degree, and the
+    indices of the sums it holds, none for most terms.
 
     A form (p eps1 + q eps2 + frame) / 2 reads 2 D times its value at a
     point scaled to (ints, D).  `frames` holds each distinct frame part
@@ -469,13 +476,13 @@ class Kernel:
     and each form reads p e1 + q e2 + R, e1 and e2 being the scaled eps
     values (every point the engine evaluates at has both).  A term is
     then its numerator product over its denominator product times
-    (2 D)^-degree, and a sum or a coefficient adds its terms as int
-    fractions, scaled to (2 D)^-d, d its terms' largest degree (a term of
-    degree e < d is first scaled by (2 D)^(d - e)).  Each sum is one int
-    fraction per point, read before any term that holds it (an inner sum
-    compiles before the sums that hold it), and a term multiplies its
-    sums' numerators and denominators into its own, a sum of scale d
-    adding d to its degree; a coefficient takes (2 D)^-d once, into one
+    (2 D)^-degree, and a sum adds its terms as int fractions, scaled to
+    (2 D)^-d, d its terms' largest degree (a term of degree e < d is first
+    scaled by (2 D)^(d - e)).  One loop reads every sum as one int
+    fraction, in compile order, so an inner sum is read before the sums
+    that hold it, and a term multiplies its sums' numerators and
+    denominators into its own, a sum of scale d adding d to its degree;
+    then each coefficient's sum takes (2 D)^-d once, into one
     ``Fraction``.
 
     The compile also records `pole_forms`, the distinct forms with a
@@ -494,14 +501,9 @@ class Kernel:
 
     def __init__(self, coefficients: Iterable[Coefficient]) -> None:
         state = _Compile()
-        self.forms, self.sets = state.forms, state.sets
-        self.degrees: list[int | None] = []
-        self._coeffs = []
-        for c in coefficients:
-            flat, summed, scale, degree = _compile_sum(c, state)
-            self.degrees.append(degree)
-            self._coeffs.append((flat, summed, scale))
-        self._sums = [compiled[:3] for compiled in state.sums]
+        self.forms, self.sets, self._sums = state.forms, state.sets, state.sums
+        self._coeffs = [_compile_sum(c, state) for c in coefficients]
+        self.degrees: list[int | None] = [self._sums[i][2] for i in self._coeffs]
         frames: dict[tuple, int] = {}  # equal frame parts share one index
         self._rows = [(form.p, form.q, frames.setdefault(form.frame, len(frames))) for form in self.forms]
         self.frames = list(frames)
@@ -522,15 +524,15 @@ class Kernel:
         at = values.__getitem__
         # set k's product is read at ref -(k + 1), from the end of the list
         values += [prod(map(at, refs)) for refs in reversed(self.sets)]
-        scale = 2 * d
+        base = 2 * d
         sums: list[tuple[int, int]] = []
-        for flat, summed, degree in self._sums:
-            sums.append(_sum_value(flat, summed, degree, values, sums, scale))
+        for terms, scale, _ in self._sums:
+            sums.append(_sum_value(terms, scale, values, sums, base))
         out = []
-        for flat, summed, degree in self._coeffs:
-            p, q = _sum_value(flat, summed, degree, values, sums, scale)
-            power = scale ** abs(degree)
-            out.append(Fraction(p, q * power) if degree > 0 else Fraction(p * power, q))
+        for i in self._coeffs:
+            (p, q), scale = sums[i], self._sums[i][1]
+            power = base ** abs(scale)
+            out.append(Fraction(p, q * power) if scale > 0 else Fraction(p * power, q))
         return out
 
     def _check_poles(self, values: list, point) -> None:
@@ -544,11 +546,11 @@ class Kernel:
 class _Compile:
     """One kernel compile's state: `slots` maps forms to refs and
     `set_refs` factor sets to refs, `pieces` maps a piece's id to its
-    compiled piece and `sum_ids` a sum's id to its index in `sums`, each
-    compiled sum being (flat terms, terms with sums, scale, degree);
-    `held` keeps every indexed piece and sum alive, so no id is reused,
-    and `poles` maps each denominator ref to its exponent in its first
-    piece."""
+    compiled piece and `sum_ids` a factor sum's id to its index in `sums`,
+    the list of every compiled sum and coefficient as (terms, scale,
+    degree); `held` keeps every indexed piece and sum alive, so no id is
+    reused, and `poles` maps each denominator ref to its exponent in its
+    first piece."""
 
     __slots__ = ("slots", "set_refs", "pieces", "sum_ids", "held", "poles", "forms", "sets", "sums")
 
@@ -564,79 +566,63 @@ class _Compile:
         self.sums: list[tuple] = []
 
 
-def _compile_sum(terms: Iterable[Term], state: _Compile) -> tuple:
-    """A sum of terms, a coefficient or a factor, as (flat terms, terms
-    with sums, scale, degree): a flat term is (num, den, degree) and a term
-    with sums (num, den, degree, sum indices), its degree counting each
-    sum's scale; the scale is the terms' largest degree (0 for none), and
-    the degree the one they share, 0 for none, or None when they differ
-    or some term holds a sum of mixed degree.  A term whose factors are
-    all compiled pieces takes one lookup per piece."""
-    pieces = state.pieces
-    flat, summed, degrees, mixed = [], [], set(), False
+def _compile_sum(terms: Iterable[Term], state: _Compile) -> int:
+    """Append a sum of terms, a coefficient or a factor, to `state.sums`
+    as (terms, scale, degree) and return its index.  A term compiles to
+    (num, den, degree, sum indices), its degree counting each sum's scale;
+    the scale is the terms' largest degree (0 for none), and the degree
+    the one they share, 0 for none, or None when they differ or some term
+    holds a sum of mixed degree."""
+    sums = state.sums
+    compiled, degrees, inner = [], set(), set()
     for t in terms:
-        entries = [pieces.get(id(piece)) for piece in t]
+        entries = []
         refs: list[int] = []
-        if None in entries:
-            entries = []
-            mixed |= _term_entries(t, state, entries, refs)
+        _term_entries(t, state, entries, refs)
         nums, dens, degs = zip((0, 0, 0), *entries)  # (0, 0, 0) for no pieces
         num, den = tuple(filter(None, nums)), tuple(filter(None, dens))
         num = num if len(num) > 1 else sum(num)  # a lone ref, or 0 for none
         den = den if len(den) > 1 else sum(den)
-        degree = sum(degs)
-        if refs:
-            degree += sum([state.sums[i][2] for i in refs])
-            summed.append((num, den, degree, tuple(refs)))
-        else:
-            flat.append((num, den, degree))
+        degree = sum(degs) + sum([sums[i][1] for i in refs])
+        compiled.append((num, den, degree, tuple(refs)))
         degrees.add(degree)
-    scale = max(degrees) if degrees else 0
-    return flat, summed, scale, None if mixed or len(degrees) > 1 else scale
+        inner.update([sums[i][2] for i in refs])
+    scale = max(degrees, default=0)
+    sums.append((compiled, scale, None if None in inner or len(degrees) > 1 else scale))
+    return len(sums) - 1
 
 
-def _term_entries(t: Term, state: _Compile, entries: list, refs: list) -> bool:
+def _term_entries(t: Term, state: _Compile, entries: list, refs: list) -> None:
     """Append each compiled piece of term `t` to `entries` and each sum's
     index to `refs`, compiling what is new; a one-term sum's term is read
-    in place.  True when some sum has mixed degree."""
-    mixed = False
+    in place."""
     for factor in t:
         if factor.__class__ is tuple:
             if len(factor) == 1:
-                mixed |= _term_entries(factor[0], state, entries, refs)
+                _term_entries(factor[0], state, entries, refs)
                 continue
             i = state.sum_ids.get(id(factor))
             if i is None:
-                compiled = _compile_sum(factor, state)  # its own sums first
+                i = state.sum_ids[id(factor)] = _compile_sum(factor, state)  # its own sums first
                 state.held.append(factor)
-                state.sums.append(compiled)
-                i = state.sum_ids[id(factor)] = len(state.sums) - 1
             refs.append(i)
-            mixed |= state.sums[i][3] is None
         else:
             entry = state.pieces.get(id(factor))
             if entry is None:
-                entry = state.pieces[id(factor)] = _compile_piece(
-                    factor, state.slots, state.forms, state.set_refs, state.sets, state.poles
-                )
+                entry = state.pieces[id(factor)] = _compile_piece(factor, state)
                 state.held.append(factor)
             entries.append(entry)
-    return mixed
 
 
-def _sum_value(flat: list, summed: list, scale: int, values: list, sums: list, base: int) -> tuple[int, int]:
-    """The value of a compiled sum or coefficient as one int fraction (p,
-    q), not in lowest terms, times base^scale: `values` holds every ref's
-    value and `sums` every sum's fraction read so far, and a term of degree
-    e < scale is first scaled by base^(scale - e)."""
+def _sum_value(terms: list, scale: int, values: list, sums: list, base: int) -> tuple[int, int]:
+    """The value of a compiled sum as one int fraction (p, q), not in
+    lowest terms, times base^scale: `values` holds every ref's value and
+    `sums` every sum's fraction read so far, which a term holding it
+    multiplies in, and a term of degree e < scale is first scaled by
+    base^(scale - e)."""
     at = values.__getitem__
     parts = []
-    for num, den, e in flat:
-        p = values[num] if num.__class__ is int else prod(map(at, num))
-        if p:
-            q = values[den] if den.__class__ is int else prod(map(at, den))
-            parts.append((p, q) if e == scale else (p * base ** (scale - e), q))
-    for num, den, e, refs in summed:
+    for num, den, e, refs in terms:
         p = values[num] if num.__class__ is int else prod(map(at, num))
         if p:
             q = values[den] if den.__class__ is int else prod(map(at, den))
@@ -649,12 +635,12 @@ def _sum_value(flat: list, summed: list, scale: int, values: list, sums: list, b
     return _sum_fractions(parts)
 
 
-def _compile_piece(piece, slots, forms, set_refs, sets, poles) -> tuple:
+def _compile_piece(piece: FactoredTerm, state: _Compile) -> tuple:
     """A piece as (numerator ref, denominator ref, degree) (see `Kernel`).
-    `slots` maps forms to refs (a new form is appended to `forms`), and
-    `set_refs` factor sets to their negative refs (a new set is appended
-    to `sets`).  Each denominator ref new to `poles` is added to it, in
-    factor order, with its exponent in this piece."""
+    A new form is appended to `state.forms` and given the next ref in
+    `state.slots`.  Each denominator ref new to `state.poles` is added to
+    it, in factor order, with its exponent in this piece."""
+    slots, forms, poles = state.slots, state.forms, state.poles
     num: list[int] = []
     den: list[int] = []
     for form, exp in piece.factors:
@@ -673,19 +659,20 @@ def _compile_piece(piece, slots, forms, set_refs, sets, poles) -> tuple:
     for ref in den:
         if ref not in poles:
             poles[ref] = -den.count(ref)
-    return (_side_ref(num, set_refs, sets), _side_ref(den, set_refs, sets), len(num) - len(den))
+    return (_side_ref(num, state), _side_ref(den, state), len(num) - len(den))
 
 
-def _side_ref(refs: list[int], set_refs: dict, sets: list) -> int:
+def _side_ref(refs: list[int], state: _Compile) -> int:
     """The ref of one piece side's factor set `refs`: 0 for none, the
-    form's own ref for one, else the set's shared negative ref."""
+    form's own ref for one, else the set's shared negative ref (a new set
+    is appended to `state.sets`)."""
     if len(refs) < 2:
         return refs[0] if refs else 0
     key = tuple(sorted(refs))
-    ref = set_refs.get(key)
+    ref = state.set_refs.get(key)
     if ref is None:
-        sets.append(key)
-        ref = set_refs[key] = -len(sets)
+        state.sets.append(key)
+        ref = state.set_refs[key] = -len(state.sets)
     return ref
 
 

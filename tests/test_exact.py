@@ -693,17 +693,23 @@ class TestSums:
         c = factored_term([(linear_form({EPS1: 1, EPS2: 1}), 1)])
         inner = ((a,), (b, c))  # a + b c
         outer = ((inner, c), (a,))  # (a + b c) c + a
-        # inner times the one-term sum of inner, outer times that of b
-        coeffs = [((inner, ((inner,),)), (outer, ((b,),))), ((outer, inner),)]
+        # inner times the one-term sum of inner, outer times that of b; then
+        # a coefficient with no sum in it, and inner again as a coefficient
+        coeffs = [((inner, ((inner,),)), (outer, ((b,),))), ((a, b), (c,)), ((outer, inner),), inner]
         compiled, compile_sum = [], exact._compile_sum
         monkeypatch.setattr(exact, "_compile_sum", lambda s, state: compiled.append(s) or compile_sum(s, state))
         kernel = Kernel(coeffs)
         # each coefficient, and each sum of several terms once, inner before
         # the sum that holds it; the one-term sums are spliced
-        assert [id(x) for x in compiled] == [id(coeffs[0]), id(inner), id(outer), id(coeffs[1])]
+        assert [id(x) for x in compiled] == [id(coeffs[0]), id(inner), id(outer), *map(id, coeffs[1:])]
         point = {EPS1: F(3), EPS2: F(-5, 2)}
         expected = [sum((_reference_term(t, point) for t in expanded_terms(c)), F(0)) for c in coeffs]
         assert kernel.evaluate(point) == expected
+        assert kernel.degrees == [coeff_degree(c) for c in coeffs]
+        # a coefficient that is also a factor sum of a later coefficient
+        coeffs = [outer, ((a, outer), (outer, outer))]
+        expected = [sum((_reference_term(t, point) for t in expanded_terms(c)), F(0)) for c in coeffs]
+        assert Kernel(coeffs).evaluate(point) == expected
 
     def test_a_sum_of_mixed_degree_mixes_its_terms(self):
         a = factored_term([(_E1, 1)])
