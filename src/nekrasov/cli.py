@@ -51,7 +51,7 @@ import sys
 from fractions import Fraction
 
 from .diagrams import FrameData, HalfInt, enum_walls
-from .exact import EPS1, EPS2, format_rational, parse_rational, scope_vars, var_a, var_m
+from .exact import EPS1, EPS2, format_rational, named_point, parse_rational, var_a, var_m
 from .localization import VanishingWeight
 from .series import map_to_imo
 from .verify import (
@@ -235,10 +235,7 @@ def _cmd_compute(parser: argparse.ArgumentParser, args) -> int:
         "grade_offset": span.start,
         "seed": cfg.seed,
         "trials": cfg.trials,
-        "points": [
-            {v.name: format_rational(p[v]) for v in scope_vars(frame.r)}
-            for p in points
-        ],
+        "points": [named_point(p) for p in points],
         "resamples": resamples,
         "grades": grades,
     }
@@ -251,9 +248,7 @@ def _cmd_compute(parser: argparse.ArgumentParser, args) -> int:
         f"seed={cfg.seed} trials={cfg.trials}"
     )
     for trial, point in enumerate(points):
-        rendered = ", ".join(
-            f"{v.name}={format_rational(point[v])}" for v in scope_vars(frame.r)
-        )
+        rendered = ", ".join([f"{name}={x}" for name, x in named_point(point).items()])
         print(f"point[{trial}]: {rendered}")
     for entry in grades:
         print(
@@ -264,10 +259,10 @@ def _cmd_compute(parser: argparse.ArgumentParser, args) -> int:
 
 
 def _print_report(report: VerificationReport) -> None:
-    head = report.to_dict()
+    frame, cfg = report.frame, report.cfg
     print(
-        f"[{head['check']}] w=({head['w'][0]},{head['w'][1]}) k={head['k']} "
-        f"max_4n={head['max_4n']} seed={head['seed']} trials={head['trials']}"
+        f"[{report.check}] w=({frame.w0},{frame.w1}) k={report.k} "
+        f"max_4n={report.max4n} seed={cfg.seed} trials={cfg.trials}"
     )
     for record in report.grades:
         tag = "".join(f" {key}={value}" for key, value in record.tags.items())

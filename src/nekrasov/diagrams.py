@@ -83,17 +83,6 @@ class FrameData(Record):
         object.__setattr__(self, "w0", w0)
         object.__setattr__(self, "w1", w1)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not FrameData:
-            return NotImplemented
-        return self.w0 == other.w0 and self.w1 == other.w1
-
-    def __hash__(self) -> int:
-        return hash((self.w0, self.w1))
-
-    def __repr__(self) -> str:
-        return f"FrameData(w0={self.w0!r}, w1={self.w1!r})"
-
     @property
     def r(self) -> int:
         return self.w0 + self.w1
@@ -110,17 +99,6 @@ class HalfInt(Record):
 
     def __init__(self, doubled: int) -> None:
         object.__setattr__(self, "doubled", doubled)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not HalfInt:
-            return NotImplemented
-        return self.doubled == other.doubled
-
-    def __hash__(self) -> int:
-        return hash(self.doubled)
-
-    def __repr__(self) -> str:
-        return f"HalfInt(doubled={self.doubled!r})"
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":

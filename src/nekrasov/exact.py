@@ -33,8 +33,10 @@ coefficient in (1/2)Z -- the only halves come from the sqrt(t1 t2) matter
 twist and from the prefactor exponent's numerator (eps1 + eps2)/2.  So a
 `LinearForm` is the int triple (p, q, frame) over the fixed denominator
 2: the doubled eps1 and eps2 coefficients, and the sorted (slot, doubled
-coefficient) pairs of every other variable, where a slot is an int that
-orders variables canonically.  `linear_form`, the one constructor from
+coefficient) pairs of every other variable.  A variable is its slot, an
+int that orders variables canonically (eps1 and eps2 are 1 and 2, then
+every a_alpha, then every m_f; `var_name` names one), and a sample point
+is a dict from slot to value.  `linear_form`, the one constructor from
 rationals, refuses any coefficient outside (1/2)Z.  Building, hashing
 and comparing forms is int arithmetic with no reduction, and a form's
 hash is computed once, when it is made.  A substitution rule (`Rule`, a
@@ -70,10 +72,11 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
+from operator import attrgetter
 
-_KIND_RANK = {"eps": 0, "a": 1, "m": 2}
-_KINDS = tuple(_KIND_RANK)
-# slot = kind rank * _SLOT_SPAN + index, so slots sort eps, then a, then m.
+# A variable is its slot, rank * _SLOT_SPAN + index for the ranks 0, 1, 2
+# of _KINDS, so slots sort eps, then a, then m.
+_KINDS = ("eps", "a", "m")
 _SLOT_SPAN = 1 << 30
 
 
@@ -100,10 +103,16 @@ class Record:
     """Base of an immutable record that equals only records of its own
     class (a namedtuple equals any tuple of its values) or that must
     be weakly referenceable (a tuple cannot be).  A subclass lists its
-    fields in ``__slots__``, sets each once in ``__init__`` through
-    ``object.__setattr__`` or the slot's own setter, and writes its own
-    ``__eq__`` and ``__repr__``, and ``__hash__`` when it is hashable;
-    assigning or deleting a field afterwards raises AttributeError."""
+    fields in ``__slots__``, with ``__weakref__`` if it is weakly
+    referenceable, and sets each once in ``__init__`` through
+    ``object.__setattr__`` or the slot's own setter; assigning or
+    deleting a field afterwards raises AttributeError.  Equality, hash
+    and repr are read off the fields, the subclass's ``__slots__`` minus
+    ``__weakref__``: a record equals a record of its own class with equal
+    fields, hashes as the tuple of its fields (a lone field as itself),
+    and reprs as ``Class(field=value, ...)``.  Variables are not
+    records: a variable is its slot int (see `var_name`), and a point a
+    dict keyed by slot."""
 
     __slots__ = ()
 
@@ -113,76 +122,62 @@ class Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-
-class Var(Record):
-    """One equivariant variable: eps1, eps2, a_alpha, or m_f (1-based).
-
-    Its `slot` orders variables canonically and is also its hash, so a
-    point-dict lookup hashes no tuple of fields; equal slots mean equal
-    variables."""
-
-    __slots__ = ("kind", "index", "slot")
-
-    def __init__(self, kind: str, index: int) -> None:
-        if kind not in _KIND_RANK:
-            raise ValueError(f"unknown variable kind {kind!r}")
-        if not 1 <= index < _SLOT_SPAN:
-            raise ValueError(f"variable index must lie in [1, {_SLOT_SPAN})")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "slot", _KIND_RANK[kind] * _SLOT_SPAN + index)
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._names = tuple([name for name in cls.__slots__ if name != "__weakref__"])
+        cls._values = attrgetter(*cls._names)  # a tuple, or a lone field's value
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Var:
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.slot == other.slot
+        return self._values(self) == other._values(other)
 
     def __hash__(self) -> int:
-        return self.slot
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
-        return f"Var(kind={self.kind!r}, index={self.index!r})"
-
-    @property
-    def name(self) -> str:
-        return f"{self.kind}{self.index}"
-
-    def __str__(self) -> str:
-        return self.name
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._names])
+        return f"{self.__class__.__name__}({fields})"
 
 
-EPS1 = Var("eps", 1)
-EPS2 = Var("eps", 2)
-_EPS1_SLOT, _EPS2_SLOT = EPS1.slot, EPS2.slot
+EPS1, EPS2 = 1, 2
 
 
-# One shared Var per index: building a form reads the slot of a cached
-# Var instead of making a fresh one per call.
+def _slot(rank: int, index: int) -> int:
+    if not 1 <= index < _SLOT_SPAN:
+        raise ValueError(f"variable index must lie in [1, {_SLOT_SPAN})")
+    return rank * _SLOT_SPAN + index
+
+
+# Cached: each form a localization pair builds reads a_alpha's slot.
 @cache
-def var_a(alpha: int) -> Var:
-    return Var("a", alpha)
+def var_a(alpha: int) -> int:
+    return _slot(1, alpha)
 
 
 @cache
-def var_m(f: int) -> Var:
-    return Var("m", f)
+def var_m(f: int) -> int:
+    return _slot(2, f)
 
 
-@cache
-def _var_of_slot(slot: int) -> Var:
+def var_name(slot: int) -> str:
+    """The variable's name: eps1, a2, m3."""
     rank, index = divmod(slot, _SLOT_SPAN)
-    return Var(_KINDS[rank], index)
+    return f"{_KINDS[rank]}{index}"
 
 
-def scope_vars(r: int) -> list[Var]:
+def scope_vars(r: int) -> list[int]:
     """All 2 + 3r variables of a rank-r setup, in canonical order."""
-    out = [EPS1, EPS2]
-    out.extend(var_a(i) for i in range(1, r + 1))
-    out.extend(var_m(f) for f in range(1, 2 * r + 1))
-    return out
+    return [EPS1, EPS2, *map(var_a, range(1, r + 1)), *map(var_m, range(1, 2 * r + 1))]
 
 
-# An evaluation point assigns an exact rational to every variable in scope.
+def named_point(point: Mapping[int, Fraction]) -> dict[str, str]:
+    """`point` by variable name, in slot order, each value as its
+    `format_rational` text: how reports and PoleError name a point."""
+    return {var_name(v): format_rational(x) for v, x in sorted(point.items())}
+
+
+# An evaluation point maps the slot of every variable in scope to an exact rational.
 EvalPoint = dict
 
 
@@ -206,12 +201,12 @@ class LinearForm:
 
     def _numerators(self) -> list[tuple[int, int]]:
         """Every (slot, doubled coefficient) pair with a nonzero one, by slot."""
-        return [(s, n) for s, n in ((_EPS1_SLOT, self.p), (_EPS2_SLOT, self.q)) if n] + list(self.frame)
+        return [(s, n) for s, n in ((EPS1, self.p), (EPS2, self.q)) if n] + list(self.frame)
 
     @property
-    def coeffs(self) -> tuple[tuple[Var, Fraction], ...]:
-        """The (variable, coefficient) pairs, in canonical variable order."""
-        return tuple((_var_of_slot(s), Fraction(n, 2)) for s, n in self._numerators())
+    def coeffs(self) -> tuple[tuple[int, Fraction], ...]:
+        """The (slot, coefficient) pairs, in canonical variable order."""
+        return tuple((s, Fraction(n, 2)) for s, n in self._numerators())
 
     def is_zero(self) -> bool:
         return not (self.p or self.q or self.frame)
@@ -228,10 +223,10 @@ class LinearForm:
     def __hash__(self) -> int:
         return self._hash
 
-    def evaluate(self, point: Mapping[Var, Fraction]) -> Fraction:
+    def evaluate(self, point: Mapping[int, Fraction]) -> Fraction:
         total = Fraction(0)
         for s, n in self._numerators():
-            total += n * point[_var_of_slot(s)]
+            total += n * point[s]
         return total / 2
 
     def __neg__(self) -> "LinearForm":
@@ -242,12 +237,13 @@ class LinearForm:
             return "0"
         parts: list[str] = []
         for v, c in self.coeffs:
+            name = var_name(v)
             if c == 1:
-                text = v.name
+                text = name
             elif c == -1:
-                text = f"-{v.name}"
+                text = f"-{name}"
             else:
-                text = f"{format_rational(c)}*{v.name}"
+                text = f"{format_rational(c)}*{name}"
             if parts and not text.startswith("-"):
                 parts.append(f"+ {text}")
             elif parts:
@@ -260,17 +256,17 @@ class LinearForm:
         return f"LinearForm({self})"
 
 
-def linear_form(coeffs: Mapping[Var, Fraction | int]) -> LinearForm:
-    """Build a form from a coefficient mapping, dropping zeros; a
-    coefficient outside (1/2)Z is a ValueError."""
+def linear_form(coeffs: Mapping[int, Fraction | int]) -> LinearForm:
+    """Build a form from a coefficient mapping keyed by slot, dropping
+    zeros; a coefficient outside (1/2)Z is a ValueError."""
     doubled = {}
     for v, c in coeffs.items():
         n = 2 * Fraction(c)
         if n.denominator != 1:
-            raise ValueError(f"coefficient {c} of {v} is not in (1/2)Z")
+            raise ValueError(f"coefficient {c} of {var_name(v)} is not in (1/2)Z")
         if n:
-            doubled[v.slot] = n.numerator
-    p, q = doubled.pop(_EPS1_SLOT, 0), doubled.pop(_EPS2_SLOT, 0)
+            doubled[v] = n.numerator
+    p, q = doubled.pop(EPS1, 0), doubled.pop(EPS2, 0)
     return LinearForm(p, q, tuple(sorted(doubled.items())))
 
 
@@ -315,17 +311,6 @@ class FactoredTerm(Record):
     def __init__(self, factors: tuple[tuple[LinearForm, int], ...]) -> None:
         _set_factors(self, factors)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not FactoredTerm:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash(self.factors)
-
-    def __repr__(self) -> str:
-        return f"FactoredTerm(factors={self.factors!r})"
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"
@@ -359,15 +344,15 @@ UNIT_TERM = factored_term()
 Term = tuple
 
 
-def _scale_point(point: Mapping[Var, Fraction]) -> tuple[dict[int, int], int]:
+def _scale_point(point: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
     """Write every value of `point` as an int over one common denominator D;
     return those ints, keyed by slot, and D."""
     d = lcm(*(value.denominator for value in point.values()))
-    ints = {v.slot: value.numerator * (d // value.denominator) for v, value in point.items()}
+    ints = {v: value.numerator * (d // value.denominator) for v, value in point.items()}
     return ints, d
 
 
-def clear_of(forms: Iterable[LinearForm], point: Mapping[Var, Fraction]) -> bool:
+def clear_of(forms: Iterable[LinearForm], point: Mapping[int, Fraction]) -> bool:
     """True when no form in `forms` vanishes at `point`.  A form's value at
     a point scaled to (ints, D) is p e1 + q e2 plus its frame's dot
     product with ints, over 2 D, so that int alone decides (an eps is read
@@ -381,9 +366,9 @@ def clear_of(forms: Iterable[LinearForm], point: Mapping[Var, Fraction]) -> bool
         if value is None:
             value = frames[form.frame] = sum([n * ints[s] for s, n in form.frame])
         if form.p:
-            value += form.p * ints[_EPS1_SLOT]
+            value += form.p * ints[EPS1]
         if form.q:
-            value += form.q * ints[_EPS2_SLOT]
+            value += form.q * ints[EPS2]
         if value == 0:
             return False
     return True
@@ -404,7 +389,7 @@ def term_pow(t: FactoredTerm, n: int) -> FactoredTerm:
     return FactoredTerm(tuple([(form, exp * n) for form, exp in t.factors]))
 
 
-def term_eval(t: Term, point: Mapping[Var, Fraction]) -> Fraction:
+def term_eval(t: Term, point: Mapping[int, Fraction]) -> Fraction:
     """The value of `t` at `point`, from a one-coefficient `Kernel` compiled per call (see `coeff_eval`)."""
     return coeff_eval((t,), point)
 
@@ -438,7 +423,7 @@ def term_substitute(t: Term, rule: Rule, images: dict) -> Term:
 Coefficient = tuple
 
 
-def coeff_eval(c: Coefficient, point: Mapping[Var, Fraction]) -> Fraction:
+def coeff_eval(c: Coefficient, point: Mapping[int, Fraction]) -> Fraction:
     """The value of `c` at `point`, from a one-coefficient `Kernel`
     compiled per call.  Must's u (``verify._prefactor``) is read here until
     ROADMAP item 8, as `perfbench/tests`' `REACH` needs this and
@@ -510,12 +495,12 @@ class Kernel:
         self._poles = state.poles
         self.pole_forms = [self.forms[ref - 1] for ref in state.poles]
 
-    def evaluate(self, point: Mapping[Var, Fraction]) -> list[Fraction]:
+    def evaluate(self, point: Mapping[int, Fraction]) -> list[Fraction]:
         """Every coefficient's value at `point`, in compile order.  A
         vanishing denominator form of any piece is a pole, even where a
         numerator form vanishes too; else a vanishing form zeroes its term."""
         ints, d = _scale_point(point)
-        e1, e2 = ints[_EPS1_SLOT], ints[_EPS2_SLOT]
+        e1, e2 = ints[EPS1], ints[EPS2]
         frames = [sum([n * ints[s] for s, n in frame]) for frame in self.frames]
         values = [1]
         values += [p * e1 + q * e2 + frames[i] for p, q, i in self._rows]
@@ -540,7 +525,8 @@ class Kernel:
         vanishes, with its exponent in the first piece that holds it."""
         for ref, exp in self._poles.items():
             if not values[ref]:
-                raise PoleError(f"pole: ({self.forms[ref - 1]})^{exp} at {point}")
+                at = ", ".join([f"{name}={x}" for name, x in named_point(point).items()])
+                raise PoleError(f"pole: ({self.forms[ref - 1]})^{exp} at {at}")
 
 
 class _Compile:

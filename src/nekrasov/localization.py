@@ -98,7 +98,7 @@ class VanishingWeight(ArithmeticError):
 
 def _frame(e: tuple) -> tuple:
     """The frame part of e-part e: (a_alpha's slot, 2 c_alpha) per pair."""
-    return tuple([(var_a(alpha).slot, 2 * c) for alpha, c in e])
+    return tuple([(var_a(alpha), 2 * c) for alpha, c in e])
 
 
 def weight_form(mono: tuple) -> LinearForm:
@@ -110,7 +110,7 @@ def weight_form(mono: tuple) -> LinearForm:
 def mass_shifted_weight(mono: tuple, f: int) -> LinearForm:
     """Weight of a matter monomial: weight + m_f - (eps1 + eps2)/2."""
     p, q, e = mono
-    return LinearForm(2 * p - 1, 2 * q - 1, _frame(e) + ((var_m(f).slot, 2),))
+    return LinearForm(2 * p - 1, 2 * q - 1, _frame(e) + ((var_m(f), 2),))
 
 
 def slot_part(alpha: int) -> tuple:

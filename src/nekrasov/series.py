@@ -86,7 +86,6 @@ from .exact import (
     FactoredTerm,
     Record,
     Rule,
-    Var,
     factored_term,
     linear_form,
     term_mul,
@@ -99,7 +98,8 @@ from .localization import FactorTable, ell_factor, term_p2, term_x0, term_x1
 
 class QSeries(Record):
     """Truncated series: grade -> coefficient, all grades = offset mod 4.
-    A series is weakly referenceable, so a test can see it freed."""
+    A series is weakly referenceable, so a test can see it freed, and
+    unhashable: its coefficients are a dict, so its hash raises TypeError."""
 
     __slots__ = ("coeffs", "max_grade", "offset", "__weakref__")
 
@@ -107,14 +107,6 @@ class QSeries(Record):
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "max_grade", max_grade)
         object.__setattr__(self, "offset", offset)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not QSeries:
-            return NotImplemented
-        return (self.coeffs, self.max_grade, self.offset) == (other.coeffs, other.max_grade, other.offset)
-
-    def __repr__(self) -> str:
-        return f"QSeries(coeffs={self.coeffs!r}, max_grade={self.max_grade!r}, offset={self.offset!r})"
 
     def grades(self) -> range:
         return range(self.offset, self.max_grade + 1, 4)
@@ -170,7 +162,7 @@ def prefactor_exponent(r: int) -> FactoredTerm:
     as one piece: its 1/2 is held by the numerator form (eps1+eps2)/2,
     whose doubled eps numerators are (1, 1)."""
     half_eps_sum = linear_form({EPS1: Fraction(1, 2), EPS2: Fraction(1, 2)})
-    charge: dict[Var, int] = {var_a(alpha): 2 for alpha in range(1, r + 1)}
+    charge: dict[int, int] = {var_a(alpha): 2 for alpha in range(1, r + 1)}
     for f in range(1, 2 * r + 1):
         charge[var_m(f)] = 1
     return factored_term(

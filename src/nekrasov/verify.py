@@ -127,6 +127,7 @@ from .exact import (
     clear_of,
     form_image,
     format_rational,
+    named_point,
     scope_vars,
     term_eval,
 )
@@ -355,10 +356,6 @@ class VerificationReport(
         return all(record.all_equal for record in self.grades)
 
     def to_dict(self) -> dict:
-        point_dicts = [
-            {v.name: format_rational(p[v]) for v in scope_vars(self.frame.r)}
-            for p in self.points
-        ]
         grade_dicts = []
         for record in self.grades:
             entry: dict = {"grade4n": record.grade4n}
@@ -379,7 +376,7 @@ class VerificationReport(
             "max_4n": self.max4n,
             "seed": self.cfg.seed,
             "trials": self.cfg.trials,
-            "points": point_dicts,
+            "points": [named_point(p) for p in self.points],
             "resamples": self.resamples,
             "grades": grade_dicts,
             "pass": self.passed,

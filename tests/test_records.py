@@ -1,12 +1,14 @@
 """The engine's record classes: constructors, validation messages, reprs,
-immutability and equality.
+immutability and equality, and the slot ints that stand for variables.
 
-`Var`'s repr is part of every `PoleError` text (through the point dict),
+A variable is its slot, and a point is a dict keyed by slot; every
+`PoleError` text names the point's variables through `named_point`.
 `HalfInt` is the request's k, printed in every report (a first-Chern
 vector is a tuple of doubled ints, which `HalfInt` renders entry by
-entry), and `Var`, `HalfInt` and `FrameData` sit beside plain tuples
-(point dicts, k-vectors, a pair's key), so none of the three ever equals
-a tuple of its values."""
+entry), and `HalfInt` and `FrameData` sit beside plain tuples (k-vectors,
+a pair's key), so neither ever equals a tuple of its values.  Every
+`exact.Record` reads its eq, hash and repr off its fields, so a record
+equals only a record of its own class."""
 
 from fractions import Fraction
 
@@ -18,13 +20,14 @@ from nekrasov.exact import (
     EPS2,
     FactoredTerm,
     PoleError,
-    Var,
-    _var_of_slot,
     factored_term,
     linear_form,
+    named_point,
+    scope_vars,
     term_eval,
     var_a,
     var_m,
+    var_name,
 )
 from nekrasov.series import QSeries
 from nekrasov.verify import GradeRecord, SampleConfig, VerificationReport
@@ -32,48 +35,42 @@ from nekrasov.verify import GradeRecord, SampleConfig, VerificationReport
 F = Fraction
 
 
-class TestVar:
-    def test_equal_however_built_with_an_equal_hash(self):
-        built, cached = Var("a", 2), var_a(2)
-        by_slot = _var_of_slot(cached.slot)
-        assert built == cached == by_slot
-        assert hash(built) == hash(cached) == hash(by_slot)
-        assert {built: 1}[by_slot] == 1
-        assert Var("a", 2) != Var("m", 2) and Var("a", 2) != Var("a", 3)
+class TestSlots:
+    def test_distinct_variables_have_distinct_slots(self):
+        assert var_a(2) == var_a(2) and var_a(2) is var_a(2)
+        assert var_a(2) != var_m(2) and var_a(2) != var_a(3)
+        assert (EPS1, EPS2) == (1, 2)
 
-    def test_fields_and_keyword_constructor(self):
-        v = Var(kind="m", index=3)
-        assert (v.kind, v.index, v.name, str(v)) == ("m", 3, "m3", "m3")
-        assert v == var_m(3)
-        assert EPS1.slot < EPS2.slot < var_a(1).slot < var_m(1).slot
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_scope_increases_strictly_and_names_each_variable(self, r):
+        scope = scope_vars(r)
+        assert all(a < b for a, b in zip(scope, scope[1:]))
+        names = ["eps1", "eps2"] + [f"a{i}" for i in range(1, r + 1)] + [f"m{f}" for f in range(1, 2 * r + 1)]
+        assert [var_name(v) for v in scope] == names
+        assert scope[: 2 + r] == [EPS1, EPS2, *map(var_a, range(1, r + 1))]
 
-    def test_repr(self):
-        assert repr(Var("a", 2)) == "Var(kind='a', index=2)"
-        assert repr(EPS1) == "Var(kind='eps', index=1)"
-        assert repr(var_m(3)) == "Var(kind='m', index=3)"
+    def test_named_point_is_in_slot_order(self):
+        point = {var_m(1): F(-2, 3), var_a(1): F(7), EPS2: F(0), EPS1: F(1, 2)}
+        assert named_point(point) == {"eps1": "1/2", "eps2": "0", "a1": "7", "m1": "-2/3"}
+        assert list(named_point(point)) == ["eps1", "eps2", "a1", "m1"]
 
     def test_pole_error_text_names_the_point(self):
         t = (factored_term([(linear_form({EPS1: 1, var_a(2): -1}), -2), (linear_form({EPS2: 1}), 1)]),)
         point = {EPS1: F(3, 2), EPS2: F(-1), var_a(1): F(7), var_a(2): F(3, 2)}
         with pytest.raises(PoleError) as err:
             term_eval(t, point)
-        assert str(err.value) == (
-            "pole: (eps1 - a2)^-2 at {Var(kind='eps', index=1): Fraction(3, 2), "
-            "Var(kind='eps', index=2): Fraction(-1, 1), Var(kind='a', index=1): Fraction(7, 1), "
-            "Var(kind='a', index=2): Fraction(3, 2)}"
-        )
+        assert str(err.value) == "pole: (eps1 - a2)^-2 at eps1=3/2, eps2=-1, a1=7, a2=3/2"
 
     @pytest.mark.parametrize(
-        "kind, index, message",
+        "build, index, message",
         [
-            ("x", 1, "unknown variable kind 'x'"),
-            ("a", 0, "variable index must lie in [1, 1073741824)"),
-            ("m", 2**30, "variable index must lie in [1, 1073741824)"),
+            (var_a, 0, "variable index must lie in [1, 1073741824)"),
+            (var_m, 2**30, "variable index must lie in [1, 1073741824)"),
         ],
     )
-    def test_validation_messages(self, kind, index, message):
+    def test_validation_messages(self, build, index, message):
         with pytest.raises(ValueError) as err:
-            Var(kind, index)
+            build(index)
         assert str(err.value) == message
 
 
@@ -141,7 +138,6 @@ def _records():
     """One instance of each immutable record, with one of its fields."""
     term = factored_term([(linear_form({EPS1: 1}), -1)])
     return [
-        (Var("a", 1), "kind"),
         (term, "factors"),
         (FrameData(1, 2), "w0"),
         (HalfInt(1), "doubled"),
@@ -163,7 +159,6 @@ def test_assigning_a_field_raises_attribute_error(record, field):
 @pytest.mark.parametrize(
     "record, values",
     [
-        (Var("a", 2), ("a", 2)),
         (HalfInt(1), (1,)),
         (FrameData(1, 0), (1, 0)),
     ],
@@ -173,6 +168,25 @@ def test_record_never_equals_a_tuple_of_its_values(record, values):
     assert record != values and values != record
     assert not record == values
     assert len({record, values}) == 2
+
+
+def test_records_of_two_classes_with_equal_fields_differ():
+    # equal field tuples, so equal hashes: only the class test tells them apart
+    half, piece = HalfInt(1), FactoredTerm(1)
+    assert hash(half) == hash(piece)
+    assert half != piece and piece != half
+    assert not half == piece
+    assert len({half, piece}) == 2
+
+
+def test_equal_records_share_a_hash_and_a_series_has_none():
+    assert FrameData(1, 2) == FrameData(w0=1, w1=2) and hash(FrameData(1, 2)) == hash((1, 2))
+    assert hash(HalfInt(3)) == hash(3) and HalfInt(3) != HalfInt(4)
+    e1 = linear_form({EPS1: 1})
+    assert factored_term([(e1, -1)]) == FactoredTerm(((e1, -1),))
+    assert QSeries({0: ()}, 4, 0) == QSeries({0: ()}, 4, 0) != QSeries({0: ()}, 8, 0)
+    with pytest.raises(TypeError):
+        hash(QSeries({}, 0, 0))
 
 
 def test_reprs_and_keyword_constructors():

@@ -470,8 +470,8 @@ class TestFactorTables:
         assert check_all_pass(SeriesPair(FrameData(1, 2), H(0), 6))
         for module, (sizes, memos) in before.items():
             assert state(module) == (sizes, memos)
-            # exact interns one Var per slot and index, and memoizes nothing else
-            assert sorted(memos) == (["_var_of_slot", "var_a", "var_m"] if module is exact else [])
+            # exact caches one slot per a and m index, and memoizes nothing else
+            assert sorted(memos) == (["var_a", "var_m"] if module is exact else [])
 
 
 # Ranks 1-3 with the max-n each reaches in a few milliseconds; at each a

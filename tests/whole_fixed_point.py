@@ -387,7 +387,7 @@ def reduced_pairs(form) -> tuple:
     """(pairs, den): the form's sorted (slot, numerator) pairs over the
     least positive common denominator of its coefficients."""
     den = lcm(*(c.denominator for _, c in form.coeffs))
-    return tuple((v.slot, int(c * den)) for v, c in form.coeffs), den
+    return tuple((v, int(c * den)) for v, c in form.coeffs), den
 
 
 def coeff_degree(c) -> int | None:
