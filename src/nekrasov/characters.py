@@ -21,35 +21,42 @@ once (see ``localization``):
                              line-bundle piece is d = 2k_alpha, and a
                              slot pair's is d = delta = 2(k_beta - k_alpha),
   * char_v_*              -- one slot's tautological fiber: on the plane
-                             and the orbifold (degree-0 part) it depends on
-                             Y_alpha (and alpha's color); on the resolved
-                             surface one piece per chart (char_v_x1) on
-                             (2k_alpha, chart, Y^chart_alpha),
+                             it depends on Y_alpha, on the orbifold
+                             (degree-0 part) on (color(alpha), Y_alpha),
+                             and on the resolved surface one piece per
+                             chart (char_v_x1) on (2k_alpha, chart,
+                             Y^chart_alpha),
   * char_tangent_*        -- one slot pair's tangent character: the
                              arm/leg pair character on the plane, its
                              Z2-invariant (degree-0) part on the orbifold,
-                             and on the resolved surface one piece per chart
-                             (char_tangent_x1): the chart image t -> (t1^2,
-                             t2/t1) or t -> (t1/t2, t2^2) of the pair
-                             weights, shifted by t_i^delta, on (delta,
+                             on (color(beta) - color(alpha) mod 2, Y_alpha,
+                             Y_beta), and on the resolved surface one piece
+                             per chart (char_tangent_x1): the chart image
+                             t -> (t1^2, t2/t1) or t -> (t1/t2, t2^2) of the
+                             pair weights, shifted by t_i^delta, on (delta,
                              chart, Y^chart_alpha, Y^chart_beta).
+
+A builder takes exactly the data its piece depends on, the class key
+``localization`` memoizes its character by (less what is constant there:
+the tag on the plane and the orbifold, and the plane's class), so no
+builder can read more than its memo key holds.
 
 A slot pair's arms and legs are read by index off one transpose of each
 diagram (``_pair_weights``).  An orbifold piece keeps its Z2-invariant
 part, the weights with p + q + c even, where c is the constant color
-offset of its e-part: color(alpha) for a slot's e_alpha, color(alpha) +
-color(beta) for a slot pair's e_beta/e_alpha (t1, t2 and the color-1
-framing characters are odd).  A slot's fiber steps over every other row
-of each column; a slot pair tests each weight's parity once, and for
-Y_alpha = Y_beta tests only the first half, whose mirror (1 - p, 1 - q)
-has the same parity.  ``localization`` merges a piece's repeated pairs
+offset of its e-part: color(alpha) for a slot's e_alpha, color(beta) -
+color(alpha) for a slot pair's e_beta/e_alpha (t1, t2 and the color-1
+framing characters are odd), and only c's parity matters.  A slot's
+fiber steps over every other row of each column; a slot pair tests each
+weight's parity once, and for Y_alpha = Y_beta tests only the first
+half, whose mirror (1 - p, 1 - q) has the same parity.  ``localization`` merges a piece's repeated pairs
 and turns each distinct (e-part, pair) into a linear form once per
 series build.
 """
 
 from __future__ import annotations
 
-from .diagrams import FrameData, YoungDiagram, boxes, transpose
+from .diagrams import YoungDiagram, boxes, transpose
 
 
 def char_twist(d: int) -> list[tuple[int, int]]:
@@ -66,24 +73,18 @@ def char_twist(d: int) -> list[tuple[int, int]]:
     ]
 
 
-def _color(frame: FrameData, alpha: int) -> int:
-    """Z2-color of slot alpha: 0 for the first w0 slots, 1 after."""
-    return 1 if alpha > frame.w0 else 0
-
-
 def char_v_p2(diagram: YoungDiagram) -> list[tuple[int, int]]:
     """Tautological fiber of a slot on the plane, before its e_alpha:
     t1^(1-i) t2^(1-j) per box."""
     return [(1 - i, 1 - j) for i, j in boxes(diagram)]
 
 
-def char_v_x0(frame: FrameData, alpha: int, diagram: YoungDiagram) -> list[tuple[int, int]]:
-    """Z2-invariant (degree-0) part of slot alpha's plane tautological
-    fiber, at an orbifold point: the boxes whose monomial t1^p t2^q e_alpha
-    has p + q + color(alpha) even."""
+def char_v_x0(c: int, diagram: YoungDiagram) -> list[tuple[int, int]]:
+    """Z2-invariant (degree-0) part of a slot's plane tautological fiber,
+    at an orbifold point, for the slot's color c: the boxes whose monomial
+    t1^p t2^q e_alpha has p + q + c even."""
     # p + q = 2 - i - j has the parity of i + j: row j of column i is kept
-    # when j = i + color(alpha) mod 2, every other row from the first such one
-    c = _color(frame, alpha)
+    # when j = i + c mod 2, every other row from the first such one
     return [
         (1 - i, 1 - j)
         for i, height in enumerate(diagram, start=1)
@@ -140,13 +141,10 @@ def char_tangent_p2(ya: YoungDiagram, yb: YoungDiagram) -> list[tuple[int, int]]
     return _pair_weights(ya, yb)
 
 
-def char_tangent_x0(
-    frame: FrameData, alpha: int, beta: int, ya: YoungDiagram, yb: YoungDiagram
-) -> list[tuple[int, int]]:
-    """Slot pair (alpha, beta) of the orbifold tangent character: the
-    Z2-invariant (degree-0) part of the plane pair character, the weights
-    with p + q + color(alpha) + color(beta) even."""
-    c = _color(frame, alpha) + _color(frame, beta)
+def char_tangent_x0(c: int, ya: YoungDiagram, yb: YoungDiagram) -> list[tuple[int, int]]:
+    """Slot pair (alpha, beta) of the orbifold tangent character, for c of
+    the parity of color(beta) - color(alpha): the Z2-invariant (degree-0)
+    part of the plane pair character, the weights with p + q + c even."""
     if ya == yb:
         # (1 - p, 1 - q) has the parity of (p, q): filter the first half only
         out = [(p, q) for p, q in _first_half(ya, transpose(ya)) if (p + q + c) % 2 == 0]

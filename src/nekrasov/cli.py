@@ -323,13 +323,12 @@ def _cmd_imo_point(parser: argparse.ArgumentParser, args) -> int:
         parser.error("--a needs at least one value")
     if len(args.m) != 2 * r:
         parser.error(f"--m needs exactly {2 * r} values for {r} framing slots")
-    frame = FrameData(r, 0)  # only r matters for the conversion
     point = {EPS1: args.eps1, EPS2: args.eps2}
     for alpha, value in enumerate(args.a, start=1):
         point[var_a(alpha)] = value
     for f, value in enumerate(args.m, start=1):
         point[var_m(f)] = value
-    converted = map_to_imo(point, frame)
+    converted = map_to_imo(point, r)
     for name, value in converted.items():
         print(f"{name} = {format_rational(value)}")
     if args.k is not None:

@@ -187,7 +187,11 @@ def _columns(
     """The ways to finish a diagram framed with `color` whose first columns
     are `prefix`: `left` more boxes in columns of height at most `cap`,
     holding at most room0 boxes of color 0 and room1 of color 1.  Each is
-    yielded with the rooms it leaves, tallest next column first."""
+    yielded with the rooms it leaves, tallest next column first, so
+    _columns([], size, size, ...) gives the diagrams of `size` boxes that
+    fit, in partitions(size) order.  A column is cut as soon as it would
+    leave the room, so no diagram outside it is ever built, and the work
+    does not grow with a room the other color caps."""
     if left == 0:
         yield tuple(prefix), room0, room1
         return
@@ -209,17 +213,6 @@ def _columns(
         prefix.pop()
 
 
-def _bounded_diagrams(
-    size: int, color: int, room0: int, room1: int
-) -> Iterator[tuple[YoungDiagram, int, int]]:
-    """Diagrams of `size` boxes framed with `color` that hold at most room0
-    boxes of color 0 and room1 of color 1, in partitions(size) order, each
-    with the rooms of color 0 and 1 it leaves.  A column is cut as soon as
-    it would leave the room, so no diagram outside it is ever built, and
-    the work does not grow with a room the other color caps."""
-    return _columns([], size, size, color, room0, room1)
-
-
 def _fitting_diagrams(
     colors: tuple, slot: int, rooms: tuple[int, int]
 ) -> Iterator[tuple[YoungDiagram, tuple[int, int]]]:
@@ -229,7 +222,7 @@ def _fitting_diagrams(
     color, (room0, room1) = colors[slot], rooms
     for size in range(room0 + room1 + 1):
         fits = False
-        for diagram, left0, left1 in _bounded_diagrams(size, color, room0, room1):
+        for diagram, left0, left1 in _columns([], size, size, color, room0, room1):
             fits = True
             yield diagram, (left0, left1)
         # Dropping a removable corner from a diagram that fits leaves one
@@ -251,29 +244,26 @@ def enum_fixed_points_x0(
         colors = frame.colors
         for head, (room0, room1) in _heads(len(colors), partial(_fitting_diagrams, colors), (v0, v1)):
             # the last diagram takes what is left
-            for diagram, _, _ in _bounded_diagrams(room0 + room1, colors[-1], room0, room1):
+            left = room0 + room1
+            for diagram, _, _ in _columns([], left, left, colors[-1], room0, room1):
                 out.append(head + (diagram,))
     return out
-
-
-def _coordinate_values(parity: int, budget4: int) -> Iterator[int]:
-    """Doubled coordinate values d with d*d <= budget4 and d = parity mod 2,
-    ordered by absolute value, positive before negative."""
-    limit = isqrt(budget4) if budget4 >= 0 else -1
-    start = parity % 2
-    for mag in range(start, limit + 1, 2):
-        yield mag
-        if mag > 0:
-            yield -mag
 
 
 def _kvector_entries(
     parities: tuple, max4n: int, slot: int, used4: int
 ) -> Iterator[tuple[int, int]]:
-    """Slot `slot`'s doubled entries d within the budget the earlier
-    entries' squares (summing to used4) leave, each with used4 + d^2."""
-    for d in _coordinate_values(parities[slot], max4n - used4):
-        yield d, used4 + d * d
+    """Slot `slot`'s doubled entries d, of its parity, with d^2 within the
+    budget the earlier entries' squares (summing to used4) leave, each
+    with used4 + d^2: ordered by absolute value, positive before
+    negative."""
+    budget4 = max4n - used4
+    limit = isqrt(budget4) if budget4 >= 0 else -1
+    for mag in range(parities[slot], limit + 1, 2):
+        used = used4 + mag * mag
+        yield mag, used
+        if mag > 0:
+            yield -mag, used
 
 
 def enum_kvectors(

@@ -60,9 +60,11 @@ distinct frame part and reads each form from its row, then one
 ``math.prod`` per distinct factor set and per term side of more than one
 ref, reads every sum as one int fraction in one loop, each term
 multiplying in the sums it holds, and makes one ``Fraction`` per
-coefficient, so the arithmetic stays arbitrary precision and exact.  The
-sampler's pole test, `clear_of`, takes one int dot product per distinct
-frame part of its forms and one per form's eps part.
+coefficient, so the arithmetic stays arbitrary precision and exact.
+Forms have one reader: `_form_rows` lays a list of forms out as rows and
+frame parts, and `_form_values` reads them at a scaled point.  A kernel
+reads its forms through them, and so does the sampler's pole test,
+`clear_of`, with one dot product per distinct frame part of its forms.
 """
 
 from __future__ import annotations
@@ -352,26 +354,32 @@ def _scale_point(point: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
     return ints, d
 
 
-def clear_of(forms: Iterable[LinearForm], point: Mapping[int, Fraction]) -> bool:
-    """True when no form in `forms` vanishes at `point`.  A form's value at
-    a point scaled to (ints, D) is p e1 + q e2 plus its frame's dot
-    product with ints, over 2 D, so that int alone decides (an eps is read
-    only where its numerator is nonzero).  A draw's forms, a union over
-    series, share a few frame parts among many forms, so each distinct
-    frame part is one dot product per call."""
-    ints, _ = _scale_point(point)
+def _form_rows(forms: Iterable[LinearForm]) -> tuple[list[tuple[int, int, int]], list[tuple]]:
+    """Each form's row, its (p, q) and the index of its frame part, and the
+    distinct frame parts, in first-seen order: many forms share a few."""
     frames: dict[tuple, int] = {}
-    for form in forms:
-        value = frames.get(form.frame)
-        if value is None:
-            value = frames[form.frame] = sum([n * ints[s] for s, n in form.frame])
-        if form.p:
-            value += form.p * ints[EPS1]
-        if form.q:
-            value += form.q * ints[EPS2]
-        if value == 0:
-            return False
-    return True
+    rows = [(form.p, form.q, frames.setdefault(form.frame, len(frames))) for form in forms]
+    return rows, list(frames)
+
+
+def _form_values(rows: list, frames: list, ints: Mapping[int, int]) -> list[int]:
+    """Each row's form read at a point scaled to (ints, D), which holds
+    eps1 and eps2: p e1 + q e2 plus its frame part's dot product with
+    ints, 2 D times the form's value.  Each frame part is one dot
+    product."""
+    e1, e2 = ints[EPS1], ints[EPS2]
+    parts = [sum([n * ints[s] for s, n in frame]) for frame in frames]
+    return [p * e1 + q * e2 + parts[i] for p, q, i in rows]
+
+
+def clear_of(forms: Iterable[LinearForm], point: Mapping[int, Fraction]) -> bool:
+    """True when no form in `forms` vanishes at `point`, which must hold
+    eps1 and eps2.  The forms are read as a `Kernel` reads its own, through
+    `_form_rows` and `_form_values`: a form vanishes exactly when its int
+    at the point scaled to one common denominator does, and a draw's
+    forms, a union over series, share a few frame parts among many forms."""
+    rows, frames = _form_rows(forms)
+    return 0 not in _form_values(rows, frames, _scale_point(point)[0])
 
 
 def term_mul(a: Term, b: Term) -> Term:
@@ -455,12 +463,13 @@ class Kernel:
     indices of the sums it holds, none for most terms.
 
     A form (p eps1 + q eps2 + frame) / 2 reads 2 D times its value at a
-    point scaled to (ints, D).  `frames` holds each distinct frame part
-    once, in first-seen order, and the form's row is (p, q, its frame
-    part's index).  At a point each frame part is one int dot product R,
-    and each form reads p e1 + q e2 + R, e1 and e2 being the scaled eps
-    values (every point the engine evaluates at has both).  A term is
-    then its numerator product over its denominator product times
+    point scaled to (ints, D), through the one row reader: `frames` holds
+    each distinct frame part once, in first-seen order, and the form's
+    row is (p, q, its frame part's index) (`_form_rows`).  At a point
+    each frame part is one int dot product R, and each form reads
+    p e1 + q e2 + R, e1 and e2 being the scaled eps values
+    (`_form_values`; every point the engine evaluates at has both).  A
+    term is then its numerator product over its denominator product times
     (2 D)^-degree, and a sum adds its terms as int fractions, scaled to
     (2 D)^-d, d its terms' largest degree (a term of degree e < d is first
     scaled by (2 D)^(d - e)).  One loop reads every sum as one int
@@ -489,9 +498,7 @@ class Kernel:
         self.forms, self.sets, self._sums = state.forms, state.sets, state.sums
         self._coeffs = [_compile_sum(c, state) for c in coefficients]
         self.degrees: list[int | None] = [self._sums[i][2] for i in self._coeffs]
-        frames: dict[tuple, int] = {}  # equal frame parts share one index
-        self._rows = [(form.p, form.q, frames.setdefault(form.frame, len(frames))) for form in self.forms]
-        self.frames = list(frames)
+        self._rows, self.frames = _form_rows(self.forms)
         self._poles = state.poles
         self.pole_forms = [self.forms[ref - 1] for ref in state.poles]
 
@@ -500,10 +507,8 @@ class Kernel:
         vanishing denominator form of any piece is a pole, even where a
         numerator form vanishes too; else a vanishing form zeroes its term."""
         ints, d = _scale_point(point)
-        e1, e2 = ints[EPS1], ints[EPS2]
-        frames = [sum([n * ints[s] for s, n in frame]) for frame in self.frames]
         values = [1]
-        values += [p * e1 + q * e2 + frames[i] for p, q, i in self._rows]
+        values += _form_values(self._rows, self.frames, ints)
         if 0 in values:
             self._check_poles(values, point)
         at = values.__getitem__

@@ -44,13 +44,15 @@ tangent pieces (alpha, beta, d, tag, Y_alpha, Y_beta), d = c_beta -
 c_alpha, and visits only the pairs with a box (every beta for a slot
 with a diagram, the filled beta otherwise), so n boxes give O(n r)
 pieces.  `chars` holds each character once per (c_alpha, tag, Y_alpha)
-or (d, tag, Y_alpha, Y_beta), d mod 2 on the orbifold; at rank 1 each
-class is one piece's, so the walk keeps no class memo there (it would
-copy `pieces` one for one).  A diagonal tangent piece has e-part () and
-d = 0, so every slot shares one per tag and diagram, keyed as the slot
-pair (0, 0).  No piece whose character is empty by construction is
-keyed or built: two empty diagrams' tangent piece, an empty diagram's
-matter piece, a line-bundle piece char_twist(d) with |d| <= 1.  A
+or (d, tag, Y_alpha, Y_beta), d mod 2 on the orbifold, and a builder is
+called with that key as its arguments, so it reads nothing its key
+lacks; at rank 1 each class is one piece's, so the walk keeps no class
+memo there (it would copy `pieces` one for one).  A diagonal tangent
+piece has e-part () and d = 0, so every slot shares one per tag and
+diagram, keyed as the slot pair (0, 0).  No piece whose character is
+empty by construction is keyed or built: two empty diagrams' tangent
+piece, an empty diagram's matter piece, a line-bundle piece
+char_twist(d) with |d| <= 1.  A
 resolved fixed point's kvec is the tuple of its doubled entries 2k_alpha
 (``diagrams.FixedPointX1``), and its term is ell(kvec) * part_1 *
 part_2: ell holds each slot's line-bundle matter piece (alpha, 2k_alpha)
@@ -197,20 +199,21 @@ class FactorTable:
         self.masses: dict = {}
 
 
-def _memo(memo: dict, key, build, *args):
-    """memo[key], made by build(*args) on first use."""
+def _memo(memo: dict, key: tuple, build):
+    """memo[key], made by build(*key) on first use."""
     value = memo.get(key)
     if value is None:
-        value = memo[key] = build(*args)
+        value = memo[key] = build(*key)
     return value
 
 
 def _slot_walk(classes, diagrams, tag, fold: int, r: int, table: FactorTable, v_char, pair_char) -> Term:
     """Term of the slots with classes `classes` and diagrams `diagrams`
-    under tag `tag`; a character is v_char(alpha, c_alpha, tag, Y_alpha)
-    or pair_char(alpha, beta, d, tag, Y_alpha, Y_beta), d mod `fold` if
-    set.  The builders read each ``char_*`` as a module global when they
-    run, so a rebinding of one (a test's patch, a tracer) is seen."""
+    under tag `tag`.  A builder's arguments are its character's memo key:
+    a slot's is v_char(c_alpha, tag, Y_alpha) and a slot pair's
+    pair_char(d, tag, Y_alpha, Y_beta), d = c_beta - c_alpha mod `fold`
+    if set.  The builders read each ``char_*`` as a module global when
+    they run, so a rebinding of one (a test's patch, a tracer) is seen."""
     pieces, chars, out = table.pieces, table.chars if r > 1 else {}, []
     filled = () if all(diagrams) else [(beta, yb) for beta, yb in enumerate(diagrams, start=1) if yb]
     for alpha, ya in enumerate(diagrams, start=1):
@@ -219,7 +222,7 @@ def _slot_walk(classes, diagrams, tag, fold: int, r: int, table: FactorTable, v_
             key = (alpha, ca, tag, ya)
             piece = pieces.get(key)
             if piece is None:
-                ch = _memo(chars, (ca, tag, ya), v_char, alpha, ca, tag, ya)
+                ch = _memo(chars, (ca, tag, ya), v_char)
                 piece = pieces[key] = matter_euler(ch, slot_part(alpha), r, table.masses)
             if piece.factors:
                 out.append(piece)
@@ -230,20 +233,29 @@ def _slot_walk(classes, diagrams, tag, fold: int, r: int, table: FactorTable, v_
             if piece is None:
                 if fold:
                     d %= fold
-                ch = _memo(chars, (d, tag, ya, yb), pair_char, alpha, beta, d, tag, ya, yb)
+                ch = _memo(chars, (d, tag, ya, yb), pair_char)
                 piece = pieces[key] = _tangent_piece(ch, ratio_part(alpha, beta), table.weights)
             if piece.factors:
                 out.append(piece)
     return tuple(out)
 
 
-# The plane's builders for the slot walk: every slot has class 0 and tag 0.
-def _v_p2(alpha: int, c: int, tag: int, y) -> list:
+# The plane's and the orbifold's builders for the slot walk, whose tag is
+# always 0: a plane slot's class is 0, an orbifold slot's its color.
+def _v_p2(c: int, tag: int, y) -> list:
     return char_v_p2(y)
 
 
-def _pair_p2(alpha: int, beta: int, d: int, tag: int, ya, yb) -> list:
+def _pair_p2(d: int, tag: int, ya, yb) -> list:
     return char_tangent_p2(ya, yb)
+
+
+def _v_x0(c: int, tag: int, y) -> list:
+    return char_v_x0(c, y)
+
+
+def _pair_x0(d: int, tag: int, ya, yb) -> list:
+    return char_tangent_x0(d, ya, yb)
 
 
 def term_p2(r: int, diagrams, table: FactorTable) -> Term:
@@ -255,16 +267,7 @@ def term_x0(frame: FrameData, diagrams, table: FactorTable) -> Term:
     """Localization term of one orbifold fixed point, a diagram tuple: a
     slot's class is its color, and a slot pair's character depends on
     their difference mod 2."""
-    return _slot_walk(
-        frame.colors,
-        diagrams,
-        0,
-        2,
-        frame.r,
-        table,
-        lambda alpha, c, tag, y: char_v_x0(frame, alpha, y),
-        lambda alpha, beta, d, tag, ya, yb: char_tangent_x0(frame, alpha, beta, ya, yb),
-    )
+    return _slot_walk(frame.colors, diagrams, 0, 2, frame.r, table, _v_x0, _pair_x0)
 
 
 def _ell_part(doubled: tuple, r: int, table: FactorTable) -> Term:
@@ -291,15 +294,6 @@ def _ell_part(doubled: tuple, r: int, table: FactorTable) -> Term:
     return tuple(pieces)
 
 
-# A chart's builders for the slot walk: the class is 2k_alpha, the tag the chart.
-def _v_x1(alpha: int, d: int, chart: int, y) -> list:
-    return char_v_x1(d, chart, y)
-
-
-def _pair_x1(alpha: int, beta: int, delta: int, chart: int, ya, yb) -> list:
-    return char_tangent_x1(delta, chart, ya, yb)
-
-
 def _part(parts: dict, key, build, *args) -> tuple:
     """parts[key], the one-term sum (build(*args),), made on first use."""
     value = parts.get(key)
@@ -312,12 +306,14 @@ def term_x1(frame: FrameData, fp: FixedPointX1, table: FactorTable) -> Term:
     """Localization term of one resolved-surface fixed point, in the
     blow-up shape (ell(kvec), part_1, part_2), each a one-term sum made
     once per table.  Part c walks chart c's diagrams under tag c, a slot's
-    class being its doubled k_alpha."""
+    class being its doubled k_alpha, so chart c's builders take (2k_alpha,
+    c, Y^c_alpha) and (delta, c, Y^c_alpha, Y^c_beta), their memo keys."""
     r, parts, kvec = frame.r, table.parts, fp.kvec
+    v_char, pair_char = char_v_x1, char_tangent_x1
     return (
         _part(parts, kvec, _ell_part, kvec, r, table),
-        _part(parts, (kvec, 1, fp.y1), _slot_walk, kvec, fp.y1, 1, 0, r, table, _v_x1, _pair_x1),
-        _part(parts, (kvec, 2, fp.y2), _slot_walk, kvec, fp.y2, 2, 0, r, table, _v_x1, _pair_x1),
+        _part(parts, (kvec, 1, fp.y1), _slot_walk, kvec, fp.y1, 1, 0, r, table, v_char, pair_char),
+        _part(parts, (kvec, 2, fp.y2), _slot_walk, kvec, fp.y2, 2, 0, r, table, v_char, pair_char),
     )
 
 

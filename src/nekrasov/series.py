@@ -341,11 +341,11 @@ def series_zx1_factorized(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
     return QSeries({g: tuple(ts) for g, ts in acc.items()}, max4n, offset)
 
 
-def map_to_imo(point: EvalPoint, frame: FrameData) -> dict:
-    """Express an evaluation point in the alternate variable convention:
-    eps -> -eps, mu_i = m_i - (eps1+eps2)/2 for the first r masses and
-    mu_(r+i) = -m_(r+i) + (eps1+eps2)/2 for the rest; a is unchanged."""
-    r = frame.r
+def map_to_imo(point: EvalPoint, r: int) -> dict:
+    """Express a rank-r evaluation point in the alternate variable
+    convention: eps -> -eps, mu_i = m_i - (eps1+eps2)/2 for the first r
+    masses and mu_(r+i) = -m_(r+i) + (eps1+eps2)/2 for the rest; a is
+    unchanged."""
     half = (point[EPS1] + point[EPS2]) / 2
     out = {"eps1": -point[EPS1], "eps2": -point[EPS2]}
     for alpha in range(1, r + 1):

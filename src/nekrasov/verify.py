@@ -44,40 +44,31 @@ zeroes any of them is rejected and the whole point redrawn, so an honest
 pole can never masquerade as a mismatch.  Each series' plain denominator
 forms are read off its kernel, and composed with each rule R (an
 exact.Rule, through exact.form_image) once per pair: main and must both
-read zx0 at -eps p, and share one composition.  The pole test is
-exact.clear_of, on the integer kernel: the draw is scaled to one common
-denominator once, each distinct frame part of the union's forms is one
-int dot product (main's union at w = (2,0) k = 0 max-n 3 holds 44 forms
-over 3 frame parts), and each form adds its doubled eps ints (p, q) to
-its frame part's value.
+read zx0 at -eps p, and share one composition; the prefactor's are u's
+own denominator forms, eps2 and eps1.  The pole test is exact.clear_of,
+which reads the union's forms as a kernel reads its own (main's union at
+w = (2,0) k = 0 max-n 3 holds 44 forms over 3 frame parts).
 
 The pair also holds one value table per invocation: a series read at a
 point is evaluated once, keyed by (series, each coordinate's numerator
 and denominator), so equal points share one entry and no coordinate is
 hashed as a Fraction, and every later read of it, by any check, is
 served from the table.  That one evaluation is one call of the series'
-exact.Kernel, which the pair compiles on first use: each distinct frame
-part of the series' forms (nothing, a_beta - a_alpha or a mass shift
-a_alpha + m_f; at most 3r^2 - r + 1 at rank r) is one int dot product
-per point, each distinct form is read off its row as p eps1 + q eps2
-plus its frame part's value, each distinct factor set
-of more than one form (the numerator or the denominator forms of a
-piece, a slot's matter factor or a slot pair's tangent factor, each
-repeated by its exponent) one int product, shared by the value-equal
-pieces zx1-fact builds anew per chart rule, each term side that reads
-more than one set or form one product (a lone one is read directly),
-each distinct sum one int fraction, and each grade's value one
-Fraction.  A term's factor may be a sum (exact.Term): zx1 writes each
-grade as one term per rectangle of fixed points, ell(kvec) times the sum
-of its chart-1 parts times the sum of its chart-2 parts, and zx1-fact
-one term per first-Chern vector and pair of plane grades, so each side's
-sum is read once per point, not once per fixed point.  The
-same compile walk records the series' pole forms and each coefficient's
-degree, so nothing else reads the pieces; no form cancels between the
-pieces of a term (every matter form carries a mass, no tangent form
-does), so they are those of the merged, multiplied-out terms.  The kernel holds no
-piece, so a series is freed as soon as its kernel is compiled, and
-kernels and table hold only what they compute and die with the pair.
+exact.Kernel, which the pair compiles on first use; exact.Kernel says
+how it reads forms, factor sets, terms and sums at a point in ints, into
+one Fraction per grade.  Its factor sets are shared by the value-equal
+pieces zx1-fact builds anew per chart rule.  A term's factor may be a
+sum (exact.Term): zx1 writes each grade as one term per rectangle of
+fixed points, ell(kvec) times the sum of its chart-1 parts times the sum
+of its chart-2 parts, and zx1-fact one term per first-Chern vector and
+pair of plane grades, so each side's sum is read once per point, not
+once per fixed point.  The same compile walk records the series' pole
+forms and each coefficient's degree, so nothing else reads the pieces;
+no form cancels between the pieces of a term (every matter form carries
+a mass, no tangent form does), so they are those of the merged,
+multiplied-out terms.  The kernel holds no piece, so a series is freed
+as soon as its kernel is compiled, and kernels and table hold only what
+they compute and die with the pair.
 Every linear form has no constant part, so a coefficient whose terms
 all have one total degree d (the sum of the factor exponents) takes
 exactly (-1)^d times its value at p at the point -p, and its forms
@@ -426,7 +417,7 @@ def _prefactor(r: int, sign: int, max_n: int):
             for g, j, den, pairs in grades
         }
 
-    return _side(values, Kernel([((u_piece,),)]).pole_forms)
+    return _side(values, [form for form, exp in u_piece.factors if exp < 0])
 
 
 def _cauchy(weights, side):

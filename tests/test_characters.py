@@ -337,14 +337,13 @@ def test_diagonal_pair_weights_equal_their_definition_to_size_8():
     as (1 - p, 1 - q), and char_tangent_x0 filters only the first half by
     parity and mirrors it; both equal the box-by-box definition, at color
     offsets 0 and 1."""
-    frame = FrameData(1, 1)
     for n in range(9):
         for diagram in partitions(n):
             defined = defined_pair_weights(diagram, diagram)
             assert _pair_weights(diagram, diagram) == defined
-            for beta, c in ((1, 0), (2, 1)):
+            for c in (0, 1):
                 expected = [(p, q) for p, q in defined if (p + q + c) % 2 == 0]
-                assert char_tangent_x0(frame, 1, beta, diagram, diagram) == expected
+                assert char_tangent_x0(c, diagram, diagram) == expected
 
 
 _DIAGRAMS = [y for n in range(7) for y in partitions(n)]
@@ -380,11 +379,12 @@ class TestCharactersAgainstDefinitions:
     @example(w=(1, 1), ya=(3, 2, 1), yb=(3, 2, 1), delta=0)
     def test_builders_equal_their_definitions(self, w, ya, yb, delta):
         frame = FrameData(*w)
+        colors = frame.colors  # the engine's class keys; the references read the frame
         assert _pair_weights(ya, yb) == defined_pair_weights(ya, yb)
         for alpha in range(1, frame.r + 1):
             e = slot_part(alpha)
             assert _as_reference(char_v_p2(ya), e, ref_char_v_p2(alpha, ya))
-            assert _as_reference(char_v_x0(frame, alpha, ya), e, ref_char_v_x0(frame, alpha, ya, 0))
+            assert _as_reference(char_v_x0(colors[alpha - 1], ya), e, ref_char_v_x0(frame, alpha, ya, 0))
             assert _as_reference(char_twist(delta), e, ref_char_v_twist(alpha, delta, 0))
             for chart in CHART_MATRICES:
                 assert _as_reference(char_v_x1(delta, chart, ya), e, ref_char_v_x1(alpha, delta, chart, ya, 0))
@@ -393,7 +393,7 @@ class TestCharactersAgainstDefinitions:
                 plane = ref_char_tangent_p2(alpha, beta, ya, yb)
                 assert _as_reference(char_tangent_p2(ya, yb), e, plane)
                 assert _as_reference(
-                    char_tangent_x0(frame, alpha, beta, ya, yb),
+                    char_tangent_x0((colors[beta - 1] - colors[alpha - 1]) % 2, ya, yb),
                     e,
                     ref_char_tangent_x0(frame, alpha, beta, ya, yb),
                 )

@@ -18,6 +18,7 @@ from nekrasov.exact import (
     LinearForm,
     PoleError,
     Rule,
+    clear_of,
     coeff_eval,
     factored_term,
     form_image,
@@ -1024,3 +1025,64 @@ class TestWeightForms:
         assert got == expected and hash(got) == hash(expected)
         merged = factored_term([(got, 1), (expected, 1)])
         assert merged.factors == ((expected, 2),)
+
+
+# Engine-shaped forms at rank 2: eps parts in (1/2)Z (any doubled ints p,
+# q) plus a frame part that is nothing, a_beta - a_alpha or a_alpha + m_f.
+_ENGINE_FRAMES = [
+    (),
+    ((var_a(1), -2), (var_a(2), 2)),
+    ((var_a(1), 2), (var_a(2), -2)),
+    *[((var_a(alpha), 2), (var_m(f), 2)) for alpha in (1, 2) for f in range(1, 5)],
+]
+
+_engine_form = st.builds(
+    LinearForm, st.integers(-7, 7), st.integers(-7, 7), st.sampled_from(_ENGINE_FRAMES)
+).filter(lambda f: not f.is_zero())
+
+_engine_point = st.builds(
+    lambda vals: dict(zip(scope_vars(2), vals)),
+    st.lists(_kernel_value, min_size=8, max_size=8),
+)
+
+
+def _zeroing(form, point):
+    """`point` with the first variable of `form` moved so that `form`
+    vanishes there."""
+    (v, c), *rest = form.coeffs
+    return {**point, v: -sum([n * point[s] for s, n in rest], F(0)) / c}
+
+
+class TestFormReader:
+    """`Kernel` and `clear_of` read forms through one pair of helpers,
+    `_form_rows` and `_form_values`: each form reads 2 D times its value at
+    a point scaled to (ints, D), and `clear_of` is false exactly when some
+    form vanishes, as the ``Fraction`` reference `LinearForm.evaluate`
+    says.  Some points are built to zero one of the forms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        forms=st.lists(_engine_form, max_size=12),
+        point=_engine_point,
+        zeroed=st.none() | st.integers(0, 11),
+    )
+    @example(
+        forms=[LinearForm(1, -1, ((var_a(1), 2), (var_m(3), 2)))],
+        point=dict.fromkeys(scope_vars(2), F(1)),
+        zeroed=0,
+    )
+    @example(
+        forms=[LinearForm(0, 2, ()), LinearForm(2, 0, ((var_a(1), -2), (var_a(2), 2)))],
+        point=dict.fromkeys(scope_vars(2), F(2, 3)),
+        zeroed=1,
+    )
+    def test_clear_of_and_the_shared_reader_match_the_fraction_reference(self, forms, point, zeroed):
+        if zeroed is not None and forms:
+            point = _zeroing(forms[zeroed % len(forms)], point)
+            assert not clear_of(forms, point)
+        ints, d = exact._scale_point(point)
+        rows, frames = exact._form_rows(forms)
+        assert exact._form_values(rows, frames, ints) == [2 * d * form.evaluate(point) for form in forms]
+        expected = all(form.evaluate(point) != 0 for form in forms)
+        assert clear_of(forms, point) == expected
+        assert clear_of(iter(forms), point) == expected

@@ -492,7 +492,7 @@ class TestPiecesAgainstReferences:
                 (char_v_p2(ya), ref_char_v_p2(alpha, ya)),
                 (char_twist(delta), ref_char_v_twist(alpha, delta, 0)),
             ]
-            matter.append((char_v_x0(frame, alpha, ya), ref_char_v_x0(frame, alpha, ya, 0)))
+            matter.append((char_v_x0(frame.colors[alpha - 1], ya), ref_char_v_x0(frame, alpha, ya, 0)))
             for chart in CHART_MATRICES:
                 matter.append((char_v_x1(delta, chart, ya), ref_char_v_x1(alpha, delta, chart, ya, 0)))
             for pairs, ch in matter:
@@ -503,7 +503,7 @@ class TestPiecesAgainstReferences:
                 e = ratio_part(alpha, beta)
                 tangent = [
                     (char_tangent_p2(ya, yb), ref_char_tangent_p2(alpha, beta, ya, yb)),
-                    (char_tangent_x0(frame, alpha, beta, ya, yb),
+                    (char_tangent_x0((frame.colors[beta - 1] - frame.colors[alpha - 1]) % 2, ya, yb),
                      ref_char_tangent_x0(frame, alpha, beta, ya, yb)),
                     (char_twist(delta), ref_char_tangent_twist(alpha, beta, delta)),
                 ]
@@ -532,7 +532,7 @@ class TestPiecesAgainstReferences:
         for v0 in range(9):
             for fp in enum_fixed_points_x0(frame, v0, v0):
                 (y,) = fp
-                pairs = char_tangent_x0(frame, 1, 1, y, y)
+                pairs = char_tangent_x0(0, y, y)  # a diagonal pair's colors cancel
                 repeated += len(set(pairs)) < len(pairs)
                 term_x0(frame, fp, table)
         # 434 fixed points, each with a matter and a tangent piece; the
@@ -560,31 +560,28 @@ class TestSharedBuild:
 
     @pytest.mark.parametrize("w", [(3, 0), (1, 2), (2, 2)])
     def test_each_character_is_built_once_per_build(self, monkeypatch, w):
-        # a slot's matter character depends on Y_alpha on the plane, also
-        # on color(alpha) on the orbifold, and on (2k_alpha, chart,
-        # Y_alpha) on a chart; a slot pair's character depends on
-        # (Y_alpha, Y_beta) on the plane, also on color(alpha) +
-        # color(beta) mod 2 on the orbifold, and on (delta, chart, Y_alpha,
-        # Y_beta) on a chart
+        # a builder's arguments are its character's key: a slot's matter
+        # character depends on Y_alpha on the plane, also on color(alpha)
+        # on the orbifold, and on (2k_alpha, chart, Y_alpha) on a chart; a
+        # slot pair's character depends on (Y_alpha, Y_beta) on the plane,
+        # also on color(beta) - color(alpha) mod 2 on the orbifold, and on
+        # (delta, chart, Y_alpha, Y_beta) on a chart
         frame = FrameData(*w)
         keys = {"v_p2": [], "v_x0": [], "v_x1": [], "p2": [], "x0": [], "x1": []}
 
-        def counted(kind, build, key):
+        def counted(kind, build):
             def counting(*args):
-                keys[kind].append(key(*args))
+                keys[kind].append(args)
                 return build(*args)
 
             monkeypatch.setattr(localization, build.__name__, counting)
 
-        def color(alpha):
-            return 1 if alpha > frame.w0 else 0
-
-        counted("v_p2", char_v_p2, lambda y: y)
-        counted("v_x0", char_v_x0, lambda fr, a, y: (color(a), y))
-        counted("v_x1", char_v_x1, lambda d, chart, y: (d, chart, y))
-        counted("p2", char_tangent_p2, lambda ya, yb: (ya, yb))
-        counted("x0", char_tangent_x0, lambda fr, a, b, ya, yb: ((color(a) + color(b)) % 2, ya, yb))
-        counted("x1", char_tangent_x1, lambda delta, chart, ya, yb: (delta, chart, ya, yb))
+        counted("v_p2", char_v_p2)
+        counted("v_x0", char_v_x0)
+        counted("v_x1", char_v_x1)
+        counted("p2", char_tangent_p2)
+        counted("x0", char_tangent_x0)
+        counted("x1", char_tangent_x1)
         series_zp2(frame.r, 2)
         series_zx0(frame, H(0), 8 + frame.w1)
         series_zx1(frame, H(0), 8 + frame.w1)

@@ -339,22 +339,19 @@ class TestFactorizedSeries:
 
 class TestConventionMap:
     def test_basic(self):
-        frame = FrameData(1, 0)
         p = point(1, 2, 3, 5, 0)
-        converted = map_to_imo(p, frame)
+        converted = map_to_imo(p, 1)
         assert converted["eps1"] == -1 and converted["eps2"] == -2
         assert converted["mu1"] == Fraction(7, 2)
 
     def test_zero_shift(self):
-        frame = FrameData(1, 0)
         p = point(0, 0, 3, 5, 4)
-        converted = map_to_imo(p, frame)
+        converted = map_to_imo(p, 1)
         assert converted["mu1"] == 5 and converted["mu2"] == -4
 
     def test_second_block_sign_flip(self):
-        frame = FrameData(1, 0)
         p = point(1, 1, 3, 5, 0)
-        converted = map_to_imo(p, frame)
+        converted = map_to_imo(p, 1)
         assert converted["mu2"] == 1
 
 

@@ -365,6 +365,9 @@ class TestPrefactorSide:
         # draw never zeroes a lone coordinate, so this changes no draw
         eps = {linear_form({EPS1: 1}), linear_form({EPS2: 1})}
         assert set(_prefactor(1, +1, max_n).forms) == eps
+        # in u's factor order, as a kernel compiled from u listed them
+        assert _prefactor(1, +1, max_n).forms == [linear_form({EPS2: 1}), linear_form({EPS1: 1})]
+        assert Kernel([((prefactor_exponent(1),),)]).pole_forms == _prefactor(1, +1, max_n).forms
 
 
 class TestSensitivity:

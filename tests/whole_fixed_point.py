@@ -171,7 +171,7 @@ def whole_v_p2(diagrams) -> Counter:
 
 def whole_v_x0(frame, diagrams) -> Counter:
     return _sum(
-        with_e(char_v_x0(frame, a, y), slot_part(a)) for a, y in enumerate(diagrams, start=1)
+        with_e(char_v_x0(frame.colors[a - 1], y), slot_part(a)) for a, y in enumerate(diagrams, start=1)
     )
 
 
@@ -193,8 +193,9 @@ def whole_tangent_p2(r, diagrams) -> Counter:
 
 
 def whole_tangent_x0(frame, ys) -> Counter:
+    colors = frame.colors
     return _sum(
-        with_e(char_tangent_x0(frame, a, b, ys[a - 1], ys[b - 1]), ratio_part(a, b))
+        with_e(char_tangent_x0((colors[b - 1] - colors[a - 1]) % 2, ys[a - 1], ys[b - 1]), ratio_part(a, b))
         for a, b in _slot_pairs(frame.r)
     )
 
