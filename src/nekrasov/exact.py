@@ -50,9 +50,12 @@ ints through a `Kernel`, compiled once from a list of coefficients by the
 one walk over their pieces and sums, which also records the forms a
 sample point must avoid, each one's exponent for the pole message, and
 each coefficient's degree; the kernel keeps no piece, so the coefficients
-may be freed once it is compiled.  A coefficient compiles as a sum does,
-into one list of sums, each a list of terms of one shape: two refs, a
-degree and the indices of the sums the term holds.  A rank-r kernel holds
+may be freed once it is compiled.  zx0 is compiled as it is built: its
+build fills a `Compile` as it makes each piece, its coefficients are
+sums of compiled terms (`compiled_term`), and its kernel is made from
+them and that state with no compile walk.  A coefficient compiles as a
+sum does, into one list of sums, each a list of terms of one shape: two
+refs, a degree and the indices of the sums the term holds.  A rank-r kernel holds
 at most 3r^2 - r + 1 frame parts however many forms it holds, and keeps
 one row per form, the form's (p, q) and the index of its frame part.  At
 a point it reads eps1 and eps2 once, takes one int dot product per
@@ -462,6 +465,14 @@ class Kernel:
     per side (a plain ref if at most one, 0 for none), its degree, and the
     indices of the sums it holds, none for most terms.
 
+    Given a `Compile` `state`, the coefficients are sums of compiled
+    terms written against it: a series that is compiled as it is built
+    (zx0, see ``localization.CompiledTable``) fills the state's forms,
+    factor sets and poles as it makes its pieces, in the order the walk
+    above would meet them, so the kernel is the one the walk compiles
+    from the same series built as pieces.  The kernel then only adds up
+    each coefficient's sum; the state holds no sum and is not changed.
+
     A form (p eps1 + q eps2 + frame) / 2 reads 2 D times its value at a
     point scaled to (ints, D), through the one row reader: `frames` holds
     each distinct frame part once, in first-seen order, and the form's
@@ -493,10 +504,15 @@ class Kernel:
         "forms", "frames", "sets", "pole_forms", "degrees", "_rows", "_poles", "_sums", "_coeffs"
     )
 
-    def __init__(self, coefficients: Iterable[Coefficient]) -> None:
-        state = _Compile()
-        self.forms, self.sets, self._sums = state.forms, state.sets, state.sums
-        self._coeffs = [_compile_sum(c, state) for c in coefficients]
+    def __init__(self, coefficients: Iterable[Coefficient], state: Compile | None = None) -> None:
+        if state is None:
+            state = Compile()
+            self._coeffs = [_compile_sum(c, state) for c in coefficients]
+            self._sums = state.sums
+        else:
+            self._sums = []
+            self._coeffs = [_add_sum(list(c), self._sums) for c in coefficients]
+        self.forms, self.sets = state.forms, state.sets
         self.degrees: list[int | None] = [self._sums[i][2] for i in self._coeffs]
         self._rows, self.frames = _form_rows(self.forms)
         self._poles = state.poles
@@ -534,14 +550,16 @@ class Kernel:
                 raise PoleError(f"pole: ({self.forms[ref - 1]})^{exp} at {at}")
 
 
-class _Compile:
+class Compile:
     """One kernel compile's state: `slots` maps forms to refs and
     `set_refs` factor sets to refs, `pieces` maps a piece's id to its
     compiled piece and `sum_ids` a factor sum's id to its index in `sums`,
     the list of every compiled sum and coefficient as (terms, scale,
     degree); `held` keeps every indexed piece and sum alive, so no id is
     reused, and `poles` maps each denominator ref to its exponent in its
-    first piece."""
+    first piece.  A series compiled as it is built fills only `forms`,
+    `set_refs`, `sets` and `poles`, giving each form its ref as it makes
+    it (see `Kernel`)."""
 
     __slots__ = ("slots", "set_refs", "pieces", "sum_ids", "held", "poles", "forms", "sets", "sums")
 
@@ -557,33 +575,44 @@ class _Compile:
         self.sums: list[tuple] = []
 
 
-def _compile_sum(terms: Iterable[Term], state: _Compile) -> int:
+def compiled_term(entries: Iterable[tuple], refs: tuple = (), scale: int = 0) -> tuple:
+    """The compiled term (num, den, degree, refs) of the compiled pieces
+    `entries`, each (numerator ref, denominator ref, degree), holding the
+    sums `refs`, whose scales add `scale` to its degree: a side is its
+    pieces' nonzero refs in piece order, a lone ref, or 0 for none."""
+    nums, dens, degs = zip((0, 0, 0), *entries)  # (0, 0, 0) for no pieces
+    num, den = tuple(filter(None, nums)), tuple(filter(None, dens))
+    return (num if len(num) > 1 else sum(num), den if len(den) > 1 else sum(den), sum(degs) + scale, refs)
+
+
+def _compile_sum(terms: Iterable[Term], state: Compile) -> int:
     """Append a sum of terms, a coefficient or a factor, to `state.sums`
-    as (terms, scale, degree) and return its index.  A term compiles to
-    (num, den, degree, sum indices), its degree counting each sum's scale;
-    the scale is the terms' largest degree (0 for none), and the degree
-    the one they share, 0 for none, or None when they differ or some term
-    holds a sum of mixed degree."""
+    (see `_add_sum`) and return its index.  A term compiles to (num, den,
+    degree, sum indices), its degree counting each sum's scale; the sum's
+    degree is None when some term holds a sum of mixed degree."""
     sums = state.sums
-    compiled, degrees, inner = [], set(), set()
+    compiled, inner = [], set()
     for t in terms:
         entries = []
         refs: list[int] = []
         _term_entries(t, state, entries, refs)
-        nums, dens, degs = zip((0, 0, 0), *entries)  # (0, 0, 0) for no pieces
-        num, den = tuple(filter(None, nums)), tuple(filter(None, dens))
-        num = num if len(num) > 1 else sum(num)  # a lone ref, or 0 for none
-        den = den if len(den) > 1 else sum(den)
-        degree = sum(degs) + sum([sums[i][1] for i in refs])
-        compiled.append((num, den, degree, tuple(refs)))
-        degrees.add(degree)
+        compiled.append(compiled_term(entries, tuple(refs), sum([sums[i][1] for i in refs])))
         inner.update([sums[i][2] for i in refs])
+    return _add_sum(compiled, sums, None in inner)
+
+
+def _add_sum(compiled: list, sums: list, mixed: bool = False) -> int:
+    """Append the sum of the compiled terms `compiled` to `sums` as
+    (terms, scale, degree) and return its index: the scale is the terms'
+    largest degree (0 for none), and the degree the one they share, 0 for
+    none, or None when they differ or `mixed` is set."""
+    degrees = {t[2] for t in compiled}
     scale = max(degrees, default=0)
-    sums.append((compiled, scale, None if None in inner or len(degrees) > 1 else scale))
+    sums.append((compiled, scale, None if mixed or len(degrees) > 1 else scale))
     return len(sums) - 1
 
 
-def _term_entries(t: Term, state: _Compile, entries: list, refs: list) -> None:
+def _term_entries(t: Term, state: Compile, entries: list, refs: list) -> None:
     """Append each compiled piece of term `t` to `entries` and each sum's
     index to `refs`, compiling what is new; a one-term sum's term is read
     in place."""
@@ -626,7 +655,7 @@ def _sum_value(terms: list, scale: int, values: list, sums: list, base: int) -> 
     return _sum_fractions(parts)
 
 
-def _compile_piece(piece: FactoredTerm, state: _Compile) -> tuple:
+def _compile_piece(piece: FactoredTerm, state: Compile) -> tuple:
     """A piece as (numerator ref, denominator ref, degree) (see `Kernel`).
     A new form is appended to `state.forms` and given the next ref in
     `state.slots`.  Each denominator ref new to `state.poles` is added to
@@ -650,10 +679,10 @@ def _compile_piece(piece: FactoredTerm, state: _Compile) -> tuple:
     for ref in den:
         if ref not in poles:
             poles[ref] = -den.count(ref)
-    return (_side_ref(num, state), _side_ref(den, state), len(num) - len(den))
+    return (side_ref(num, state), side_ref(den, state), len(num) - len(den))
 
 
-def _side_ref(refs: list[int], state: _Compile) -> int:
+def side_ref(refs: list[int], state: Compile) -> int:
     """The ref of one piece side's factor set `refs`: 0 for none, the
     form's own ref for one, else the set's shared negative ref (a new set
     is appended to `state.sets`)."""

@@ -27,13 +27,20 @@ pairs and its e-part, passed once: they merge equal pairs once, in a
 dict keyed by the pair, in first-seen order, and read each distinct
 pair's form off a memo for that e-part.
 ``term_p2`` and ``term_x0`` take a fixed point's diagram tuple and
-``term_x1`` its (kvec, Y1, Y2); each takes a ``FactorTable``, one series
-build's memos.  Its `pieces` dict maps a piece's key to that
-piece's ``FactoredTerm``, built on first use, and a term is the tuple
-of the table's objects, unit pieces dropped (see ``exact``), a resolved
-term's three parts each as a one-term sum; multiplied out and merged, a
-term's pieces give the canonical piece one Euler class of each whole
-character gives.
+``term_x1`` its (kvec, Y1, Y2); each takes a factor table, one series
+build's memos, and the table decides what a piece is.  A
+``FactorTable`` (zp2, zx1 and zx1-fact's ell pieces) maps a piece's key
+in `pieces` to that piece's ``FactoredTerm``, built on first use, and a
+term is the tuple of the table's objects, unit pieces dropped (see
+``exact``), a resolved term's three parts each as a one-term sum;
+multiplied out and merged, a term's pieces give the canonical piece one
+Euler class of each whole character gives.  A ``CompiledTable`` (zx0)
+compiles each piece as it makes it, into the build's
+``exact.Compile``: a matter piece is (numerator set ref, 0, degree) and
+a tangent piece (0, denominator set ref, -degree), with the same
+factors as ``matter_euler`` and the inverse of ``euler_class``, and a
+term is the compiled term of its pieces, which the kernel reads with no
+compile walk; no ``FactoredTerm`` is made.
 
 One slot walk (``_slot_walk``) builds the plane and orbifold terms and
 each chart part of a resolved term.  They differ in a class c_alpha per
@@ -65,7 +72,9 @@ chart and size.
 The forms are memoized by e-part and then by (p, q): each tangent
 monomial's weight form (`weights`) and each tautological monomial's 2r
 mass-shifted forms (`masses`), so every piece holding a form holds one
-object.  A piece is built without the sort of ``exact.factored_term``: a
+object; a ``CompiledTable`` memoizes each form's kernel ref instead,
+given when the form is made, so no form is looked up by value.  A piece
+is built without the sort of ``exact.factored_term``: a
 monomial's weight is a linear form injective in (p, q, e), and its
 mass-shifted form injective in (monomial, f), so once equal pairs are
 merged a piece's factors have pairwise distinct forms, kept in build
@@ -91,7 +100,7 @@ from .characters import (
     char_v_x1,
 )
 from .diagrams import FixedPointX1, FrameData
-from .exact import FactoredTerm, LinearForm, Term, term_pow, var_a, var_m
+from .exact import Compile, FactoredTerm, LinearForm, Term, compiled_term, side_ref, term_pow, var_a, var_m
 
 
 class VanishingWeight(ArithmeticError):
@@ -187,9 +196,14 @@ def _tangent_piece(weights: list, e: tuple, forms: dict | None = None) -> Factor
 
 class FactorTable:
     """One series build's memos of pieces, characters, resolved parts,
-    weight forms and mass-shifted forms; see the module docstring."""
+    weight forms and mass-shifted forms, each piece a ``FactoredTerm``;
+    see the module docstring.  Its terms are tuples of pieces, and it has
+    no compile state."""
 
     __slots__ = ("pieces", "chars", "parts", "weights", "masses")
+
+    compiled = None
+    term = tuple
 
     def __init__(self) -> None:
         self.pieces: dict = {}
@@ -197,6 +211,83 @@ class FactorTable:
         self.parts: dict = {}
         self.weights: dict = {}
         self.masses: dict = {}
+
+    def matter(self, weights: list, e: tuple, r: int):
+        """A tautological piece's matter Euler class, or () if it is 1."""
+        piece = matter_euler(weights, e, r, self.masses)
+        return piece if piece.factors else ()
+
+    def tangent(self, weights: list, e: tuple):
+        """A tangent piece's inverse Euler class, or () if it is 1."""
+        piece = _tangent_piece(weights, e, self.weights)
+        return piece if piece.factors else ()
+
+
+class CompiledTable:
+    """One zx0 build's memos, each piece compiled as it is made into
+    `compiled`, the build's ``exact.Compile``, from which
+    ``exact.Kernel`` is made with no compile walk.  A piece is
+    (numerator ref, denominator ref, degree), and a term the compiled term
+    of its pieces (``exact.compiled_term``).  A form gets its ref when it
+    is made: `weights` maps an e-part and a (p, q) pair to its weight
+    form's ref, `masses` to the refs of its 2r mass-shifted forms, so no
+    form is looked up by value.  Pieces are made in the order the compile
+    walk would meet them, so the kernel's forms, sets and poles are that
+    walk's."""
+
+    __slots__ = ("pieces", "chars", "weights", "masses", "compiled")
+
+    def __init__(self) -> None:
+        self.pieces: dict = {}
+        self.chars: dict = {}
+        self.weights: dict = {}
+        self.masses: dict = {}
+        self.compiled = Compile()
+
+    term = staticmethod(compiled_term)
+
+    def matter(self, weights: list, e: tuple, r: int):
+        """A tautological piece's matter Euler class as (set ref, 0,
+        degree), or () if it is 1: each pair's 2r mass-shifted refs, once
+        per repeat, the factors of ``matter_euler``."""
+        memo = self.masses.setdefault(e, {})
+        shifted = list(map(memo.get, weights))
+        if None in shifted:
+            forms = self.compiled.forms
+            for i, w in enumerate(weights):
+                if shifted[i] is None:
+                    refs = memo.get(w)
+                    if refs is None:
+                        mono = (*w, e)
+                        forms += [mass_shifted_weight(mono, f) for f in range(1, 2 * r + 1)]
+                        refs = memo[w] = tuple(range(len(forms) - 2 * r + 1, len(forms) + 1))
+                    shifted[i] = refs
+        refs = [ref for pair in shifted for ref in pair]
+        return (side_ref(refs, self.compiled), 0, len(refs)) if refs else ()
+
+    def tangent(self, weights: list, e: tuple):
+        """A tangent piece's inverse Euler class as (0, set ref, -degree),
+        or () if it is 1: each pair's weight ref, once per repeat, the
+        factors of ``euler_class``.  A weight form is first held by the
+        piece that makes it, so its pole exponent, minus its pair's
+        multiplicity there, is recorded when it is made."""
+        memo = self.weights.setdefault(e, {})
+        refs = list(map(memo.get, weights))
+        if None in refs:
+            forms, poles = self.compiled.forms, self.compiled.poles
+            for i, w in enumerate(weights):
+                if refs[i] is None:
+                    ref = memo.get(w)
+                    if ref is None:
+                        mono = (*w, e)
+                        form = weight_form(mono)
+                        if form.is_zero():
+                            raise VanishingWeight(f"zero weight for monomial {mono}")
+                        forms.append(form)
+                        ref = memo[w] = len(forms)
+                        poles[ref] = -weights.count(w)
+                    refs[i] = ref
+        return (0, side_ref(refs, self.compiled), -len(refs)) if refs else ()
 
 
 def _memo(memo: dict, key: tuple, build):
@@ -207,13 +298,15 @@ def _memo(memo: dict, key: tuple, build):
     return value
 
 
-def _slot_walk(classes, diagrams, tag, fold: int, r: int, table: FactorTable, v_char, pair_char) -> Term:
+def _slot_walk(classes, diagrams, tag, fold: int, r: int, table, v_char, pair_char) -> Term:
     """Term of the slots with classes `classes` and diagrams `diagrams`
-    under tag `tag`.  A builder's arguments are its character's memo key:
-    a slot's is v_char(c_alpha, tag, Y_alpha) and a slot pair's
-    pair_char(d, tag, Y_alpha, Y_beta), d = c_beta - c_alpha mod `fold`
-    if set.  The builders read each ``char_*`` as a module global when
-    they run, so a rebinding of one (a test's patch, a tracer) is seen."""
+    under tag `tag`: `table` makes each piece (`matter` and `tangent`,
+    falsy for a unit piece) and the term of them (`term`).  A builder's
+    arguments are its character's memo key: a slot's is v_char(c_alpha,
+    tag, Y_alpha) and a slot pair's pair_char(d, tag, Y_alpha, Y_beta),
+    d = c_beta - c_alpha mod `fold` if set.  The builders read each
+    ``char_*`` as a module global when they run, so a rebinding of one (a
+    test's patch, a tracer) is seen."""
     pieces, chars, out = table.pieces, table.chars if r > 1 else {}, []
     filled = () if all(diagrams) else [(beta, yb) for beta, yb in enumerate(diagrams, start=1) if yb]
     for alpha, ya in enumerate(diagrams, start=1):
@@ -223,8 +316,8 @@ def _slot_walk(classes, diagrams, tag, fold: int, r: int, table: FactorTable, v_
             piece = pieces.get(key)
             if piece is None:
                 ch = _memo(chars, (ca, tag, ya), v_char)
-                piece = pieces[key] = matter_euler(ch, slot_part(alpha), r, table.masses)
-            if piece.factors:
+                piece = pieces[key] = table.matter(ch, slot_part(alpha), r)
+            if piece:
                 out.append(piece)
         for beta, yb in enumerate(diagrams, start=1) if ya else filled:
             d = classes[beta - 1] - ca
@@ -234,10 +327,10 @@ def _slot_walk(classes, diagrams, tag, fold: int, r: int, table: FactorTable, v_
                 if fold:
                     d %= fold
                 ch = _memo(chars, (d, tag, ya, yb), pair_char)
-                piece = pieces[key] = _tangent_piece(ch, ratio_part(alpha, beta), table.weights)
-            if piece.factors:
+                piece = pieces[key] = table.tangent(ch, ratio_part(alpha, beta))
+            if piece:
                 out.append(piece)
-    return tuple(out)
+    return table.term(out)
 
 
 # The plane's and the orbifold's builders for the slot walk, whose tag is
@@ -263,10 +356,12 @@ def term_p2(r: int, diagrams, table: FactorTable) -> Term:
     return _slot_walk((0,) * r, diagrams, 0, 0, r, table, _v_p2, _pair_p2)
 
 
-def term_x0(frame: FrameData, diagrams, table: FactorTable) -> Term:
+def term_x0(frame: FrameData, diagrams, table) -> Term:
     """Localization term of one orbifold fixed point, a diagram tuple: a
     slot's class is its color, and a slot pair's character depends on
-    their difference mod 2."""
+    their difference mod 2.  With a ``CompiledTable``, as zx0's build
+    passes, it is the compiled term (num, den, degree, ()); with a
+    ``FactorTable``, the tuple of its ``FactoredTerm`` pieces."""
     return _slot_walk(frame.colors, diagrams, 0, 2, frame.r, table, _v_x0, _pair_x0)
 
 

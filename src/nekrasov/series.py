@@ -27,11 +27,17 @@ exact.Term), so a kernel reads each charted grade once per point.
 series_zp2, series_zx0 and series_zx1 share one grade loop (``_series``),
 fed by a fixed-point source, the fixed points of a grade, and a term
 builder (``localization.term_p2``, ``term_x0`` or ``term_x1``).  The
-loop makes one factor table (``localization.FactorTable``) per build and
-passes it to every term it builds, so a slot's or slot pair's piece,
-each character class and each monomial's form is built once per build,
-and every slot shares one diagonal tangent piece per diagram;
-series_zx1_factorized keeps one more for its ell(kvec) pieces.
+loop makes one factor table per build and passes it to every term it
+builds, so a slot's or slot pair's piece, each character class and each
+monomial's form is built once per build, and every slot shares one
+diagonal tangent piece per diagram; series_zx1_factorized keeps one more
+for its ell(kvec) pieces.  zx0 is compiled as it is built: its table is a
+``localization.CompiledTable``, so each of its coefficients is a tuple
+of compiled terms and its series carries the table's compile state
+(``QSeries.compiled``), from which verify.SeriesPair makes its kernel
+with no compile walk.  zp2 and zx1 use a ``localization.FactorTable``,
+their terms tuples of ``FactoredTerm`` pieces and sums, compiled by the
+kernel's walk.
 series_zx1 builds each fixed point's term in the blow-up shape from its
 own chart characters, (ell(kvec), part_1, part_2), each a one-term sum
 made once per build, and writes each grade as one term per rectangle:
@@ -82,6 +88,7 @@ from .exact import (
     EPS1,
     EPS2,
     Coefficient,
+    Compile,
     EvalPoint,
     FactoredTerm,
     Record,
@@ -93,20 +100,23 @@ from .exact import (
     var_a,
     var_m,
 )
-from .localization import FactorTable, ell_factor, term_p2, term_x0, term_x1
+from .localization import CompiledTable, FactorTable, ell_factor, term_p2, term_x0, term_x1
 
 
 class QSeries(Record):
     """Truncated series: grade -> coefficient, all grades = offset mod 4.
+    `compiled` is None for a series of terms, and for a series compiled as
+    it is built (zx0) the ``exact.Compile`` its compiled terms refer to.
     A series is weakly referenceable, so a test can see it freed, and
     unhashable: its coefficients are a dict, so its hash raises TypeError."""
 
-    __slots__ = ("coeffs", "max_grade", "offset", "__weakref__")
+    __slots__ = ("coeffs", "max_grade", "offset", "compiled", "__weakref__")
 
-    def __init__(self, coeffs: dict, max_grade: int, offset: int) -> None:
+    def __init__(self, coeffs: dict, max_grade: int, offset: int, compiled: Compile | None = None) -> None:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "max_grade", max_grade)
         object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "compiled", compiled)
 
     def grades(self) -> range:
         return range(self.offset, self.max_grade + 1, 4)
@@ -201,14 +211,15 @@ def series_prefactor(r: int, sign: int, max_n: int) -> QSeries:
     return QSeries(coeffs, 4 * max_n, 0)
 
 
-def _series(offset: int, max4n: int, fixed_points, term, grade=tuple) -> QSeries:
+def _series(offset: int, max4n: int, fixed_points, term, grade=tuple, table_type=FactorTable) -> QSeries:
     """The series whose grade g, from offset to max4n in steps of 4, is
     grade(the list of term(fp, table) over the fixed points
-    fixed_points(g)), by default their tuple, with one factor table for the
-    whole build."""
-    table = FactorTable()
+    fixed_points(g)), by default their tuple, with one factor table, a
+    `table_type()`, for the whole build; the series carries the table's
+    compile state."""
+    table = table_type()
     coeffs = {g: grade([term(fp, table) for fp in fixed_points(g)]) for g in range(offset, max4n + 1, 4)}
-    return QSeries(coeffs, max4n, offset)
+    return QSeries(coeffs, max4n, offset, table.compiled)
 
 
 def series_zp2(r: int, max_n: int) -> QSeries:
@@ -232,7 +243,9 @@ def _charted(zp2: QSeries, max_n: int, rule: Rule) -> QSeries:
 def series_zx0(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
     """Orbifold-side series: grade 4*v0 + w1 sums the colored diagram
     tuples with counts (v0, v1), v1 = v0 + w1/2 + k.  Grades where v0 or
-    v1 is negative or v1 is non-integral (parity-infeasible k) hold zero."""
+    v1 is negative or v1 is non-integral (parity-infeasible k) hold zero.
+    It is compiled as it is built: each term is ``term_x0``'s compiled
+    term, and the series carries its build's compile state."""
 
     def fixed_points(g: int):
         v0 = (g - frame.w1) // 4
@@ -241,7 +254,10 @@ def series_zx0(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:
             return ()
         return enum_fixed_points_x0(frame, v0, v1_doubled // 2)
 
-    return _series(frame.w1 % 4, max4n, fixed_points, lambda fp, table: term_x0(frame, fp, table))
+    def term(fp, table):
+        return term_x0(frame, fp, table)
+
+    return _series(frame.w1 % 4, max4n, fixed_points, term, table_type=CompiledTable)
 
 
 def series_zx1(frame: FrameData, k: HalfInt, max4n: int) -> QSeries:

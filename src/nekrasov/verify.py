@@ -20,11 +20,14 @@ across runs and platforms.  Every series is built once, in plain
 variables; a side that compares a series under a sign flip R is its plain
 coefficient evaluated at R(p).  The series of one (frame, k, max4n) are
 read through a SeriesPair, which builds and compiles each on first use
-and then keeps only its grades and its kernel.  A check is a function
-of a pair and a SampleConfig, check_X(pair, cfg), and reads its request
-from pair.key; `nekrasov check all` hands one pair to all of its checks,
-so each series is built once per invocation, and `nekrasov compute`
-builds, samples and reads its one series through a pair too.
+and then keeps only its grades and its kernel.  zx0 is compiled as it is
+built (series.series_zx0), so its kernel is made from the compile state
+its series carries, with no compile walk; zx1, zx1-fact and zp2 are
+series of terms that the kernel's compile walk reads.  A check is a
+function of a pair and a SampleConfig, check_X(pair, cfg), and reads its
+request from pair.key; `nekrasov check all` hands one pair to all of its
+checks, so each series is built once per invocation, and `nekrasov
+compute` builds, samples and reads its one series through a pair too.
 Each side of a check maps a point to {grade: value}: every coefficient
 of one series read at R(p), or a numeric Cauchy product of such values,
 so no product series is ever built.  main's k >= 0 prefactor and must's
@@ -63,7 +66,8 @@ fixed points, ell(kvec) times the sum of its chart-1 parts times the sum
 of its chart-2 parts, and zx1-fact one term per first-Chern vector and
 pair of plane grades, so each side's sum is read once per point, not
 once per fixed point.  The same compile walk records the series' pole
-forms and each coefficient's degree, so nothing else reads the pieces;
+forms and each coefficient's degree (zx0's build records them as it
+makes its pieces), so nothing else reads the pieces;
 no form cancels between the pieces of a term (every matter form carries
 a mass, no tangent form does), so they are those of the merged,
 multiplied-out terms.  The kernel holds no piece, so a series is freed
@@ -246,6 +250,8 @@ class SeriesPair:
     and then dropped: per series the pair keeps its grades, its kernel
     (values, denominator forms, degrees) and its forms composed with each
     rule read, so checks sharing a pair share compiles and compositions.
+    A series compiled as it is built (zx0) gives its kernel its compile
+    state; any other is compiled by the kernel's walk over its terms.
 
     The pair also keeps one value table: a series read at a point is
     evaluated once, keyed by (series name, each coordinate's numerator
@@ -279,7 +285,8 @@ class SeriesPair:
         if compiled is None:
             series = self.series(name)
             grades = series.grades()
-            compiled = self._compiled[name] = (grades, Kernel(map(series.coefficient, grades)))
+            kernel = Kernel(map(series.coefficient, grades), series.compiled)
+            compiled = self._compiled[name] = (grades, kernel)
         return compiled
 
     def grades(self, name: str) -> range:

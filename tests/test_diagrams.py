@@ -301,16 +301,60 @@ def kvector_counts(frame: FrameData, doubled_k: int, max4n: int) -> dict:
     return Counter({squares: n for (total, squares), n in states.items() if total == doubled_k})
 
 
+def colored_diagram_counts(color: int, top: int) -> Counter:
+    """{(a, b): count} of the diagrams framed with `color` that have a
+    boxes of color 0 and b of color 1, a, b <= top, read off
+    sum_k x^a_k y^b_k prod_n (1 - (xy)^n)^(-2): a diagram is its 2-core,
+    the staircase delta_k = (k, k - 1, ..., 1), and its 2-quotient, a
+    pair of diagrams whose every box is a domino, one box of each color.
+    A box of delta_k on anti-diagonal i + j = s has color (s + color) mod 2,
+    and delta_k holds s - 1 boxes there."""
+    cores, k = [], 0
+    while True:
+        a = sum([s - 1 for s in range(2, k + 2) if (s + color) % 2 == 0])
+        b = k * (k + 1) // 2 - a
+        if a > top or b > top:  # a and b never fall as k grows
+            break
+        cores.append((a, b))
+        k += 1
+    dominoes = colored_partition_counts(2, top)
+    out = Counter()
+    for a, b in cores:
+        for m in range(top + 1 - max(a, b)):
+            out[a + m, b + m] += dominoes[m]
+    return out
+
+
 class TestGeneratingFunctions:
     """The enumerators count what the generating functions predict: r
     diagrams of n boxes in all are the q^n coefficient of prod (1 -
-    q^m)^(-r); the resolved fixed points of grade g are, summed over the
-    first-Chern vectors, p_2r((g - 4 sum k_alpha^2) / 4)."""
+    q^m)^(-r); the orbifold fixed points with colored counts (v0, v1) are
+    the x^v0 y^v1 coefficient of the product over slots of each slot's
+    colored diagram series (`colored_diagram_counts`); the resolved fixed
+    points of grade g are, summed over the first-Chern vectors,
+    p_2r((g - 4 sum k_alpha^2) / 4)."""
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_plane_tuples(self, r):
         predicted = colored_partition_counts(r, 8)
         assert [len(list(diagram_tuples(r, n))) for n in range(9)] == predicted
+
+    @pytest.mark.parametrize("w", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1)], ids=str)
+    def test_orbifold_fixed_points(self, w):
+        frame, top = FrameData(*w), 4
+        predicted = Counter({(0, 0): 1})
+        for color in frame.colors:  # one slot's series at a time
+            product = Counter()
+            for (a, b), n in predicted.items():
+                for (c, d), m in colored_diagram_counts(color, top).items():
+                    if a + c <= top and b + d <= top:
+                        product[a + c, b + d] += n * m
+            predicted = product
+        counted = {
+            (v0, v1): len(enum_fixed_points_x0(frame, v0, v1)) for v0 in range(top + 1) for v1 in range(top + 1)
+        }
+        assert counted == {key: predicted[key] for key in counted}
+        assert min(counted.values()) == 0 < max(counted.values())
 
     @pytest.mark.parametrize("frame", _FRAMES_UP_TO_RANK_3, ids=repr)
     @pytest.mark.parametrize("doubled_k", [-2, -1, 0, 1, 2])

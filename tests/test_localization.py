@@ -642,15 +642,26 @@ class TestSharedBuild:
             monkeypatch.setattr(
                 localization, name, lambda pairs, *rest, build=build: calls.append(pairs) or build(pairs, *rest)
             )
+        # zx0's pieces are compiled as they are made, by its table
+        for name in ("matter", "tangent"):
+            build = getattr(localization.CompiledTable, name)
+            monkeypatch.setattr(
+                localization.CompiledTable,
+                name,
+                lambda table, pairs, *rest, build=build: calls.append(pairs) or build(table, pairs, *rest),
+            )
         # rank 500 at max-n 0: one fixed point, with no boxes, so no piece
         frame = FrameData(500, 0)
         assert {g: expanded_terms(c) for g, c in series_zx1(frame, H(0), 0).coeffs.items()} == {0: ((),)}
-        assert series_zx0(frame, H(0), 0).coeffs == {0: ((),)}
+        assert series_zx0(frame, H(0), 0).coeffs == {0: ((0, 0, 0, ()),)}  # the compiled empty term
         assert series_zp2(500, 0).coeffs == {0: ((),)}
         assert calls == []
         # on the plane and the resolved surface a character that is not
         # empty by construction has a monomial
         frame = FrameData(2, 1)
+        series_zx0(frame, H("1/2"), 8 + frame.w1)  # its table builds pieces once there are boxes
+        assert calls
+        calls.clear()
         series_zp2(frame.r, 2)
         series_zx1(frame, H("1/2"), 8 + frame.w1)
         assert calls and all(calls)

@@ -196,7 +196,10 @@ def test_reprs_and_keyword_constructors():
     assert repr(FrameData(w0=1, w1=2)) == "FrameData(w0=1, w1=2)"
     assert repr(FixedPointX1(kvec=(1,), y1=((),), y2=((),))) == "FixedPointX1(kvec=(1,), y1=((),), y2=((),))"
     assert repr(Wall("real", -1, (1, 0))) == "Wall(kind='real', index=-1, root=(1, 0))"
-    assert repr(QSeries(coeffs={}, max_grade=4, offset=0)) == "QSeries(coeffs={}, max_grade=4, offset=0)"
+    assert (
+        repr(QSeries(coeffs={}, max_grade=4, offset=0))
+        == "QSeries(coeffs={}, max_grade=4, offset=0, compiled=None)"
+    )
     assert repr(SampleConfig(161)) == "SampleConfig(seed=161, trials=5)"
     record = GradeRecord(grade4n=0, tags={}, values=[(F(1), F(1))])
     assert repr(record) == "GradeRecord(grade4n=0, tags={}, values=[(Fraction(1, 1), Fraction(1, 1))])"

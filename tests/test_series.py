@@ -8,11 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nekrasov import exact, localization, series, verify
-from nekrasov.diagrams import FixedPointX1, FrameData, HalfInt, enum_fixed_points_x1
+from nekrasov.diagrams import FixedPointX1, FrameData, HalfInt, enum_fixed_points_x0, enum_fixed_points_x1
 from nekrasov.exact import (
     EPS1,
     EPS2,
+    FactoredTerm,
     Kernel,
+    clear_of,
     coeff_eval,
     factored_term,
     linear_form,
@@ -46,6 +48,7 @@ from nekrasov.verify import (
 )
 from whole_fixed_point import (
     expanded_terms,
+    factored,
     merged,
     reference_chart,
     reference_map_point,
@@ -54,6 +57,7 @@ from whole_fixed_point import (
     reference_term_x0,
     reference_term_x1,
     series_pole_forms,
+    series_values,
     substitute,
 )
 
@@ -99,16 +103,17 @@ def u_value(p):
 
 
 class TestOrbifoldSeries:
+    # zx0 is compiled as it is built: its values are read by its kernel
     def test_base_grade_is_one(self):
         series = series_zx0(FrameData(1, 0), H(0), 8)
         for p in POINTS:
-            assert coeff_eval(series.coefficient(0), p) == 1
+            assert series_values(series, p)[0] == 1
 
     def test_grade_four_closed_form(self):
         series = series_zx0(FrameData(1, 0), H(0), 8)
         for p in POINTS:
             expected = matter_values(p, p[var_a(1)]) / (2 * p[EPS1] * p[EPS2])
-            assert coeff_eval(series.coefficient(4), p) == expected
+            assert series_values(series, p)[4] == expected
 
     def test_no_fixed_points_gives_zero(self):
         series = series_zx0(FrameData(1, 0), H(1), 8)
@@ -260,7 +265,7 @@ class TestSeriesProduct:
 
     def test_associative_and_commutative_under_evaluation(self):
         a = series_zx1(FrameData(1, 0), H(0), 8)
-        b = series_zx0(FrameData(1, 0), H(0), 8)
+        b = factored(series_zx0)(FrameData(1, 0), H(0), 8)  # zx0 as a series of pieces
         c = series_zp2(1, 2)
         left = series_mul(series_mul(a, b), c)
         right = series_mul(a, series_mul(b, c))
@@ -407,7 +412,7 @@ class TestFactorTables:
     def test_series_equal_the_reference(self, w, doubled, levels):
         frame = FrameData(*w)
         k, max4n = HalfInt(doubled), 4 * levels + frame.w1
-        built = _build_all(frame, k, max4n)
+        built = factored(_build_all)(frame, k, max4n)  # zx0's pieces through the same walk
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(series, "term_p2", lambda r, tup, table: (reference_term_p2(r, tup),))
             mp.setattr(series, "term_x0", lambda fr, fp, table: (reference_term_x0(fr, fp),))
@@ -416,7 +421,7 @@ class TestFactorTables:
             mp.setattr(series, "ell_factor", _reference_ell)
             mp.setattr(series, "rule_chart", reference_chart)
             mp.setattr(series, "term_substitute", _reference_substitute)
-            reference = _build_all(frame, k, max4n)
+            reference = factored(_build_all)(frame, k, max4n)
         for name, ref in reference.items():
             merged_ref = QSeries(_merged_coeffs(ref), ref.max_grade, ref.offset)
             got, want = _merged_coeffs(built[name]), merged_ref.coeffs
@@ -431,11 +436,14 @@ class TestFactorTables:
         frame, k, max4n = FrameData(1, 2), H(0), 4 * 3 + 2
         builds = {
             "zx0": lambda: series_zx0(frame, k, max4n),
+            "zx0 pieces": lambda: factored(series_zx0)(frame, k, max4n),
             "zx1": lambda: series_zx1(frame, k, max4n),
             "zp2": lambda: series_zp2(frame.r, 3),
         }
 
         def forms(built):
+            if built.compiled is not None:  # zx0 holds its forms in its compile state
+                return built.compiled.forms
             terms = [t for c in built.coeffs.values() for t in expanded_terms(c)]
             pieces = {id(piece): piece for t in terms for piece in t}
             return [form for piece in pieces.values() for form, _ in piece.factors]
@@ -604,3 +612,71 @@ class TestIntRules:
         assert built.forms == reference.forms
         assert built.pole_forms == reference.pole_forms
         assert built.sets == reference.sets
+
+
+def zx0_kernels(frame, k, max4n):
+    """zx0's kernel as `SeriesPair` makes it, from the series compiled as
+    it is built, and the kernel the compile walk makes from the zx0 terms
+    that `FactorTable` builds through the same slot walk."""
+    built = series_zx0(frame, k, max4n)
+    pieces = factored(series_zx0)(frame, k, max4n)
+    assert pieces.compiled is None and built.compiled is not None
+    grades = built.grades()
+    return (
+        Kernel(map(built.coefficient, grades), built.compiled),
+        Kernel(map(pieces.coefficient, grades)),
+    )
+
+
+class TestZx0CompiledAsBuilt:
+    """zx0 is compiled as it is built: its table makes each piece compiled,
+    and its series carries the compile state its kernel is made from with
+    no compile walk.  That kernel is the one the walk compiles from the
+    same series built as pieces, field for field, so draws and reports
+    are the same."""
+
+    @pytest.mark.parametrize("doubled", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("w", FRAMES, ids=str)
+    def test_kernel_equals_the_kernel_compiled_from_pieces(self, w, doubled):
+        frame = FrameData(*w)
+        for levels in range(4):
+            built, walked = zx0_kernels(frame, HalfInt(doubled), 4 * levels + frame.w1)
+            for field in Kernel.__slots__:
+                assert getattr(built, field) == getattr(walked, field), (levels, field)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        w=st.sampled_from(FRAMES),
+        doubled=st.integers(-2, 2),
+        levels=st.integers(0, 2),
+        values=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=11, max_size=11),
+    )
+    def test_values_are_the_sum_of_the_whole_fixed_point_terms(self, w, doubled, levels, values):
+        frame, k = FrameData(*w), HalfInt(doubled)
+        pair = SeriesPair(frame, k, 4 * levels + frame.w1)
+        point = dict(zip(scope_vars(frame.r), values))
+        assume(clear_of(pair.pole_forms("zx0"), point))
+        expected = {}
+        for g in pair.grades("zx0"):
+            v0 = (g - frame.w1) // 4
+            v1_doubled = 2 * v0 + frame.w1 + doubled  # v1 = v0 + w1/2 + k
+            fps = () if v1_doubled % 2 else enum_fixed_points_x0(frame, v0, v1_doubled // 2)
+            expected[g] = sum((term_eval((reference_term_x0(frame, fp),), point) for fp in fps), Fraction(0))
+        assert pair.values("zx0", point) == expected
+
+    @pytest.mark.parametrize("w", [(1, 0), (1, 1), (1, 2)], ids=str)
+    def test_a_zx0_build_makes_no_factored_term(self, monkeypatch, w):
+        # nor does its kernel run the compile walk
+        made, walked = [], []
+        init = FactoredTerm.__init__
+        monkeypatch.setattr(
+            FactoredTerm, "__init__", lambda piece, *args: made.append(piece) or init(piece, *args)
+        )
+        compile_sum = exact._compile_sum
+        monkeypatch.setattr(exact, "_compile_sum", lambda *args: walked.append(args) or compile_sum(*args))
+        frame = FrameData(*w)
+        pair = SeriesPair(frame, HalfInt(frame.w1 % 2), 12 + frame.w1)
+        pair.pole_forms("zx0")  # builds zx0 and makes its kernel
+        assert made == [] and walked == []
+        pair.pole_forms("zx1")  # the counters see what a series of pieces makes
+        assert made and walked

@@ -56,6 +56,7 @@ from whole_fixed_point import (
     coeff_denominator_forms,
     coefficient,
     expanded_terms,
+    factored,
     halved,
     merged,
     prefactor_value,
@@ -420,27 +421,26 @@ class TestZeroKBranchGuard:
         # the eps-flipped orbifold series is the plain one read at -eps
         frame = FrameData(1, 0)
         flip = rule_negate_eps()
-        plain = series_zx0(frame, H(0), 8)
+        plain = SeriesPair(frame, H(0), 8)  # zx0 is read through its kernel
         pref = reference_prefactor(frame.r, +1, 2)
         u_piece = prefactor_exponent(frame.r)
-        forms = series_pole_forms(plain) + coeff_denominator_forms(((u_piece,),))
-        forms += [form_image(form, flip) for form in series_pole_forms(plain)]
+        forms = plain.pole_forms("zx0") + coeff_denominator_forms(((u_piece,),))
+        forms += [form_image(form, flip) for form in plain.pole_forms("zx0")]
         for trial in range(CFG.trials):
             p = sample_point(CFG, trial, forms, frame.r)
             q = map_point(p, flip)
             u = term_eval((u_piece,), p)
-            a0 = coeff_eval(plain.coefficient(0), p)
-            a4 = coeff_eval(plain.coefficient(4), p)
-            b4 = coeff_eval(plain.coefficient(4), q)
+            at_p, at_q = plain.values("zx0", p), plain.values("zx0", q)
+            a0, a4, b4 = at_p[0], at_p[4], at_q[4]
             assert b4 - a4 == u * a0
             assert (b4 != a4) == (u != 0)
             # both branch right sides agree wherever the identity holds
             for g in (0, 4, 8):
                 rhs_ge = sum(
-                    prefactor_value(pref.coefficient(j), p) * coeff_eval(plain.coefficient(g - j), p)
+                    prefactor_value(pref.coefficient(j), p) * at_p[g - j]
                     for j in range(0, g + 1, 4)
                 )
-                assert rhs_ge == coeff_eval(plain.coefficient(g), q)
+                assert rhs_ge == at_q[g]
 
 
 # The builder of each series a SeriesPair holds, by series name.
@@ -498,9 +498,9 @@ def record_kernel_reads(monkeypatch) -> list:
     compiled, reads = {}, []
     evaluate = Kernel.evaluate
 
-    def compiling(coefficients):
+    def compiling(coefficients, state=None):
         coefficients = list(coefficients)
-        kernel = Kernel(coefficients)
+        kernel = Kernel(coefficients, state)
         compiled[kernel] = coefficients
         return kernel
 
@@ -554,7 +554,7 @@ class TestFlippedSides:
         trap = map_point(image, flip)
         hit = form_image(target, flip)
         assert hit.evaluate(trap) == 0 and target.evaluate(trap) != 0
-        forms = series_pole_forms(zx1, series_zx0(frame, k, max4n))
+        forms = series_pole_forms(zx1) + SeriesPair(frame, k, max4n).pole_forms("zx0")
         loci = forms + [form_image(form, flip) for form in forms]
         assert {form for form in loci if form.evaluate(trap) == 0} <= {hit, -hit}
 
@@ -701,7 +701,7 @@ class TestSeriesKernels:
     def test_values_equal_the_term_by_term_sum(self, r, k, name):
         frame = FRAMES[r, H(k).doubled % 2]
         pair = SeriesPair(frame, H(k), 4 * MAX_N[r] + frame.w1)
-        series = pair.series(name)
+        series = factored(pair.series)(name)  # zx0's terms as pieces, through the same walk
         assert any(series.coefficient(g) for g in series.grades() if g)
         points, _ = sample_points(SampleConfig(seed=7, trials=2), pair.pole_forms(name), r)
         for point in points:
@@ -776,7 +776,7 @@ class TestPieceReads:
     def test_pole_forms_and_degrees_equal_those_of_the_merged_terms(self, r, k, name):
         frame = FRAMES[r, H(k).doubled % 2]
         pair = SeriesPair(frame, H(k), 4 * MAX_N[r] + frame.w1)
-        series = pair.series(name)
+        series = factored(pair.series)(name)  # zx0's terms as pieces, through the same walk
         merged_series = QSeries(
             {g: tuple((merged(t),) for t in expanded_terms(c)) for g, c in series.coeffs.items()},
             series.max_grade,
@@ -797,16 +797,16 @@ class TestPieceReads:
         # references to 3114 distinct pieces, which have 15,420 factors
         # (a diagonal slot pair's piece serves every slot of its diagram);
         # merged, the terms have 51,824 factor occurrences
-        from nekrasov import exact
+        from nekrasov import exact, localization
 
         pair = SeriesPair(FrameData(1, 2), H(0), 18)
-        series = pair.series("zx0")
+        series = factored(pair.series)("zx0")  # zx0's terms as pieces, through the same walk
         terms = [t for g in series.grades() for t in series.coefficient(g)]
         pieces = {id(piece): piece for t in terms for piece in t}
         assert (len(terms), sum(map(len, terms)), len(pieces)) == (1188, 11210, 3114)
         assert sum(len(merged(t).factors) for t in terms) == 51824
 
-        compiled = []
+        compiled, made = [], []
         compile_piece = exact._compile_piece
 
         def compiling(piece, *state):
@@ -814,13 +814,26 @@ class TestPieceReads:
             return compile_piece(piece, *state)
 
         monkeypatch.setattr(exact, "_compile_piece", compiling)
-        (point,), _ = sample_points(SampleConfig(seed=7, trials=1), pair.pole_forms("zx0"), 3)
-        _, kernel = pair._compile("zx0")
-        products = count_products(monkeypatch, kernel)
-        pair.values("zx0", point)
-        # one form-slot lookup per factor of each distinct piece
+        # the compile walk over the terms: one form-slot lookup per factor
+        # of each distinct piece
+        Kernel(map(series.coefficient, series.grades()))
         assert len({id(piece) for piece in compiled}) == len(compiled) == len(pieces)
         assert sum(len(piece.factors) for piece in compiled) == 15420
+        # zx0 itself: each distinct piece made and compiled once, as it is
+        # built, and no compile walk
+        for name in ("matter", "tangent"):
+            build = getattr(localization.CompiledTable, name)
+            monkeypatch.setattr(
+                localization.CompiledTable,
+                name,
+                lambda table, *args, build=build: made.append(build(table, *args)) or made[-1],
+            )
+        compiled.clear()
+        (point,), _ = sample_points(SampleConfig(seed=7, trials=1), pair.pole_forms("zx0"), 3)
+        _, kernel = pair._compile("zx0")
+        assert compiled == [] and len([piece for piece in made if piece]) == len(pieces)
+        products = count_products(monkeypatch, kernel)
+        pair.values("zx0", point)
         # at the point, one product per distinct factor set, then one per
         # term side that reads more than one ref; a lone ref is read directly
         assert len(set(kernel.sets)) == len(kernel.sets) == 2091
@@ -933,7 +946,7 @@ class TestValueTable:
         replaced by mutate(coefficient)."""
         from nekrasov import verify
 
-        build = getattr(verify, BUILDERS[name])
+        build = factored(getattr(verify, BUILDERS[name]))  # zx0 as pieces, to mutate
 
         def mutated(*args):
             series = build(*args)

@@ -24,6 +24,10 @@ those definitions, the Euler classes monomial by monomial, so a piece's
 factors come in its monomials' first-seen order.  The last helpers read quantities only tests need, and read
 a coefficient's degree and denominator forms off its pieces directly, as
 references for what ``exact.Kernel`` records while it compiles.
+zx0 is compiled as it is built, so it holds no pieces; ``factored``
+builds it as a series of pieces through the same walk, for those
+references and for a kernel compiled from its terms, and
+``series_values`` reads any series, compiled or of terms, at a point.
 ``reference_prefactor`` is (1 - (-1)^r q)^(+-u) built the way the engine
 built it before it became a numeric side: each grade a sum of powers of
 the exponent-ratio piece u, each power held here beside its binomial
@@ -53,6 +57,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+from nekrasov import series as series_module
 from nekrasov.characters import (
     char_tangent_p2,
     char_tangent_x0,
@@ -63,8 +68,19 @@ from nekrasov.characters import (
     char_v_x1,
 )
 from nekrasov.diagrams import HalfInt, boxes, partitions, transpose
-from nekrasov.exact import EPS1, EPS2, FactoredTerm, factored_term, linear_form, term_eval, term_pow, var_a
+from nekrasov.exact import (
+    EPS1,
+    EPS2,
+    FactoredTerm,
+    Kernel,
+    factored_term,
+    linear_form,
+    term_eval,
+    term_pow,
+    var_a,
+)
 from nekrasov.localization import (
+    FactorTable,
     VanishingWeight,
     mass_shifted_weight,
     ratio_part,
@@ -389,6 +405,31 @@ def reduced_pairs(form) -> tuple:
     least positive common denominator of its coefficients."""
     den = lcm(*(c.denominator for _, c in form.coeffs))
     return tuple((v, int(c * den)) for v, c in form.coeffs), den
+
+
+def factored(build):
+    """`build` run with ``series.CompiledTable`` bound to ``FactorTable``:
+    zx0 then comes out of the same slot walk as a series of
+    ``FactoredTerm`` pieces, with no compile state; every other series is
+    built as it is."""
+
+    def run(*args):
+        saved = series_module.CompiledTable
+        series_module.CompiledTable = FactorTable
+        try:
+            return build(*args)
+        finally:
+            series_module.CompiledTable = saved
+
+    return run
+
+
+def series_values(series, point) -> dict:
+    """{grade: value} of `series` at `point`, read by one ``Kernel``: over
+    the series' compile state when it has one (zx0), else compiled from
+    its terms."""
+    grades = series.grades()
+    return dict(zip(grades, Kernel(map(series.coefficient, grades), series.compiled).evaluate(point)))
 
 
 def coeff_degree(c) -> int | None:
