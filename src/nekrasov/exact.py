@@ -36,14 +36,16 @@ twist and from the prefactor exponent's numerator (eps1 + eps2)/2.  So a
 coefficient) pairs of every other variable.  A variable is its slot, an
 int that orders variables canonically (eps1 and eps2 are 1 and 2, then
 every a_alpha, then every m_f; `var_name` names one), and a sample point
-is a dict from slot to value.  `linear_form`, the one constructor from
-rationals, refuses any coefficient outside (1/2)Z.  Building, hashing
-and comparing forms is int arithmetic with no reduction, and a form's
-hash is computed once, when it is made.  A substitution rule (`Rule`, a
-chart or the eps flip) is a small int map on (p, q) that keeps the frame,
-and `form_image` is the one place a rule meets a form: chart images of
-terms (`term_substitute`) and rule-composed pole forms (``verify``) use
-it, and ``series.map_point`` reads the same ints to image a point.
+is a dict from slot to value.  The engine builds every form from its
+doubled ints; `linear_form`, the one constructor from rationals, serves
+callers that hold Fraction coefficients and refuses any outside (1/2)Z.
+Building, hashing and comparing forms is int arithmetic with no
+reduction, and a form's hash is computed once, when it is made.  A
+substitution rule (`Rule`, a chart or the eps flip) is a small int map
+on (p, q) that keeps the frame, and `form_image` is the one place a rule
+meets a form: chart images of terms (`term_substitute`) and
+rule-composed pole forms (``verify``) use it, and ``series.map_point``
+reads the same ints to image a point.
 
 Sample-point values are ``fractions.Fraction``.  Evaluation works in
 ints through a `Kernel`, compiled once from a list of coefficients by the
@@ -193,8 +195,8 @@ class LinearForm:
     the (slot, doubled coefficient) pairs of every other variable with a
     nonzero one, sorted by slot.  The denominator is always 2, so every
     equal form has equal fields, and their hash is computed once, when the
-    form is made.  Build forms with `linear_form`, or from their doubled
-    ints directly; treat them as immutable."""
+    form is made.  Build forms from their doubled ints, or from rational
+    coefficients with `linear_form`; treat them as immutable."""
 
     __slots__ = ("p", "q", "frame", "_hash")
 
@@ -215,10 +217,6 @@ class LinearForm:
 
     def is_zero(self) -> bool:
         return not (self.p or self.q or self.frame)
-
-    def sort_key(self) -> tuple:
-        """Canonical order of forms in a factored term."""
-        return (self.p, self.q, self.frame)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not LinearForm:
@@ -300,11 +298,11 @@ class FactoredTerm(Record):
 
     Invariants: the factors' forms are pairwise distinct, no exponent is
     zero, and no form is symbolically zero.  `factored_term` also sorts
-    the factors, so the pieces it builds from any permutation of the same
-    factor multiset are equal objects: the canonical piece.  The pieces
-    ``localization`` builds keep their factors in build order instead (no
-    reader needs the sort), so two of them are compared as factor
-    multisets, through that merge.
+    the factors by (p, q, frame), so the pieces it builds from any
+    permutation of the same factor multiset are equal objects: the
+    canonical piece.  The pieces ``localization`` builds keep their
+    factors in build order instead (no reader needs the sort), so two of
+    them are compared as factor multisets, through that merge.
 
     A piece is weakly referenceable, so a test can see a piece freed.  It
     is built once per piece, so its field is set through its slot's own
@@ -333,7 +331,7 @@ def factored_term(factors: Iterable[tuple[LinearForm, int]] = ()) -> FactoredTer
             raise ValueError("symbolically zero form in a factored term")
         merged[form] = merged.get(form, 0) + exp
     kept = [(form, exp) for form, exp in merged.items() if exp != 0]
-    kept.sort(key=lambda fe: fe[0].sort_key())
+    kept.sort(key=lambda fe: (fe[0].p, fe[0].q, fe[0].frame))  # the canonical order
     return FactoredTerm(tuple(kept))
 
 
@@ -437,7 +435,7 @@ Coefficient = tuple
 def coeff_eval(c: Coefficient, point: Mapping[int, Fraction]) -> Fraction:
     """The value of `c` at `point`, from a one-coefficient `Kernel`
     compiled per call.  Must's u (``verify._prefactor``) is read here until
-    ROADMAP item 8, as `perfbench/tests`' `REACH` needs this and
+    ROADMAP item 17, as `perfbench/tests`' `REACH` needs this and
     `term_eval` called on eval-deep."""
     return Kernel((c,)).evaluate(point)[0]
 

@@ -28,9 +28,11 @@ dict keyed by the pair, in first-seen order, and read each distinct
 pair's form off a memo for that e-part.
 ``term_p2`` and ``term_x0`` take a fixed point's diagram tuple and
 ``term_x1`` its (kvec, Y1, Y2); each takes a factor table, one series
-build's memos, and the table decides what a piece is.  A
-``FactorTable`` (zp2, zx1 and zx1-fact's ell pieces) maps a piece's key
-in `pieces` to that piece's ``FactoredTerm``, built on first use, and a
+build's memos, and the table decides what a piece is: every piece, ell's
+too, is made by the table's ``matter`` or ``tangent``, and every term by
+its ``term``.  A ``FactorTable`` (zp2, zx1 and zx1-fact's ell pieces)
+maps a piece's key in `pieces` to that piece's ``FactoredTerm``, built
+on first use (a tangent piece as ``euler_class`` to the power -1), and a
 term is the tuple of the table's objects, unit pieces dropped (see
 ``exact``), a resolved term's three parts each as a one-term sum;
 multiplied out and merged, a term's pieces give the canonical piece one
@@ -64,11 +66,11 @@ resolved fixed point's kvec is the tuple of its doubled entries 2k_alpha
 (``diagrams.FixedPointX1``), and its term is ell(kvec) * part_1 *
 part_2: ell holds each slot's line-bundle matter piece (alpha, 2k_alpha)
 and then its slot pairs' (alpha, beta, delta), delta = 2(k_beta -
-k_alpha), visiting no pair when kvec spreads by at most 1; `parts`
-memoizes ell by kvec and part c by (kvec, c, Y^c), each as a one-term
-sum (see ``exact.Term``), and ``term_x1`` returns the three sums, so
-``series`` can gather the parts of many fixed points into one sum per
-chart and size.
+k_alpha), in that order, made by the table as a chart part's are, so it
+is the same ell on either table; `parts` memoizes ell by kvec and part
+c by (kvec, c, Y^c), each as a one-term sum (see ``exact.Term``), and
+``term_x1`` returns the three sums, so ``series`` can gather the parts
+of many fixed points into one sum per chart and size.
 The forms are memoized by e-part and then by (p, q): each tangent
 monomial's weight form (`weights`) and each tautological monomial's 2r
 mass-shifted forms (`masses`), so every piece holding a form holds one
@@ -189,16 +191,12 @@ def matter_euler(weights: list, e: tuple, r: int, forms: dict | None = None) -> 
     return FactoredTerm(tuple(factors))
 
 
-def _tangent_piece(weights: list, e: tuple, forms: dict | None = None) -> FactoredTerm:
-    """Inverse Euler class of a tangent piece."""
-    return term_pow(euler_class(weights, e, forms), -1)
-
-
 class FactorTable:
     """One series build's memos of pieces, characters, resolved parts,
-    weight forms and mass-shifted forms, each piece a ``FactoredTerm``;
-    see the module docstring.  Its terms are tuples of pieces, and it has
-    no compile state."""
+    weight forms and mass-shifted forms, each piece a ``FactoredTerm``
+    made by `matter` or `tangent`, ell(kvec)'s as every other; see the
+    module docstring.  Its terms are tuples of pieces, and it has no
+    compile state."""
 
     __slots__ = ("pieces", "chars", "parts", "weights", "masses")
 
@@ -219,7 +217,7 @@ class FactorTable:
 
     def tangent(self, weights: list, e: tuple):
         """A tangent piece's inverse Euler class, or () if it is 1."""
-        piece = _tangent_piece(weights, e, self.weights)
+        piece = term_pow(euler_class(weights, e, self.weights), -1)
         return piece if piece.factors else ()
 
 
@@ -365,28 +363,27 @@ def term_x0(frame: FrameData, diagrams, table) -> Term:
     return _slot_walk(frame.colors, diagrams, 0, 2, frame.r, table, _v_x0, _pair_x0)
 
 
-def _ell_part(doubled: tuple, r: int, table: FactorTable) -> Term:
+def _ell_part(doubled: tuple, r: int, table) -> Term:
     """ell(kvec) for the doubled first-Chern vector: each slot's
     line-bundle matter piece, then its slot pairs' line-bundle tangent
-    pieces.  No slot pair has one when the vector's spread is at most 1."""
+    pieces, each made by `table` and kept in its `pieces`, and the term
+    of them (`table.term`).  A piece char_twist(d) with |d| <= 1 is
+    empty, so it is not made."""
     cached, pieces = table.pieces, []
-    pairs = doubled if max(doubled) - min(doubled) > 1 else ()
     for alpha, d in enumerate(doubled, start=1):
         if abs(d) > 1:
             piece = cached.get((alpha, d))
             if piece is None:
-                piece = cached[alpha, d] = matter_euler(char_twist(d), slot_part(alpha), r, table.masses)
+                piece = cached[alpha, d] = table.matter(char_twist(d), slot_part(alpha), r)
             pieces.append(piece)
-        for beta, d_beta in enumerate(pairs, start=1):
+        for beta, d_beta in enumerate(doubled, start=1):
             delta = d_beta - d
             if abs(delta) > 1:
-                key = (alpha, beta, delta)
-                piece = cached.get(key)
+                piece = cached.get((alpha, beta, delta))
                 if piece is None:
-                    e = ratio_part(alpha, beta)
-                    piece = cached[key] = _tangent_piece(char_twist(delta), e, table.weights)
+                    piece = cached[alpha, beta, delta] = table.tangent(char_twist(delta), ratio_part(alpha, beta))
                 pieces.append(piece)
-    return tuple(pieces)
+    return table.term(pieces)
 
 
 def _part(parts: dict, key, build, *args) -> tuple:

@@ -91,10 +91,10 @@ from .exact import (
     Compile,
     EvalPoint,
     FactoredTerm,
+    LinearForm,
     Record,
     Rule,
     factored_term,
-    linear_form,
     term_mul,
     term_substitute,
     var_a,
@@ -169,20 +169,12 @@ def map_point(point: EvalPoint, rule: Rule | None) -> EvalPoint:
 
 def prefactor_exponent(r: int) -> FactoredTerm:
     """The exponent ratio u = ((eps1+eps2)/2)(2 sum a + sum m)/(eps1 eps2),
-    as one piece: its 1/2 is held by the numerator form (eps1+eps2)/2,
-    whose doubled eps numerators are (1, 1)."""
-    half_eps_sum = linear_form({EPS1: Fraction(1, 2), EPS2: Fraction(1, 2)})
-    charge: dict[int, int] = {var_a(alpha): 2 for alpha in range(1, r + 1)}
-    for f in range(1, 2 * r + 1):
-        charge[var_m(f)] = 1
-    return factored_term(
-        [
-            (half_eps_sum, 1),
-            (linear_form(charge), 1),
-            (linear_form({EPS1: 1}), -1),
-            (linear_form({EPS2: 1}), -1),
-        ]
-    )
+    as one piece, each form built from its doubled ints (exact.LinearForm):
+    (eps1+eps2)/2 is (1, 1), 2 sum a + sum m holds 4 per a_alpha and 2 per
+    m_f, and eps1 and eps2 are (2, 0) and (0, 2)."""
+    charge = [(var_a(alpha), 4) for alpha in range(1, r + 1)] + [(var_m(f), 2) for f in range(1, 2 * r + 1)]
+    forms = [LinearForm(1, 1, ()), LinearForm(0, 0, tuple(charge)), LinearForm(2, 0, ()), LinearForm(0, 2, ())]
+    return factored_term(zip(forms, (1, 1, -1, -1)))
 
 
 def _binomial_poly(j: int) -> list[Fraction]:

@@ -204,7 +204,7 @@ _point_strategy = st.builds(
 )
 
 
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 @given(t=_term_strategy, u=_term_strategy, point=_point_strategy)
 def test_term_mul_is_pointwise_product(t, u, point):
     try:
@@ -301,7 +301,7 @@ def test_one_degree_coefficient_takes_its_sign_at_the_negated_point(pieces, poin
 
 
 class TestKernelAgainstReference:
-    @settings(max_examples=300)
+    @settings(max_examples=300, deadline=None)
     @given(pieces=st.lists(_kernel_term, min_size=1, max_size=4), point=_kernel_point)
     def test_coeff_and_term_eval_match_fraction_reference(self, pieces, point):
         c = tuple((piece,) for piece in pieces)

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nekrasov import localization
@@ -32,8 +32,11 @@ from nekrasov.exact import (
     EPS2,
     UNIT_TERM,
     FactoredTerm,
+    Kernel,
+    clear_of,
     factored_term,
     linear_form,
+    scope_vars,
     term_eval,
     term_mul,
     term_pow,
@@ -43,7 +46,6 @@ from nekrasov.exact import (
 from nekrasov.localization import (
     FactorTable,
     VanishingWeight,
-    _tangent_piece,
     ell_factor,
     euler_class,
     mass_shifted_weight,
@@ -215,7 +217,7 @@ def _same_piece(piece, expected):
 
 
 class TestDirectCanonicalBuild:
-    """euler_class, matter_euler and _tangent_piece merge a piece's equal
+    """euler_class, matter_euler and FactorTable.tangent merge a piece's equal
     pairs once and build one factor per distinct monomial, without the
     merge of ``factored_term``, since distinct monomials have distinct
     forms; they hold the factor multiset of that merge, with or without a
@@ -232,7 +234,7 @@ class TestDirectCanonicalBuild:
                 got = matter_euler(pairs, e, r, memo)
                 assert _same_piece(got, _merged_matter(pairs, e, r))
             if e == () and (0, 0) in pairs:
-                for build in (euler_class, _tangent_piece):
+                for build in (euler_class, FactorTable().tangent):
                     with pytest.raises(VanishingWeight):
                         build(pairs, e)
                 continue
@@ -240,7 +242,7 @@ class TestDirectCanonicalBuild:
             for memo in (None, weights):
                 got = euler_class(pairs, e, memo)
                 assert _same_piece(got, expected)
-                got = _tangent_piece(pairs, e, memo)
+                got = term_pow(euler_class(pairs, e, memo), -1)
                 assert _same_piece(got, _merged_pow(expected, -1))
 
 
@@ -384,6 +386,38 @@ class TestEllFactor:
                 assert merged(ell_factor(frame, kvec, FactorTable())) == merged(expected)
 
 
+class TestEllOnEitherTable:
+    """ell(kvec)'s pieces are made by the table's `matter` and `tangent`,
+    so a ``CompiledTable`` makes the ell a ``FactorTable`` makes, compiled,
+    and no ``FactoredTerm``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kvec=st.sampled_from(
+            [(0,), (1,), (2,), (-4,), (0, 0), (1, -1), (2, -2), (4, -2), (2, 0, -2), (3, 1, -1), (4, -4, 0)]
+        ),
+        values=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=11, max_size=11),
+    )
+    @example(kvec=(4, -4, 0), values=[Fraction(v, 3) for v in range(1, 12)])
+    def test_the_compiled_ell_reads_the_ell_of_pieces(self, kvec, values):
+        r = len(kvec)
+        point = dict(zip(scope_vars(r), values))
+        ell = localization._ell_part(kvec, r, FactorTable())
+        walked = Kernel([(ell,)])
+        assume(clear_of(walked.pole_forms, point))
+        table = localization.CompiledTable()
+        made = []
+        init = FactoredTerm.__init__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FactoredTerm, "__init__", lambda piece, *args: made.append(piece) or init(piece, *args))
+            compiled = localization._ell_part(kvec, r, table)
+        assert made == []
+        built = Kernel([(compiled,)], table.compiled)
+        for field in Kernel.__slots__:
+            assert getattr(built, field) == getattr(walked, field), field
+        assert built.evaluate(point) == [term_eval(ell, point)]
+
+
 # Every framing of rank 1 to 3, and of rank 1 to 4.
 FRAMES = [(w0, w1) for w0 in range(4) for w1 in range(4) if 1 <= w0 + w1 <= 3]
 FRAMES_TO_4 = [(w0, w1) for w0 in range(5) for w1 in range(5) if 1 <= w0 + w1 <= 4]
@@ -520,7 +554,7 @@ class TestPiecesAgainstReferences:
                     expected = ref_euler_class(ch)
                     assert euler_class(pairs, e, table.weights) == expected
                     assert euler_class(pairs, e) == expected
-                    assert _tangent_piece(pairs, e, table.weights) == term_pow(expected, -1)
+                    assert table.tangent(pairs, e) == (term_pow(expected, -1) if pairs else ())
 
     def test_orbifold_pieces_repeat_weights(self):
         """zx0 at w = (1, 0), k = 0, max-n 8 (diagrams up to 16 boxes) has

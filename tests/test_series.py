@@ -224,13 +224,22 @@ class TestPrefactor:
         assert side(p)[8] == u * (u - 1) / 2
 
     def test_exponent_ratio_term_shape(self):
-        u = prefactor_exponent(1)
         half_sum = linear_form({EPS1: Fraction(1, 2), EPS2: Fraction(1, 2)})
-        assert (half_sum, 1) in u.factors
-        negatives = sorted(
-            str(form) for form, exp in u.factors if exp == -1
-        )
-        assert negatives == ["eps1", "eps2"]
+        for r in range(1, 7):
+            u = prefactor_exponent(r)
+            assert (half_sum, 1) in u.factors
+            negatives = sorted(
+                str(form) for form, exp in u.factors if exp == -1
+            )
+            assert negatives == ["eps1", "eps2"]
+            # u's forms are built from their doubled ints; factor for factor
+            # they are the forms linear_form makes from Fraction coefficients
+            charge = {var_a(alpha): 2 for alpha in range(1, r + 1)}
+            charge.update({var_m(f): 1 for f in range(1, 2 * r + 1)})
+            expected = factored_term(
+                [(half_sum, 1), (linear_form(charge), 1), (linear_form({EPS1: 1}), -1), (linear_form({EPS2: 1}), -1)]
+            )
+            assert u.factors == expected.factors
 
     def test_opposite_signs_multiply_to_unit(self):
         prod = verify._cauchy(verify._prefactor(1, +1, 3), verify._prefactor(1, -1, 3))
