@@ -347,11 +347,12 @@ UNIT_TERM = factored_term()
 Term = tuple
 
 
-def _scale_point(point: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
-    """Write every value of `point` as an int over one common denominator D;
-    return those ints, keyed by slot, and D."""
-    d = lcm(*(value.denominator for value in point.values()))
-    ints = {v: value.numerator * (d // value.denominator) for v, value in point.items()}
+def scale_to_ints(mapping: Mapping) -> tuple[dict, int]:
+    """Write every value of `mapping`, a ``Fraction`` or an int, as an int
+    over one common denominator D, the lcm of theirs; return those ints,
+    keyed and ordered as in `mapping`, and D (1 for no values)."""
+    d = lcm(*(value.denominator for value in mapping.values()))
+    ints = {key: value.numerator * (d // value.denominator) for key, value in mapping.items()}
     return ints, d
 
 
@@ -380,7 +381,7 @@ def clear_of(forms: Iterable[LinearForm], point: Mapping[int, Fraction]) -> bool
     at the point scaled to one common denominator does, and a draw's
     forms, a union over series, share a few frame parts among many forms."""
     rows, frames = _form_rows(forms)
-    return 0 not in _form_values(rows, frames, _scale_point(point)[0])
+    return 0 not in _form_values(rows, frames, scale_to_ints(point)[0])
 
 
 def term_mul(a: Term, b: Term) -> Term:
@@ -520,7 +521,7 @@ class Kernel:
         """Every coefficient's value at `point`, in compile order.  A
         vanishing denominator form of any piece is a pole, even where a
         numerator form vanishes too; else a vanishing form zeroes its term."""
-        ints, d = _scale_point(point)
+        ints, d = scale_to_ints(point)
         values = [1]
         values += _form_values(self._rows, self.frames, ints)
         if 0 in values:

@@ -33,8 +33,8 @@ too, is made by the table's ``matter`` or ``tangent``, and every term by
 its ``term``.  A ``FactorTable`` (zp2, zx1 and zx1-fact's ell pieces)
 maps a piece's key in `pieces` to that piece's ``FactoredTerm``, built
 on first use (a tangent piece as ``euler_class`` to the power -1), and a
-term is the tuple of the table's objects, unit pieces dropped (see
-``exact``), a resolved term's three parts each as a one-term sum;
+term is the tuple of the table's objects, a resolved term's three parts
+each as a one-term sum;
 multiplied out and merged, a term's pieces give the canonical piece one
 Euler class of each whole character gives.  A ``CompiledTable`` (zx0)
 compiles each piece as it makes it, into the build's
@@ -42,35 +42,40 @@ compiles each piece as it makes it, into the build's
 a tangent piece (0, denominator set ref, -degree), with the same
 factors as ``matter_euler`` and the inverse of ``euler_class``, and a
 term is the compiled term of its pieces, which the kernel reads with no
-compile walk; no ``FactoredTerm`` is made.
+compile walk; no ``FactoredTerm`` is made.  Neither table is ever
+handed an empty character, so neither makes a unit piece.
 
-One slot walk (``_slot_walk``) builds the plane and orbifold terms and
-each chart part of a resolved term.  They differ in a class c_alpha per
-slot (0 on the plane, the color on the orbifold, 2k_alpha on a chart), a
-tag (the chart, else 0) and two character builders.  The walk keys each
-slot's matter piece (alpha, c_alpha, tag, Y_alpha), then its slot pairs'
-tangent pieces (alpha, beta, d, tag, Y_alpha, Y_beta), d = c_beta -
-c_alpha, and visits only the pairs with a box (every beta for a slot
-with a diagram, the filled beta otherwise), so n boxes give O(n r)
-pieces.  `chars` holds each character once per (c_alpha, tag, Y_alpha)
-or (d, tag, Y_alpha, Y_beta), d mod 2 on the orbifold, and a builder is
-called with that key as its arguments, so it reads nothing its key
-lacks; at rank 1 each class is one piece's, so the walk keeps no class
-memo there (it would copy `pieces` one for one).  A diagonal tangent
+One slot walk (``_slot_walk``) builds the plane and orbifold terms, each
+chart part of a resolved term, and ell(kvec).  They differ in a class
+c_alpha per slot (0 on the plane, the color on the orbifold, 2k_alpha on
+a chart and for ell), a datum per slot (its diagram, or its 2k_alpha for
+ell), a tag (the chart, else 0) and two character builders.  The walk
+keys each slot's matter piece (alpha, c_alpha, tag, Y_alpha), then its
+slot pairs' tangent pieces (alpha, beta, d, tag, Y_alpha, Y_beta), d =
+c_beta - c_alpha, and visits only the pairs with a box (every beta for a
+slot with a diagram, the filled beta otherwise), so n boxes give O(n r)
+pieces; a slot with no boxes, or with k_alpha = 0 for ell, makes no
+piece of its own.  `chars` holds each character once per (c_alpha, tag,
+Y_alpha) or (d, tag, Y_alpha, Y_beta), d mod 2 on the orbifold, and a
+builder is called with that key as its arguments, so it reads nothing
+its key lacks; at rank 1 each class is one piece's, so the walk keeps
+no class memo there (it would copy `pieces` one for one).  A diagonal tangent
 piece has e-part () and d = 0, so every slot shares one per tag and
-diagram, keyed as the slot pair (0, 0).  No piece whose character is
-empty by construction is keyed or built: two empty diagrams' tangent
-piece, an empty diagram's matter piece, a line-bundle piece
-char_twist(d) with |d| <= 1.  A
-resolved fixed point's kvec is the tuple of its doubled entries 2k_alpha
-(``diagrams.FixedPointX1``), and its term is ell(kvec) * part_1 *
-part_2: ell holds each slot's line-bundle matter piece (alpha, 2k_alpha)
-and then its slot pairs' (alpha, beta, delta), delta = 2(k_beta -
-k_alpha), in that order, made by the table as a chart part's are, so it
-is the same ell on either table; `parts` memoizes ell by kvec and part
-c by (kvec, c, Y^c), each as a one-term sum (see ``exact.Term``), and
-``term_x1`` returns the three sums, so ``series`` can gather the parts
-of many fixed points into one sum per chart and size.
+diagram, keyed as the slot pair (0, 0).  The walk is the one place
+that turns an empty character into no piece: whatever made it empty --
+no boxes, the orbifold's parity filter, or a line-bundle twist
+char_twist(d) with |d| <= 1 -- its key holds (), the table is not
+called, and the term skips it.  A resolved fixed point's kvec is the
+tuple of its doubled entries 2k_alpha (``diagrams.FixedPointX1``), and
+its term is ell(kvec) * part_1 * part_2.  ell is walked under tag 0,
+which no chart uses, each slot's class and datum both its 2k_alpha: it
+holds each slot's line-bundle matter piece char_twist(2k_alpha) and
+then its slot pairs' char_twist(delta), delta = 2(k_beta - k_alpha), in
+that order, made by the table as a chart part's are, so it is the same
+ell on either table; `parts` memoizes ell by kvec and part c by (kvec,
+c, Y^c), each as a one-term sum (see ``exact.Term``), and ``term_x1``
+returns the three sums, so ``series`` can gather the parts of many
+fixed points into one sum per chart and size.
 The forms are memoized by e-part and then by (p, q): each tangent
 monomial's weight form (`weights`) and each tautological monomial's 2r
 mass-shifted forms (`masses`), so every piece holding a form holds one
@@ -195,8 +200,9 @@ class FactorTable:
     """One series build's memos of pieces, characters, resolved parts,
     weight forms and mass-shifted forms, each piece a ``FactoredTerm``
     made by `matter` or `tangent`, ell(kvec)'s as every other; see the
-    module docstring.  Its terms are tuples of pieces, and it has no
-    compile state."""
+    module docstring.  The slot walk calls neither with an empty
+    character, so every piece has factors and none is a unit.  Its terms
+    are tuples of pieces, and it has no compile state."""
 
     __slots__ = ("pieces", "chars", "parts", "weights", "masses")
 
@@ -210,15 +216,15 @@ class FactorTable:
         self.weights: dict = {}
         self.masses: dict = {}
 
-    def matter(self, weights: list, e: tuple, r: int):
-        """A tautological piece's matter Euler class, or () if it is 1."""
-        piece = matter_euler(weights, e, r, self.masses)
-        return piece if piece.factors else ()
+    def matter(self, weights: list, e: tuple, r: int) -> FactoredTerm:
+        """A tautological piece's matter Euler class; `weights` is never
+        empty, so the piece has factors."""
+        return matter_euler(weights, e, r, self.masses)
 
-    def tangent(self, weights: list, e: tuple):
-        """A tangent piece's inverse Euler class, or () if it is 1."""
-        piece = term_pow(euler_class(weights, e, self.weights), -1)
-        return piece if piece.factors else ()
+    def tangent(self, weights: list, e: tuple) -> FactoredTerm:
+        """A tangent piece's inverse Euler class; `weights` is never empty,
+        so the piece has factors."""
+        return term_pow(euler_class(weights, e, self.weights), -1)
 
 
 class CompiledTable:
@@ -231,7 +237,8 @@ class CompiledTable:
     form's ref, `masses` to the refs of its 2r mass-shifted forms, so no
     form is looked up by value.  Pieces are made in the order the compile
     walk would meet them, so the kernel's forms, sets and poles are that
-    walk's."""
+    walk's.  The slot walk calls `matter` and `tangent` with non-empty
+    characters only, so each piece holds a real factor set."""
 
     __slots__ = ("pieces", "chars", "weights", "masses", "compiled")
 
@@ -246,8 +253,8 @@ class CompiledTable:
 
     def matter(self, weights: list, e: tuple, r: int):
         """A tautological piece's matter Euler class as (set ref, 0,
-        degree), or () if it is 1: each pair's 2r mass-shifted refs, once
-        per repeat, the factors of ``matter_euler``."""
+        degree), `weights` never empty: each pair's 2r mass-shifted refs,
+        once per repeat, the factors of ``matter_euler``."""
         memo = self.masses.setdefault(e, {})
         shifted = list(map(memo.get, weights))
         if None in shifted:
@@ -261,11 +268,11 @@ class CompiledTable:
                         refs = memo[w] = tuple(range(len(forms) - 2 * r + 1, len(forms) + 1))
                     shifted[i] = refs
         refs = [ref for pair in shifted for ref in pair]
-        return (side_ref(refs, self.compiled), 0, len(refs)) if refs else ()
+        return side_ref(refs, self.compiled), 0, len(refs)
 
     def tangent(self, weights: list, e: tuple):
         """A tangent piece's inverse Euler class as (0, set ref, -degree),
-        or () if it is 1: each pair's weight ref, once per repeat, the
+        `weights` never empty: each pair's weight ref, once per repeat, the
         factors of ``euler_class``.  A weight form is first held by the
         piece that makes it, so its pole exponent, minus its pair's
         multiplicity there, is recorded when it is made."""
@@ -285,7 +292,7 @@ class CompiledTable:
                         ref = memo[w] = len(forms)
                         poles[ref] = -weights.count(w)
                     refs[i] = ref
-        return (0, side_ref(refs, self.compiled), -len(refs)) if refs else ()
+        return 0, side_ref(refs, self.compiled), -len(refs)
 
 
 def _memo(memo: dict, key: tuple, build):
@@ -297,14 +304,17 @@ def _memo(memo: dict, key: tuple, build):
 
 
 def _slot_walk(classes, diagrams, tag, fold: int, r: int, table, v_char, pair_char) -> Term:
-    """Term of the slots with classes `classes` and diagrams `diagrams`
-    under tag `tag`: `table` makes each piece (`matter` and `tangent`,
-    falsy for a unit piece) and the term of them (`term`).  A builder's
-    arguments are its character's memo key: a slot's is v_char(c_alpha,
-    tag, Y_alpha) and a slot pair's pair_char(d, tag, Y_alpha, Y_beta),
-    d = c_beta - c_alpha mod `fold` if set.  The builders read each
-    ``char_*`` as a module global when they run, so a rebinding of one (a
-    test's patch, a tracer) is seen."""
+    """Term of the slots with classes `classes` and data `diagrams` under
+    tag `tag`: a slot's datum Y_alpha is its diagram, or its doubled
+    k_alpha for ell, and a falsy datum makes no piece of its own.
+    `table` makes each piece (`matter` and `tangent`) and the term of them
+    (`term`); an empty character is never passed to the table, its key
+    holds (), and the term skips it.  A builder's arguments are its
+    character's memo key: a slot's is v_char(c_alpha, tag, Y_alpha) and a
+    slot pair's pair_char(d, tag, Y_alpha, Y_beta), d = c_beta - c_alpha
+    mod `fold` if set.  The builders read each ``char_*`` as a module
+    global when they run, so a rebinding of one (a test's patch, a
+    tracer) is seen."""
     pieces, chars, out = table.pieces, table.chars if r > 1 else {}, []
     filled = () if all(diagrams) else [(beta, yb) for beta, yb in enumerate(diagrams, start=1) if yb]
     for alpha, ya in enumerate(diagrams, start=1):
@@ -314,7 +324,7 @@ def _slot_walk(classes, diagrams, tag, fold: int, r: int, table, v_char, pair_ch
             piece = pieces.get(key)
             if piece is None:
                 ch = _memo(chars, (ca, tag, ya), v_char)
-                piece = pieces[key] = table.matter(ch, slot_part(alpha), r)
+                piece = pieces[key] = table.matter(ch, slot_part(alpha), r) if ch else ()
             if piece:
                 out.append(piece)
         for beta, yb in enumerate(diagrams, start=1) if ya else filled:
@@ -325,7 +335,7 @@ def _slot_walk(classes, diagrams, tag, fold: int, r: int, table, v_char, pair_ch
                 if fold:
                     d %= fold
                 ch = _memo(chars, (d, tag, ya, yb), pair_char)
-                piece = pieces[key] = table.tangent(ch, ratio_part(alpha, beta))
+                piece = pieces[key] = table.tangent(ch, ratio_part(alpha, beta)) if ch else ()
             if piece:
                 out.append(piece)
     return table.term(out)
@@ -349,6 +359,16 @@ def _pair_x0(d: int, tag: int, ya, yb) -> list:
     return char_tangent_x0(d, ya, yb)
 
 
+# ell's builders: a slot's class and datum are both its doubled k_alpha,
+# and its character depends on the class alone, a pair's on d alone.
+def _v_twist(c: int, tag: int, d: int) -> list:
+    return char_twist(c)
+
+
+def _pair_twist(d: int, tag: int, da: int, db: int) -> list:
+    return char_twist(d)
+
+
 def term_p2(r: int, diagrams, table: FactorTable) -> Term:
     """Localization term of one diagram tuple on the plane."""
     return _slot_walk((0,) * r, diagrams, 0, 0, r, table, _v_p2, _pair_p2)
@@ -364,26 +384,18 @@ def term_x0(frame: FrameData, diagrams, table) -> Term:
 
 
 def _ell_part(doubled: tuple, r: int, table) -> Term:
-    """ell(kvec) for the doubled first-Chern vector: each slot's
-    line-bundle matter piece, then its slot pairs' line-bundle tangent
-    pieces, each made by `table` and kept in its `pieces`, and the term
-    of them (`table.term`).  A piece char_twist(d) with |d| <= 1 is
-    empty, so it is not made."""
-    cached, pieces = table.pieces, []
-    for alpha, d in enumerate(doubled, start=1):
-        if abs(d) > 1:
-            piece = cached.get((alpha, d))
-            if piece is None:
-                piece = cached[alpha, d] = table.matter(char_twist(d), slot_part(alpha), r)
-            pieces.append(piece)
-        for beta, d_beta in enumerate(doubled, start=1):
-            delta = d_beta - d
-            if abs(delta) > 1:
-                piece = cached.get((alpha, beta, delta))
-                if piece is None:
-                    piece = cached[alpha, beta, delta] = table.tangent(char_twist(delta), ratio_part(alpha, beta))
-                pieces.append(piece)
-    return table.term(pieces)
+    """ell(kvec) for the doubled first-Chern vector, walked as a chart part
+    is under tag 0, a slot's class and datum both its doubled k_alpha:
+    each slot's line-bundle matter piece char_twist(2k_alpha), then its
+    slot pairs' tangent pieces char_twist(delta), delta = 2(k_beta -
+    k_alpha).  A slot with k_alpha = 0 makes no piece of its own, as an
+    empty diagram makes none, and the walk skips every empty character,
+    so ell has a piece for each |2k_alpha| > 1 and each |delta| > 1.  A
+    slot pair's piece is keyed by (2k_alpha, 2k_beta), not by delta
+    alone, so two first-Chern vectors with one delta at a pair hold two
+    equal pieces, not one; the kernel gives equal factor sets one entry,
+    so they compile alike."""
+    return _slot_walk(doubled, doubled, 0, 0, r, table, _v_twist, _pair_twist)
 
 
 def _part(parts: dict, key, build, *args) -> tuple:

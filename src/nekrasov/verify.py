@@ -110,7 +110,6 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 from operator import attrgetter
 
 from .diagrams import FrameData, HalfInt
@@ -123,6 +122,7 @@ from .exact import (
     form_image,
     format_rational,
     named_point,
+    scale_to_ints,
     scope_vars,
     term_eval,
 )
@@ -403,15 +403,10 @@ def _prefactor(r: int, sign: int, max_n: int):
     """The side of (1 - (-1)^r q)^(sign u) to q^max_n: grade 4j holds
     sum c u^d over series_prefactor's (d, c) pairs, with u = n/m read at
     p.  Each grade is summed in ints, sum c' n^d m^(j-d) over L m^j with
-    c' = c L and L the lcm of the grade's c denominators (d <= j), into
-    one Fraction."""
+    c' = c L and L the lcm of the grade's c denominators (d <= j,
+    ``exact.scale_to_ints``), into one Fraction."""
     series, u_piece = series_prefactor(r, sign, max_n), prefactor_exponent(r)
-    grades = []
-    for g in series.grades():
-        pairs = series.coefficient(g)
-        den = lcm(*(c.denominator for _, c in pairs))
-        scaled = [(d, c.numerator * (den // c.denominator)) for d, c in pairs]
-        grades.append((g, g // 4, den, scaled))
+    grades = [(g, g // 4, *scale_to_ints(dict(series.coefficient(g)))) for g in series.grades()]
 
     def values(point: EvalPoint) -> dict:
         u = term_eval((u_piece,), point)
@@ -420,8 +415,8 @@ def _prefactor(r: int, sign: int, max_n: int):
             n_pow.append(n_pow[-1] * u.numerator)
             m_pow.append(m_pow[-1] * u.denominator)
         return {
-            g: Fraction(sum([c * n_pow[d] * m_pow[j - d] for d, c in pairs]), den * m_pow[j])
-            for g, j, den, pairs in grades
+            g: Fraction(sum([c * n_pow[d] * m_pow[j - d] for d, c in pairs.items()]), den * m_pow[j])
+            for g, j, pairs, den in grades
         }
 
     return _side(values, [form for form, exp in u_piece.factors if exp < 0])
@@ -430,18 +425,14 @@ def _prefactor(r: int, sign: int, max_n: int):
 def _cauchy(weights, side):
     """The side whose grade g is sum_j weights(p)[j] * side(p)[g - j], over
     the grades of `side`.  Both factors' values are written over their own
-    common denominator, the lcm of theirs, and each grade is summed in
-    ints over the product of the two into one Fraction."""
+    common denominator (``exact.scale_to_ints``), and each grade is summed
+    in ints over the product of the two into one Fraction."""
 
     def product(point: EvalPoint) -> dict:
-        w, values = weights(point), side(point)
-        w_den = lcm(*(c.denominator for c in w.values()))
-        v_den = lcm(*(v.denominator for v in values.values()))
-        w_num = [(j, c.numerator * (w_den // c.denominator)) for j, c in w.items()]
-        v_num = {g: v.numerator * (v_den // v.denominator) for g, v in values.items()}
+        (w_num, w_den), (v_num, v_den) = scale_to_ints(weights(point)), scale_to_ints(side(point))
         den = w_den * v_den
         return {
-            g: Fraction(sum([c * v_num[g - j] for j, c in w_num if g - j in v_num]), den)
+            g: Fraction(sum([c * v_num[g - j] for j, c in w_num.items() if g - j in v_num]), den)
             for g in v_num
         }
 
@@ -483,7 +474,14 @@ def check_main(pair: SeriesPair, cfg: SampleConfig) -> VerificationReport:
 
 
 def check_factorization(pair: SeriesPair, cfg: SampleConfig) -> VerificationReport:
-    """Resolved series against its blow-up factorization."""
+    """Resolved series against its blow-up factorization.  zx1 makes each
+    chart part from the chart characters, zx1-fact from the plane
+    characters under the chart substitution, and both reach the same
+    linear forms: the two compile to field-for-field identical kernels.
+    So mult compares the chart characters with the chart images of the
+    plane characters at the level of forms, and cannot see a fault that
+    both builds share, such as a wrong ell(kvec), Euler class or matter
+    twist."""
     rows = [({}, _read(pair, "zx1"), _read(pair, "zx1-fact"))]
     return _run_check("mult", pair, cfg, rows)
 

@@ -1080,7 +1080,7 @@ class TestFormReader:
         if zeroed is not None and forms:
             point = _zeroing(forms[zeroed % len(forms)], point)
             assert not clear_of(forms, point)
-        ints, d = exact._scale_point(point)
+        ints, d = exact.scale_to_ints(point)
         rows, frames = exact._form_rows(forms)
         assert exact._form_values(rows, frames, ints) == [2 * d * form.evaluate(point) for form in forms]
         expected = all(form.evaluate(point) != 0 for form in forms)

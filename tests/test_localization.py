@@ -554,7 +554,8 @@ class TestPiecesAgainstReferences:
                     expected = ref_euler_class(ch)
                     assert euler_class(pairs, e, table.weights) == expected
                     assert euler_class(pairs, e) == expected
-                    assert table.tangent(pairs, e) == (term_pow(expected, -1) if pairs else ())
+                    if pairs:  # the slot walk makes no piece of an empty character
+                        assert table.tangent(pairs, e) == term_pow(expected, -1)
 
     def test_orbifold_pieces_repeat_weights(self):
         """zx0 at w = (1, 0), k = 0, max-n 8 (diagrams up to 16 boxes) has
@@ -690,12 +691,11 @@ class TestSharedBuild:
         assert series_zx0(frame, H(0), 0).coeffs == {0: ((0, 0, 0, ()),)}  # the compiled empty term
         assert series_zp2(500, 0).coeffs == {0: ((),)}
         assert calls == []
-        # on the plane and the resolved surface a character that is not
-        # empty by construction has a monomial
+        # on every series the slot walk hands its table no empty character,
+        # whatever made it empty: no boxes, the orbifold's parity filter,
+        # or a line-bundle twist with |d| <= 1
         frame = FrameData(2, 1)
-        series_zx0(frame, H("1/2"), 8 + frame.w1)  # its table builds pieces once there are boxes
-        assert calls
-        calls.clear()
+        series_zx0(frame, H("1/2"), 8 + frame.w1)
         series_zp2(frame.r, 2)
         series_zx1(frame, H("1/2"), 8 + frame.w1)
         assert calls and all(calls)

@@ -14,6 +14,7 @@ from nekrasov.exact import (
     EPS2,
     Kernel,
     LinearForm,
+    Rule,
     clear_of,
     coeff_eval,
     factored_term,
@@ -707,6 +708,44 @@ class TestSeriesKernels:
         for point in points:
             expected = {g: reference_value(series.coefficient(g), point) for g in series.grades()}
             assert pair.values(name, point) == expected
+
+
+# (eps1, eps2) -> (eps2, eps1), every other variable fixed
+EXCHANGE = Rule(((0, 1), (1, 0)), (0, 0), ())
+
+
+@cache
+def exchange_pair(r, k):
+    """The pair of the rank-r frame at k, to MAX_N[r]; built once per
+    module, so every example shares its kernels."""
+    frame = FRAMES[r, H(k).doubled % 2]
+    return SeriesPair(frame, H(k), 4 * MAX_N[r] + frame.w1)
+
+
+class TestEpsExchange:
+    """A fifth, test-only identity: every series reads equal values at p
+    and at p with eps1 and eps2 exchanged.  It rests on no theorem -- the
+    paper states no such symmetry, and it is only observed to hold -- so
+    a failure here says the engine changed, and need not mean it is
+    wrong.  It does see a mass shift that favours one eps, such as every
+    m_f -> m_f + eps1 or m_1 alone, which main, mult and must also
+    catch."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.sampled_from([1, 2, 3]),
+        k=st.sampled_from(["-1", "-1/2", "0", "1/2", "1"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_series_reads_the_same_at_the_exchanged_point(self, r, k, seed):
+        pair = exchange_pair(r, k)
+        names = ("zx0", "zx1", "zx1-fact", "zp2")
+        forms = [f for name in names for rule in (None, EXCHANGE) for f in pair.pole_forms(name, rule)]
+        (point,), _ = sample_points(SampleConfig(seed=seed, trials=1), union_pole_forms(forms), r)
+        for name in names:
+            values = pair.values(name, point)
+            assert any(values.values()), name
+            assert pair.values(name, map_point(point, EXCHANGE)) == values, name
 
 
 @cache
